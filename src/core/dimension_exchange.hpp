@@ -128,10 +128,11 @@ struct BlockExchange {
 /// sequence as the scalar overload — only the payload representation
 /// differs: cycle 2's combined relay message is one 2*width stride (own
 /// block then gathered block) instead of a std::pair. Every cycle's source
-/// is described as a PlaneSrc / PlanePairSrc over either the caller's plane
-/// or the previous cycle's inbox plane, so on replay the whole exchange is
-/// a few plane-to-plane kernel sweeps with no per-sender callbacks and no
-/// copy-out — the result is a view (BlockExchange) into the final planes.
+/// is a PlaneSrc over the caller's plane or the previous cycle's inbox
+/// plane (cycle 2's names the gathered plane as its tail), so on replay
+/// the whole exchange is a few plane-to-plane sweeps with no per-sender
+/// callbacks and no copy-out — the result is a view (BlockExchange) into
+/// the final planes.
 template <typename T>
 BlockExchange<T> dimension_exchange_blocks(sim::Machine& m,
                                            sim::ObliviousSection& sched,
@@ -177,8 +178,8 @@ BlockExchange<T> dimension_exchange_blocks(sim::Machine& m,
         if (dc::bits::get(u, 0) != direct0) return sim::kNoSend;
         return dc::bits::flip(u, j);
       },
-      sim::PlanePairSrc<T>{plane.data(), width, gathered.data(),
-                           gathered.stride(), width});
+      sim::PlaneSrc<T>{plane.data(), width, gathered.data(),
+                       gathered.stride(), width});
 
   // Cycle 3: direct nodes keep the first half and return the second to
   // their cross neighbor.

@@ -12,9 +12,9 @@
 // compact inter-shard exchange:
 //
 //   Pass A (per shard; real machine work) — step 1's in-cluster
-//     Cube_prefix: n-1 fused exchange+combine sweeps (or tiled-replay /
-//     interpreted exchanges plus compute steps, by engine mode) over the
-//     shard's t/s slices. After the pass, t is
+//     Cube_prefix: n-1 fused exchange+combine sweeps (or interpreted
+//     exchanges plus compute steps when the run needs per-message
+//     fidelity) over the shard's t/s slices. After the pass, t is
 //     uniform across each cluster (the full cluster total), so one element
 //     per cluster — read at local node 0 — is the entire contribution the
 //     shard ever sends across cluster boundaries.
@@ -51,7 +51,6 @@
 #include <algorithm>
 #include <concepts>
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -99,25 +98,18 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
   scr.prefix0.resize(static_cast<std::size_t>(per_class));
   scr.prefix1.resize(static_cast<std::size_t>(per_class));
 
-  // Path selection mirrors the flat engine: the fused and tiled-replay
-  // paths need a plane-eligible payload, no hot-spot accounting (neither
-  // carries CSR edge slots) and the compiled schedule path; otherwise
-  // every cycle interprets through comm_cycle with full validation. Within
-  // the compiled regime the engine's exchange mode picks fused (default —
-  // one bandwidth-bound sweep per cycle, no comm plane) or tiled replay
-  // (the compiled cluster slice through the SIMD plane kernels).
-  const bool compiled_ok =
+  // Path selection mirrors the flat engine's replay conditions: the fused
+  // path needs a plane-eligible payload, no hot-spot accounting (it carries
+  // no CSR edge slots) and the compiled schedule path (faulty machines
+  // report interpreted); otherwise every cycle interprets through
+  // comm_cycle with full validation.
+  const bool fused =
       detail::kPlaneEligible<V> && !eng.edge_load_enabled() &&
       eng.machine(0).schedule_path() == sim::SchedulePath::kCompiled;
-  const sim::ShardExchangeMode mode =
-      compiled_ok ? eng.exchange_mode() : sim::ShardExchangeMode::kInterpreted;
-  std::shared_ptr<const sim::Schedule> slice;
-  if (mode == sim::ShardExchangeMode::kTiledReplay)
-    slice = eng.cluster_schedule();
-  DC_REQUIRE(!oc || mode == sim::ShardExchangeMode::kFused,
+  DC_REQUIRE(!oc || fused,
              "out-of-core streaming requires the fused exchange path "
              "(plane-eligible payload, compiled schedule path, no edge "
-             "loads, fused engine mode); raise the budget otherwise");
+             "loads); raise the budget otherwise");
 
   // ---- Pass A: step 1 (in-cluster inclusive/diminished prefix) --------
   for (unsigned k = 0; k < eng.shard_count(); ++k) {
@@ -219,7 +211,7 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
       // those are the same expression — so one combine serves both while
       // the model still charges the 3 per-pair applications the unfused
       // step would have applied.
-      if (mode == sim::ShardExchangeMode::kFused) {
+      if (fused) {
         const dc::u64 stride = dc::u64{1} << i;
         mach.comm_compute_cycle_fused_blocks(
             static_cast<std::size_t>(plan.clusters_per_shard()),
@@ -240,32 +232,22 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
             });
         continue;
       }
-      const auto step = [&](auto&& recv) {
-        mach.compute_step([&](net::NodeId l) {
-          const V& temp = recv(l);
-          if (dc::bits::get(l, i) == 1) {
-            s_sl[l] = op.combine(temp, s_sl[l]);
-            t_sl[l] = op.combine(temp, t_sl[l]);
-            mach.add_ops(2);
-          } else {
-            t_sl[l] = op.combine(t_sl[l], temp);
-            mach.add_ops(1);
-          }
-        });
-      };
-      if (mode == sim::ShardExchangeMode::kTiledReplay) {
-        auto inbox = mach.comm_cycle_scheduled_blocks_tiled<V>(
-            slice->cycle(i), static_cast<std::size_t>(plan.clusters_per_shard()),
-            1, sim::PlaneSrc<V>{scr.t.data(), 1});
-        step([&](net::NodeId l) -> const V& { return *inbox.block(l); });
-      } else {
-        auto inbox = mach.comm_cycle<V>(
-            [&](net::NodeId l) -> std::optional<sim::Send<V>> {
-              return sim::Send<V>{
-                  static_cast<net::NodeId>(l ^ (dc::u64{1} << i)), t_sl[l]};
-            });
-        step([&](net::NodeId l) -> const V& { return *inbox[l]; });
-      }
+      auto inbox = mach.comm_cycle<V>(
+          [&](net::NodeId l) -> std::optional<sim::Send<V>> {
+            return sim::Send<V>{
+                static_cast<net::NodeId>(l ^ (dc::u64{1} << i)), t_sl[l]};
+          });
+      mach.compute_step([&](net::NodeId l) {
+        const V& temp = *inbox[l];
+        if (dc::bits::get(l, i) == 1) {
+          s_sl[l] = op.combine(temp, s_sl[l]);
+          t_sl[l] = op.combine(temp, t_sl[l]);
+          mach.add_ops(2);
+        } else {
+          t_sl[l] = op.combine(t_sl[l], temp);
+          mach.add_ops(1);
+        }
+      });
     }
     // After the full pass t is cluster-uniform (each node holds its
     // cluster's total), so local node 0 of each block carries everything

@@ -127,8 +127,9 @@ struct TypedArena final : ArenaBase {
 /// messages: `values[v * width + k]` is element k of the block delivered to
 /// node v, and the block is present iff `stamp[v] == generation`. Unlike
 /// InboxBuffer there are no per-slot atomics: the plane is only written by
-/// the replay gather (each v by exactly one worker) or by the sequential
-/// blockify copy, both of which are race-free by construction.
+/// the replay gather or the interpreted-path packer, each of which writes
+/// every row v from exactly one worker, so both are race-free by
+/// construction.
 template <typename T>
 struct BlockBuffer {
   explicit BlockBuffer(std::size_t n)
@@ -338,7 +339,7 @@ class BlockInbox {
 
   /// The whole node-major plane: block(v) == data() + v * stride(). Lets
   /// callers hand a received plane straight back to the simulator as a
-  /// PlaneSrc / PlanePairSrc for the next replay cycle (no copy-out).
+  /// PlaneSrc for the next block cycle (no copy-out).
   const T* data() const { return buf_->values.data(); }
   std::size_t stride() const { return buf_->width; }
 

@@ -164,7 +164,7 @@ class Machine {
   std::uint64_t replayed_cycles() const { return replayed_cycles_; }
 
   /// Attaches a per-cycle imbalance profiler (sim/profile.hpp): every comm
-  /// cycle — interpreted, replayed, tiled or fused — feeds one
+  /// cycle — interpreted, replayed or fused — feeds one
   /// deterministic band-stat sample into it from the driver thread. The
   /// profiler must outlive the machine's cycles; pass nullptr to detach.
   /// Costs one O(n) receiver scan per cycle while attached, nothing when
@@ -394,179 +394,79 @@ class Machine {
 
   /// Replays one compiled cycle whose every message is a fixed-width block
   /// of T, through a structure-of-arrays plane: one chunked receiver-major
-  /// sweep where each delivery is `src(sender, plane + v*width)` — a
-  /// memcpy-like stride copy instead of a heap-owning payload move.
-  /// `src(u, dst)` must write exactly `width` elements of node u's outgoing
-  /// block into dst and only read state, like a plan callback; it is invoked
-  /// exactly once per delivered message. Counter, trace, edge-load and
+  /// sweep where receiver row v gets the `width`-element block of its sender
+  /// recv_from[v] — a memcpy-like stride copy instead of a heap-owning
+  /// payload move. `src` is a PlaneSrc descriptor or a callback
+  /// `src(u, dst)` that writes exactly `width` elements of node u's
+  /// outgoing block into dst and only reads state, like a plan callback;
+  /// either is read exactly once per delivered message. A tail-free
+  /// PlaneSrc runs the whole sweep through simd::gather_rows (an AVX2
+  /// masked gather at width 1, width-specialized block copies otherwise);
+  /// with edge-load accounting enabled its rows take the per-row loop so
+  /// hot-spot counting stays exact. Counter, trace, edge-load and
   /// fault-refusal semantics are identical to comm_cycle_scheduled.
   /// Steady-state replays at a given width perform zero heap allocations
   /// (the plane is pooled and kept at its high-water size), with tracing
   /// and metrics enabled or disabled.
-  template <typename T, typename SrcFn>
+  template <typename T, typename Src>
   BlockInbox<T> comm_cycle_scheduled_blocks(const ScheduleCycle& cyc,
-                                            std::size_t width, SrcFn&& src) {
+                                            std::size_t width, Src&& src) {
     const std::size_t n = static_cast<std::size_t>(node_count());
-    const net::NodeId* const from = cyc.recv_from.data();
-    const std::uint32_t* const edge = cyc.recv_slot.data();
-    return replay_blocks_impl<T>(
-        cyc, width,
-        [&](std::size_t lo, std::size_t hi, T* plane, std::uint64_t* stamp,
-            std::uint64_t gen, std::uint64_t* loads) {
-          for (std::size_t v = lo; v < hi; ++v) {
-            const net::NodeId u = from[v];
-            if (u == kNoSender) continue;
-            src(u, plane + v * width);
-            stamp[v] = gen;
-            if (loads) {
-              if (edge[v] != kNoEdgeSlot) {
-                ++loads[edge[v]];
-              } else {
-                edge_load_.add_off_csr(u * n + v);
-              }
-            }
-          }
-        });
-  }
-
-  /// Plane-source overload of the block replay: node u's outgoing block
-  /// lives at `src.base[u*src.stride ..]`, so the whole cycle is one
-  /// plane-to-plane kernel sweep (sim/simd.hpp gather_rows — an AVX2 masked
-  /// gather at width 1, width-specialized block copies otherwise) instead
-  /// of a per-sender callback. Semantics (counters, trace, edge loads,
-  /// fault refusal, zero steady-state allocations) are identical to the
-  /// callback form; with edge-load accounting enabled the rows run through
-  /// the scalar loop so hot-spot counting stays exact.
-  template <typename T>
-  BlockInbox<T> comm_cycle_scheduled_blocks(const ScheduleCycle& cyc,
-                                            std::size_t width,
-                                            PlaneSrc<T> src) {
-    const std::size_t n = static_cast<std::size_t>(node_count());
-    const net::NodeId* const from = cyc.recv_from.data();
-    const std::uint32_t* const edge = cyc.recv_slot.data();
-    return replay_blocks_impl<T>(
-        cyc, width,
-        [&](std::size_t lo, std::size_t hi, T* plane, std::uint64_t* stamp,
-            std::uint64_t gen, std::uint64_t* loads) {
-          if (!loads) {
-            simd::gather_rows(plane, stamp, gen, from, kNoSender, lo, hi,
-                              width, src.base, src.stride);
-            return;
-          }
-          for (std::size_t v = lo; v < hi; ++v) {
-            const net::NodeId u = from[v];
-            if (u == kNoSender) continue;
-            simd::copy_block(plane + v * width, src.base + u * src.stride,
-                             width);
-            stamp[v] = gen;
-            if (edge[v] != kNoEdgeSlot) {
-              ++loads[edge[v]];
-            } else {
-              edge_load_.add_off_csr(u * n + v);
-            }
-          }
-        });
-  }
-
-  /// Two-plane concatenation overload: node u ships
-  /// `src.first[u*first_stride ..][0..first_width)` followed by
-  /// `src.second[u*second_stride ..][0..width-first_width)` — the relay
-  /// cycle's (own block ‖ gathered block) payload without materializing a
-  /// combined buffer. Same semantics as the other overloads.
-  template <typename T>
-  BlockInbox<T> comm_cycle_scheduled_blocks(const ScheduleCycle& cyc,
-                                            std::size_t width,
-                                            PlanePairSrc<T> src) {
-    const std::size_t n = static_cast<std::size_t>(node_count());
-    DC_REQUIRE(src.first_width <= width,
-               "pair source first_width exceeds the block width");
-    const std::size_t w1 = src.first_width;
-    const std::size_t w2 = width - w1;
-    const net::NodeId* const from = cyc.recv_from.data();
-    const std::uint32_t* const edge = cyc.recv_slot.data();
-    return replay_blocks_impl<T>(
-        cyc, width,
-        [&](std::size_t lo, std::size_t hi, T* plane, std::uint64_t* stamp,
-            std::uint64_t gen, std::uint64_t* loads) {
-          for (std::size_t v = lo; v < hi; ++v) {
-            const net::NodeId u = from[v];
-            if (u == kNoSender) continue;
-            T* const dst = plane + v * width;
-            simd::copy_block(dst, src.first + u * src.first_stride, w1);
-            simd::copy_block(dst + w1, src.second + u * src.second_stride,
-                             w2);
-            stamp[v] = gen;
-            if (loads) {
-              if (edge[v] != kNoEdgeSlot) {
-                ++loads[edge[v]];
-              } else {
-                edge_load_.add_off_csr(u * n + v);
-              }
-            }
-          }
-        });
-  }
-
-  /// Tiled plane replay for shard-local schedules (sim/shard.hpp): the
-  /// receiver space is `tiles` consecutive copies of the `unit` cycle, and
-  /// every sender index in `unit` is tile-local — tile t's receiver row
-  /// t*B + v gathers from sender t*B + unit.recv_from[v] (B =
-  /// unit.recv_from.size(), with B * tiles == node_count()). One
-  /// cluster-sized compiled slice therefore drives the whole machine:
-  /// schedules stay O(cluster) instead of O(shard) no matter how many
-  /// cluster blocks the shard holds, which is what keeps mega-scale
-  /// shards' schedule memory off the linear-per-shard budget. Each tile
-  /// runs through the same SIMD gather kernel as the plane-source replay
-  /// overload; counters and trace book one comm cycle delivering
-  /// tiles * unit.message_count messages. Edge-load accounting is not
-  /// supported here (the unit slice carries no CSR slots — the sharded
-  /// engine interprets cycles instead when hot-spot counting is on).
-  template <typename T>
-  BlockInbox<T> comm_cycle_scheduled_blocks_tiled(const ScheduleCycle& unit,
-                                                  std::size_t tiles,
-                                                  std::size_t width,
-                                                  PlaneSrc<T> src) {
-    const std::size_t n = static_cast<std::size_t>(node_count());
-    const std::size_t block = unit.recv_from.size();
     DC_REQUIRE(!has_faults(),
                "compiled replay skips per-message fault checks; a machine "
                "with an attached FaultPlan must interpret every cycle");
-    DC_REQUIRE(block >= 1 && block * tiles == n,
-               "tiled schedule unit does not cover the node count");
-    DC_REQUIRE(width >= 1, "block width must be >= 1");
-    DC_REQUIRE(!edge_load_.enabled(),
-               "tiled replay carries no edge slots; interpret cycles when "
-               "edge-load accounting is enabled");
+    DC_REQUIRE(cyc.recv_from.size() == n,
+               "schedule cycle was compiled for a different node count");
+    require_block_source<T>(width, src);
     CycleSpan span(trace_, trace_track_, "comm_cycle_replay_blocks");
     auto arena = arena_.get_blocks<T>(n);
     auto buf = arena->acquire(width);
 
-    T* const plane = buf->values.data();
-    std::uint64_t* const stamp = buf->stamp.get();
-    const std::uint64_t gen = buf->generation;
-    const net::NodeId* const from = unit.recv_from.data();
+    const bool loads_on = edge_load_.enabled();
     parallel_for_affine(
         0, n, width * sizeof(T),
         [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t t = lo / block; t * block < hi; ++t) {
-            const std::size_t base = t * block;
-            const std::size_t row_lo = lo > base ? lo - base : 0;
-            const std::size_t row_hi = std::min(hi - base, block);
-            simd::gather_rows(plane + base * width, stamp + base, gen, from,
-                              kNoSender, row_lo, row_hi, width,
-                              src.base + base * src.stride, src.stride);
+          // Everything the row loop reads is a local, not a captured
+          // reference: the plane and stamp stores could otherwise alias it
+          // and force reloads on every row.
+          T* const plane = buf->values.data();
+          std::uint64_t* const stamp = buf->stamp.get();
+          const std::uint64_t gen = buf->generation;
+          const net::NodeId* const from = cyc.recv_from.data();
+          const std::uint32_t* const edge = cyc.recv_slot.data();
+          const std::size_t w = width;
+          if constexpr (kIsPlaneSrc<T, Src>) {
+            if (!loads_on && !src.tail) {
+              simd::gather_rows(plane, stamp, gen, from, kNoSender, lo, hi,
+                                w, src.base, src.stride);
+              return;
+            }
+          }
+          std::uint64_t* const loads =
+              loads_on ? edge_load_.row(pool().worker_slot()) : nullptr;
+          for (std::size_t v = lo; v < hi; ++v) {
+            const net::NodeId u = from[v];
+            if (u == kNoSender) continue;
+            copy_row<T>(src, u, plane + v * w, w);
+            stamp[v] = gen;
+            if (loads) {
+              if (edge[v] != kNoEdgeSlot) {
+                ++loads[edge[v]];
+              } else {
+                edge_load_.add_off_csr(u * n + v);
+              }
+            }
           }
         },
         grain_, pool_);
 
-    if (profiler_ != nullptr) profiler_->note_cycle_tiled(unit, block, tiles);
-    const std::uint64_t delivered =
-        static_cast<std::uint64_t>(tiles) * unit.message_count;
+    if (profiler_ != nullptr) profiler_->note_cycle(cyc, n);
     ++counters_.comm_cycles;
-    counters_.messages += delivered;
+    counters_.messages += cyc.message_count;
     ++replayed_cycles_;
-    span.finish(delivered);
-    if (metric_msgs_per_cycle_) metric_msgs_per_cycle_->observe(delivered);
+    span.finish(cyc.message_count);
+    if (metric_msgs_per_cycle_)
+      metric_msgs_per_cycle_->observe(cyc.message_count);
     return BlockInbox<T>(std::move(arena), std::move(buf));
   }
 
@@ -606,14 +506,18 @@ class Machine {
     if (trace_) trace_->instant(trace_track_, 0, "compute_step");
   }
 
-  /// Packs a vector-payload inbox into a block plane. Used by
-  /// ObliviousSection::exchange_blocks on the interpreted and record paths,
-  /// where the exchange ran through comm_cycle (full validation, faults,
-  /// SimError reporting) with std::vector<T> payloads; this uncounted copy
-  /// gives the caller the same BlockInbox view replay would have produced.
-  template <typename T>
-  BlockInbox<T> blockify(std::size_t width, const Inbox<std::vector<T>>& in) {
+  /// Packs an interpreted block exchange into a block plane.
+  /// ObliviousSection::exchange_blocks runs the cycle through comm_cycle
+  /// (full validation, faults, SimError reporting) with each sender
+  /// shipping its own id; this uncounted copy then fills receiver row v
+  /// from the source row of the node that reached it — the rows replay
+  /// gathers through recv_from, read through the same `src`. Steady-state
+  /// packs perform zero heap allocations.
+  template <typename T, typename Src>
+  BlockInbox<T> pack_blocks(std::size_t width,
+                            const Inbox<net::NodeId>& senders, Src&& src) {
     const std::size_t n = static_cast<std::size_t>(node_count());
+    require_block_source<T>(width, src);
     auto arena = arena_.get_blocks<T>(n);
     auto buf = arena->acquire(width);
     T* const plane = buf->values.data();
@@ -623,36 +527,9 @@ class Machine {
         0, n,
         [&](std::size_t lo, std::size_t hi) {
           for (std::size_t v = lo; v < hi; ++v) {
-            const auto& msg = in[static_cast<net::NodeId>(v)];
-            if (!msg) continue;
-            DC_CHECK(msg->size() == width,
-                     "block exchange delivered a ragged-width message");
-            std::copy_n(msg->data(), width, plane + v * width);
-            stamp[v] = gen;
-          }
-        },
-        grain_, pool_);
-    return BlockInbox<T>(std::move(arena), std::move(buf));
-  }
-
-  /// Width-1 variant of blockify: packs a scalar-payload inbox into a
-  /// plane, so width-1 block exchanges interpret with plain T payloads
-  /// (no per-message vector) and still hand back the uniform block view.
-  template <typename T>
-  BlockInbox<T> blockify_scalar(const Inbox<T>& in) {
-    const std::size_t n = static_cast<std::size_t>(node_count());
-    auto arena = arena_.get_blocks<T>(n);
-    auto buf = arena->acquire(1);
-    T* const plane = buf->values.data();
-    std::uint64_t* const stamp = buf->stamp.get();
-    const std::uint64_t gen = buf->generation;
-    parallel_for_chunked(
-        0, n,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t v = lo; v < hi; ++v) {
-            const auto& msg = in[static_cast<net::NodeId>(v)];
-            if (!msg) continue;
-            plane[v] = *msg;
+            const auto& from = senders[static_cast<net::NodeId>(v)];
+            if (!from) continue;
+            copy_row<T>(src, *from, plane + v * width, width);
             stamp[v] = gen;
           }
         },
@@ -855,45 +732,14 @@ class Machine {
   // inside ThreadPool::shared().
   ThreadPool& pool() const { return *pool_; }
 
-  /// Shared prologue/epilogue of every block-replay overload: validates the
-  /// cycle, acquires a plane, runs `per_range(lo, hi, plane, stamp, gen,
-  /// loads)` over receiver rows via the cache-affine parallel loop (loads
-  /// is the per-worker edge-load row or null), and books counters/trace.
-  template <typename T, typename PerRange>
-  BlockInbox<T> replay_blocks_impl(const ScheduleCycle& cyc, std::size_t width,
-                                   PerRange&& per_range) {
-    const std::size_t n = static_cast<std::size_t>(node_count());
-    DC_REQUIRE(!has_faults(),
-               "compiled replay skips per-message fault checks; a machine "
-               "with an attached FaultPlan must interpret every cycle");
-    DC_REQUIRE(cyc.recv_from.size() == n,
-               "schedule cycle was compiled for a different node count");
+  /// Shape checks shared by block replay and block packing.
+  template <typename T, typename Src>
+  static void require_block_source(std::size_t width, const Src& src) {
     DC_REQUIRE(width >= 1, "block width must be >= 1");
-    CycleSpan span(trace_, trace_track_, "comm_cycle_replay_blocks");
-    auto arena = arena_.get_blocks<T>(n);
-    auto buf = arena->acquire(width);
-
-    T* const plane = buf->values.data();
-    std::uint64_t* const stamp = buf->stamp.get();
-    const std::uint64_t gen = buf->generation;
-    const bool loads_on = edge_load_.enabled();
-    parallel_for_affine(
-        0, n, width * sizeof(T),
-        [&](std::size_t lo, std::size_t hi) {
-          std::uint64_t* const loads =
-              loads_on ? edge_load_.row(pool().worker_slot()) : nullptr;
-          per_range(lo, hi, plane, stamp, gen, loads);
-        },
-        grain_, pool_);
-
-    if (profiler_ != nullptr) profiler_->note_cycle(cyc, n);
-    ++counters_.comm_cycles;
-    counters_.messages += cyc.message_count;
-    ++replayed_cycles_;
-    span.finish(cyc.message_count);
-    if (metric_msgs_per_cycle_)
-      metric_msgs_per_cycle_->observe(cyc.message_count);
-    return BlockInbox<T>(std::move(arena), std::move(buf));
+    if constexpr (kIsPlaneSrc<T, Src>) {
+      DC_REQUIRE(!src.tail || src.head <= width,
+                 "plane source head exceeds the block width");
+    }
   }
 
   /// CSR adjacency snapshot, fetched from the topology's cache on first

@@ -18,6 +18,12 @@
 //     and calls Machine::comm_cycle_scheduled: one gather pass, no
 //     validation, no claims (see sim/schedule.hpp).
 //
+// Fixed-width block exchanges (exchange_blocks) take the same three paths
+// with one source: a strided PlaneSrc or a src(u, dst) callback. Replay
+// gathers each receiver's row from its recorded sender; interpreting and
+// recording exchange sender ids through exchange() and then copy each
+// delivered row from that sender's source — the same rows either way.
+//
 // Replay is only correct because the recorded plan is a pure function of
 // (topology, algorithm, params): the cache key carries all three plus the
 // machine's validation flag, and the topology identity includes the
@@ -131,83 +137,31 @@ class ObliviousSection {
   }
 
   /// One oblivious cycle whose every message is a fixed-width block of T
-  /// (T must be semiregular). `src_of(u, dst)` writes node u's outgoing
-  /// `width` elements into dst. On replay this is a single SoA plane gather
+  /// (T must be semiregular). `src` names node u's outgoing `width`
+  /// elements: a PlaneSrc descriptor, or a callback `src(u, dst)` that
+  /// writes them into dst. On replay this is a single SoA plane gather
   /// (Machine::comm_cycle_scheduled_blocks — memcpy-like strides, zero
-  /// steady-state allocations); on the interpreted and record paths the
-  /// cycle runs through comm_cycle with std::vector<T> payloads (plain T
-  /// when width == 1), keeping validation, SimError strings, counters,
-  /// traces, edge loads and fault filtering byte-identical to a scalar
-  /// section, and the result is packed into the same BlockInbox view.
-  /// Workloads with ragged widths cannot use this call — ship vector<T>
-  /// through exchange() instead; machines with attached faults come through
-  /// here on the interpreted fallback automatically (schedule_path()
-  /// reports kInterpreted under faults).
-  template <typename T, typename DestFn, typename SrcFn>
+  /// steady-state allocations). On the interpreted and record paths the
+  /// cycle runs through exchange() with every sender shipping its own node
+  /// id, so validation, SimError strings, counters, traces, edge loads and
+  /// fault filtering are byte-identical to a scalar section; then one
+  /// packer (Machine::pack_blocks) copies each delivered row from its
+  /// sender's source row — exactly the rows replay reads through
+  /// recv_from. Machines with attached faults come through here on the
+  /// interpreted path automatically (schedule_path() reports kInterpreted
+  /// under faults).
+  template <typename T, typename DestFn, typename Src>
   BlockInbox<T> exchange_blocks(std::size_t width, DestFn&& dest_of,
-                                SrcFn&& src_of) {
-    if (replay_) {
-      DC_CHECK(next_cycle_ < replay_->cycle_count(),
-               "algorithm issued more cycles than its compiled schedule");
-      return m_.comm_cycle_scheduled_blocks<T>(replay_->cycle(next_cycle_++),
-                                               width, src_of);
-    }
-    if (width == 1) {
-      const auto in = exchange<T>(dest_of, [&](net::NodeId u) {
-        T v{};
-        src_of(u, &v);
-        return v;
-      });
-      return m_.blockify_scalar<T>(in);
-    }
-    const auto in = exchange<std::vector<T>>(dest_of, [&](net::NodeId u) {
-      std::vector<T> buf(width);
-      src_of(u, buf.data());
-      return buf;
-    });
-    return m_.blockify<T>(width, in);
-  }
-
-  /// Plane-source form of exchange_blocks: node u's outgoing block is the
-  /// stride `src.base[u*src.stride ..]`. On replay this dispatches to the
-  /// machine's plane-to-plane kernel sweep (no per-sender callback at all);
-  /// on the interpreted and record paths it synthesizes the equivalent copy
-  /// callback, so validation, SimError strings, counters, traces, edge
-  /// loads and fault filtering stay byte-identical to the callback form.
-  template <typename T, typename DestFn>
-  BlockInbox<T> exchange_blocks(std::size_t width, DestFn&& dest_of,
-                                PlaneSrc<T> src) {
+                                Src&& src) {
     if (replay_) {
       DC_CHECK(next_cycle_ < replay_->cycle_count(),
                "algorithm issued more cycles than its compiled schedule");
       return m_.comm_cycle_scheduled_blocks<T>(replay_->cycle(next_cycle_++),
                                                width, src);
     }
-    return exchange_blocks<T>(
-        width, std::forward<DestFn>(dest_of), [src, width](net::NodeId u, T* dst) {
-          simd::copy_block(dst, src.base + u * src.stride, width);
-        });
-  }
-
-  /// Two-plane concatenation form (the relay cycle's own ‖ gathered
-  /// payload); see PlanePairSrc. Same path semantics as the PlaneSrc form.
-  template <typename T, typename DestFn>
-  BlockInbox<T> exchange_blocks(std::size_t width, DestFn&& dest_of,
-                                PlanePairSrc<T> src) {
-    if (replay_) {
-      DC_CHECK(next_cycle_ < replay_->cycle_count(),
-               "algorithm issued more cycles than its compiled schedule");
-      return m_.comm_cycle_scheduled_blocks<T>(replay_->cycle(next_cycle_++),
-                                               width, src);
-    }
-    return exchange_blocks<T>(
-        width, std::forward<DestFn>(dest_of), [src, width](net::NodeId u, T* dst) {
-          simd::copy_block(dst, src.first + u * src.first_stride,
-                           src.first_width);
-          simd::copy_block(dst + src.first_width,
-                           src.second + u * src.second_stride,
-                           width - src.first_width);
-        });
+    const auto senders =
+        exchange<net::NodeId>(dest_of, [](net::NodeId u) { return u; });
+    return m_.pack_blocks<T>(width, senders, src);
   }
 
   /// Compiles and publishes the recorded schedule. Call once, after the
@@ -251,22 +205,5 @@ class ObliviousSection {
   std::size_t next_cycle_ = 0;
   const char* span_name_ = nullptr;  // interned; non-null iff traced
 };
-
-/// Fetches the compiled per-shard schedule slice for one in-cluster
-/// Cube_prefix pass over a 2^dims-node cluster, through the process-wide
-/// ScheduleCache (so every shard, every engine and every run share one
-/// copy, LRU-budgeted with all other schedules). The slice is synthesized
-/// — a dimension exchange is a fixed permutation, so no record run is
-/// needed — and is keyed by the cube shape alone: unlike recorded
-/// schedules it is tile-local and topology-independent by construction.
-inline std::shared_ptr<const Schedule> cube_exchange_schedule(unsigned dims) {
-  const ScheduleKey key{"cube_block#" + std::to_string(dims),
-                        "cube_exchange_slice",
-                        {dims},
-                        /*validate=*/false};
-  if (auto cached = ScheduleCache::instance().find(key)) return cached;
-  return ScheduleCache::instance().store(key,
-                                         make_cube_exchange_schedule(dims));
-}
 
 }  // namespace dc::sim

@@ -140,7 +140,7 @@ struct ImbalanceSummary {
 
 /// Per-cycle imbalance telemetry. One profiler is attached to the machine
 /// whose cycles should be accounted (Machine::attach_profiler); every comm
-/// cycle — interpreted, replayed, tiled or fused — lands one band-stat
+/// cycle — interpreted, replayed or fused — lands one band-stat
 /// sample here from the driver thread. With the metrics registry armed the
 /// samples also feed the sim.imbalance.* histograms.
 class CycleProfiler {
@@ -184,21 +184,6 @@ class CycleProfiler {
     const std::size_t bands = imbalance_band_count(n);
     for (std::size_t v = 0; v < n; ++v)
       ++counts[imbalance_band_of(v, n, bands)];
-    note_counts(counts.data(), bands);
-  }
-
-  /// A tiled replay: `unit` applied to `tiles` consecutive blocks of
-  /// `unit_nodes` receivers each (the sharded cluster exchange).
-  void note_cycle_tiled(const ScheduleCycle& unit, std::size_t unit_nodes,
-                        std::size_t tiles) {
-    std::array<std::uint64_t, kImbalanceBands> counts{};
-    const std::size_t n = unit_nodes * tiles;
-    const std::size_t bands = imbalance_band_count(n);
-    for (std::size_t t = 0; t < tiles; ++t) {
-      for (std::size_t v = 0; v < unit_nodes; ++v)
-        if (unit.recv_from[v] != kNoSender)
-          ++counts[imbalance_band_of(t * unit_nodes + v, n, bands)];
-    }
     note_counts(counts.data(), bands);
   }
 

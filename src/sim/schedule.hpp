@@ -61,7 +61,7 @@ enum class SchedulePath {
 };
 
 /// Dense per-node array of a compiled cycle that either owns its storage
-/// (recorded or synthesized schedules) or borrows it from a read-only
+/// (recorded schedules) or borrows it from a read-only
 /// mapping (schedules loaded from a persistent store, whose arrays live in
 /// mmapped file pages shared across processes). Replay only ever reads
 /// data()/size(), so both flavors are identical on the hot path; the
@@ -408,38 +408,6 @@ class ScheduleCache {
   std::uint64_t disk_misses_ = 0;
   std::uint64_t disk_bytes_mapped_ = 0;
 };
-
-/// Builds the receiver-major cycle of one dimension-`bit` exchange inside a
-/// 2^dims-node cube block: recv_from[v] = v XOR 2^bit, every node both
-/// sends and receives. The slice is *synthesized* rather than recorded —
-/// the pattern is a fixed permutation of the block, so there is nothing a
-/// record run could discover — and carries no CSR edge slots (replay of a
-/// synthesized slice books no per-edge loads; see
-/// Machine::comm_cycle_scheduled_blocks_tiled). Shard-local cluster
-/// exchanges replay this one block-sized unit across every cluster tile.
-inline ScheduleCycle make_cube_exchange_cycle(unsigned dims, unsigned bit) {
-  DC_REQUIRE(bit < dims, "exchange dimension out of range");
-  const std::size_t block = static_cast<std::size_t>(dc::bits::pow2(dims));
-  ScheduleCycle c;
-  c.recv_from.resize(block);
-  c.recv_slot.assign(block, kNoEdgeSlot);
-  for (std::size_t v = 0; v < block; ++v)
-    c.recv_from[v] = static_cast<net::NodeId>(v) ^ (net::NodeId{1} << bit);
-  c.message_count = block;
-  return c;
-}
-
-/// The full compiled slice of one in-cluster Cube_prefix pass: dims unit
-/// cycles (dimension 0 first), each built by make_cube_exchange_cycle.
-/// Cached process-wide by sim/oblivious.hpp's cube_exchange_schedule.
-inline std::shared_ptr<const Schedule> make_cube_exchange_schedule(
-    unsigned dims) {
-  std::vector<ScheduleCycle> cycles;
-  cycles.reserve(dims);
-  for (unsigned i = 0; i < dims; ++i)
-    cycles.push_back(make_cube_exchange_cycle(dims, i));
-  return std::make_shared<const Schedule>(std::move(cycles));
-}
 
 /// Accumulates one destination array per recorded cycle; finalize inverts
 /// them into receiver-major ScheduleCycles with resolved CSR edge slots.

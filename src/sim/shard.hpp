@@ -5,8 +5,12 @@
 // cut along the recursive D_(n-1) decomposition (topology/shard_plan.hpp):
 // every shard holds an equal, contiguous run of whole clusters, so the
 // (n-1)-cube exchanges of Cube_prefix stay entirely shard-local and run on
-// an ordinary per-shard Machine — same counters, traces, SIMD replay
-// kernels and fault refusal as the flat engine. Only cross-edges leave a
+// an ordinary per-shard Machine — same counters, traces and fault refusal
+// as the flat engine. Each in-cluster cycle runs as one fused
+// exchange+combine sweep, or is interpreted through comm_cycle when the
+// run needs per-message fidelity (edge loads, an interpreted schedule path,
+// attached faults, or a payload the fused sweep cannot carry); there is no
+// mode to select. Only cross-edges leave a
 // shard, and for the prefix algorithms their traffic is fully determined by
 // one cluster total per cluster; the engine therefore never materializes a
 // global cross-edge comm plane and instead routes those values through a
@@ -50,25 +54,12 @@
 
 #include "sim/machine.hpp"
 #include "sim/metrics.hpp"
-#include "sim/oblivious.hpp"
 #include "sim/trace.hpp"
 #include "support/check.hpp"
 #include "topology/dual_cube.hpp"
 #include "topology/shard_plan.hpp"
 
 namespace dc::sim {
-
-/// How the sharded prefix front-end executes step 1's in-cluster exchange
-/// cycles on each per-shard machine. All three paths are bit-identical in
-/// results, Counters and edge loads; they differ only in wall-clock cost
-/// and in how much machinery each cycle exercises.
-enum class ShardExchangeMode {
-  kFused,        ///< one fused exchange+combine sweep per cycle (fastest;
-                 ///< no comm plane exists at all)
-  kTiledReplay,  ///< compiled cluster-sized schedule slice replayed across
-                 ///< blocks through the SIMD plane kernels
-  kInterpreted,  ///< full per-message planning + validation every cycle
-};
 
 /// Run-to-run accumulated sharding statistics (reset with the counters).
 struct ShardStats {
@@ -193,12 +184,6 @@ class ShardEngine {
   }
   unsigned shard_count() const { return plan_.shard_count(); }
 
-  /// Selects the in-cluster exchange path for subsequent runs. The engine
-  /// falls back to kInterpreted on its own whenever fidelity demands it
-  /// (edge-load accounting, an interpreted schedule path, or a payload the
-  /// plane kernels cannot carry).
-  void set_exchange_mode(ShardExchangeMode m) { exchange_mode_ = m; }
-  ShardExchangeMode exchange_mode() const { return exchange_mode_; }
   net::NodeId node_count() const { return d_.node_count(); }
   net::NodeId shard_nodes() const { return plan_.shard_node_count(); }
   std::size_t mem_budget_bytes() const { return budget_; }
@@ -400,17 +385,6 @@ class ShardEngine {
     if (budget_ != 0) machine(k).trim_comm_pool();
   }
 
-  /// The compiled cluster-sized schedule slice driving every shard's
-  /// in-cluster exchanges (sim/oblivious.hpp cube_exchange_schedule),
-  /// fetched once and cached on the engine so steady-state runs never
-  /// rebuild a cache key.
-  std::shared_ptr<const Schedule> cluster_schedule() {
-    if (!cluster_sched_) {
-      cluster_sched_ = cube_exchange_schedule(d_.order() - 1);
-    }
-    return cluster_sched_;
-  }
-
   /// Pooled per-payload-type scratch arrays, shared by every run of this
   /// engine with value type V (steady-state runs allocate nothing).
   template <typename V>
@@ -472,7 +446,7 @@ class ShardEngine {
 
   /// Per-directed-edge accounting across the whole dual-cube. Enable
   /// before the first run; the sharded front-end then interprets every
-  /// cycle (tiled replay carries no edge slots), exactly as the flat
+  /// cycle (fused cycles carry no edge slots), exactly as the flat
   /// engine falls back under edge loads.
   void enable_edge_load() {
     edge_load_on_ = true;
@@ -584,7 +558,6 @@ class ShardEngine {
   std::vector<std::unique_ptr<Machine>> machines_;
   std::unordered_map<std::type_index, std::unique_ptr<detail::ShardScratchBase>>
       scratch_;
-  ShardExchangeMode exchange_mode_ = ShardExchangeMode::kFused;
   Counters virtual_;  ///< end_run's analytically booked model costs
   ShardStats stats_;
   std::uint64_t edge_runs_ = 0;  ///< runs completed with edge loads on
@@ -593,7 +566,6 @@ class ShardEngine {
   bool oc_run_ = false;
   std::uint64_t slice_bytes_ = 0;
   mutable detail::SpillFile spill_;
-  std::shared_ptr<const Schedule> cluster_sched_;
   TraceRecorder* trace_ = nullptr;
   std::uint32_t trace_track_ = 0;
 };

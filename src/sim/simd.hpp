@@ -46,31 +46,6 @@
 #endif
 
 namespace dc::sim {
-
-/// Node-major plane source for block replay: node u's outgoing block is
-/// `base[u*stride .. u*stride + width)`. Passing one of these (instead of a
-/// per-sender callback) to comm_cycle_scheduled_blocks /
-/// ObliviousSection::exchange_blocks lets the replay gather run as one
-/// plane-to-plane kernel sweep.
-template <typename T>
-struct PlaneSrc {
-  const T* base;
-  std::size_t stride;
-};
-
-/// Concatenated two-plane source: node u's outgoing block is
-/// `first[u*first_stride .. +first_width)` followed by
-/// `second[u*second_stride .. +(width-first_width))`. Carries the relay
-/// cycle's (own block ‖ gathered block) payload without materializing it.
-template <typename T>
-struct PlanePairSrc {
-  const T* first;
-  std::size_t first_stride;
-  const T* second;
-  std::size_t second_stride;
-  std::size_t first_width;
-};
-
 namespace simd {
 
 enum class Isa { kScalar, kAvx2, kNeon };
@@ -150,6 +125,49 @@ inline void copy_block(T* dst, const T* src, std::size_t width) {
     for (std::size_t k = 0; k < width; ++k) dst[k] = src[k];
   }
 }
+
+}  // namespace simd
+
+/// Strided block source for the block exchanges: node u's outgoing
+/// `width`-element block is `base[u*stride ..]`. With a tail set, only the
+/// first `head` elements come from base and the rest from
+/// `tail[u*tail_stride ..]` — the relay cycle's (own block ‖ gathered
+/// block) payload without materializing a combined buffer. Passing one of
+/// these (instead of a `src(u, dst)` callback) to
+/// ObliviousSection::exchange_blocks / Machine::comm_cycle_scheduled_blocks
+/// lets a tail-free replay run as one plane-to-plane kernel sweep.
+template <typename T>
+struct PlaneSrc {
+  const T* base;
+  std::size_t stride;
+  const T* tail = nullptr;
+  std::size_t tail_stride = 0;
+  std::size_t head = 0;
+};
+
+/// Whether a block source is a PlaneSrc descriptor rather than a callback.
+template <typename T, typename Src>
+inline constexpr bool kIsPlaneSrc =
+    std::is_same_v<std::remove_cvref_t<Src>, PlaneSrc<T>>;
+
+/// Writes node u's outgoing `width`-element block from `src` — a PlaneSrc
+/// or a `src(u, dst)` callback — into dst.
+template <typename T, typename Src>
+inline void copy_row(Src& src, std::uint64_t u, T* dst, std::size_t width) {
+  if constexpr (kIsPlaneSrc<T, Src>) {
+    if (!src.tail) {
+      simd::copy_block(dst, src.base + u * src.stride, width);
+      return;
+    }
+    simd::copy_block(dst, src.base + u * src.stride, src.head);
+    simd::copy_block(dst + src.head, src.tail + u * src.tail_stride,
+                     width - src.head);
+  } else {
+    src(u, dst);
+  }
+}
+
+namespace simd {
 
 #if DC_SIMD_HAS_AVX2_BUILD
 namespace avx2 {

@@ -97,9 +97,11 @@ void ThreadPool::worker_loop(std::size_t slot) {
     }
     if (job_active_ && job_epoch_ != seen_epoch) {
       seen_epoch = job_epoch_;
+      ++job_helpers_;  // counted under mutex_, so finish_job waits for us
       lock.unlock();
       work_on_job();
       lock.lock();
+      if (--job_helpers_ == 0) helpers_cv_.notify_all();
       continue;
     }
     if (stopping_) return;  // queue drained, no job to help with
@@ -152,6 +154,23 @@ void ThreadPool::work_on_affine_job() {
   }
 }
 
+void ThreadPool::finish_job() {
+  {
+    std::unique_lock lock(done_mutex_);
+    done_cv_.wait(lock, [&] {
+      return job_remaining_.load(std::memory_order_acquire) == 0;
+    });
+  }
+  // Every chunk is done, but a worker that woke for this job may still be
+  // inside work_on_job() — it can enter late, after the last chunk ran. If
+  // the caller returned now and published the next job, that straggler
+  // would claim the new job's tickets against half-written job state. So
+  // close the job to new helpers and wait until the current ones leave.
+  std::unique_lock lock(mutex_);
+  job_active_ = false;
+  helpers_cv_.wait(lock, [&] { return job_helpers_ == 0; });
+}
+
 void ThreadPool::run_chunked(std::size_t begin, std::size_t end,
                              std::size_t chunk_size, ChunkFn fn, void* ctx) {
   if (begin >= end) return;
@@ -179,16 +198,7 @@ void ThreadPool::run_chunked(std::size_t begin, std::size_t end,
 
   work_on_job();  // the caller participates
 
-  {
-    std::unique_lock lock(done_mutex_);
-    done_cv_.wait(lock, [&] {
-      return job_remaining_.load(std::memory_order_acquire) == 0;
-    });
-  }
-  {
-    std::scoped_lock lock(mutex_);
-    job_active_ = false;
-  }
+  finish_job();
   if (job_error_) std::rethrow_exception(job_error_);
 }
 
@@ -224,16 +234,7 @@ void ThreadPool::run_chunked_affine(std::size_t begin, std::size_t end,
 
   work_on_job();  // the caller drains band 0, then steals
 
-  {
-    std::unique_lock lock(done_mutex_);
-    done_cv_.wait(lock, [&] {
-      return job_remaining_.load(std::memory_order_acquire) == 0;
-    });
-  }
-  {
-    std::scoped_lock lock(mutex_);
-    job_active_ = false;
-  }
+  finish_job();
   job_affine_ = false;
   if (job_error_) std::rethrow_exception(job_error_);
 }

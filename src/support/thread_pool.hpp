@@ -103,8 +103,10 @@ class ThreadPool {
   void work_on_job();
   void work_on_affine_job();
   void run_one_chunk(std::size_t ticket);
+  void finish_job();
 
-  std::mutex mutex_;  // guards queue_, stopping_, job_active_, job_epoch_
+  // guards queue_, stopping_, job_active_, job_epoch_, job_helpers_
+  std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
@@ -116,6 +118,10 @@ class ThreadPool {
   std::mutex job_mutex_;
   bool job_active_ = false;
   std::uint64_t job_epoch_ = 0;
+  // Workers currently inside work_on_job(); the caller waits for zero
+  // before releasing the job (finish_job).
+  std::size_t job_helpers_ = 0;
+  std::condition_variable helpers_cv_;
   std::size_t job_begin_ = 0;
   std::size_t job_end_ = 0;
   std::size_t job_chunk_ = 0;

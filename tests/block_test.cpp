@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "core/block_prefix.hpp"
 #include "core/block_sort.hpp"
@@ -20,15 +21,23 @@ std::vector<u64> random_values(std::size_t n, u64 seed) {
   return v;
 }
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// has no implicit padding: `pad` keeps the four bytes after `n` at zero and the
+// test names the same from one build to the next.
 struct BlockCase {
   unsigned n;
+  unsigned pad = 0;
   std::size_t block;
 };
+
+std::pair<unsigned, std::size_t> unpack(const BlockCase& c) {
+  return {c.n, c.block};
+}
 
 class BlockPrefixTest : public ::testing::TestWithParam<BlockCase> {};
 
 TEST_P(BlockPrefixTest, MatchesSequentialScan) {
-  const auto [n, block] = GetParam();
+  const auto [n, block] = unpack(GetParam());
   const net::DualCube d(n);
   sim::Machine m(d);
   const Plus<u64> op;
@@ -37,7 +46,7 @@ TEST_P(BlockPrefixTest, MatchesSequentialScan) {
 }
 
 TEST_P(BlockPrefixTest, CommIndependentOfBlockSize) {
-  const auto [n, block] = GetParam();
+  const auto [n, block] = unpack(GetParam());
   const net::DualCube d(n);
   sim::Machine m(d);
   const Plus<u64> op;
@@ -50,7 +59,7 @@ TEST_P(BlockPrefixTest, CommIndependentOfBlockSize) {
 }
 
 TEST_P(BlockPrefixTest, NonCommutativeConcat) {
-  const auto [n, block] = GetParam();
+  const auto [n, block] = unpack(GetParam());
   const net::DualCube d(n);
   sim::Machine m(d);
   const Concat op;
@@ -63,7 +72,7 @@ TEST_P(BlockPrefixTest, NonCommutativeConcat) {
 class BlockSortTest : public ::testing::TestWithParam<BlockCase> {};
 
 TEST_P(BlockSortTest, SortsAscendingAcrossAllDistributions) {
-  const auto [n, block] = GetParam();
+  const auto [n, block] = unpack(GetParam());
   const net::RecursiveDualCube r(n);
   for (const auto dist : all_key_distributions()) {
     sim::Machine m(r);
@@ -76,7 +85,7 @@ TEST_P(BlockSortTest, SortsAscendingAcrossAllDistributions) {
 }
 
 TEST_P(BlockSortTest, SortsDescending) {
-  const auto [n, block] = GetParam();
+  const auto [n, block] = unpack(GetParam());
   const net::RecursiveDualCube r(n);
   sim::Machine m(r);
   auto data = random_values(r.node_count() * block, 3);
@@ -87,7 +96,7 @@ TEST_P(BlockSortTest, SortsDescending) {
 }
 
 TEST_P(BlockSortTest, NetworkStepsMatchTheorem2PlusLocalSort) {
-  const auto [n, block] = GetParam();
+  const auto [n, block] = unpack(GetParam());
   const net::RecursiveDualCube r(n);
   sim::Machine m(r);
   auto data = random_values(r.node_count() * block, 5);
@@ -98,7 +107,9 @@ TEST_P(BlockSortTest, NetworkStepsMatchTheorem2PlusLocalSort) {
 }
 
 std::vector<BlockCase> block_cases() {
-  return {{1, 1}, {1, 4}, {2, 1}, {2, 3}, {2, 16}, {3, 2}, {3, 8}, {4, 4}};
+  return {{.n = 1, .block = 1}, {.n = 1, .block = 4}, {.n = 2, .block = 1},
+          {.n = 2, .block = 3}, {.n = 2, .block = 16}, {.n = 3, .block = 2},
+          {.n = 3, .block = 8}, {.n = 4, .block = 4}};
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, BlockPrefixTest,

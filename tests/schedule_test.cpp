@@ -50,9 +50,10 @@ std::vector<std::uint64_t> edge_loads(const Machine& m,
   return loads;
 }
 
-// Runs `algo` three ways — interpreted, compiled-record, compiled-replay —
-// and checks both compiled runs reproduce the interpreted run's result,
-// Counters, per-cycle message trace and per-edge loads exactly.
+// Runs `algo` four ways — interpreted, compiled-record, compiled-replay,
+// and compiled-replay without edge-load accounting — and checks every
+// compiled run reproduces the interpreted run's result, Counters,
+// per-cycle message trace and (where counted) per-edge loads exactly.
 template <typename Algo>
 void expect_parity(const net::Topology& t, Algo&& algo) {
   Machine interp(t);
@@ -82,6 +83,18 @@ void expect_parity(const net::Topology& t, Algo&& algo) {
   EXPECT_EQ(replay.counters(), interp.counters());
   EXPECT_EQ(replay.messages_per_cycle(), interp.messages_per_cycle());
   EXPECT_EQ(edge_loads(replay, t), edge_loads(interp, t));
+
+  // Edge-load accounting keeps replay rows on the per-row loop; without it
+  // plane sources take the kernel sweep (simd::gather_rows), which must
+  // agree just the same.
+  Machine kernel(t);
+  kernel.set_schedule_path(SchedulePath::kCompiled);
+  kernel.enable_trace();
+  const auto swept = algo(kernel);
+  EXPECT_GT(kernel.replayed_cycles(), 0u) << "kernel run must hit the cache";
+  EXPECT_EQ(swept, expected);
+  EXPECT_EQ(kernel.counters(), interp.counters());
+  EXPECT_EQ(kernel.messages_per_cycle(), interp.messages_per_cycle());
 }
 
 std::vector<u64> random_values(std::size_t n, u64 seed) {
@@ -184,8 +197,8 @@ TEST_F(ScheduleTest, ReduceCollectivesParity) {
 }
 
 // Block workloads run their cycles through exchange_blocks: interpreted and
-// record runs ship vector<T> payloads through the fully validated path,
-// replay gathers SoA planes — all three must agree exactly.
+// record runs ship sender ids through the fully validated path and pack
+// rows from them, replay gathers SoA planes — all must agree exactly.
 TEST_F(ScheduleTest, BlockSortParity) {
   const net::RecursiveDualCube r(2);
   const std::size_t block = 4;
@@ -361,8 +374,8 @@ TEST_F(ScheduleTest, BlockRecordTimeOnePortViolationMessageIsExact) {
   m.set_schedule_path(SchedulePath::kCompiled);
   try {
     ObliviousSection sched(m, "bad_block_port", {});
-    // Width 1 takes the scalar-payload interpreted fallback; the error
-    // string must still match the scalar path byte for byte.
+    // At width 1 too, the error string must match the scalar path byte
+    // for byte.
     (void)sched.exchange_blocks<int>(
         1,
         [](net::NodeId u) {

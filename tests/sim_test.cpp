@@ -453,6 +453,43 @@ TEST(Machine, ScheduledBlockReplayDoesNotAllocate) {
   EXPECT_EQ(delivered, 4u * q.dimensions() * q.node_count());
 }
 
+// Interpreted block exchanges ship sender ids, not per-message block
+// copies, so the fully validated path is allocation-free in steady state
+// too.
+TEST(Machine, InterpretedBlockExchangeDoesNotAllocate) {
+  const net::Hypercube q(6);
+  Machine m(q);
+  m.set_schedule_path(SchedulePath::kInterpreted);
+  static constexpr std::size_t kWidth = 8;
+  // An interpreted section records nothing, so one section serves every
+  // cycle and its name is built outside the counted loop.
+  ObliviousSection section(m, "sim_test_interp_block_alloc", {});
+  const auto cycle = [&](unsigned i, std::uint64_t salt) {
+    return section.exchange_blocks<std::uint64_t>(
+        kWidth, [&](net::NodeId u) { return q.neighbor(u, i); },
+        [salt](net::NodeId u, std::uint64_t* dst) {
+          for (std::size_t k = 0; k < kWidth; ++k) dst[k] = u + k + salt;
+        });
+  };
+  for (unsigned i = 0; i < q.dimensions(); ++i) auto warm = cycle(i, 0);
+  const std::uint64_t before = g_allocation_count.load();
+  std::uint64_t delivered = 0;
+  for (unsigned rep = 0; rep < 4; ++rep) {
+    for (unsigned i = 0; i < q.dimensions(); ++i) {
+      auto inbox = cycle(i, 1);
+      for (net::NodeId u = 0; u < q.node_count(); ++u) {
+        if (!inbox.has(u)) continue;
+        ++delivered;
+        EXPECT_EQ(inbox.block(u)[0], bits::flip(u, i) + 1);
+        EXPECT_EQ(inbox.block(u)[kWidth - 1], bits::flip(u, i) + kWidth);
+      }
+    }
+  }
+  EXPECT_EQ(g_allocation_count.load(), before);
+  EXPECT_EQ(delivered, 4u * q.dimensions() * q.node_count());
+  EXPECT_EQ(m.replayed_cycles(), 0u);
+}
+
 // Per-directed-edge load vector in a deterministic (CSR) order.
 std::vector<std::uint64_t> all_edge_loads(const Machine& m,
                                           const net::Topology& t) {

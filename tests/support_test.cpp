@@ -1,9 +1,18 @@
 // Unit tests for src/support: bit helpers, RNG, thread pool, tables, CLI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <set>
+#include <thread>
 
 #include "support/bits.hpp"
 #include "support/check.hpp"
@@ -237,6 +246,64 @@ TEST(ThreadPool, WorkerSlotIsZeroForNonWorkers) {
   });
   while (!done.load()) std::this_thread::yield();
   EXPECT_EQ(cross_slot.load(), 0u);
+}
+
+// A worker that woke for one job may enter it only after the caller has
+// returned and begun publishing the next job; it must not claim the next
+// job's tickets against half-written job state. Alternating chunked and
+// affine jobs, each over its own stack array, exposes that straggler as
+// miscoverage, a stalled job, or (under TSan) a data race. The jobs run on
+// a driver thread under a deadline, so a stall fails instead of hanging.
+TEST(ThreadPool, BackToBackChunkedAndAffineJobsStayIsolated) {
+  constexpr std::size_t kN = 1 << 15;
+  constexpr std::uint64_t kMaxJobs = 300'000;
+  constexpr auto kBudget = std::chrono::seconds(5);
+  std::mutex mtx;
+  std::condition_variable cv;
+  bool finished = false;
+  std::uint64_t jobs = 0;
+  std::uint64_t miscovered = 0;
+  std::thread driver([&] {
+    ThreadPool pool(3);
+    const auto stop = std::chrono::steady_clock::now() + kBudget;
+    std::uint64_t done = 0;
+    std::uint64_t bad = 0;
+    while (done < kMaxJobs && std::chrono::steady_clock::now() < stop) {
+      std::array<std::uint8_t, kN> hits{};
+      const auto body = [&hits](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+      };
+      if (done % 2 == 0) {
+        parallel_for_chunked(0, kN, body, /*grain=*/1, &pool);
+      } else {
+        parallel_for_affine(0, kN, sizeof(std::uint8_t), body, /*grain=*/1,
+                            &pool);
+      }
+      if (!std::all_of(hits.begin(), hits.end(),
+                       [](std::uint8_t h) { return h == 1; })) {
+        ++bad;
+      }
+      ++done;
+    }
+    std::scoped_lock lock(mtx);
+    finished = true;
+    jobs = done;
+    miscovered = bad;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock lock(mtx);
+    if (!cv.wait_for(lock, kBudget + std::chrono::seconds(60),
+                     [&] { return finished; })) {
+      // The driver is stuck inside the pool and can never be joined: fail
+      // the binary now rather than hang the suite.
+      std::fprintf(stderr, "alternating chunked/affine pool jobs stalled\n");
+      std::_Exit(1);
+    }
+  }
+  driver.join();
+  EXPECT_GT(jobs, 0u);
+  EXPECT_EQ(miscovered, 0u) << "of " << jobs << " jobs";
 }
 
 TEST(ParallelFor, ChunkedCoversRangeAndReportsWorkerSlots) {
