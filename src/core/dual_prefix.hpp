@@ -26,11 +26,26 @@
 //
 // Cost: 2n communication cycles, 2n computation steps (Theorem 1: ≤ 2n+1
 // and ≤ 2n). Only associativity of ⊕ is assumed.
+//
+// Execution. All 2n cycles run through one ObliviousSection. On compiled
+// replay, each in-cluster exchange of steps 1 and 3 runs fused with the
+// computation step that consumes it: one sweep of
+// detail::cube_prefix_butterfly through
+// ObliviousSection::exchange_compute_fused, with no comm plane
+// materialized. Counters, edge loads and imbalance samples match the
+// unfused pair; only the cycle's trace span name differs
+// (comm_cycle_fused). Recording, interpreted and faulted runs exchange
+// through the width-1 block plane and compute per node. The two
+// cross-edge exchanges always ship through the block plane; steps 4 and 5
+// fold as contiguous range loops. The arrangement is loaded and unloaded
+// in bulk (detail::arrange: class 0 copies, class 1 transposes);
+// dual_prefix_index_of_node stays the per-node reference.
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <functional>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -71,67 +86,94 @@ using DualPrefixObserver = std::function<void(
 
 namespace detail {
 
-/// Prefix values that qualify for the width-1 SoA plane: on compiled
-/// replay the whole exchange is one contiguous stride gather instead of
-/// per-node optional<V> moves. Everything else (heap-owning monoids like
-/// strings) ships through the classic scalar exchange.
+/// dst[u] = src[dual_prefix_index_of_node(d, u)] for every node, in bulk.
+/// The class-0 half copies straight through; the class-1 half is a
+/// 2^w x 2^w matrix that transposes — node half + (M << w) + C (node ID M,
+/// cluster ID C) holds index half + (C << w) + M. The map is its own
+/// inverse, so the same call also unloads results into index order.
 template <typename V>
-inline constexpr bool kPlaneEligible =
-    std::is_trivially_copyable_v<V> && std::is_default_constructible_v<V>;
-
-/// One oblivious exchange of a single V per sender, routed through the
-/// width-1 block plane when V qualifies; `consume(u)` yields the received
-/// value for node u either way.
-template <typename V, typename DestFn, typename PayloadFn, typename Body>
-void plane_exchange(sim::ObliviousSection& sched, DestFn&& dest_of,
-                    PayloadFn&& payload_of, Body&& body) {
-  if constexpr (kPlaneEligible<V>) {
-    auto inbox = sched.exchange_blocks<V>(
-        1, dest_of, [&](net::NodeId u, V* dst) { *dst = payload_of(u); });
-    body([&](net::NodeId u) -> const V& { return *inbox.block(u); });
-  } else {
-    auto inbox = sched.exchange<V>(dest_of, payload_of);
-    body([&](net::NodeId u) -> const V& { return *inbox[u]; });
+void arrange(const net::DualCube& d, const V* src, V* dst) {
+  const unsigned w = d.order() - 1;
+  const dc::u64 side = dc::u64{1} << w;
+  const dc::u64 half = side << w;
+  std::copy(src, src + half, dst);
+  for (dc::u64 node = 0; node < side; ++node) {
+    V* const row = dst + half + (node << w);
+    for (dc::u64 cluster = 0; cluster < side; ++cluster)
+      row[cluster] = src[half + (cluster << w) + node];
   }
 }
 
-/// Shared by steps 1 and 3: an in-cluster Cube_prefix pass over `value`,
-/// ordered by node ID within each cluster. Writes per-node totals into `t`
-/// and prefixes into `s`. Costs n-1 comm cycles and n-1 comp steps.
+/// One Cube_prefix exchange + computation step, fused, over nodes
+/// [lo, hi): each group of 2 * stride holds the exchanging pairs
+/// (g + j, g + j + stride). Both partners' new t is t_lo ⊕ t_hi (the low
+/// side computes own ⊕ received, the high side received ⊕ own), so one
+/// combine serves both, and only the high side folds its prefix:
+/// s_hi = t_lo ⊕ s_hi. Operand order is kept, so non-commutative monoids
+/// are safe. Callers charge the 3 combines per pair the unfused step
+/// applies. The flat engine's replayed cluster passes and both sharded
+/// passes all run this one kernel.
+template <Monoid M>
+void cube_prefix_butterfly(const M& op, typename M::value_type* t,
+                           typename M::value_type* s, dc::u64 lo, dc::u64 hi,
+                           dc::u64 stride) {
+  using V = typename M::value_type;
+  for (dc::u64 g = lo; g < hi; g += 2 * stride) {
+    V* const tl = t + g;
+    V* const th = tl + stride;
+    V* const sh = s + g + stride;
+    for (dc::u64 j = 0; j < stride; ++j) {
+      const V c = op.combine(tl[j], th[j]);
+      sh[j] = op.combine(tl[j], sh[j]);
+      tl[j] = c;
+      th[j] = c;
+    }
+  }
+}
+
+/// Shared by steps 1 and 3: an in-cluster Cube_prefix pass, in place, over
+/// totals `t` and prefixes `s` (ordered by node ID within each cluster).
+/// Costs n-1 comm cycles and n-1 comp steps.
 template <Monoid M>
 void cluster_prefix(sim::Machine& m, sim::ObliviousSection& sched,
                     const net::DualCube& d, const M& op,
-                    const std::vector<typename M::value_type>& value,
-                    bool inclusive, std::vector<typename M::value_type>& t,
+                    std::vector<typename M::value_type>& t,
                     std::vector<typename M::value_type>& s) {
   using V = typename M::value_type;
-  const std::size_t n_nodes = d.node_count();
-  t = value;
-  if (inclusive) {
-    s = value;
-  } else {
-    s.assign(n_nodes, op.identity());
-  }
-  for (unsigned i = 0; i + 1 < d.order(); ++i) {
-    plane_exchange<V>(
-        sched, [&](net::NodeId u) { return d.cluster_neighbor(u, i); },
-        [&](net::NodeId u) { return t[u]; },
-        [&](auto&& recv) {
-          m.compute_step([&](net::NodeId u) {
-            const V& temp = recv(u);
-            // Bit i of u's node ID is the flipped label bit of this
-            // exchange.
-            const unsigned base = d.node_class(u) == 0 ? 0u : d.order() - 1;
-            if (dc::bits::get(u, base + i) == 1) {
-              s[u] = op.combine(temp, s[u]);
-              t[u] = op.combine(temp, t[u]);
-              m.add_ops(2);
-            } else {
-              t[u] = op.combine(t[u], temp);
-              m.add_ops(1);
+  const unsigned w = d.order() - 1;
+  const dc::u64 half = d.node_count() / 2;
+  for (unsigned i = 0; i < w; ++i) {
+    if (sched.replaying()) {
+      // Blocks of 2^(n+i) nodes lie inside one class half and hold whole
+      // pairs: the partner is 2^i away in class 0 (node ID = low bits) and
+      // 2^(n-1+i) away in class 1 (node ID = middle bits).
+      const dc::u64 block = dc::u64{2} << (w + i);
+      sched.exchange_compute_fused(
+          static_cast<std::size_t>(d.node_count() / block),
+          [&](std::size_t b_lo, std::size_t b_hi) {
+            for (dc::u64 lo = b_lo * block; lo < b_hi * block; lo += block) {
+              cube_prefix_butterfly(op, t.data(), s.data(), lo, lo + block,
+                                    dc::u64{1} << (lo < half ? i : w + i));
             }
+            m.add_ops((b_hi - b_lo) * block / 2 * 3);
           });
-        });
+      continue;
+    }
+    auto inbox = sched.exchange_blocks<V>(
+        1, [&](net::NodeId u) { return d.cluster_neighbor(u, i); },
+        sim::PlaneSrc<V>{t.data(), 1});
+    m.compute_step([&](net::NodeId u) {
+      const V& temp = *inbox.block(u);
+      // Bit i of u's node ID is the flipped label bit of this exchange.
+      if (dc::bits::get(u, (u < half ? 0u : w) + i) == 1) {
+        s[u] = op.combine(temp, s[u]);
+        t[u] = op.combine(temp, t[u]);
+        m.add_ops(2);
+      } else {
+        t[u] = op.combine(t[u], temp);
+        m.add_ops(1);
+      }
+    });
   }
 }
 
@@ -143,8 +185,10 @@ void cluster_prefix(sim::Machine& m, sim::ObliviousSection& sched,
 /// prefixes, also in global index order: inclusive prefixes when
 /// `inclusive` (the paper's tag = 1), diminished/exclusive prefixes
 /// otherwise (tag = 0; identity at index 0). Pass an observer to receive
-/// per-stage snapshots (Figure 3).
+/// per-stage snapshots (Figure 3). Values ship through the block plane, so
+/// they must be semiregular.
 template <Monoid M>
+  requires std::semiregular<typename M::value_type>
 std::vector<typename M::value_type> dual_prefix(
     sim::Machine& m, const net::DualCube& d, const M& op,
     const std::vector<typename M::value_type>& data,
@@ -155,70 +199,69 @@ std::vector<typename M::value_type> dual_prefix(
              "machine must run on the given dual-cube");
   DC_REQUIRE(data.size() == d.node_count(), "one input per node required");
   const std::size_t n_nodes = d.node_count();
+  const std::size_t half = n_nodes / 2;
 
-  // Load the arrangement: node u holds c[u'] (uncounted data placement).
-  std::vector<V> c(n_nodes, op.identity());
-  m.for_each_node([&](net::NodeId u) {
-    c[u] = data[dual_prefix_index_of_node(d, u)];
-  });
-  if (observer) observer("(a) original data distribution", {{"c", c}});
+  // Load the arrangement straight into t: node u holds data[u'] (uncounted
+  // data placement).
+  std::vector<V> t(n_nodes);
+  detail::arrange(d, data.data(), t.data());
+  if (observer) observer("(a) original data distribution", {{"c", t}});
 
   // All 2n cycles (two cluster passes + two cross-edge exchanges) share one
   // compiled schedule keyed by the dual-cube order; neither the monoid nor
   // the inclusive flag changes any destination.
   sim::ObliviousSection sched(m, "dual_prefix", {d.order()});
+  const auto cross = [&](net::NodeId u) { return d.cross_neighbor(u); };
 
   // Step 1: prefix inside every cluster (diminished when tag = 0; the rest
   // of the algorithm only prepends totals of *preceding* nodes, so the
   // inclusive/diminished choice is decided entirely here).
-  std::vector<V> t, s;
-  detail::cluster_prefix(m, sched, d, op, c, inclusive, t, s);
+  std::vector<V> s = inclusive ? t : std::vector<V>(n_nodes, op.identity());
+  detail::cluster_prefix(m, sched, d, op, t, s);
   if (observer) observer("(b) prefix inside cluster", {{"t", t}, {"s", s}});
 
-  // Step 2: exchange cluster totals over the cross-edges.
-  std::vector<V> temp(n_nodes, op.identity());
-  detail::plane_exchange<V>(
-      sched, [&](net::NodeId u) { return d.cross_neighbor(u); },
-      [&](net::NodeId u) { return t[u]; },
-      [&](auto&& recv) {
-        m.for_each_node([&](net::NodeId u) { temp[u] = recv(u); });
-      });
-  if (observer) observer("(c) exchange t via cross-edge", {{"temp", temp}});
+  // Step 2: exchange cluster totals over the cross-edges, received straight
+  // into t'.
+  std::vector<V> t2;
+  {
+    auto inbox =
+        sched.exchange_blocks<V>(1, cross, sim::PlaneSrc<V>{t.data(), 1});
+    t2.assign(inbox.data(), inbox.data() + n_nodes);
+  }
+  if (observer) observer("(c) exchange t via cross-edge", {{"temp", t2}});
 
   // Step 3: diminished prefix of the gathered totals inside every cluster.
-  std::vector<V> t2, s2;
-  detail::cluster_prefix(m, sched, d, op, temp, /*inclusive=*/false, t2, s2);
+  std::vector<V> s2(n_nodes, op.identity());
+  detail::cluster_prefix(m, sched, d, op, t2, s2);
   if (observer)
     observer("(d) prefix inside cluster over totals", {{"t'", t2}, {"s'", s2}});
 
   // Step 4: route each node's same-class preceding-cluster total back to it
   // and fold it in on the left.
-  detail::plane_exchange<V>(
-      sched, [&](net::NodeId u) { return d.cross_neighbor(u); },
-      [&](net::NodeId u) { return s2[u]; },
-      [&](auto&& recv) {
-        m.compute_step([&](net::NodeId u) {
-          s[u] = op.combine(recv(u), s[u]);
-          m.add_ops(1);
-        });
-      });
+  {
+    auto inbox =
+        sched.exchange_blocks<V>(1, cross, sim::PlaneSrc<V>{s2.data(), 1});
+    const V* const recv = inbox.data();
+    m.compute_step_chunked([&](std::size_t lo, std::size_t hi) {
+      for (std::size_t u = lo; u < hi; ++u) s[u] = op.combine(recv[u], s[u]);
+      m.add_ops(hi - lo);
+    });
+  }
   if (observer) observer("(e) fold preceding same-class totals", {{"s", s}});
 
   // Step 5: class-1 nodes prepend the class-0 grand total (their own t').
-  m.compute_step([&](net::NodeId u) {
-    if (d.node_class(u) == 1) {
-      s[u] = op.combine(t2[u], s[u]);
-      m.add_ops(1);
-    }
+  m.compute_step_chunked([&](std::size_t lo, std::size_t hi) {
+    lo = std::max(lo, half);
+    if (lo >= hi) return;
+    for (std::size_t u = lo; u < hi; ++u) s[u] = op.combine(t2[u], s[u]);
+    m.add_ops(hi - lo);
   });
   if (observer) observer("(f) final result", {{"s", s}});
   sched.commit();
 
   // Copy out in index order (uncounted).
-  std::vector<V> out(n_nodes, op.identity());
-  m.for_each_node([&](net::NodeId u) {
-    out[dual_prefix_index_of_node(d, u)] = s[u];
-  });
+  std::vector<V> out(n_nodes);
+  detail::arrange(d, s.data(), out.data());
   return out;
 }
 

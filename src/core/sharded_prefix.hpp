@@ -62,6 +62,17 @@
 
 namespace dc::core {
 
+namespace detail {
+
+/// Prefix values the sharded engine's fused sweeps take (out-of-core
+/// windows stream them through the spill file as raw bytes). Everything
+/// else (heap-owning monoids like strings) interprets every cycle.
+template <typename V>
+inline constexpr bool kPlaneEligible =
+    std::is_trivially_copyable_v<V> && std::is_default_constructible_v<V>;
+
+}  // namespace detail
+
 /// Runs Algorithm 2 on the sharded engine, streaming inputs and outputs.
 /// `data_of(i)` returns the i-th input (global data index order, exactly
 /// dual_prefix's `data[i]`); `sink(base, values, count)` receives finished
@@ -98,10 +109,10 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
   scr.prefix0.resize(static_cast<std::size_t>(per_class));
   scr.prefix1.resize(static_cast<std::size_t>(per_class));
 
-  // Path selection mirrors the flat engine's replay conditions: the fused
-  // path needs a plane-eligible payload, no hot-spot accounting (it carries
-  // no CSR edge slots) and the compiled schedule path (faulty machines
-  // report interpreted); otherwise every cycle interprets through
+  // Path selection: the fused path needs a plane-eligible payload, no
+  // hot-spot accounting (shard machines replay no compiled cycle, so there
+  // are no CSR edge slots to book) and the compiled schedule path (faulty
+  // machines report interpreted); otherwise every cycle interprets through
   // comm_cycle with full validation.
   const bool fused =
       detail::kPlaneEligible<V> && !eng.edge_load_enabled() &&
@@ -159,17 +170,7 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
               eng.spill_read_at(off, t_win, bytes);
               eng.spill_read_at(s_region + off, s_win, bytes);
             }
-            for (dc::u64 g = 0; g < len; g += 2 * stride) {
-              V* const tl = t_win + g;
-              V* const th = t_win + g + stride;
-              V* const sh = s_win + g + stride;
-              for (dc::u64 j = 0; j < stride; ++j) {
-                const V c = op.combine(tl[j], th[j]);
-                sh[j] = op.combine(tl[j], sh[j]);
-                tl[j] = c;
-                th[j] = c;
-              }
-            }
+            detail::cube_prefix_butterfly(op, t_win, s_win, 0, len, stride);
             if (i + 1 == w) {
               take_totals(ws, len);
             } else {
@@ -204,30 +205,17 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
     for (unsigned i = 0; i < w; ++i) {
       // Bit i of the local node-ID field (the low n-1 bits) is the flipped
       // label bit — the same test dual_prefix makes on the global label's
-      // node-ID field of either class. On the fused path the exchange
-      // partner pair (lo = bit clear, hi = bit set) collapses: both sides'
-      // new t is combine(t[lo], t[hi]) — the clear side computes
-      // combine(own, received), the set side combine(received, own), and
-      // those are the same expression — so one combine serves both while
-      // the model still charges the 3 per-pair applications the unfused
-      // step would have applied.
+      // node-ID field of either class. The fused path runs dual_prefix's
+      // butterfly (one combine per pair serves both partners) while the
+      // model still charges the 3 per-pair applications of the unfused
+      // step.
       if (fused) {
         const dc::u64 stride = dc::u64{1} << i;
         mach.comm_compute_cycle_fused_blocks(
             static_cast<std::size_t>(plan.clusters_per_shard()),
             [&](std::size_t b_lo, std::size_t b_hi) {
-              for (dc::u64 g = b_lo * csize; g < b_hi * csize;
-                   g += 2 * stride) {
-                V* const tl = t_sl + g;
-                V* const th = t_sl + g + stride;
-                V* const sh = s_sl + g + stride;
-                for (dc::u64 j = 0; j < stride; ++j) {
-                  const V c = op.combine(tl[j], th[j]);
-                  sh[j] = op.combine(tl[j], sh[j]);
-                  tl[j] = c;
-                  th[j] = c;
-                }
-              }
+              detail::cube_prefix_butterfly(op, t_sl, s_sl, b_lo * csize,
+                                            b_hi * csize, stride);
               mach.add_ops((b_hi - b_lo) * csize / 2 * 3);
             });
         continue;

@@ -159,8 +159,9 @@ class Machine {
   void note_rerouted(std::uint64_t k) { counters_.messages_rerouted += k; }
 
   /// Number of comm cycles this machine executed through the compiled
-  /// replay path (comm_cycle_scheduled). Zero on a machine that only ever
-  /// interpreted or recorded.
+  /// replay path (comm_cycle_scheduled*, plus the fused cycles that stand
+  /// in for compiled ones). Zero on a machine that only ever interpreted or
+  /// recorded.
   std::uint64_t replayed_cycles() const { return replayed_cycles_; }
 
   /// Attaches a per-cycle imbalance profiler (sim/profile.hpp): every comm
@@ -371,13 +372,7 @@ class Machine {
               continue;
             }
             slots[v] = payload(u);
-            if (loads) {
-              if (edge[v] != kNoEdgeSlot) {
-                ++loads[edge[v]];
-              } else {
-                edge_load_.add_off_csr(u * n + v);
-              }
-            }
+            if (loads) book_edge(loads, edge[v], u, v, n);
           }
         },
         grain_, pool_);
@@ -449,13 +444,7 @@ class Machine {
             if (u == kNoSender) continue;
             copy_row<T>(src, u, plane + v * w, w);
             stamp[v] = gen;
-            if (loads) {
-              if (edge[v] != kNoEdgeSlot) {
-                ++loads[edge[v]];
-              } else {
-                edge_load_.add_off_csr(u * n + v);
-              }
-            }
+            if (loads) book_edge(loads, edge[v], u, v, n);
           }
         },
         grain_, pool_);
@@ -473,30 +462,58 @@ class Machine {
   /// Fused exchange-and-combine cycle over `blocks` equal node blocks:
   /// body(b_lo, b_hi) performs, for blocks [b_lo, b_hi), both the cycle's
   /// data movement and the dependent per-node combine in one sweep — no
-  /// comm plane is materialized at all, which is what makes mega-scale
-  /// sharded passes bandwidth- rather than dispatch-bound. The body must
+  /// comm plane is materialized at all, so the pair costs one pass over
+  /// node state instead of a gather plus a compute step. The body must
   /// touch only state owned by its blocks (exchanges must stay
   /// block-internal), and must charge add_ops for the combines it applies.
   /// Books exactly what the unfused pair would have: one comm cycle
   /// delivering one message per node (on a cube exchange every node both
-  /// sends and receives) followed by one computation step.
+  /// sends and receives) followed by one computation step. Block ranges
+  /// run inline up to the same node threshold as every other loop here.
+  ///
+  /// `cyc` is the compiled cycle the sweep stands in for, if any
+  /// (ObliviousSection::exchange_compute_fused): it must deliver to every
+  /// node, its recv_slot books the edge loads, the profiler samples it and
+  /// it counts in replayed_cycles(), exactly as its replay would. Without
+  /// one (the sharded engine) there are no edge slots to book, so
+  /// edge-load accounting must be off.
   template <typename Body>
-  void comm_compute_cycle_fused_blocks(std::size_t blocks, Body&& body) {
+  void comm_compute_cycle_fused_blocks(std::size_t blocks, Body&& body,
+                                       const ScheduleCycle* cyc = nullptr) {
     const std::size_t n = static_cast<std::size_t>(node_count());
     DC_REQUIRE(!has_faults(),
                "fused cycles skip per-message fault checks; a machine with "
                "an attached FaultPlan must interpret every cycle");
-    DC_REQUIRE(!edge_load_.enabled(),
-               "fused cycles carry no edge slots; interpret cycles when "
-               "edge-load accounting is enabled");
+    if (cyc != nullptr) {
+      DC_REQUIRE(cyc->recv_from.size() == n,
+                 "schedule cycle was compiled for a different node count");
+      DC_REQUIRE(cyc->message_count == n,
+                 "a fused cycle must deliver to every node");
+    } else {
+      DC_REQUIRE(!edge_load_.enabled(),
+                 "fused cycles carry no edge slots; interpret cycles when "
+                 "edge-load accounting is enabled");
+    }
     DC_REQUIRE(blocks >= 1 && n % blocks == 0,
                "fused blocks do not evenly cover the node count");
     const std::size_t block = n / blocks;
+    const std::size_t node_grain = grain_ ? grain_ : kParallelInlineThreshold;
     {
       CycleSpan span(trace_, trace_track_, "comm_cycle_fused");
       parallel_for_chunked(0, blocks, body,
-                           std::max<std::size_t>(1, grain_ / block), pool_);
-      if (profiler_ != nullptr) profiler_->note_cycle_uniform(n);
+                           std::max<std::size_t>(1, node_grain / block),
+                           pool_);
+      if (cyc != nullptr) {
+        if (edge_load_.enabled()) {
+          std::uint64_t* const loads = edge_load_.row(pool().worker_slot());
+          for (std::size_t v = 0; v < n; ++v)
+            book_edge(loads, cyc->recv_slot[v], cyc->recv_from[v], v, n);
+        }
+        if (profiler_ != nullptr) profiler_->note_cycle(*cyc, n);
+        ++replayed_cycles_;
+      } else if (profiler_ != nullptr) {
+        profiler_->note_cycle_uniform(n);
+      }
       ++counters_.comm_cycles;
       counters_.messages += n;
       span.finish(n);
@@ -739,6 +756,18 @@ class Machine {
     if constexpr (kIsPlaneSrc<T, Src>) {
       DC_REQUIRE(!src.tail || src.head <= width,
                  "plane source head exceeds the block width");
+    }
+  }
+
+  /// Books one compiled delivery u -> v into a per-worker edge-load row:
+  /// a plain indexed add on its record-time CSR slot, or the off-CSR map
+  /// for a hop that is no edge (recorded with validation off).
+  void book_edge(std::uint64_t* loads, std::uint32_t slot, net::NodeId u,
+                 std::size_t v, std::size_t n) {
+    if (slot != kNoEdgeSlot) {
+      ++loads[slot];
+    } else {
+      edge_load_.add_off_csr(u * n + v);
     }
   }
 

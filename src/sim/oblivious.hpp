@@ -24,6 +24,11 @@
 // recording exchange sender ids through exchange() and then copy each
 // delivered row from that sender's source — the same rows either way.
 //
+// On replay, an exchange that one computation step consumes at once may
+// also run fused (exchange_compute_fused): the algorithm's own sweep moves
+// the data and combines in one pass, and the machine books the compiled
+// cycle it stands in for exactly as a replay + compute_step pair.
+//
 // Replay is only correct because the recorded plan is a pure function of
 // (topology, algorithm, params): the cache key carries all three plus the
 // machine's validation flag, and the topology identity includes the
@@ -113,12 +118,7 @@ class ObliviousSection {
   /// called at all when replaying.
   template <typename P, typename DestFn, typename PayloadFn>
   Inbox<P> exchange(DestFn&& dest_of, PayloadFn&& payload_of) {
-    if (replay_) {
-      DC_CHECK(next_cycle_ < replay_->cycle_count(),
-               "algorithm issued more cycles than its compiled schedule");
-      return m_.comm_cycle_scheduled<P>(replay_->cycle(next_cycle_++),
-                                        payload_of);
-    }
+    if (replay_) return m_.comm_cycle_scheduled<P>(next_cycle(), payload_of);
     if (recorder_) {
       net::NodeId* const dest = recorder_->new_cycle().data();
       return m_.comm_cycle<P>(
@@ -154,21 +154,40 @@ class ObliviousSection {
   BlockInbox<T> exchange_blocks(std::size_t width, DestFn&& dest_of,
                                 Src&& src) {
     if (replay_) {
-      DC_CHECK(next_cycle_ < replay_->cycle_count(),
-               "algorithm issued more cycles than its compiled schedule");
-      return m_.comm_cycle_scheduled_blocks<T>(replay_->cycle(next_cycle_++),
-                                               width, src);
+      return m_.comm_cycle_scheduled_blocks<T>(next_cycle(), width, src);
     }
     const auto senders =
         exchange<net::NodeId>(dest_of, [](net::NodeId u) { return u; });
     return m_.pack_blocks<T>(width, senders, src);
   }
 
+  /// Replay-only fused form of an exchange that one computation step
+  /// consumes at once: takes the next compiled cycle, like exchange_blocks,
+  /// and runs body(b_lo, b_hi) over `blocks` equal node blocks through
+  /// Machine::comm_compute_cycle_fused_blocks, which books that cycle and
+  /// the step exactly as the replayed pair would. The body moves the data
+  /// and combines itself, so every exchange must stay inside one block.
+  /// Recording and interpreting sections keep exchange + compute_step.
+  template <typename Body>
+  void exchange_compute_fused(std::size_t blocks, Body&& body) {
+    DC_REQUIRE(replay_ != nullptr,
+               "fused exchange+compute cycles only replay compiled schedules");
+    m_.comm_compute_cycle_fused_blocks(blocks, std::forward<Body>(body),
+                                       &next_cycle());
+  }
+
   /// Compiles and publishes the recorded schedule. Call once, after the
-  /// run's last cycle; no-op when replaying or interpreting. Skipping it
-  /// merely forfeits caching — the run itself was already correct.
+  /// run's last cycle; no-op when interpreting. A replaying section checks
+  /// instead that the run consumed every compiled cycle — an algorithm that
+  /// issues fewer cycles than it recorded has diverged from its schedule.
+  /// Skipping commit merely forfeits caching (and that check) — the run
+  /// itself was already correct.
   void commit() {
-    if (!recorder_) return;
+    if (!recorder_) {
+      DC_CHECK(!replay_ || next_cycle_ == replay_->cycle_count(),
+               "algorithm issued fewer cycles than its compiled schedule");
+      return;
+    }
     // A plan recorded while a FaultPlan was attached may have observed
     // fault-dependent state (lost deliveries feed back into dest_of), so
     // it must never be published under the healthy topology's key. The
@@ -195,6 +214,13 @@ class ObliviousSection {
   }
 
  private:
+  /// The compiled cycle at the replay cursor, advancing it.
+  const ScheduleCycle& next_cycle() {
+    DC_CHECK(next_cycle_ < replay_->cycle_count(),
+             "algorithm issued more cycles than its compiled schedule");
+    return replay_->cycle(next_cycle_++);
+  }
+
   Machine& m_;
   ScheduleKey key_;
   ScheduleOrigin origin_ = ScheduleOrigin::kMiss;

@@ -136,6 +136,9 @@ struct ImbalanceSummary {
   std::uint64_t spread_sum = 0;    ///< sum of per-cycle spreads
   std::uint64_t edge_load_max = 0;    ///< hottest edge total at publish
   std::uint64_t edge_load_delta = 0;  ///< max - min edge total at publish
+
+  friend bool operator==(const ImbalanceSummary&,
+                         const ImbalanceSummary&) = default;
 };
 
 /// Per-cycle imbalance telemetry. One profiler is attached to the machine

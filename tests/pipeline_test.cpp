@@ -7,8 +7,12 @@
 namespace dc::collectives {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// has no implicit padding: `pad` keeps the four bytes after `n` at zero and the
+// test names the same from one build to the next.
 struct PipeCase {
   unsigned n;
+  unsigned pad = 0;
   std::size_t chunks;
   net::NodeId root;
 };
@@ -16,24 +20,24 @@ struct PipeCase {
 class PipelineTest : public ::testing::TestWithParam<PipeCase> {};
 
 TEST_P(PipelineTest, DeliversAllChunksInOrder) {
-  const auto [n, count, root] = GetParam();
-  const net::DualCube d(n);
+  const PipeCase& p = GetParam();
+  const net::DualCube d(p.n);
   sim::Machine m(d);
-  Rng rng(count);
-  std::vector<u64> chunks(count);
+  Rng rng(p.chunks);
+  std::vector<u64> chunks(p.chunks);
   for (auto& c : chunks) c = rng();
   const auto out =
-      ring_pipeline_broadcast(m, d, root % d.node_count(), chunks);
+      ring_pipeline_broadcast(m, d, p.root % d.node_count(), chunks);
   for (net::NodeId u = 0; u < d.node_count(); ++u)
     ASSERT_EQ(out[u], chunks) << "node " << u;
-  EXPECT_EQ(m.counters().comm_cycles, d.node_count() - 2 + count);
+  EXPECT_EQ(m.counters().comm_cycles, d.node_count() - 2 + p.chunks);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, PipelineTest,
-    ::testing::Values(PipeCase{2, 1, 0}, PipeCase{2, 5, 3},
-                      PipeCase{3, 1, 0}, PipeCase{3, 10, 17},
-                      PipeCase{3, 100, 31}, PipeCase{4, 7, 77}),
+    ::testing::Values(PipeCase{2, 0, 1, 0}, PipeCase{2, 0, 5, 3},
+                      PipeCase{3, 0, 1, 0}, PipeCase{3, 0, 10, 17},
+                      PipeCase{3, 0, 100, 31}, PipeCase{4, 0, 7, 77}),
     [](const auto& param_info) {
       return "D" + std::to_string(param_info.param.n) + "_B" +
              std::to_string(param_info.param.chunks) + "_r" +

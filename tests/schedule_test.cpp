@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "collectives/allgather.hpp"
@@ -22,11 +25,14 @@
 #include "core/dual_sort.hpp"
 #include "core/ops.hpp"
 #include "core/segmented.hpp"
+#include "core/sequential.hpp"
 #include "sim/faults.hpp"
 #include "sim/machine.hpp"
 #include "sim/oblivious.hpp"
+#include "sim/profile.hpp"
 #include "sim/schedule.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 #include "topology/dual_cube.hpp"
 #include "topology/hypercube.hpp"
 #include "topology/recursive_dual_cube.hpp"
@@ -417,6 +423,41 @@ TEST_F(ScheduleTest, ReplayRejectsExtraCycles) {
                CheckError);
 }
 
+// The converse: a replaying section whose run stops short of its compiled
+// schedule has diverged from what it recorded, and commit() says so.
+TEST_F(ScheduleTest, ReplayRejectsMissingCycles) {
+  const net::Hypercube q(2);
+  const auto run = [&](Machine& m, int cycles) {
+    ObliviousSection sched(m, "three", {});
+    for (int c = 0; c < cycles; ++c) {
+      (void)sched.exchange<int>(
+          [](net::NodeId u) { return bits::flip(u, 0); },
+          [](net::NodeId u) { return static_cast<int>(u); });
+    }
+    sched.commit();
+  };
+  Machine a(q);
+  a.set_schedule_path(SchedulePath::kCompiled);
+  run(a, 3);
+
+  Machine b(q);
+  b.set_schedule_path(SchedulePath::kCompiled);
+  try {
+    run(b, 2);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    const std::string tail =
+        " — algorithm issued fewer cycles than its compiled schedule";
+    EXPECT_EQ(what.rfind("DC_CHECK failed: ", 0), 0u) << what;
+    ASSERT_GE(what.size(), tail.size()) << what;
+    EXPECT_EQ(what.substr(what.size() - tail.size()), tail);
+  }
+  EXPECT_EQ(b.replayed_cycles(), 2u);
+  run(b, 3);  // the full run still replays and commits cleanly
+  EXPECT_EQ(b.replayed_cycles(), 5u);
+}
+
 // The validation flag is part of the cache key: a schedule recorded with
 // link validation off (and containing a non-edge hop) replays only on
 // non-validating machines; a validating machine records afresh and throws.
@@ -485,6 +526,167 @@ TEST_F(ScheduleTest, FingerprintKeepsSameNameMutatedEdgeGraphsApart) {
         << "a schedule recorded on the healthy graph must never replay on "
            "a same-name faulted graph";
   }
+}
+
+// ---------------------------------------------- fused dual_prefix replay
+//
+// A replaying dual_prefix runs each in-cluster exchange and the step that
+// consumes it as one fused sweep. Everything observable must match the
+// interpreted and record runs: results, Counters, the per-cycle message
+// trace, edge loads and the profiler's imbalance samples.
+
+// `name` spans on a machine's own trace.
+std::size_t span_count(const Machine& m, std::string_view name) {
+  std::size_t count = 0;
+  for (const TraceEvent& e : m.trace()->merged())
+    if (e.ph == 'B' && e.track == m.trace_track() && name == e.name) ++count;
+  return count;
+}
+
+template <core::Monoid M>
+struct PrefixRun {
+  std::vector<typename M::value_type> result;
+  ImbalanceSummary imbalance;
+};
+
+// One traced, profiled dual_prefix run on `m`.
+template <core::Monoid M>
+PrefixRun<M> profiled_prefix(Machine& m, const net::DualCube& d, const M& op,
+                             const std::vector<typename M::value_type>& data,
+                             bool inclusive) {
+  CycleProfiler prof;
+  m.attach_profiler(&prof);
+  PrefixRun<M> run{core::dual_prefix(m, d, op, data, {}, inclusive), {}};
+  m.attach_profiler(nullptr);
+  run.imbalance = prof.summary();
+  return run;
+}
+
+template <core::Monoid M>
+void expect_fused_prefix_parity(unsigned order, const M& op,
+                                const std::vector<typename M::value_type>& data,
+                                bool inclusive) {
+  const net::DualCube d(order);
+  const std::size_t fused_cycles = 2 * (order - 1);
+  const auto want = inclusive ? core::seq_inclusive_scan(op, data)
+                              : core::seq_exclusive_scan(op, data);
+  for (const bool loads : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "D_" << order << " inclusive="
+                                    << inclusive << " edge_load=" << loads);
+    ScheduleCache::instance().clear();
+    const auto machine = [&](SchedulePath path) {
+      auto m = std::make_unique<Machine>(d);
+      m->set_schedule_path(path);
+      m->enable_trace();
+      if (loads) m->enable_edge_load();
+      return m;
+    };
+    const auto interp = machine(SchedulePath::kInterpreted);
+    const auto expected = profiled_prefix(*interp, d, op, data, inclusive);
+    EXPECT_EQ(expected.result, want);
+    EXPECT_EQ(span_count(*interp, "comm_cycle_fused"), 0u);
+
+    for (const bool replaying : {false, true}) {
+      const auto m = machine(SchedulePath::kCompiled);
+      const auto got = profiled_prefix(*m, d, op, data, inclusive);
+      EXPECT_EQ(got.result, expected.result) << "replay=" << replaying;
+      EXPECT_EQ(m->counters(), interp->counters()) << "replay=" << replaying;
+      EXPECT_EQ(m->messages_per_cycle(), interp->messages_per_cycle());
+      EXPECT_EQ(got.imbalance, expected.imbalance) << "replay=" << replaying;
+      if (loads) {
+        EXPECT_EQ(edge_loads(*m, d), edge_loads(*interp, d));
+      }
+      EXPECT_EQ(m->replayed_cycles(),
+                replaying ? m->counters().comm_cycles : 0u);
+      EXPECT_EQ(span_count(*m, "comm_cycle_fused"),
+                replaying ? fused_cycles : 0u);
+    }
+  }
+}
+
+std::vector<std::string> letters(std::size_t n) {
+  std::vector<std::string> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = std::string(1, static_cast<char>('a' + (i % 26)));
+  return v;
+}
+
+std::vector<core::Mat2::value_type> matrices(std::size_t n, u64 seed) {
+  Rng rng(seed);
+  std::vector<core::Mat2::value_type> v(n);
+  for (auto& x : v)
+    x = {rng.below(9), rng.below(9), rng.below(9), rng.below(9)};
+  return v;
+}
+
+TEST_F(ScheduleTest, FusedDualPrefixParityPlus) {
+  for (unsigned order = 1; order <= 6; ++order) {
+    const auto data = random_values(net::DualCube(order).node_count(), order);
+    for (const bool inclusive : {true, false})
+      expect_fused_prefix_parity(order, core::Plus<u64>{}, data, inclusive);
+  }
+}
+
+TEST_F(ScheduleTest, FusedDualPrefixParityNonCommutativeMat2) {
+  for (unsigned order = 1; order <= 6; ++order) {
+    const auto data = matrices(net::DualCube(order).node_count(), order);
+    for (const bool inclusive : {true, false})
+      expect_fused_prefix_parity(order, core::Mat2{}, data, inclusive);
+  }
+}
+
+TEST_F(ScheduleTest, FusedDualPrefixParityNonTrivialConcat) {
+  for (unsigned order = 1; order <= 6; ++order) {
+    const auto data = letters(net::DualCube(order).node_count());
+    for (const bool inclusive : {true, false})
+      expect_fused_prefix_parity(order, core::Concat{}, data, inclusive);
+  }
+}
+
+// Fused blocks run concurrently on a multi-worker pool at grain 1; the
+// sweep must still match the single-threaded interpreted run.
+TEST_F(ScheduleTest, FusedDualPrefixParityOnWorkerPool) {
+  const net::DualCube d(5);
+  const core::Mat2 op;
+  const auto data = matrices(d.node_count(), 55);
+  Machine interp(d);
+  interp.set_schedule_path(SchedulePath::kInterpreted);
+  interp.enable_edge_load();
+  const auto expected = core::dual_prefix(interp, d, op, data);
+
+  ThreadPool pool(4);
+  for (int run = 0; run < 2; ++run) {  // record, then replay
+    Machine m(d);
+    m.set_thread_pool(&pool);
+    m.set_parallel_grain(1);
+    m.set_schedule_path(SchedulePath::kCompiled);
+    m.enable_trace();
+    m.enable_edge_load();
+    EXPECT_EQ(core::dual_prefix(m, d, op, data), expected) << "run " << run;
+    EXPECT_EQ(m.counters(), interp.counters()) << "run " << run;
+    EXPECT_EQ(edge_loads(m, d), edge_loads(interp, d)) << "run " << run;
+    EXPECT_EQ(span_count(m, "comm_cycle_fused"), run == 0 ? 0u : 8u);
+  }
+}
+
+// Faulted machines interpret every cycle, so they never fuse — even with
+// the healthy schedule already cached.
+TEST_F(ScheduleTest, FaultedDualPrefixNeverFuses) {
+  const net::DualCube d(4);
+  const auto data = random_values(d.node_count(), 44);
+  Machine warm(d);
+  warm.set_schedule_path(SchedulePath::kCompiled);
+  const auto expected = core::dual_prefix(warm, d, core::Plus<u64>{}, data);
+  ASSERT_EQ(ScheduleCache::instance().size(), 1u);
+
+  Machine faulted(d);
+  faulted.set_schedule_path(SchedulePath::kCompiled);
+  faulted.enable_trace();
+  faulted.attach_faults(std::make_shared<FaultPlan>());
+  EXPECT_EQ(core::dual_prefix(faulted, d, core::Plus<u64>{}, data), expected);
+  EXPECT_EQ(faulted.replayed_cycles(), 0u);
+  EXPECT_EQ(span_count(faulted, "comm_cycle_fused"), 0u);
+  EXPECT_EQ(span_count(faulted, "comm_cycle"), faulted.counters().comm_cycles);
 }
 
 // ------------------------------------------------- cache memory budgeting

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 #include "collectives/allgather.hpp"
 #include "core/block_sort.hpp"
@@ -269,6 +271,39 @@ TEST(Machine, EdgeLoadCountsUnderConcurrentDelivery) {
     }
   }
   EXPECT_EQ(m.edge_load(0, 3), 0u);  // not an edge
+}
+
+// A fused exchange+combine cycle inlines small sweeps exactly like
+// compute_step: at the default grain, a cycle over at most
+// kParallelInlineThreshold nodes runs every block on the caller, however
+// many blocks it is cut into. (Each block range sleeps so that a sweep
+// which did fan out would hand some ranges to the waiting workers.)
+TEST(Machine, FusedCycleInlinesUpToTheNodeThreshold) {
+  const net::Hypercube q(11);
+  ASSERT_EQ(q.node_count(), kParallelInlineThreshold);
+  ThreadPool pool(3);
+  Machine m(q);
+  m.set_thread_pool(&pool);
+  for (const std::size_t blocks : {std::size_t{2}, std::size_t{64},
+                                   std::size_t{2048}}) {
+    std::atomic<std::size_t> covered{0};
+    std::atomic<std::size_t> off_caller{0};
+    m.comm_compute_cycle_fused_blocks(
+        blocks, [&](std::size_t b_lo, std::size_t b_hi) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          covered += b_hi - b_lo;
+          if (pool.worker_slot() != 0) off_caller += b_hi - b_lo;
+        });
+    EXPECT_EQ(covered.load(), blocks);
+    EXPECT_EQ(off_caller.load(), 0u) << blocks << " blocks";
+  }
+  std::atomic<std::size_t> step_off_caller{0};
+  m.compute_step([&](net::NodeId) {
+    if (pool.worker_slot() != 0) ++step_off_caller;
+  });
+  EXPECT_EQ(step_off_caller.load(), 0u);
+  EXPECT_EQ(m.counters().comm_cycles, 3u);
+  EXPECT_EQ(m.counters().comp_steps, 4u);
 }
 
 TEST(Machine, ConcurrentlyLiveInboxesKeepDistinctStorage) {
