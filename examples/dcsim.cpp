@@ -430,13 +430,10 @@ int run_sharded_prefix(unsigned n, const std::string& op_name, unsigned shards,
   return ok ? 0 : 1;
 }
 
-int run_sort(unsigned n, const std::string& dist_name, u64 seed) {
+int run_sort(unsigned n, dc::KeyDistribution dist, u64 seed) {
   const dc::net::RecursiveDualCube r(n);
   dc::sim::Machine m(r);
   setup_machine(m, "measured");
-  dc::KeyDistribution dist = dc::KeyDistribution::kUniform;
-  for (const auto d : dc::all_key_distributions())
-    if (dc::to_string(d) == dist_name) dist = d;
   auto keys = dc::generate_keys(dist, r.node_count(), seed);
   if (g_schedule == dc::sim::SchedulePath::kCompiled) {
     dc::sim::Machine warm(r);
@@ -626,15 +623,12 @@ int run_ft_broadcast(unsigned n, NodeId root, const dc::sim::FaultPlan& plan,
   return ok ? 0 : 1;
 }
 
-int run_ft_sort(unsigned n, const std::string& dist_name, u64 seed,
+int run_ft_sort(unsigned n, dc::KeyDistribution dist, u64 seed,
                 const dc::sim::FaultPlan& plan, dc::sim::FaultPolicy policy) {
   const dc::net::RecursiveDualCube r(n);
   dc::sim::Machine m(r);
   setup_machine(m, "measured");
   m.attach_faults(std::make_shared<dc::sim::FaultPlan>(plan), policy);
-  dc::KeyDistribution dist = dc::KeyDistribution::kUniform;
-  for (const auto kd : dc::all_key_distributions())
-    if (dc::to_string(kd) == dist_name) dist = kd;
   const auto keys = dc::generate_keys(dist, r.node_count(), seed);
   dc::sim::FtReport rep;
   const auto out =
@@ -668,7 +662,7 @@ int run_ft_sort(unsigned n, const std::string& dist_name, u64 seed,
 
 int run_with_faults(const std::string& algo, unsigned n,
                     const std::string& spec, const std::string& policy_name,
-                    const std::string& op, const std::string& dist,
+                    const std::string& op, dc::KeyDistribution dist,
                     NodeId root, u64 seed) {
   dc::sim::FaultPolicy policy = dc::sim::FaultPolicy::kStrict;
   if (policy_name == "degrade") {
@@ -857,7 +851,7 @@ int run_resilient_broadcast(unsigned n, NodeId root, u64 seed,
   return ok ? 0 : 1;
 }
 
-int run_resilient_sort(unsigned n, const std::string& dist_name, u64 seed,
+int run_resilient_sort(unsigned n, dc::KeyDistribution dist, u64 seed,
                        const std::string& spec,
                        const dc::sim::RetryPolicy& rp) {
   const dc::net::RecursiveDualCube r(n);
@@ -866,9 +860,6 @@ int run_resilient_sort(unsigned n, const std::string& dist_name, u64 seed,
   if (!timeline_within_bound(*tl, n, rp)) return 2;
   dc::sim::Machine m(r);
   setup_machine(m, "measured");
-  dc::KeyDistribution dist = dc::KeyDistribution::kUniform;
-  for (const auto kd : dc::all_key_distributions())
-    if (dc::to_string(kd) == dist_name) dist = kd;
   const auto keys = dc::generate_keys(dist, r.node_count(), seed);
 
   dc::sim::RecoveryDriver drv(m, tl, rp);
@@ -900,7 +891,7 @@ int run_resilient_sort(unsigned n, const std::string& dist_name, u64 seed,
 
 int run_with_timeline(const std::string& algo, unsigned n,
                       const std::string& spec, const std::string& policy_name,
-                      const std::string& op, const std::string& dist,
+                      const std::string& op, dc::KeyDistribution dist,
                       NodeId root, u64 seed, std::size_t retry_budget) {
   dc::sim::RetryPolicy rp;
   rp.retry_budget = retry_budget;
@@ -972,12 +963,12 @@ int run_route(unsigned n, const std::string& pattern, u64 seed) {
 int main(int argc, char** argv) {
   dc::Cli cli(argc, argv);
   const std::string algo = cli.get_string("algo", "prefix");
-  const unsigned n = static_cast<unsigned>(cli.get_int("n", 3));
+  const std::int64_t n_arg = cli.get_int("n", 3);
   const u64 seed = static_cast<u64>(cli.get_int("seed", 1));
   const std::string op = cli.get_string("op", "plus");
-  const std::string dist = cli.get_string("dist", "uniform");
+  const std::string dist_name = cli.get_string("dist", "uniform");
   const unsigned bits = static_cast<unsigned>(cli.get_int("bits", 8));
-  const NodeId root = static_cast<NodeId>(cli.get_int("root", 0));
+  const std::int64_t root_arg = cli.get_int("root", 0);
   const std::string pattern = cli.get_string("pattern", "random");
   const std::string faults = cli.get_string("faults", "");
   const std::string fault_policy = cli.get_string("fault-policy", "strict");
@@ -1014,6 +1005,34 @@ int main(int argc, char** argv) {
   } else {
     std::cout << "unknown --schedule '" << schedule
               << "' (compiled|interpreted)\n";
+    return 2;
+  }
+
+  // Range-check before narrowing: a wrapped --n or --root would silently
+  // run a different network or node.
+  if (n_arg < 1 || n_arg > 20) {
+    std::cout << "--n must be a dual-cube order in 1..20 (got " << n_arg
+              << ")\n";
+    return 2;
+  }
+  const unsigned n = static_cast<unsigned>(n_arg);
+  const std::int64_t node_count = std::int64_t{1} << (2 * n - 1);
+  if (root_arg < 0 || root_arg >= node_count) {
+    std::cout << "--root must be a node of D_" << n << " in 0.."
+              << node_count - 1 << " (got " << root_arg << ")\n";
+    return 2;
+  }
+  const NodeId root = static_cast<NodeId>(root_arg);
+
+  std::optional<dc::KeyDistribution> dist;
+  std::string dist_names;
+  for (const auto d : dc::all_key_distributions()) {
+    if (dc::to_string(d) == dist_name) dist = d;
+    dist_names += (dist_names.empty() ? "" : "|") + dc::to_string(d);
+  }
+  if (!dist) {
+    std::cout << "unknown --dist '" << dist_name << "' (" << dist_names
+              << ")\n";
     return 2;
   }
 
@@ -1086,12 +1105,12 @@ int main(int argc, char** argv) {
     }
     if (!fault_timeline.empty())
       return run_with_timeline(algo, n, fault_timeline, fault_policy, op,
-                               dist, root, seed, retry_budget);
+                               *dist, root, seed, retry_budget);
     if (!faults.empty())
-      return run_with_faults(algo, n, faults, fault_policy, op, dist, root,
+      return run_with_faults(algo, n, faults, fault_policy, op, *dist, root,
                              seed);
     if (algo == "prefix") return run_prefix(n, op, seed);
-    if (algo == "sort") return run_sort(n, dist, seed);
+    if (algo == "sort") return run_sort(n, *dist, seed);
     if (algo == "radix") return run_radix(n, bits, seed);
     if (algo == "enum") return run_enum(n, seed);
     if (algo == "broadcast") return run_broadcast(n, root);

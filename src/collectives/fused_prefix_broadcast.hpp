@@ -95,9 +95,9 @@ FusedPrefixBroadcastResult<typename M::value_type> fused_prefix_broadcast(
   out.unfused_cycles = sa->cycle_count() + sb->cycle_count();
   out.merged = plan.merged_count();
 
-  // ---- Prefix state (mirrors core::emulated_prefix +
-  // core::dimension_exchange cycle for cycle; a-cycle ca maps to the
-  // dimension-0 exchange when ca == 0, else to phase (ca-1)%3 of
+  // ---- Prefix state (mirrors core::emulated_prefix and its width-1
+  // core::dimension_exchange_blocks relay cycle for cycle; a-cycle ca maps
+  // to the dimension-0 exchange when ca == 0, else to phase (ca-1)%3 of
   // dimension 1 + (ca-1)/3).
   std::vector<V> t = data;
   std::vector<V> s = data;

@@ -9,14 +9,16 @@
 // underlying network sorts N scalars.
 //
 // block_sort keeps the whole key set in one node-major SoA plane
-// (values[u*block + k]) and runs dual_bitonic_network_blocks, so every
+// (values[u*block + k]) and runs dual_bitonic_network at width m, so every
 // communication cycle moves contiguous width-m strides through the
 // simulator's block planes (memcpy-like on compiled replay) and every
 // merge-split writes its kept half straight into a double-buffered plane —
-// no per-step heap traffic. block_sort_aos is the original
-// vector-of-vectors formulation, kept as the parity/bench baseline; both
-// charge identical op counts, so results, Counters and edge loads agree
-// exactly (asserted in sim_test).
+// no per-step heap traffic. block_sort_aos is the array-of-structures
+// formulation, kept as the parity/bench baseline: the same network at
+// width 1 over heap-owning std::vector<Key> elements, merging with
+// std::merge instead of the merge_split kernel. Both charge identical op
+// counts, so results, Counters and edge loads agree exactly (asserted in
+// sim_test).
 //
 // Cost: the same 6n²−7n+2 communication cycles as Algorithm 3 (each cycle
 // now carries a block) plus ceil(log2 m)·m-ish local work per merge,
@@ -113,7 +115,7 @@ void block_sort(sim::Machine& m, const net::RecursiveDualCube& r,
   });
 
   // Network phase: Algorithm 3 with merge-split combines over strides.
-  dual_bitonic_network_blocks(
+  dual_bitonic_network(
       m, r, data, block, descending,
       [&m, block](net::NodeId /*u*/, bool keep_min, const Key* own,
                   const Key* other, Key* out) {
@@ -132,11 +134,12 @@ void block_sort(sim::Machine& m, const net::RecursiveDualCube& r,
   }
 }
 
-/// The original array-of-structures formulation: one std::vector<Key> per
-/// node, merge-split materializing the full 2m merge, payloads shipped as
-/// heap-owning vectors. Semantically identical to block_sort (same
-/// schedule, same op accounting) — kept as the AoS baseline for parity
-/// tests and the BM_BlockSortAoS bench row.
+/// The array-of-structures formulation: one std::vector<Key> per node,
+/// merge-split materializing the full 2m merge, payloads shipped as
+/// heap-owning vectors (the network at width 1 over Block elements).
+/// Semantically identical to block_sort (same schedule, same op
+/// accounting) — kept as the AoS baseline for parity tests and the
+/// BM_BlockSortAoS bench row.
 template <typename Key>
 void block_sort_aos(sim::Machine& m, const net::RecursiveDualCube& r,
                     std::vector<Key>& data, std::size_t block,
@@ -159,24 +162,22 @@ void block_sort_aos(sim::Machine& m, const net::RecursiveDualCube& r,
   });
 
   // Network phase: Algorithm 3 with merge-split combines. The 2m merge
-  // scratch is hoisted per node and kept at capacity across all rounds, so
-  // the steady-state network allocates nothing (it used to build and free a
-  // fresh merged vector per node per dimension step).
+  // scratch is hoisted per node and kept at capacity across all rounds.
   std::vector<Block> scratch(n_nodes);
   m.for_each_node([&](net::NodeId u) { scratch[u].reserve(2 * block); });
   dual_bitonic_network(
-      m, r, blocks, descending,
-      [&blocks, &scratch, &m, block](net::NodeId u, bool keep_min,
-                                     const Block& other) {
+      m, r, blocks, 1, descending,
+      [&scratch, &m, block](net::NodeId u, bool keep_min, const Block* own,
+                            const Block* other, Block* out) {
         Block& merged = scratch[u];
         merged.clear();
-        std::merge(blocks[u].begin(), blocks[u].end(), other.begin(),
-                   other.end(), std::back_inserter(merged));
+        std::merge(own->begin(), own->end(), other->begin(), other->end(),
+                   std::back_inserter(merged));
         const auto mid = merged.begin() + static_cast<std::ptrdiff_t>(block);
         if (keep_min) {
-          blocks[u].assign(merged.begin(), mid);
+          out->assign(merged.begin(), mid);
         } else {
-          blocks[u].assign(mid, merged.end());
+          out->assign(mid, merged.end());
         }
         m.add_ops(2 * block);  // merge comparisons/moves
       });

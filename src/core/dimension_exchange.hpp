@@ -11,23 +11,25 @@
 //   cycle 2: every *direct* node a exchanges the combined message
 //            (value[a], value[b]) with its partner a^j over the direct
 //            dimension-j link;
-//   cycle 3: a forwards value[b^j] (the second component it received) back
-//            to b over the cross-edge.
+//   cycle 3: a forwards value[b^j] (the second half it received) back to b
+//            over the cross-edge.
 //
 // Each node sends at most one and receives at most one message per cycle,
 // which the simulator enforces. Dimension 0 is a plain one-cycle exchange.
 //
-// This primitive carries both the dual-cube bitonic sort (Algorithm 3) and
-// the naive hypercube-emulation ablation. The relay pattern is oblivious —
-// it depends only on j — so all cycles run through an ObliviousSection:
-// callers composing many dimension steps (the sorts) pass their own
-// section so the whole composite run compiles to one schedule; the
-// standalone overload opens a per-(order, j) section itself.
+// Every node's value is a fixed-width block of T in a node-major plane
+// (width 1 for scalar values), so there is one relay implementation:
+// dimension_exchange_blocks. It carries the dual-cube bitonic sort
+// (Algorithm 3, every width) and the naive hypercube-emulation ablation.
+// The relay pattern is oblivious — it depends only on j — so all cycles
+// run through an ObliviousSection: callers composing many dimension steps
+// pass their own section so the whole composite run compiles to one
+// schedule; the standalone dimension_exchange opens a per-(order, j)
+// section itself.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -35,67 +37,6 @@
 #include "topology/recursive_dual_cube.hpp"
 
 namespace dc::core {
-
-/// Exchanges `value` across dimension `j` for every node simultaneously,
-/// issuing the cycles into the caller's oblivious section: returns recv
-/// with recv[u] = value[u ^ (1<<j)]. Costs 1 communication cycle when
-/// j == 0, 3 otherwise.
-template <typename V>
-std::vector<V> dimension_exchange(sim::Machine& m, sim::ObliviousSection& sched,
-                                  const net::RecursiveDualCube& r, unsigned j,
-                                  const std::vector<V>& value) {
-  DC_REQUIRE(&m.topology() == static_cast<const net::Topology*>(&r),
-             "machine must run on the given recursive dual-cube");
-  DC_REQUIRE(j < r.label_bits(), "dimension out of range");
-  DC_REQUIRE(value.size() == r.node_count(), "one value per node required");
-  const std::size_t n_nodes = r.node_count();
-  std::vector<V> recv(n_nodes);
-
-  if (j == 0) {
-    auto inbox = sched.exchange<V>(
-        [](net::NodeId u) { return dc::bits::flip(u, 0); },
-        [&](net::NodeId u) { return value[u]; });
-    m.for_each_node([&](net::NodeId u) { recv[u] = std::move(*inbox[u]); });
-    return recv;
-  }
-
-  // Bit-0 value of the nodes with a direct dimension-j link.
-  const unsigned direct0 = j % 2 == 0 ? 0u : 1u;
-
-  // Cycle 1: indirect nodes ship their value across the cross-edge.
-  auto gathered = sched.exchange<V>(
-      [&](net::NodeId u) -> net::NodeId {
-        if (dc::bits::get(u, 0) == direct0) return sim::kNoSend;
-        return dc::bits::flip(u, 0);
-      },
-      [&](net::NodeId u) { return value[u]; });
-
-  // Cycle 2: direct nodes exchange (own value, neighbor's value) pairs.
-  using Pair = std::pair<V, V>;
-  auto pairs = sched.exchange<Pair>(
-      [&](net::NodeId u) -> net::NodeId {
-        if (dc::bits::get(u, 0) != direct0) return sim::kNoSend;
-        return dc::bits::flip(u, j);
-      },
-      [&](net::NodeId u) { return Pair{value[u], *gathered[u]}; });
-
-  // Cycle 3: direct nodes keep the first component and return the second
-  // to their cross neighbor.
-  auto returned = sched.exchange<V>(
-      [&](net::NodeId u) -> net::NodeId {
-        if (dc::bits::get(u, 0) != direct0) return sim::kNoSend;
-        return dc::bits::flip(u, 0);
-      },
-      [&](net::NodeId u) { return pairs[u]->second; });
-  m.for_each_node([&](net::NodeId u) {
-    if (dc::bits::get(u, 0) == direct0) {
-      recv[u] = std::move(pairs[u]->first);
-    } else {
-      recv[u] = std::move(*returned[u]);
-    }
-  });
-  return recv;
-}
 
 /// The live result of one block dimension exchange: a zero-copy view over
 /// the inbox planes the exchange ended on. `recv(u)` points at the `width`
@@ -122,17 +63,17 @@ struct BlockExchange {
   }
 };
 
-/// Block form of the dimension exchange: every node's value is a
-/// fixed-width block of T held in the node-major plane
-/// `plane[u * width + k]`. Issues exactly the same cycle/destination
-/// sequence as the scalar overload — only the payload representation
-/// differs: cycle 2's combined relay message is one 2*width stride (own
-/// block then gathered block) instead of a std::pair. Every cycle's source
-/// is a PlaneSrc over the caller's plane or the previous cycle's inbox
-/// plane (cycle 2's names the gathered plane as its tail), so on replay
-/// the whole exchange is a few plane-to-plane sweeps with no per-sender
-/// callbacks and no copy-out — the result is a view (BlockExchange) into
-/// the final planes.
+/// Exchanges node blocks across dimension `j` for every node
+/// simultaneously, issuing the cycles into the caller's oblivious section:
+/// every node's value is a fixed-width block of T held in the node-major
+/// plane `plane[u * width + k]`, and node u receives the block of u ^ (1<<j).
+/// Costs 1 communication cycle when j == 0, 3 otherwise. Cycle 2's combined
+/// relay message is one 2*width stride (own block then gathered block).
+/// Every cycle's source is a PlaneSrc over the caller's plane or the
+/// previous cycle's inbox plane (cycle 2's names the gathered plane as its
+/// tail), so on replay the whole exchange is a few plane-to-plane sweeps
+/// with no per-sender callbacks and no copy-out — the result is a view
+/// (BlockExchange) into the final planes.
 template <typename T>
 BlockExchange<T> dimension_exchange_blocks(sim::Machine& m,
                                            sim::ObliviousSection& sched,
@@ -209,16 +150,18 @@ void dimension_exchange_blocks(sim::Machine& m, sim::ObliviousSection& sched,
   });
 }
 
-/// Standalone form: opens (and commits) its own schedule section keyed by
-/// (order, j), so repeated exchanges along one dimension replay a cached
-/// schedule.
+/// Standalone scalar form: exchanges `value` across dimension `j` (recv[u]
+/// = value[u ^ (1<<j)]) as a width-1 block exchange in its own schedule
+/// section keyed by (order, j), so repeated exchanges along one dimension
+/// replay a cached schedule.
 template <typename V>
 std::vector<V> dimension_exchange(sim::Machine& m,
                                   const net::RecursiveDualCube& r, unsigned j,
                                   const std::vector<V>& value) {
   DC_REQUIRE(j < r.label_bits(), "dimension out of range");
   sim::ObliviousSection sched(m, "dimension_exchange", {r.order(), j});
-  auto recv = dimension_exchange(m, sched, r, j, value);
+  std::vector<V> recv;
+  dimension_exchange_blocks(m, sched, r, j, value, 1, recv);
   sched.commit();
   return recv;
 }

@@ -16,17 +16,21 @@
 // the block's index among its parent's four children, matching the paper's
 // D_sort(D^00,0); D_sort(D^01,1); D_sort(D^10,0); D_sort(D^11,1) recursion —
 // except at the top level k = n, where it is the caller's direction.
+// detail::for_each_bitonic_step and detail::bitonic_keep_min are that level
+// loop and that direction rule, shared with the fault-tolerant network
+// (core/ft_dual_sort.hpp).
 //
-// Every dimension step uses dimension_exchange (1 cycle at j = 0, 3 cycles
-// otherwise; see dimension_exchange.hpp for the relay schedule) and one
-// parallel comparison step.
+// Every dimension step uses dimension_exchange_blocks (1 cycle at j = 0, 3
+// cycles otherwise; see dimension_exchange.hpp for the relay schedule) and
+// one parallel comparison step.
 //
 // Cost on D_n (Theorem 2): T_comm = 6n² − 7n + 2 ≤ 6n² communication
 // cycles and T_comp = 2n² − n ≤ 2n² comparison steps.
 //
-// dual_bitonic_network is the schedule with a pluggable per-node combine
-// rule; dual_sort instantiates it with scalar compare-exchange, and
-// block_sort.hpp with sorted-block merge-split (the classic result that any
+// dual_bitonic_network is the one schedule, over a node-major plane of
+// fixed-width blocks with a pluggable per-node combine rule. dual_sort runs
+// it at width 1 with scalar compare-exchange; block_sort.hpp runs it at
+// width m with sorted-block merge-split (the classic result that any
 // sorting network sorts blocks when compare-exchange is replaced by
 // merge-split).
 #pragma once
@@ -42,78 +46,50 @@
 
 namespace dc::core {
 
+namespace detail {
+
+/// The direction rule of Algorithm 3: true iff node u keeps the min side
+/// at dimension j of level k on D_n. A half-merge ascends in the lower
+/// half of each D_k block (bit 2k-2 clear); a full merge follows the
+/// block's tag (bit 2k-1), or the caller's direction at the top level.
+inline bool bitonic_keep_min(net::NodeId u, unsigned j, unsigned k,
+                             unsigned n, bool half_merge, bool descending) {
+  const bool ascending = half_merge ? dc::bits::get(u, 2 * k - 2) == 0
+                         : k == n   ? !descending
+                                    : dc::bits::get(u, 2 * k - 1) == 0;
+  return ascending == (dc::bits::get(u, j) == 0);
+}
+
+/// Level k's dimension steps in network order: step(j, half_merge) for the
+/// half-merge over j = 2k-3 .. 0 (none at k = 1), then the full merge over
+/// j = 2k-2 .. 0.
+template <typename Step>
+void for_each_bitonic_step(unsigned k, Step&& step) {
+  for (unsigned j = 2 * k - 2; j-- > 0;) step(j, /*half_merge=*/true);
+  for (unsigned j = 2 * k - 1; j-- > 0;) step(j, /*half_merge=*/false);
+}
+
+}  // namespace detail
+
 /// Observer invoked after every dimension step with a phase label and the
-/// current values (index = node label). Drives the Figures 5-6 reproduction.
+/// current node-major plane (node u's block at index u*width). Drives the
+/// Figures 5-6 reproduction.
 template <typename V>
 using DualSortObserver =
     std::function<void(const std::string& phase, const std::vector<V>& values)>;
 
-/// Runs the Algorithm-3 compare-exchange schedule over `values`.
-/// `combine(u, keep_min, other)` must replace node u's value with the
-/// min-side (keep_min) or max-side result of combining with `other`, and is
-/// invoked once per node per dimension step from a counted compute_step.
+/// Runs the Algorithm-3 schedule over `plane`, where node u's value is the
+/// width-sized stride `plane[u*width .. u*width+width)`. Every dimension
+/// step moves blocks through dimension_exchange_blocks and double-buffers
+/// the combine: `combine(u, keep_min, own, other, out)` must write node
+/// u's min-side (keep_min) or max-side result (width elements) into `out`,
+/// reading the `own` and `other` strides. One counted compare op per node
+/// per dimension step is charged here; combine charges any further work.
 template <typename V, typename Combine>
 void dual_bitonic_network(sim::Machine& m, const net::RecursiveDualCube& r,
-                          std::vector<V>& values, bool descending,
-                          Combine&& combine,
+                          std::vector<V>& plane, std::size_t width,
+                          bool descending, Combine&& combine,
                           const DualSortObserver<V>& observer = {}) {
-  DC_REQUIRE(&m.topology() == static_cast<const net::Topology*>(&r),
-             "machine must run on the given recursive dual-cube");
-  DC_REQUIRE(values.size() == r.node_count(), "one value per node required");
-  const unsigned n = r.order();
-
-  // The whole network — every relayed dimension exchange of every level —
-  // is one compiled schedule per order: the dimension sequence is fixed
-  // and the merge direction only affects the compute side.
-  sim::ObliviousSection sched(m, "dual_bitonic_network", {n});
-
-  const auto dimension_step = [&](unsigned j, unsigned k, bool half_merge) {
-    auto recv = dimension_exchange(m, sched, r, j, values);
-    m.compute_step([&](net::NodeId u) {
-      bool ascending;
-      if (half_merge) {
-        ascending = dc::bits::get(u, 2 * k - 2) == 0;
-      } else {
-        ascending =
-            k == n ? !descending : dc::bits::get(u, 2 * k - 1) == 0;
-      }
-      const bool keep_min = ascending == (dc::bits::get(u, j) == 0);
-      combine(u, keep_min, recv[u]);
-      m.add_ops(1);
-    });
-    if (observer)
-      observer("level " + std::to_string(k) +
-                   (half_merge ? " half-merge dim " : " full-merge dim ") +
-                   std::to_string(j),
-               values);
-  };
-
-  for (unsigned k = 1; k <= n; ++k) {
-    if (k >= 2) {
-      for (unsigned jj = 2 * k - 2; jj-- > 0;)
-        dimension_step(jj, k, /*half_merge=*/true);
-    }
-    for (unsigned jj = 2 * k - 1; jj-- > 0;)
-      dimension_step(jj, k, /*half_merge=*/false);
-  }
-  sched.commit();
-}
-
-/// Block form of the Algorithm-3 schedule: node u's value is the width-sized
-/// stride `plane[u*width .. u*width+width)`. Issues exactly the same cycle
-/// sequence as dual_bitonic_network — it shares the same schedule key, so a
-/// scalar record run and a block replay run reuse one cached schedule — but
-/// moves blocks through the SoA planes of dimension_exchange_blocks and
-/// double-buffers the combine: `combine(u, keep_min, own, other, out)` must
-/// write node u's merge-split result (width elements) into `out`, reading
-/// the `own` and `other` strides. One counted compare op per node per
-/// dimension step is charged here, matching the scalar network; combine
-/// charges its own block work.
-template <typename Key, typename Combine>
-void dual_bitonic_network_blocks(sim::Machine& m,
-                                 const net::RecursiveDualCube& r,
-                                 std::vector<Key>& plane, std::size_t width,
-                                 bool descending, Combine&& combine) {
   DC_REQUIRE(&m.topology() == static_cast<const net::Topology*>(&r),
              "machine must run on the given recursive dual-cube");
   DC_REQUIRE(width >= 1, "block width must be >= 1");
@@ -121,36 +97,29 @@ void dual_bitonic_network_blocks(sim::Machine& m,
              "one width-sized block per node required");
   const unsigned n = r.order();
 
+  // The whole network — every relayed dimension exchange of every level —
+  // is one compiled schedule per order: the dimension sequence is fixed
+  // and neither the merge direction nor the width changes a destination.
   sim::ObliviousSection sched(m, "dual_bitonic_network", {n});
 
-  std::vector<Key> next(plane.size());
-  const auto dimension_step = [&](unsigned j, unsigned k, bool half_merge) {
-    // Zero-copy: combine reads the received block straight out of the
-    // exchange's inbox planes instead of a copied-out recv plane.
-    const auto ex = dimension_exchange_blocks(m, sched, r, j, plane, width);
-    m.compute_step([&](net::NodeId u) {
-      bool ascending;
-      if (half_merge) {
-        ascending = dc::bits::get(u, 2 * k - 2) == 0;
-      } else {
-        ascending =
-            k == n ? !descending : dc::bits::get(u, 2 * k - 1) == 0;
-      }
-      const bool keep_min = ascending == (dc::bits::get(u, j) == 0);
-      combine(u, keep_min, plane.data() + u * width, ex.recv(u),
-              next.data() + u * width);
-      m.add_ops(1);
-    });
-    plane.swap(next);
-  };
-
+  std::vector<V> next(plane.size());
   for (unsigned k = 1; k <= n; ++k) {
-    if (k >= 2) {
-      for (unsigned jj = 2 * k - 2; jj-- > 0;)
-        dimension_step(jj, k, /*half_merge=*/true);
-    }
-    for (unsigned jj = 2 * k - 1; jj-- > 0;)
-      dimension_step(jj, k, /*half_merge=*/false);
+    detail::for_each_bitonic_step(k, [&](unsigned j, bool half_merge) {
+      // Zero-copy: combine reads the received block straight out of the
+      // exchange's inbox planes instead of a copied-out recv plane.
+      const auto ex = dimension_exchange_blocks(m, sched, r, j, plane, width);
+      m.compute_step([&](net::NodeId u) {
+        combine(u, detail::bitonic_keep_min(u, j, k, n, half_merge, descending),
+                plane.data() + u * width, ex.recv(u), next.data() + u * width);
+        m.add_ops(1);
+      });
+      plane.swap(next);
+      if (observer)
+        observer("level " + std::to_string(k) +
+                     (half_merge ? " half-merge dim " : " full-merge dim ") +
+                     std::to_string(j),
+                 plane);
+    });
   }
   sched.commit();
 }
@@ -163,11 +132,9 @@ void dual_sort(sim::Machine& m, const net::RecursiveDualCube& r,
                std::vector<Key>& keys, bool descending = false,
                const DualSortObserver<Key>& observer = {}) {
   dual_bitonic_network(
-      m, r, keys, descending,
-      [&keys](net::NodeId u, bool keep_min, const Key& other) {
-        const bool other_smaller = other < keys[u];
-        if (keep_min == other_smaller) keys[u] = other;
-      },
+      m, r, keys, 1, descending,
+      [](net::NodeId /*u*/, bool keep_min, const Key* own, const Key* other,
+         Key* out) { *out = keep_min == (*other < *own) ? *other : *own; },
       observer);
 }
 

@@ -3,10 +3,11 @@
 //
 // The recursive presentation makes D_n look like Q_(2n-1) with most links
 // missing; Algorithm 1 still runs if every dimension exchange is performed
-// with dimension_exchange (3 cycles for the 2n-2 link-less dimensions,
-// 1 cycle for dimension 0): 6n-5 communication cycles versus the cluster
-// technique's 2n. This is exactly the ~3x emulation overhead the paper's
-// concluding section warns about, and the reason Algorithm 2 exists.
+// with the Section 6 relay — dimension_exchange_blocks at width 1 (3
+// cycles for the 2n-2 link-less dimensions, 1 cycle for dimension 0):
+// 6n-5 communication cycles versus the cluster technique's 2n. This is
+// exactly the ~3x emulation overhead the paper's concluding section warns
+// about, and the reason Algorithm 2 exists.
 //
 // Note the emulated prefix orders data by *recursive-presentation label*,
 // not by the arrangement of Algorithm 2; it is validated against a
@@ -35,14 +36,15 @@ std::vector<typename M::value_type> emulated_prefix(
   std::vector<V> t = c;
   std::vector<V> s = c;
   for (unsigned i = 0; i < r.label_bits(); ++i) {
-    auto temp = dimension_exchange(m, sched, r, i, t);
+    const auto ex = dimension_exchange_blocks(m, sched, r, i, t, 1);
     m.compute_step([&](net::NodeId u) {
+      const V& temp = *ex.recv(u);
       if (dc::bits::get(u, i) == 1) {
-        s[u] = op.combine(temp[u], s[u]);
-        t[u] = op.combine(temp[u], t[u]);
+        s[u] = op.combine(temp, s[u]);
+        t[u] = op.combine(temp, t[u]);
         m.add_ops(2);
       } else {
-        t[u] = op.combine(t[u], temp[u]);
+        t[u] = op.combine(t[u], temp);
         m.add_ops(1);
       }
     });

@@ -24,6 +24,12 @@
 //     order and the missing slots sink to the tail (head when
 //     descending).
 //
+// The emulated network walks the healthy network's levels with its
+// direction rule (detail::for_each_bitonic_step and
+// detail::bitonic_keep_min from core/dual_sort.hpp); only the transport
+// differs — scalar logical messages routed over detours instead of the
+// healthy network's block planes.
+//
 // A healthy (empty-plan) run issues exactly the paper's schedule —
 // 6n² − 7n + 2 comm cycles, every message a single healthy hop, zero
 // reroutes — so fault tolerance costs nothing when nothing is broken.
@@ -45,6 +51,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/dual_sort.hpp"
 #include "core/ft_dual_prefix.hpp"
 #include "sim/fault_transport.hpp"
 #include "sim/faults.hpp"
@@ -124,7 +131,7 @@ void ft_sort_level(sim::Machine& m, const net::RecursiveDualCube& r,
   std::vector<std::optional<Pair>> recv_p;
   std::vector<MaybeKey> other(n_nodes);
 
-  const auto dimension_step = [&](unsigned j, bool half_merge) {
+  for_each_bitonic_step(k, [&](unsigned j, bool half_merge) {
     if (j == 0) {
       ft_sort_exchange<MaybeKey>(
           m, r, plan, roles,
@@ -174,29 +181,17 @@ void ft_sort_level(sim::Machine& m, const net::RecursiveDualCube& r,
       });
     }
     // The compare step of the healthy network, proxies doing their wards'
-    // compares too; direction logic identical to dual_bitonic_network.
+    // compares too.
     m.compute_step([&](net::NodeId p) {
       for (const net::NodeId u : roles.hosted[p]) {
-        bool ascending;
-        if (half_merge) {
-          ascending = dc::bits::get(u, 2 * k - 2) == 0;
-        } else {
-          ascending = k == n ? !descending : dc::bits::get(u, 2 * k - 1) == 0;
-        }
-        const bool keep_min = ascending == (dc::bits::get(u, j) == 0);
+        const bool keep_min =
+            bitonic_keep_min(u, j, k, n, half_merge, descending);
         const bool other_smaller = ft_key_less<Key>(other[u], val[u]);
         if (keep_min == other_smaller) val[u] = other[u];
         m.add_ops(1);
       }
     });
-  };
-
-  if (k >= 2) {
-    for (unsigned jj = 2 * k - 2; jj-- > 0;)
-      dimension_step(jj, /*half_merge=*/true);
-  }
-  for (unsigned jj = 2 * k - 1; jj-- > 0;)
-    dimension_step(jj, /*half_merge=*/false);
+  });
 }
 
 }  // namespace detail

@@ -32,7 +32,7 @@ class DualCube final : public Topology {
   /// D_n with 2^(2n-1) nodes and n links per node. n >= 1; D_1 = K_2.
   explicit DualCube(unsigned n) : n_(n) {
     DC_REQUIRE(n >= 1, "dual-cube order must be >= 1");
-    DC_REQUIRE(2 * n - 1 <= 40, "dual-cube order too large to simulate");
+    DC_REQUIRE(n <= 20, "dual-cube order too large to simulate");
   }
 
   std::string name() const override { return "D_" + std::to_string(n_); }

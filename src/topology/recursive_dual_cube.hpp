@@ -41,7 +41,7 @@ class RecursiveDualCube final : public Topology {
   /// Recursive presentation of D_n. n >= 1.
   explicit RecursiveDualCube(unsigned n) : n_(n) {
     DC_REQUIRE(n >= 1, "dual-cube order must be >= 1");
-    DC_REQUIRE(2 * n - 1 <= 40, "dual-cube order too large to simulate");
+    DC_REQUIRE(n <= 20, "dual-cube order too large to simulate");
   }
 
   std::string name() const override { return "D_" + std::to_string(n_) + "(rec)"; }

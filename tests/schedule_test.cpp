@@ -5,6 +5,7 @@
 // SimError messages while caching nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -23,6 +24,8 @@
 #include "core/dimension_exchange.hpp"
 #include "core/dual_prefix.hpp"
 #include "core/dual_sort.hpp"
+#include "core/emulated_prefix.hpp"
+#include "core/formulas.hpp"
 #include "core/ops.hpp"
 #include "core/segmented.hpp"
 #include "core/sequential.hpp"
@@ -137,14 +140,76 @@ TEST_F(ScheduleTest, CubeBitonicSortParity) {
   });
 }
 
+// dual_sort is the width-1 run of the block network: its interpreted and
+// record runs ship sender ids and pack rows, replay gathers planes. Signed
+// keys (with duplicates) sort descending, so both top-level directions run.
 TEST_F(ScheduleTest, DualSortParity) {
-  const net::RecursiveDualCube r(2);
-  const auto input = generate_keys(KeyDistribution::kUniform, r.node_count(), 4);
-  expect_parity(r, [&](Machine& m) {
-    auto keys = input;
-    core::dual_sort(m, r, keys);
-    return keys;
-  });
+  for (unsigned order = 1; order <= 5; ++order) {
+    SCOPED_TRACE(testing::Message() << "D_" << order);
+    const net::RecursiveDualCube r(order);
+    const auto input =
+        generate_keys(KeyDistribution::kUniform, r.node_count(), 4);
+    ScheduleCache::instance().clear();
+    expect_parity(r, [&](Machine& m) {
+      auto keys = input;
+      core::dual_sort(m, r, keys);
+      return keys;
+    });
+
+    std::vector<int> signed_input(input.size());
+    for (std::size_t i = 0; i < input.size(); ++i)
+      signed_input[i] = static_cast<int>(input[i] % 97) - 48;
+    ScheduleCache::instance().clear();
+    expect_parity(r, [&](Machine& m) {
+      auto keys = signed_input;
+      core::dual_sort(m, r, keys, /*descending=*/true);
+      return keys;
+    });
+  }
+}
+
+// block_sort and dual_sort run one network, so they share one compiled
+// schedule: whichever records it, the other replays every cycle of it.
+TEST_F(ScheduleTest, BlockAndScalarSortShareOneSchedule) {
+  const net::RecursiveDualCube r(3);
+  const std::size_t width = 3;
+  const auto keys = generate_keys(KeyDistribution::kUniform, r.node_count(), 7);
+  const auto blocks = random_values(r.node_count() * width, 8);
+  auto want_keys = keys;
+  std::sort(want_keys.begin(), want_keys.end());
+  auto want_blocks = blocks;
+  std::sort(want_blocks.begin(), want_blocks.end());
+
+  const auto block_run = [&](Machine& m) {
+    auto data = blocks;
+    core::block_sort(m, r, data, width);
+    EXPECT_EQ(data, want_blocks);
+  };
+  const auto scalar_run = [&](Machine& m) {
+    auto data = keys;
+    core::dual_sort(m, r, data);
+    EXPECT_EQ(data, want_keys);
+  };
+  for (const bool block_records : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "block records: " << block_records);
+    ScheduleCache::instance().clear();
+    Machine recorder(r);
+    recorder.set_schedule_path(SchedulePath::kCompiled);
+    Machine replayer(r);
+    replayer.set_schedule_path(SchedulePath::kCompiled);
+    if (block_records) {
+      block_run(recorder);
+      scalar_run(replayer);
+    } else {
+      scalar_run(recorder);
+      block_run(replayer);
+    }
+    EXPECT_EQ(recorder.replayed_cycles(), 0u);
+    EXPECT_EQ(replayer.counters().comm_cycles,
+              core::formulas::dual_sort_comm_exact(3));
+    EXPECT_EQ(replayer.replayed_cycles(), replayer.counters().comm_cycles);
+    EXPECT_EQ(ScheduleCache::instance().size(), 1u);
+  }
 }
 
 TEST_F(ScheduleTest, DimensionExchangeParity) {
@@ -640,6 +705,29 @@ TEST_F(ScheduleTest, FusedDualPrefixParityNonTrivialConcat) {
     const auto data = letters(net::DualCube(order).node_count());
     for (const bool inclusive : {true, false})
       expect_fused_prefix_parity(order, core::Concat{}, data, inclusive);
+  }
+}
+
+// emulated_prefix ships every value type through the width-1 block relay;
+// a non-commutative (Mat2) and a heap-owning (Concat) monoid must agree
+// across interpreted, record and replay runs just like a plain sum.
+TEST_F(ScheduleTest, EmulatedPrefixParity) {
+  const auto check = [](const net::RecursiveDualCube& r, const auto& op,
+                        const auto& data) {
+    ScheduleCache::instance().clear();
+    expect_parity(r, [&](Machine& m) {
+      auto out = core::emulated_prefix(m, r, op, data);
+      EXPECT_EQ(out, core::seq_inclusive_scan(op, data));
+      return out;
+    });
+  };
+  for (unsigned order = 1; order <= 4; ++order) {
+    SCOPED_TRACE(testing::Message() << "D_" << order);
+    const net::RecursiveDualCube r(order);
+    const std::size_t n = r.node_count();
+    check(r, core::Plus<u64>{}, random_values(n, 20 + order));
+    check(r, core::Mat2{}, matrices(n, 30 + order));
+    check(r, core::Concat{}, letters(n));
   }
 }
 

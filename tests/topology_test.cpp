@@ -180,6 +180,17 @@ INSTANTIATE_TEST_SUITE_P(Orders, DualCubeTest, ::testing::Values(1u, 2u, 3u, 4u)
 
 TEST(DualCube, RejectsOrderZero) { EXPECT_THROW(DualCube(0), CheckError); }
 
+// 2n - 1 wraps for n >= 2^31 (n = 2^31 + 1 would name a 2-node "D_n"), so
+// both presentations must bound n itself.
+TEST(DualCube, RejectsOrdersPastTwenty) {
+  for (const unsigned n : {21u, 2147483649u}) {
+    EXPECT_THROW(DualCube{n}, CheckError) << "n=" << n;
+    EXPECT_THROW(RecursiveDualCube{n}, CheckError) << "n=" << n;
+  }
+  EXPECT_EQ(DualCube{20}.order(), 20u);
+  EXPECT_EQ(RecursiveDualCube{20}.order(), 20u);
+}
+
 TEST(DualCube, D1IsK2) {
   const DualCube d(1);
   EXPECT_EQ(d.node_count(), 2u);
