@@ -353,7 +353,8 @@ void BM_CommCycle(benchmark::State& state) {
 BENCHMARK(BM_CommCycle)->DenseRange(7, 15, 4)->Unit(benchmark::kMicrosecond);
 
 // The compiled counterpart of BM_CommCycle: the same rotating-dimension
-// exchange, but replayed through Machine::comm_cycle_scheduled from a
+// exchange, but replayed as width-1 blocks through
+// Machine::comm_cycle_scheduled_blocks with a callback source, from a
 // schedule recorded once before the timing loop. The gap between the two
 // benchmarks is the per-cycle cost of planning + validation + claiming.
 void BM_CommCycleScheduled(benchmark::State& state) {
@@ -367,16 +368,17 @@ void BM_CommCycleScheduled(benchmark::State& state) {
       auto inbox = sec.exchange<u64>(
           [&](dc::net::NodeId u) { return q.neighbor(u, j); },
           [](dc::net::NodeId u) { return static_cast<u64>(u); });
-      benchmark::DoNotOptimize(inbox[0]);
+      benchmark::DoNotOptimize(inbox.data());
     }
     sec.commit();
   }
   const auto sched = dc::sim::ScheduleCache::instance().find(sec.key());
   unsigned i = 0;
   for (auto _ : state) {
-    auto inbox = m.comm_cycle_scheduled<u64>(
-        sched->cycle(i), [](dc::net::NodeId u) { return static_cast<u64>(u); });
-    benchmark::DoNotOptimize(inbox[0]);
+    auto inbox = m.comm_cycle_scheduled_blocks<u64>(
+        sched->cycle(i), 1,
+        [](dc::net::NodeId u, u64* dst) { *dst = static_cast<u64>(u); });
+    benchmark::DoNotOptimize(inbox.data());
     i = (i + 1 == d) ? 0 : i + 1;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -460,7 +460,9 @@ int run_radix(unsigned n, unsigned bits, u64 seed) {
   setup_machine(m, "measured");
   dc::Rng rng(seed);
   std::vector<u64> keys(d.node_count());
-  for (auto& k : keys) k = rng.below(dc::bits::pow2(bits));
+  // 64-bit keys take every value; pow2(64) would be an out-of-range shift.
+  for (auto& k : keys)
+    k = bits == 64 ? rng() : rng.below(dc::bits::pow2(bits));
   auto expected = keys;
   std::sort(expected.begin(), expected.end());
   const auto stats = dc::core::radix_sort(m, d, keys, bits);
@@ -967,17 +969,15 @@ int main(int argc, char** argv) {
   const u64 seed = static_cast<u64>(cli.get_int("seed", 1));
   const std::string op = cli.get_string("op", "plus");
   const std::string dist_name = cli.get_string("dist", "uniform");
-  const unsigned bits = static_cast<unsigned>(cli.get_int("bits", 8));
+  const std::int64_t bits_arg = cli.get_int("bits", 8);
   const std::int64_t root_arg = cli.get_int("root", 0);
   const std::string pattern = cli.get_string("pattern", "random");
   const std::string faults = cli.get_string("faults", "");
   const std::string fault_policy = cli.get_string("fault-policy", "strict");
   const std::string fault_timeline = cli.get_string("fault-timeline", "");
-  const std::size_t retry_budget =
-      static_cast<std::size_t>(cli.get_int("retry-budget", 8));
-  const unsigned shards = static_cast<unsigned>(cli.get_int("shards", 0));
-  const std::size_t mem_budget =
-      static_cast<std::size_t>(cli.get_int("mem-budget", 0));
+  const std::int64_t retry_budget_arg = cli.get_int("retry-budget", 8);
+  const std::int64_t shards_arg = cli.get_int("shards", 0);
+  const std::int64_t mem_budget_arg = cli.get_int("mem-budget", 0);
   const std::string trace_file = cli.get_string("trace", "");
   // Bare --profile parses as "true": attach the cycle profiler.
   const bool profile = !cli.get_string("profile", "").empty();
@@ -1008,8 +1008,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Range-check before narrowing: a wrapped --n or --root would silently
-  // run a different network or node.
+  // Range-check before narrowing: a wrapped --n, --root or --shards would
+  // silently run a different network, node or shard count, a wrapped
+  // --bits an undefined shift, and a negative budget no cap at all.
   if (n_arg < 1 || n_arg > 20) {
     std::cout << "--n must be a dual-cube order in 1..20 (got " << n_arg
               << ")\n";
@@ -1023,6 +1024,31 @@ int main(int argc, char** argv) {
     return 2;
   }
   const NodeId root = static_cast<NodeId>(root_arg);
+  if (bits_arg < 1 || bits_arg > 64) {
+    std::cout << "--bits must be a key width in 1..64 (got " << bits_arg
+              << ")\n";
+    return 2;
+  }
+  const unsigned bits = static_cast<unsigned>(bits_arg);
+  const std::int64_t cluster_count = std::int64_t{1} << n;
+  if (shards_arg < 0 || shards_arg > cluster_count) {
+    std::cout << "--shards must be a shard count in 0.." << cluster_count
+              << " for D_" << n << " (got " << shards_arg << ")\n";
+    return 2;
+  }
+  const unsigned shards = static_cast<unsigned>(shards_arg);
+  if (mem_budget_arg < 0) {
+    std::cout << "--mem-budget must be >= 0 bytes (got " << mem_budget_arg
+              << ")\n";
+    return 2;
+  }
+  const std::size_t mem_budget = static_cast<std::size_t>(mem_budget_arg);
+  if (retry_budget_arg < 0) {
+    std::cout << "--retry-budget must be >= 0 (got " << retry_budget_arg
+              << ")\n";
+    return 2;
+  }
+  const std::size_t retry_budget = static_cast<std::size_t>(retry_budget_arg);
 
   std::optional<dc::KeyDistribution> dist;
   std::string dist_names;

@@ -41,9 +41,9 @@ std::vector<V> dual_broadcast(sim::Machine& m, const net::DualCube& d,
   // All 2n cycles are fixed by (order, root) — the holder set evolves
   // deterministically — so the broadcast compiles to one schedule per root.
   sim::ObliviousSection sched(m, "dual_broadcast", {root});
-  const auto absorb = [&](sim::Inbox<V>& inbox) {
+  const auto absorb = [&](const sim::BlockInbox<V>& inbox) {
     m.for_each_node([&](net::NodeId u) {
-      if (inbox[u]) have[u] = *inbox[u];
+      if (inbox.has(u)) have[u] = *inbox.block(u);
     });
   };
 
@@ -137,7 +137,7 @@ std::vector<V> cube_broadcast(sim::Machine& m, const net::Hypercube& q,
         },
         [&](net::NodeId) { return value; });
     m.for_each_node([&](net::NodeId u) {
-      if (inbox[u]) have[u] = 1;
+      if (inbox.has(u)) have[u] = 1;
     });
   }
   sched.commit();

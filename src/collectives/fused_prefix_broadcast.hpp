@@ -48,15 +48,14 @@ struct FusedPrefixBroadcastResult {
 
 /// Computes the inclusive prefix of `data` under `op` AND pipeline-
 /// broadcasts `chunks` from `root`, overlapping the two on disjoint ports
-/// when both schedules are compiled. V must be default-constructible
-/// (fused messages travel as uniform (V, V) pairs).
+/// when both schedules are compiled. V must be semiregular, as for
+/// emulated_prefix: fused messages travel as 2-wide block rows of V.
 template <core::Monoid M>
 FusedPrefixBroadcastResult<typename M::value_type> fused_prefix_broadcast(
     sim::Machine& m, const net::RecursiveDualCube& r, const M& op,
     const std::vector<typename M::value_type>& data, net::NodeId root,
     const std::vector<typename M::value_type>& chunks) {
   using V = typename M::value_type;
-  using P = std::pair<V, V>;
   DC_REQUIRE(data.size() == r.node_count(), "one input per node required");
   DC_REQUIRE(root < r.node_count(), "root out of range");
   DC_REQUIRE(!chunks.empty(), "nothing to broadcast");
@@ -127,43 +126,38 @@ FusedPrefixBroadcastResult<typename M::value_type> fused_prefix_broadcast(
     });
   };
 
-  const auto payload_a = [&](std::size_t ca, net::NodeId u) -> P {
-    const unsigned j = a_dim(ca);
-    if (j == 0) return P{t[u], V{}};
-    switch (a_phase(ca)) {
-      case 0:
-        return P{t[u], V{}};
-      case 1:
-        return P{t[u], gathered[u]};
-      default:
-        return P{pair_second[u], V{}};
-    }
+  // Row element 1 is read only on the relay's pair cycle (phase 1), whose
+  // senders always write it; every other cycle ships element 0 alone.
+  const auto src_a = [&](std::size_t ca, net::NodeId u, V* row) {
+    const unsigned phase = a_phase(ca);
+    row[0] = phase == 2 ? pair_second[u] : t[u];
+    if (phase == 1) row[1] = gathered[u];
   };
-  const auto consume_a = [&](std::size_t ca, sim::SectionInbox<P> in) {
+  const auto consume_a = [&](std::size_t ca, sim::SectionInbox<V> in) {
     const unsigned j = a_dim(ca);
     if (j == 0) {
-      m.for_each_node([&](net::NodeId u) { temp[u] = in.get(u)->first; });
+      m.for_each_node([&](net::NodeId u) { temp[u] = *in.get(u); });
       a_compute(0);
       return;
     }
     switch (a_phase(ca)) {
       case 0:
         m.for_each_node([&](net::NodeId u) {
-          if (const P* p = in.get(u)) gathered[u] = p->first;
+          if (const V* row = in.get(u)) gathered[u] = row[0];
         });
         return;
       case 1:
         m.for_each_node([&](net::NodeId u) {
-          if (const P* p = in.get(u)) {
-            pair_first[u] = p->first;
-            pair_second[u] = p->second;
+          if (const V* row = in.get(u)) {
+            pair_first[u] = row[0];
+            pair_second[u] = row[1];
           }
         });
         return;
       default:
         m.for_each_node([&](net::NodeId u) {
           temp[u] = dc::bits::get(u, 0) == direct0(j) ? pair_first[u]
-                                                      : in.get(u)->first;
+                                                      : *in.get(u);
         });
         a_compute(j);
     }
@@ -178,14 +172,14 @@ FusedPrefixBroadcastResult<typename M::value_type> fused_prefix_broadcast(
   out.received.assign(n, {});
   out.received[root] = chunks;
 
-  const auto payload_b = [&](std::size_t cb, net::NodeId u) -> P {
+  const auto src_b = [&](std::size_t cb, net::NodeId u, V* row) {
     const std::size_t chunk = cb - position[u];
-    return P{u == root ? chunks[chunk] : out.received[u][chunk], V{}};
+    row[0] = u == root ? chunks[chunk] : out.received[u][chunk];
   };
-  const auto consume_b = [&](std::size_t, sim::SectionInbox<P> in) {
+  const auto consume_b = [&](std::size_t, sim::SectionInbox<V> in) {
     m.for_each_node([&](net::NodeId u) {
       if (u == root) return;
-      if (const P* p = in.get(u)) out.received[u].push_back(p->first);
+      if (const V* row = in.get(u)) out.received[u].push_back(*row);
     });
   };
 
@@ -196,7 +190,7 @@ FusedPrefixBroadcastResult<typename M::value_type> fused_prefix_broadcast(
     span = rec->intern("fuse:prefix_broadcast");
     rec->begin(m.trace_track(), 0, span);
   }
-  sim::replay_fused<P>(m, plan, payload_a, consume_a, payload_b, consume_b);
+  sim::replay_fused<V>(m, plan, 2, src_a, consume_a, src_b, consume_b);
   if (span) m.trace()->end(m.trace_track(), 0, span);
 
   out.prefix = std::move(s);

@@ -56,7 +56,7 @@ std::vector<V> metacube_broadcast(sim::Machine& m, const net::Metacube& mc,
     auto inbox = sched.exchange<V>(std::forward<decltype(dest_of)>(dest_of),
                                    [&](net::NodeId) { return value; });
     m.for_each_node([&](net::NodeId u) {
-      if (inbox[u]) have[u] = 1;
+      if (inbox.has(u)) have[u] = 1;
     });
   };
 

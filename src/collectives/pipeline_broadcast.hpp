@@ -90,7 +90,7 @@ std::vector<std::vector<V>> ring_pipeline_broadcast(
           return u == root ? chunks[chunk] : received[u][chunk];
         });
     m.for_each_node([&](net::NodeId u) {
-      if (inbox[u] && u != root) received[u].push_back(std::move(*inbox[u]));
+      if (inbox.has(u) && u != root) received[u].push_back(*inbox.block(u));
     });
   }
   sched.commit();

@@ -37,15 +37,16 @@ typename M::value_type dual_reduce(sim::Machine& m, const net::DualCube& d,
   // Phase 1 (mirror of broadcast phase 4): every root-class node folds its
   // value into its cross partner.
   {
-    auto inbox = sched.exchange<V>(
+    auto inbox = sched.exchange_blocks<V>(
+        1,
         [&](net::NodeId u) -> net::NodeId {
           if (d.node_class(u) != root_addr.cls) return sim::kNoSend;
           return d.cross_neighbor(u);
         },
-        [&](net::NodeId u) { return values[u]; });
+        sim::PlaneSrc<V>{values.data(), 1});
     m.compute_step([&](net::NodeId u) {
-      if (inbox[u]) {
-        values[u] = op.combine(values[u], *inbox[u]);
+      if (inbox.has(u)) {
+        values[u] = op.combine(values[u], *inbox.block(u));
         m.add_ops(1);
       }
     });
@@ -54,7 +55,8 @@ typename M::value_type dual_reduce(sim::Machine& m, const net::DualCube& d,
   // Phase 2 (mirror of phase 3): binomial reduce inside every foreign-class
   // cluster toward the node whose node-ID equals the root's cluster ID.
   for (unsigned i = w; i-- > 0;) {
-    auto inbox = sched.exchange<V>(
+    auto inbox = sched.exchange_blocks<V>(
+        1,
         [&](net::NodeId u) -> net::NodeId {
           const auto a = d.decode(u);
           if (a.cls == root_addr.cls) return sim::kNoSend;
@@ -63,10 +65,10 @@ typename M::value_type dual_reduce(sim::Machine& m, const net::DualCube& d,
             return sim::kNoSend;
           return d.cluster_neighbor(u, i);
         },
-        [&](net::NodeId u) { return values[u]; });
+        sim::PlaneSrc<V>{values.data(), 1});
     m.compute_step([&](net::NodeId u) {
-      if (inbox[u]) {
-        values[u] = op.combine(values[u], *inbox[u]);
+      if (inbox.has(u)) {
+        values[u] = op.combine(values[u], *inbox.block(u));
         m.add_ops(1);
       }
     });
@@ -75,24 +77,26 @@ typename M::value_type dual_reduce(sim::Machine& m, const net::DualCube& d,
   // Phase 3 (mirror of phase 2): every foreign-class collector crosses back
   // into the root's cluster.
   {
-    auto inbox = sched.exchange<V>(
+    auto inbox = sched.exchange_blocks<V>(
+        1,
         [&](net::NodeId u) -> net::NodeId {
           const auto a = d.decode(u);
           if (a.cls == root_addr.cls) return sim::kNoSend;
           if (a.node != root_addr.cluster) return sim::kNoSend;
           return d.cross_neighbor(u);
         },
-        [&](net::NodeId u) { return values[u]; });
+        sim::PlaneSrc<V>{values.data(), 1});
     // The receiver's own contribution already left in phase 1, so this is a
     // replacement, not a combine (avoids double counting).
     m.for_each_node([&](net::NodeId u) {
-      if (inbox[u]) values[u] = *inbox[u];
+      if (inbox.has(u)) values[u] = *inbox.block(u);
     });
   }
 
   // Phase 4 (mirror of phase 1): binomial reduce inside the root's cluster.
   for (unsigned i = w; i-- > 0;) {
-    auto inbox = sched.exchange<V>(
+    auto inbox = sched.exchange_blocks<V>(
+        1,
         [&](net::NodeId u) -> net::NodeId {
           const auto a = d.decode(u);
           if (a.cls != root_addr.cls || a.cluster != root_addr.cluster)
@@ -102,10 +106,10 @@ typename M::value_type dual_reduce(sim::Machine& m, const net::DualCube& d,
             return sim::kNoSend;
           return d.cluster_neighbor(u, i);
         },
-        [&](net::NodeId u) { return values[u]; });
+        sim::PlaneSrc<V>{values.data(), 1});
     m.compute_step([&](net::NodeId u) {
-      if (inbox[u]) {
-        values[u] = op.combine(values[u], *inbox[u]);
+      if (inbox.has(u)) {
+        values[u] = op.combine(values[u], *inbox.block(u));
         m.add_ops(1);
       }
     });
@@ -138,11 +142,12 @@ std::vector<typename M::value_type> dual_allreduce(
 
   const auto cluster_allreduce = [&](std::vector<V>& vals) {
     for (unsigned i = 0; i < w; ++i) {
-      auto inbox = sched.exchange<V>(
+      auto inbox = sched.exchange_blocks<V>(
+          1,
           [&](net::NodeId u) { return d.cluster_neighbor(u, i); },
-          [&](net::NodeId u) { return vals[u]; });
+          sim::PlaneSrc<V>{vals.data(), 1});
       m.compute_step([&](net::NodeId u) {
-        vals[u] = op.combine(vals[u], *inbox[u]);
+        vals[u] = op.combine(vals[u], *inbox.block(u));
         m.add_ops(1);
       });
     }
@@ -152,21 +157,23 @@ std::vector<typename M::value_type> dual_allreduce(
 
   std::vector<V> foreign(values.size(), op.identity());
   {
-    auto inbox = sched.exchange<V>(
+    auto inbox = sched.exchange_blocks<V>(
+        1,
         [&](net::NodeId u) { return d.cross_neighbor(u); },
-        [&](net::NodeId u) { return values[u]; });
-    m.for_each_node([&](net::NodeId u) { foreign[u] = *inbox[u]; });
+        sim::PlaneSrc<V>{values.data(), 1});
+    m.for_each_node([&](net::NodeId u) { foreign[u] = *inbox.block(u); });
   }
 
   cluster_allreduce(foreign);  // every node: foreign class grand total
 
   {
-    auto inbox = sched.exchange<V>(
+    auto inbox = sched.exchange_blocks<V>(
+        1,
         [&](net::NodeId u) { return d.cross_neighbor(u); },
-        [&](net::NodeId u) { return foreign[u]; });
-    // inbox[u] is u's own class's grand total.
+        sim::PlaneSrc<V>{foreign.data(), 1});
+    // *inbox.block(u) is u's own class's grand total.
     m.compute_step([&](net::NodeId u) {
-      values[u] = op.combine(*inbox[u], foreign[u]);
+      values[u] = op.combine(*inbox.block(u), foreign[u]);
       m.add_ops(1);
     });
   }
@@ -184,17 +191,18 @@ typename M::value_type cube_reduce(sim::Machine& m, const net::Hypercube& q,
   DC_REQUIRE(values.size() == q.node_count(), "one value per node required");
   sim::ObliviousSection sched(m, "cube_reduce", {root});
   for (unsigned i = q.dimensions(); i-- > 0;) {
-    auto inbox = sched.exchange<V>(
+    auto inbox = sched.exchange_blocks<V>(
+        1,
         [&](net::NodeId u) -> net::NodeId {
           const dc::u64 rel = u ^ root;
           if (rel < dc::bits::pow2(i) || rel >= dc::bits::pow2(i + 1))
             return sim::kNoSend;
           return q.neighbor(u, i);
         },
-        [&](net::NodeId u) { return values[u]; });
+        sim::PlaneSrc<V>{values.data(), 1});
     m.compute_step([&](net::NodeId u) {
-      if (inbox[u]) {
-        values[u] = op.combine(values[u], *inbox[u]);
+      if (inbox.has(u)) {
+        values[u] = op.combine(values[u], *inbox.block(u));
         m.add_ops(1);
       }
     });

@@ -62,7 +62,7 @@ std::vector<V> tree_broadcast(sim::Machine& m, const net::Topology& t,
       if (have[u] && next_child[u] < children[u].size()) ++next_child[u];
     }
     for (net::NodeId u = 0; u < n; ++u) {
-      if (inbox[u] && !have[u]) {
+      if (inbox.has(u) && !have[u]) {
         have[u] = 1;
         ++covered;
       }
@@ -115,15 +115,16 @@ typename M::value_type tree_reduce(sim::Machine& m, const net::Topology& t,
       rx_claimed[parent[u]] = 1;
       sends[u] = 1;
     }
-    auto inbox = sched.exchange<V>(
+    auto inbox = sched.exchange_blocks<V>(
+        1,
         [&](net::NodeId u) -> net::NodeId {
           if (!sends[u]) return sim::kNoSend;
           return parent[u];
         },
-        [&](net::NodeId u) { return values[u]; });
+        sim::PlaneSrc<V>{values.data(), 1});
     m.compute_step([&](net::NodeId u) {
-      if (inbox[u]) {
-        values[u] = op.combine(values[u], *inbox[u]);
+      if (inbox.has(u)) {
+        values[u] = op.combine(values[u], *inbox.block(u));
         m.add_ops(1);
       }
     });

@@ -36,13 +36,13 @@ void cube_bitonic_sort(sim::Machine& m, const net::Hypercube& q,
   for (unsigned k = 1; k <= d; ++k) {
     for (unsigned jj = k; jj-- > 0;) {
       const unsigned j = jj;
-      auto inbox = sched.exchange<Key>(
-          [&](net::NodeId u) { return q.neighbor(u, j); },
-          [&](net::NodeId u) { return keys[u]; });
+      auto inbox = sched.exchange_blocks<Key>(
+          1, [&](net::NodeId u) { return q.neighbor(u, j); },
+          sim::PlaneSrc<Key>{keys.data(), 1});
       m.compute_step([&](net::NodeId u) {
         const bool ascending =
             k == d ? !descending : dc::bits::get(u, k) == 0;
-        const Key& other = *inbox[u];
+        const Key& other = *inbox.block(u);
         // Ascending: the u_j = 0 end keeps the minimum.
         const bool keep_min = ascending == (dc::bits::get(u, j) == 0);
         const bool other_smaller = other < keys[u];

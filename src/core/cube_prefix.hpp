@@ -48,11 +48,11 @@ PrefixOutput<typename M::value_type> cube_prefix(
   // run compiles to one cached schedule per cube order.
   sim::ObliviousSection sched(m, "cube_prefix", {q.dimensions()});
   for (unsigned i = 0; i < q.dimensions(); ++i) {
-    auto inbox = sched.exchange<V>(
-        [&](net::NodeId u) { return q.neighbor(u, i); },
-        [&](net::NodeId u) { return t[u]; });
+    auto inbox = sched.exchange_blocks<V>(
+        1, [&](net::NodeId u) { return q.neighbor(u, i); },
+        sim::PlaneSrc<V>{t.data(), 1});
     m.compute_step([&](net::NodeId u) {
-      const V& temp = *inbox[u];
+      const V& temp = *inbox.block(u);
       if (dc::bits::get(u, i) == 1) {
         // Partner precedes u in label order: temp ⊕ own, and fold into s.
         s[u] = op.combine(temp, s[u]);

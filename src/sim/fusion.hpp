@@ -28,12 +28,13 @@
 // byte-identical plans — step count, merge count and replayed results
 // never change, only *which* equally-mergeable cycles share a step.
 //
-// replay_fused() executes the plan. A merged step replays the merged
-// receiver arrays in one Machine::comm_cycle_scheduled pass; the sender
-// sets being disjoint lets one payload callback dispatch per sender to
-// the owning section, and each section's consumer sees only its own
-// deliveries through a SectionInbox filtered by that section's original
-// recv_from array. Fusion requires both schedules to already be compiled
+// replay_fused() executes the plan. Every step is one
+// Machine::comm_cycle_scheduled_blocks pass over fixed-width rows; a
+// merged step replays the merged receiver arrays, the sender sets being
+// disjoint lets one row callback dispatch per sender to the owning
+// section, and each section's consumer sees only its own deliveries
+// through a SectionInbox filtered by that section's original recv_from
+// array. Fusion requires both schedules to already be compiled
 // (record runs interleave state with validation and cannot overlap);
 // callers fall back to sequential section runs when either is absent.
 #pragma once
@@ -219,40 +220,41 @@ inline FusedSchedule fuse_schedules(std::shared_ptr<const Schedule> a,
   return f;
 }
 
-/// One section's view of a (possibly merged) replay cycle's inbox: only
-/// deliveries whose receiver appears in this section's own compiled cycle
-/// are visible, so each consumer sees exactly what its unfused run would
-/// have seen.
-template <typename P>
+/// One section's view of a (possibly merged) replay cycle's block inbox:
+/// only deliveries whose receiver appears in this section's own compiled
+/// cycle are visible, so each consumer sees exactly what its unfused run
+/// would have seen.
+template <typename T>
 class SectionInbox {
  public:
-  SectionInbox(const Inbox<P>& in, const ScheduleCycle& own)
+  SectionInbox(const BlockInbox<T>& in, const ScheduleCycle& own)
       : in_(in), own_(own) {}
 
-  /// The payload node u received in this section this cycle, or nullptr.
-  const P* get(net::NodeId u) const {
-    if (own_.recv_from[static_cast<std::size_t>(u)] == kNoSender)
+  /// The row node u received in this section this cycle, or nullptr.
+  const T* get(net::NodeId u) const {
+    if (own_.recv_from[static_cast<std::size_t>(u)] == kNoSender ||
+        !in_.has(u))
       return nullptr;
-    const std::optional<P>& slot = in_[u];
-    return slot ? &*slot : nullptr;
+    return in_.block(u);
   }
 
  private:
-  const Inbox<P>& in_;
+  const BlockInbox<T>& in_;
   const ScheduleCycle& own_;
 };
 
 /// Replays a fusion plan. Per step it issues exactly one
-/// comm_cycle_scheduled pass; payload_a/payload_b(cycle_index, sender)
-/// produce the section's outgoing payload (invoked once per delivered
-/// message, from pool workers — read-only on shared state, like plan
-/// callbacks), and consume_a/consume_b(cycle_index, SectionInbox) apply
-/// the section's per-cycle state update after the pass. Emits one
-/// "schedule_fuse" trace instant carrying the merged-cycle count.
-template <typename P, typename PayloadA, typename ConsumeA, typename PayloadB,
+/// comm_cycle_scheduled_blocks pass of `width`-element rows of T;
+/// src_a/src_b(cycle_index, sender, dst) write the section's outgoing row
+/// (invoked once per delivered message, from pool workers — read-only on
+/// shared state, like plan callbacks), and consume_a/consume_b(cycle_index,
+/// SectionInbox) apply the section's per-cycle state update after the
+/// pass. Emits one "schedule_fuse" trace instant carrying the merged-cycle
+/// count.
+template <typename T, typename SrcA, typename ConsumeA, typename SrcB,
           typename ConsumeB>
-void replay_fused(Machine& m, const FusedSchedule& f, PayloadA&& payload_a,
-                  ConsumeA&& consume_a, PayloadB&& payload_b,
+void replay_fused(Machine& m, const FusedSchedule& f, std::size_t width,
+                  SrcA&& src_a, ConsumeA&& consume_a, SrcB&& src_b,
                   ConsumeB&& consume_b) {
   if (TraceRecorder* rec = m.trace()) {
     rec->instant(m.trace_track(), 0, "schedule_fuse", "merged",
@@ -262,24 +264,26 @@ void replay_fused(Machine& m, const FusedSchedule& f, PayloadA&& payload_a,
     if (step.merged_index != kNoCycle) {
       const std::vector<std::uint8_t>& from_b =
           f.merged_sender_from_b[step.merged_index];
-      auto inbox = m.comm_cycle_scheduled<P>(
-          f.merged[step.merged_index], [&](net::NodeId u) -> P {
-            return from_b[static_cast<std::size_t>(u)]
-                       ? payload_b(step.b, u)
-                       : payload_a(step.a, u);
+      auto inbox = m.comm_cycle_scheduled_blocks<T>(
+          f.merged[step.merged_index], width, [&](net::NodeId u, T* dst) {
+            if (from_b[static_cast<std::size_t>(u)]) {
+              src_b(step.b, u, dst);
+            } else {
+              src_a(step.a, u, dst);
+            }
           });
-      consume_a(step.a, SectionInbox<P>(inbox, f.a->cycle(step.a)));
-      consume_b(step.b, SectionInbox<P>(inbox, f.b->cycle(step.b)));
+      consume_a(step.a, SectionInbox<T>(inbox, f.a->cycle(step.a)));
+      consume_b(step.b, SectionInbox<T>(inbox, f.b->cycle(step.b)));
     } else if (step.a != kNoCycle) {
       const ScheduleCycle& cyc = f.a->cycle(step.a);
-      auto inbox = m.comm_cycle_scheduled<P>(
-          cyc, [&](net::NodeId u) -> P { return payload_a(step.a, u); });
-      consume_a(step.a, SectionInbox<P>(inbox, cyc));
+      auto inbox = m.comm_cycle_scheduled_blocks<T>(
+          cyc, width, [&](net::NodeId u, T* dst) { src_a(step.a, u, dst); });
+      consume_a(step.a, SectionInbox<T>(inbox, cyc));
     } else {
       const ScheduleCycle& cyc = f.b->cycle(step.b);
-      auto inbox = m.comm_cycle_scheduled<P>(
-          cyc, [&](net::NodeId u) -> P { return payload_b(step.b, u); });
-      consume_b(step.b, SectionInbox<P>(inbox, cyc));
+      auto inbox = m.comm_cycle_scheduled_blocks<T>(
+          cyc, width, [&](net::NodeId u, T* dst) { src_b(step.b, u, dst); });
+      consume_b(step.b, SectionInbox<T>(inbox, cyc));
     }
   }
 }

@@ -39,10 +39,12 @@
 // thrown (lowest sender wins), keeping SimError reporting deterministic.
 //
 // Because every algorithm here is communication-oblivious, the machine also
-// offers a compiled replay path: comm_cycle_scheduled executes a cycle that
-// was recorded and validated once (sim/schedule.hpp) as a single gather
-// pass with no planning, validation, or port claiming. Algorithms select
-// between the paths through ObliviousSection (sim/oblivious.hpp).
+// offers a compiled replay path: comm_cycle_scheduled_blocks executes a
+// cycle that was recorded and validated once (sim/schedule.hpp) as a single
+// gather pass into a block plane, with no planning, validation, or port
+// claiming. It is the one replay kernel: scalar payloads travel as width-1
+// blocks. Algorithms select between the paths through ObliviousSection
+// (sim/oblivious.hpp).
 #pragma once
 
 #include <algorithm>
@@ -159,9 +161,9 @@ class Machine {
   void note_rerouted(std::uint64_t k) { counters_.messages_rerouted += k; }
 
   /// Number of comm cycles this machine executed through the compiled
-  /// replay path (comm_cycle_scheduled*, plus the fused cycles that stand
-  /// in for compiled ones). Zero on a machine that only ever interpreted or
-  /// recorded.
+  /// replay path (comm_cycle_scheduled_blocks, plus the fused cycles that
+  /// stand in for compiled ones). Zero on a machine that only ever
+  /// interpreted or recorded.
   std::uint64_t replayed_cycles() const { return replayed_cycles_; }
 
   /// Attaches a per-cycle imbalance profiler (sim/profile.hpp): every comm
@@ -333,76 +335,25 @@ class Machine {
     return Inbox<P>(std::move(arena), std::move(buf));
   }
 
-  /// Replays one compiled communication cycle (see sim/schedule.hpp): a
-  /// single chunked parallel gather slots[v] = payload(recv_from[v]) with
-  /// no planning lambdas, no adjacency lookups and no claim CAS — the
-  /// record run already validated link existence and the 1-port rule.
-  /// `payload(u)` is invoked exactly once per delivered message, with u the
-  /// sender; it must only read state (any node's), like a plan callback.
-  /// Counter, trace and edge-load semantics are identical to comm_cycle:
-  /// edge slots were resolved at record time, so hot-spot accounting is a
-  /// plain indexed add. Steady-state replays perform zero heap allocations,
-  /// with tracing and metrics enabled or disabled.
-  template <typename P, typename PayloadFn>
-  Inbox<P> comm_cycle_scheduled(const ScheduleCycle& cyc,
-                                PayloadFn&& payload) {
-    const std::size_t n = static_cast<std::size_t>(node_count());
-    DC_REQUIRE(!has_faults(),
-               "compiled replay skips per-message fault checks; a machine "
-               "with an attached FaultPlan must interpret every cycle");
-    DC_REQUIRE(cyc.recv_from.size() == n,
-               "schedule cycle was compiled for a different node count");
-    CycleSpan span(trace_, trace_track_, "comm_cycle_replay");
-    auto arena = arena_.get<P>(n);
-    auto buf = arena->acquire();
-
-    std::optional<P>* const slots = buf->slots.data();
-    const net::NodeId* const from = cyc.recv_from.data();
-    const std::uint32_t* const edge = cyc.recv_slot.data();
-    const bool loads_on = edge_load_.enabled();
-    parallel_for_affine(
-        0, n, sizeof(std::optional<P>),
-        [&](std::size_t lo, std::size_t hi) {
-          std::uint64_t* const loads =
-              loads_on ? edge_load_.row(pool().worker_slot()) : nullptr;
-          for (std::size_t v = lo; v < hi; ++v) {
-            const net::NodeId u = from[v];
-            if (u == kNoSender) {
-              slots[v].reset();
-              continue;
-            }
-            slots[v] = payload(u);
-            if (loads) book_edge(loads, edge[v], u, v, n);
-          }
-        },
-        grain_, pool_);
-
-    if (profiler_ != nullptr) profiler_->note_cycle(cyc, n);
-    ++counters_.comm_cycles;
-    counters_.messages += cyc.message_count;
-    ++replayed_cycles_;
-    span.finish(cyc.message_count);
-    if (metric_msgs_per_cycle_)
-      metric_msgs_per_cycle_->observe(cyc.message_count);
-    return Inbox<P>(std::move(arena), std::move(buf));
-  }
-
-  /// Replays one compiled cycle whose every message is a fixed-width block
-  /// of T, through a structure-of-arrays plane: one chunked receiver-major
-  /// sweep where receiver row v gets the `width`-element block of its sender
-  /// recv_from[v] — a memcpy-like stride copy instead of a heap-owning
-  /// payload move. `src` is a PlaneSrc descriptor or a callback
+  /// Replays one compiled communication cycle (see sim/schedule.hpp) whose
+  /// every message is a fixed-width block of T (scalars are width 1),
+  /// through a structure-of-arrays plane: one chunked receiver-major sweep
+  /// where receiver row v gets the `width`-element block of its sender
+  /// recv_from[v], with no planning lambdas, no adjacency lookups and no
+  /// claim CAS — the record run already validated link existence and the
+  /// 1-port rule. `src` is a PlaneSrc descriptor or a callback
   /// `src(u, dst)` that writes exactly `width` elements of node u's
   /// outgoing block into dst and only reads state, like a plan callback;
   /// either is read exactly once per delivered message. A tail-free
   /// PlaneSrc runs the whole sweep through simd::gather_rows (an AVX2
   /// masked gather at width 1, width-specialized block copies otherwise);
   /// with edge-load accounting enabled its rows take the per-row loop so
-  /// hot-spot counting stays exact. Counter, trace, edge-load and
-  /// fault-refusal semantics are identical to comm_cycle_scheduled.
-  /// Steady-state replays at a given width perform zero heap allocations
-  /// (the plane is pooled and kept at its high-water size), with tracing
-  /// and metrics enabled or disabled.
+  /// hot-spot counting stays exact. Counter, trace and edge-load semantics
+  /// are identical to comm_cycle: edge slots were resolved at record time,
+  /// so hot-spot accounting is a plain indexed add. A machine with faults
+  /// attached refuses to replay. Steady-state replays at a given width
+  /// perform zero heap allocations (the plane is pooled and kept at its
+  /// high-water size), with tracing and metrics enabled or disabled.
   template <typename T, typename Src>
   BlockInbox<T> comm_cycle_scheduled_blocks(const ScheduleCycle& cyc,
                                             std::size_t width, Src&& src) {
@@ -761,10 +712,12 @@ class Machine {
 
   /// Books one compiled delivery u -> v into a per-worker edge-load row:
   /// a plain indexed add on its record-time CSR slot, or the off-CSR map
-  /// for a hop that is no edge (recorded with validation off).
+  /// for a hop that is no edge (recorded with validation off, as
+  /// kNoEdgeSlot). Any slot past the row — kNoEdgeSlot, or a schedule file
+  /// whose recv_slot lies — books off-CSR too, so it never writes past it.
   void book_edge(std::uint64_t* loads, std::uint32_t slot, net::NodeId u,
                  std::size_t v, std::size_t n) {
-    if (slot != kNoEdgeSlot) {
+    if (slot < adj_->directed_edge_count()) {
       ++loads[slot];
     } else {
       edge_load_.add_off_csr(u * n + v);

@@ -1,28 +1,29 @@
 // ObliviousSection — the driver oblivious algorithms route their
 // communication through. One section covers one algorithm run; every
-// comm cycle goes through exchange(dest_of, payload_of), where dest_of
-// depends only on the topology and the cycle index (that is what makes the
-// algorithm oblivious) and payload_of reads the data to ship.
+// comm cycle goes through exchange_blocks(width, dest_of, src), where
+// dest_of depends only on the topology and the cycle index (that is what
+// makes the algorithm oblivious) and src reads the data to ship: a strided
+// PlaneSrc or a src(u, dst) callback. exchange(dest_of, payload_of) is its
+// width-1 form for one value per message.
 //
 // The section picks the execution path once, at construction:
 //
 //   * interpreted (Machine::schedule_path() == kInterpreted) — every
-//     exchange is a plain comm_cycle; nothing is recorded or cached.
+//     exchange is a plain comm_cycle of sender ids; nothing is recorded or
+//     cached.
 //   * record (compiled path, cache miss) — every exchange still runs
 //     through comm_cycle, so validation, SimError messages, counters,
 //     traces and edge loads are byte-identical to the interpreted path,
 //     but the destinations are captured as they are planned. commit()
 //     compiles and publishes the schedule; a run that throws never
 //     commits, so invalid plans are never cached.
-//   * replay (compiled path, cache hit) — exchange skips dest_of entirely
-//     and calls Machine::comm_cycle_scheduled: one gather pass, no
-//     validation, no claims (see sim/schedule.hpp).
+//   * replay (compiled path, cache hit) — exchange_blocks skips dest_of
+//     entirely and calls Machine::comm_cycle_scheduled_blocks: one gather
+//     pass, no validation, no claims (see sim/schedule.hpp).
 //
-// Fixed-width block exchanges (exchange_blocks) take the same three paths
-// with one source: a strided PlaneSrc or a src(u, dst) callback. Replay
-// gathers each receiver's row from its recorded sender; interpreting and
-// recording exchange sender ids through exchange() and then copy each
-// delivered row from that sender's source — the same rows either way.
+// Replay gathers each receiver's row from its recorded sender; interpreting
+// and recording ship sender ids and then copy each delivered row from that
+// sender's source (Machine::pack_blocks) — the same rows either way.
 //
 // On replay, an exchange that one computation step consumes at once may
 // also run fused (exchange_compute_fused): the algorithm's own sweep moves
@@ -113,27 +114,16 @@ class ObliviousSection {
   const ScheduleKey& key() const { return key_; }
 
   /// One oblivious communication cycle. `dest_of(u)` returns the
-  /// destination node or kNoSend; `payload_of(u)` the payload node u ships.
-  /// payload_of is evaluated once per sender on every path; dest_of is not
-  /// called at all when replaying.
+  /// destination node or kNoSend; `payload_of(u)` the payload node u ships
+  /// (P must be semiregular). This is the width-1 exchange_blocks: each
+  /// payload travels as a one-element block, and `inbox.has(v)` /
+  /// `*inbox.block(v)` read what node v received. payload_of is evaluated
+  /// once per delivered message on every path; dest_of is not called at
+  /// all when replaying.
   template <typename P, typename DestFn, typename PayloadFn>
-  Inbox<P> exchange(DestFn&& dest_of, PayloadFn&& payload_of) {
-    if (replay_) return m_.comm_cycle_scheduled<P>(next_cycle(), payload_of);
-    if (recorder_) {
-      net::NodeId* const dest = recorder_->new_cycle().data();
-      return m_.comm_cycle<P>(
-          [&](net::NodeId u) -> std::optional<Send<P>> {
-            const net::NodeId to = dest_of(u);
-            dest[static_cast<std::size_t>(u)] = to;
-            if (to == kNoSend) return std::nullopt;
-            return Send<P>{to, payload_of(u)};
-          });
-    }
-    return m_.comm_cycle<P>([&](net::NodeId u) -> std::optional<Send<P>> {
-      const net::NodeId to = dest_of(u);
-      if (to == kNoSend) return std::nullopt;
-      return Send<P>{to, payload_of(u)};
-    });
+  BlockInbox<P> exchange(DestFn&& dest_of, PayloadFn&& payload_of) {
+    return exchange_blocks<P>(
+        1, dest_of, [&](net::NodeId u, P* dst) { *dst = payload_of(u); });
   }
 
   /// One oblivious cycle whose every message is a fixed-width block of T
@@ -142,9 +132,10 @@ class ObliviousSection {
   /// writes them into dst. On replay this is a single SoA plane gather
   /// (Machine::comm_cycle_scheduled_blocks — memcpy-like strides, zero
   /// steady-state allocations). On the interpreted and record paths the
-  /// cycle runs through exchange() with every sender shipping its own node
-  /// id, so validation, SimError strings, counters, traces, edge loads and
-  /// fault filtering are byte-identical to a scalar section; then one
+  /// cycle runs through Machine::comm_cycle with every sender shipping its
+  /// own node id, so validation, SimError strings, counters, traces, edge
+  /// loads and fault filtering are those of a plain comm_cycle (a record
+  /// run also captures each destination as it is planned); then one
   /// packer (Machine::pack_blocks) copies each delivered row from its
   /// sender's source row — exactly the rows replay reads through
   /// recv_from. Machines with attached faults come through here on the
@@ -156,8 +147,15 @@ class ObliviousSection {
     if (replay_) {
       return m_.comm_cycle_scheduled_blocks<T>(next_cycle(), width, src);
     }
-    const auto senders =
-        exchange<net::NodeId>(dest_of, [](net::NodeId u) { return u; });
+    net::NodeId* const dest =
+        recorder_ ? recorder_->new_cycle().data() : nullptr;
+    const auto senders = m_.comm_cycle<net::NodeId>(
+        [&](net::NodeId u) -> std::optional<Send<net::NodeId>> {
+          const net::NodeId to = dest_of(u);
+          if (dest) dest[static_cast<std::size_t>(u)] = to;
+          if (to == kNoSend) return std::nullopt;
+          return Send<net::NodeId>{to, u};
+        });
     return m_.pack_blocks<T>(width, senders, src);
   }
 

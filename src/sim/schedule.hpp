@@ -19,8 +19,9 @@
 //     receiver-major form: recv_from[v] = the sender delivering to v (or
 //     kNoSender), plus the CSR edge slot of that directed edge, resolved
 //     once so hot-spot accounting becomes a plain indexed add;
-//   * replay — Machine::comm_cycle_scheduled walks the receiver arrays in
-//     one chunked parallel pass: slots[v] = payload(recv_from[v]). No
+//   * replay — Machine::comm_cycle_scheduled_blocks walks the receiver
+//     arrays in one chunked parallel pass: row v = src(recv_from[v]), one
+//     fixed-width block per message (width 1 for scalar payloads). No
 //     planning lambdas, no adjacency lookups, no claim CAS, no per-message
 //     validation — the cycle is a dense permutation application.
 //

@@ -50,7 +50,8 @@
 // already correct).
 //
 // Every failure path — unwritable directory, ENOENT, truncation, bad
-// magic/version/checksum, key mismatch, mmap failure — returns
+// magic/version/checksum, key mismatch, a recv_from entry that is no node
+// or a message_count that miscounts its senders, mmap failure — returns
 // nullptr/false and never throws: persistence is an optimization; the
 // record path is always behind it.
 #pragma once
@@ -326,13 +327,23 @@ class ScheduleStore final : public ScheduleStoreBase {
     for (std::uint64_t c = 0; c < cycles; ++c) {
       ScheduleCycle& cyc = out[static_cast<std::size_t>(c)];
       cyc.message_count = get_u64(counts + 8 * c);
-      if (cyc.message_count > n) return nullptr;
       cyc.recv_from = CycleArray<net::NodeId>::view(
           reinterpret_cast<const net::NodeId*>(from + 8 * c * n),
           static_cast<std::size_t>(n));
       cyc.recv_slot = CycleArray<std::uint32_t>::view(
           reinterpret_cast<const std::uint32_t*>(slot + 4 * c * n),
           static_cast<std::size_t>(n));
+      // Replay indexes source planes with recv_from, so a file whose
+      // checksum holds must still name real senders, as many as it counts.
+      // (recv_slot is bounded where it is used: Machine::book_edge.)
+      const net::NodeId* senders = cyc.recv_from.data();
+      std::uint64_t sending = 0;
+      for (std::uint64_t v = 0; v < n; ++v) {
+        if (senders[v] == kNoSender) continue;
+        if (senders[v] >= n) return nullptr;
+        ++sending;
+      }
+      if (sending != cyc.message_count) return nullptr;
     }
     std::shared_ptr<const void> mapping(
         static_cast<const void*>(p),

@@ -31,7 +31,7 @@
 //
 // Event taxonomy (docs/MODEL.md "Observability" lists args and units):
 //
-//   spans ('B'/'E')   comm_cycle, comm_cycle_replay, comm_cycle_replay_blocks
+//   spans ('B'/'E')   comm_cycle, comm_cycle_replay_blocks, comm_cycle_fused
 //                     record:<algo> / replay:<algo> / interp:<algo>
 //                     (ObliviousSection lifetime), phase:<name> (TraceScope)
 //   instants ('i')    compute_step, fault_drop, fault_cycle, fault_detour,

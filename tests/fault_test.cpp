@@ -259,7 +259,8 @@ TEST(MachineFaults, AttachedPlanForcesInterpretedPathAndRefusesReplay) {
   dc::sim::ScheduleCycle cyc;
   cyc.recv_from.assign(d.node_count(), dc::sim::kNoSender);
   cyc.recv_slot.assign(d.node_count(), dc::sim::kNoEdgeSlot);
-  EXPECT_THROW(m.comm_cycle_scheduled<int>(cyc, [](NodeId) { return 0; }),
+  EXPECT_THROW(m.comm_cycle_scheduled_blocks<int>(
+                   cyc, 1, [](NodeId, int* dst) { *dst = 0; }),
                CheckError);
   m.clear_faults();
   EXPECT_EQ(m.schedule_path(), dc::sim::SchedulePath::kCompiled);
@@ -936,7 +937,8 @@ TEST(MachineTimeline, RefusesCompiledReplayAndDoubleAttach) {
   dc::sim::ScheduleCycle cyc;
   cyc.recv_from.assign(d.node_count(), dc::sim::kNoSender);
   cyc.recv_slot.assign(d.node_count(), dc::sim::kNoEdgeSlot);
-  EXPECT_THROW(m.comm_cycle_scheduled<int>(cyc, [](NodeId) { return 0; }),
+  EXPECT_THROW(m.comm_cycle_scheduled_blocks<int>(
+                   cyc, 1, [](NodeId, int* dst) { *dst = 0; }),
                CheckError);
   EXPECT_THROW(
       m.attach_faults(std::make_shared<FaultPlan>(FaultPlan().kill_node(1))),

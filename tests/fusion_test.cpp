@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "collectives/fused_prefix_broadcast.hpp"
@@ -203,39 +204,53 @@ TEST_F(FusionTest, EmulatedPrefixReplaysBitIdentical) {
 
 TEST_F(FusionTest, FusedPrefixBroadcastMatchesSequentialAndSavesCycles) {
   const net::RecursiveDualCube r(3);
-  const core::Plus<u64> op;
   const net::NodeId root = 3;
+  const auto check = [&](const auto& op, const auto& data,
+                         const auto& chunks) {
+    ScheduleCache::instance().clear();
+    // Sequential reference results and cost.
+    sim::Machine seq(r);
+    const auto want_prefix = core::emulated_prefix(seq, r, op, data);
+    const auto ring = net::recursive_dual_cube_hamiltonian_cycle(r);
+    const auto want_received =
+        collectives::ring_pipeline_broadcast(seq, ring, root, chunks);
+    const auto seq_cycles = seq.counters().comm_cycles;
+
+    // First fused call: schedules are cached (the sequential runs above
+    // recorded them), so it fuses right away on a fresh machine.
+    sim::Machine m(r);
+    const auto out =
+        collectives::fused_prefix_broadcast(m, r, op, data, root, chunks);
+    ASSERT_TRUE(out.fused);
+    EXPECT_GE(out.merged, 1u) << "relay cycles must overlap ring cycles";
+    EXPECT_EQ(out.fused_steps, out.unfused_cycles - out.merged);
+    EXPECT_EQ(out.unfused_cycles, seq_cycles);
+    EXPECT_EQ(m.counters().comm_cycles, out.fused_steps)
+        << "the fused stream is one comm cycle per step";
+    EXPECT_LT(m.counters().comm_cycles, seq_cycles);
+    EXPECT_EQ(m.replayed_cycles(), out.fused_steps);
+
+    // Bit-identical to the sequential runs.
+    EXPECT_EQ(out.prefix, want_prefix);
+    EXPECT_EQ(out.received, want_received);
+  };
+
   Rng rng(23);
   std::vector<u64> data(r.node_count());
   for (auto& x : data) x = rng.below(1 << 20);
   std::vector<u64> chunks(12);
   for (auto& c : chunks) c = rng();
+  check(core::Plus<u64>{}, data, chunks);
 
-  // Sequential reference results and cost.
-  sim::Machine seq(r);
-  const auto want_prefix = core::emulated_prefix(seq, r, op, data);
-  const auto ring = net::recursive_dual_cube_hamiltonian_cycle(r);
-  const auto want_received =
-      collectives::ring_pipeline_broadcast(seq, ring, root, chunks);
-  const auto seq_cycles = seq.counters().comm_cycles;
-
-  // First fused call: schedules are cached (the sequential runs above
-  // recorded them), so it fuses right away on a fresh machine.
-  sim::Machine m(r);
-  const auto out =
-      collectives::fused_prefix_broadcast(m, r, op, data, root, chunks);
-  ASSERT_TRUE(out.fused);
-  EXPECT_GE(out.merged, 1u) << "relay cycles must overlap ring cycles";
-  EXPECT_EQ(out.fused_steps, out.unfused_cycles - out.merged);
-  EXPECT_EQ(out.unfused_cycles, seq_cycles);
-  EXPECT_EQ(m.counters().comm_cycles, out.fused_steps)
-      << "the fused stream is one comm cycle per step";
-  EXPECT_LT(m.counters().comm_cycles, seq_cycles);
-  EXPECT_EQ(m.replayed_cycles(), out.fused_steps);
-
-  // Bit-identical to the sequential runs.
-  EXPECT_EQ(out.prefix, want_prefix);
-  EXPECT_EQ(out.received, want_received);
+  // A heap-owning, non-commutative V: fused steps ship 2-wide rows of
+  // strings, the relay's pair cycle reading both elements.
+  std::vector<std::string> words(r.node_count());
+  for (std::size_t i = 0; i < words.size(); ++i)
+    words[i] = std::string(1 + i % 3, static_cast<char>('a' + i % 26));
+  std::vector<std::string> text(7);
+  for (std::size_t i = 0; i < text.size(); ++i)
+    text[i] = "chunk " + std::to_string(i) + std::string(20, 'x');
+  check(core::Concat{}, words, text);
 }
 
 TEST_F(FusionTest, FusedFallsBackAndRecordsOnColdCache) {

@@ -35,8 +35,13 @@ INSTANTIATE_TEST_SUITE_P(Cases, MetacubeBroadcastTest,
                                            McCase{1, 2}, McCase{1, 3},
                                            McCase{2, 1}, McCase{2, 2}),
                          [](const auto& param_info) {
-                           return "k" + std::to_string(param_info.param.k) +
-                                  "m" + std::to_string(param_info.param.m);
+                           // Appended piecewise: GCC 12 at -O3 reports a
+                           // false -Wrestrict on the chained operator+.
+                           std::string name = "k";
+                           name += std::to_string(param_info.param.k);
+                           name += "m";
+                           name += std::to_string(param_info.param.m);
+                           return name;
                          });
 
 TEST(MetacubeBroadcast, K1MatchesDualCubeCycleCount) {

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/cube_prefix.hpp"
 #include "core/dual_prefix.hpp"
 #include "core/ops.hpp"
 #include "core/sequential.hpp"
@@ -25,6 +26,7 @@
 #include "sim/schedule_store.hpp"
 #include "support/rng.hpp"
 #include "topology/dual_cube.hpp"
+#include "topology/hypercube.hpp"
 
 namespace dc::sim {
 namespace {
@@ -294,6 +296,125 @@ TEST_F(ScheduleStoreTest, ConcurrentLoadersShareOneEntry) {
   EXPECT_EQ(got[0], got[1]) << "one mapping shared, not two";
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().disk_hits, 1u);
+}
+
+// ------------------------------------------- lying arrays behind a good sum
+//
+// A DCSCHED1 file is outside input: its checksum only proves the bytes are
+// the ones that were written. These files are written through save(), so
+// every checksum holds, under the real key cube_prefix looks up on Q_3.
+
+ScheduleKey cube_prefix_key(const net::Hypercube& q) {
+  return ScheduleKey{ObliviousSection::topology_identity(q), "cube_prefix",
+                     {q.dimensions()}, true};
+}
+
+// Records cube_prefix on `q` and returns a mutable copy of its cycles.
+std::vector<ScheduleCycle> recorded_cube_prefix(const net::Hypercube& q,
+                                                const std::vector<u64>& data) {
+  Machine m(q);
+  m.set_schedule_path(SchedulePath::kCompiled);
+  (void)core::cube_prefix(m, q, core::Plus<u64>{}, data, true);
+  const auto s = ScheduleCache::instance().find(cube_prefix_key(q));
+  EXPECT_NE(s, nullptr);
+  std::vector<ScheduleCycle> cycles;
+  for (std::size_t c = 0; s && c < s->cycle_count(); ++c)
+    cycles.push_back(s->cycle(c));
+  return cycles;
+}
+
+std::vector<u64> cube_data(const net::Hypercube& q) {
+  std::vector<u64> data(q.node_count());
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = 3 * i + 1;
+  return data;
+}
+
+// Saves `cycles` under cube_prefix's key, then checks the file loads as a
+// disk miss and that a compiled cube_prefix run records afresh instead of
+// replaying it.
+void expect_rejected_and_recorded(const std::string& dir,
+                                  const net::Hypercube& q,
+                                  std::vector<ScheduleCycle> cycles) {
+  const auto key = cube_prefix_key(q);
+  ScheduleStore store(dir);
+  // save() leaves an existing file untouched; drop the previous case's.
+  std::remove(store.entry_path(key).c_str());
+  ASSERT_TRUE(store.save(key, Schedule(std::move(cycles))));
+  ASSERT_EQ(store.load(key), nullptr);
+
+  ScheduleCache::instance().clear();
+  attach_schedule_store(dir);
+  const auto data = cube_data(q);
+  Machine m(q);
+  m.set_schedule_path(SchedulePath::kCompiled);
+  EXPECT_EQ(core::cube_prefix(m, q, core::Plus<u64>{}, data, true).prefix,
+            core::seq_inclusive_scan(core::Plus<u64>{}, data));
+  EXPECT_EQ(m.replayed_cycles(), 0u) << "the section must record";
+  const auto st = ScheduleCache::instance().stats();
+  EXPECT_EQ(st.disk_hits, 0u);
+  EXPECT_EQ(st.disk_misses, 1u);
+}
+
+TEST_F(ScheduleStoreTest, OutOfRangeSenderLoadsAsAMiss) {
+  const net::Hypercube q(3);
+  const auto clean = recorded_cube_prefix(q, cube_data(q));
+  ASSERT_EQ(clean.size(), q.dimensions());
+  for (const net::NodeId bad : {net::NodeId{q.node_count()},
+                                net::NodeId{1} << 40}) {
+    SCOPED_TRACE(testing::Message() << "recv_from[0] = " << bad);
+    auto cycles = clean;
+    cycles[1].recv_from[0] = bad;
+    expect_rejected_and_recorded(dir_, q, std::move(cycles));
+  }
+}
+
+TEST_F(ScheduleStoreTest, MiscountedCycleLoadsAsAMiss) {
+  const net::Hypercube q(3);
+  auto cycles = recorded_cube_prefix(q, cube_data(q));
+  ASSERT_EQ(cycles.size(), q.dimensions());
+  ASSERT_EQ(cycles[2].message_count, q.node_count());
+  cycles[2].message_count = q.node_count() - 1;
+  expect_rejected_and_recorded(dir_, q, std::move(cycles));
+}
+
+// recv_slot is not checked on load — it is bounded where replay uses it:
+// a slot past the edge count books off-CSR, like a non-edge hop, so the
+// per-edge totals come out exactly as a clean replay's.
+TEST_F(ScheduleStoreTest, LyingEdgeSlotBooksOffCsr) {
+  const net::Hypercube q(3);
+  const auto data = cube_data(q);
+  auto cycles = recorded_cube_prefix(q, data);
+  ASSERT_EQ(cycles.size(), q.dimensions());
+  const auto edge_loads = [&](Machine& m) {
+    std::vector<std::uint64_t> loads;
+    for (net::NodeId u = 0; u < q.node_count(); ++u)
+      for (const net::NodeId v : q.neighbors(u))
+        loads.push_back(m.edge_load(u, v));
+    return loads;
+  };
+
+  Machine clean(q);
+  clean.set_schedule_path(SchedulePath::kCompiled);
+  clean.enable_edge_load();
+  (void)core::cube_prefix(clean, q, core::Plus<u64>{}, data, true);
+  ASSERT_EQ(clean.replayed_cycles(), q.dimensions());
+
+  const std::size_t edges = q.flat_adjacency().directed_edge_count();
+  cycles[0].recv_slot[5] = static_cast<std::uint32_t>(edges);
+  cycles[1].recv_slot[2] = 0xFFFFFFF0u;
+  ScheduleStore store(dir_);
+  ASSERT_TRUE(store.save(cube_prefix_key(q), Schedule(std::move(cycles))));
+  ScheduleCache::instance().clear();
+  attach_schedule_store(dir_);
+  Machine lied(q);
+  lied.set_schedule_path(SchedulePath::kCompiled);
+  lied.enable_edge_load();
+  EXPECT_EQ(core::cube_prefix(lied, q, core::Plus<u64>{}, data, true).prefix,
+            core::seq_inclusive_scan(core::Plus<u64>{}, data));
+  ASSERT_EQ(lied.replayed_cycles(), q.dimensions()) << "loaded and replayed";
+  EXPECT_EQ(ScheduleCache::instance().stats().disk_hits, 1u);
+  EXPECT_EQ(edge_loads(lied), edge_loads(clean));
+  EXPECT_EQ(lied.counters(), clean.counters());
 }
 
 // ----------------------------------------------------- end-to-end replay

@@ -16,6 +16,7 @@
 #include "collectives/alltoall.hpp"
 #include "collectives/broadcast.hpp"
 #include "collectives/metacube_broadcast.hpp"
+#include "collectives/pipeline_broadcast.hpp"
 #include "collectives/reduce.hpp"
 #include "collectives/tree.hpp"
 #include "core/block_sort.hpp"
@@ -113,6 +114,13 @@ std::vector<u64> random_values(std::size_t n, u64 seed) {
   return data;
 }
 
+std::vector<std::string> letters(std::size_t n) {
+  std::vector<std::string> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = std::string(1, static_cast<char>('a' + (i % 26)));
+  return v;
+}
+
 TEST_F(ScheduleTest, DualPrefixParity) {
   const net::DualCube d(3);
   const auto data = random_values(d.node_count(), 1);
@@ -128,6 +136,15 @@ TEST_F(ScheduleTest, CubePrefixParity) {
     auto out = core::cube_prefix(m, q, core::Plus<u64>{}, data, true);
     return std::pair{std::move(out.total), std::move(out.prefix)};
   });
+  // Heap-owning and non-commutative: strings ride the width-1 plane and
+  // must still combine in label order.
+  ScheduleCache::instance().clear();
+  const auto words = letters(q.node_count());
+  expect_parity(q, [&](Machine& m) {
+    auto out = core::cube_prefix(m, q, core::Concat{}, words, true);
+    EXPECT_EQ(out.prefix, core::seq_inclusive_scan(core::Concat{}, words));
+    return std::pair{std::move(out.total), std::move(out.prefix)};
+  });
 }
 
 TEST_F(ScheduleTest, CubeBitonicSortParity) {
@@ -136,6 +153,17 @@ TEST_F(ScheduleTest, CubeBitonicSortParity) {
   expect_parity(q, [&](Machine& m) {
     auto keys = input;
     core::cube_bitonic_sort(m, q, keys);
+    return keys;
+  });
+  // Heap-owning keys (past the small-string buffer), ordered as strings.
+  ScheduleCache::instance().clear();
+  std::vector<std::string> words(input.size());
+  for (std::size_t i = 0; i < input.size(); ++i)
+    words[i] = std::to_string(input[i]) + std::string(20, 'k');
+  expect_parity(q, [&](Machine& m) {
+    auto keys = words;
+    core::cube_bitonic_sort(m, q, keys);
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
     return keys;
   });
 }
@@ -225,6 +253,32 @@ TEST_F(ScheduleTest, DualBroadcastParity) {
   const net::DualCube d(3);
   expect_parity(d, [&](Machine& m) {
     return collectives::dual_broadcast<u64>(m, d, net::NodeId{5}, 42);
+  });
+  // A 40-byte heap-owning value through the callback rows.
+  ScheduleCache::instance().clear();
+  const std::string value = "forty bytes of broadcast payload: 012345";
+  ASSERT_EQ(value.size(), 40u);
+  expect_parity(d, [&](Machine& m) {
+    auto out = collectives::dual_broadcast(m, d, net::NodeId{5}, value);
+    EXPECT_EQ(out, std::vector<std::string>(d.node_count(), value));
+    return out;
+  });
+}
+
+// The pipeline's chunks are computed payloads (callback rows, one chunk
+// per sender and cycle): heap-owning strings must arrive intact, in order,
+// on every path.
+TEST_F(ScheduleTest, RingPipelineBroadcastParity) {
+  const net::DualCube d(3);
+  std::vector<std::string> chunks(5);
+  for (std::size_t i = 0; i < chunks.size(); ++i)
+    chunks[i] = "chunk " + std::to_string(i) +
+                std::string(24, static_cast<char>('a' + i));
+  expect_parity(d, [&](Machine& m) {
+    auto received =
+        collectives::ring_pipeline_broadcast(m, d, net::NodeId{6}, chunks);
+    for (const auto& got : received) EXPECT_EQ(got, chunks);
+    return received;
   });
 }
 
@@ -534,7 +588,7 @@ TEST_F(ScheduleTest, ValidationFlagSeparatesCacheEntries) {
         [](net::NodeId u) { return u == 0 ? net::NodeId{7} : kNoSend; },
         [](net::NodeId) { return 5; });
     sched.commit();
-    return inbox[7].has_value();
+    return inbox.has(7);
   };
   Machine loose(q, /*validate=*/false);
   loose.set_schedule_path(SchedulePath::kCompiled);
@@ -667,13 +721,6 @@ void expect_fused_prefix_parity(unsigned order, const M& op,
                 replaying ? fused_cycles : 0u);
     }
   }
-}
-
-std::vector<std::string> letters(std::size_t n) {
-  std::vector<std::string> v(n);
-  for (std::size_t i = 0; i < n; ++i)
-    v[i] = std::string(1, static_cast<char>('a' + (i % 26)));
-  return v;
 }
 
 std::vector<core::Mat2::value_type> matrices(std::size_t n, u64 seed) {

@@ -432,10 +432,11 @@ TEST(Machine, ScheduledReplayDoesNotAllocate) {
   std::uint64_t delivered = 0;
   for (unsigned rep = 0; rep < 4; ++rep) {
     for (unsigned i = 0; i < q.dimensions(); ++i) {
-      auto inbox = m.comm_cycle_scheduled<std::uint64_t>(
-          schedule->cycle(i), [](net::NodeId u) { return u + 1; });
+      auto inbox = m.comm_cycle_scheduled_blocks<std::uint64_t>(
+          schedule->cycle(i), 1,
+          [](net::NodeId u, std::uint64_t* dst) { *dst = u + 1; });
       for (net::NodeId u = 0; u < q.node_count(); ++u) {
-        delivered += inbox[u].has_value() ? 1u : 0u;
+        delivered += inbox.has(u) ? 1u : 0u;
       }
     }
   }

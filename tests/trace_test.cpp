@@ -150,7 +150,8 @@ TEST(Trace, RecordThenReplayTransitionsVisible) {
     if (name == "schedule_cache_hit") ++hits;
     if (name == "schedule_cache_miss") ++misses;
     if (name == "schedule_commit") ++commits;
-    if (e.kind == TraceEventKind::kCycleEnd && name == "comm_cycle_replay")
+    if (e.kind == TraceEventKind::kCycleEnd &&
+        name == "comm_cycle_replay_blocks")
       ++replay_cycles;
   }
   EXPECT_EQ(record_spans, 1u);

@@ -259,7 +259,6 @@ def check_median_regressions(rows, ratios=None) -> list:
 # with a free-form suffix.
 KNOWN_SPANS = {
     "comm_cycle",
-    "comm_cycle_replay",
     "comm_cycle_replay_blocks",
     "comm_cycle_fused",
 }
