@@ -916,7 +916,8 @@ int run_with_timeline(const std::string& algo, unsigned n,
     return 2;
   } catch (const dc::sim::FaultError& e) {
     std::cout << "self-healing run failed (retry budget " << retry_budget
-              << " exhausted under strict): " << e.what() << "\n";
+              << " exhausted under " << policy_name << "): " << e.what()
+              << "\n";
     g_report.status = "fault_error";
     g_report.error = e.what();
     return 1;

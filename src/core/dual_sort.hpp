@@ -16,9 +16,8 @@
 // the block's index among its parent's four children, matching the paper's
 // D_sort(D^00,0); D_sort(D^01,1); D_sort(D^10,0); D_sort(D^11,1) recursion —
 // except at the top level k = n, where it is the caller's direction.
-// detail::for_each_bitonic_step and detail::bitonic_keep_min are that level
-// loop and that direction rule, shared with the fault-tolerant network
-// (core/ft_dual_sort.hpp).
+// dual_bitonic_level runs one level k; the self-healing sort
+// (core/ft_dual_sort.hpp) runs it as one recovery phase per level.
 //
 // Every dimension step uses dimension_exchange_blocks (1 cycle at j = 0, 3
 // cycles otherwise; see dimension_exchange.hpp for the relay schedule) and
@@ -32,7 +31,8 @@
 // it at width 1 with scalar compare-exchange; block_sort.hpp runs it at
 // width m with sorted-block merge-split (the classic result that any
 // sorting network sorts blocks when compare-exchange is replaced by
-// merge-split).
+// merge-split); ft_dual_sort.hpp runs it over missing-aware keys under a
+// sim::ProxyScope.
 #pragma once
 
 #include <cstddef>
@@ -60,15 +60,6 @@ inline bool bitonic_keep_min(net::NodeId u, unsigned j, unsigned k,
   return ascending == (dc::bits::get(u, j) == 0);
 }
 
-/// Level k's dimension steps in network order: step(j, half_merge) for the
-/// half-merge over j = 2k-3 .. 0 (none at k = 1), then the full merge over
-/// j = 2k-2 .. 0.
-template <typename Step>
-void for_each_bitonic_step(unsigned k, Step&& step) {
-  for (unsigned j = 2 * k - 2; j-- > 0;) step(j, /*half_merge=*/true);
-  for (unsigned j = 2 * k - 1; j-- > 0;) step(j, /*half_merge=*/false);
-}
-
 }  // namespace detail
 
 /// Observer invoked after every dimension step with a phase label and the
@@ -78,13 +69,47 @@ template <typename V>
 using DualSortObserver =
     std::function<void(const std::string& phase, const std::vector<V>& values)>;
 
-/// Runs the Algorithm-3 schedule over `plane`, where node u's value is the
-/// width-sized stride `plane[u*width .. u*width+width)`. Every dimension
-/// step moves blocks through dimension_exchange_blocks and double-buffers
-/// the combine: `combine(u, keep_min, own, other, out)` must write node
-/// u's min-side (keep_min) or max-side result (width elements) into `out`,
-/// reading the `own` and `other` strides. One counted compare op per node
-/// per dimension step is charged here; combine charges any further work.
+/// Runs level k of the Algorithm-3 schedule over `plane`, where node u's
+/// value is the width-sized stride `plane[u*width .. u*width+width)`: the
+/// half-merge over dimensions j = 2k-3 .. 0 (none at k = 1), then the full
+/// merge over j = 2k-2 .. 0. Every dimension step moves blocks through
+/// dimension_exchange_blocks in `sched` and double-buffers the combine
+/// through `next` (same size as `plane`): `combine(u, keep_min, own,
+/// other, out)` must write node u's min-side (keep_min) or max-side result
+/// (width elements) into `out`, reading the `own` and `other` strides. One
+/// counted compare op per node per dimension step is charged here; combine
+/// charges any further work.
+template <typename V, typename Combine>
+void dual_bitonic_level(sim::Machine& m, sim::ObliviousSection& sched,
+                        const net::RecursiveDualCube& r, std::vector<V>& plane,
+                        std::vector<V>& next, std::size_t width, unsigned k,
+                        bool descending, Combine&& combine,
+                        const DualSortObserver<V>& observer = {}) {
+  DC_REQUIRE(next.size() == plane.size(),
+             "the combine buffer must match the plane");
+  const unsigned n = r.order();
+  const auto step = [&](unsigned j, bool half_merge) {
+    // Zero-copy: combine reads the received block straight out of the
+    // exchange's inbox planes instead of a copied-out recv plane.
+    const auto ex = dimension_exchange_blocks(m, sched, r, j, plane, width);
+    m.compute_step([&](net::NodeId u) {
+      combine(u, detail::bitonic_keep_min(u, j, k, n, half_merge, descending),
+              plane.data() + u * width, ex.recv(u), next.data() + u * width);
+      m.add_ops(1);
+    });
+    plane.swap(next);
+    if (observer)
+      observer("level " + std::to_string(k) +
+                   (half_merge ? " half-merge dim " : " full-merge dim ") +
+                   std::to_string(j),
+               plane);
+  };
+  for (unsigned j = 2 * k - 2; j-- > 0;) step(j, /*half_merge=*/true);
+  for (unsigned j = 2 * k - 1; j-- > 0;) step(j, /*half_merge=*/false);
+}
+
+/// Runs the whole Algorithm-3 schedule over `plane` (levels 1 .. n of
+/// dual_bitonic_level) with the combine rule and observer described there.
 template <typename V, typename Combine>
 void dual_bitonic_network(sim::Machine& m, const net::RecursiveDualCube& r,
                           std::vector<V>& plane, std::size_t width,
@@ -95,32 +120,15 @@ void dual_bitonic_network(sim::Machine& m, const net::RecursiveDualCube& r,
   DC_REQUIRE(width >= 1, "block width must be >= 1");
   DC_REQUIRE(plane.size() == r.node_count() * width,
              "one width-sized block per node required");
-  const unsigned n = r.order();
 
   // The whole network — every relayed dimension exchange of every level —
   // is one compiled schedule per order: the dimension sequence is fixed
   // and neither the merge direction nor the width changes a destination.
-  sim::ObliviousSection sched(m, "dual_bitonic_network", {n});
-
+  sim::ObliviousSection sched(m, "dual_bitonic_network", {r.order()});
   std::vector<V> next(plane.size());
-  for (unsigned k = 1; k <= n; ++k) {
-    detail::for_each_bitonic_step(k, [&](unsigned j, bool half_merge) {
-      // Zero-copy: combine reads the received block straight out of the
-      // exchange's inbox planes instead of a copied-out recv plane.
-      const auto ex = dimension_exchange_blocks(m, sched, r, j, plane, width);
-      m.compute_step([&](net::NodeId u) {
-        combine(u, detail::bitonic_keep_min(u, j, k, n, half_merge, descending),
-                plane.data() + u * width, ex.recv(u), next.data() + u * width);
-        m.add_ops(1);
-      });
-      plane.swap(next);
-      if (observer)
-        observer("level " + std::to_string(k) +
-                     (half_merge ? " half-merge dim " : " full-merge dim ") +
-                     std::to_string(j),
-                 plane);
-    });
-  }
+  for (unsigned k = 1; k <= r.order(); ++k)
+    dual_bitonic_level(m, sched, r, plane, next, width, k, descending, combine,
+                       observer);
   sched.commit();
 }
 

@@ -1,6 +1,6 @@
 // Fault-tolerant parallel prefix on the dual-cube — Algorithm 2
-// (core/dual_prefix.hpp) executed under a node/link fault set by *proxy
-// emulation*.
+// (core/dual_prefix.hpp) run unchanged under a node/link fault set by
+// *proxy emulation* (sim::ProxyScope, sim/fault_transport.hpp).
 //
 // Algorithm 2's dataflow is a fixed sequence of 2n full exchanges (every
 // node sends exactly one value and receives exactly one per cycle). Under
@@ -9,10 +9,10 @@
 //
 //   * every dead node's role migrates to its nearest live node (its
 //     *proxy*: minimal BFS distance in the healthy graph, ties to the
-//     lowest label — a deterministic assignment);
-//   * each logical message of the healthy schedule is delivered between
-//     the physical hosts of its endpoints over a fault-free detour path
-//     (sim/fault_transport.hpp: route_dual_cube_fault_tolerant + the
+//     lowest label — sim::proxy_map, a deterministic assignment);
+//   * each exchange of the healthy schedule is one batch of logical
+//     messages delivered between the physical hosts of their endpoints
+//     over fault-free detour paths (route_dual_cube_fault_tolerant + the
 //     validated store-and-forward drain). A message between two roles
 //     hosted by the same proxy is a local handoff and costs nothing;
 //   * dead nodes' *data is lost*: they contribute ⊕-identity, so live
@@ -28,52 +28,17 @@
 // final extent (timed faults count as present throughout).
 #pragma once
 
+#include <iterator>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "core/dual_prefix.hpp"
 #include "core/ops.hpp"
 #include "sim/fault_transport.hpp"
 #include "sim/machine.hpp"
-#include "sim/trace.hpp"
-#include "support/rng.hpp"
 #include "topology/dual_cube.hpp"
-#include "topology/graph.hpp"
 
 namespace dc::core {
-
-namespace detail {
-
-/// Deterministic proxy assignment: rep[u] = u for live nodes; for dead
-/// nodes the live node at minimal healthy-graph BFS distance, ties to the
-/// lowest label. Works on any Topology (the fault-tolerant sort runs on
-/// the recursive presentation).
-inline std::vector<net::NodeId> ft_proxy_map(
-    const net::Topology& d, const std::vector<net::NodeId>& dead_sorted) {
-  const std::size_t n_nodes = d.node_count();
-  std::vector<net::NodeId> rep(n_nodes);
-  for (net::NodeId u = 0; u < n_nodes; ++u) rep[u] = u;
-  std::vector<std::uint8_t> is_dead(n_nodes, 0);
-  for (const net::NodeId u : dead_sorted) is_dead[u] = 1;
-  for (const net::NodeId u : dead_sorted) {
-    const auto dist = net::bfs_distances(d, u);
-    net::NodeId best = n_nodes;
-    std::uint32_t best_dist = ~std::uint32_t{0};
-    for (net::NodeId v = 0; v < n_nodes; ++v) {
-      if (is_dead[v]) continue;
-      if (dist[v] < best_dist) {
-        best_dist = dist[v];
-        best = v;
-      }
-    }
-    DC_REQUIRE(best < n_nodes, "fault plan kills every node");
-    rep[u] = best;
-  }
-  return rep;
-}
-
-}  // namespace detail
 
 /// Runs Algorithm 2 under `plan`. `data` is in global index order; the
 /// result is too: engaged with the prefix of the *surviving* inputs (dead
@@ -88,124 +53,22 @@ std::vector<std::optional<typename M::value_type>> ft_dual_prefix(
     const sim::FaultPlan& plan, bool inclusive = true,
     sim::FtReport* report = nullptr, dc::u64 detour_seed = 0x0f7b17u) {
   using V = typename M::value_type;
-  DC_REQUIRE(&m.topology() == static_cast<const net::Topology*>(&d),
-             "machine must run on the given dual-cube");
   DC_REQUIRE(data.size() == d.node_count(), "one input per node required");
-  const std::size_t n_nodes = d.node_count();
-  const unsigned w = d.order() - 1;
-
-  const std::vector<net::NodeId> dead_sorted = plan.dead_nodes();
-  const std::vector<net::NodeId> rep = detail::ft_proxy_map(d, dead_sorted);
-  std::vector<std::uint8_t> is_dead(n_nodes, 0);
-  for (const net::NodeId u : dead_sorted) is_dead[u] = 1;
-  // hosted[p] = logical roles physical node p executes (p itself + the
-  // dead nodes it proxies), ascending.
-  std::vector<std::vector<net::NodeId>> hosted(n_nodes);
-  for (net::NodeId u = 0; u < n_nodes; ++u)
-    hosted[rep[u]].push_back(u);
-
-  dc::Rng rng(detour_seed ^ d.order());
-  sim::FtReport ftrep;
-  std::vector<std::optional<V>> recv(n_nodes);
-
-  // One full logical exchange: every logical node u ships payload_of(u) to
-  // dest_of(u); afterwards recv[u] holds what u received. Healthy cost: 1
-  // comm cycle; under faults the drain may take longer (proxy congestion,
-  // multi-hop detours) — the excess is accounted as repair.
-  const auto exchange = [&](auto&& dest_of, auto&& payload_of) {
-    // One span per logical exchange: the healthy cycle plus whatever
-    // repair drain the faults force, so the timeline shows exactly which
-    // exchanges paid detours.
-    sim::TraceScope phase(m.trace(), m.trace_track(), "phase:ft_exchange");
-    std::vector<sim::LogicalMessage<V>> msgs;
-    msgs.reserve(n_nodes);
-    for (net::NodeId u = 0; u < n_nodes; ++u) {
-      const net::NodeId v = dest_of(u);
-      msgs.push_back(
-          sim::LogicalMessage<V>{rep[u], rep[v], u, v, payload_of(u), false});
-    }
-    recv.assign(n_nodes, std::nullopt);
-    const sim::FtReport batch =
-        sim::deliver_with_detours(m, d, plan, std::move(msgs), rng, recv);
-    ftrep.base_cycles += 1;
-    ftrep.repair_cycles += batch.repair_cycles > 0 ? batch.repair_cycles - 1 : 0;
-    ftrep.repaired += batch.repaired;
-    ftrep.rerouted_hops += batch.rerouted_hops;
-    ftrep.bfs_fallbacks += batch.bfs_fallbacks;
-  };
-  // One logical compute step: each physical node applies `fn` to every
-  // role it hosts (proxies do their dead wards' O(1) work too).
-  const auto compute = [&](auto&& fn) {
-    m.compute_step([&](net::NodeId p) {
-      for (const net::NodeId u : hosted[p]) fn(u);
-    });
-  };
-
+  const std::vector<net::NodeId> dead = plan.dead_nodes();
   // Data placement: dead nodes' inputs are lost — identity.
-  std::vector<V> c(n_nodes, op.identity());
-  m.for_each_node([&](net::NodeId p) {
-    for (const net::NodeId u : hosted[p])
-      if (!is_dead[u]) c[u] = data[dual_prefix_index_of_node(d, u)];
-  });
+  std::vector<V> masked = data;
+  for (const net::NodeId u : dead)
+    masked[dual_prefix_index_of_node(d, u)] = op.identity();
 
-  // Steps 1 & 3 share this in-cluster Cube_prefix pass (mirrors
-  // dual_prefix.hpp detail::cluster_prefix).
-  std::vector<V> t, s;
-  const auto cluster_prefix = [&](const std::vector<V>& value,
-                                  bool incl, std::vector<V>& tt,
-                                  std::vector<V>& ss) {
-    tt = value;
-    if (incl) {
-      ss = value;
-    } else {
-      ss.assign(n_nodes, op.identity());
-    }
-    for (unsigned i = 0; i < w; ++i) {
-      exchange([&](net::NodeId u) { return d.cluster_neighbor(u, i); },
-               [&](net::NodeId u) { return tt[u]; });
-      compute([&](net::NodeId u) {
-        const V& temp = *recv[u];
-        const unsigned base = d.node_class(u) == 0 ? 0u : w;
-        if (dc::bits::get(u, base + i) == 1) {
-          ss[u] = op.combine(temp, ss[u]);
-          tt[u] = op.combine(temp, tt[u]);
-          m.add_ops(2);
-        } else {
-          tt[u] = op.combine(tt[u], temp);
-          m.add_ops(1);
-        }
-      });
-    }
-  };
-
-  // Step 1: prefix inside every cluster.
-  cluster_prefix(c, inclusive, t, s);
-  // Step 2: exchange cluster totals over the cross-edges.
-  std::vector<V> temp(n_nodes, op.identity());
-  exchange([&](net::NodeId u) { return d.cross_neighbor(u); },
-           [&](net::NodeId u) { return t[u]; });
-  for (net::NodeId u = 0; u < n_nodes; ++u) temp[u] = *recv[u];
-  // Step 3: diminished prefix of the gathered totals inside every cluster.
-  std::vector<V> t2, s2;
-  cluster_prefix(temp, /*incl=*/false, t2, s2);
-  // Step 4: route preceding same-class totals back and fold on the left.
-  exchange([&](net::NodeId u) { return d.cross_neighbor(u); },
-           [&](net::NodeId u) { return s2[u]; });
-  compute([&](net::NodeId u) {
-    s[u] = op.combine(*recv[u], s[u]);
-    m.add_ops(1);
-  });
-  // Step 5: class-1 nodes prepend the class-0 grand total (their own t').
-  compute([&](net::NodeId u) {
-    if (d.node_class(u) == 1) {
-      s[u] = op.combine(t2[u], s[u]);
-      m.add_ops(1);
-    }
-  });
-
-  std::vector<std::optional<V>> out(n_nodes);
-  for (net::NodeId u = 0; u < n_nodes; ++u)
-    if (!is_dead[u]) out[dual_prefix_index_of_node(d, u)] = s[u];
+  sim::FtReport ftrep;
+  std::vector<V> scan;
+  {
+    sim::ProxyScope proxies(m, d, plan, ftrep, detour_seed ^ d.order());
+    scan = dual_prefix(m, d, op, masked, {}, inclusive);
+  }
+  std::vector<std::optional<V>> out(std::make_move_iterator(scan.begin()),
+                                    std::make_move_iterator(scan.end()));
+  for (const net::NodeId u : dead) out[dual_prefix_index_of_node(d, u)].reset();
   if (report) *report = ftrep;
   return out;
 }

@@ -289,6 +289,8 @@ class Inbox {
   }
 
   std::size_t size() const { return buf_ ? buf_->slots.size() : 0; }
+  /// The slots as one array: data()[u] is (*this)[u].
+  const std::optional<P>* data() const { return buf_->slots.data(); }
 
  private:
   void recycle() {

@@ -1,11 +1,13 @@
-// Payload-carrying detour transport for fault-tolerant collectives.
+// Payload-carrying detour transport for fault-tolerant execution.
 //
-// The fault-tolerant collectives (collectives/ft_broadcast.hpp,
-// core/ft_dual_prefix.hpp) express their communication as *logical*
-// messages between nodes of the healthy algorithm; when faults kill the
-// single healthy link (or one endpoint's role has moved to a live proxy),
-// the logical message must travel a multi-hop fault-free detour instead.
-// This header ships those messages through the store-and-forward drain
+// Code that runs under faults expresses its communication as *logical*
+// messages between nodes of the healthy algorithm. Two places build them:
+// ProxyScope below, which re-addresses every exchange of an oblivious
+// algorithm to the live proxies of its endpoints, and ft_broadcast's
+// repair pass (collectives/ft_broadcast.hpp). When faults kill the single
+// healthy link (or one endpoint's role has moved to a live proxy), the
+// logical message must travel a multi-hop fault-free detour instead. This
+// header ships those messages through the store-and-forward drain
 // (sim/store_forward.hpp) as DetourPackets, so every hop is still a
 // validated 1-port machine transfer and contention on shared detour links
 // is resolved by the usual deterministic rules.
@@ -32,10 +34,13 @@
 #include <vector>
 
 #include "sim/faults.hpp"
+#include "sim/machine.hpp"
 #include "sim/store_forward.hpp"
+#include "sim/trace.hpp"
 #include "support/rng.hpp"
 #include "topology/dual_cube.hpp"
 #include "topology/fault_routing.hpp"
+#include "topology/graph.hpp"
 
 namespace dc::sim {
 
@@ -74,6 +79,34 @@ struct FtReport {
   std::uint64_t rerouted_hops = 0;   ///< hops beyond the healthy single link
   std::uint64_t bfs_fallbacks = 0;   ///< routes that needed tier-2 BFS
 };
+
+/// Deterministic proxy assignment: rep[u] = u for live nodes; for dead
+/// nodes the live node at minimal healthy-graph BFS distance, ties to the
+/// lowest label. Works on any Topology (the fault-tolerant sort runs on
+/// the recursive presentation).
+inline std::vector<net::NodeId> proxy_map(
+    const net::Topology& t, const std::vector<net::NodeId>& dead_sorted) {
+  const std::size_t n_nodes = t.node_count();
+  std::vector<net::NodeId> rep(n_nodes);
+  for (net::NodeId u = 0; u < n_nodes; ++u) rep[u] = u;
+  std::vector<std::uint8_t> is_dead(n_nodes, 0);
+  for (const net::NodeId u : dead_sorted) is_dead[u] = 1;
+  for (const net::NodeId u : dead_sorted) {
+    const auto dist = net::bfs_distances(t, u);
+    net::NodeId best = n_nodes;
+    std::uint32_t best_dist = ~std::uint32_t{0};
+    for (net::NodeId v = 0; v < n_nodes; ++v) {
+      if (is_dead[v]) continue;
+      if (dist[v] < best_dist) {
+        best_dist = dist[v];
+        best = v;
+      }
+    }
+    DC_REQUIRE(best < n_nodes, "fault plan kills every node");
+    rep[u] = best;
+  }
+  return rep;
+}
 
 namespace detail {
 
@@ -121,7 +154,11 @@ inline void require_drop_free(const Machine& m) {
 
 /// Shared body of the deliver_with_detours overloads: `route(src, dst)`
 /// returns a fault-free path (front = src, back = dst; empty =
-/// disconnected) and whether it came from a BFS fallback.
+/// disconnected) and whether it came from a BFS fallback. The receivers'
+/// recv slots must be empty on entry. A detour hop the machine drops
+/// (kDegrade, a fault that appeared after the routes were planned) loses
+/// a message the healthy algorithm cannot do without, so the batch throws
+/// FaultError naming the first logical receiver left without it.
 template <typename V, typename RouteFn>
 FtReport deliver_with_routes(Machine& m,
                              std::vector<LogicalMessage<V>> msgs,
@@ -167,6 +204,14 @@ FtReport deliver_with_routes(Machine& m,
           recv[p.logical_dst] = std::move(p.payload);
         });
     rep.repair_cycles = drained.cycles;
+    if (drained.lost > 0) {
+      for (const auto& msg : msgs) {
+        if (!recv[msg.logical_dst])
+          throw FaultError("detour to logical node " +
+                           std::to_string(msg.logical_dst) +
+                           " was dropped in flight");
+      }
+    }
   }
   if (rep.rerouted_hops > 0) m.note_rerouted(rep.rerouted_hops);
   return rep;
@@ -179,7 +224,8 @@ FtReport deliver_with_routes(Machine& m,
 /// coincide (a proxy talking to itself) are delivered host-side for free,
 /// like the healthy algorithm's local state handoffs. Throws FaultError if
 /// some message's endpoints are disconnected in the fault-free subgraph —
-/// impossible for fewer than n node faults in D_n.
+/// impossible for fewer than n node faults in D_n — or if a degraded
+/// machine drops a detour hop.
 template <typename V>
 FtReport deliver_with_detours(Machine& m, const net::DualCube& d,
                               const FaultPlan& plan,
@@ -236,5 +282,113 @@ FtReport deliver_with_detours(Machine& m, const net::Topology& base,
         return {detail::bfs_path(view, src, dst), true};
       });
 }
+
+/// Proxy emulation of an oblivious algorithm under a static fault set.
+/// While a scope is open on a machine, every ObliviousSection exchange
+/// (sim/oblivious.hpp) takes the proxy path, exchange_blocks below: the
+/// interpreted path with its comm_cycle replaced by one detour batch. Each
+/// logical message u -> v of the healthy schedule travels from rep[u] to
+/// rep[v] (the physical nodes that host u's and v's roles) carrying only
+/// the logical sender's id, and the inbox is then packed by logical
+/// receiver — so the algorithm's own compute steps run unchanged, a dead
+/// node's work done by its proxy. What a dead node's input becomes is the
+/// caller's choice (the prefix masks it to the identity, the sort to a
+/// missing key).
+///
+/// Every exchange is one healthy cycle in the FtReport's base_cycles; the
+/// drain cycles beyond the first are repair_cycles. With an empty plan
+/// every message is its healthy single hop and each exchange drains in one
+/// cycle, so the run costs exactly the healthy schedule. Scopes do not
+/// nest; a section opened inside a scope must close before it.
+class ProxyScope {
+ public:
+  /// Routes on `plan`'s faulted view of `topo` (direct hop when the
+  /// healthy link survives, BFS shortest path otherwise) and emulates the
+  /// proxy map `rep`, which may cover more dead nodes than `plan` kills.
+  ProxyScope(Machine& m, const net::Topology& topo, const FaultPlan& plan,
+             std::vector<net::NodeId> rep, FtReport& report)
+      : m_(m), topo_(topo), plan_(plan), rep_(std::move(rep)), report_(report) {
+    DC_REQUIRE(&m_.topology() == &topo_,
+               "machine must run on the proxy scope's topology");
+    DC_REQUIRE(rep_.size() == topo_.node_count(),
+               "one proxy per node required");
+    DC_REQUIRE(m_.proxy_scope() == nullptr, "proxy scopes do not nest");
+    dest_.resize(rep_.size());
+    m_.set_proxy_scope(this);
+  }
+
+  /// Routes with route_dual_cube_fault_tolerant (BFS on the faulted view
+  /// when a route crosses a dead link), drawing from one Rng(seed) for the
+  /// whole scope; proxies are proxy_map(d, plan.dead_nodes()).
+  ProxyScope(Machine& m, const net::DualCube& d, const FaultPlan& plan,
+             FtReport& report, dc::u64 seed)
+      : ProxyScope(m, d, plan, proxy_map(d, plan.dead_nodes()), report) {
+    dual_ = &d;
+    rng_ = dc::Rng(seed);
+  }
+
+  ~ProxyScope() { m_.set_proxy_scope(nullptr); }
+  ProxyScope(const ProxyScope&) = delete;
+  ProxyScope& operator=(const ProxyScope&) = delete;
+
+  /// One logical exchange (ObliviousSection::exchange_blocks' contract):
+  /// dest_of(u) is u's logical destination or kNoSend, and the returned
+  /// inbox holds, at every logical receiver v, the `width`-element row
+  /// `src` names for v's logical sender. Only node ids cross the detour
+  /// transport; the rows are copied once, by Machine::pack_blocks.
+  template <typename T, typename DestFn, typename Src>
+  BlockInbox<T> exchange_blocks(std::size_t width, DestFn&& dest_of,
+                                Src&& src) {
+    for (net::NodeId u = 0; u < dest_.size(); ++u) dest_[u] = dest_of(u);
+    return m_.pack_blocks<T>(width, (this->*deliver_)().data(), src);
+  }
+
+ private:
+  /// Ships the exchange in dest_ as one detour batch of sender ids and
+  /// books it into the FtReport; returns each logical receiver's sender.
+  const std::vector<std::optional<net::NodeId>>& deliver() {
+    // One span per logical exchange: the healthy cycle plus whatever repair
+    // drain the faults force, so the timeline shows which exchanges paid.
+    TraceScope phase(m_.trace(), m_.trace_track(), "phase:ft_exchange");
+    const std::size_t n = rep_.size();
+    std::vector<LogicalMessage<net::NodeId>> msgs;
+    msgs.reserve(n);
+    for (net::NodeId u = 0; u < n; ++u) {
+      const net::NodeId v = dest_[u];
+      if (v == kNoSend) continue;
+      DC_REQUIRE(v < n, "logical message to node " << v << " out of range");
+      msgs.push_back(
+          LogicalMessage<net::NodeId>{rep_[u], rep_[v], u, v, u, false});
+    }
+    senders_.assign(n, std::nullopt);
+    const FtReport batch =
+        dual_ ? deliver_with_detours(m_, *dual_, plan_, std::move(msgs), rng_,
+                                     senders_)
+              : deliver_with_detours(m_, topo_, plan_, std::move(msgs),
+                                     senders_);
+    report_.base_cycles += 1;
+    report_.repair_cycles +=
+        batch.repair_cycles > 0 ? batch.repair_cycles - 1 : 0;
+    report_.repaired += batch.repaired;
+    report_.rerouted_hops += batch.rerouted_hops;
+    report_.bfs_fallbacks += batch.bfs_fallbacks;
+    return senders_;
+  }
+
+  Machine& m_;
+  const net::Topology& topo_;
+  const FaultPlan plan_;  // a copy: callers may pass a temporary
+  std::vector<net::NodeId> rep_;  // logical node -> physical host
+  FtReport& report_;
+  const net::DualCube* dual_ = nullptr;  // set: route with the dual-cube router
+  dc::Rng rng_;
+  std::vector<net::NodeId> dest_;  // this exchange's logical destinations
+  std::vector<std::optional<net::NodeId>> senders_;
+  // exchange_blocks calls deliver() through this pointer, which only the
+  // constructors name, so the detour transport is compiled into programs
+  // that open a scope, not into every one that instantiates an exchange.
+  const std::vector<std::optional<net::NodeId>>& (ProxyScope::*deliver_)() =
+      &ProxyScope::deliver;
+};
 
 }  // namespace dc::sim

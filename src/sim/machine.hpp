@@ -74,6 +74,8 @@
 
 namespace dc::sim {
 
+class ProxyScope;  // sim/fault_transport.hpp
+
 class Machine {
  public:
   /// `validate`: check link existence per message (O(log degree) against
@@ -174,6 +176,12 @@ class Machine {
   /// detached (dcsim turns it on with --profile).
   void attach_profiler(CycleProfiler* profiler) { profiler_ = profiler; }
   CycleProfiler* profiler() const { return profiler_; }
+
+  /// The proxy-emulation scope open on this machine (sim/fault_transport.hpp)
+  /// or nullptr. While one is open, ObliviousSection exchanges take the
+  /// proxy path; the scope sets and clears this itself.
+  ProxyScope* proxy_scope() const { return proxy_scope_; }
+  void set_proxy_scope(ProxyScope* scope) { proxy_scope_ = scope; }
 
   /// Run parallel steps on `pool` instead of the shared pool. Call before
   /// the first cycle / before enable_edge_load.
@@ -474,16 +482,18 @@ class Machine {
     if (trace_) trace_->instant(trace_track_, 0, "compute_step");
   }
 
-  /// Packs an interpreted block exchange into a block plane.
+  /// Packs an interpreted or proxied block exchange into a block plane.
   /// ObliviousSection::exchange_blocks runs the cycle through comm_cycle
-  /// (full validation, faults, SimError reporting) with each sender
-  /// shipping its own id; this uncounted copy then fills receiver row v
-  /// from the source row of the node that reached it — the rows replay
-  /// gathers through recv_from, read through the same `src`. Steady-state
-  /// packs perform zero heap allocations.
+  /// (full validation, faults, SimError reporting) or one detour batch,
+  /// with each sender shipping its own id; this uncounted copy then fills
+  /// receiver row v from the source row of the node that reached it
+  /// (`senders[v]`, one per node) — the rows replay gathers through
+  /// recv_from, read through the same `src`. Steady-state packs perform
+  /// zero heap allocations.
   template <typename T, typename Src>
   BlockInbox<T> pack_blocks(std::size_t width,
-                            const Inbox<net::NodeId>& senders, Src&& src) {
+                            const std::optional<net::NodeId>* senders,
+                            Src&& src) {
     const std::size_t n = static_cast<std::size_t>(node_count());
     require_block_source<T>(width, src);
     auto arena = arena_.get_blocks<T>(n);
@@ -495,7 +505,7 @@ class Machine {
         0, n,
         [&](std::size_t lo, std::size_t hi) {
           for (std::size_t v = lo; v < hi; ++v) {
-            const auto& from = senders[static_cast<net::NodeId>(v)];
+            const auto& from = senders[v];
             if (!from) continue;
             copy_row<T>(src, *from, plane + v * width, width);
             stamp[v] = gen;
@@ -907,6 +917,7 @@ class Machine {
   Histogram* metric_msgs_per_cycle_ = nullptr;  // null = registry unarmed
   MetricCounter* metric_fault_drops_ = nullptr;
   CycleProfiler* profiler_ = nullptr;  // null = imbalance profiling off
+  ProxyScope* proxy_scope_ = nullptr;  // null = no proxy emulation
   CommArena arena_;
   mutable const net::FlatAdjacency* adj_ = nullptr;
   std::size_t grain_ = 0;

@@ -20,10 +20,16 @@
 //   * replay (compiled path, cache hit) — exchange_blocks skips dest_of
 //     entirely and calls Machine::comm_cycle_scheduled_blocks: one gather
 //     pass, no validation, no claims (see sim/schedule.hpp).
+//   * proxy (a sim::ProxyScope is open on the machine) — every exchange is
+//     one detour batch of sender ids between the live proxies of its
+//     logical endpoints (ProxyScope::exchange_blocks, in
+//     sim/fault_transport.hpp), so any oblivious algorithm runs exactly
+//     under a static fault set. No cache lookup, no recording and no
+//     section span: each exchange traces its own phase:ft_exchange span.
 //
-// Replay gathers each receiver's row from its recorded sender; interpreting
-// and recording ship sender ids and then copy each delivered row from that
-// sender's source (Machine::pack_blocks) — the same rows either way.
+// Replay gathers each receiver's row from its recorded sender; the other
+// paths ship sender ids and then copy each delivered row from that
+// sender's source (Machine::pack_blocks) — the same rows every way.
 //
 // On replay, an exchange that one computation step consumes at once may
 // also run fused (exchange_compute_fused): the algorithm's own sweep moves
@@ -43,6 +49,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/fault_transport.hpp"
 #include "sim/machine.hpp"
 #include "sim/schedule.hpp"
 
@@ -54,7 +61,8 @@ class ObliviousSection {
   /// inputs the destination pattern depends on: order, dimension, root...).
   ObliviousSection(Machine& m, std::string algorithm,
                    std::vector<dc::u64> params)
-      : m_(m) {
+      : m_(m), proxy_(m.proxy_scope()) {
+    if (proxy_) return;
     const bool interpreted =
         m_.schedule_path() == SchedulePath::kInterpreted;
     if (!interpreted) {
@@ -140,13 +148,15 @@ class ObliviousSection {
   /// sender's source row — exactly the rows replay reads through
   /// recv_from. Machines with attached faults come through here on the
   /// interpreted path automatically (schedule_path() reports kInterpreted
-  /// under faults).
+  /// under faults). On the proxy path the sender ids travel one detour
+  /// batch instead (ProxyScope::exchange_blocks).
   template <typename T, typename DestFn, typename Src>
   BlockInbox<T> exchange_blocks(std::size_t width, DestFn&& dest_of,
                                 Src&& src) {
     if (replay_) {
       return m_.comm_cycle_scheduled_blocks<T>(next_cycle(), width, src);
     }
+    if (proxy_) return proxy_->exchange_blocks<T>(width, dest_of, src);
     net::NodeId* const dest =
         recorder_ ? recorder_->new_cycle().data() : nullptr;
     const auto senders = m_.comm_cycle<net::NodeId>(
@@ -156,7 +166,7 @@ class ObliviousSection {
           if (to == kNoSend) return std::nullopt;
           return Send<net::NodeId>{to, u};
         });
-    return m_.pack_blocks<T>(width, senders, src);
+    return m_.pack_blocks<T>(width, senders.data(), src);
   }
 
   /// Replay-only fused form of an exchange that one computation step
@@ -175,9 +185,10 @@ class ObliviousSection {
   }
 
   /// Compiles and publishes the recorded schedule. Call once, after the
-  /// run's last cycle; no-op when interpreting. A replaying section checks
-  /// instead that the run consumed every compiled cycle — an algorithm that
-  /// issues fewer cycles than it recorded has diverged from its schedule.
+  /// run's last cycle; no-op when interpreting or proxying. A replaying
+  /// section checks instead that the run consumed every compiled cycle — an
+  /// algorithm that issues fewer cycles than it recorded has diverged from
+  /// its schedule.
   /// Skipping commit merely forfeits caching (and that check) — the run
   /// itself was already correct.
   void commit() {
@@ -220,6 +231,7 @@ class ObliviousSection {
   }
 
   Machine& m_;
+  ProxyScope* const proxy_;  // non-null: the proxy path, for the section
   ScheduleKey key_;
   ScheduleOrigin origin_ = ScheduleOrigin::kMiss;
   std::shared_ptr<const Schedule> replay_;

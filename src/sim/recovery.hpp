@@ -25,16 +25,19 @@
 //      On exhaustion the driver either degrades — one final attempt with
 //      the machine flipped to FaultPolicy::kDegrade, so residual fault
 //      touches drop messages (counted in Counters::messages_lost) instead
-//      of aborting — or rethrows, per RetryPolicy.
+//      of aborting — or rethrows, per RetryPolicy. A degraded attempt
+//      whose detour transport loses a message the algorithm needs (a
+//      later epoch killed a planned hop) still throws FaultError: a lost
+//      partial sum or key cannot be emulated.
 //
 // The driver traces "recovery_retry" / "recovery_replan" instants and
 // counts retries/replans into the metrics registry (sim.fault.retries,
 // sim.fault.replans); phase bodies get their own "phase:" spans from the
 // collectives they call. resilient_dual_prefix / resilient_dual_broadcast
 // below wrap the existing fault-tolerant collectives as single retriable
-// phases; the fault-tolerant sort (core/ft_dual_sort.hpp) runs one phase
-// per bitonic level so completed levels are never re-executed after a
-// link flap.
+// phases; the fault-tolerant sort (core/ft_dual_sort.hpp) runs one
+// dual_bitonic_level per phase under a ProxyScope, so completed levels
+// are never re-executed after a link flap.
 #pragma once
 
 #include <cstdint>

@@ -10,7 +10,8 @@
 // the simulation cannot cheat the port model.
 //
 // Reported metrics: cycles to drain, maximum queue occupancy (a congestion
-// measure), total hops, and average packet latency.
+// measure), total hops, average packet latency, and the packets a degraded
+// machine dropped on the way.
 #pragma once
 
 #include <algorithm>
@@ -38,6 +39,7 @@ struct RoutingReport {
   std::uint64_t max_queue = 0;      ///< peak per-node queue occupancy
   double avg_latency = 0.0;         ///< mean arrival cycle over packets
   std::uint64_t packets = 0;
+  std::uint64_t lost = 0;           ///< packets whose hop the machine dropped
 };
 
 /// Drains an arbitrary packet list to their destinations. Generic over the
@@ -47,7 +49,9 @@ struct RoutingReport {
 /// must be a walk (validated by the machine hop by hop); packets that
 /// start at their destination are delivered at cycle 0. `on_arrive(p,
 /// cycle)` is invoked once per packet, when it reaches the back of its
-/// path.
+/// path. A hop the machine drops (a kDegrade fault filter) loses its
+/// packet: the drain counts it in `lost`, never calls on_arrive for it and
+/// stops waiting for it, so it always terminates.
 template <typename PacketT, typename OnArrive>
 RoutingReport drain_packet_list(Machine& m, std::vector<PacketT> packets,
                                 OnArrive&& on_arrive) {
@@ -83,12 +87,14 @@ RoutingReport drain_packet_list(Machine& m, std::vector<PacketT> packets,
     // receiver — FIFO order within a node resolves local contention).
     std::vector<std::optional<std::size_t>> sending(n);  // index into queue[u]
     std::vector<std::uint8_t> rx_claimed(n, 0);
+    std::uint64_t sent = 0;
     for (net::NodeId u = 0; u < n; ++u) {
       for (std::size_t i = 0; i < queue[u].size(); ++i) {
         const net::NodeId next = queue[u][i].path[1];
         if (rx_claimed[next]) continue;
         rx_claimed[next] = 1;
         sending[u] = i;
+        ++sent;
         break;
       }
     }
@@ -105,8 +111,11 @@ RoutingReport drain_packet_list(Machine& m, std::vector<PacketT> packets,
                        static_cast<std::ptrdiff_t>(*sending[u]));
       }
     }
+    // Every claimed receiver got its packet unless the machine dropped it.
+    std::uint64_t received = 0;
     for (net::NodeId u = 0; u < n; ++u) {
       if (!inbox[u]) continue;
+      ++received;
       PacketT p = std::move(*inbox[u]);
       if (p.path.size() <= 1) {
         p.arrived_at = cycle;
@@ -117,6 +126,8 @@ RoutingReport drain_packet_list(Machine& m, std::vector<PacketT> packets,
         queue[u].push_back(std::move(p));
       }
     }
+    report.lost += sent - received;
+    in_flight -= sent - received;
   }
   report.cycles = cycle;
   report.avg_latency =

@@ -12,7 +12,13 @@
 //     random sweeps on D_4 — under both policies (the paper's
 //     n-connectivity bound, Section 2, made executable);
 //   * with an empty plan the fault-tolerant collectives cost exactly the
-//     healthy schedules: 2n comm cycles, zero rerouted messages.
+//     healthy schedules: 2n comm cycles, zero rerouted messages;
+//   * the repair accounting (FtReport + Counters) of fixed fault runs is
+//     pinned to golden values;
+//   * a ProxyScope runs oblivious algorithms that have no fault-tolerant
+//     fork (emulated_prefix, dual_allreduce) exactly under faults, costs
+//     an interpreted run when the plan is empty, never touches the
+//     schedule cache and does not nest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,15 +27,22 @@
 #include <vector>
 
 #include "collectives/ft_broadcast.hpp"
+#include "collectives/reduce.hpp"
 #include "core/dual_prefix.hpp"
+#include "core/dual_sort.hpp"
+#include "core/emulated_prefix.hpp"
 #include "core/ft_dual_prefix.hpp"
 #include "core/ops.hpp"
+#include "core/sequential.hpp"
 #include "sim/fault_transport.hpp"
 #include "sim/faults.hpp"
 #include "sim/machine.hpp"
+#include "sim/oblivious.hpp"
+#include "sim/schedule.hpp"
 #include "support/rng.hpp"
 #include "topology/dual_cube.hpp"
 #include "topology/graph.hpp"
+#include "topology/recursive_dual_cube.hpp"
 
 namespace {
 
@@ -39,6 +52,7 @@ using dc::core::Concat;
 using dc::core::Plus;
 using dc::net::DualCube;
 using dc::net::NodeId;
+using dc::net::RecursiveDualCube;
 using dc::sim::FaultError;
 using dc::sim::FaultPlan;
 using dc::sim::FaultPolicy;
@@ -584,6 +598,58 @@ TEST(FtPrefix, LinkFaultsAreRoutedAround) {
   EXPECT_EQ(m.counters().messages_rerouted, rep.rerouted_hops);
 }
 
+TEST(FtPrefix, RepairAccountingIsPinned) {
+  // Golden FtReport and Counters of two fault runs. Any drift in message
+  // order, Rng consumption or detour routing changes these numbers even
+  // when every result stays correct.
+  const DualCube d(4);
+  const Plus<dc::u64> op;
+  const auto data = iota_data(d.node_count());
+  const auto run = [&](const FaultPlan& plan, dc::sim::FtReport& rep) {
+    Machine m(d);
+    m.attach_faults(std::make_shared<FaultPlan>(plan), FaultPolicy::kStrict);
+    (void)dc::core::ft_dual_prefix(m, d, op, data, plan, true, &rep);
+    return m.counters();
+  };
+  {
+    FaultPlan plan;
+    plan.kill_node(5).kill_node(77);
+    dc::sim::FtReport rep;
+    const auto c = run(plan, rep);
+    EXPECT_EQ(rep.base_cycles, 8u);
+    EXPECT_EQ(rep.repair_cycles, 79u);
+    EXPECT_EQ(rep.repaired, 24u);
+    EXPECT_EQ(rep.rerouted_hops, 194u);
+    EXPECT_EQ(rep.bfs_fallbacks, 1u);
+    EXPECT_EQ(c.comm_cycles, 87u);
+    EXPECT_EQ(c.comp_steps, 8u);
+    EXPECT_EQ(c.messages, 1186u);
+    EXPECT_EQ(c.ops, 1344u);
+    EXPECT_EQ(c.messages_rerouted, 194u);
+    EXPECT_EQ(c.messages_lost, 0u);
+    EXPECT_EQ(c.fault_cycles, 87u);
+  }
+  {
+    // The cross-edge 0-64 and the cluster link 5-7.
+    FaultPlan plan;
+    plan.kill_link(0, d.cross_neighbor(0)).kill_link(5, d.cluster_neighbor(5, 1));
+    dc::sim::FtReport rep;
+    const auto c = run(plan, rep);
+    EXPECT_EQ(rep.base_cycles, 8u);
+    EXPECT_EQ(rep.repair_cycles, 22u);
+    EXPECT_EQ(rep.repaired, 8u);
+    EXPECT_EQ(rep.rerouted_hops, 40u);
+    EXPECT_EQ(rep.bfs_fallbacks, 8u);
+    EXPECT_EQ(c.comm_cycles, 30u);
+    EXPECT_EQ(c.comp_steps, 8u);
+    EXPECT_EQ(c.messages, 1056u);
+    EXPECT_EQ(c.ops, 1344u);
+    EXPECT_EQ(c.messages_rerouted, 40u);
+    EXPECT_EQ(c.messages_lost, 0u);
+    EXPECT_EQ(c.fault_cycles, 30u);
+  }
+}
+
 TEST(FtCollectives, RefuseTransientDropPlansOnTheMachine) {
   const DualCube d(2);
   Machine m(d);
@@ -594,6 +660,126 @@ TEST(FtCollectives, RefuseTransientDropPlansOnTheMachine) {
   EXPECT_THROW(
       dc::collectives::ft_dual_broadcast<int>(m, d, 0, 1, noisy),
       CheckError);
+}
+
+// ------------------------------------------- proxy emulation, no fork
+
+using dc::sim::FtReport;
+using dc::sim::ProxyScope;
+
+TEST(ProxyScope, EmulatedPrefixRunsUnderNodeAndLinkFaults) {
+  // The naive hypercube emulation has no fault-tolerant fork: inside a
+  // scope its 6n-5 relayed exchanges ride the detour transport and every
+  // slot, the dead node's included, gets the scan of the masked inputs.
+  const RecursiveDualCube r(3);
+  FaultPlan plan;
+  plan.kill_node(5).kill_link(0, 1);
+  const Plus<dc::u64> op;
+  auto data = iota_data(r.node_count());
+  data[5] = op.identity();
+  Machine m(r);
+  m.attach_faults(std::make_shared<FaultPlan>(plan), FaultPolicy::kStrict);
+  FtReport rep;
+  std::vector<dc::u64> got;
+  {
+    ProxyScope proxies(m, r, plan, dc::sim::proxy_map(r, plan.dead_nodes()),
+                       rep);
+    got = dc::core::emulated_prefix(m, r, op, data);
+  }
+  EXPECT_EQ(got, dc::core::seq_inclusive_scan(op, data));
+  EXPECT_EQ(rep.base_cycles, 6u * r.order() - 5);
+  EXPECT_GT(rep.repaired, 0u);
+  EXPECT_EQ(m.counters().messages_rerouted, rep.rerouted_hops);
+}
+
+TEST(ProxyScope, DualAllreduceUnderTheDualCubeRouter) {
+  const DualCube d(3);
+  FaultPlan plan;
+  plan.kill_node(9).kill_node(20);
+  const Plus<dc::u64> op;
+  auto values = iota_data(d.node_count());
+  dc::u64 live_total = 0;
+  for (NodeId u = 0; u < d.node_count(); ++u) {
+    if (u == 9 || u == 20) {
+      values[u] = op.identity();
+    } else {
+      live_total += values[u];
+    }
+  }
+  Machine m(d);
+  m.attach_faults(std::make_shared<FaultPlan>(plan), FaultPolicy::kStrict);
+  FtReport rep;
+  std::vector<dc::u64> got;
+  {
+    ProxyScope proxies(m, d, plan, rep, /*seed=*/7);
+    got = dc::collectives::dual_allreduce(m, d, op, values);
+  }
+  for (NodeId u = 0; u < d.node_count(); ++u)
+    EXPECT_EQ(got[u], live_total) << "slot " << u;
+  EXPECT_EQ(rep.base_cycles, 2u * d.order());
+  EXPECT_GT(rep.repaired, 0u);
+}
+
+TEST(ProxyScope, EmptyPlanCostsExactlyTheInterpretedRun) {
+  const RecursiveDualCube r(3);
+  std::vector<int> keys(r.node_count());
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    keys[i] = static_cast<int>((i * 11) % 7);
+  auto reference = keys;
+  Machine healthy(r);
+  healthy.set_schedule_path(dc::sim::SchedulePath::kInterpreted);
+  dc::core::dual_sort(healthy, r, reference);
+
+  Machine m(r);
+  FtReport rep;
+  {
+    ProxyScope proxies(m, r, FaultPlan{}, dc::sim::proxy_map(r, {}), rep);
+    dc::core::dual_sort(m, r, keys);
+  }
+  EXPECT_EQ(keys, reference);
+  const auto a = m.counters();
+  const auto b = healthy.counters();
+  EXPECT_EQ(a.comm_cycles, b.comm_cycles);
+  EXPECT_EQ(a.comp_steps, b.comp_steps);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.ops, b.ops);
+  EXPECT_EQ(a.messages_rerouted, 0u);
+  EXPECT_EQ(rep.base_cycles, a.comm_cycles);
+  EXPECT_EQ(rep.repair_cycles, 0u);
+  EXPECT_EQ(rep.repaired, 0u);
+}
+
+TEST(ProxyScope, ScopedSectionsNeverTouchTheScheduleCache) {
+  const DualCube d(2);
+  Machine m(d);  // compiled path: outside a scope this would record
+  auto& cache = dc::sim::ScheduleCache::instance();
+  const std::size_t before = cache.size();
+  FtReport rep;
+  {
+    ProxyScope proxies(m, d, FaultPlan{}, rep, /*seed=*/1);
+    dc::sim::ObliviousSection sec(m, "proxy_scope_probe", {d.order()});
+    EXPECT_FALSE(sec.replaying());
+    auto inbox = sec.exchange<dc::u64>(
+        [&](NodeId u) { return d.cross_neighbor(u); },
+        [](NodeId u) { return u * 10; });
+    for (NodeId u = 0; u < d.node_count(); ++u) {
+      ASSERT_TRUE(inbox.has(u));
+      EXPECT_EQ(*inbox.block(u), d.cross_neighbor(u) * 10);
+    }
+    sec.commit();
+  }
+  EXPECT_EQ(cache.size(), before);
+  EXPECT_EQ(m.replayed_cycles(), 0u);
+  EXPECT_EQ(m.proxy_scope(), nullptr) << "the scope detaches on close";
+}
+
+TEST(ProxyScope, ScopesDoNotNest) {
+  const DualCube d(2);
+  Machine m(d);
+  FtReport rep;
+  ProxyScope outer(m, d, FaultPlan{}, rep, /*seed=*/1);
+  EXPECT_THROW(ProxyScope(m, d, FaultPlan{}, rep, /*seed=*/2), CheckError);
+  EXPECT_EQ(m.proxy_scope(), &outer);
 }
 
 // ------------------------------------------- exact fault-spec diagnostics

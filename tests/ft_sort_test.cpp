@@ -10,6 +10,8 @@
 //     6n^2 - 7n + 2 comm cycles, zero rerouted messages, and the same
 //     permutation dual_sort produces;
 //   * link fault sets below the edge-connectivity bound lose no keys;
+//   * the repair accounting (FtReport + Counters) of fixed fault runs is
+//     pinned to golden values;
 //   * resilient_dual_sort completes a mid-run link-flap timeline on D_4
 //     via retry-with-replan with the same result as the healthy run,
 //     with zero compiled-schedule replays (the acceptance scenario);
@@ -209,6 +211,59 @@ TEST(FtSort, MixedNodeAndLinkFaultsOnD3) {
     }
     expect_sort_correct(r, keys, plan, FaultPolicy::kStrict, true);
     expect_sort_correct(r, keys, plan, FaultPolicy::kDegrade, true);
+  }
+}
+
+TEST(FtSort, RepairAccountingIsPinned) {
+  // Golden FtReport and Counters of two fault runs (the network is
+  // oblivious, so none of these depend on the keys). Any drift in message
+  // order or detour routing changes them even when the sort stays correct.
+  const auto run = [](const RecursiveDualCube& r, const FaultPlan& plan,
+                      dc::sim::FtReport& rep) {
+    Machine m(r);
+    m.attach_faults(std::make_shared<FaultPlan>(plan), FaultPolicy::kStrict);
+    const auto keys = shuffled_keys(r.node_count(), 5);
+    (void)dc::core::ft_dual_sort(m, r, keys, plan, false, &rep);
+    return m.counters();
+  };
+  {
+    const RecursiveDualCube r(5);
+    FaultPlan plan;
+    plan.kill_node(64).kill_node(90).kill_node(210).kill_node(406);
+    dc::sim::FtReport rep;
+    const auto c = run(r, plan, rep);
+    EXPECT_EQ(rep.base_cycles, 117u);
+    EXPECT_EQ(rep.repair_cycles, 507u);
+    EXPECT_EQ(rep.repaired, 468u);
+    EXPECT_EQ(rep.rerouted_hops, 2376u);
+    EXPECT_EQ(rep.bfs_fallbacks, 468u);
+    EXPECT_EQ(c.comm_cycles, 624u);
+    EXPECT_EQ(c.comp_steps, 45u);
+    EXPECT_EQ(c.messages, 34144u);
+    EXPECT_EQ(c.ops, 23040u);
+    EXPECT_EQ(c.messages_rerouted, 2376u);
+    EXPECT_EQ(c.messages_lost, 0u);
+    EXPECT_EQ(c.fault_cycles, 624u);
+  }
+  {
+    // The dimension-0 link 0-1 and the link 6-70.
+    const RecursiveDualCube r(4);
+    FaultPlan plan;
+    plan.kill_link(0, 1).kill_link(6, 70);
+    dc::sim::FtReport rep;
+    const auto c = run(r, plan, rep);
+    EXPECT_EQ(rep.base_cycles, healthy_sort_cycles(4));
+    EXPECT_EQ(rep.repair_cycles, 298u);
+    EXPECT_EQ(rep.repaired, 58u);
+    EXPECT_EQ(rep.rerouted_hops, 398u);
+    EXPECT_EQ(rep.bfs_fallbacks, 58u);
+    EXPECT_EQ(c.comm_cycles, 368u);
+    EXPECT_EQ(c.comp_steps, 28u);
+    EXPECT_EQ(c.messages, 5268u);
+    EXPECT_EQ(c.ops, 3584u);
+    EXPECT_EQ(c.messages_rerouted, 398u);
+    EXPECT_EQ(c.messages_lost, 0u);
+    EXPECT_EQ(c.fault_cycles, 368u);
   }
 }
 

@@ -10,7 +10,8 @@
 //     the phase from its checkpoint;
 //   * the retry budget bounds total retries; past it the driver either
 //     finishes one attempt under kDegrade (messages lost, counted) or
-//     rethrows, per RetryPolicy;
+//     rethrows, per RetryPolicy — and a degraded attempt that loses a
+//     detour the algorithm needs fails with an exact FaultError;
 //   * every retry/replan/epoch/rejoin is observable: trace instants,
 //     metrics counters, Machine counters;
 //   * the resilient prefix/broadcast wrappers complete through flaps with
@@ -247,6 +248,34 @@ TEST(ResilientPrefix, RejoinedNodesAreObservedAndCounted) {
   EXPECT_GE(drv.report().retries, 1u);
   EXPECT_EQ(m.fault_rejoins(), 1u);
   EXPECT_GE(m.fault_epochs_seen(), 2u);
+}
+
+TEST(ResilientPrefix, DegradedAttemptThatLosesADetourFailsExactly) {
+  // With no retry budget the first fault (0-16 down at cycle 2) sends the
+  // run straight to its degraded final attempt, which plans its detours
+  // around 0-16. Link 1-0 then dies at cycle 4 under a planned detour
+  // hop, and the degraded machine drops it. A lost partial sum cannot be
+  // emulated, so the run must fail with an exact FaultError — not wait
+  // forever for the packet, and not finish with a wrong scan.
+  const DualCube d(3);
+  ASSERT_EQ(d.cross_neighbor(0), 16u);
+  FaultTimeline t;
+  t.link_down(0, 16, 2).link_down(1, 0, 4);
+  Machine m(d);
+  RetryPolicy policy;
+  policy.retry_budget = 0;
+  policy.degrade_on_exhaustion = true;
+  RecoveryDriver drv(m, share(std::move(t)), policy);
+  try {
+    (void)resilient_dual_prefix(drv, d, Plus<dc::u64>{},
+                                iota_data(d.node_count()));
+    ADD_FAILURE() << "expected FaultError";
+  } catch (const FaultError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "detour to logical node 16 was dropped in flight");
+  }
+  EXPECT_TRUE(drv.report().degraded);
+  EXPECT_EQ(m.counters().messages_lost, 2u);
 }
 
 TEST(ResilientBroadcast, NodesDeadInTheFinalSnapshotStayNull) {
