@@ -107,7 +107,7 @@ void BM_DualSort(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(r.node_count()));
 }
-BENCHMARK(BM_DualSort)->DenseRange(2, 5, 1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DualSort)->DenseRange(2, 7, 1)->Unit(benchmark::kMicrosecond);
 
 void BM_CubeBitonicSort(benchmark::State& state) {
   const unsigned d = static_cast<unsigned>(state.range(0));

@@ -149,7 +149,7 @@ void cluster_prefix(sim::Machine& m, sim::ObliviousSection& sched,
       // 2^(n-1+i) away in class 1 (node ID = middle bits).
       const dc::u64 block = dc::u64{2} << (w + i);
       sched.exchange_compute_fused(
-          static_cast<std::size_t>(d.node_count() / block),
+          1, static_cast<std::size_t>(d.node_count() / block),
           [&](std::size_t b_lo, std::size_t b_hi) {
             for (dc::u64 lo = b_lo * block; lo < b_hi * block; lo += block) {
               cube_prefix_butterfly(op, t.data(), s.data(), lo, lo + block,

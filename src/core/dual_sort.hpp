@@ -19,8 +19,8 @@
 // dual_bitonic_level runs one level k; the self-healing sort
 // (core/ft_dual_sort.hpp) runs it as one recovery phase per level.
 //
-// Every dimension step uses dimension_exchange_blocks (1 cycle at j = 0, 3
-// cycles otherwise; see dimension_exchange.hpp for the relay schedule) and
+// Every dimension step is an exchange with partner u ^ (1<<j) — 1 cycle at
+// j = 0, 3 otherwise (dimension_exchange.hpp has the relay schedule) — and
 // one parallel comparison step.
 //
 // Cost on D_n (Theorem 2): T_comm = 6n² − 7n + 2 ≤ 6n² communication
@@ -33,8 +33,20 @@
 // sorting network sorts blocks when compare-exchange is replaced by
 // merge-split); ft_dual_sort.hpp runs it over missing-aware keys under a
 // sim::ProxyScope.
+//
+// Execution. All 6n² − 7n + 2 cycles run through one ObliviousSection. On
+// compiled replay, each dimension step runs as one sweep through
+// ObliviousSection::exchange_compute_fused that stands in for its 1 or 3
+// relay cycles and its compare step: over pair groups of 2^(j+1) nodes,
+// the combine runs once for each partner, reading the other's block
+// straight from the plane, with no comm plane materialized. Counters, edge
+// loads, imbalance samples and observer snapshots match the relayed step;
+// only the cycles' trace span name differs (comm_cycle_fused). Recording,
+// interpreted, proxied and faulted runs relay through the block plane
+// (dimension_exchange_blocks) and compare per node.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <string>
@@ -73,12 +85,13 @@ using DualSortObserver =
 /// value is the width-sized stride `plane[u*width .. u*width+width)`: the
 /// half-merge over dimensions j = 2k-3 .. 0 (none at k = 1), then the full
 /// merge over j = 2k-2 .. 0. Every dimension step moves blocks through
-/// dimension_exchange_blocks in `sched` and double-buffers the combine
-/// through `next` (same size as `plane`): `combine(u, keep_min, own,
-/// other, out)` must write node u's min-side (keep_min) or max-side result
-/// (width elements) into `out`, reading the `own` and `other` strides. One
-/// counted compare op per node per dimension step is charged here; combine
-/// charges any further work.
+/// dimension_exchange_blocks in `sched` (or, when `sched` replays, runs
+/// fused: see the header) and double-buffers the combine through `next`
+/// (same size as `plane`): `combine(u, keep_min, own, other, out)` must
+/// write node u's min-side (keep_min) or max-side result (width elements)
+/// into `out`, reading the `own` and `other` strides, and may run
+/// concurrently for distinct nodes. One counted compare op per node per
+/// dimension step is charged here; combine charges any further work.
 template <typename V, typename Combine>
 void dual_bitonic_level(sim::Machine& m, sim::ObliviousSection& sched,
                         const net::RecursiveDualCube& r, std::vector<V>& plane,
@@ -89,14 +102,43 @@ void dual_bitonic_level(sim::Machine& m, sim::ObliviousSection& sched,
              "the combine buffer must match the plane");
   const unsigned n = r.order();
   const auto step = [&](unsigned j, bool half_merge) {
-    // Zero-copy: combine reads the received block straight out of the
-    // exchange's inbox planes instead of a copied-out recv plane.
-    const auto ex = dimension_exchange_blocks(m, sched, r, j, plane, width);
-    m.compute_step([&](net::NodeId u) {
-      combine(u, detail::bitonic_keep_min(u, j, k, n, half_merge, descending),
-              plane.data() + u * width, ex.recv(u), next.data() + u * width);
-      m.add_ops(1);
-    });
+    if (sched.replaying()) {
+      // One sweep stands in for the dimension step's cycles and its
+      // compare step. A pair group of 2^(j+1) aligned nodes holds
+      // (u, u + 2^j) for every u in its low half, and its direction rule
+      // reads only bits above j, so one bitonic_keep_min serves the group:
+      // the low side keeps it, the high side the other. Each partner reads
+      // the other's block straight from the plane — the block that the
+      // relay would have delivered.
+      const std::size_t half = std::size_t{1} << j;
+      const std::size_t group = 2 * half;
+      sched.exchange_compute_fused(
+          j == 0 ? 1 : 3, r.node_count() / group,
+          [&](std::size_t b_lo, std::size_t b_hi) {
+            for (std::size_t g = b_lo * group; g < b_hi * group; g += group) {
+              const bool keep_min = detail::bitonic_keep_min(
+                  g, j, k, n, half_merge, descending);
+              for (std::size_t u = g; u < g + half; ++u) {
+                const V* const lo = plane.data() + u * width;
+                const V* const hi = lo + half * width;
+                combine(u, keep_min, lo, hi, next.data() + u * width);
+                combine(u + half, !keep_min, hi, lo,
+                        next.data() + (u + half) * width);
+              }
+            }
+            m.add_ops((b_hi - b_lo) * group);
+          });
+    } else {
+      // Zero-copy: combine reads the received block straight out of the
+      // exchange's inbox planes instead of a copied-out recv plane.
+      const auto ex = dimension_exchange_blocks(m, sched, r, j, plane, width);
+      m.compute_step([&](net::NodeId u) {
+        combine(u,
+                detail::bitonic_keep_min(u, j, k, n, half_merge, descending),
+                plane.data() + u * width, ex.recv(u), next.data() + u * width);
+        m.add_ops(1);
+      });
+    }
     plane.swap(next);
     if (observer)
       observer("level " + std::to_string(k) +
@@ -142,7 +184,11 @@ void dual_sort(sim::Machine& m, const net::RecursiveDualCube& r,
   dual_bitonic_network(
       m, r, keys, 1, descending,
       [](net::NodeId /*u*/, bool keep_min, const Key* own, const Key* other,
-         Key* out) { *out = keep_min == (*other < *own) ? *other : *own; },
+         Key* out) {
+        // The argument order fixes the tie rule: on equal keys both
+        // partners take the min side's element.
+        *out = keep_min ? std::min(*own, *other) : std::max(*other, *own);
+      },
       observer);
 }
 

@@ -43,8 +43,11 @@
 // cycle that was recorded and validated once (sim/schedule.hpp) as a single
 // gather pass into a block plane, with no planning, validation, or port
 // claiming. It is the one replay kernel: scalar payloads travel as width-1
-// blocks. Algorithms select between the paths through ObliviousSection
-// (sim/oblivious.hpp).
+// blocks. An exchange step that one computation step consumes at once may
+// instead run as comm_compute_cycle_fused_blocks, one sweep of the
+// algorithm's own that stands in for the step's k compiled cycles and books
+// each of them. Algorithms select between the paths through
+// ObliviousSection (sim/oblivious.hpp).
 #pragma once
 
 #include <algorithm>
@@ -53,6 +56,7 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -418,65 +422,72 @@ class Machine {
     return BlockInbox<T>(std::move(arena), std::move(buf));
   }
 
-  /// Fused exchange-and-combine cycle over `blocks` equal node blocks:
-  /// body(b_lo, b_hi) performs, for blocks [b_lo, b_hi), both the cycle's
-  /// data movement and the dependent per-node combine in one sweep — no
-  /// comm plane is materialized at all, so the pair costs one pass over
-  /// node state instead of a gather plus a compute step. The body must
-  /// touch only state owned by its blocks (exchanges must stay
-  /// block-internal), and must charge add_ops for the combines it applies.
-  /// Books exactly what the unfused pair would have: one comm cycle
-  /// delivering one message per node (on a cube exchange every node both
-  /// sends and receives) followed by one computation step. Block ranges
-  /// run inline up to the same node threshold as every other loop here.
+  /// Fused exchange-and-combine step over `blocks` equal node blocks:
+  /// body(b_lo, b_hi) performs, for blocks [b_lo, b_hi), both the data
+  /// movement of the cycles the step stands in for and the dependent
+  /// per-node combine in one sweep — no comm plane is materialized at all,
+  /// so the step costs one pass over node state instead of a gather per
+  /// cycle plus a compute step. The body must touch only state owned by
+  /// its blocks (exchanges must stay block-internal), and must charge
+  /// add_ops for the combines it applies. Block ranges run inline up to
+  /// the same node threshold as every other loop here.
   ///
-  /// `cyc` is the compiled cycle the sweep stands in for, if any
-  /// (ObliviousSection::exchange_compute_fused): it must deliver to every
-  /// node, its recv_slot books the edge loads, the profiler samples it and
-  /// it counts in replayed_cycles(), exactly as its replay would. Without
-  /// one (the sharded engine) there are no edge slots to book, so
-  /// edge-load accounting must be off.
+  /// `cycles` are the compiled cycles the sweep stands in for
+  /// (ObliviousSection::exchange_compute_fused): one for a Cube_prefix
+  /// exchange, three for a relayed dimension step. Each is booked exactly
+  /// as its replay would be — its message count, edge loads from its
+  /// recv_slot for the rows it delivers, a profiler sample, a
+  /// replayed_cycles() tick and one comm_cycle_fused span — and then one
+  /// computation step is booked. With none (the sharded engine) the sweep
+  /// books one cycle delivering one message per node; there are no edge
+  /// slots to book, so edge-load accounting must be off.
   template <typename Body>
-  void comm_compute_cycle_fused_blocks(std::size_t blocks, Body&& body,
-                                       const ScheduleCycle* cyc = nullptr) {
+  void comm_compute_cycle_fused_blocks(
+      std::size_t blocks, Body&& body,
+      std::span<const ScheduleCycle> cycles = {}) {
     const std::size_t n = static_cast<std::size_t>(node_count());
     DC_REQUIRE(!has_faults(),
                "fused cycles skip per-message fault checks; a machine with "
                "an attached FaultPlan must interpret every cycle");
-    if (cyc != nullptr) {
-      DC_REQUIRE(cyc->recv_from.size() == n,
+    for (const ScheduleCycle& cyc : cycles) {
+      DC_REQUIRE(cyc.recv_from.size() == n,
                  "schedule cycle was compiled for a different node count");
-      DC_REQUIRE(cyc->message_count == n,
-                 "a fused cycle must deliver to every node");
-    } else {
-      DC_REQUIRE(!edge_load_.enabled(),
-                 "fused cycles carry no edge slots; interpret cycles when "
-                 "edge-load accounting is enabled");
     }
+    DC_REQUIRE(!cycles.empty() || !edge_load_.enabled(),
+               "fused cycles carry no edge slots; interpret cycles when "
+               "edge-load accounting is enabled");
     DC_REQUIRE(blocks >= 1 && n % blocks == 0,
                "fused blocks do not evenly cover the node count");
     const std::size_t block = n / blocks;
     const std::size_t node_grain = grain_ ? grain_ : kParallelInlineThreshold;
-    {
+    for (std::size_t c = 0; c < std::max<std::size_t>(cycles.size(), 1);
+         ++c) {
       CycleSpan span(trace_, trace_track_, "comm_cycle_fused");
-      parallel_for_chunked(0, blocks, body,
-                           std::max<std::size_t>(1, node_grain / block),
-                           pool_);
-      if (cyc != nullptr) {
+      if (c == 0) {  // the sweep runs inside the first cycle's span
+        parallel_for_chunked(0, blocks, body,
+                             std::max<std::size_t>(1, node_grain / block),
+                             pool_);
+      }
+      std::uint64_t messages = n;
+      if (cycles.empty()) {
+        if (profiler_ != nullptr) profiler_->note_cycle_uniform(n);
+      } else {
+        const ScheduleCycle& cyc = cycles[c];
         if (edge_load_.enabled()) {
           std::uint64_t* const loads = edge_load_.row(pool().worker_slot());
-          for (std::size_t v = 0; v < n; ++v)
-            book_edge(loads, cyc->recv_slot[v], cyc->recv_from[v], v, n);
+          for (std::size_t v = 0; v < n; ++v) {
+            const net::NodeId u = cyc.recv_from[v];
+            if (u != kNoSender) book_edge(loads, cyc.recv_slot[v], u, v, n);
+          }
         }
-        if (profiler_ != nullptr) profiler_->note_cycle(*cyc, n);
+        if (profiler_ != nullptr) profiler_->note_cycle(cyc, n);
         ++replayed_cycles_;
-      } else if (profiler_ != nullptr) {
-        profiler_->note_cycle_uniform(n);
+        messages = cyc.message_count;
       }
       ++counters_.comm_cycles;
-      counters_.messages += n;
-      span.finish(n);
-      if (metric_msgs_per_cycle_) metric_msgs_per_cycle_->observe(n);
+      counters_.messages += messages;
+      span.finish(messages);
+      if (metric_msgs_per_cycle_) metric_msgs_per_cycle_->observe(messages);
     }
     ++counters_.comp_steps;
     if (trace_) trace_->instant(trace_track_, 0, "compute_step");

@@ -31,10 +31,12 @@
 // paths ship sender ids and then copy each delivered row from that
 // sender's source (Machine::pack_blocks) — the same rows every way.
 //
-// On replay, an exchange that one computation step consumes at once may
-// also run fused (exchange_compute_fused): the algorithm's own sweep moves
-// the data and combines in one pass, and the machine books the compiled
-// cycle it stands in for exactly as a replay + compute_step pair.
+// On replay, an exchange step that one computation step consumes at once —
+// a single exchange, or a relayed dimension step's three cycles — may also
+// run fused (exchange_compute_fused): the algorithm's own sweep moves the
+// data and combines in one pass, and the machine books each of the k
+// compiled cycles it stands in for exactly as its replay would, then the
+// compute step.
 //
 // Replay is only correct because the recorded plan is a pure function of
 // (topology, algorithm, params): the cache key carries all three plus the
@@ -45,6 +47,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -154,7 +157,8 @@ class ObliviousSection {
   BlockInbox<T> exchange_blocks(std::size_t width, DestFn&& dest_of,
                                 Src&& src) {
     if (replay_) {
-      return m_.comm_cycle_scheduled_blocks<T>(next_cycle(), width, src);
+      return m_.comm_cycle_scheduled_blocks<T>(next_cycles(1).front(), width,
+                                               src);
     }
     if (proxy_) return proxy_->exchange_blocks<T>(width, dest_of, src);
     net::NodeId* const dest =
@@ -169,19 +173,22 @@ class ObliviousSection {
     return m_.pack_blocks<T>(width, senders.data(), src);
   }
 
-  /// Replay-only fused form of an exchange that one computation step
-  /// consumes at once: takes the next compiled cycle, like exchange_blocks,
-  /// and runs body(b_lo, b_hi) over `blocks` equal node blocks through
-  /// Machine::comm_compute_cycle_fused_blocks, which books that cycle and
-  /// the step exactly as the replayed pair would. The body moves the data
-  /// and combines itself, so every exchange must stay inside one block.
-  /// Recording and interpreting sections keep exchange + compute_step.
+  /// Replay-only fused form of an exchange step that one computation step
+  /// consumes at once: takes the next `cycles` compiled cycles (1 for a
+  /// single exchange, 3 for a relayed dimension step) and runs
+  /// body(b_lo, b_hi) over `blocks` equal node blocks through
+  /// Machine::comm_compute_cycle_fused_blocks, which books those cycles and
+  /// the step exactly as the replayed exchanges and their compute_step
+  /// would. The body moves the data and combines itself, so every exchange
+  /// must stay inside one block. Recording and interpreting sections keep
+  /// exchange + compute_step.
   template <typename Body>
-  void exchange_compute_fused(std::size_t blocks, Body&& body) {
+  void exchange_compute_fused(std::size_t cycles, std::size_t blocks,
+                              Body&& body) {
     DC_REQUIRE(replay_ != nullptr,
                "fused exchange+compute cycles only replay compiled schedules");
     m_.comm_compute_cycle_fused_blocks(blocks, std::forward<Body>(body),
-                                       &next_cycle());
+                                       next_cycles(cycles));
   }
 
   /// Compiles and publishes the recorded schedule. Call once, after the
@@ -223,11 +230,12 @@ class ObliviousSection {
   }
 
  private:
-  /// The compiled cycle at the replay cursor, advancing it.
-  const ScheduleCycle& next_cycle() {
-    DC_CHECK(next_cycle_ < replay_->cycle_count(),
+  /// The next `k` compiled cycles at the replay cursor, advancing it.
+  std::span<const ScheduleCycle> next_cycles(std::size_t k) {
+    DC_CHECK(replay_->cycle_count() - next_cycle_ >= k,
              "algorithm issued more cycles than its compiled schedule");
-    return replay_->cycle(next_cycle_++);
+    next_cycle_ += k;
+    return replay_->cycles().subspan(next_cycle_ - k, k);
   }
 
   Machine& m_;

@@ -181,7 +181,8 @@ class CycleProfiler {
     note_counts(counts.data(), bands);
   }
 
-  /// A fused exchange+combine cycle: every node receives exactly once.
+  /// A fused exchange+combine cycle with no compiled cycle behind it (the
+  /// sharded engine's): every node receives exactly once.
   void note_cycle_uniform(std::size_t n) {
     std::array<std::uint64_t, kImbalanceBands> counts{};
     const std::size_t bands = imbalance_band_count(n);

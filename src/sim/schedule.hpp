@@ -36,6 +36,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -151,6 +152,7 @@ class Schedule {
     DC_REQUIRE(i < cycles_.size(), "schedule cycle index out of range");
     return cycles_[i];
   }
+  std::span<const ScheduleCycle> cycles() const { return cycles_; }
 
   /// Resident bytes of this schedule (owned arrays, bookkeeping, and the
   /// full mapped region for disk-loaded schedules), computed once at

@@ -115,11 +115,16 @@ inline void clear_forced_isa() {
 /// memcpy — at call sites where the width is a compile-time constant (the
 /// replay gather's specialized shapes) the compiler turns it into
 /// straight-line vector moves; the runtime-width case is the libc's
-/// size-dispatched copy, which is already vectorized. Non-trivial T falls
-/// back to element copies.
+/// size-dispatched copy, which is already vectorized. A width-1 block (a
+/// scalar row, or one half of a relay pair) is a single element move
+/// instead of a libc call. Non-trivial T falls back to element copies.
 template <typename T>
 inline void copy_block(T* dst, const T* src, std::size_t width) {
   if constexpr (std::is_trivially_copyable_v<T>) {
+    if (width == 1) {
+      std::memcpy(dst, src, sizeof(T));
+      return;
+    }
     std::memcpy(dst, src, width * sizeof(T));
   } else {
     for (std::size_t k = 0; k < width; ++k) dst[k] = src[k];

@@ -824,6 +824,332 @@ TEST_F(ScheduleTest, FaultedDualPrefixNeverFuses) {
   EXPECT_EQ(span_count(faulted, "comm_cycle"), faulted.counters().comm_cycles);
 }
 
+// ------------------------------------------------ fused dual_sort replay
+//
+// A replaying dual_bitonic_network runs each dimension step — its 1 or 3
+// relay cycles and the compare step that consumes them — as one fused
+// sweep. Everything observable must match the interpreted and record runs,
+// for dual_sort's compare-exchange and block_sort's merge-split alike.
+
+template <typename Key>
+struct SortRun {
+  std::vector<Key> result;
+  ImbalanceSummary imbalance;
+};
+
+// One profiled `sort(m, keys)` over a copy of `input`.
+template <typename Key, typename Sort>
+SortRun<Key> profiled_sort(Machine& m, std::vector<Key> keys, Sort&& sort) {
+  CycleProfiler prof;
+  m.attach_profiler(&prof);
+  sort(m, keys);
+  m.attach_profiler(nullptr);
+  return {std::move(keys), prof.summary()};
+}
+
+// Runs `sort` on RD_n interpreted, recording and replaying, with edge
+// loads on and off: every run must sort `input` and agree with the
+// interpreted one, and exactly the replay runs fused — all 6n²−7n+2 cycles.
+template <typename Key, typename Sort>
+void expect_fused_sort_parity(const net::RecursiveDualCube& r,
+                              const std::vector<Key>& input, bool descending,
+                              Sort&& sort) {
+  auto want = input;
+  std::sort(want.begin(), want.end());
+  if (descending) std::reverse(want.begin(), want.end());
+  const u64 cycles = core::formulas::dual_sort_comm_exact(r.order());
+  for (const bool loads : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "edge_load=" << loads);
+    ScheduleCache::instance().clear();
+    const auto machine = [&](SchedulePath path) {
+      auto m = std::make_unique<Machine>(r);
+      m->set_schedule_path(path);
+      m->enable_trace();
+      if (loads) m->enable_edge_load();
+      return m;
+    };
+    const auto interp = machine(SchedulePath::kInterpreted);
+    const auto expected = profiled_sort(*interp, input, sort);
+    EXPECT_EQ(expected.result, want);
+    EXPECT_EQ(interp->counters().comm_cycles, cycles);
+    EXPECT_EQ(span_count(*interp, "comm_cycle_fused"), 0u);
+
+    for (const bool replaying : {false, true}) {
+      const auto m = machine(SchedulePath::kCompiled);
+      const auto got = profiled_sort(*m, input, sort);
+      EXPECT_EQ(got.result, expected.result) << "replay=" << replaying;
+      EXPECT_EQ(m->counters(), interp->counters()) << "replay=" << replaying;
+      EXPECT_EQ(m->messages_per_cycle(), interp->messages_per_cycle());
+      EXPECT_EQ(got.imbalance, expected.imbalance) << "replay=" << replaying;
+      if (loads) {
+        EXPECT_EQ(edge_loads(*m, r), edge_loads(*interp, r));
+      }
+      EXPECT_EQ(m->replayed_cycles(),
+                replaying ? m->counters().comm_cycles : 0u);
+      EXPECT_EQ(span_count(*m, "comm_cycle_fused"), replaying ? cycles : 0u);
+    }
+  }
+}
+
+// dual_sort and block_sort at width 3 over RD_1 .. RD_6, both directions,
+// with keys from make_keys(count, seed).
+template <typename MakeKeys>
+void expect_fused_sorts_parity(MakeKeys&& make_keys) {
+  for (unsigned order = 1; order <= 6; ++order) {
+    const net::RecursiveDualCube r(order);
+    for (const bool descending : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "RD_" << order
+                                      << " descending=" << descending);
+      expect_fused_sort_parity(
+          r, make_keys(r.node_count(), order), descending,
+          [&](Machine& m, auto& keys) {
+            core::dual_sort(m, r, keys, descending);
+          });
+      expect_fused_sort_parity(
+          r, make_keys(r.node_count() * 3, order + 100), descending,
+          [&](Machine& m, auto& keys) {
+            core::block_sort(m, r, keys, 3, descending);
+          });
+    }
+  }
+}
+
+std::vector<int> small_signed_keys(std::size_t n, u64 seed) {
+  Rng rng(seed);
+  std::vector<int> v(n);
+  for (int& x : v) x = static_cast<int>(rng.below(9)) - 4;
+  return v;
+}
+
+// Heap-owning keys: a decimal key padded past the small-string buffer.
+std::vector<std::string> string_keys(std::size_t n, u64 seed) {
+  Rng rng(seed);
+  std::vector<std::string> v(n);
+  for (auto& x : v) x = std::to_string(rng.below(500)) + std::string(20, '.');
+  return v;
+}
+
+TEST_F(ScheduleTest, FusedDualSortParityU64) {
+  expect_fused_sorts_parity(random_values);
+}
+
+TEST_F(ScheduleTest, FusedDualSortParityIntWithDuplicates) {
+  expect_fused_sorts_parity(small_signed_keys);
+}
+
+TEST_F(ScheduleTest, FusedDualSortParityString) {
+  expect_fused_sorts_parity(string_keys);
+}
+
+// block_sort_aos runs the network at width 1 over heap-owning
+// std::vector<Key> elements, merging through per-node buffers: its fused
+// sweep must agree with the relay just the same.
+TEST_F(ScheduleTest, FusedBlockSortAosParity) {
+  for (unsigned order = 1; order <= 4; ++order) {
+    const net::RecursiveDualCube r(order);
+    for (const bool descending : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "RD_" << order
+                                      << " descending=" << descending);
+      expect_fused_sort_parity(
+          r, small_signed_keys(r.node_count() * 3, order), descending,
+          [&](Machine& m, std::vector<int>& keys) {
+            core::block_sort_aos(m, r, keys, 3, descending);
+          });
+    }
+  }
+}
+
+// Fused pair groups run concurrently on a multi-worker pool at grain 1;
+// the sweep must still match the single-threaded interpreted run. The
+// first machine records the schedule with dual_sort and block_sort
+// replays it; the second replays both.
+TEST_F(ScheduleTest, FusedDualSortParityOnWorkerPool) {
+  const net::RecursiveDualCube r(4);
+  const auto keys = string_keys(r.node_count(), 41);
+  const auto blocks = random_values(r.node_count() * 3, 42);
+  Machine interp(r);
+  interp.set_schedule_path(SchedulePath::kInterpreted);
+  interp.enable_edge_load();
+  auto want_keys = keys;
+  core::dual_sort(interp, r, want_keys, /*descending=*/true);
+  auto want_blocks = blocks;
+  core::block_sort(interp, r, want_blocks, 3);
+
+  ThreadPool pool(4);
+  for (int run = 0; run < 2; ++run) {  // record, then replay
+    Machine m(r);
+    m.set_thread_pool(&pool);
+    m.set_parallel_grain(1);
+    m.set_schedule_path(SchedulePath::kCompiled);
+    m.enable_trace();
+    m.enable_edge_load();
+    auto got_keys = keys;
+    core::dual_sort(m, r, got_keys, /*descending=*/true);
+    auto got_blocks = blocks;
+    core::block_sort(m, r, got_blocks, 3);
+    EXPECT_EQ(got_keys, want_keys) << "run " << run;
+    EXPECT_EQ(got_blocks, want_blocks) << "run " << run;
+    EXPECT_EQ(m.counters(), interp.counters()) << "run " << run;
+    EXPECT_EQ(edge_loads(m, r), edge_loads(interp, r)) << "run " << run;
+    const u64 fused =
+        static_cast<u64>(run + 1) * core::formulas::dual_sort_comm_exact(4);
+    EXPECT_EQ(m.replayed_cycles(), fused) << "run " << run;
+    EXPECT_EQ(span_count(m, "comm_cycle_fused"), fused) << "run " << run;
+  }
+}
+
+// Faulted machines interpret every cycle, so they never fuse — even with
+// the healthy schedule already cached.
+TEST_F(ScheduleTest, FaultedDualSortNeverFuses) {
+  const net::RecursiveDualCube r(3);
+  const auto input = random_values(r.node_count(), 43);
+  Machine warm(r);
+  warm.set_schedule_path(SchedulePath::kCompiled);
+  auto expected = input;
+  core::dual_sort(warm, r, expected);
+  ASSERT_EQ(ScheduleCache::instance().size(), 1u);
+
+  Machine faulted(r);
+  faulted.set_schedule_path(SchedulePath::kCompiled);
+  faulted.enable_trace();
+  faulted.attach_faults(std::make_shared<FaultPlan>());
+  auto keys = input;
+  core::dual_sort(faulted, r, keys);
+  EXPECT_EQ(keys, expected);
+  EXPECT_EQ(faulted.counters(), warm.counters());
+  EXPECT_EQ(faulted.replayed_cycles(), 0u);
+  EXPECT_EQ(span_count(faulted, "comm_cycle_fused"), 0u);
+  EXPECT_EQ(span_count(faulted, "comm_cycle"), faulted.counters().comm_cycles);
+}
+
+// The Figures 5-6 observer sees the plane after every dimension step: a
+// replaying run, whose steps fuse, must show it the interpreted run's
+// (phase, plane) sequence.
+TEST_F(ScheduleTest, DualSortObserverSeesTheSameStepsOnEveryPath) {
+  using Steps = std::vector<std::pair<std::string, std::vector<u64>>>;
+  for (unsigned order = 1; order <= 4; ++order) {
+    const net::RecursiveDualCube r(order);
+    const auto input = random_values(r.node_count(), 50 + order);
+    for (const bool descending : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "RD_" << order
+                                      << " descending=" << descending);
+      ScheduleCache::instance().clear();
+      const auto observed = [&](SchedulePath path) {
+        Machine m(r);
+        m.set_schedule_path(path);
+        Steps steps;
+        auto keys = input;
+        core::dual_sort<u64>(
+            m, r, keys, descending,
+            [&](const std::string& phase, const std::vector<u64>& plane) {
+              steps.emplace_back(phase, plane);
+            });
+        return steps;
+      };
+      const Steps interp = observed(SchedulePath::kInterpreted);
+      EXPECT_EQ(interp.size(), core::formulas::dual_sort_comp_exact(order));
+      EXPECT_EQ(observed(SchedulePath::kCompiled), interp) << "record";
+      EXPECT_EQ(observed(SchedulePath::kCompiled), interp) << "replay";
+    }
+  }
+}
+
+// A record ordered by its key alone: equal keys expose which element each
+// compare-exchange partner keeps.
+struct TaggedKey {
+  int key = 0;
+  int tag = 0;
+  bool operator<(const TaggedKey& o) const { return key < o.key; }
+};
+
+// dual_sort's tie rule, pinned: on RD_3 with three distinct keys, every
+// path must leave the tags the relay-only implementation leaves. On equal
+// keys both partners take the min side's element, so the sort keeps keys,
+// not records: each run of equal keys ends up carrying one tag.
+TEST_F(ScheduleTest, DualSortTieRuleIsPinnedOnEveryPath) {
+  const net::RecursiveDualCube r(3);
+  std::vector<TaggedKey> input(r.node_count());
+  for (std::size_t i = 0; i < input.size(); ++i)
+    input[i] = {static_cast<int>((i * i + i / 5) % 3), static_cast<int>(i)};
+  const std::vector<int> golden_ascending = {
+      0, 0, 0, 0, 0, 0, 0,  0,  0,  0,  0,  0,  0,  2,  2,  2,
+      2, 2, 2, 2, 2, 2, 2,  2,  23, 23, 23, 23, 23, 23, 23, 23};
+  const std::vector<int> golden_descending = {
+      8,  8,  8,  8,  8,  8,  8,  8,  16, 16, 16, 16, 16, 16, 16, 16,
+      16, 16, 16, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30};
+  for (const bool descending : {false, true}) {
+    ScheduleCache::instance().clear();
+    for (const SchedulePath path :
+         {SchedulePath::kInterpreted, SchedulePath::kCompiled,
+          SchedulePath::kCompiled}) {
+      Machine m(r);
+      m.set_schedule_path(path);
+      auto keys = input;
+      core::dual_sort(m, r, keys, descending);
+      std::vector<int> tags;
+      for (const TaggedKey& k : keys) tags.push_back(k.tag);
+      EXPECT_EQ(tags, descending ? golden_descending : golden_ascending)
+          << "descending=" << descending
+          << " replayed=" << m.replayed_cycles();
+    }
+  }
+}
+
+// The fused sweep reads partner u ^ (1<<j)'s block straight from the
+// plane. That stands in for the relay only if the compiled relay delivers
+// exactly that block: compose each dimension step's recorded recv_from
+// arrays, reading the half BlockExchange::recv selects, and check every
+// node's net source.
+TEST_F(ScheduleTest, CompiledSortRelayDeliversEachNodesPartner) {
+  for (unsigned order = 1; order <= 6; ++order) {
+    SCOPED_TRACE(testing::Message() << "RD_" << order);
+    const net::RecursiveDualCube r(order);
+    ScheduleCache::instance().clear();
+    Machine m(r);
+    m.set_schedule_path(SchedulePath::kCompiled);
+    auto keys = random_values(r.node_count(), order);
+    core::dual_sort(m, r, keys);
+    const auto sched = ScheduleCache::instance().find(
+        ScheduleKey{ObliviousSection::topology_identity(r),
+                    "dual_bitonic_network",
+                    {order},
+                    m.validating()});
+    ASSERT_NE(sched, nullptr);
+
+    std::size_t next = 0;
+    const auto check_step = [&](unsigned j) {
+      const std::size_t cycles = j == 0 ? 1 : 3;
+      ASSERT_LE(next + cycles, sched->cycle_count());
+      const auto& c1 = sched->cycle(next).recv_from;
+      // Relay: bit-0 value of the nodes with a direct dimension-j link
+      // (dimension_exchange_blocks); they keep cycle 2's first half, and
+      // the others read the second half returned on cycle 3.
+      const unsigned direct0 = j % 2 == 0 ? 0u : 1u;
+      for (net::NodeId u = 0; u < r.node_count(); ++u) {
+        net::NodeId src = kNoSender;
+        if (j == 0) {
+          src = c1[u];
+        } else if (bits::get(u, 0) == direct0) {
+          src = sched->cycle(next + 1).recv_from[u];
+        } else {
+          const net::NodeId relay = sched->cycle(next + 2).recv_from[u];
+          ASSERT_NE(relay, kNoSender) << "j=" << j << " u=" << u;
+          const net::NodeId pair = sched->cycle(next + 1).recv_from[relay];
+          ASSERT_NE(pair, kNoSender) << "j=" << j << " u=" << u;
+          src = c1[pair];
+        }
+        ASSERT_EQ(src, bits::flip(u, j)) << "j=" << j << " u=" << u;
+      }
+      next += cycles;
+    };
+    for (unsigned k = 1; k <= order; ++k) {
+      for (unsigned j = 2 * k - 2; j-- > 0;) check_step(j);
+      for (unsigned j = 2 * k - 1; j-- > 0;) check_step(j);
+    }
+    EXPECT_EQ(next, sched->cycle_count());
+  }
+}
+
 // ------------------------------------------------- cache memory budgeting
 
 Schedule make_schedule(std::size_t n, std::size_t cycles) {
