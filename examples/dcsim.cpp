@@ -80,8 +80,18 @@
 // always on — every run carries a small trace ring (crash-buffer sized
 // unless --trace/--profile grows it), and a run that dies with
 // SimError/FaultError still writes its report for post-mortem reading.
+//
+// dcsim is table-driven. kAlgos has one row per --algo naming its
+// topology (D_n, or RD_n for the sort), whether it is oblivious (compiled-
+// path warm-up, schedule-path line) and whether it prints the model step
+// counters, plus up to three self-checking functions — healthy, ft_*
+// (--faults) and resilient_* (--fault-timeline) — that print a verdict and
+// return pass or fail. One wrapper per mode owns the machine, the fault
+// parsing, the n-connectivity and live-root rules and the report tables,
+// so adding an algorithm is one row. Choice flags are checked up front.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -139,6 +149,10 @@ std::unique_ptr<dc::sim::CycleProfiler> g_profiler;
 // The structured run report, filled incrementally by the run paths and
 // serialized at exit (--report=FILE.json) or on SimError/FaultError.
 dc::sim::RunReport g_report;
+
+// A static fault plan's faults never heal, so "dead at the last cycle"
+// means dead for the whole run.
+constexpr std::uint64_t kEver = ~std::uint64_t{0};
 
 /// Applies the process-wide run configuration to a machine: the schedule
 /// path, a trace track labelled `label`, and — for the measured machine
@@ -248,49 +262,520 @@ void print_fault_report(const dc::sim::FaultPlan& plan,
   std::cout << "\n";
 }
 
-int run_prefix(unsigned n, const std::string& op_name, u64 seed) {
-  const dc::net::DualCube d(n);
-  dc::sim::Machine m(d);
-  setup_machine(m, "measured");
-  dc::Rng rng(seed);
-  std::vector<u64> data(d.node_count());
-  for (auto& x : data) x = rng.below(1000);
+/// One-table view of what the self-healing driver actually did, plus the
+/// machine's timeline observations (epochs/rejoins) for the same run.
+void print_recovery_report(const dc::sim::RecoveryDriver& drv,
+                           const dc::sim::Machine& m) {
+  const auto& rep = drv.report();
+  dc::Table t("self-healing report");
+  t.header({"metric", "value"});
+  t.add("timeline epochs", drv.timeline().epoch_count());
+  t.add("fault epochs observed", m.fault_epochs_seen());
+  t.add("node rejoins observed", m.fault_rejoins());
+  t.add("phases", rep.phases);
+  t.add("attempts", rep.attempts);
+  t.add("retries", rep.retries);
+  t.add("replans", rep.replans);
+  t.add("restarts", rep.restarts);
+  t.add("backoff cycles paid", rep.backoff_cycles);
+  t.add("degraded finish", rep.degraded ? "yes" : "no");
+  t.add("messages repaired by detour", rep.transport.repaired);
+  t.add("extra hops beyond one link", rep.transport.rerouted_hops);
+  t.add("BFS fallback routes", rep.transport.bfs_fallbacks);
+  std::cout << t;
 
-  std::vector<u64> out;
-  std::vector<u64> expected;
-  const auto run_with = [&](const auto& op) {
-    if (g_schedule == dc::sim::SchedulePath::kCompiled) {
-      // Warm-up records and caches the schedule so the reported run replays.
-      dc::sim::Machine warm(d);
-      setup_machine(warm, "warm-up");
-      (void)dc::core::dual_prefix(warm, d, op, data);
+  g_report.fault.active = true;
+  g_report.fault.retries = rep.retries;
+  g_report.fault.replans = rep.replans;
+  g_report.fault.backoff_cycles = rep.backoff_cycles;
+  g_report.fault.current_epoch =
+      drv.timeline().epoch_of(m.counters().comm_cycles);
+  g_report.fault.epoch_starts = drv.timeline().epoch_starts();
+}
+
+/// Range check before narrowing: prints "--<rule> (got v)" and returns
+/// false when v lies outside lo..hi.
+bool check_range(std::int64_t v, std::int64_t lo, std::int64_t hi,
+                 const std::string& rule) {
+  if (v >= lo && v <= hi) return true;
+  std::cout << "--" << rule << " (got " << v << ")\n";
+  return false;
+}
+
+/// Index of `value` among a choice flag's `names`; prints
+/// "unknown --flag 'value' (a|b|...)" when it is none of them.
+std::optional<std::size_t> check_choice(std::string_view flag,
+                                        const std::string& value,
+                                        const std::vector<std::string>& names) {
+  const auto it = std::find(names.begin(), names.end(), value);
+  if (it != names.end()) return static_cast<std::size_t>(it - names.begin());
+  std::cout << "unknown --" << flag << " '" << value << "' (";
+  for (std::size_t i = 0; i < names.size(); ++i)
+    std::cout << (i > 0 ? "|" : "") << names[i];
+  std::cout << ")\n";
+  return std::nullopt;
+}
+
+/// What the rows read from the command line, with both presentations of
+/// the order-n dual-cube (constructing one costs nothing).
+struct Params {
+  std::string algo;
+  unsigned n;
+  u64 seed;
+  std::string op;
+  dc::KeyDistribution dist;
+  unsigned bits;
+  NodeId root;
+  std::string pattern;
+  dc::net::DualCube d;
+  dc::net::RecursiveDualCube r;
+};
+
+/// Calls `f` with the --op monoid; main has checked the name.
+template <typename F>
+bool with_op(const std::string& op, F&& f) {
+  if (op == "min") return f(dc::core::Min<u64>{});
+  if (op == "max") return f(dc::core::Max<u64>{});
+  if (op == "xor") return f(dc::core::Xor<u64>{});
+  return f(dc::core::Plus<u64>{});
+}
+
+/// One value per node of D_n, uniform below `bound`, drawn from the seed.
+std::vector<u64> draw_values(const Params& p, u64 bound) {
+  dc::Rng rng(p.seed);
+  std::vector<u64> values(p.d.node_count());
+  for (auto& x : values) x = rng.below(bound);
+  return values;
+}
+
+bool prefix_healthy(dc::sim::Machine& m, const Params& p, std::ostream& os) {
+  const auto data = draw_values(p, 1000);
+  return with_op(p.op, [&](const auto& op) {
+    const auto out = dc::core::dual_prefix(m, p.d, op, data);
+    const bool ok = out == dc::core::seq_inclusive_scan(op, data);
+    os << "D_prefix(" << p.op << ") on " << p.d.name() << ": "
+       << (ok ? "correct" : "WRONG") << "; last prefix = " << out.back()
+       << "\n";
+    return ok;
+  });
+}
+
+bool prefix_ft(dc::sim::Machine& m, const Params& p,
+               const dc::sim::FaultPlan& plan, dc::sim::FtReport& rep,
+               std::ostream& os) {
+  const auto data = draw_values(p, 1000);
+  // Which prefix-order indices lost their input with the node that owned
+  // them: those contribute the identity and report no output.
+  std::vector<bool> dead_index(data.size(), false);
+  for (const auto u : plan.dead_nodes())
+    dead_index[dc::core::dual_prefix_index_of_node(p.d, u)] = true;
+  const bool ok = with_op(p.op, [&](const auto& op) {
+    const auto out = dc::core::ft_dual_prefix(m, p.d, op, data, plan,
+                                              /*inclusive=*/true, &rep);
+    bool all = true;
+    u64 acc = op.identity();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      if (dead_index[i]) {
+        all = all && !out[i].has_value();
+        continue;
+      }
+      acc = op.combine(acc, data[i]);
+      all = all && out[i].has_value() && *out[i] == acc;
     }
-    out = dc::core::dual_prefix(m, d, op, data);
-    expected = dc::core::seq_inclusive_scan(op, data);
-  };
-  if (op_name == "plus") {
-    run_with(dc::core::Plus<u64>{});
-  } else if (op_name == "min") {
-    run_with(dc::core::Min<u64>{});
-  } else if (op_name == "max") {
-    run_with(dc::core::Max<u64>{});
-  } else if (op_name == "xor") {
-    run_with(dc::core::Xor<u64>{});
-  } else {
-    std::cout << "unknown --op '" << op_name << "' (plus|min|max|xor)\n";
+    return all;
+  });
+  os << "fault-tolerant D_prefix(" << p.op << ") on " << p.d.name() << ": "
+     << (ok ? "correct on every live node" : "WRONG") << "\n";
+  return ok;
+}
+
+bool prefix_resilient(dc::sim::RecoveryDriver& drv, const Params& p,
+                      std::ostream& os) {
+  const auto data = draw_values(p, 1000);
+  return with_op(p.op, [&](const auto& op) {
+    const auto out = dc::sim::resilient_dual_prefix(drv, p.d, op, data);
+    // Self-consistent check: holes are the slots the final epoch's plan
+    // masked out; every live slot must carry the scan over live inputs.
+    bool ok = true;
+    std::size_t holes = 0;
+    u64 acc = op.identity();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      if (!out[i].has_value()) {
+        ++holes;
+        continue;
+      }
+      acc = op.combine(acc, data[i]);
+      ok = ok && *out[i] == acc;
+    }
+    os << "self-healing D_prefix(" << p.op << ") on " << p.d.name() << ": "
+       << (ok ? "correct on every live slot" : "WRONG") << "; " << holes
+       << " dead slots\n";
+    return ok;
+  });
+}
+
+void theorem1_footer(const Params& p) {
+  std::cout << "Theorem 1 bounds: comm <= "
+            << dc::core::formulas::dual_prefix_comm_paper(p.n) << ", comp <= "
+            << dc::core::formulas::dual_prefix_comp(p.n) << "\n";
+}
+
+bool sort_healthy(dc::sim::Machine& m, const Params& p, std::ostream& os) {
+  auto keys = dc::generate_keys(p.dist, p.r.node_count(), p.seed);
+  dc::core::dual_sort(m, p.r, keys);
+  const bool ok = std::is_sorted(keys.begin(), keys.end());
+  os << "D_sort on " << p.r.name() << " (" << dc::to_string(p.dist)
+     << "): " << (ok ? "sorted" : "NOT SORTED") << "\n";
+  return ok;
+}
+
+bool sort_ft(dc::sim::Machine& m, const Params& p,
+             const dc::sim::FaultPlan& plan, dc::sim::FtReport& rep,
+             std::ostream& os) {
+  const auto keys = dc::generate_keys(p.dist, p.r.node_count(), p.seed);
+  const auto out =
+      dc::core::ft_dual_sort(m, p.r, keys, plan, /*descending=*/false, &rep);
+  // Dead nodes' keys are lost with them; every surviving key ends up
+  // sorted into the leading labels, the holes trail.
+  std::vector<u64> expected;
+  expected.reserve(keys.size());
+  for (NodeId u = 0; u < p.r.node_count(); ++u)
+    if (!plan.node_dead(u, kEver)) expected.push_back(keys[u]);
+  std::sort(expected.begin(), expected.end());
+  bool ok = true;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (i < expected.size()) {
+      ok = ok && out[i].has_value() && *out[i] == expected[i];
+    } else {
+      ok = ok && !out[i].has_value();
+    }
+  }
+  os << "fault-tolerant D_sort on " << p.r.name() << " ("
+     << dc::to_string(p.dist) << "): "
+     << (ok ? "survivor keys sorted" : "WRONG") << "; " << expected.size()
+     << " of " << p.r.node_count() << " keys survive\n";
+  return ok;
+}
+
+bool sort_resilient(dc::sim::RecoveryDriver& drv, const Params& p,
+                    std::ostream& os) {
+  const auto keys = dc::generate_keys(p.dist, p.r.node_count(), p.seed);
+  const auto out = dc::core::resilient_dual_sort(drv, p.r, keys);
+  // Survivor keys occupy the leading labels in sorted order; holes trail.
+  // A mid-run death loses only that node's key, so the survivors must be
+  // a sub-multiset of the input.
+  std::size_t live = 0;
+  while (live < out.size() && out[live].has_value()) ++live;
+  bool ok = true;
+  std::vector<u64> got;
+  got.reserve(live);
+  for (std::size_t i = 0; i < live; ++i) got.push_back(*out[i]);
+  for (std::size_t i = live; i < out.size(); ++i)
+    ok = ok && !out[i].has_value();
+  ok = ok && std::is_sorted(got.begin(), got.end());
+  auto pool = keys;
+  std::sort(pool.begin(), pool.end());
+  ok = ok && std::includes(pool.begin(), pool.end(), got.begin(), got.end());
+  os << "self-healing D_sort on " << p.r.name() << " ("
+     << dc::to_string(p.dist) << "): "
+     << (ok ? "survivor keys sorted" : "WRONG") << "; " << live << " of "
+     << p.r.node_count() << " keys survive\n";
+  return ok;
+}
+
+void theorem2_footer(const Params& p) {
+  std::cout << "Theorem 2 exact: comm = "
+            << dc::core::formulas::dual_sort_comm_exact(p.n) << ", comp = "
+            << dc::core::formulas::dual_sort_comp_exact(p.n) << "\n";
+}
+
+bool radix_healthy(dc::sim::Machine& m, const Params& p, std::ostream& os) {
+  dc::Rng rng(p.seed);
+  std::vector<u64> keys(p.d.node_count());
+  // 64-bit keys take every value; pow2(64) would be an out-of-range shift.
+  for (auto& k : keys)
+    k = p.bits == 64 ? rng() : rng.below(dc::bits::pow2(p.bits));
+  auto expected = keys;
+  std::sort(expected.begin(), expected.end());
+  const auto stats = dc::core::radix_sort(m, p.d, keys, p.bits);
+  const bool ok = keys == expected;
+  os << "radix sort (" << p.bits << "-bit keys) on " << p.d.name() << ": "
+     << (ok ? "sorted" : "NOT SORTED") << " in " << stats.passes
+     << " passes (" << stats.routing_cycles << " routing cycles)\n";
+  return ok;
+}
+
+bool enum_healthy(dc::sim::Machine& m, const Params& p, std::ostream& os) {
+  auto keys = dc::generate_keys(dc::KeyDistribution::kUniform,
+                                p.d.node_count(), p.seed);
+  auto expected = keys;
+  std::sort(expected.begin(), expected.end());
+  const auto report = dc::core::enumeration_sort(m, p.d, keys);
+  const bool ok = keys == expected;
+  os << "enumeration sort on " << p.d.name() << ": "
+     << (ok ? "sorted" : "NOT SORTED") << "; placement drain "
+     << report.cycles << " cycles\n";
+  return ok;
+}
+
+bool broadcast_healthy(dc::sim::Machine& m, const Params& p,
+                       std::ostream& os) {
+  const auto out = dc::collectives::dual_broadcast<u64>(m, p.d, p.root, 42);
+  const bool ok =
+      std::all_of(out.begin(), out.end(), [](u64 v) { return v == 42; });
+  os << "broadcast from node " << p.root << " on " << p.d.name() << ": "
+     << (ok ? "complete" : "INCOMPLETE") << "\n";
+  return ok;
+}
+
+bool broadcast_ft(dc::sim::Machine& m, const Params& p,
+                  const dc::sim::FaultPlan& plan, dc::sim::FtReport& rep,
+                  std::ostream& os) {
+  const auto out =
+      dc::collectives::ft_dual_broadcast<u64>(m, p.d, p.root, 42, plan, &rep);
+  bool ok = true;
+  for (NodeId u = 0; u < p.d.node_count(); ++u) {
+    if (plan.node_dead(u, kEver)) {
+      ok = ok && !out[u].has_value();
+    } else {
+      ok = ok && out[u].has_value() && *out[u] == 42;
+    }
+  }
+  os << "fault-tolerant broadcast from node " << p.root << " on "
+     << p.d.name() << ": " << (ok ? "reached every live node" : "INCOMPLETE")
+     << "\n";
+  return ok;
+}
+
+bool broadcast_resilient(dc::sim::RecoveryDriver& drv, const Params& p,
+                         std::ostream& os) {
+  const auto out = dc::sim::resilient_dual_broadcast(drv, p.d, p.root, u64{42});
+  bool ok = true;
+  std::size_t holes = 0;
+  for (const auto& v : out) {
+    if (v.has_value()) {
+      ok = ok && *v == 42;
+    } else {
+      ++holes;
+    }
+  }
+  os << "self-healing broadcast from node " << p.root << " on " << p.d.name()
+     << ": " << (ok ? "value on every live node" : "WRONG") << "; " << holes
+     << " dead nodes\n";
+  return ok;
+}
+
+void diameter_footer(const Params& p) {
+  std::cout << "diameter: " << p.d.diameter() << "\n";
+}
+
+bool allreduce_healthy(dc::sim::Machine& m, const Params& p,
+                       std::ostream& os) {
+  const auto values = draw_values(p, 100);
+  const u64 expected = std::accumulate(values.begin(), values.end(), u64{0});
+  const auto out =
+      dc::collectives::dual_allreduce(m, p.d, dc::core::Plus<u64>{}, values);
+  const bool ok = std::all_of(out.begin(), out.end(),
+                              [&](u64 v) { return v == expected; });
+  os << "allreduce(+) on " << p.d.name() << ": "
+     << (ok ? "agrees everywhere" : "DISAGREES") << "; total " << expected
+     << "\n";
+  return ok;
+}
+
+bool route_healthy(dc::sim::Machine& m, const Params& p, std::ostream& os) {
+  const std::size_t N = p.d.node_count();
+  std::vector<NodeId> dest(N);
+  if (p.pattern == "random") {
+    std::iota(dest.begin(), dest.end(), 0);
+    dc::Rng rng(p.seed);
+    for (std::size_t i = N; i-- > 1;) std::swap(dest[i], dest[rng.below(i + 1)]);
+  } else if (p.pattern == "complement") {
+    for (NodeId u = 0; u < N; ++u) dest[u] = N - 1 - u;
+  } else {  // "cross"
+    for (NodeId u = 0; u < N; ++u) dest[u] = p.d.cross_neighbor(u);
+  }
+  const auto report = dc::sim::route_packets(m, dest, [&](NodeId s, NodeId v) {
+    return dc::net::route_dual_cube(p.d, s, v);
+  });
+  dc::Table t("routing report (" + p.pattern + ")");
+  t.header({"metric", "value"});
+  t.add("packets", report.packets);
+  t.add("drain cycles", report.cycles);
+  t.add("total hops", report.total_hops);
+  t.add("avg latency", report.avg_latency);
+  t.add("max queue", report.max_queue);
+  os << t;
+  return true;
+}
+
+/// One --algo row (see the header comment). A null ft or resilient entry
+/// rejects --faults or --fault-timeline for that row.
+struct Algo {
+  std::string_view name;
+  bool recursive = false;  ///< runs on RD_n, not D_n
+  bool oblivious = false;  ///< compiled-path warm-up, schedule-path line
+  bool counters = false;   ///< prints the model step counters
+  bool live_root = false;  ///< --root must survive every fault
+  bool (*healthy)(dc::sim::Machine&, const Params&, std::ostream&) = nullptr;
+  bool (*ft)(dc::sim::Machine&, const Params&, const dc::sim::FaultPlan&,
+             dc::sim::FtReport&, std::ostream&) = nullptr;
+  bool (*resilient)(dc::sim::RecoveryDriver&, const Params&,
+                    std::ostream&) = nullptr;
+  void (*footer)(const Params&) = nullptr;  ///< after the run summary
+
+  const dc::net::Topology& topology(const Params& p) const {
+    return recursive ? static_cast<const dc::net::Topology&>(p.r) : p.d;
+  }
+};
+
+const Algo kAlgos[] = {
+    {.name = "prefix", .oblivious = true, .counters = true,
+     .healthy = prefix_healthy, .ft = prefix_ft,
+     .resilient = prefix_resilient, .footer = theorem1_footer},
+    {.name = "sort", .recursive = true, .oblivious = true, .counters = true,
+     .healthy = sort_healthy, .ft = sort_ft, .resilient = sort_resilient,
+     .footer = theorem2_footer},
+    {.name = "radix", .counters = true, .healthy = radix_healthy},
+    {.name = "enum", .counters = true, .healthy = enum_healthy},
+    {.name = "broadcast", .oblivious = true, .counters = true,
+     .live_root = true, .healthy = broadcast_healthy, .ft = broadcast_ft,
+     .resilient = broadcast_resilient, .footer = diameter_footer},
+    {.name = "allreduce", .oblivious = true, .counters = true,
+     .healthy = allreduce_healthy},
+    {.name = "route", .healthy = route_healthy},
+};
+
+int run_healthy(const Algo& a, const Params& p) {
+  dc::sim::Machine m(a.topology(p));
+  setup_machine(m, "measured");
+  if (a.oblivious && g_schedule == dc::sim::SchedulePath::kCompiled) {
+    // Warm-up records and caches the schedule so the reported run replays.
+    dc::sim::Machine warm(a.topology(p));
+    setup_machine(warm, "warm-up");
+    std::ostream discard(nullptr);
+    (void)a.healthy(warm, p, discard);
+  }
+  const bool ok = a.healthy(m, p, std::cout);
+  if (a.counters) print_counters(m.counters());
+  if (a.oblivious) print_schedule_path(m);
+  print_run_summary(m);
+  if (a.footer) a.footer(p);
+  return ok ? 0 : 1;
+}
+
+int run_with_faults(const Algo* a, const Params& p, const std::string& spec,
+                    dc::sim::FaultPolicy policy) {
+  if (!a || !a->ft) {
+    std::cout << "--faults supports only --algo=prefix|broadcast|sort (got '"
+              << p.algo << "')\n";
     return 2;
   }
-  const bool ok = out == expected;
-  std::cout << "D_prefix(" << op_name << ") on " << d.name() << ": "
-            << (ok ? "correct" : "WRONG") << "; last prefix = " << out.back()
-            << "\n";
-  print_counters(m.counters());
-  print_schedule_path(m);
-  print_run_summary(m);
-  std::cout << "Theorem 1 bounds: comm <= "
-            << dc::core::formulas::dual_prefix_comm_paper(n) << ", comp <= "
-            << dc::core::formulas::dual_prefix_comp(n) << "\n";
-  return ok ? 0 : 1;
+  // Parse the spec against the topology the algorithm will actually see
+  // so node-range errors name it.
+  const dc::net::Topology& topo = a->topology(p);
+  dc::sim::FaultPlan plan;
+  try {
+    plan = dc::sim::parse_fault_spec(spec, topo, p.seed);
+  } catch (const dc::CheckError& e) {
+    std::cout << "bad --faults spec: " << e.what() << "\n";
+    return 2;
+  }
+  if (policy == dc::sim::FaultPolicy::kStrict &&
+      plan.node_fault_count() >= p.n) {
+    std::cout << "strict policy covers only fewer than n=" << p.n
+              << " node faults (" << topo.name() << " is " << p.n
+              << "-connected); got " << plan.node_fault_count()
+              << ". Use --fault-policy=degrade to attempt the run anyway.\n";
+    return 2;
+  }
+  if (a->live_root && plan.node_dead(p.root, kEver)) {
+    std::cout << "fault spec kills the broadcast root " << p.root
+              << "; pick a live --root\n";
+    return 2;
+  }
+  try {
+    dc::sim::Machine m(topo);
+    setup_machine(m, "measured");
+    m.attach_faults(std::make_shared<dc::sim::FaultPlan>(plan), policy);
+    dc::sim::FtReport rep;
+    const bool ok = a->ft(m, p, plan, rep, std::cout);
+    print_fault_report(plan, rep, policy);
+    print_counters(m.counters());
+    print_run_summary(m);
+    return ok ? 0 : 1;
+  } catch (const dc::sim::FaultError& e) {
+    std::cout << "fault-tolerant run failed: " << e.what() << "\n";
+    g_report.status = "fault_error";
+    g_report.error = e.what();
+    return 1;
+  }
+}
+
+/// Parses --fault-timeline for the flat and the sharded runs alike; null
+/// (after printing why) when the spec is malformed.
+std::shared_ptr<const dc::sim::FaultTimeline> parse_timeline(
+    const std::string& spec, const dc::net::Topology& topo, u64 seed) {
+  try {
+    return std::make_shared<const dc::sim::FaultTimeline>(
+        dc::sim::parse_fault_timeline(spec, topo, seed));
+  } catch (const dc::CheckError& e) {
+    std::cout << "bad --fault-timeline spec: " << e.what() << "\n";
+    return nullptr;
+  }
+}
+
+int run_with_timeline(const Algo* a, const Params& p, const std::string& spec,
+                      const std::string& policy_name,
+                      std::size_t retry_budget) {
+  if (!a || !a->resilient) {
+    std::cout << "--fault-timeline supports only --algo=prefix|broadcast|sort"
+              << " (got '" << p.algo << "')\n";
+    return 2;
+  }
+  dc::sim::RetryPolicy rp;
+  rp.retry_budget = retry_budget;
+  rp.degrade_on_exhaustion = policy_name == "degrade";
+  try {
+    const dc::net::Topology& topo = a->topology(p);
+    const auto tl = parse_timeline(spec, topo, p.seed);
+    if (!tl) return 2;
+    // Without a degrade fallback the n-connectivity guarantee must hold
+    // at the timeline's peak of simultaneous node faults.
+    const std::size_t peak = tl->max_concurrent_node_faults();
+    if (!rp.degrade_on_exhaustion && peak >= p.n) {
+      std::cout << "strict policy covers only fewer than n=" << p.n
+                << " concurrent node faults; the timeline peaks at " << peak
+                << ". Use --fault-policy=degrade to attempt the run anyway.\n";
+      return 2;
+    }
+    const auto& events = tl->node_events();
+    if (a->live_root &&
+        std::any_of(events.begin(), events.end(),
+                    [&](const auto& ev) { return ev.node == p.root; })) {
+      std::cout << "fault timeline kills the broadcast root " << p.root
+                << "; pick a live --root\n";
+      return 2;
+    }
+    dc::sim::Machine m(topo);
+    setup_machine(m, "measured");
+    dc::sim::RecoveryDriver drv(m, tl, rp);
+    const bool ok = a->resilient(drv, p, std::cout);
+    print_recovery_report(drv, m);
+    print_counters(m.counters());
+    print_run_summary(m);
+    return ok ? 0 : 1;
+  } catch (const dc::sim::FaultError& e) {
+    std::cout << "self-healing run failed (retry budget " << retry_budget
+              << " exhausted under " << policy_name << "): " << e.what()
+              << "\n";
+    g_report.status = "fault_error";
+    g_report.error = e.what();
+    return 1;
+  } catch (const dc::CheckError& e) {
+    std::cout << "bad --fault-timeline spec: " << e.what() << "\n";
+    return 2;
+  }
 }
 
 /// Kernel-measured peak resident set of this process, in bytes (Linux
@@ -301,10 +786,9 @@ std::size_t peak_rss_bytes() {
   return static_cast<std::size_t>(ru.ru_maxrss) * 1024;
 }
 
-int run_sharded_prefix(unsigned n, const std::string& op_name, unsigned shards,
-                       std::size_t budget, u64 seed,
-                       const std::string& timeline_spec) {
-  const dc::net::DualCube d(n);
+int run_sharded_prefix(const Params& p, unsigned shards, std::size_t budget,
+                       const dc::sim::FaultTimeline* tl) {
+  const dc::net::DualCube& d = p.d;
   dc::sim::ShardEngine eng(d, shards, budget);
   for (unsigned k = 0; k < shards; ++k)
     eng.machine(k).set_schedule_path(g_schedule);
@@ -318,16 +802,13 @@ int run_sharded_prefix(unsigned n, const std::string& op_name, unsigned shards,
   // faults, and applies drop windows everywhere with decorrelated seeds.
   // The run becomes a fault-injection demo — diverged stream values are
   // counted, not failed.
-  const bool faulted = !timeline_spec.empty();
-  if (faulted) {
-    const auto tl = dc::sim::parse_fault_timeline(timeline_spec, d, seed);
-    eng.attach_fault_timeline(tl, dc::sim::FaultPolicy::kDegrade);
-  }
+  const bool faulted = tl != nullptr;
+  if (faulted) eng.attach_fault_timeline(*tl, dc::sim::FaultPolicy::kDegrade);
 
   // Streaming input: a stateless per-index generator, so no global data
   // vector ever exists — the only O(N) state is the result store, and with
   // a tight --mem-budget not even that stays resident.
-  const auto data_of = [seed](u64 i) -> u64 {
+  const auto data_of = [seed = p.seed](u64 i) -> u64 {
     u64 x = i + seed * 0x9E3779B97F4A7C15ull;
     x ^= x >> 33;
     x *= 0xFF51AFD7ED558CCDull;
@@ -338,16 +819,16 @@ int run_sharded_prefix(unsigned n, const std::string& op_name, unsigned shards,
   // Streaming verification: the sink receives ascending slices tiling
   // [0, N), so one running accumulator checks every prefix as it streams
   // past without materializing the expected vector.
-  bool ok = true;
   u64 last = 0;
   std::size_t diverged = 0;
-  const auto run_with = [&](const auto& op) {
+  const bool ok = with_op(p.op, [&](const auto& op) {
     u64 acc = op.identity();
     u64 next_base = 0;
+    bool tiled = true;
     dc::core::sharded_dual_prefix(
         eng, op, data_of,
         [&](u64 base, const u64* values, std::size_t count) {
-          ok = ok && base == next_base;
+          tiled = tiled && base == next_base;
           for (std::size_t t = 0; t < count; ++t) {
             acc = op.combine(acc, data_of(base + t));
             if (values[t] != acc) ++diverged;
@@ -355,26 +836,13 @@ int run_sharded_prefix(unsigned n, const std::string& op_name, unsigned shards,
           next_base = base + count;
           if (count > 0) last = values[count - 1];
         });
-    ok = ok && next_base == d.node_count();
     // Healthy runs must stream exactly; faulted degrade runs report the
     // divergence instead of failing (dropped messages lose prefix terms).
-    ok = ok && (faulted || diverged == 0);
-  };
-  if (op_name == "plus") {
-    run_with(dc::core::Plus<u64>{});
-  } else if (op_name == "min") {
-    run_with(dc::core::Min<u64>{});
-  } else if (op_name == "max") {
-    run_with(dc::core::Max<u64>{});
-  } else if (op_name == "xor") {
-    run_with(dc::core::Xor<u64>{});
-  } else {
-    std::cout << "unknown --op '" << op_name << "' (plus|min|max|xor)\n";
-    return 2;
-  }
+    return tiled && next_base == d.node_count() && (faulted || diverged == 0);
+  });
 
   const auto& st = eng.stats();
-  std::cout << "sharded D_prefix(" << op_name << ") on " << d.name() << " ("
+  std::cout << "sharded D_prefix(" << p.op << ") on " << d.name() << " ("
             << d.node_count() << " nodes, " << shards << " shards): "
             << (ok ? "stream verified" : "WRONG") << "; last prefix = " << last
             << "\n";
@@ -424,541 +892,8 @@ int run_sharded_prefix(unsigned n, const std::string& op_name, unsigned shards,
     g_report.fault.epochs = epochs;
     g_report.fault.rejoins = rejoins;
   }
-  std::cout << "Theorem 1 bounds: comm <= "
-            << dc::core::formulas::dual_prefix_comm_paper(n) << ", comp <= "
-            << dc::core::formulas::dual_prefix_comp(n) << "\n";
+  theorem1_footer(p);
   return ok ? 0 : 1;
-}
-
-int run_sort(unsigned n, dc::KeyDistribution dist, u64 seed) {
-  const dc::net::RecursiveDualCube r(n);
-  dc::sim::Machine m(r);
-  setup_machine(m, "measured");
-  auto keys = dc::generate_keys(dist, r.node_count(), seed);
-  if (g_schedule == dc::sim::SchedulePath::kCompiled) {
-    dc::sim::Machine warm(r);
-    setup_machine(warm, "warm-up");
-    auto warm_keys = keys;
-    dc::core::dual_sort(warm, r, warm_keys);
-  }
-  dc::core::dual_sort(m, r, keys);
-  const bool ok = std::is_sorted(keys.begin(), keys.end());
-  std::cout << "D_sort on " << r.name() << " (" << dc::to_string(dist)
-            << "): " << (ok ? "sorted" : "NOT SORTED") << "\n";
-  print_counters(m.counters());
-  print_schedule_path(m);
-  print_run_summary(m);
-  std::cout << "Theorem 2 exact: comm = "
-            << dc::core::formulas::dual_sort_comm_exact(n) << ", comp = "
-            << dc::core::formulas::dual_sort_comp_exact(n) << "\n";
-  return ok ? 0 : 1;
-}
-
-int run_radix(unsigned n, unsigned bits, u64 seed) {
-  const dc::net::DualCube d(n);
-  dc::sim::Machine m(d);
-  setup_machine(m, "measured");
-  dc::Rng rng(seed);
-  std::vector<u64> keys(d.node_count());
-  // 64-bit keys take every value; pow2(64) would be an out-of-range shift.
-  for (auto& k : keys)
-    k = bits == 64 ? rng() : rng.below(dc::bits::pow2(bits));
-  auto expected = keys;
-  std::sort(expected.begin(), expected.end());
-  const auto stats = dc::core::radix_sort(m, d, keys, bits);
-  const bool ok = keys == expected;
-  std::cout << "radix sort (" << bits << "-bit keys) on " << d.name() << ": "
-            << (ok ? "sorted" : "NOT SORTED") << " in " << stats.passes
-            << " passes (" << stats.routing_cycles << " routing cycles)\n";
-  print_counters(m.counters());
-  print_run_summary(m);
-  return ok ? 0 : 1;
-}
-
-int run_enum(unsigned n, u64 seed) {
-  const dc::net::DualCube d(n);
-  dc::sim::Machine m(d);
-  setup_machine(m, "measured");
-  auto keys = dc::generate_keys(dc::KeyDistribution::kUniform,
-                                d.node_count(), seed);
-  auto expected = keys;
-  std::sort(expected.begin(), expected.end());
-  const auto report = dc::core::enumeration_sort(m, d, keys);
-  const bool ok = keys == expected;
-  std::cout << "enumeration sort on " << d.name() << ": "
-            << (ok ? "sorted" : "NOT SORTED") << "; placement drain "
-            << report.cycles << " cycles\n";
-  print_counters(m.counters());
-  print_run_summary(m);
-  return ok ? 0 : 1;
-}
-
-int run_broadcast(unsigned n, NodeId root) {
-  const dc::net::DualCube d(n);
-  dc::sim::Machine m(d);
-  setup_machine(m, "measured");
-  if (g_schedule == dc::sim::SchedulePath::kCompiled) {
-    dc::sim::Machine warm(d);
-    setup_machine(warm, "warm-up");
-    (void)dc::collectives::dual_broadcast<u64>(warm, d, root, 42);
-  }
-  const auto out = dc::collectives::dual_broadcast<u64>(m, d, root, 42);
-  const bool ok =
-      std::all_of(out.begin(), out.end(), [](u64 v) { return v == 42; });
-  std::cout << "broadcast from node " << root << " on " << d.name() << ": "
-            << (ok ? "complete" : "INCOMPLETE") << "\n";
-  print_counters(m.counters());
-  print_schedule_path(m);
-  print_run_summary(m);
-  std::cout << "diameter: " << d.diameter() << "\n";
-  return ok ? 0 : 1;
-}
-
-int run_allreduce(unsigned n, u64 seed) {
-  const dc::net::DualCube d(n);
-  dc::sim::Machine m(d);
-  setup_machine(m, "measured");
-  dc::Rng rng(seed);
-  std::vector<u64> values(d.node_count());
-  for (auto& v : values) v = rng.below(100);
-  const u64 expected = std::accumulate(values.begin(), values.end(), u64{0});
-  const dc::core::Plus<u64> op;
-  if (g_schedule == dc::sim::SchedulePath::kCompiled) {
-    dc::sim::Machine warm(d);
-    setup_machine(warm, "warm-up");
-    (void)dc::collectives::dual_allreduce(warm, d, op, values);
-  }
-  const auto out = dc::collectives::dual_allreduce(m, d, op, values);
-  const bool ok = std::all_of(out.begin(), out.end(),
-                              [&](u64 v) { return v == expected; });
-  std::cout << "allreduce(+) on " << d.name() << ": "
-            << (ok ? "agrees everywhere" : "DISAGREES") << "; total "
-            << expected << "\n";
-  print_counters(m.counters());
-  print_schedule_path(m);
-  print_run_summary(m);
-  return ok ? 0 : 1;
-}
-
-int run_ft_prefix(unsigned n, const std::string& op_name, u64 seed,
-                  const dc::sim::FaultPlan& plan,
-                  dc::sim::FaultPolicy policy) {
-  const dc::net::DualCube d(n);
-  dc::sim::Machine m(d);
-  setup_machine(m, "measured");
-  m.attach_faults(std::make_shared<dc::sim::FaultPlan>(plan), policy);
-  dc::Rng rng(seed);
-  std::vector<u64> data(d.node_count());
-  for (auto& x : data) x = rng.below(1000);
-
-  // Which prefix-order indices lost their input with the node that owned
-  // them: those contribute the identity and report no output.
-  std::vector<bool> dead_index(d.node_count(), false);
-  for (const auto u : plan.dead_nodes())
-    dead_index[dc::core::dual_prefix_index_of_node(d, u)] = true;
-
-  std::vector<std::optional<u64>> out;
-  std::vector<u64> expected;
-  dc::sim::FtReport rep;
-  const auto run_with = [&](const auto& op) {
-    out = dc::core::ft_dual_prefix(m, d, op, data, plan,
-                                   /*inclusive=*/true, &rep);
-    u64 acc = op.identity();
-    expected.resize(data.size());
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      if (!dead_index[i]) acc = op.combine(acc, data[i]);
-      expected[i] = acc;
-    }
-  };
-  if (op_name == "plus") {
-    run_with(dc::core::Plus<u64>{});
-  } else if (op_name == "min") {
-    run_with(dc::core::Min<u64>{});
-  } else if (op_name == "max") {
-    run_with(dc::core::Max<u64>{});
-  } else if (op_name == "xor") {
-    run_with(dc::core::Xor<u64>{});
-  } else {
-    std::cout << "unknown --op '" << op_name << "' (plus|min|max|xor)\n";
-    return 2;
-  }
-  bool ok = true;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (dead_index[i]) {
-      ok = ok && !out[i].has_value();
-    } else {
-      ok = ok && out[i].has_value() && *out[i] == expected[i];
-    }
-  }
-  std::cout << "fault-tolerant D_prefix(" << op_name << ") on " << d.name()
-            << ": " << (ok ? "correct on every live node" : "WRONG") << "\n";
-  print_fault_report(plan, rep, policy);
-  print_counters(m.counters());
-  print_run_summary(m);
-  return ok ? 0 : 1;
-}
-
-int run_ft_broadcast(unsigned n, NodeId root, const dc::sim::FaultPlan& plan,
-                     dc::sim::FaultPolicy policy) {
-  const dc::net::DualCube d(n);
-  dc::sim::Machine m(d);
-  setup_machine(m, "measured");
-  m.attach_faults(std::make_shared<dc::sim::FaultPlan>(plan), policy);
-  dc::sim::FtReport rep;
-  const auto out =
-      dc::collectives::ft_dual_broadcast<u64>(m, d, root, 42, plan, &rep);
-  bool ok = true;
-  constexpr std::uint64_t kEver = ~std::uint64_t{0};
-  for (NodeId u = 0; u < d.node_count(); ++u) {
-    if (plan.node_dead(u, kEver)) {
-      ok = ok && !out[u].has_value();
-    } else {
-      ok = ok && out[u].has_value() && *out[u] == 42;
-    }
-  }
-  std::cout << "fault-tolerant broadcast from node " << root << " on "
-            << d.name() << ": "
-            << (ok ? "reached every live node" : "INCOMPLETE") << "\n";
-  print_fault_report(plan, rep, policy);
-  print_counters(m.counters());
-  print_run_summary(m);
-  return ok ? 0 : 1;
-}
-
-int run_ft_sort(unsigned n, dc::KeyDistribution dist, u64 seed,
-                const dc::sim::FaultPlan& plan, dc::sim::FaultPolicy policy) {
-  const dc::net::RecursiveDualCube r(n);
-  dc::sim::Machine m(r);
-  setup_machine(m, "measured");
-  m.attach_faults(std::make_shared<dc::sim::FaultPlan>(plan), policy);
-  const auto keys = dc::generate_keys(dist, r.node_count(), seed);
-  dc::sim::FtReport rep;
-  const auto out =
-      dc::core::ft_dual_sort(m, r, keys, plan, /*descending=*/false, &rep);
-  // Dead nodes' keys are lost with them; every surviving key ends up
-  // sorted into the leading labels, the holes trail.
-  constexpr std::uint64_t kEver = ~std::uint64_t{0};
-  std::vector<u64> expected;
-  expected.reserve(keys.size());
-  for (NodeId u = 0; u < r.node_count(); ++u)
-    if (!plan.node_dead(u, kEver)) expected.push_back(keys[u]);
-  std::sort(expected.begin(), expected.end());
-  bool ok = true;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (i < expected.size()) {
-      ok = ok && out[i].has_value() && *out[i] == expected[i];
-    } else {
-      ok = ok && !out[i].has_value();
-    }
-  }
-  std::cout << "fault-tolerant D_sort on " << r.name() << " ("
-            << dc::to_string(dist) << "): "
-            << (ok ? "survivor keys sorted" : "WRONG") << "; "
-            << expected.size() << " of " << r.node_count()
-            << " keys survive\n";
-  print_fault_report(plan, rep, policy);
-  print_counters(m.counters());
-  print_run_summary(m);
-  return ok ? 0 : 1;
-}
-
-int run_with_faults(const std::string& algo, unsigned n,
-                    const std::string& spec, const std::string& policy_name,
-                    const std::string& op, dc::KeyDistribution dist,
-                    NodeId root, u64 seed) {
-  dc::sim::FaultPolicy policy = dc::sim::FaultPolicy::kStrict;
-  if (policy_name == "degrade") {
-    policy = dc::sim::FaultPolicy::kDegrade;
-  } else if (policy_name != "strict") {
-    std::cout << "unknown --fault-policy '" << policy_name
-              << "' (strict|degrade)\n";
-    return 2;
-  }
-  if (algo != "prefix" && algo != "broadcast" && algo != "sort") {
-    std::cout << "--faults supports only --algo=prefix|broadcast|sort (got '"
-              << algo << "')\n";
-    return 2;
-  }
-  // The sort runs on the recursive dual-cube; parse the spec against the
-  // topology the algorithm will actually see so node-range errors name it.
-  const dc::net::DualCube d(n);
-  const dc::net::RecursiveDualCube r(n);
-  const dc::net::Topology& topo =
-      (algo == "sort") ? static_cast<const dc::net::Topology&>(r)
-                       : static_cast<const dc::net::Topology&>(d);
-  dc::sim::FaultPlan plan;
-  try {
-    plan = dc::sim::parse_fault_spec(spec, topo, seed);
-  } catch (const dc::CheckError& e) {
-    std::cout << "bad --faults spec: " << e.what() << "\n";
-    return 2;
-  }
-  if (policy == dc::sim::FaultPolicy::kStrict &&
-      plan.node_fault_count() >= n) {
-    std::cout << "strict policy covers only fewer than n=" << n
-              << " node faults (" << topo.name() << " is " << n
-              << "-connected); got " << plan.node_fault_count()
-              << ". Use --fault-policy=degrade to attempt the run anyway.\n";
-    return 2;
-  }
-  constexpr std::uint64_t kEver = ~std::uint64_t{0};
-  if (algo == "broadcast" && plan.node_dead(root, kEver)) {
-    std::cout << "fault spec kills the broadcast root " << root
-              << "; pick a live --root\n";
-    return 2;
-  }
-  try {
-    if (algo == "prefix") return run_ft_prefix(n, op, seed, plan, policy);
-    if (algo == "sort") return run_ft_sort(n, dist, seed, plan, policy);
-    return run_ft_broadcast(n, root, plan, policy);
-  } catch (const dc::sim::FaultError& e) {
-    std::cout << "fault-tolerant run failed: " << e.what() << "\n";
-    g_report.status = "fault_error";
-    g_report.error = e.what();
-    return 1;
-  }
-}
-
-/// One-table view of what the self-healing driver actually did, plus the
-/// machine's timeline observations (epochs/rejoins) for the same run.
-void print_recovery_report(const dc::sim::RecoveryDriver& drv,
-                           const dc::sim::Machine& m) {
-  const auto& rep = drv.report();
-  dc::Table t("self-healing report");
-  t.header({"metric", "value"});
-  t.add("timeline epochs", drv.timeline().epoch_count());
-  t.add("fault epochs observed", m.fault_epochs_seen());
-  t.add("node rejoins observed", m.fault_rejoins());
-  t.add("phases", rep.phases);
-  t.add("attempts", rep.attempts);
-  t.add("retries", rep.retries);
-  t.add("replans", rep.replans);
-  t.add("restarts", rep.restarts);
-  t.add("backoff cycles paid", rep.backoff_cycles);
-  t.add("degraded finish", rep.degraded ? "yes" : "no");
-  t.add("messages repaired by detour", rep.transport.repaired);
-  t.add("extra hops beyond one link", rep.transport.rerouted_hops);
-  t.add("BFS fallback routes", rep.transport.bfs_fallbacks);
-  std::cout << t;
-
-  g_report.fault.active = true;
-  g_report.fault.retries = rep.retries;
-  g_report.fault.replans = rep.replans;
-  g_report.fault.backoff_cycles = rep.backoff_cycles;
-  g_report.fault.current_epoch =
-      drv.timeline().epoch_of(m.counters().comm_cycles);
-  g_report.fault.epoch_starts = drv.timeline().epoch_starts();
-}
-
-/// Rejects timelines whose peak simultaneous node-fault count breaks the
-/// n-connectivity guarantee when the run has no degrade fallback.
-bool timeline_within_bound(const dc::sim::FaultTimeline& tl, unsigned n,
-                           const dc::sim::RetryPolicy& rp) {
-  if (rp.degrade_on_exhaustion) return true;
-  const std::size_t peak = tl.max_concurrent_node_faults();
-  if (peak < n) return true;
-  std::cout << "strict policy covers only fewer than n=" << n
-            << " concurrent node faults; the timeline peaks at " << peak
-            << ". Use --fault-policy=degrade to attempt the run anyway.\n";
-  return false;
-}
-
-int run_resilient_prefix(unsigned n, const std::string& op_name, u64 seed,
-                         const std::string& spec,
-                         const dc::sim::RetryPolicy& rp) {
-  const dc::net::DualCube d(n);
-  const auto tl = std::make_shared<const dc::sim::FaultTimeline>(
-      dc::sim::parse_fault_timeline(spec, d, seed));
-  if (!timeline_within_bound(*tl, n, rp)) return 2;
-  dc::sim::Machine m(d);
-  setup_machine(m, "measured");
-  dc::Rng rng(seed);
-  std::vector<u64> data(d.node_count());
-  for (auto& x : data) x = rng.below(1000);
-
-  int rc = 2;
-  dc::sim::RecoveryDriver drv(m, tl, rp);
-  const auto run_with = [&](const auto& op) {
-    const auto out = dc::sim::resilient_dual_prefix(drv, d, op, data);
-    // Self-consistent check: holes are the slots the final epoch's plan
-    // masked out; every live slot must carry the scan over live inputs.
-    bool ok = true;
-    std::size_t holes = 0;
-    u64 acc = op.identity();
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (!out[i].has_value()) {
-        ++holes;
-        continue;
-      }
-      acc = op.combine(acc, data[i]);
-      ok = ok && *out[i] == acc;
-    }
-    std::cout << "self-healing D_prefix(" << op_name << ") on " << d.name()
-              << ": " << (ok ? "correct on every live slot" : "WRONG")
-              << "; " << holes << " dead slots\n";
-    rc = ok ? 0 : 1;
-  };
-  if (op_name == "plus") {
-    run_with(dc::core::Plus<u64>{});
-  } else if (op_name == "min") {
-    run_with(dc::core::Min<u64>{});
-  } else if (op_name == "max") {
-    run_with(dc::core::Max<u64>{});
-  } else if (op_name == "xor") {
-    run_with(dc::core::Xor<u64>{});
-  } else {
-    std::cout << "unknown --op '" << op_name << "' (plus|min|max|xor)\n";
-    return 2;
-  }
-  print_recovery_report(drv, m);
-  print_counters(m.counters());
-  print_run_summary(m);
-  return rc;
-}
-
-int run_resilient_broadcast(unsigned n, NodeId root, u64 seed,
-                            const std::string& spec,
-                            const dc::sim::RetryPolicy& rp) {
-  const dc::net::DualCube d(n);
-  const auto tl = std::make_shared<const dc::sim::FaultTimeline>(
-      dc::sim::parse_fault_timeline(spec, d, seed));
-  if (!timeline_within_bound(*tl, n, rp)) return 2;
-  for (const auto& ev : tl->node_events()) {
-    if (ev.node == root) {
-      std::cout << "fault timeline kills the broadcast root " << root
-                << "; pick a live --root\n";
-      return 2;
-    }
-  }
-  dc::sim::Machine m(d);
-  setup_machine(m, "measured");
-  dc::sim::RecoveryDriver drv(m, tl, rp);
-  const auto out = dc::sim::resilient_dual_broadcast(drv, d, root, u64{42});
-  bool ok = true;
-  std::size_t holes = 0;
-  for (const auto& v : out) {
-    if (v.has_value()) {
-      ok = ok && *v == 42;
-    } else {
-      ++holes;
-    }
-  }
-  std::cout << "self-healing broadcast from node " << root << " on "
-            << d.name() << ": "
-            << (ok ? "value on every live node" : "WRONG") << "; " << holes
-            << " dead nodes\n";
-  print_recovery_report(drv, m);
-  print_counters(m.counters());
-  print_run_summary(m);
-  return ok ? 0 : 1;
-}
-
-int run_resilient_sort(unsigned n, dc::KeyDistribution dist, u64 seed,
-                       const std::string& spec,
-                       const dc::sim::RetryPolicy& rp) {
-  const dc::net::RecursiveDualCube r(n);
-  const auto tl = std::make_shared<const dc::sim::FaultTimeline>(
-      dc::sim::parse_fault_timeline(spec, r, seed));
-  if (!timeline_within_bound(*tl, n, rp)) return 2;
-  dc::sim::Machine m(r);
-  setup_machine(m, "measured");
-  const auto keys = dc::generate_keys(dist, r.node_count(), seed);
-
-  dc::sim::RecoveryDriver drv(m, tl, rp);
-  const auto out = dc::core::resilient_dual_sort(drv, r, keys);
-  // Survivor keys occupy the leading labels in sorted order; holes trail.
-  // A mid-run death loses only that node's key, so the survivors must be
-  // a sub-multiset of the input.
-  std::size_t live = 0;
-  while (live < out.size() && out[live].has_value()) ++live;
-  bool ok = true;
-  std::vector<u64> got;
-  got.reserve(live);
-  for (std::size_t i = 0; i < live; ++i) got.push_back(*out[i]);
-  for (std::size_t i = live; i < out.size(); ++i)
-    ok = ok && !out[i].has_value();
-  ok = ok && std::is_sorted(got.begin(), got.end());
-  auto pool = keys;
-  std::sort(pool.begin(), pool.end());
-  ok = ok && std::includes(pool.begin(), pool.end(), got.begin(), got.end());
-  std::cout << "self-healing D_sort on " << r.name() << " ("
-            << dc::to_string(dist) << "): "
-            << (ok ? "survivor keys sorted" : "WRONG") << "; " << live
-            << " of " << r.node_count() << " keys survive\n";
-  print_recovery_report(drv, m);
-  print_counters(m.counters());
-  print_run_summary(m);
-  return ok ? 0 : 1;
-}
-
-int run_with_timeline(const std::string& algo, unsigned n,
-                      const std::string& spec, const std::string& policy_name,
-                      const std::string& op, dc::KeyDistribution dist,
-                      NodeId root, u64 seed, std::size_t retry_budget) {
-  dc::sim::RetryPolicy rp;
-  rp.retry_budget = retry_budget;
-  if (policy_name == "strict") {
-    rp.degrade_on_exhaustion = false;
-  } else if (policy_name == "degrade") {
-    rp.degrade_on_exhaustion = true;
-  } else {
-    std::cout << "unknown --fault-policy '" << policy_name
-              << "' (strict|degrade)\n";
-    return 2;
-  }
-  try {
-    if (algo == "prefix") return run_resilient_prefix(n, op, seed, spec, rp);
-    if (algo == "broadcast")
-      return run_resilient_broadcast(n, root, seed, spec, rp);
-    if (algo == "sort") return run_resilient_sort(n, dist, seed, spec, rp);
-    std::cout << "--fault-timeline supports only --algo=prefix|broadcast|sort"
-              << " (got '" << algo << "')\n";
-    return 2;
-  } catch (const dc::sim::FaultError& e) {
-    std::cout << "self-healing run failed (retry budget " << retry_budget
-              << " exhausted under " << policy_name << "): " << e.what()
-              << "\n";
-    g_report.status = "fault_error";
-    g_report.error = e.what();
-    return 1;
-  } catch (const dc::CheckError& e) {
-    std::cout << "bad --fault-timeline spec: " << e.what() << "\n";
-    return 2;
-  }
-}
-
-int run_route(unsigned n, const std::string& pattern, u64 seed) {
-  const dc::net::DualCube d(n);
-  dc::sim::Machine m(d);
-  setup_machine(m, "measured");
-  const std::size_t N = d.node_count();
-  std::vector<NodeId> dest(N);
-  if (pattern == "random") {
-    std::iota(dest.begin(), dest.end(), 0);
-    dc::Rng rng(seed);
-    for (std::size_t i = N; i-- > 1;) std::swap(dest[i], dest[rng.below(i + 1)]);
-  } else if (pattern == "complement") {
-    for (NodeId u = 0; u < N; ++u) dest[u] = N - 1 - u;
-  } else if (pattern == "cross") {
-    for (NodeId u = 0; u < N; ++u) dest[u] = d.cross_neighbor(u);
-  } else {
-    std::cout << "unknown --pattern '" << pattern
-              << "' (random|complement|cross)\n";
-    return 2;
-  }
-  const auto report = dc::sim::route_packets(m, dest, [&](NodeId s, NodeId v) {
-    return dc::net::route_dual_cube(d, s, v);
-  });
-  dc::Table t("routing report (" + pattern + ")");
-  t.header({"metric", "value"});
-  t.add("packets", report.packets);
-  t.add("drain cycles", report.cycles);
-  t.add("total hops", report.total_hops);
-  t.add("avg latency", report.avg_latency);
-  t.add("max queue", report.max_queue);
-  std::cout << t;
-  print_run_summary(m);
-  return 0;
 }
 
 }  // namespace
@@ -999,69 +934,40 @@ int main(int argc, char** argv) {
       cli.get_string("schedule-cache", cache_env ? cache_env : "");
   cli.finish();
 
-  if (schedule == "compiled") {
-    g_schedule = dc::sim::SchedulePath::kCompiled;
-  } else if (schedule == "interpreted") {
-    g_schedule = dc::sim::SchedulePath::kInterpreted;
-  } else {
-    std::cout << "unknown --schedule '" << schedule
-              << "' (compiled|interpreted)\n";
+  if (!check_choice("schedule", schedule, {"compiled", "interpreted"}))
     return 2;
-  }
+  g_schedule = schedule == "compiled" ? dc::sim::SchedulePath::kCompiled
+                                      : dc::sim::SchedulePath::kInterpreted;
 
   // Range-check before narrowing: a wrapped --n, --root or --shards would
   // silently run a different network, node or shard count, a wrapped
   // --bits an undefined shift, and a negative budget no cap at all.
-  if (n_arg < 1 || n_arg > 20) {
-    std::cout << "--n must be a dual-cube order in 1..20 (got " << n_arg
-              << ")\n";
+  if (!check_range(n_arg, 1, 20, "n must be a dual-cube order in 1..20"))
     return 2;
-  }
   const unsigned n = static_cast<unsigned>(n_arg);
+  const std::string dn = "D_" + std::to_string(n);
   const std::int64_t node_count = std::int64_t{1} << (2 * n - 1);
-  if (root_arg < 0 || root_arg >= node_count) {
-    std::cout << "--root must be a node of D_" << n << " in 0.."
-              << node_count - 1 << " (got " << root_arg << ")\n";
-    return 2;
-  }
-  const NodeId root = static_cast<NodeId>(root_arg);
-  if (bits_arg < 1 || bits_arg > 64) {
-    std::cout << "--bits must be a key width in 1..64 (got " << bits_arg
-              << ")\n";
-    return 2;
-  }
-  const unsigned bits = static_cast<unsigned>(bits_arg);
   const std::int64_t cluster_count = std::int64_t{1} << n;
-  if (shards_arg < 0 || shards_arg > cluster_count) {
-    std::cout << "--shards must be a shard count in 0.." << cluster_count
-              << " for D_" << n << " (got " << shards_arg << ")\n";
+  if (!check_range(root_arg, 0, node_count - 1,
+                   "root must be a node of " + dn + " in 0.." +
+                       std::to_string(node_count - 1)) ||
+      !check_range(bits_arg, 1, 64, "bits must be a key width in 1..64") ||
+      !check_range(shards_arg, 0, cluster_count,
+                   "shards must be a shard count in 0.." +
+                       std::to_string(cluster_count) + " for " + dn) ||
+      !check_range(mem_budget_arg, 0, INT64_MAX,
+                   "mem-budget must be >= 0 bytes") ||
+      !check_range(retry_budget_arg, 0, INT64_MAX,
+                   "retry-budget must be >= 0"))
     return 2;
-  }
   const unsigned shards = static_cast<unsigned>(shards_arg);
-  if (mem_budget_arg < 0) {
-    std::cout << "--mem-budget must be >= 0 bytes (got " << mem_budget_arg
-              << ")\n";
-    return 2;
-  }
   const std::size_t mem_budget = static_cast<std::size_t>(mem_budget_arg);
-  if (retry_budget_arg < 0) {
-    std::cout << "--retry-budget must be >= 0 (got " << retry_budget_arg
-              << ")\n";
-    return 2;
-  }
-  const std::size_t retry_budget = static_cast<std::size_t>(retry_budget_arg);
 
-  std::optional<dc::KeyDistribution> dist;
-  std::string dist_names;
-  for (const auto d : dc::all_key_distributions()) {
-    if (dc::to_string(d) == dist_name) dist = d;
-    dist_names += (dist_names.empty() ? "" : "|") + dc::to_string(d);
-  }
-  if (!dist) {
-    std::cout << "unknown --dist '" << dist_name << "' (" << dist_names
-              << ")\n";
-    return 2;
-  }
+  const auto dists = dc::all_key_distributions();
+  std::vector<std::string> dist_names;
+  for (const auto d : dists) dist_names.push_back(dc::to_string(d));
+  const auto dist = check_choice("dist", dist_name, dist_names);
+  if (!dist) return 2;
 
   if (!schedule_cache.empty()) {
     const auto store = dc::sim::attach_schedule_store(schedule_cache);
@@ -1075,13 +981,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  dc::sim::MetricsFormat metrics_fmt = dc::sim::MetricsFormat::kTable;
-  if (metrics == "json") {
-    metrics_fmt = dc::sim::MetricsFormat::kJson;
-  } else if (!metrics.empty() && metrics != "true" && metrics != "table") {
-    std::cout << "unknown --metrics '" << metrics << "' (table|json)\n";
+  if (!metrics.empty() && metrics != "true" &&
+      !check_choice("metrics", metrics, {"table", "json"}))
     return 2;
-  }
+  const dc::sim::MetricsFormat metrics_fmt =
+      metrics == "json" ? dc::sim::MetricsFormat::kJson
+                        : dc::sim::MetricsFormat::kTable;
   // Arm before any machine is constructed: machines (and the profiler)
   // resolve their metric targets at construction time.
   if (!metrics.empty()) dc::sim::MetricsRegistry::arm();
@@ -1097,7 +1002,24 @@ int main(int argc, char** argv) {
   }
   if (profile) g_profiler = std::make_unique<dc::sim::CycleProfiler>();
 
+  const Params p{.algo = algo, .n = n, .seed = seed, .op = op,
+                 .dist = dists[*dist], .bits = static_cast<unsigned>(bits_arg),
+                 .root = static_cast<NodeId>(root_arg), .pattern = pattern,
+                 .d = dc::net::DualCube(n), .r = dc::net::RecursiveDualCube(n)};
+  std::vector<std::string> algo_names;
+  const Algo* row = nullptr;
+  for (const Algo& a : kAlgos) {
+    algo_names.emplace_back(a.name);
+    if (a.name == algo) row = &a;
+  }
+
   const auto run = [&]() -> int {
+    // Choice flags only some rows read are checked on every run, inside
+    // it so the rejection still writes its --report and --trace.
+    if (!check_choice("fault-policy", fault_policy, {"strict", "degrade"}) ||
+        !check_choice("op", op, {"plus", "min", "max", "xor"}) ||
+        !check_choice("pattern", pattern, {"random", "complement", "cross"}))
+      return 2;
     if (shards > 0) {
       if (algo != "prefix") {
         std::cout << "--shards supports only --algo=prefix (got '" << algo
@@ -1114,9 +1036,13 @@ int main(int argc, char** argv) {
                      "retry the host-side exchange)\n";
         return 2;
       }
+      std::shared_ptr<const dc::sim::FaultTimeline> tl;
+      if (!fault_timeline.empty()) {
+        tl = parse_timeline(fault_timeline, p.d, seed);
+        if (!tl) return 2;
+      }
       try {
-        return run_sharded_prefix(n, op, shards, mem_budget, seed,
-                                  fault_timeline);
+        return run_sharded_prefix(p, shards, mem_budget, tl.get());
       } catch (const dc::CheckError& e) {
         std::cout << "sharded run rejected: " << e.what() << "\n";
         return 2;
@@ -1131,21 +1057,15 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (!fault_timeline.empty())
-      return run_with_timeline(algo, n, fault_timeline, fault_policy, op,
-                               *dist, root, seed, retry_budget);
+      return run_with_timeline(row, p, fault_timeline, fault_policy,
+                               static_cast<std::size_t>(retry_budget_arg));
     if (!faults.empty())
-      return run_with_faults(algo, n, faults, fault_policy, op, *dist, root,
-                             seed);
-    if (algo == "prefix") return run_prefix(n, op, seed);
-    if (algo == "sort") return run_sort(n, *dist, seed);
-    if (algo == "radix") return run_radix(n, bits, seed);
-    if (algo == "enum") return run_enum(n, seed);
-    if (algo == "broadcast") return run_broadcast(n, root);
-    if (algo == "allreduce") return run_allreduce(n, seed);
-    if (algo == "route") return run_route(n, pattern, seed);
-    std::cout << "unknown --algo '" << algo
-              << "' (prefix|sort|radix|enum|broadcast|allreduce|route)\n";
-    return 2;
+      return run_with_faults(row, p, faults,
+                             fault_policy == "degrade"
+                                 ? dc::sim::FaultPolicy::kDegrade
+                                 : dc::sim::FaultPolicy::kStrict);
+    if (!check_choice("algo", algo, algo_names)) return 2;
+    return run_healthy(*row, p);
   };
 
   g_report.algo = algo;

@@ -140,16 +140,14 @@ inline std::vector<net::NodeId> bfs_path(const net::Topology& t,
 
 /// The drain's queue bookkeeping assumes every machine-accepted send is
 /// delivered; a transient drop would strand the packet forever. Checked
-/// against whichever fault source the machine carries.
+/// against whichever fault source the machine carries. A drop window is a
+/// user's fault spec, not a library bug, so the refusal is a SimError with
+/// a fixed message rather than a DC_REQUIRE naming a source location.
 inline void require_drop_free(const Machine& m) {
-  if (const FaultPlan* p = m.fault_plan()) {
-    DC_REQUIRE(p->drop_permille() == 0,
-               "fault-tolerant collectives require a drop-free fault plan");
-  }
-  if (const FaultTimeline* tl = m.fault_timeline()) {
-    DC_REQUIRE(tl->max_drop_permille() == 0,
-               "fault-tolerant collectives require a drop-free fault plan");
-  }
+  const FaultPlan* p = m.fault_plan();
+  const FaultTimeline* tl = m.fault_timeline();
+  if ((p && p->drop_permille() != 0) || (tl && tl->max_drop_permille() != 0))
+    throw SimError("fault-tolerant collectives require a drop-free fault plan");
 }
 
 /// Shared body of the deliver_with_detours overloads: `route(src, dst)`

@@ -1153,4 +1153,36 @@ TEST(MachineTimeline, TimelineViewFingerprintsDifferPerEpoch) {
                        "schedule";
 }
 
+TEST(MachineTimeline, DropWindowRefusalIsOneExactSimError) {
+  // dcsim prints this refusal after "bad --fault-timeline spec: ", so it
+  // must read the same from every build: no source location in it.
+  const DualCube d(2);
+  const std::vector<std::uint64_t> data(d.node_count(), 1);
+  const std::string refusal =
+      "fault-tolerant collectives require a drop-free fault plan";
+  Machine timed(d);
+  timed.attach_fault_timeline(
+      std::make_shared<FaultTimeline>(
+          dc::sim::parse_fault_timeline("drop:10@100-200", d, /*seed=*/1)),
+      FaultPolicy::kDegrade);
+  expect_sim_error(
+      [&] {
+        (void)dc::core::ft_dual_prefix(timed, d, Plus<std::uint64_t>{}, data,
+                                       FaultPlan{});
+      },
+      refusal);
+  FaultPlan noisy;
+  noisy.kill_node(3);
+  noisy.drop_messages(100);
+  Machine planned(d);
+  planned.attach_faults(std::make_shared<FaultPlan>(noisy),
+                        FaultPolicy::kDegrade);
+  expect_sim_error(
+      [&] {
+        (void)dc::core::ft_dual_prefix(planned, d, Plus<std::uint64_t>{},
+                                       data, noisy);
+      },
+      refusal);
+}
+
 }  // namespace

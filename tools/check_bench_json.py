@@ -67,6 +67,36 @@ REGRESSION_TOLERANCE = 1.1
 SHARD_SCALING_MIN = 2.0
 
 
+def load(path: str, valid, expected: str):
+    """Parsed JSON of `path`, or None after printing to stderr why it is
+    unusable: unreadable, not JSON, or failing `valid` (then "expected
+    <expected>")."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as e:
+        print(f"{path}: {e}", file=sys.stderr)
+        return None
+    if not valid(doc):
+        print(f"{path}: expected {expected}", file=sys.stderr)
+        return None
+    return doc
+
+
+def non_empty_list(doc) -> bool:
+    return isinstance(doc, list) and bool(doc)
+
+
+def failed(path: str, errors, scope: str = "") -> bool:
+    """Prints `errors` and their count (" in <scope>" when given) to stderr;
+    True when there were any."""
+    for e in errors:
+        print(e, file=sys.stderr)
+    if errors:
+        print(f"{path}: {len(errors)} problem(s){scope}", file=sys.stderr)
+    return bool(errors)
+
+
 def pr_number(tag: str) -> int:
     """Trajectory age of a row tag: "pr3" -> 3, "pr2-compiled" -> 2,
     anything without a @prN prefix (e.g. "baseline-v0") -> 0."""
@@ -287,19 +317,14 @@ def known_span_name(name: str) -> bool:
 
 
 def trace_validate(path: str) -> int:
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"{path}: {e}", file=sys.stderr)
+    doc = load(path, lambda d: isinstance(d, dict)
+               and non_empty_list(d.get("traceEvents")),
+               "an object with a non-empty 'traceEvents' array")
+    if doc is None:
         return 1
 
     errors = []
-    events = doc.get("traceEvents") if isinstance(doc, dict) else None
-    if not isinstance(events, list) or not events:
-        print(f"{path}: expected an object with a non-empty 'traceEvents' "
-              "array", file=sys.stderr)
-        return 1
+    events = doc["traceEvents"]
     dropped = 0
     other = doc.get("otherData")
     if isinstance(other, dict):
@@ -360,11 +385,7 @@ def trace_validate(path: str) -> int:
         errors.append("no comm-cycle spans found "
                       f"(expected one of {sorted(KNOWN_SPANS)})")
 
-    for e in errors:
-        print(e, file=sys.stderr)
-    if errors:
-        print(f"{path}: {len(errors)} problem(s) in {len(events)} events",
-              file=sys.stderr)
+    if failed(path, errors, f" in {len(events)} events"):
         return 1
     cycles = sum(cycle_count.values())
     print(f"{path}: {len(events)} events OK ({cycles} comm cycles on "
@@ -379,14 +400,8 @@ def fault_sweep_validate(path: str) -> int:
     correct == true; "pre" rows must show zero retries (the fault was
     planned around), "mid" rows at least one (the flap aborted a phase),
     and every n must carry both legs of the axis."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            rows = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        return 1
-    if not isinstance(rows, list) or not rows:
-        print(f"{path}: expected a non-empty JSON array", file=sys.stderr)
+    rows = load(path, non_empty_list, "a non-empty JSON array")
+    if rows is None:
         return 1
 
     errors = []
@@ -428,11 +443,7 @@ def fault_sweep_validate(path: str) -> int:
             errors.append(f"n={n}: need both 'pre' and 'mid' rows, "
                           f"got {sorted(seen)}")
 
-    for e in errors:
-        print(e, file=sys.stderr)
-    if errors:
-        print(f"{path}: {len(errors)} problem(s) in {len(rows)} rows",
-              file=sys.stderr)
+    if failed(path, errors, f" in {len(rows)} rows"):
         return 1
     print(f"{path}: {len(rows)} fault-sweep rows OK "
           f"({len(legs)} network size(s), both injection legs)")
@@ -446,14 +457,8 @@ def pipeline_fusion_validate(path: str) -> int:
     counts, correct == true, and fused_cycles == unfused_cycles - merged;
     at least one row must actually merge cycles (merged >= 1) — fusion
     must keep reducing total replay cycles."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            rows = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        return 1
-    if not isinstance(rows, list) or not rows:
-        print(f"{path}: expected a non-empty JSON array", file=sys.stderr)
+    rows = load(path, non_empty_list, "a non-empty JSON array")
+    if rows is None:
         return 1
 
     errors = []
@@ -490,11 +495,7 @@ def pipeline_fusion_validate(path: str) -> int:
         errors.append("no row merged any cycles: fusion no longer reduces "
                       "total replay cycles")
 
-    for e in errors:
-        print(e, file=sys.stderr)
-    if errors:
-        print(f"{path}: {len(errors)} problem(s) in {len(rows)} rows",
-              file=sys.stderr)
+    if failed(path, errors, f" in {len(rows)} rows"):
         return 1
     print(f"{path}: {len(rows)} pipeline-fusion rows OK")
     return 0
@@ -505,14 +506,8 @@ REPORT_SCHEMA_VERSION = 1
 
 def report_validate(path: str) -> int:
     """Gate for dcsim --report run-reports (docstring at module top)."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        return 1
-    if not isinstance(doc, dict):
-        print(f"{path}: expected a JSON object", file=sys.stderr)
+    doc = load(path, lambda d: isinstance(d, dict), "a JSON object")
+    if doc is None:
         return 1
 
     errors = []
@@ -532,10 +527,7 @@ def report_validate(path: str) -> int:
             errors.append(f"missing object section '{key}'")
     if not isinstance(doc.get("hot_edges"), list):
         errors.append("missing array section 'hot_edges'")
-    if errors:
-        for e in errors:
-            print(e, file=sys.stderr)
-        print(f"{path}: {len(errors)} problem(s)", file=sys.stderr)
+    if failed(path, errors):
         return 1
 
     counters = doc["counters"]
@@ -597,10 +589,7 @@ def report_validate(path: str) -> int:
                           f"strictly increasing (previous {last_ts})")
         last_ts = ts
 
-    for e in errors:
-        print(e, file=sys.stderr)
-    if errors:
-        print(f"{path}: {len(errors)} problem(s)", file=sys.stderr)
+    if failed(path, errors):
         return 1
     tracks = len(profile.get("tracks", [])) if isinstance(profile, dict) else 0
     print(f"{path}: report OK (status={doc['status']}, "
@@ -641,41 +630,9 @@ def check_flight_recorder_overhead(rows) -> list:
     return []
 
 
-def main() -> int:
-    if len(sys.argv) > 1 and sys.argv[1] == "trace-validate":
-        if len(sys.argv) != 3:
-            print("usage: check_bench_json.py trace-validate TRACE.json",
-                  file=sys.stderr)
-            return 2
-        return trace_validate(sys.argv[2])
-    if len(sys.argv) > 1 and sys.argv[1] == "fault-sweep":
-        if len(sys.argv) != 3:
-            print("usage: check_bench_json.py fault-sweep SWEEP.json",
-                  file=sys.stderr)
-            return 2
-        return fault_sweep_validate(sys.argv[2])
-    if len(sys.argv) > 1 and sys.argv[1] == "pipeline-fusion":
-        if len(sys.argv) != 3:
-            print("usage: check_bench_json.py pipeline-fusion TABLE.json",
-                  file=sys.stderr)
-            return 2
-        return pipeline_fusion_validate(sys.argv[2])
-    if len(sys.argv) > 1 and sys.argv[1] == "report-validate":
-        if len(sys.argv) != 3:
-            print("usage: check_bench_json.py report-validate REPORT.json",
-                  file=sys.stderr)
-            return 2
-        return report_validate(sys.argv[2])
-    path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_sim.json"
-    try:
-        with open(path, encoding="utf-8") as f:
-            rows = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        return 1
-
-    if not isinstance(rows, list) or not rows:
-        print(f"{path}: expected a non-empty JSON array", file=sys.stderr)
+def bench_validate(path: str) -> int:
+    rows = load(path, non_empty_list, "a non-empty JSON array")
+    if rows is None:
         return 1
 
     errors = check_schema(rows)
@@ -690,15 +647,32 @@ def main() -> int:
         errors += check_median_regressions(rows, ratios)
         report_family_ratios(ratios)
 
-    for e in errors:
-        print(e, file=sys.stderr)
-    if errors:
-        print(f"{path}: {len(errors)} problem(s) in {len(rows)} rows",
-              file=sys.stderr)
+    if failed(path, errors, f" in {len(rows)} rows"):
         return 1
     suffix = " (trajectory gates active)" if has_trajectory else ""
     print(f"{path}: {len(rows)} rows OK{suffix}")
     return 0
+
+
+# Subcommand -> (validator, argument name in its usage line).
+SUBCOMMANDS = {
+    "trace-validate": (trace_validate, "TRACE.json"),
+    "fault-sweep": (fault_sweep_validate, "SWEEP.json"),
+    "pipeline-fusion": (pipeline_fusion_validate, "TABLE.json"),
+    "report-validate": (report_validate, "REPORT.json"),
+}
+
+
+def main() -> int:
+    if len(sys.argv) > 1 and sys.argv[1] in SUBCOMMANDS:
+        validate, arg = SUBCOMMANDS[sys.argv[1]]
+        if len(sys.argv) != 3:
+            print(f"usage: check_bench_json.py {sys.argv[1]} {arg}",
+                  file=sys.stderr)
+            return 2
+        return validate(sys.argv[2])
+    return bench_validate(sys.argv[1] if len(sys.argv) > 1 else
+                          "BENCH_sim.json")
 
 
 if __name__ == "__main__":
