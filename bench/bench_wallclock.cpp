@@ -285,8 +285,9 @@ BENCHMARK(BM_DualBroadcast)->DenseRange(2, 6, 2)->Unit(benchmark::kMicrosecond);
 // (8N bytes — independent of K), so the row family answers "at this
 // memory cap, what does shard count buy?": shards whose working set fits
 // the cap run their cycles in core, while coarser shardings must stream
-// t/s through the spill file on every synchronous cycle (the
-// cycle-synchrony contract, sim/shard.hpp). That out-of-core re-streaming
+// s and the compact Cube_prefix totals through the spill file on every
+// synchronous cycle (the cycle-synchrony contract, sim/shard.hpp), less
+// the one window each cycle keeps resident. That out-of-core streaming
 // is what K>=4 buys back — the source of the K=4 vs K=1 speedup on a
 // single core.
 void BM_ShardedDualPrefix(benchmark::State& state) {

@@ -111,8 +111,10 @@ void arrange(const net::DualCube& d, const V* src, V* dst) {
 /// combine serves both, and only the high side folds its prefix:
 /// s_hi = t_lo ⊕ s_hi. Operand order is kept, so non-commutative monoids
 /// are safe. Callers charge the 3 combines per pair the unfused step
-/// applies. The flat engine's replayed cluster passes and both sharded
-/// passes all run this one kernel.
+/// applies. The flat engine's replayed cluster passes run this kernel:
+/// step 2's cross-edge exchange and the Figure 3 observer read a per-node
+/// t. The sharded passes, which read only one total per cluster, run
+/// core/sharded_prefix.hpp's compact form of it instead.
 template <Monoid M>
 void cube_prefix_butterfly(const M& op, typename M::value_type* t,
                            typename M::value_type* s, dc::u64 lo, dc::u64 hi,

@@ -14,10 +14,13 @@
 //   Pass A (per shard; real machine work) — step 1's in-cluster
 //     Cube_prefix: n-1 fused exchange+combine sweeps (or interpreted
 //     exchanges plus compute steps when the run needs per-message
-//     fidelity) over the shard's t/s slices. After the pass, t is
-//     uniform across each cluster (the full cluster total), so one element
-//     per cluster — read at local node 0 — is the entire contribution the
-//     shard ever sends across cluster boundaries.
+//     fidelity) over the shard's t/s slices. The fused sweeps run the
+//     compact kernel (detail::cube_prefix_compact): after dimension i
+//     every node of a 2^(i+1)-node subcube holds the same total, so t
+//     keeps one entry per subcube instead of one per node. After the
+//     pass, each cluster's total sits at its local node 0 on either path
+//     — the entire contribution the shard ever sends across cluster
+//     boundaries.
 //
 //   Compact exchange (host-side scan, "phase:shard_exchange") — steps 2-3
 //     collapse: the cross-edge exchange delivers T1[j] to class-0 cluster
@@ -36,16 +39,18 @@
 // (sim/shard.hpp's memory model); everything else is identical.
 //
 // When even one shard's working set exceeds the budget the run goes fully
-// out of core: t and s live in two regions of the spill file and every
-// synchronous cycle (and every Pass B step) streams them through one
-// cluster-aligned window sized by the budget. Cycle-synchrony within the
-// shard is a fidelity contract — each cycle's sweep completes over the
-// whole shard before the next begins — so an out-of-core shard re-streams
-// its state once per cycle; adding shards until the working set fits the
-// budget is what buys that cost back. Results, Counters and edge loads
-// stay bit-identical (the streamed sweeps book through the same machine
-// primitives); only the sink granularity changes, from one call per shard
-// to one per window.
+// out of core: the compact totals and s live in two regions of the spill
+// file and every synchronous cycle (and every Pass B step) streams them
+// through one cluster-aligned window sized by the budget. Cycle-synchrony
+// within the shard is a fidelity contract — each cycle's sweep completes
+// over the whole shard before the next begins — so cycle i streams s plus
+// the shard_n/2^i compact totals, minus the window the previous cycle
+// ended on: window order reverses every cycle, so that window starts the
+// next one without leaving the buffer. Adding shards until the working
+// set fits the budget is what buys the streaming back. Results, Counters
+// and edge loads stay bit-identical (the streamed sweeps book through the
+// same machine primitives); only the sink granularity changes, from one
+// call per shard to one per window.
 #pragma once
 
 #include <algorithm>
@@ -56,7 +61,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/dual_prefix.hpp"
 #include "core/ops.hpp"
 #include "sim/shard.hpp"
 
@@ -70,6 +74,30 @@ namespace detail {
 template <typename V>
 inline constexpr bool kPlaneEligible =
     std::is_trivially_copyable_v<V> && std::is_default_constructible_v<V>;
+
+/// One Cube_prefix exchange + computation step on compact totals, in
+/// place, over `len` nodes: `t` holds one total per `stride`-node group
+/// (len / stride entries; at stride 1, the inputs). Each group pair's new
+/// total is t_lo ⊕ t_hi, stored at the pair's index, and every node of
+/// the high group folds the low total into its prefix: s = t_lo ⊕ s. On
+/// return t holds one total per 2·stride-node group in its first
+/// len / (2·stride) entries. This is cube_prefix_butterfly with the
+/// per-node t copies collapsed — after dimension i every node of a
+/// 2^(i+1)-node subcube holds the same total — so values and operand
+/// order are the same. Callers charge the 3 combines per node pair the
+/// unfused step applies.
+template <Monoid M>
+void cube_prefix_compact(const M& op, typename M::value_type* t,
+                         typename M::value_type* s, dc::u64 len,
+                         dc::u64 stride) {
+  using V = typename M::value_type;
+  for (dc::u64 g = 0; g < len / stride; g += 2) {
+    const V lo = t[g];
+    V* const sh = s + (g + 1) * stride;
+    for (dc::u64 j = 0; j < stride; ++j) sh[j] = op.combine(lo, sh[j]);
+    t[g / 2] = op.combine(lo, t[g + 1]);
+  }
+}
 
 }  // namespace detail
 
@@ -101,6 +129,7 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
   const bool oc = eng.out_of_core_run();
   const dc::u64 win =
       oc ? static_cast<dc::u64>(eng.oc_window_nodes(sizeof(V))) : shard_n;
+  const dc::u64 windows = (shard_n + win - 1) / win;  // per shard
   scr.t.resize(static_cast<std::size_t>(win));
   scr.s.resize(
       static_cast<std::size_t>(oc ? win : (spill ? shard_n : total_nodes)));
@@ -127,17 +156,29 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
     sim::Machine& mach = eng.machine(k);
     const dc::u64 data_base = dc::u64{k} * shard_n;
     if (oc) {
-      // Out-of-core pass: t and s live in two spill-file regions
-      // ([0, N*e) and [N*e, 2N*e), global data-index offsets) and every
-      // cycle streams the whole shard through the window — the sweep is
-      // cluster-local (stride < cluster size <= window), so windows are
-      // independent within a cycle. Cycle 0 generates the inputs in
-      // place of a read; the last cycle extracts the cluster totals and
-      // retires t (dead afterwards), writing only s back.
+      // Out-of-core pass: the shard's compact totals and its s live in two
+      // spill-file regions ([0, N*e) and [N*e, 2N*e), global data-index
+      // offsets) and every cycle streams the whole shard through the
+      // window — the sweep is cluster-local (stride < cluster size <=
+      // window), so windows are independent within a cycle. Cycle 0
+      // generates the inputs in place of a read; the last cycle extracts
+      // the cluster totals and retires t (dead afterwards), writing every
+      // window's s back. Cycles alternate ascending and descending window
+      // order, so the window one cycle ends on starts the next and never
+      // leaves the buffer. T_m (one total per 2^m-node group, written by
+      // cycle m-1) sits at the low end of the shard's t region for odd m
+      // and at the high end for even m: an ascending cycle compacts
+      // towards the start, a descending one towards the end, so no
+      // window's write reaches T entries a later window of the same cycle
+      // still reads.
       V* const t_win = scr.t.data();
       V* const s_win = scr.s.data();
       const dc::u64 s_region = total_nodes * sizeof(V);
       const auto& clusters = plan.shard_clusters(k);
+      const auto t_offset = [&](unsigned m, dc::u64 ws) {
+        const dc::u64 base = m % 2 == 1 ? 0 : shard_n - (shard_n >> m);
+        return (data_base + base + (ws >> m)) * sizeof(V);
+      };
       const auto stage_window = [&](dc::u64 ws, dc::u64 len) {
         for (dc::u64 j = 0; j < len; ++j)
           t_win[j] = data_of(data_base + ws + j);
@@ -152,31 +193,40 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
           const auto& cr = clusters[static_cast<std::size_t>(cb)];
           (cr.cls == 0 ? scr.totals0
                        : scr.totals1)[static_cast<std::size_t>(cr.cluster)] =
-              t_win[(cb - ws / csize) * csize];
+              t_win[cb - ws / csize];
         }
+      };
+      const auto write_s = [&](dc::u64 ws, dc::u64 len) {
+        eng.spill_write_at(s_region + (data_base + ws) * sizeof(V), s_win,
+                           static_cast<std::size_t>(len) * sizeof(V));
       };
       for (unsigned i = 0; i < w; ++i) {
         const dc::u64 stride = dc::u64{1} << i;
         mach.comm_compute_cycle_fused_blocks(1, [&](std::size_t,
                                                     std::size_t) {
-          for (dc::u64 ws = 0; ws < shard_n; ws += win) {
+          for (dc::u64 x = 0; x < windows; ++x) {
+            const dc::u64 ws = (i % 2 == 0 ? x : windows - 1 - x) * win;
             const dc::u64 len = std::min(win, shard_n - ws);
-            const dc::u64 off = (data_base + ws) * sizeof(V);
-            const std::size_t bytes =
-                static_cast<std::size_t>(len) * sizeof(V);
             if (i == 0) {
               stage_window(ws, len);
-            } else {
-              eng.spill_read_at(off, t_win, bytes);
-              eng.spill_read_at(s_region + off, s_win, bytes);
+            } else if (x > 0) {
+              eng.spill_read_at(t_offset(i, ws), t_win,
+                                static_cast<std::size_t>(len >> i) *
+                                    sizeof(V));
+              eng.spill_read_at(s_region + (data_base + ws) * sizeof(V),
+                                s_win,
+                                static_cast<std::size_t>(len) * sizeof(V));
             }
-            detail::cube_prefix_butterfly(op, t_win, s_win, 0, len, stride);
+            detail::cube_prefix_compact(op, t_win, s_win, len, stride);
             if (i + 1 == w) {
               take_totals(ws, len);
-            } else {
-              eng.spill_write_at(off, t_win, bytes);
+              write_s(ws, len);
+            } else if (x + 1 < windows) {
+              eng.spill_write_at(t_offset(i + 1, ws), t_win,
+                                 static_cast<std::size_t>(len >> (i + 1)) *
+                                     sizeof(V));
+              write_s(ws, len);
             }
-            eng.spill_write_at(s_region + off, s_win, bytes);
           }
           mach.add_ops(shard_n / 2 * 3);
         });
@@ -186,8 +236,7 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
           const dc::u64 len = std::min(win, shard_n - ws);
           stage_window(ws, len);
           take_totals(ws, len);
-          eng.spill_write_at(s_region + (data_base + ws) * sizeof(V), s_win,
-                             static_cast<std::size_t>(len) * sizeof(V));
+          write_s(ws, len);
         }
       }
       eng.after_shard_pass(k);
@@ -205,17 +254,19 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
     for (unsigned i = 0; i < w; ++i) {
       // Bit i of the local node-ID field (the low n-1 bits) is the flipped
       // label bit — the same test dual_prefix makes on the global label's
-      // node-ID field of either class. The fused path runs dual_prefix's
-      // butterfly (one combine per pair serves both partners) while the
-      // model still charges the 3 per-pair applications of the unfused
-      // step.
+      // node-ID field of either class. The fused path runs the compact
+      // kernel in place, one cluster at a time (each cluster's totals
+      // compact within its own slice of t, so the pool's block split stays
+      // race-free), while the model still charges the 3 per-pair
+      // applications of the unfused step.
       if (fused) {
         const dc::u64 stride = dc::u64{1} << i;
         mach.comm_compute_cycle_fused_blocks(
             static_cast<std::size_t>(plan.clusters_per_shard()),
             [&](std::size_t b_lo, std::size_t b_hi) {
-              detail::cube_prefix_butterfly(op, t_sl, s_sl, b_lo * csize,
-                                            b_hi * csize, stride);
+              for (dc::u64 c = b_lo * csize; c < b_hi * csize; c += csize)
+                detail::cube_prefix_compact(op, t_sl + c, s_sl + c, csize,
+                                            stride);
               mach.add_ops((b_hi - b_lo) * csize / 2 * 3);
             });
         continue;
@@ -225,8 +276,10 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
             return sim::Send<V>{
                 static_cast<net::NodeId>(l ^ (dc::u64{1} << i)), t_sl[l]};
           });
+      // A message a degrade-policy drop window lost folds as the identity.
+      const V lost = op.identity();
       mach.compute_step([&](net::NodeId l) {
-        const V& temp = *inbox[l];
+        const V& temp = inbox[l] ? *inbox[l] : lost;
         if (dc::bits::get(l, i) == 1) {
           s_sl[l] = op.combine(temp, s_sl[l]);
           t_sl[l] = op.combine(temp, t_sl[l]);
@@ -237,9 +290,10 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
         }
       });
     }
-    // After the full pass t is cluster-uniform (each node holds its
-    // cluster's total), so local node 0 of each block carries everything
-    // the compact exchange needs.
+    // After the full pass local node 0 of each block holds its cluster's
+    // total (the compact kernel's one remaining entry; the interpreted
+    // path leaves t cluster-uniform), everything the compact exchange
+    // needs.
     const auto& clusters = plan.shard_clusters(k);
     for (std::size_t cb = 0; cb < clusters.size(); ++cb) {
       const auto& cr = clusters[cb];
@@ -279,14 +333,16 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
     if (oc) {
       // Streamed steps 4 and 5: each is one whole-shard computation step
       // (step-synchrony is kept, like cycle-synchrony above), so each
-      // streams the s region through the window separately. Step 5's
-      // pass also hands the finished windows to the sink, so s is never
-      // written back.
+      // streams the s region through the window separately. Step 4 runs
+      // backward and leaves window 0 resident, unwritten; step 5 starts
+      // on it, since it hands the finished windows to the sink in
+      // ascending order, so s is never written back.
       V* const s_win = scr.s.data();
       const dc::u64 s_region = total_nodes * sizeof(V);
       const dc::u64 data_base = dc::u64{k} * shard_n;
       mach.compute_step_streamed([&](std::size_t, std::size_t) {
-        for (dc::u64 ws = 0; ws < shard_n; ws += win) {
+        for (dc::u64 x = windows; x-- > 0;) {
+          const dc::u64 ws = x * win;
           const dc::u64 len = std::min(win, shard_n - ws);
           const dc::u64 off = s_region + (data_base + ws) * sizeof(V);
           const std::size_t bytes = static_cast<std::size_t>(len) * sizeof(V);
@@ -300,16 +356,17 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
             V* const sv = s_win + (cb - ws / csize) * csize;
             for (dc::u64 j = 0; j < csize; ++j) sv[j] = op.combine(r, sv[j]);
           }
-          eng.spill_write_at(off, s_win, bytes);
+          if (x > 0) eng.spill_write_at(off, s_win, bytes);
         }
         mach.add_ops(shard_n);
       });
       mach.compute_step_streamed([&](std::size_t, std::size_t) {
         for (dc::u64 ws = 0; ws < shard_n; ws += win) {
           const dc::u64 len = std::min(win, shard_n - ws);
-          const dc::u64 off = s_region + (data_base + ws) * sizeof(V);
-          eng.spill_read_at(off, s_win,
-                            static_cast<std::size_t>(len) * sizeof(V));
+          if (ws > 0) {
+            eng.spill_read_at(s_region + (data_base + ws) * sizeof(V), s_win,
+                              static_cast<std::size_t>(len) * sizeof(V));
+          }
           dc::u64 folded = 0;
           for (dc::u64 cb = ws / csize; cb < (ws + len) / csize; ++cb) {
             if (clusters[static_cast<std::size_t>(cb)].cls != 1) continue;

@@ -31,14 +31,16 @@
 // unlinked temp file, and each machine's comm pool is trimmed after its
 // pass, so peak resident stays ~ working_bytes — linear in N/K. When even
 // one shard's working set exceeds B the run goes fully out of core: the
-// shard's t/s state lives in the spill file and every synchronous cycle
+// shard's state lives in the spill file and every synchronous cycle
 // streams it through a cluster-aligned window sized to the budget —
 // cycle-synchrony within the shard is a fidelity contract (each comm cycle
-// really sweeps the whole shard before the next begins), so an
-// out-of-core shard pays the full per-cycle re-streaming cost. That cost
-// is exactly what adding shards buys back: with enough shards the working
-// set drops under the budget and cycles run in core. Only a budget below
-// even one cluster's streaming window is refused up front.
+// really sweeps the whole shard before the next begins). The state a
+// cycle streams is s plus one compact total per subcube the cycle merges
+// (core/sharded_prefix.hpp), minus the window the previous cycle ended
+// on, which stays in the buffer. That streaming is exactly what adding
+// shards buys back: with enough shards the working set drops under the
+// budget and cycles run in core. Only a budget below even one cluster's
+// streaming window is refused up front.
 #pragma once
 
 #include <cstdint>

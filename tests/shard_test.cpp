@@ -1,13 +1,16 @@
 // Sharded execution tests: the cluster-sharded engine must be
 // observationally identical to the flat engine — same D_prefix results,
 // same Counters, same per-edge loads — for every shard count, on both the
-// fused and interpreted paths, with and without the out-of-core spill; and
-// its steady-state runs must allocate nothing.
+// fused and interpreted paths, with and without the out-of-core spill; its
+// out-of-core runs must write exactly the bytes their window schedule
+// implies; a message a degrade drop window loses must fold as the
+// identity; and its steady-state runs must allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <new>
 #include <set>
 #include <string>
@@ -16,6 +19,7 @@
 #include "core/dual_prefix.hpp"
 #include "core/ops.hpp"
 #include "core/sharded_prefix.hpp"
+#include "sim/faults.hpp"
 #include "sim/machine.hpp"
 #include "sim/schedule.hpp"
 #include "sim/shard.hpp"
@@ -281,30 +285,127 @@ TEST(ShardedDualPrefix, SpillingRunMatchesResidentRun) {
             dc::u64{d.node_count()} * sizeof(dc::u64));
 }
 
-TEST(ShardedDualPrefix, OutOfCoreRunMatchesResidentRun) {
-  const net::DualCube d(4);  // csize = 8, N = 128
-  std::vector<dc::u64> data(d.node_count());
-  dc::Rng rng(29);
-  for (auto& v : data) v = rng();
-  const core::Plus<dc::u64> op;
+// Bytes an out-of-core run writes to the spill file, from its window
+// schedule. Window order alternates per cycle, ascending first, and the
+// window a cycle ends on stays resident: each cycle i < n-2 writes s plus
+// the compact totals (one per 2^(i+1)-node group) of every other window;
+// the last cycle writes every window's s; step 4, run backward, writes
+// back every window but window 0, where step 5 starts.
+std::uint64_t streamed_spill_bytes(const ShardEngine& eng, std::size_t elem) {
+  const std::uint64_t shard_n = eng.shard_nodes();
+  const std::uint64_t win = eng.oc_window_nodes(elem);
+  const std::uint64_t last_len = shard_n - (shard_n - 1) / win * win;
+  const unsigned w = eng.dual_cube().order() - 1;
+  std::uint64_t elems = 0;  // per shard
+  for (unsigned i = 0; i + 1 < w; ++i) {
+    const std::uint64_t moved = shard_n - (i % 2 == 0 ? last_len : win);
+    elems += moved + (moved >> (i + 1));
+  }
+  elems += shard_n + (shard_n - win);
+  return elems * elem * eng.shard_count();
+}
+
+template <core::Monoid M>
+void expect_out_of_core_parity(const net::DualCube& d, const M& op,
+                               const std::vector<typename M::value_type>& data,
+                               std::initializer_list<std::size_t> budgets,
+                               std::initializer_list<unsigned> shard_counts) {
+  using V = typename M::value_type;
   for (const bool inclusive : {true, false}) {
-    const FlatRun<core::Plus<dc::u64>> ref =
-        flat_reference(d, op, data, inclusive, false);
-    // Budgets below even one shard's working set but above the one-cluster
-    // streaming floor (4*8*csize = 256): the whole run streams
-    // cycle-by-cycle out of core. 512 gives whole-shard-dividing windows;
-    // 768 gives a 3-cluster window that tiles shards raggedly.
-    for (const std::size_t budget : {std::size_t{512}, std::size_t{768}}) {
-      for (unsigned k : {1u, 2u, 4u}) {
+    const FlatRun<M> ref = flat_reference(d, op, data, inclusive, false);
+    for (const std::size_t budget : budgets) {
+      for (const unsigned k : shard_counts) {
         ShardEngine eng(d, k, budget);
-        ASSERT_TRUE(eng.out_of_core(sizeof(dc::u64)));
+        ASSERT_TRUE(eng.out_of_core(sizeof(V)));
         const auto got = core::sharded_dual_prefix(eng, op, data, inclusive);
         EXPECT_EQ(got, ref.result) << "K=" << k << " budget=" << budget;
         EXPECT_EQ(eng.counters(), ref.counters)
             << "K=" << k << " budget=" << budget;
         EXPECT_TRUE(eng.stats().last_run_out_of_core);
-        EXPECT_GT(eng.stats().spill_bytes, 0u);
+        EXPECT_EQ(eng.stats().spill_bytes, streamed_spill_bytes(eng, sizeof(V)))
+            << "K=" << k << " budget=" << budget;
       }
+    }
+  }
+}
+
+TEST(ShardedDualPrefix, OutOfCoreRunMatchesResidentRun) {
+  const net::DualCube d(4);  // csize = 8, N = 128
+  std::vector<dc::u64> data(d.node_count());
+  dc::Rng rng(29);
+  for (auto& v : data) v = rng();
+  // Budgets below even one shard's working set but above the one-cluster
+  // streaming floor (4*8*csize = 256): the whole run streams
+  // cycle-by-cycle out of core. 512 gives whole-shard-dividing windows;
+  // 768 gives a 3-cluster window that tiles shards raggedly.
+  expect_out_of_core_parity(d, core::Plus<dc::u64>{}, data, {512, 768},
+                            {1, 2, 4});
+  // The traffic closed form, worked once by hand: on 4 shards, 768 bytes
+  // stream 32-node shards through windows of 24 and 8 nodes. Per shard,
+  // cycle 0 writes window 0 (24 s + 12 totals), cycle 1 window 1 (8 s +
+  // 2 totals), cycle 2 all 32 s and step 4 window 1's 8: 86 elements.
+  EXPECT_EQ(streamed_spill_bytes(ShardEngine(d, 4, 768), sizeof(dc::u64)),
+            86u * 8 * 4);
+  // Mat2 (32 bytes) is plane-eligible and not commutative, so a swapped
+  // operand in the compact kernel shows. 2048 gives a whole-dividing
+  // 16-node window, 3072 a ragged 24-node one.
+  std::vector<core::Mat2::value_type> mats(d.node_count());
+  for (auto& m : mats) m = {rng(), rng(), rng(), rng()};
+  expect_out_of_core_parity(d, core::Mat2{}, mats, {2048, 3072}, {1, 2, 4});
+}
+
+TEST(ShardedDualPrefix, SingleWindowShardStaysResidentAcrossCycles) {
+  // 4-byte values on D_4 over 2 shards: working_bytes = 64 * 20 = 1280,
+  // and any budget in [1024, 1280) streams out of core through one
+  // 64-node window per shard. The shard never leaves the buffer during
+  // Pass A, so only the last cycle's s reaches the spill file: N * 4.
+  const net::DualCube d(4);
+  std::vector<std::uint32_t> data(d.node_count());
+  dc::Rng rng(37);
+  for (auto& v : data) v = static_cast<std::uint32_t>(rng());
+  for (const std::size_t budget : {std::size_t{1024}, std::size_t{1279}}) {
+    const ShardEngine eng(d, 2, budget);
+    ASSERT_EQ(eng.oc_window_nodes(sizeof(std::uint32_t)), eng.shard_nodes());
+    EXPECT_EQ(streamed_spill_bytes(eng, sizeof(std::uint32_t)),
+              dc::u64{d.node_count()} * sizeof(std::uint32_t));
+  }
+  expect_out_of_core_parity(d, core::Plus<std::uint32_t>{}, data, {1024, 1279},
+                            {2});
+}
+
+// ------------------------------------------------------------ faults --
+
+TEST(ShardedDualPrefix, LostMessagesFoldAsIdentity) {
+  // A degrade drop window over all of Pass A's n-1 cycles loses every
+  // in-cluster message, so each node keeps its own input as t and each
+  // cluster's total is its first input. The result is then a closed form:
+  // index i gets the first input of every earlier cluster, in index
+  // order, then (inclusive only) its own input.
+  const net::DualCube d(3);
+  const unsigned n = d.order();
+  const dc::u64 csize = dc::u64{1} << (n - 1);
+  std::vector<std::string> data(d.node_count());
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = std::string(1, static_cast<char>('a' + i % 26)) +
+              std::to_string(i) + ";";
+  const core::Concat op;
+  FaultTimeline tl(41);
+  tl.drop_window(1000, 0, n - 1);
+  for (const bool inclusive : {true, false}) {
+    std::vector<std::string> want(data.size());
+    std::string firsts;
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      if (i % csize == 0 && i > 0) firsts += data[i - csize];
+      want[i] = inclusive ? firsts + data[i] : firsts;
+    }
+    for (unsigned k : {1u, 2u, 4u}) {
+      ShardEngine eng(d, k);
+      eng.attach_fault_timeline(tl, FaultPolicy::kDegrade);
+      EXPECT_EQ(core::sharded_dual_prefix(eng, op, data, inclusive), want)
+          << "K=" << k << " inclusive=" << inclusive;
+      EXPECT_EQ(eng.counters().messages_lost,
+                dc::u64{d.node_count()} * (n - 1))
+          << "K=" << k;
     }
   }
 }

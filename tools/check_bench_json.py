@@ -120,9 +120,12 @@ def check_schema(rows) -> list:
                 errors.append(f"{name}: missing or non-numeric '{key}'")
         if any(tag in name for tag in ("_stddev", "_cv")):
             continue
-        if not row.get("ns_per_op", 0) > 0:
+        # A missing key reads as 0 and NaN fails `> 0`; any other
+        # non-number is left to the error above.
+        ns, ips = row.get("ns_per_op", 0), row.get("items_per_sec", 0)
+        if isinstance(ns, (int, float)) and not ns > 0:
             errors.append(f"{name}: ns_per_op must be > 0")
-        if not row.get("items_per_sec", 0) > 0:
+        if isinstance(ips, (int, float)) and not ips > 0:
             errors.append(
                 f"{name}: items_per_sec must be > 0 "
                 "(did the bench call SetItemsProcessed?)"
