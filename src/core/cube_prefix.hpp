@@ -9,6 +9,12 @@
 // left), so any associative ⊕ works — commutativity is never used.
 //
 // Cost: d communication steps and d computation steps on Q_d.
+//
+// This header is the one home of Algorithm 1's step, which Algorithm 2
+// runs twice inside every cluster: the per-node combine rule
+// (detail::cube_prefix_step), both fused kernels and the op charge they
+// share. Every engine applies the step through these definitions, so
+// operand order and op charges are written once.
 #pragma once
 
 #include <vector>
@@ -26,6 +32,87 @@ struct PrefixOutput {
   std::vector<V> total;
   std::vector<V> prefix;
 };
+
+namespace detail {
+
+/// One node's Cube_prefix computation step after exchanging t with the
+/// partner across the step's dimension: `recv` is the partner's t, and
+/// `high` says the node's label bit for that dimension is 1, i.e. the
+/// partner precedes it in label order. The high side folds the partner's
+/// total into both s and t (recv ⊕ own); the low side only into t
+/// (own ⊕ recv). Returns the operator applications made, for add_ops.
+template <Monoid M>
+unsigned cube_prefix_step(const M& op, bool high,
+                          const typename M::value_type& recv,
+                          typename M::value_type& t,
+                          typename M::value_type& s) {
+  if (high) {
+    s = op.combine(recv, s);
+    t = op.combine(recv, t);
+    return 2;
+  }
+  t = op.combine(t, recv);
+  return 1;
+}
+
+/// Operator applications one Cube_prefix step over `nodes` nodes is
+/// charged: 2 on each high partner plus 1 on each low one. The fused
+/// kernels make fewer combines and charge this, so Counters do not depend
+/// on the path that ran the step.
+constexpr dc::u64 cube_prefix_step_ops(dc::u64 nodes) { return nodes / 2 * 3; }
+
+/// One Cube_prefix exchange + computation step, fused, over nodes
+/// [lo, hi): each group of 2 * stride holds the exchanging pairs
+/// (g + j, g + j + stride). Both partners' new t is t_lo ⊕ t_hi (the low
+/// side computes own ⊕ received, the high side received ⊕ own), so one
+/// combine serves both, and only the high side folds its prefix:
+/// s_hi = t_lo ⊕ s_hi. Operand order is kept, so non-commutative monoids
+/// are safe. Callers charge cube_prefix_step_ops. The flat engine's
+/// replayed cluster passes run this kernel: step 2's cross-edge exchange
+/// and the Figure 3 observer read a per-node t. The sharded passes, which
+/// read only one total per cluster, run cube_prefix_compact instead.
+template <Monoid M>
+void cube_prefix_butterfly(const M& op, typename M::value_type* t,
+                           typename M::value_type* s, dc::u64 lo, dc::u64 hi,
+                           dc::u64 stride) {
+  using V = typename M::value_type;
+  for (dc::u64 g = lo; g < hi; g += 2 * stride) {
+    V* const tl = t + g;
+    V* const th = tl + stride;
+    V* const sh = s + g + stride;
+    for (dc::u64 j = 0; j < stride; ++j) {
+      const V c = op.combine(tl[j], th[j]);
+      sh[j] = op.combine(tl[j], sh[j]);
+      tl[j] = c;
+      th[j] = c;
+    }
+  }
+}
+
+/// One Cube_prefix exchange + computation step on compact totals, in
+/// place, over `len` nodes: `t` holds one total per `stride`-node group
+/// (len / stride entries; at stride 1, the inputs). Each group pair's new
+/// total is t_lo ⊕ t_hi, stored at the pair's index, and every node of
+/// the high group folds the low total into its prefix: s = t_lo ⊕ s. On
+/// return t holds one total per 2·stride-node group in its first
+/// len / (2·stride) entries. This is cube_prefix_butterfly with the
+/// per-node t copies collapsed — after dimension i every node of a
+/// 2^(i+1)-node subcube holds the same total — so values and operand
+/// order are the same. Callers charge cube_prefix_step_ops.
+template <Monoid M>
+void cube_prefix_compact(const M& op, typename M::value_type* t,
+                         typename M::value_type* s, dc::u64 len,
+                         dc::u64 stride) {
+  using V = typename M::value_type;
+  for (dc::u64 g = 0; g < len / stride; g += 2) {
+    const V lo = t[g];
+    V* const sh = s + (g + 1) * stride;
+    for (dc::u64 j = 0; j < stride; ++j) sh[j] = op.combine(lo, sh[j]);
+    t[g / 2] = op.combine(lo, t[g + 1]);
+  }
+}
+
+}  // namespace detail
 
 /// Runs Algorithm 1 on machine `m`, whose topology must be `q`. `c` holds
 /// one input per node (index = node label). With `inclusive` true, the
@@ -52,16 +139,8 @@ PrefixOutput<typename M::value_type> cube_prefix(
         1, [&](net::NodeId u) { return q.neighbor(u, i); },
         sim::PlaneSrc<V>{t.data(), 1});
     m.compute_step([&](net::NodeId u) {
-      const V& temp = *inbox.block(u);
-      if (dc::bits::get(u, i) == 1) {
-        // Partner precedes u in label order: temp ⊕ own, and fold into s.
-        s[u] = op.combine(temp, s[u]);
-        t[u] = op.combine(temp, t[u]);
-        m.add_ops(2);
-      } else {
-        t[u] = op.combine(t[u], temp);
-        m.add_ops(1);
-      }
+      m.add_ops(detail::cube_prefix_step(op, dc::bits::get(u, i) == 1,
+                                         *inbox.block(u), t[u], s[u]));
     });
   }
   sched.commit();

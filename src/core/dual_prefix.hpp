@@ -27,15 +27,17 @@
 // Cost: 2n communication cycles, 2n computation steps (Theorem 1: ≤ 2n+1
 // and ≤ 2n). Only associativity of ⊕ is assumed.
 //
-// Execution. All 2n cycles run through one ObliviousSection. On compiled
-// replay, each in-cluster exchange of steps 1 and 3 runs fused with the
+// Execution. All 2n cycles run through one ObliviousSection. Steps 1 and
+// 3 apply Algorithm 1's step as core/cube_prefix.hpp defines it. On
+// compiled replay, each in-cluster exchange runs fused with the
 // computation step that consumes it: one sweep of
 // detail::cube_prefix_butterfly through
 // ObliviousSection::exchange_compute_fused, with no comm plane
 // materialized. Counters, edge loads and imbalance samples match the
 // unfused pair; only the cycle's trace span name differs
 // (comm_cycle_fused). Recording, interpreted and faulted runs exchange
-// through the width-1 block plane and compute per node. The two
+// through the width-1 block plane and apply detail::cube_prefix_step per
+// node. The two
 // cross-edge exchanges always ship through the block plane; steps 4 and 5
 // fold as contiguous range loops. The arrangement is loaded and unloaded
 // in bulk (detail::arrange: class 0 copies, class 1 transposes);
@@ -49,6 +51,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cube_prefix.hpp"
 #include "core/ops.hpp"
 #include "sim/machine.hpp"
 #include "sim/oblivious.hpp"
@@ -104,35 +107,6 @@ void arrange(const net::DualCube& d, const V* src, V* dst) {
   }
 }
 
-/// One Cube_prefix exchange + computation step, fused, over nodes
-/// [lo, hi): each group of 2 * stride holds the exchanging pairs
-/// (g + j, g + j + stride). Both partners' new t is t_lo ⊕ t_hi (the low
-/// side computes own ⊕ received, the high side received ⊕ own), so one
-/// combine serves both, and only the high side folds its prefix:
-/// s_hi = t_lo ⊕ s_hi. Operand order is kept, so non-commutative monoids
-/// are safe. Callers charge the 3 combines per pair the unfused step
-/// applies. The flat engine's replayed cluster passes run this kernel:
-/// step 2's cross-edge exchange and the Figure 3 observer read a per-node
-/// t. The sharded passes, which read only one total per cluster, run
-/// core/sharded_prefix.hpp's compact form of it instead.
-template <Monoid M>
-void cube_prefix_butterfly(const M& op, typename M::value_type* t,
-                           typename M::value_type* s, dc::u64 lo, dc::u64 hi,
-                           dc::u64 stride) {
-  using V = typename M::value_type;
-  for (dc::u64 g = lo; g < hi; g += 2 * stride) {
-    V* const tl = t + g;
-    V* const th = tl + stride;
-    V* const sh = s + g + stride;
-    for (dc::u64 j = 0; j < stride; ++j) {
-      const V c = op.combine(tl[j], th[j]);
-      sh[j] = op.combine(tl[j], sh[j]);
-      tl[j] = c;
-      th[j] = c;
-    }
-  }
-}
-
 /// Shared by steps 1 and 3: an in-cluster Cube_prefix pass, in place, over
 /// totals `t` and prefixes `s` (ordered by node ID within each cluster).
 /// Costs n-1 comm cycles and n-1 comp steps.
@@ -157,7 +131,7 @@ void cluster_prefix(sim::Machine& m, sim::ObliviousSection& sched,
               cube_prefix_butterfly(op, t.data(), s.data(), lo, lo + block,
                                     dc::u64{1} << (lo < half ? i : w + i));
             }
-            m.add_ops((b_hi - b_lo) * block / 2 * 3);
+            m.add_ops(cube_prefix_step_ops((b_hi - b_lo) * block));
           });
       continue;
     }
@@ -165,16 +139,9 @@ void cluster_prefix(sim::Machine& m, sim::ObliviousSection& sched,
         1, [&](net::NodeId u) { return d.cluster_neighbor(u, i); },
         sim::PlaneSrc<V>{t.data(), 1});
     m.compute_step([&](net::NodeId u) {
-      const V& temp = *inbox.block(u);
       // Bit i of u's node ID is the flipped label bit of this exchange.
-      if (dc::bits::get(u, (u < half ? 0u : w) + i) == 1) {
-        s[u] = op.combine(temp, s[u]);
-        t[u] = op.combine(temp, t[u]);
-        m.add_ops(2);
-      } else {
-        t[u] = op.combine(t[u], temp);
-        m.add_ops(1);
-      }
+      const bool high = dc::bits::get(u, (u < half ? 0u : w) + i) == 1;
+      m.add_ops(cube_prefix_step(op, high, *inbox.block(u), t[u], s[u]));
     });
   }
 }

@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "core/cube_prefix.hpp"
 #include "core/dimension_exchange.hpp"
 #include "core/ops.hpp"
 
@@ -38,15 +39,8 @@ std::vector<typename M::value_type> emulated_prefix(
   for (unsigned i = 0; i < r.label_bits(); ++i) {
     const auto ex = dimension_exchange_blocks(m, sched, r, i, t, 1);
     m.compute_step([&](net::NodeId u) {
-      const V& temp = *ex.recv(u);
-      if (dc::bits::get(u, i) == 1) {
-        s[u] = op.combine(temp, s[u]);
-        t[u] = op.combine(temp, t[u]);
-        m.add_ops(2);
-      } else {
-        t[u] = op.combine(t[u], temp);
-        m.add_ops(1);
-      }
+      m.add_ops(detail::cube_prefix_step(op, dc::bits::get(u, i) == 1,
+                                         *ex.recv(u), t[u], s[u]));
     });
   }
   sched.commit();

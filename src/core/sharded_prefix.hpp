@@ -14,12 +14,14 @@
 //   Pass A (per shard; real machine work) — step 1's in-cluster
 //     Cube_prefix: n-1 fused exchange+combine sweeps (or interpreted
 //     exchanges plus compute steps when the run needs per-message
-//     fidelity) over the shard's t/s slices. The fused sweeps run the
-//     compact kernel (detail::cube_prefix_compact): after dimension i
-//     every node of a 2^(i+1)-node subcube holds the same total, so t
-//     keeps one entry per subcube instead of one per node. After the
-//     pass, each cluster's total sits at its local node 0 on either path
-//     — the entire contribution the shard ever sends across cluster
+//     fidelity) over the shard's t/s slices. Both apply Algorithm 1's step
+//     from core/cube_prefix.hpp: the interpreted one per node
+//     (detail::cube_prefix_step), the fused sweeps through the compact
+//     kernel (detail::cube_prefix_compact) — after dimension i every node
+//     of a 2^(i+1)-node subcube holds the same total, so t keeps one
+//     entry per subcube instead of one per node. After the pass, each
+//     cluster's total sits at its local node 0 on either path — the
+//     entire contribution the shard ever sends across cluster
 //     boundaries.
 //
 //   Compact exchange (host-side scan, "phase:shard_exchange") — steps 2-3
@@ -39,9 +41,9 @@
 // (sim/shard.hpp's memory model); everything else is identical.
 //
 // When even one shard's working set exceeds the budget the run goes fully
-// out of core: the compact totals and s live in two regions of the spill
-// file and every synchronous cycle (and every Pass B step) streams them
-// through one cluster-aligned window sized by the budget. Cycle-synchrony
+// out of core: s and the compact totals live in the spill file and every
+// synchronous cycle (and every Pass B step) streams them through one
+// cluster-aligned window sized by the budget. Cycle-synchrony
 // within the shard is a fidelity contract — each cycle's sweep completes
 // over the whole shard before the next begins — so cycle i streams s plus
 // the shard_n/2^i compact totals, minus the window the previous cycle
@@ -51,6 +53,11 @@
 // and edge loads stay bit-identical (the streamed sweeps book through the
 // same machine primitives); only the sink granularity changes, from one
 // call per shard to one per window.
+//
+// The three regimes (resident, spilling, out of core) differ only in
+// where s lives between the passes and how much of a shard one sweep
+// holds, so they share one spill layout and one helper for each of input
+// staging, cluster totals, s I/O and the step-4 and step-5 folds.
 #pragma once
 
 #include <algorithm>
@@ -61,6 +68,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cube_prefix.hpp"
 #include "core/ops.hpp"
 #include "sim/shard.hpp"
 
@@ -74,30 +82,6 @@ namespace detail {
 template <typename V>
 inline constexpr bool kPlaneEligible =
     std::is_trivially_copyable_v<V> && std::is_default_constructible_v<V>;
-
-/// One Cube_prefix exchange + computation step on compact totals, in
-/// place, over `len` nodes: `t` holds one total per `stride`-node group
-/// (len / stride entries; at stride 1, the inputs). Each group pair's new
-/// total is t_lo ⊕ t_hi, stored at the pair's index, and every node of
-/// the high group folds the low total into its prefix: s = t_lo ⊕ s. On
-/// return t holds one total per 2·stride-node group in its first
-/// len / (2·stride) entries. This is cube_prefix_butterfly with the
-/// per-node t copies collapsed — after dimension i every node of a
-/// 2^(i+1)-node subcube holds the same total — so values and operand
-/// order are the same. Callers charge the 3 combines per node pair the
-/// unfused step applies.
-template <Monoid M>
-void cube_prefix_compact(const M& op, typename M::value_type* t,
-                         typename M::value_type* s, dc::u64 len,
-                         dc::u64 stride) {
-  using V = typename M::value_type;
-  for (dc::u64 g = 0; g < len / stride; g += 2) {
-    const V lo = t[g];
-    V* const sh = s + (g + 1) * stride;
-    for (dc::u64 j = 0; j < stride; ++j) sh[j] = op.combine(lo, sh[j]);
-    t[g / 2] = op.combine(lo, t[g + 1]);
-  }
-}
 
 }  // namespace detail
 
@@ -146,59 +130,70 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
   const bool fused =
       detail::kPlaneEligible<V> && !eng.edge_load_enabled() &&
       eng.machine(0).schedule_path() == sim::SchedulePath::kCompiled;
-  DC_REQUIRE(!oc || fused,
-             "out-of-core streaming requires the fused exchange path "
-             "(plane-eligible payload, compiled schedule path, no edge "
-             "loads); raise the budget otherwise");
+  if (oc && !fused) {
+    throw sim::SimError(
+        "out-of-core streaming requires the fused exchange path "
+        "(plane-eligible payload, compiled schedule path, no edge "
+        "loads); raise the budget otherwise");
+  }
+
+  // The spill file holds s by global data index at [0, N*e): a spilling
+  // run's shard slice and an out-of-core run's windows are the same bytes.
+  // Out-of-core compact totals follow at [N*e, 2N*e) (t_offset below).
+  const auto write_s = [&](dc::u64 i, const V* s, dc::u64 len) {
+    eng.spill_write_at(i * sizeof(V), s,
+                       static_cast<std::size_t>(len) * sizeof(V));
+  };
+  const auto read_s = [&](dc::u64 i, V* s, dc::u64 len) {
+    eng.spill_read_at(i * sizeof(V), s,
+                      static_cast<std::size_t>(len) * sizeof(V));
+  };
+  // Step 1's inputs for data indices [i, i + len): t = c, and s = c
+  // (inclusive) or the identity (diminished).
+  const auto stage = [&](dc::u64 i, V* t, V* s, dc::u64 len) {
+    for (dc::u64 j = 0; j < len; ++j) {
+      t[j] = data_of(i + j);
+      s[j] = inclusive ? t[j] : op.identity();
+    }
+  };
+  // Step 1's result for the compact exchange: the totals of a shard's
+  // local clusters [c0, c0 + count), cluster c0 + j's at t[j * step] —
+  // step 1 where the compact kernel ran over a whole window, csize where
+  // it ran per cluster or the interpreted pass left t cluster-uniform.
+  const auto take_totals = [&](const auto& clusters, dc::u64 c0,
+                               dc::u64 count, const V* t, dc::u64 step) {
+    for (dc::u64 j = 0; j < count; ++j) {
+      const auto& cr = clusters[static_cast<std::size_t>(c0 + j)];
+      (cr.cls == 0 ? scr.totals0
+                   : scr.totals1)[static_cast<std::size_t>(cr.cluster)] =
+          t[j * step];
+    }
+  };
 
   // ---- Pass A: step 1 (in-cluster inclusive/diminished prefix) --------
   for (unsigned k = 0; k < eng.shard_count(); ++k) {
     sim::Machine& mach = eng.machine(k);
+    const auto& clusters = plan.shard_clusters(k);
     const dc::u64 data_base = dc::u64{k} * shard_n;
     if (oc) {
-      // Out-of-core pass: the shard's compact totals and its s live in two
-      // spill-file regions ([0, N*e) and [N*e, 2N*e), global data-index
-      // offsets) and every cycle streams the whole shard through the
-      // window — the sweep is cluster-local (stride < cluster size <=
-      // window), so windows are independent within a cycle. Cycle 0
-      // generates the inputs in place of a read; the last cycle extracts
-      // the cluster totals and retires t (dead afterwards), writing every
-      // window's s back. Cycles alternate ascending and descending window
-      // order, so the window one cycle ends on starts the next and never
-      // leaves the buffer. T_m (one total per 2^m-node group, written by
-      // cycle m-1) sits at the low end of the shard's t region for odd m
-      // and at the high end for even m: an ascending cycle compacts
-      // towards the start, a descending one towards the end, so no
-      // window's write reaches T entries a later window of the same cycle
-      // still reads.
+      // Out-of-core pass: every cycle streams the whole shard's s and
+      // compact totals through the window — the sweep is cluster-local
+      // (stride < cluster size <= window), so windows are independent
+      // within a cycle. Cycle 0 stages the inputs in place of a read; the
+      // last cycle extracts the cluster totals and retires t (dead
+      // afterwards), writing every window's s back. Cycles alternate
+      // ascending and descending window order, so the window one cycle
+      // ends on starts the next and never leaves the buffer. T_m (one
+      // total per 2^m-node group, written by cycle m-1) sits at the low
+      // end of the shard's totals region for odd m and at the high end
+      // for even m: an ascending cycle compacts towards the start, a
+      // descending one towards the end, so no window's write reaches T
+      // entries a later window of the same cycle still reads.
       V* const t_win = scr.t.data();
       V* const s_win = scr.s.data();
-      const dc::u64 s_region = total_nodes * sizeof(V);
-      const auto& clusters = plan.shard_clusters(k);
       const auto t_offset = [&](unsigned m, dc::u64 ws) {
         const dc::u64 base = m % 2 == 1 ? 0 : shard_n - (shard_n >> m);
-        return (data_base + base + (ws >> m)) * sizeof(V);
-      };
-      const auto stage_window = [&](dc::u64 ws, dc::u64 len) {
-        for (dc::u64 j = 0; j < len; ++j)
-          t_win[j] = data_of(data_base + ws + j);
-        if (inclusive) {
-          for (dc::u64 j = 0; j < len; ++j) s_win[j] = t_win[j];
-        } else {
-          for (dc::u64 j = 0; j < len; ++j) s_win[j] = op.identity();
-        }
-      };
-      const auto take_totals = [&](dc::u64 ws, dc::u64 len) {
-        for (dc::u64 cb = ws / csize; cb < (ws + len) / csize; ++cb) {
-          const auto& cr = clusters[static_cast<std::size_t>(cb)];
-          (cr.cls == 0 ? scr.totals0
-                       : scr.totals1)[static_cast<std::size_t>(cr.cluster)] =
-              t_win[cb - ws / csize];
-        }
-      };
-      const auto write_s = [&](dc::u64 ws, dc::u64 len) {
-        eng.spill_write_at(s_region + (data_base + ws) * sizeof(V), s_win,
-                           static_cast<std::size_t>(len) * sizeof(V));
+        return (total_nodes + data_base + base + (ws >> m)) * sizeof(V);
       };
       for (unsigned i = 0; i < w; ++i) {
         const dc::u64 stride = dc::u64{1} << i;
@@ -208,35 +203,33 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
             const dc::u64 ws = (i % 2 == 0 ? x : windows - 1 - x) * win;
             const dc::u64 len = std::min(win, shard_n - ws);
             if (i == 0) {
-              stage_window(ws, len);
+              stage(data_base + ws, t_win, s_win, len);
             } else if (x > 0) {
               eng.spill_read_at(t_offset(i, ws), t_win,
                                 static_cast<std::size_t>(len >> i) *
                                     sizeof(V));
-              eng.spill_read_at(s_region + (data_base + ws) * sizeof(V),
-                                s_win,
-                                static_cast<std::size_t>(len) * sizeof(V));
+              read_s(data_base + ws, s_win, len);
             }
             detail::cube_prefix_compact(op, t_win, s_win, len, stride);
             if (i + 1 == w) {
-              take_totals(ws, len);
-              write_s(ws, len);
+              take_totals(clusters, ws / csize, len / csize, t_win, 1);
+              write_s(data_base + ws, s_win, len);
             } else if (x + 1 < windows) {
               eng.spill_write_at(t_offset(i + 1, ws), t_win,
                                  static_cast<std::size_t>(len >> (i + 1)) *
                                      sizeof(V));
-              write_s(ws, len);
+              write_s(data_base + ws, s_win, len);
             }
           }
-          mach.add_ops(shard_n / 2 * 3);
+          mach.add_ops(detail::cube_prefix_step_ops(shard_n));
         });
       }
       if (w == 0) {  // degenerate D_1: no cycles; stage and retire directly
         for (dc::u64 ws = 0; ws < shard_n; ws += win) {
           const dc::u64 len = std::min(win, shard_n - ws);
-          stage_window(ws, len);
-          take_totals(ws, len);
-          write_s(ws, len);
+          stage(data_base + ws, t_win, s_win, len);
+          take_totals(clusters, ws / csize, len / csize, t_win, 1);
+          write_s(data_base + ws, s_win, len);
         }
       }
       eng.after_shard_pass(k);
@@ -244,13 +237,9 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
     }
     V* const t_sl = scr.t.data();
     V* const s_sl = spill ? scr.s.data() : scr.s.data() + k * shard_n;
-    mach.for_each_node(
-        [&](net::NodeId l) { t_sl[l] = data_of(data_base + l); });
-    if (inclusive) {
-      mach.for_each_node([&](net::NodeId l) { s_sl[l] = t_sl[l]; });
-    } else {
-      mach.for_each_node([&](net::NodeId l) { s_sl[l] = op.identity(); });
-    }
+    mach.for_each_node([&](net::NodeId l) {
+      stage(data_base + l, t_sl + l, s_sl + l, 1);
+    });
     for (unsigned i = 0; i < w; ++i) {
       // Bit i of the local node-ID field (the low n-1 bits) is the flipped
       // label bit — the same test dual_prefix makes on the global label's
@@ -267,7 +256,8 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
               for (dc::u64 c = b_lo * csize; c < b_hi * csize; c += csize)
                 detail::cube_prefix_compact(op, t_sl + c, s_sl + c, csize,
                                             stride);
-              mach.add_ops((b_hi - b_lo) * csize / 2 * 3);
+              mach.add_ops(
+                  detail::cube_prefix_step_ops((b_hi - b_lo) * csize));
             });
         continue;
       }
@@ -279,32 +269,16 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
       // A message a degrade-policy drop window lost folds as the identity.
       const V lost = op.identity();
       mach.compute_step([&](net::NodeId l) {
-        const V& temp = inbox[l] ? *inbox[l] : lost;
-        if (dc::bits::get(l, i) == 1) {
-          s_sl[l] = op.combine(temp, s_sl[l]);
-          t_sl[l] = op.combine(temp, t_sl[l]);
-          mach.add_ops(2);
-        } else {
-          t_sl[l] = op.combine(t_sl[l], temp);
-          mach.add_ops(1);
-        }
+        mach.add_ops(detail::cube_prefix_step(op, dc::bits::get(l, i) == 1,
+                                              inbox[l] ? *inbox[l] : lost,
+                                              t_sl[l], s_sl[l]));
       });
     }
-    // After the full pass local node 0 of each block holds its cluster's
-    // total (the compact kernel's one remaining entry; the interpreted
-    // path leaves t cluster-uniform), everything the compact exchange
-    // needs.
-    const auto& clusters = plan.shard_clusters(k);
-    for (std::size_t cb = 0; cb < clusters.size(); ++cb) {
-      const auto& cr = clusters[cb];
-      (cr.cls == 0 ? scr.totals0
-                   : scr.totals1)[static_cast<std::size_t>(cr.cluster)] =
-          t_sl[cb * csize];
-    }
-    if (spill) {
-      eng.spill_write(k, s_sl,
-                      static_cast<std::size_t>(shard_n) * sizeof(V));
-    }
+    // After the full pass local node 0 of each cluster holds its total
+    // (the compact kernel's one remaining entry; the interpreted path
+    // leaves t cluster-uniform), everything the compact exchange needs.
+    take_totals(clusters, 0, clusters.size(), t_sl, csize);
+    if (spill) write_s(data_base, s_sl, shard_n);
     eng.after_shard_pass(k);
   }
 
@@ -326,55 +300,64 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
   }
   eng.end_exchange_phase();
 
+  // Step 4 over a shard's local nodes [lo, hi), whose s starts at `s`: one
+  // contiguous run per cluster folds R = P0[cluster] (class 0) or
+  // P1[cluster] (class 1) in on the left.
+  const auto fold_step4 = [&](const auto& clusters, dc::u64 lo, dc::u64 hi,
+                              V* s) {
+    for (dc::u64 l = lo; l < hi;) {
+      const dc::u64 end = std::min(hi, ((l >> w) + 1) << w);
+      const auto& cr = clusters[static_cast<std::size_t>(l >> w)];
+      const V& r = (cr.cls == 0 ? scr.prefix0 : scr.prefix1)
+          [static_cast<std::size_t>(cr.cluster)];
+      for (; l < end; ++l) s[l - lo] = op.combine(r, s[l - lo]);
+    }
+  };
+  // Step 5 over the same range: class-1 clusters prepend the class-0
+  // grand total. Returns the nodes folded, for add_ops.
+  const auto fold_step5 = [&](const auto& clusters, dc::u64 lo, dc::u64 hi,
+                              V* s) {
+    dc::u64 folded = 0;
+    for (dc::u64 l = lo; l < hi;) {
+      const dc::u64 end = std::min(hi, ((l >> w) + 1) << w);
+      if (clusters[static_cast<std::size_t>(l >> w)].cls == 1) {
+        for (dc::u64 j = l; j < end; ++j)
+          s[j - lo] = op.combine(g0, s[j - lo]);
+        folded += end - l;
+      }
+      l = end;
+    }
+    return folded;
+  };
+
   // ---- Pass B: steps 4-5 and result emission --------------------------
   for (unsigned k = 0; k < eng.shard_count(); ++k) {
     sim::Machine& mach = eng.machine(k);
     const auto& clusters = plan.shard_clusters(k);
+    const dc::u64 data_base = dc::u64{k} * shard_n;
     if (oc) {
       // Streamed steps 4 and 5: each is one whole-shard computation step
       // (step-synchrony is kept, like cycle-synchrony above), so each
-      // streams the s region through the window separately. Step 4 runs
-      // backward and leaves window 0 resident, unwritten; step 5 starts
-      // on it, since it hands the finished windows to the sink in
-      // ascending order, so s is never written back.
+      // streams s through the window separately. Step 4 runs backward and
+      // leaves window 0 resident, unwritten; step 5 starts on it, since it
+      // hands the finished windows to the sink in ascending order, so s is
+      // never written back.
       V* const s_win = scr.s.data();
-      const dc::u64 s_region = total_nodes * sizeof(V);
-      const dc::u64 data_base = dc::u64{k} * shard_n;
       mach.compute_step_streamed([&](std::size_t, std::size_t) {
         for (dc::u64 x = windows; x-- > 0;) {
           const dc::u64 ws = x * win;
           const dc::u64 len = std::min(win, shard_n - ws);
-          const dc::u64 off = s_region + (data_base + ws) * sizeof(V);
-          const std::size_t bytes = static_cast<std::size_t>(len) * sizeof(V);
-          eng.spill_read_at(off, s_win, bytes);
-          for (dc::u64 cb = ws / csize; cb < (ws + len) / csize; ++cb) {
-            const auto& cr = clusters[static_cast<std::size_t>(cb)];
-            const V& r =
-                cr.cls == 0
-                    ? scr.prefix0[static_cast<std::size_t>(cr.cluster)]
-                    : scr.prefix1[static_cast<std::size_t>(cr.cluster)];
-            V* const sv = s_win + (cb - ws / csize) * csize;
-            for (dc::u64 j = 0; j < csize; ++j) sv[j] = op.combine(r, sv[j]);
-          }
-          if (x > 0) eng.spill_write_at(off, s_win, bytes);
+          read_s(data_base + ws, s_win, len);
+          fold_step4(clusters, ws, ws + len, s_win);
+          if (x > 0) write_s(data_base + ws, s_win, len);
         }
         mach.add_ops(shard_n);
       });
       mach.compute_step_streamed([&](std::size_t, std::size_t) {
         for (dc::u64 ws = 0; ws < shard_n; ws += win) {
           const dc::u64 len = std::min(win, shard_n - ws);
-          if (ws > 0) {
-            eng.spill_read_at(s_region + (data_base + ws) * sizeof(V), s_win,
-                              static_cast<std::size_t>(len) * sizeof(V));
-          }
-          dc::u64 folded = 0;
-          for (dc::u64 cb = ws / csize; cb < (ws + len) / csize; ++cb) {
-            if (clusters[static_cast<std::size_t>(cb)].cls != 1) continue;
-            V* const sv = s_win + (cb - ws / csize) * csize;
-            for (dc::u64 j = 0; j < csize; ++j) sv[j] = op.combine(g0, sv[j]);
-            folded += csize;
-          }
-          mach.add_ops(folded);
+          if (ws > 0) read_s(data_base + ws, s_win, len);
+          mach.add_ops(fold_step5(clusters, ws, ws + len, s_win));
           sink(data_base + ws, static_cast<const V*>(s_win),
                static_cast<std::size_t>(len));
         }
@@ -383,24 +366,15 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
       continue;
     }
     V* const s_sl = spill ? scr.s.data() : scr.s.data() + k * shard_n;
-    if (spill) {
-      eng.spill_read(k, s_sl, static_cast<std::size_t>(shard_n) * sizeof(V));
-    }
-    mach.compute_step([&](net::NodeId l) {
-      const auto& cr = clusters[static_cast<std::size_t>(l >> w)];
-      const V& r = cr.cls == 0
-                       ? scr.prefix0[static_cast<std::size_t>(cr.cluster)]
-                       : scr.prefix1[static_cast<std::size_t>(cr.cluster)];
-      s_sl[l] = op.combine(r, s_sl[l]);
-      mach.add_ops(1);
+    if (spill) read_s(data_base, s_sl, shard_n);
+    mach.compute_step_chunked([&](std::size_t lo, std::size_t hi) {
+      fold_step4(clusters, lo, hi, s_sl + lo);
+      mach.add_ops(hi - lo);
     });
-    mach.compute_step([&](net::NodeId l) {
-      if (clusters[static_cast<std::size_t>(l >> w)].cls == 1) {
-        s_sl[l] = op.combine(g0, s_sl[l]);
-        mach.add_ops(1);
-      }
+    mach.compute_step_chunked([&](std::size_t lo, std::size_t hi) {
+      mach.add_ops(fold_step5(clusters, lo, hi, s_sl + lo));
     });
-    sink(dc::u64{k} * shard_n, static_cast<const V*>(s_sl),
+    sink(data_base, static_cast<const V*>(s_sl),
          static_cast<std::size_t>(shard_n));
     eng.after_shard_pass(k);
   }
@@ -408,12 +382,11 @@ void sharded_dual_prefix(sim::ShardEngine& eng, const M& op, DataFn&& data_of,
   // Virtualized model costs of steps 2-5's communication and step 3's
   // computation (Pass B's folds were real): the two cross-edge cycles and
   // the n-1 distribution cycles move one message per node each; step 3's
-  // n-1 compute steps apply 2 ops on set-bit nodes and 1 on the rest —
-  // exactly half the nodes each, so 3N/2 per step.
+  // n-1 Cube_prefix steps are charged like any other.
   eng.end_run(/*comm_cycles=*/dc::u64{w} + 2,
               /*messages=*/(dc::u64{w} + 2) * total_nodes,
               /*comp_steps=*/w,
-              /*ops=*/dc::u64{w} * (total_nodes / 2) * 3);
+              /*ops=*/dc::u64{w} * detail::cube_prefix_step_ops(total_nodes));
 }
 
 /// Convenience form: whole-vector input and output, exactly dual_prefix's

@@ -2,25 +2,29 @@
 //
 // Every comm_cycle needs per-node delivery slots, per-port claim stamps,
 // and a record of where each node sent (for deterministic violation
-// reporting). Allocating that scratch each cycle dominated the simulator's
-// hot path, so the Machine owns a CommArena: a per-payload-type registry of
-// scratch buffers that are recycled instead of freed.
+// reporting); every block cycle needs a stamped plane. Allocating that
+// scratch each cycle dominated the simulator's hot path, so the Machine
+// owns a CommArena: one registry, keyed by entry type, of scratch that is
+// recycled instead of freed.
 //
-//   * The outbox is a single persistent vector per payload type — the plan
-//     pass overwrites every slot each cycle, so it needs no clearing and no
-//     stamping.
-//   * Inbox buffers are pooled. A cycle acquires a buffer (allocating only
-//     if the pool is empty — i.e. only on the first cycle, or when the
-//     caller keeps several inboxes of the same type alive at once), stamps
-//     it with a fresh generation, and returns it to the caller wrapped in
-//     an Inbox<P>. The Inbox releases the buffer back to the pool on
-//     destruction, so steady-state cycles perform zero heap allocations.
+//   * The outbox (Outbox<P>) is a single persistent vector per payload
+//     type — the plan pass overwrites every slot each cycle, so it needs
+//     no clearing and no stamping.
+//   * Inbox slot buffers (InboxBuffer<P>) and block planes
+//     (BlockBuffer<T>) are pooled by one template, BufferPool<Buf>. A
+//     cycle acquires a buffer (allocating only if the pool is empty — i.e.
+//     only on the first cycle, or when the caller keeps several inboxes of
+//     the same type alive at once), stamps it with a fresh generation, and
+//     returns it wrapped in one move-only handle, Pooled<Buf>, inside an
+//     Inbox<P> or BlockInbox<T>. The handle releases the buffer back to
+//     the pool on destruction, so steady-state cycles perform zero heap
+//     allocations.
 //   * The per-slot claim stamps implement the 1-port receive discipline
 //     under concurrent delivery: a worker claims receive port v by
 //     compare-exchanging claims[v] to the buffer's generation. Because the
 //     generation is fresh for every cycle, stamps never need resetting.
 //
-// An Inbox shares ownership of its typed arena, so it stays valid even if
+// A handle shares ownership of its pool, so an inbox stays valid even if
 // it happens to outlive the Machine (in practice inboxes are consumed
 // within the enclosing algorithm step). The arena is not thread-safe; a
 // Machine is driven by one caller thread, which is the existing simulator
@@ -49,16 +53,30 @@ struct Send {
 
 namespace detail {
 
-struct ArenaBase {
-  virtual ~ArenaBase() = default;
-  /// Bytes of scratch currently resident in this arena (persistent outbox
-  /// plus pooled buffers). Pools keep buffers at their high-water size, so
-  /// between runs — when every Inbox has been recycled — this reads as the
-  /// run's high-water scratch footprint.
+/// Type-erased face of one registry entry, so CommArena can total and trim
+/// every payload type's scratch at once.
+struct ArenaEntry {
+  virtual ~ArenaEntry() = default;
+  /// Bytes of scratch currently resident in this entry. Pools keep buffers
+  /// at their high-water size, so between runs — when every handle has
+  /// been recycled — this reads as the run's high-water scratch footprint.
   virtual std::size_t resident_bytes() const = 0;
   /// Releases every pooled (idle) buffer. Buffers still held by live
-  /// Inboxes are untouched and recycle into the (now empty) pool as usual.
+  /// handles are untouched and recycle into the (now empty) pool as usual.
   virtual void trim() = 0;
+};
+
+/// The persistent outbox of payload type P: comm_cycle's plan pass
+/// overwrites every slot each cycle, so it needs no clearing, no stamping
+/// and no pooling, and a trim keeps it.
+template <typename P>
+struct Outbox final : ArenaEntry {
+  explicit Outbox(std::size_t n) : sends(n) {}
+  std::size_t resident_bytes() const override {
+    return sends.capacity() * sizeof(std::optional<Send<P>>);
+  }
+  void trim() override {}
+  std::vector<std::optional<Send<P>>> sends;
 };
 
 /// One pooled inbox: payload slots plus atomic claim stamps per receive
@@ -73,52 +91,13 @@ struct InboxBuffer {
     for (std::size_t i = 0; i < n; ++i)
       claims[i].store(0, std::memory_order_relaxed);
   }
+  std::size_t resident_bytes(std::size_t n) const {
+    return slots.capacity() * sizeof(std::optional<P>) +
+           n * sizeof(std::atomic<std::uint64_t>);
+  }
   std::vector<std::optional<P>> slots;
   std::unique_ptr<std::atomic<std::uint64_t>[]> claims;
   std::uint64_t generation = 0;
-};
-
-/// All scratch for one payload type: the persistent outbox and the inbox
-/// buffer pool. Generations are handed out from a strictly increasing
-/// counter (starting at 1, so the zero-initialized claim stamps can never
-/// collide with a live cycle).
-template <typename P>
-struct TypedArena final : ArenaBase {
-  explicit TypedArena(std::size_t n) : size(n), outbox(n) {
-    pool.reserve(8);
-  }
-
-  std::unique_ptr<InboxBuffer<P>> acquire() {
-    std::unique_ptr<InboxBuffer<P>> buf;
-    if (!pool.empty()) {
-      buf = std::move(pool.back());
-      pool.pop_back();
-    } else {
-      buf = std::make_unique<InboxBuffer<P>>(size);
-    }
-    buf->generation = ++next_generation;
-    return buf;
-  }
-
-  void release(std::unique_ptr<InboxBuffer<P>> buf) {
-    pool.push_back(std::move(buf));
-  }
-
-  std::size_t resident_bytes() const override {
-    std::size_t bytes = outbox.capacity() * sizeof(std::optional<Send<P>>);
-    for (const auto& buf : pool) {
-      bytes += buf->slots.capacity() * sizeof(std::optional<P>);
-      bytes += size * sizeof(std::atomic<std::uint64_t>);
-    }
-    return bytes;
-  }
-
-  void trim() override { pool.clear(); }
-
-  std::size_t size;
-  std::vector<std::optional<Send<P>>> outbox;
-  std::vector<std::unique_ptr<InboxBuffer<P>>> pool;
-  std::uint64_t next_generation = 0;
 };
 
 }  // namespace detail
@@ -143,6 +122,9 @@ struct BlockBuffer {
     width = w;
     if (values.size() < n * w) values.resize(n * w);
   }
+  std::size_t resident_bytes(std::size_t n) const {
+    return values.capacity() * sizeof(T) + n * sizeof(std::uint64_t);
+  }
   std::vector<T> values;  // n * width, node-major
   std::unique_ptr<std::uint64_t[]> stamp;
   std::size_t width = 0;
@@ -151,76 +133,109 @@ struct BlockBuffer {
 
 namespace detail {
 
-/// Pool of BlockBuffer<T> planes for one element type, mirroring
-/// TypedArena's acquire/release + generation discipline.
-template <typename T>
-struct TypedBlockArena final : ArenaBase {
-  explicit TypedBlockArena(std::size_t n) : size(n) { pool.reserve(8); }
+/// Pool of `Buf` buffers (InboxBuffer<P> or BlockBuffer<T>) for `size`
+/// nodes. Each acquire hands out a buffer stamped with a fresh generation
+/// from a strictly increasing counter (starting at 1, so zero-initialized
+/// stamps can never collide with a live cycle), allocating only when the
+/// pool is empty — on first use, or while the caller keeps several buffers
+/// of one type alive at once.
+template <typename Buf>
+struct BufferPool final : ArenaEntry {
+  explicit BufferPool(std::size_t n) : size(n) { pool.reserve(8); }
 
-  std::unique_ptr<BlockBuffer<T>> acquire(std::size_t width) {
-    std::unique_ptr<BlockBuffer<T>> buf;
+  std::unique_ptr<Buf> acquire() {
+    std::unique_ptr<Buf> buf;
     if (!pool.empty()) {
       buf = std::move(pool.back());
       pool.pop_back();
     } else {
-      buf = std::make_unique<BlockBuffer<T>>(size);
+      buf = std::make_unique<Buf>(size);
     }
-    buf->set_width(size, width);
     buf->generation = ++next_generation;
     return buf;
   }
 
-  void release(std::unique_ptr<BlockBuffer<T>> buf) {
-    pool.push_back(std::move(buf));
-  }
+  void release(std::unique_ptr<Buf> buf) { pool.push_back(std::move(buf)); }
 
   std::size_t resident_bytes() const override {
     std::size_t bytes = 0;
-    for (const auto& buf : pool) {
-      bytes += buf->values.capacity() * sizeof(T);
-      bytes += size * sizeof(std::uint64_t);  // stamps
-    }
+    for (const auto& buf : pool) bytes += buf->resident_bytes(size);
     return bytes;
   }
 
   void trim() override { pool.clear(); }
 
   std::size_t size;
-  std::vector<std::unique_ptr<BlockBuffer<T>>> pool;
+  std::vector<std::unique_ptr<Buf>> pool;
   std::uint64_t next_generation = 0;
 };
 
 }  // namespace detail
 
-/// Per-payload-type registry of communication scratch, owned by a Machine.
-class CommArena {
+/// Move-only owner of one pooled buffer: dereferences to it and recycles it
+/// into its pool on destruction. Holding a handle keeps its buffer out of
+/// the pool, so concurrently live handles of one type are each backed by
+/// distinct storage. A handle shares ownership of its pool, so it stays
+/// valid even if it outlives the Machine.
+template <typename Buf>
+class Pooled {
  public:
-  /// The (unique) arena for payload type P, created on first use with
-  /// capacity for `n` nodes. Subsequent calls are a hash lookup only.
-  template <typename P>
-  std::shared_ptr<detail::TypedArena<P>> get(std::size_t n) {
-    const std::type_index key(typeid(P));
-    auto it = arenas_.find(key);
-    if (it == arenas_.end()) {
-      it = arenas_.emplace(key, std::make_shared<detail::TypedArena<P>>(n))
-               .first;
+  Pooled() = default;
+  Pooled(std::shared_ptr<detail::BufferPool<Buf>> home,
+         std::unique_ptr<Buf> buf)
+      : home_(std::move(home)), buf_(std::move(buf)) {}
+
+  Pooled(Pooled&& other) noexcept
+      : home_(std::move(other.home_)), buf_(std::move(other.buf_)) {}
+  Pooled& operator=(Pooled&& other) noexcept {
+    if (this != &other) {
+      recycle();
+      home_ = std::move(other.home_);
+      buf_ = std::move(other.buf_);
     }
-    return std::static_pointer_cast<detail::TypedArena<P>>(it->second);
+    return *this;
+  }
+  Pooled(const Pooled&) = delete;
+  Pooled& operator=(const Pooled&) = delete;
+
+  ~Pooled() { recycle(); }
+
+  explicit operator bool() const { return buf_ != nullptr; }
+  Buf* operator->() const { return buf_.get(); }
+
+ private:
+  void recycle() {
+    if (home_ && buf_) home_->release(std::move(buf_));
+    home_.reset();
   }
 
-  /// The (unique) block-plane arena for element type T. Keyed separately
-  /// from the scalar arena of the same T: planes and slot buffers have
-  /// different shapes and pooling lifetimes.
-  template <typename T>
-  std::shared_ptr<detail::TypedBlockArena<T>> get_blocks(std::size_t n) {
-    const std::type_index key(typeid(T));
-    auto it = block_arenas_.find(key);
-    if (it == block_arenas_.end()) {
-      it = block_arenas_
-               .emplace(key, std::make_shared<detail::TypedBlockArena<T>>(n))
-               .first;
-    }
-    return std::static_pointer_cast<detail::TypedBlockArena<T>>(it->second);
+  std::shared_ptr<detail::BufferPool<Buf>> home_;
+  std::unique_ptr<Buf> buf_;
+};
+
+/// Per-machine registry of communication scratch, keyed by entry type: one
+/// Outbox<P> and one BufferPool<InboxBuffer<P>> per interpreted payload
+/// type, one BufferPool<BlockBuffer<T>> per block element type.
+class CommArena {
+ public:
+  /// The (unique) entry of type E, created on first use with capacity for
+  /// `n` nodes. Subsequent calls are a hash lookup only.
+  template <typename E>
+  std::shared_ptr<E> get(std::size_t n) {
+    const std::type_index key(typeid(E));
+    auto it = entries_.find(key);
+    if (it == entries_.end())
+      it = entries_.emplace(key, std::make_shared<E>(n)).first;
+    return std::static_pointer_cast<E>(it->second);
+  }
+
+  /// A buffer from the pool of `Buf` for `n` nodes, stamped with a fresh
+  /// generation.
+  template <typename Buf>
+  Pooled<Buf> acquire(std::size_t n) {
+    auto pool = get<detail::BufferPool<Buf>>(n);
+    auto buf = pool->acquire();
+    return Pooled<Buf>(std::move(pool), std::move(buf));
   }
 
   /// Bytes of pooled communication scratch resident across every payload
@@ -229,9 +244,7 @@ class CommArena {
   /// sim.comm_pool.high_water_bytes gauge.
   std::size_t resident_bytes() const {
     std::size_t total = 0;
-    for (const auto& [key, arena] : arenas_) total += arena->resident_bytes();
-    for (const auto& [key, arena] : block_arenas_)
-      total += arena->resident_bytes();
+    for (const auto& [key, entry] : entries_) total += entry->resident_bytes();
     return total;
   }
 
@@ -241,45 +254,23 @@ class CommArena {
   /// guarantees do not hold across a trim (the next cycle re-allocates its
   /// plane), which is the explicit trade of spill mode.
   void trim() {
-    for (const auto& [key, arena] : arenas_) arena->trim();
-    for (const auto& [key, arena] : block_arenas_) arena->trim();
+    for (const auto& [key, entry] : entries_) entry->trim();
   }
 
  private:
-  std::unordered_map<std::type_index, std::shared_ptr<detail::ArenaBase>>
-      arenas_;
-  std::unordered_map<std::type_index, std::shared_ptr<detail::ArenaBase>>
-      block_arenas_;
+  std::unordered_map<std::type_index, std::shared_ptr<detail::ArenaEntry>>
+      entries_;
 };
 
 /// The result of one comm_cycle: for each node, the payload it received
 /// this cycle, if any. Move-only; indexing matches the old
-/// std::vector<std::optional<P>> interface exactly. Holding an Inbox keeps
-/// its buffer out of the pool, so concurrently live inboxes of the same
-/// payload type are each backed by distinct storage; destroying the Inbox
-/// recycles the buffer for a later cycle.
+/// std::vector<std::optional<P>> interface exactly. Destroying the Inbox
+/// recycles its buffer for a later cycle.
 template <typename P>
 class Inbox {
  public:
   Inbox() = default;
-  Inbox(std::shared_ptr<detail::TypedArena<P>> home,
-        std::unique_ptr<detail::InboxBuffer<P>> buf)
-      : home_(std::move(home)), buf_(std::move(buf)) {}
-
-  Inbox(Inbox&& other) noexcept
-      : home_(std::move(other.home_)), buf_(std::move(other.buf_)) {}
-  Inbox& operator=(Inbox&& other) noexcept {
-    if (this != &other) {
-      recycle();
-      home_ = std::move(other.home_);
-      buf_ = std::move(other.buf_);
-    }
-    return *this;
-  }
-  Inbox(const Inbox&) = delete;
-  Inbox& operator=(const Inbox&) = delete;
-
-  ~Inbox() { recycle(); }
+  explicit Inbox(Pooled<detail::InboxBuffer<P>> buf) : buf_(std::move(buf)) {}
 
   std::optional<P>& operator[](net::NodeId u) {
     return buf_->slots[static_cast<std::size_t>(u)];
@@ -293,13 +284,7 @@ class Inbox {
   const std::optional<P>* data() const { return buf_->slots.data(); }
 
  private:
-  void recycle() {
-    if (home_ && buf_) home_->release(std::move(buf_));
-    home_.reset();
-  }
-
-  std::shared_ptr<detail::TypedArena<P>> home_;
-  std::unique_ptr<detail::InboxBuffer<P>> buf_;
+  Pooled<detail::InboxBuffer<P>> buf_;
 };
 
 /// The result of one block comm cycle: a structure-of-arrays plane of
@@ -310,24 +295,7 @@ template <typename T>
 class BlockInbox {
  public:
   BlockInbox() = default;
-  BlockInbox(std::shared_ptr<detail::TypedBlockArena<T>> home,
-             std::unique_ptr<BlockBuffer<T>> buf)
-      : home_(std::move(home)), buf_(std::move(buf)) {}
-
-  BlockInbox(BlockInbox&& other) noexcept
-      : home_(std::move(other.home_)), buf_(std::move(other.buf_)) {}
-  BlockInbox& operator=(BlockInbox&& other) noexcept {
-    if (this != &other) {
-      recycle();
-      home_ = std::move(other.home_);
-      buf_ = std::move(other.buf_);
-    }
-    return *this;
-  }
-  BlockInbox(const BlockInbox&) = delete;
-  BlockInbox& operator=(const BlockInbox&) = delete;
-
-  ~BlockInbox() { recycle(); }
+  explicit BlockInbox(Pooled<BlockBuffer<T>> buf) : buf_(std::move(buf)) {}
 
   /// True iff node v received a block this cycle.
   bool has(net::NodeId v) const {
@@ -348,13 +316,7 @@ class BlockInbox {
   std::size_t width() const { return buf_ ? buf_->width : 0; }
 
  private:
-  void recycle() {
-    if (home_ && buf_) home_->release(std::move(buf_));
-    home_.reset();
-  }
-
-  std::shared_ptr<detail::TypedBlockArena<T>> home_;
-  std::unique_ptr<BlockBuffer<T>> buf_;
+  Pooled<BlockBuffer<T>> buf_;
 };
 
 }  // namespace dc::sim

@@ -422,14 +422,6 @@ class FaultTimeline {
     return out;
   }
 
-  /// Every node that is down at any point on the timeline, ascending.
-  std::vector<net::NodeId> ever_dead_nodes() const {
-    std::vector<net::NodeId> out;
-    out.reserve(node_.size());
-    for (const auto& [u, iv] : node_) out.push_back(u);
-    return out;  // std::map iterates ascending
-  }
-
   // ---- event introspection (the sharded engine re-localizes a global
   // ---- timeline into per-shard ones) ---------------------------------
 

@@ -229,10 +229,10 @@ class Machine {
   Inbox<P> comm_cycle(Plan&& plan) {
     const std::size_t n = static_cast<std::size_t>(node_count());
     CycleSpan span(trace_, trace_track_, "comm_cycle");
-    auto arena = arena_.get<P>(n);
-    auto buf = arena->acquire();
+    auto& sends = arena_.get<detail::Outbox<P>>(n)->sends;
+    auto buf = arena_.acquire<detail::InboxBuffer<P>>(n);
 
-    std::optional<Send<P>>* const outbox = arena->outbox.data();
+    std::optional<Send<P>>* const outbox = sends.data();
     std::optional<P>* const slots = buf->slots.data();
     std::atomic<std::uint64_t>* const claims = buf->claims.get();
     const std::uint64_t gen = buf->generation;
@@ -254,10 +254,10 @@ class Machine {
     // (and deterministically) between planning and delivery, so a degraded
     // message is simply absent from the delivery pass below.
     if (faults_) {
-      filter_faults(*faults_, arena->outbox);
+      filter_faults(*faults_, sends);
     } else if (timeline_) {
       note_timeline_cycle(counters_.comm_cycles);
-      filter_faults(*timeline_, arena->outbox);
+      filter_faults(*timeline_, sends);
     }
 
     const net::FlatAdjacency* adj = nullptr;
@@ -332,7 +332,7 @@ class Machine {
         grain_, pool_);
 
     if (violation.load(std::memory_order_relaxed)) {
-      throw_first_violation(arena->outbox);
+      throw_first_violation(sends);
     }
 
     if (profiler_ != nullptr) {
@@ -344,7 +344,7 @@ class Machine {
     counters_.messages += count;
     span.finish(count);
     if (metric_msgs_per_cycle_) metric_msgs_per_cycle_->observe(count);
-    return Inbox<P>(std::move(arena), std::move(buf));
+    return Inbox<P>(std::move(buf));
   }
 
   /// Replays one compiled communication cycle (see sim/schedule.hpp) whose
@@ -377,8 +377,8 @@ class Machine {
                "schedule cycle was compiled for a different node count");
     require_block_source<T>(width, src);
     CycleSpan span(trace_, trace_track_, "comm_cycle_replay_blocks");
-    auto arena = arena_.get_blocks<T>(n);
-    auto buf = arena->acquire(width);
+    auto buf = arena_.acquire<BlockBuffer<T>>(n);
+    buf->set_width(n, width);
 
     const bool loads_on = edge_load_.enabled();
     parallel_for_affine(
@@ -419,7 +419,7 @@ class Machine {
     span.finish(cyc.message_count);
     if (metric_msgs_per_cycle_)
       metric_msgs_per_cycle_->observe(cyc.message_count);
-    return BlockInbox<T>(std::move(arena), std::move(buf));
+    return BlockInbox<T>(std::move(buf));
   }
 
   /// Fused exchange-and-combine step over `blocks` equal node blocks:
@@ -507,8 +507,8 @@ class Machine {
                             Src&& src) {
     const std::size_t n = static_cast<std::size_t>(node_count());
     require_block_source<T>(width, src);
-    auto arena = arena_.get_blocks<T>(n);
-    auto buf = arena->acquire(width);
+    auto buf = arena_.acquire<BlockBuffer<T>>(n);
+    buf->set_width(n, width);
     T* const plane = buf->values.data();
     std::uint64_t* const stamp = buf->stamp.get();
     const std::uint64_t gen = buf->generation;
@@ -523,7 +523,7 @@ class Machine {
           }
         },
         grain_, pool_);
-    return BlockInbox<T>(std::move(arena), std::move(buf));
+    return BlockInbox<T>(std::move(buf));
   }
 
   /// One parallel computation step: f(u) for every node. f must only write

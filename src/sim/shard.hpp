@@ -41,6 +41,13 @@
 // shards buys back: with enough shards the working set drops under the
 // budget and cycles run in core. Only a budget below even one cluster's
 // streaming window is refused up front.
+//
+// Both regimes use one spill-file layout: s in global data-index order at
+// [0, N*e) — a spilling run's shard slice and an out-of-core run's
+// windows are the same bytes at the same offsets — and an out-of-core
+// run's compact totals after it, at [N*e, 2N*e). The engine offers one
+// byte-offset I/O pair (spill_write_at / spill_read_at); the front-end
+// owns the layout.
 #pragma once
 
 #include <cstdint>
@@ -103,7 +110,7 @@ struct ShardScratch final : ShardScratchBase {
   }
 };
 
-/// Unlinked POSIX temp file backing out-of-core result slices. Created
+/// Unlinked POSIX temp file backing spilled and out-of-core state. Created
 /// lazily on the first write (a resident-only engine never touches the
 /// filesystem); unlinked immediately, so the space is reclaimed on close
 /// even if the process dies.
@@ -162,17 +169,17 @@ class SpillFile {
 /// core/sharded_prefix.hpp for the proof obligations the front-end meets).
 class ShardEngine {
  public:
-  /// `mem_budget_bytes` = 0 means unbudgeted (never spill). `validate`
-  /// is forwarded to every per-shard machine, exactly like Machine's flag.
+  /// `mem_budget_bytes` = 0 means unbudgeted (never spill). Every
+  /// per-shard machine validates its interpreted cycles.
   ShardEngine(const net::DualCube& d, unsigned shards,
-              std::size_t mem_budget_bytes = 0, bool validate = true)
+              std::size_t mem_budget_bytes = 0)
       : d_(d),
         plan_(d, shards),
         shard_topo_(d.order() - 1, plan_.clusters_per_shard()),
         budget_(mem_budget_bytes) {
     machines_.reserve(shards);
     for (unsigned k = 0; k < shards; ++k) {
-      machines_.push_back(std::make_unique<Machine>(shard_topo_, validate));
+      machines_.push_back(std::make_unique<Machine>(shard_topo_));
     }
   }
 
@@ -312,17 +319,21 @@ class ShardEngine {
 
   /// Opens one sharded run. Decides (and records in stats) whether this
   /// run spills; `spillable` says whether the payload type supports the
-  /// byte-wise out-of-core path (trivially copyable).
+  /// byte-wise out-of-core path (trivially copyable). A budget the run
+  /// cannot meet throws SimError naming the remedy.
   void begin_run(std::size_t elem_bytes, bool spillable) {
     oc_run_ = out_of_core(elem_bytes);
     spilling_ = will_spill(elem_bytes);
-    DC_REQUIRE(!oc_run_ || budget_ >= oc_floor_bytes(elem_bytes),
-               "memory budget is below even one cluster's out-of-core "
-               "streaming window; raise the budget");
-    DC_REQUIRE(!(spilling_ || oc_run_) || spillable,
-               "this payload type cannot spill out of core (not trivially "
-               "copyable); raise the memory budget");
-    slice_bytes_ = static_cast<std::uint64_t>(shard_nodes()) * elem_bytes;
+    if (oc_run_ && budget_ < oc_floor_bytes(elem_bytes)) {
+      throw SimError(
+          "memory budget is below even one cluster's out-of-core "
+          "streaming window; raise the budget");
+    }
+    if ((spilling_ || oc_run_) && !spillable) {
+      throw SimError(
+          "this payload type cannot spill out of core (not trivially "
+          "copyable); raise the memory budget");
+    }
   }
 
   /// Closes one sharded run: books the virtualized portion of the
@@ -354,20 +365,9 @@ class ShardEngine {
   /// streams through the spill file cycle-by-cycle.
   bool out_of_core_run() const { return oc_run_; }
 
-  /// Writes / reads shard `k`'s result slice (spilling runs only; offsets
-  /// are slices of begin_run's element size).
-  void spill_write(unsigned k, const void* p, std::size_t bytes) {
-    spill_.write(std::uint64_t{k} * slice_bytes_, p, bytes);
-    ++stats_.spill_count;
-    stats_.spill_bytes += bytes;
-  }
-  void spill_read(unsigned k, void* p, std::size_t bytes) const {
-    spill_.read(std::uint64_t{k} * slice_bytes_, p, bytes);
-  }
-
-  /// Raw-offset spill I/O for out-of-core runs, whose windows are finer
-  /// than whole shard slices (the front-end lays out a t region followed
-  /// by an s region). Writes book spill traffic like slice writes do.
+  /// Spill-file I/O at a byte offset, for spilling and out-of-core runs
+  /// alike; the front-end owns the layout (core/sharded_prefix.hpp). Each
+  /// write counts as one spill in stats.
   void spill_write_at(std::uint64_t offset, const void* p,
                       std::size_t bytes) {
     spill_.write(offset, p, bytes);
@@ -566,7 +566,6 @@ class ShardEngine {
   bool edge_load_on_ = false;
   bool spilling_ = false;
   bool oc_run_ = false;
-  std::uint64_t slice_bytes_ = 0;
   mutable detail::SpillFile spill_;
   TraceRecorder* trace_ = nullptr;
   std::uint32_t trace_track_ = 0;

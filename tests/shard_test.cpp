@@ -4,7 +4,8 @@
 // fused and interpreted paths, with and without the out-of-core spill; its
 // out-of-core runs must write exactly the bytes their window schedule
 // implies; a message a degrade drop window loses must fold as the
-// identity; and its steady-state runs must allocate nothing.
+// identity; a budget a run cannot meet must be refused with an exact
+// SimError; and its steady-state runs must allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -176,6 +177,12 @@ TEST(ShardedDualPrefix, MatchesFlatEngineBitIdentically) {
   std::vector<dc::u64> small(data.begin(), data.end());
   for (auto& v : small) v %= 97;
   expect_shard_parity(d, core::Min<dc::u64>{}, small, true);
+  // Mat2 is plane-eligible and not commutative, so a swapped operand in
+  // the resident fused sweep or the per-cluster Pass B folds shows.
+  std::vector<core::Mat2::value_type> mats(d.node_count());
+  for (auto& m : mats) m = {rng(), rng(), rng(), rng()};
+  expect_shard_parity(d, core::Mat2{}, mats, true);
+  expect_shard_parity(d, core::Mat2{}, mats, false);
 }
 
 TEST(ShardedDualPrefix, MatchesFlatEngineForNonCommutativeMonoid) {
@@ -283,6 +290,26 @@ TEST(ShardedDualPrefix, SpillingRunMatchesResidentRun) {
   EXPECT_EQ(eng.stats().spill_count, 4u);
   EXPECT_EQ(eng.stats().spill_bytes,
             dc::u64{d.node_count()} * sizeof(dc::u64));
+
+  // Mat2 (32 bytes, not commutative): working = 8 * 104 = 832 bytes and
+  // working + store = 1856, so a 1000-byte budget spills the result store
+  // without going out of core.
+  using Mat = core::Mat2::value_type;
+  std::vector<Mat> mats(d.node_count());
+  for (auto& m : mats) m = {rng(), rng(), rng(), rng()};
+  for (const bool inclusive : {true, false}) {
+    const FlatRun<core::Mat2> mref =
+        flat_reference(d, core::Mat2{}, mats, inclusive, false);
+    ShardEngine meng(d, 4, 1000);
+    ASSERT_TRUE(meng.will_spill(sizeof(Mat)));
+    ASSERT_FALSE(meng.out_of_core(sizeof(Mat)));
+    EXPECT_EQ(core::sharded_dual_prefix(meng, core::Mat2{}, mats, inclusive),
+              mref.result);
+    EXPECT_EQ(meng.counters(), mref.counters);
+    EXPECT_TRUE(meng.stats().last_run_spilled);
+    EXPECT_EQ(meng.stats().spill_count, 4u);
+    EXPECT_EQ(meng.stats().spill_bytes, dc::u64{d.node_count()} * sizeof(Mat));
+  }
 }
 
 // Bytes an out-of-core run writes to the spill file, from its window
@@ -431,6 +458,51 @@ TEST(ShardedDualPrefix, RefusesSpillForNonTrivialPayload) {
   ASSERT_TRUE(eng.will_spill(sizeof(std::string)));
   EXPECT_THROW(core::sharded_dual_prefix(eng, core::Concat{}, data),
                dc::CheckError);
+}
+
+TEST(ShardedDualPrefix, RefusalsCarryExactMessages) {
+  // A budget a run cannot meet throws SimError whose what() is the remedy
+  // alone, with no check expression or source path in it.
+  const auto refusal = [](auto&& run) -> std::string {
+    try {
+      run();
+    } catch (const SimError& e) {
+      return e.what();
+    } catch (const dc::CheckError& e) {
+      return std::string("not a SimError: ") + e.what();
+    }
+    return "no refusal";
+  };
+  const net::DualCube d(3);
+  std::vector<dc::u64> data(d.node_count(), 1);
+  ShardEngine tiny(d, 2, /*mem_budget_bytes=*/16);
+  EXPECT_EQ(refusal([&] {
+              core::sharded_dual_prefix(tiny, core::Plus<dc::u64>{}, data);
+            }),
+            "memory budget is below even one cluster's out-of-core "
+            "streaming window; raise the budget");
+  // 200 bytes is below the 512-byte shard working set and above the
+  // 128-byte streaming floor: out of core, which the interpreted schedule
+  // path cannot run.
+  ShardEngine interp(d, 2, /*mem_budget_bytes=*/200);
+  for (unsigned k = 0; k < interp.shard_count(); ++k)
+    interp.machine(k).set_schedule_path(SchedulePath::kInterpreted);
+  EXPECT_EQ(refusal([&] {
+              core::sharded_dual_prefix(interp, core::Plus<dc::u64>{}, data);
+            }),
+            "out-of-core streaming requires the fused exchange path "
+            "(plane-eligible payload, compiled schedule path, no edge "
+            "loads); raise the budget otherwise");
+  const net::DualCube d2(2);
+  ShardEngine strings(d2, 4, /*mem_budget_bytes=*/
+                      net::ShardPlan(d2, 4).shard_node_count() *
+                          (3 * sizeof(std::string) + 8));
+  std::vector<std::string> words(d2.node_count(), "x");
+  EXPECT_EQ(refusal([&] {
+              core::sharded_dual_prefix(strings, core::Concat{}, words);
+            }),
+            "this payload type cannot spill out of core (not trivially "
+            "copyable); raise the memory budget");
 }
 
 // ---------------------------------------------------------- allocation --
