@@ -123,6 +123,7 @@
 #include "sim/schedule_store.hpp"
 #include "sim/store_forward.hpp"
 #include "sim/trace.hpp"
+#include "support/bits.hpp"
 #include "support/cli.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -293,26 +294,36 @@ void print_recovery_report(const dc::sim::RecoveryDriver& drv,
   g_report.fault.epoch_starts = drv.timeline().epoch_starts();
 }
 
-/// Range check before narrowing: prints "--<rule> (got v)" and returns
-/// false when v lies outside lo..hi.
+/// A refusal: prints its one line and records it in the run report
+/// (status "rejected", the line as the error). Returns dcsim's refusal
+/// exit code.
+int reject(const std::string& line) {
+  std::cout << line << "\n";
+  g_report.status = "rejected";
+  g_report.error = line;
+  return 2;
+}
+
+/// Range check before narrowing: rejects with "--<rule> (got v)" and
+/// returns false when v lies outside lo..hi.
 bool check_range(std::int64_t v, std::int64_t lo, std::int64_t hi,
                  const std::string& rule) {
   if (v >= lo && v <= hi) return true;
-  std::cout << "--" << rule << " (got " << v << ")\n";
+  reject("--" + rule + " (got " + std::to_string(v) + ")");
   return false;
 }
 
-/// Index of `value` among a choice flag's `names`; prints
+/// Index of `value` among a choice flag's `names`; rejects with
 /// "unknown --flag 'value' (a|b|...)" when it is none of them.
 std::optional<std::size_t> check_choice(std::string_view flag,
                                         const std::string& value,
                                         const std::vector<std::string>& names) {
   const auto it = std::find(names.begin(), names.end(), value);
   if (it != names.end()) return static_cast<std::size_t>(it - names.begin());
-  std::cout << "unknown --" << flag << " '" << value << "' (";
+  std::string line = "unknown --" + std::string(flag) + " '" + value + "' (";
   for (std::size_t i = 0; i < names.size(); ++i)
-    std::cout << (i > 0 ? "|" : "") << names[i];
-  std::cout << ")\n";
+    line += (i > 0 ? "|" : "") + names[i];
+  reject(line + ")");
   return std::nullopt;
 }
 
@@ -667,9 +678,8 @@ int run_healthy(const Algo& a, const Params& p) {
 int run_with_faults(const Algo* a, const Params& p, const std::string& spec,
                     dc::sim::FaultPolicy policy) {
   if (!a || !a->ft) {
-    std::cout << "--faults supports only --algo=prefix|broadcast|sort (got '"
-              << p.algo << "')\n";
-    return 2;
+    return reject("--faults supports only --algo=prefix|broadcast|sort (got '" +
+                  p.algo + "')");
   }
   // Parse the spec against the topology the algorithm will actually see
   // so node-range errors name it.
@@ -678,21 +688,19 @@ int run_with_faults(const Algo* a, const Params& p, const std::string& spec,
   try {
     plan = dc::sim::parse_fault_spec(spec, topo, p.seed);
   } catch (const dc::CheckError& e) {
-    std::cout << "bad --faults spec: " << e.what() << "\n";
-    return 2;
+    return reject("bad --faults spec: " + std::string(e.what()));
   }
   if (policy == dc::sim::FaultPolicy::kStrict &&
       plan.node_fault_count() >= p.n) {
-    std::cout << "strict policy covers only fewer than n=" << p.n
-              << " node faults (" << topo.name() << " is " << p.n
-              << "-connected); got " << plan.node_fault_count()
-              << ". Use --fault-policy=degrade to attempt the run anyway.\n";
-    return 2;
+    return reject("strict policy covers only fewer than n=" +
+                  std::to_string(p.n) + " node faults (" + topo.name() +
+                  " is " + std::to_string(p.n) + "-connected); got " +
+                  std::to_string(plan.node_fault_count()) +
+                  ". Use --fault-policy=degrade to attempt the run anyway.");
   }
   if (a->live_root && plan.node_dead(p.root, kEver)) {
-    std::cout << "fault spec kills the broadcast root " << p.root
-              << "; pick a live --root\n";
-    return 2;
+    return reject("fault spec kills the broadcast root " +
+                  std::to_string(p.root) + "; pick a live --root");
   }
   try {
     dc::sim::Machine m(topo);
@@ -713,14 +721,14 @@ int run_with_faults(const Algo* a, const Params& p, const std::string& spec,
 }
 
 /// Parses --fault-timeline for the flat and the sharded runs alike; null
-/// (after printing why) when the spec is malformed.
+/// (after rejecting it) when the spec is malformed.
 std::shared_ptr<const dc::sim::FaultTimeline> parse_timeline(
     const std::string& spec, const dc::net::Topology& topo, u64 seed) {
   try {
     return std::make_shared<const dc::sim::FaultTimeline>(
         dc::sim::parse_fault_timeline(spec, topo, seed));
   } catch (const dc::CheckError& e) {
-    std::cout << "bad --fault-timeline spec: " << e.what() << "\n";
+    reject("bad --fault-timeline spec: " + std::string(e.what()));
     return nullptr;
   }
 }
@@ -729,9 +737,9 @@ int run_with_timeline(const Algo* a, const Params& p, const std::string& spec,
                       const std::string& policy_name,
                       std::size_t retry_budget) {
   if (!a || !a->resilient) {
-    std::cout << "--fault-timeline supports only --algo=prefix|broadcast|sort"
-              << " (got '" << p.algo << "')\n";
-    return 2;
+    return reject(
+        "--fault-timeline supports only --algo=prefix|broadcast|sort (got '" +
+        p.algo + "')");
   }
   dc::sim::RetryPolicy rp;
   rp.retry_budget = retry_budget;
@@ -744,18 +752,18 @@ int run_with_timeline(const Algo* a, const Params& p, const std::string& spec,
     // at the timeline's peak of simultaneous node faults.
     const std::size_t peak = tl->max_concurrent_node_faults();
     if (!rp.degrade_on_exhaustion && peak >= p.n) {
-      std::cout << "strict policy covers only fewer than n=" << p.n
-                << " concurrent node faults; the timeline peaks at " << peak
-                << ". Use --fault-policy=degrade to attempt the run anyway.\n";
-      return 2;
+      return reject("strict policy covers only fewer than n=" +
+                    std::to_string(p.n) +
+                    " concurrent node faults; the timeline peaks at " +
+                    std::to_string(peak) +
+                    ". Use --fault-policy=degrade to attempt the run anyway.");
     }
     const auto& events = tl->node_events();
     if (a->live_root &&
         std::any_of(events.begin(), events.end(),
                     [&](const auto& ev) { return ev.node == p.root; })) {
-      std::cout << "fault timeline kills the broadcast root " << p.root
-                << "; pick a live --root\n";
-      return 2;
+      return reject("fault timeline kills the broadcast root " +
+                    std::to_string(p.root) + "; pick a live --root");
     }
     dc::sim::Machine m(topo);
     setup_machine(m, "measured");
@@ -773,8 +781,7 @@ int run_with_timeline(const Algo* a, const Params& p, const std::string& spec,
     g_report.error = e.what();
     return 1;
   } catch (const dc::CheckError& e) {
-    std::cout << "bad --fault-timeline spec: " << e.what() << "\n";
-    return 2;
+    return reject("bad --fault-timeline spec: " + std::string(e.what()));
   }
 }
 
@@ -898,7 +905,7 @@ int run_sharded_prefix(const Params& p, unsigned shards, std::size_t budget,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   dc::Cli cli(argc, argv);
   const std::string algo = cli.get_string("algo", "prefix");
   const std::int64_t n_arg = cli.get_int("n", 3);
@@ -1021,41 +1028,33 @@ int main(int argc, char** argv) {
         !check_choice("pattern", pattern, {"random", "complement", "cross"}))
       return 2;
     if (shards > 0) {
-      if (algo != "prefix") {
-        std::cout << "--shards supports only --algo=prefix (got '" << algo
-                  << "')\n";
-        return 2;
-      }
-      if (!faults.empty()) {
-        std::cout << "--shards and --faults cannot be combined\n";
-        return 2;
-      }
+      if (algo != "prefix")
+        return reject("--shards supports only --algo=prefix (got '" + algo +
+                      "')");
+      if (!faults.empty())
+        return reject("--shards and --faults cannot be combined");
       if (!fault_timeline.empty() && fault_policy != "degrade") {
-        std::cout << "--shards with --fault-timeline requires "
-                     "--fault-policy=degrade (per-shard machines cannot "
-                     "retry the host-side exchange)\n";
-        return 2;
+        return reject(
+            "--shards with --fault-timeline requires --fault-policy=degrade "
+            "(per-shard machines cannot retry the host-side exchange)");
       }
       std::shared_ptr<const dc::sim::FaultTimeline> tl;
       if (!fault_timeline.empty()) {
         tl = parse_timeline(fault_timeline, p.d, seed);
         if (!tl) return 2;
       }
+      if (!dc::bits::is_pow2(shards))
+        return reject("--shards must be a power of two (got " +
+                      std::to_string(shards) + ")");
       try {
         return run_sharded_prefix(p, shards, mem_budget, tl.get());
       } catch (const dc::CheckError& e) {
-        std::cout << "sharded run rejected: " << e.what() << "\n";
-        return 2;
+        return reject("sharded run rejected: " + std::string(e.what()));
       }
     }
-    if (mem_budget > 0) {
-      std::cout << "--mem-budget requires --shards\n";
-      return 2;
-    }
-    if (!faults.empty() && !fault_timeline.empty()) {
-      std::cout << "--faults and --fault-timeline cannot be combined\n";
-      return 2;
-    }
+    if (mem_budget > 0) return reject("--mem-budget requires --shards");
+    if (!faults.empty() && !fault_timeline.empty())
+      return reject("--faults and --fault-timeline cannot be combined");
     if (!fault_timeline.empty())
       return run_with_timeline(row, p, fault_timeline, fault_policy,
                                static_cast<std::size_t>(retry_budget_arg));
@@ -1116,11 +1115,17 @@ int main(int argc, char** argv) {
     std::cout << "run report: " << report_file << " (schema v"
               << dc::sim::kReportSchemaVersion << ", "
               << g_report.flight.size() << " flight-recorder events)\n";
-  } else if (g_report.status != "ok") {
+  } else if (g_report.status != "ok" && g_report.status != "rejected") {
+    // A run that died mid-collective; a refusal ran nothing to replay.
     std::cout << "flight recorder: " << g_report.flight.size()
               << " events retained; re-run with --report=FILE.json for the "
                  "full crash report\n";
   }
   if (!metrics.empty()) std::cout << dc::sim::metrics_report(metrics_fmt);
   return rc;
+} catch (const dc::UsageError& e) {
+  // A malformed command line (an unknown flag, a non-integer value...):
+  // its exact one-line message, no check expression or source path.
+  std::cout << e.what() << "\n";
+  return 2;
 }

@@ -6,10 +6,11 @@
 // of B may execute as one replay cycle iff their port usage is disjoint —
 // no node sends in both and no node receives in both (the simulator's
 // 1-port-per-direction rule; a node sending in A while receiving in B is
-// fine, exchanges do that within one section already). Because compiled
-// ScheduleCycle arrays enumerate every sender and receiver explicitly,
-// that legality check is a static precomputation over plain integer
-// arrays — no algorithm code runs to build a fusion plan.
+// fine, exchanges do that within one section already). Because a compiled
+// ScheduleCycle names every receiver's sender (ScheduleCycle::sender, for
+// the compact XOR-mask form and the dense arrays alike), that legality
+// check is a static precomputation — no algorithm code runs to build a
+// fusion plan.
 //
 // fuse_schedules() builds the plan with a forward-scan greedy: walk A's
 // cycles in order, and for each one claim the first not-yet-scheduled
@@ -30,11 +31,11 @@
 //
 // replay_fused() executes the plan. Every step is one
 // Machine::comm_cycle_scheduled_blocks pass over fixed-width rows; a
-// merged step replays the merged receiver arrays, the sender sets being
-// disjoint lets one row callback dispatch per sender to the owning
-// section, and each section's consumer sees only its own deliveries
-// through a SectionInbox filtered by that section's original recv_from
-// array. Fusion requires both schedules to already be compiled
+// merged step replays the merged receiver arrays (merged cycles are always
+// dense), the sender sets being disjoint lets one row callback dispatch
+// per sender to the owning section, and each section's consumer sees only
+// its own deliveries through a SectionInbox filtered by that section's
+// original cycle. Fusion requires both schedules to already be compiled
 // (record runs interleave state with validation and cannot overlap);
 // callers fall back to sequential section runs when either is absent.
 #pragma once
@@ -89,26 +90,29 @@ inline bool cycles_port_disjoint(const ScheduleCycle& ca,
                                  std::vector<std::uint8_t>& sender_scratch) {
   bool ok = true;
   for (std::size_t v = 0; v < n && ok; ++v)
-    if (ca.recv_from[v] != kNoSender && cb.recv_from[v] != kNoSender)
-      ok = false;  // common receiver
-  for (std::size_t v = 0; v < n; ++v)
-    if (ca.recv_from[v] != kNoSender)
-      sender_scratch[static_cast<std::size_t>(ca.recv_from[v])] = 1;
+    if (ca.receives(v) && cb.receives(v)) ok = false;  // common receiver
+  const auto mark_senders_of_a = [&](std::uint8_t mark) {
+    for (std::size_t v = 0; v < n; ++v) {
+      const net::NodeId u = ca.sender(v);
+      if (u != kNoSender) sender_scratch[static_cast<std::size_t>(u)] = mark;
+    }
+  };
+  mark_senders_of_a(1);
   for (std::size_t v = 0; v < n && ok; ++v) {
-    const net::NodeId u = cb.recv_from[v];
+    const net::NodeId u = cb.sender(v);
     if (u != kNoSender && sender_scratch[static_cast<std::size_t>(u)])
       ok = false;  // common sender
   }
-  for (std::size_t v = 0; v < n; ++v)
-    if (ca.recv_from[v] != kNoSender)
-      sender_scratch[static_cast<std::size_t>(ca.recv_from[v])] = 0;
+  mark_senders_of_a(0);
   return ok;
 }
 
 namespace detail {
 
-/// Builds the union cycle of a merged (A cycle, B cycle) pair and appends
-/// the merged step. Port disjointness was already established.
+/// Builds the (dense) union cycle of a merged (A cycle, B cycle) pair and
+/// appends the merged step. Port disjointness was already established. A
+/// compact source contributes kNoEdgeSlot slots, which edge-load booking
+/// resolves from the CSR.
 inline void append_merged_step(FusedSchedule& f, std::size_t i, std::size_t k,
                                std::size_t n) {
   const ScheduleCycle& ca = f.a->cycle(i);
@@ -118,14 +122,11 @@ inline void append_merged_step(FusedSchedule& f, std::size_t i, std::size_t k,
   u.recv_slot.resize(n);
   std::vector<std::uint8_t> from_b(n, 0);
   for (std::size_t v = 0; v < n; ++v) {
-    if (cb.recv_from[v] != kNoSender) {
-      u.recv_from[v] = cb.recv_from[v];
-      u.recv_slot[v] = cb.recv_slot[v];
-      from_b[static_cast<std::size_t>(cb.recv_from[v])] = 1;
-    } else {
-      u.recv_from[v] = ca.recv_from[v];
-      u.recv_slot[v] = ca.recv_slot[v];
-    }
+    const net::NodeId sender_b = cb.sender(v);
+    const ScheduleCycle& own = sender_b != kNoSender ? cb : ca;
+    u.recv_from[v] = own.sender(v);
+    u.recv_slot[v] = own.edge_slot(v);
+    if (sender_b != kNoSender) from_b[static_cast<std::size_t>(sender_b)] = 1;
   }
   u.message_count = ca.message_count + cb.message_count;
   f.steps.push_back({i, k, f.merged.size()});
@@ -232,8 +233,7 @@ class SectionInbox {
 
   /// The row node u received in this section this cycle, or nullptr.
   const T* get(net::NodeId u) const {
-    if (own_.recv_from[static_cast<std::size_t>(u)] == kNoSender ||
-        !in_.has(u))
+    if (!own_.receives(static_cast<std::size_t>(u)) || !in_.has(u))
       return nullptr;
     return in_.block(u);
   }

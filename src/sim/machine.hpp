@@ -41,13 +41,15 @@
 // Because every algorithm here is communication-oblivious, the machine also
 // offers a compiled replay path: comm_cycle_scheduled_blocks executes a
 // cycle that was recorded and validated once (sim/schedule.hpp) as a single
-// gather pass into a block plane, with no planning, validation, or port
-// claiming. It is the one replay kernel: scalar payloads travel as width-1
-// blocks. An exchange step that one computation step consumes at once may
-// instead run as comm_compute_cycle_fused_blocks, one sweep of the
-// algorithm's own that stands in for the step's k compiled cycles and books
-// each of them. Algorithms select between the paths through
-// ObliviousSection (sim/oblivious.hpp).
+// pass into a block plane, with no planning, validation, or port claiming —
+// block copies of aligned runs for a cycle in the compact XOR-mask form, a
+// gather through recv_from for a dense one. It is the one replay kernel:
+// scalar payloads travel as width-1 blocks. An exchange step that one
+// computation step consumes at once may instead run as
+// comm_compute_cycle_fused_blocks, one sweep of the algorithm's own that
+// stands in for the step's k compiled cycles and books each of them.
+// Algorithms select between the paths through ObliviousSection
+// (sim/oblivious.hpp).
 #pragma once
 
 #include <algorithm>
@@ -350,22 +352,30 @@ class Machine {
   /// Replays one compiled communication cycle (see sim/schedule.hpp) whose
   /// every message is a fixed-width block of T (scalars are width 1),
   /// through a structure-of-arrays plane: one chunked receiver-major sweep
-  /// where receiver row v gets the `width`-element block of its sender
-  /// recv_from[v], with no planning lambdas, no adjacency lookups and no
-  /// claim CAS — the record run already validated link existence and the
-  /// 1-port rule. `src` is a PlaneSrc descriptor or a callback
-  /// `src(u, dst)` that writes exactly `width` elements of node u's
-  /// outgoing block into dst and only reads state, like a plan callback;
-  /// either is read exactly once per delivered message. A tail-free
-  /// PlaneSrc runs the whole sweep through simd::gather_rows (an AVX2
-  /// masked gather at width 1, width-specialized block copies otherwise);
-  /// with edge-load accounting enabled its rows take the per-row loop so
-  /// hot-spot counting stays exact. Counter, trace and edge-load semantics
-  /// are identical to comm_cycle: edge slots were resolved at record time,
-  /// so hot-spot accounting is a plain indexed add. A machine with faults
-  /// attached refuses to replay. Steady-state replays at a given width
-  /// perform zero heap allocations (the plane is pooled and kept at its
-  /// high-water size), with tracing and metrics enabled or disabled.
+  /// with no planning lambdas, no adjacency lookups and no claim CAS — the
+  /// record run already validated link existence and the 1-port rule.
+  /// `src` is a PlaneSrc descriptor or a callback `src(u, dst)` that writes
+  /// exactly `width` elements of node u's outgoing block into dst and only
+  /// reads state, like a plan callback; either is read exactly once per
+  /// delivered message.
+  ///
+  /// A compact cycle needs no per-receiver array: its receivers come in
+  /// aligned runs of XorForm::run_rows() rows, each fed by an aligned run
+  /// of senders in order, so a tail-free packed PlaneSrc copies each run
+  /// as one block (the prefix's cross-edge cycle is two half-plane
+  /// copies), and a width-1 odd mask, whose runs are single rows, computes
+  /// each sender inline. A dense cycle gathers receiver row v from its
+  /// sender recv_from[v]; a tail-free PlaneSrc runs that sweep through
+  /// simd::gather_rows (an AVX2 masked gather at width 1,
+  /// width-specialized block copies otherwise).
+  ///
+  /// Counter, trace and edge-load semantics are identical to comm_cycle.
+  /// With edge-load accounting on, every delivery is booked on its CSR
+  /// slot: a dense cycle's was resolved at record time, a compact cycle's
+  /// is looked up (book_edge). A machine with faults attached refuses to
+  /// replay. Steady-state replays at a given width perform zero heap
+  /// allocations (the plane is pooled and kept at its high-water size),
+  /// with tracing and metrics enabled or disabled.
   template <typename T, typename Src>
   BlockInbox<T> comm_cycle_scheduled_blocks(const ScheduleCycle& cyc,
                                             std::size_t width, Src&& src) {
@@ -373,7 +383,7 @@ class Machine {
     DC_REQUIRE(!has_faults(),
                "compiled replay skips per-message fault checks; a machine "
                "with an attached FaultPlan must interpret every cycle");
-    DC_REQUIRE(cyc.recv_from.size() == n,
+    DC_REQUIRE(cyc.node_count() == n,
                "schedule cycle was compiled for a different node count");
     require_block_source<T>(width, src);
     CycleSpan span(trace_, trace_track_, "comm_cycle_replay_blocks");
@@ -381,6 +391,8 @@ class Machine {
     buf->set_width(n, width);
 
     const bool loads_on = edge_load_.enabled();
+    const XorForm* const form = cyc.xor_form ? &*cyc.xor_form : nullptr;
+    const std::size_t run = form ? form->run_rows(n) : 1;
     parallel_for_affine(
         0, n, width * sizeof(T),
         [&](std::size_t lo, std::size_t hi) {
@@ -390,18 +402,33 @@ class Machine {
           T* const plane = buf->values.data();
           std::uint64_t* const stamp = buf->stamp.get();
           const std::uint64_t gen = buf->generation;
+          const std::size_t w = width;
+          std::uint64_t* const loads =
+              loads_on ? edge_load_.row(pool().worker_slot()) : nullptr;
+          if (form) {
+            const XorForm f = *form;
+            for (std::size_t v = lo; v < hi;) {
+              const std::size_t end = std::min(hi, (v | (run - 1)) + 1);
+              if (f.receives(v)) {
+                const net::NodeId u = f.sender_of(v);
+                copy_rows<T>(src, u, plane + v * w, w, end - v);
+                std::fill(stamp + v, stamp + end, gen);
+                for (std::size_t i = 0; loads && i < end - v; ++i)
+                  book_edge(loads, kNoEdgeSlot, u + i, v + i, n);
+              }
+              v = end;
+            }
+            return;
+          }
           const net::NodeId* const from = cyc.recv_from.data();
           const std::uint32_t* const edge = cyc.recv_slot.data();
-          const std::size_t w = width;
           if constexpr (kIsPlaneSrc<T, Src>) {
-            if (!loads_on && !src.tail) {
+            if (!loads && !src.tail) {
               simd::gather_rows(plane, stamp, gen, from, kNoSender, lo, hi,
                                 w, src.base, src.stride);
               return;
             }
           }
-          std::uint64_t* const loads =
-              loads_on ? edge_load_.row(pool().worker_slot()) : nullptr;
           for (std::size_t v = lo; v < hi; ++v) {
             const net::NodeId u = from[v];
             if (u == kNoSender) continue;
@@ -435,10 +462,11 @@ class Machine {
   /// `cycles` are the compiled cycles the sweep stands in for
   /// (ObliviousSection::exchange_compute_fused): one for a Cube_prefix
   /// exchange, three for a relayed dimension step. Each is booked exactly
-  /// as its replay would be — its message count, edge loads from its
-  /// recv_slot for the rows it delivers, a profiler sample, a
-  /// replayed_cycles() tick and one comm_cycle_fused span — and then one
-  /// computation step is booked. With none (the sharded engine) the sweep
+  /// as its replay would be — its message count, edge loads for the rows
+  /// it delivers (read from the cycle's senders and slots through the
+  /// ScheduleCycle accessors), a profiler sample, a replayed_cycles() tick
+  /// and one comm_cycle_fused span — and then one computation step is
+  /// booked. With none (the sharded engine) the sweep
   /// books one cycle delivering one message per node; there are no edge
   /// slots to book, so edge-load accounting must be off.
   template <typename Body>
@@ -450,7 +478,7 @@ class Machine {
                "fused cycles skip per-message fault checks; a machine with "
                "an attached FaultPlan must interpret every cycle");
     for (const ScheduleCycle& cyc : cycles) {
-      DC_REQUIRE(cyc.recv_from.size() == n,
+      DC_REQUIRE(cyc.node_count() == n,
                  "schedule cycle was compiled for a different node count");
     }
     DC_REQUIRE(!cycles.empty() || !edge_load_.enabled(),
@@ -476,8 +504,8 @@ class Machine {
         if (edge_load_.enabled()) {
           std::uint64_t* const loads = edge_load_.row(pool().worker_slot());
           for (std::size_t v = 0; v < n; ++v) {
-            const net::NodeId u = cyc.recv_from[v];
-            if (u != kNoSender) book_edge(loads, cyc.recv_slot[v], u, v, n);
+            const net::NodeId u = cyc.sender(v);
+            if (u != kNoSender) book_edge(loads, cyc.edge_slot(v), u, v, n);
           }
         }
         if (profiler_ != nullptr) profiler_->note_cycle(cyc, n);
@@ -498,9 +526,9 @@ class Machine {
   /// (full validation, faults, SimError reporting) or one detour batch,
   /// with each sender shipping its own id; this uncounted copy then fills
   /// receiver row v from the source row of the node that reached it
-  /// (`senders[v]`, one per node) — the rows replay gathers through
-  /// recv_from, read through the same `src`. Steady-state packs perform
-  /// zero heap allocations.
+  /// (`senders[v]`, one per node) — the rows replay copies from each
+  /// compiled cycle's senders, read through the same `src`. Steady-state
+  /// packs perform zero heap allocations.
   template <typename T, typename Src>
   BlockInbox<T> pack_blocks(std::size_t width,
                             const std::optional<net::NodeId>* senders,
@@ -732,14 +760,20 @@ class Machine {
   }
 
   /// Books one compiled delivery u -> v into a per-worker edge-load row:
-  /// a plain indexed add on its record-time CSR slot, or the off-CSR map
-  /// for a hop that is no edge (recorded with validation off, as
-  /// kNoEdgeSlot). Any slot past the row — kNoEdgeSlot, or a schedule file
-  /// whose recv_slot lies — books off-CSR too, so it never writes past it.
+  /// a plain indexed add on its record-time CSR slot. kNoEdgeSlot (a
+  /// compact cycle, which stores no slots, or a dense hop recorded with
+  /// validation off that is no edge) is resolved from the CSR here, so a
+  /// validated hop books its edge and a non-edge books the off-CSR map on
+  /// either form. Any other slot past the row — a schedule file whose
+  /// recv_slot lies — books off-CSR, so it never writes past the row.
   void book_edge(std::uint64_t* loads, std::uint32_t slot, net::NodeId u,
                  std::size_t v, std::size_t n) {
-    if (slot < adj_->directed_edge_count()) {
-      ++loads[slot];
+    const std::size_t at =
+        slot == kNoEdgeSlot
+            ? adj_->edge_slot(u, static_cast<net::NodeId>(v))
+            : slot;
+    if (at < adj_->directed_edge_count()) {
+      ++loads[at];
     } else {
       edge_load_.add_off_csr(u * n + v);
     }

@@ -14,12 +14,16 @@
 //   * record (compiled path, cache miss) — every exchange still runs
 //     through comm_cycle, so validation, SimError messages, counters,
 //     traces and edge loads are byte-identical to the interpreted path,
-//     but the destinations are captured as they are planned. commit()
-//     compiles and publishes the schedule; a run that throws never
+//     but the destinations are captured as they are planned, into the
+//     recorder's one n-sized scratch. Each cycle is compiled when the next
+//     one starts — to its six-word XOR-mask form when that reproduces it
+//     exactly, to dense receiver arrays otherwise — and commit() compiles
+//     the last one and publishes the schedule; a run that throws never
 //     commits, so invalid plans are never cached.
 //   * replay (compiled path, cache hit) — exchange_blocks skips dest_of
-//     entirely and calls Machine::comm_cycle_scheduled_blocks: one gather
-//     pass, no validation, no claims (see sim/schedule.hpp).
+//     entirely and calls Machine::comm_cycle_scheduled_blocks: one pass of
+//     block copies (a dense cycle: one gather), no validation, no claims
+//     (see sim/schedule.hpp).
 //   * proxy (a sim::ProxyScope is open on the machine) — every exchange is
 //     one detour batch of sender ids between the live proxies of its
 //     logical endpoints (ProxyScope::exchange_blocks, in
@@ -75,7 +79,7 @@ class ObliviousSection {
       replay_ = ScheduleCache::instance().find(key_, &origin_);
       if (!replay_) {
         recorder_ = std::make_unique<ScheduleRecorder>(
-            static_cast<std::size_t>(m_.node_count()));
+            m_.topology().flat_adjacency());
       }
     }
     // The section's lifetime is one span on the machine's trace, named by
@@ -140,19 +144,20 @@ class ObliviousSection {
   /// One oblivious cycle whose every message is a fixed-width block of T
   /// (T must be semiregular). `src` names node u's outgoing `width`
   /// elements: a PlaneSrc descriptor, or a callback `src(u, dst)` that
-  /// writes them into dst. On replay this is a single SoA plane gather
-  /// (Machine::comm_cycle_scheduled_blocks — memcpy-like strides, zero
-  /// steady-state allocations). On the interpreted and record paths the
-  /// cycle runs through Machine::comm_cycle with every sender shipping its
-  /// own node id, so validation, SimError strings, counters, traces, edge
-  /// loads and fault filtering are those of a plain comm_cycle (a record
-  /// run also captures each destination as it is planned); then one
-  /// packer (Machine::pack_blocks) copies each delivered row from its
-  /// sender's source row — exactly the rows replay reads through
-  /// recv_from. Machines with attached faults come through here on the
-  /// interpreted path automatically (schedule_path() reports kInterpreted
-  /// under faults). On the proxy path the sender ids travel one detour
-  /// batch instead (ProxyScope::exchange_blocks).
+  /// writes them into dst. On replay this is a single SoA plane pass
+  /// (Machine::comm_cycle_scheduled_blocks — block copies or memcpy-like
+  /// strides, zero steady-state allocations). On the interpreted and
+  /// record paths the cycle runs through Machine::comm_cycle with every
+  /// sender shipping its own node id, so validation, SimError strings,
+  /// counters, traces, edge loads and fault filtering are those of a plain
+  /// comm_cycle (a record run also captures each destination as it is
+  /// planned); then one packer (Machine::pack_blocks) copies each
+  /// delivered row from its sender's source row — exactly the rows replay
+  /// reads from each compiled cycle's senders. Machines with attached
+  /// faults come through here on the interpreted path automatically
+  /// (schedule_path() reports kInterpreted under faults). On the proxy
+  /// path the sender ids travel one detour batch instead
+  /// (ProxyScope::exchange_blocks).
   template <typename T, typename DestFn, typename Src>
   BlockInbox<T> exchange_blocks(std::size_t width, DestFn&& dest_of,
                                 Src&& src) {
@@ -161,8 +166,7 @@ class ObliviousSection {
                                                src);
     }
     if (proxy_) return proxy_->exchange_blocks<T>(width, dest_of, src);
-    net::NodeId* const dest =
-        recorder_ ? recorder_->new_cycle().data() : nullptr;
+    net::NodeId* const dest = recorder_ ? recorder_->new_cycle() : nullptr;
     const auto senders = m_.comm_cycle<net::NodeId>(
         [&](net::NodeId u) -> std::optional<Send<net::NodeId>> {
           const net::NodeId to = dest_of(u);
@@ -214,8 +218,8 @@ class ObliviousSection {
       recorder_.reset();
       return;
     }
-    replay_ = ScheduleCache::instance().store(
-        key_, std::move(*recorder_).finalize(m_.topology().flat_adjacency()));
+    replay_ = ScheduleCache::instance().store(key_,
+                                              std::move(*recorder_).commit());
     recorder_.reset();
     if (TraceRecorder* rec = m_.trace()) {
       rec->instant(m_.trace_track(), 0, "schedule_commit", "cycles",

@@ -80,6 +80,18 @@ struct BandStats {
 
 namespace detail {
 
+/// Receive counts per band of an n-node cycle whose receivers are the v
+/// with receives(v).
+template <typename F>
+std::array<std::uint64_t, kImbalanceBands> band_counts(std::size_t n,
+                                                       F&& receives) {
+  std::array<std::uint64_t, kImbalanceBands> counts{};
+  const std::size_t bands = imbalance_band_count(n);
+  for (std::size_t v = 0; v < n; ++v)
+    if (receives(v)) ++counts[imbalance_band_of(v, n, bands)];
+  return counts;
+}
+
 inline BandStats reduce_bands(const std::uint64_t* counts,
                               std::size_t bands) {
   std::array<std::uint64_t, kImbalanceBands> sorted{};
@@ -101,13 +113,10 @@ inline BandStats reduce_bands(const std::uint64_t* counts,
 struct CycleCostModel {
   /// max - min band receive count of one compiled cycle.
   std::uint64_t spread(const ScheduleCycle& c, std::size_t n) const {
-    std::array<std::uint64_t, kImbalanceBands> counts{};
-    const std::size_t bands = imbalance_band_count(n);
-    for (std::size_t v = 0; v < n; ++v)
-      if (c.recv_from[v] != kNoSender)
-        ++counts[imbalance_band_of(v, n, bands)];
-    const BandStats s = detail::reduce_bands(counts.data(), bands);
-    return s.spread();
+    const auto counts =
+        detail::band_counts(n, [&](std::size_t v) { return c.receives(v); });
+    return detail::reduce_bands(counts.data(), imbalance_band_count(n))
+        .spread();
   }
 
   /// Spread of the union of two port-disjoint cycles — the cost of
@@ -115,14 +124,11 @@ struct CycleCostModel {
   /// is a plain sum.
   std::uint64_t merged_spread(const ScheduleCycle& ca,
                               const ScheduleCycle& cb, std::size_t n) const {
-    std::array<std::uint64_t, kImbalanceBands> counts{};
-    const std::size_t bands = imbalance_band_count(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      if (ca.recv_from[v] != kNoSender || cb.recv_from[v] != kNoSender)
-        ++counts[imbalance_band_of(v, n, bands)];
-    }
-    const BandStats s = detail::reduce_bands(counts.data(), bands);
-    return s.spread();
+    const auto counts = detail::band_counts(n, [&](std::size_t v) {
+      return ca.receives(v) || cb.receives(v);
+    });
+    return detail::reduce_bands(counts.data(), imbalance_band_count(n))
+        .spread();
   }
 };
 
@@ -160,35 +166,24 @@ class CycleProfiler {
     }
   }
 
-  /// A replayed compiled cycle: band counts from the receiver array.
+  /// A replayed compiled cycle: band counts from its receiver predicate
+  /// (ScheduleCycle::receives, either form).
   void note_cycle(const ScheduleCycle& c, std::size_t n) {
-    std::array<std::uint64_t, kImbalanceBands> counts{};
-    const std::size_t bands = imbalance_band_count(n);
-    for (std::size_t v = 0; v < n; ++v)
-      if (c.recv_from[v] != kNoSender)
-        ++counts[imbalance_band_of(v, n, bands)];
-    note_counts(counts.data(), bands);
+    note_cycle_mask(n, [&](std::size_t v) { return c.receives(v); });
   }
 
   /// An interpreted cycle: `receives(v)` says whether node v got a
   /// message this cycle (the driver scans the delivered inbox).
   template <typename F>
   void note_cycle_mask(std::size_t n, F&& receives) {
-    std::array<std::uint64_t, kImbalanceBands> counts{};
-    const std::size_t bands = imbalance_band_count(n);
-    for (std::size_t v = 0; v < n; ++v)
-      if (receives(v)) ++counts[imbalance_band_of(v, n, bands)];
-    note_counts(counts.data(), bands);
+    const auto counts = detail::band_counts(n, receives);
+    note_counts(counts.data(), imbalance_band_count(n));
   }
 
   /// A fused exchange+combine cycle with no compiled cycle behind it (the
   /// sharded engine's): every node receives exactly once.
   void note_cycle_uniform(std::size_t n) {
-    std::array<std::uint64_t, kImbalanceBands> counts{};
-    const std::size_t bands = imbalance_band_count(n);
-    for (std::size_t v = 0; v < n; ++v)
-      ++counts[imbalance_band_of(v, n, bands)];
-    note_counts(counts.data(), bands);
+    note_cycle_mask(n, [](std::size_t) { return true; });
   }
 
   /// Publish-time edge-load shape from one EdgeLoadCounters::merged()

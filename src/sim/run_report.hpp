@@ -63,8 +63,10 @@ struct RunReport {
   std::string algo;
   std::size_t n = 0;
   std::uint64_t seed = 0;
-  std::string status = "ok";  ///< "ok" | "sim_error" | "fault_error"
-  std::string error;          ///< exception message when status != ok
+  /// "ok" | "sim_error" | "fault_error" | "rejected" (refused before it
+  /// ran: a bad flag combination, spec or budget; dcsim exits 2)
+  std::string status = "ok";
+  std::string error;  ///< exception message or refusal line when status != ok
 
   Counters counters;
   bool has_virtual = false;  ///< sharded runs: engine virtual booking

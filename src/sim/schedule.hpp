@@ -1,5 +1,5 @@
 // Compiled oblivious communication schedules: record once, validate once,
-// replay as dense permutations.
+// replay as XOR-mask block copies (or, off the mask form, dense gathers).
 //
 // Every algorithm in this repository is *communication-oblivious*: the
 // destination of each node in each cycle depends only on the topology and
@@ -13,17 +13,31 @@
 //   * record — the first run of an algorithm executes through the normal
 //     interpreted comm_cycle (so link and 1-port validation, SimError
 //     messages, counters, traces and edge loads are byte-identical to the
-//     historical path) while capturing each cycle's dense destination
-//     array;
-//   * compile — on commit, each recorded cycle is inverted into
-//     receiver-major form: recv_from[v] = the sender delivering to v (or
-//     kNoSender), plus the CSR edge slot of that directed edge, resolved
-//     once so hot-spot accounting becomes a plain indexed add;
-//   * replay — Machine::comm_cycle_scheduled_blocks walks the receiver
-//     arrays in one chunked parallel pass: row v = src(recv_from[v]), one
-//     fixed-width block per message (width 1 for scalar payloads). No
-//     planning lambdas, no adjacency lookups, no claim CAS, no per-message
-//     validation — the cycle is a dense permutation application.
+//     historical path) while capturing each cycle's destinations into one
+//     n-sized scratch array;
+//   * compile — each recorded cycle is compiled when the next one starts
+//     (the last one at commit), so no per-cycle array outlives recording.
+//     Every link of the dual-cube family flips one label bit, so a cycle
+//     of Algorithms 2 and 3 pairs nodes by an XOR mask chosen by one label
+//     bit: the receivers are {v : v & p = q}, and v's sender is v ^ m1 if
+//     bit s of v is set and v ^ m0 otherwise. A cycle that form reproduces
+//     exactly — every receiver's sender and every non-receiver — is stored
+//     compact, as six words (m0, m1, s, p, q, message count) plus its node
+//     count. Any other cycle is inverted into receiver-major dense arrays:
+//     recv_from[v] = the sender delivering to v (or kNoSender), plus the
+//     CSR edge slot of that directed edge, resolved once so hot-spot
+//     accounting becomes a plain indexed add;
+//   * replay — Machine::comm_cycle_scheduled_blocks runs one chunked
+//     parallel pass over the receivers, one fixed-width block per message
+//     (width 1 for scalar payloads). A compact cycle's receivers come in
+//     aligned runs whose senders are another aligned run in order, so each
+//     run is one block copy (the prefix's cross-edge cycle is two
+//     half-plane copies); a dense cycle gathers row v = src(recv_from[v]).
+//     No planning lambdas, no adjacency lookups, no claim CAS, no
+//     per-message validation.
+//
+// Readers outside the replay kernels (profiler, fusion, edge-load booking,
+// tests) read either form through ScheduleCycle::sender(v).
 //
 // Schedules are cached process-wide, keyed by (topology identity, algorithm
 // tag, parameters, validation flag); the topology identity is the name plus
@@ -32,16 +46,19 @@
 // never cached. See sim/oblivious.hpp for the driver algorithms use.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "support/bits.hpp"
 #include "support/check.hpp"
 #include "topology/flat_adjacency.hpp"
 #include "topology/topology.hpp"
@@ -52,8 +69,10 @@ namespace dc::sim {
 inline constexpr net::NodeId kNoSend = ~net::NodeId{0};
 /// Receiver-side sentinel: nothing arrives at this node this cycle.
 inline constexpr net::NodeId kNoSender = ~net::NodeId{0};
-/// Edge-slot sentinel: the recorded message does not traverse a CSR edge
-/// (possible only when link validation is disabled).
+/// Edge-slot sentinel: no CSR slot was resolved for this delivery at
+/// compile time — a compact cycle (which stores no slots), or a hop that is
+/// no edge (possible only when link validation is disabled). Edge-load
+/// booking resolves it from the CSR and books a non-edge off-CSR.
 inline constexpr std::uint32_t kNoEdgeSlot = 0xFFFFFFFFu;
 
 /// Which execution path oblivious algorithms take on a Machine.
@@ -118,13 +137,146 @@ class CycleArray {
   std::size_t view_size_ = 0;
 };
 
-/// One compiled cycle in receiver-major ("gather") form. All three fields
-/// are derived from a validated record run, so replay needs no checks: each
-/// receiver has at most one sender by construction.
+/// The XOR-mask form of one cycle on 2^k nodes: node v receives iff
+/// (v & recv_mask) == recv_match, from v ^ mask1 when bit `select` of v is
+/// set and from v ^ mask0 otherwise.
+struct XorForm {
+  std::uint64_t mask0 = 0;       ///< m0
+  std::uint64_t mask1 = 0;       ///< m1
+  std::uint64_t select = 0;      ///< s
+  std::uint64_t recv_mask = 0;   ///< p
+  std::uint64_t recv_match = 0;  ///< q
+  bool operator==(const XorForm&) const = default;
+
+  bool receives(std::uint64_t v) const {
+    return (v & recv_mask) == recv_match;
+  }
+  /// v's sender; meaningful only when receives(v).
+  net::NodeId sender_of(std::uint64_t v) const {
+    return v ^ (((v >> select) & 1u) != 0 ? mask1 : mask0);
+  }
+  /// Messages the form delivers on n nodes: one per receiver.
+  std::uint64_t message_count(std::uint64_t n) const {
+    return n >> bits::popcount(recv_mask);
+  }
+  /// True iff every field fits n nodes: n is a power of two (at least 2),
+  /// masks and p are labels, q lies inside p and s names a label bit — so
+  /// every sender the form computes is a node.
+  bool fits(std::uint64_t n) const {
+    return n >= 2 && bits::is_pow2(n) && mask0 < n && mask1 < n &&
+           recv_mask < n && (recv_match & ~recv_mask) == 0 &&
+           select < bits::log2_floor(n);
+  }
+  /// Rows per aligned run on n nodes: the largest 2^k such that every
+  /// aligned run of 2^k receivers is either wholly received or wholly not,
+  /// from an aligned run of senders in the same order (no field has a bit
+  /// below k). Replay copies each run as one block.
+  std::size_t run_rows(std::uint64_t n) const {
+    unsigned k = bits::lowest_set(recv_mask | n);
+    k = std::min(k, bits::lowest_set(mask0 | n));
+    k = std::min(k, bits::lowest_set(mask1 | n));
+    if (mask0 != mask1) k = std::min(k, static_cast<unsigned>(select));
+    return std::size_t{1} << k;
+  }
+};
+
+/// Returns the XOR-mask form that reproduces the cycle whose sender-major
+/// destinations are dest[u] (kNoSend: u sends nothing) exactly — every
+/// receiver's sender and every non-receiver — or nothing when no form does.
+/// One pass: p and q are the bits every receiver shares, the receiver count
+/// must fill that subcube, and the per-receiver masks u ^ v may take at
+/// most two values, split by one label bit s. Because the form makes each
+/// receiver's sender a function of the receiver, distinct senders have
+/// distinct receivers, so a matching count makes the receiver set exactly
+/// the subcube.
+inline std::optional<XorForm> match_xor_form(const net::NodeId* dest,
+                                             std::size_t n) {
+  if (n < 2 || !bits::is_pow2(n)) return std::nullopt;
+  const std::uint64_t labels = n - 1;
+  std::uint64_t all_set = labels;  // AND of the receivers
+  std::uint64_t any_set = 0;       // OR of the receivers
+  std::uint64_t count = 0;
+  std::uint64_t first = 0;         // the first receiver seen...
+  std::uint64_t mask_a = 0;        // ...and its mask
+  std::uint64_t mask_b = 0;        // the other mask, once seen
+  bool have_b = false;
+  std::uint64_t a_differ = 0;      // bits where some a-receiver leaves `first`
+  std::uint64_t b_differ = labels; // bits where every b-receiver leaves it
+  for (std::uint64_t u = 0; u < n; ++u) {
+    const std::uint64_t v = dest[u];
+    if (v == kNoSend) continue;
+    if (v >= n) return std::nullopt;
+    const std::uint64_t mask = u ^ v;
+    all_set &= v;
+    any_set |= v;
+    if (count++ == 0) {
+      first = v;
+      mask_a = mask;
+    } else if (mask == mask_a) {
+      a_differ |= v ^ first;
+    } else if (!have_b || mask == mask_b) {
+      mask_b = mask;
+      have_b = true;
+      b_differ &= v ^ first;
+    } else {
+      return std::nullopt;  // a third mask
+    }
+  }
+  XorForm f;
+  f.recv_mask = (all_set | ~any_set) & labels;
+  f.recv_match = all_set;
+  if (count == 0 || count != f.message_count(n)) return std::nullopt;
+  f.mask0 = f.mask1 = mask_a;
+  if (have_b) {
+    const std::uint64_t split = b_differ & ~a_differ;
+    if (split == 0) return std::nullopt;
+    f.select = bits::lowest_set(split);
+    ((first >> f.select) & 1u ? f.mask0 : f.mask1) = mask_b;
+  }
+  return f;
+}
+
+/// One compiled cycle, in one of two forms. Compact (xor_form set): the
+/// XOR-mask form and the node count, O(1) bytes. Dense: receiver-major
+/// ("gather") arrays, recv_from[v] = sender or kNoSender and recv_slot[v] =
+/// the CSR slot of that edge. Both are derived from a validated record run
+/// (or a store file whose loader checked them), so replay needs no checks:
+/// each receiver has at most one sender by construction. Readers outside
+/// the replay kernels use the accessors, which serve both forms.
 struct ScheduleCycle {
-  CycleArray<net::NodeId> recv_from;      ///< per receiver: sender or kNoSender
-  CycleArray<std::uint32_t> recv_slot;    ///< CSR slot of (sender -> receiver)
+  CycleArray<net::NodeId> recv_from;      ///< dense: sender or kNoSender
+  CycleArray<std::uint32_t> recv_slot;    ///< dense: CSR slot of the edge
   std::uint64_t message_count = 0;        ///< messages delivered this cycle
+  std::optional<XorForm> xor_form;        ///< set iff the cycle is compact
+  std::uint64_t compact_nodes = 0;        ///< node count of a compact cycle
+
+  /// The compact cycle of `form` on n nodes (form.fits(n) must hold).
+  static ScheduleCycle compact(std::uint64_t n, const XorForm& form) {
+    ScheduleCycle c;
+    c.xor_form = form;
+    c.compact_nodes = n;
+    c.message_count = form.message_count(n);
+    return c;
+  }
+
+  bool is_compact() const { return xor_form.has_value(); }
+  std::size_t node_count() const {
+    return xor_form ? static_cast<std::size_t>(compact_nodes)
+                    : recv_from.size();
+  }
+  /// The node delivering to v this cycle, or kNoSender.
+  net::NodeId sender(std::size_t v) const {
+    if (!xor_form) return recv_from[v];
+    return xor_form->receives(v) ? xor_form->sender_of(v) : kNoSender;
+  }
+  bool receives(std::size_t v) const {
+    return xor_form ? xor_form->receives(v) : recv_from[v] != kNoSender;
+  }
+  /// The compiled CSR slot of v's delivery: recv_slot[v] when dense,
+  /// kNoEdgeSlot (resolved from the CSR when booked) when compact.
+  std::uint32_t edge_slot(std::size_t v) const {
+    return xor_form ? kNoEdgeSlot : recv_slot[v];
+  }
 };
 
 /// An immutable compiled schedule: the full cycle sequence of one
@@ -412,53 +564,69 @@ class ScheduleCache {
   std::uint64_t disk_bytes_mapped_ = 0;
 };
 
-/// Accumulates one destination array per recorded cycle; finalize inverts
-/// them into receiver-major ScheduleCycles with resolved CSR edge slots.
+/// Records one oblivious run cycle by cycle into a single n-sized
+/// destination scratch and compiles each cycle as the next one starts (the
+/// last one at commit): compact when match_xor_form reproduces it exactly,
+/// otherwise inverted into dense receiver-major arrays with the CSR slot of
+/// every delivery resolved once. No per-cycle array survives recording.
 /// The caller (ObliviousSection) guarantees every recorded cycle already
-/// passed the interpreted path's validation, so inversion cannot collide.
+/// passed the interpreted path's validation before the next one starts, so
+/// inversion cannot collide.
 class ScheduleRecorder {
  public:
-  explicit ScheduleRecorder(std::size_t n) : n_(n) {}
+  explicit ScheduleRecorder(const net::FlatAdjacency& adj)
+      : adj_(adj), dest_(static_cast<std::size_t>(adj.node_count()), kNoSend) {}
 
-  /// Scratch for the next cycle's destinations, pre-filled with kNoSend.
-  /// The returned reference is valid until the next new_cycle call.
-  std::vector<net::NodeId>& new_cycle() {
-    raw_.emplace_back(n_, kNoSend);
-    return raw_.back();
+  /// Compiles the previous cycle, if any, and returns the scratch for the
+  /// next cycle's destinations, pre-filled with kNoSend. The pointer is
+  /// valid until the next new_cycle or commit call.
+  net::NodeId* new_cycle() {
+    compile_open_cycle();
+    std::fill(dest_.begin(), dest_.end(), kNoSend);
+    open_ = true;
+    return dest_.data();
   }
 
-  std::size_t cycle_count() const { return raw_.size(); }
-
-  std::shared_ptr<const Schedule> finalize(const net::FlatAdjacency& adj) && {
-    DC_CHECK(adj.directed_edge_count() < kNoEdgeSlot,
-             "edge count overflows the 32-bit schedule slot index");
-    std::vector<ScheduleCycle> cycles;
-    cycles.reserve(raw_.size());
-    for (const std::vector<net::NodeId>& dest : raw_) {
-      ScheduleCycle c;
-      c.recv_from.assign(n_, kNoSender);
-      c.recv_slot.assign(n_, kNoEdgeSlot);
-      for (std::size_t u = 0; u < n_; ++u) {
-        const net::NodeId to = dest[u];
-        if (to == kNoSend) continue;
-        const std::size_t v = static_cast<std::size_t>(to);
-        DC_CHECK(v < n_ && c.recv_from[v] == kNoSender,
-                 "recorded cycle escaped validation");
-        c.recv_from[v] = static_cast<net::NodeId>(u);
-        const std::size_t slot = adj.edge_slot(static_cast<net::NodeId>(u), to);
-        if (slot != net::FlatAdjacency::npos) {
-          c.recv_slot[v] = static_cast<std::uint32_t>(slot);
-        }
-        ++c.message_count;
-      }
-      cycles.push_back(std::move(c));
-    }
-    return std::make_shared<const Schedule>(std::move(cycles));
+  /// Compiles the last cycle and returns the schedule.
+  std::shared_ptr<const Schedule> commit() && {
+    compile_open_cycle();
+    return std::make_shared<const Schedule>(std::move(cycles_));
   }
 
  private:
-  std::size_t n_;
-  std::vector<std::vector<net::NodeId>> raw_;
+  void compile_open_cycle() {
+    if (!open_) return;
+    open_ = false;
+    const std::size_t n = dest_.size();
+    if (const auto form = match_xor_form(dest_.data(), n)) {
+      cycles_.push_back(ScheduleCycle::compact(n, *form));
+      return;
+    }
+    DC_CHECK(adj_.directed_edge_count() < kNoEdgeSlot,
+             "edge count overflows the 32-bit schedule slot index");
+    ScheduleCycle c;
+    c.recv_from.assign(n, kNoSender);
+    c.recv_slot.assign(n, kNoEdgeSlot);
+    for (std::size_t u = 0; u < n; ++u) {
+      const net::NodeId to = dest_[u];
+      if (to == kNoSend) continue;
+      const std::size_t v = static_cast<std::size_t>(to);
+      DC_CHECK(v < n && c.recv_from[v] == kNoSender,
+               "recorded cycle escaped validation");
+      c.recv_from[v] = static_cast<net::NodeId>(u);
+      const std::size_t slot = adj_.edge_slot(static_cast<net::NodeId>(u), to);
+      if (slot != net::FlatAdjacency::npos) {
+        c.recv_slot[v] = static_cast<std::uint32_t>(slot);
+      }
+      ++c.message_count;
+    }
+    cycles_.push_back(std::move(c));
+  }
+
+  const net::FlatAdjacency& adj_;
+  std::vector<net::NodeId> dest_;
+  bool open_ = false;
+  std::vector<ScheduleCycle> cycles_;
 };
 
 }  // namespace dc::sim

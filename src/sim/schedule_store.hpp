@@ -1,17 +1,18 @@
 // Persistent, mmap-friendly schedule store: compiled schedules outlive the
 // process that recorded them.
 //
-// A compiled schedule is already plain dense integer arrays keyed by a pure
-// function of (topology fingerprint, algorithm, params, validation flag) —
-// nothing about it is process-specific. This store serializes each cache
-// entry to its own file in a directory, one entry per key, and loads them
-// back as read-only memory mappings: the ScheduleCycle arrays of a loaded
-// schedule are CycleArray views straight into the mapped file pages, so a
-// load copies nothing, the page cache shares the bytes across every
+// A compiled schedule is already plain integers keyed by a pure function
+// of (topology fingerprint, algorithm, params, validation flag) — nothing
+// about it is process-specific. This store serializes each cache entry to
+// its own file in a directory, one entry per key, each cycle in the form it
+// already has, and loads them back as read-only memory mappings: a compact
+// cycle is its six words, read into the ScheduleCycle, and a dense cycle's
+// arrays are CycleArray views straight into the mapped file pages, so a
+// load copies no array, the page cache shares the bytes across every
 // process pointed at the same directory, and the first replay cycle faults
 // pages in on demand.
 //
-// File layout (little-endian, version 1):
+// File layout (little-endian, version 2):
 //
 //   Header (64 bytes)
 //     magic            char[8]   "DCSCHED1"
@@ -29,9 +30,13 @@
 //     topology         char[topology_len]     \  the full key is embedded so
 //     algorithm        char[algorithm_len]    /  filename collisions can
 //     padding          to 8-byte alignment       never alias two keys
-//     message_counts   u64[cycle_count]
-//     recv_from        u64[cycle_count * node_count]   (receiver-major)
-//     recv_slot        u32[cycle_count * node_count]
+//     cycle table      cycle_count records of 7 x u64, in cycle order:
+//                        tag            kTagDense or kTagCompact
+//                        message_count
+//                        mask0, mask1, select, recv_mask, recv_match
+//                                       (the XorForm; zero when dense)
+//     recv_from        u64[dense_count * node_count]  \  the dense cycles
+//     recv_slot        u32[dense_count * node_count]  /  only, in order
 //
 // The filename is the 16-hex-digit FNV-1a of the canonical key encoding
 // plus ".dcsched"; the embedded key is still verified byte-for-byte on
@@ -40,7 +45,8 @@
 // carries the FlatAdjacency fingerprint (see
 // ObliviousSection::topology_identity), which is how staleness is ruled
 // out: mutate the graph and the key — hence the filename and the embedded
-// bytes — changes with it.
+// bytes — changes with it. A version-1 file (dense arrays only) is a miss
+// by the version rule, and the record path rewrites it.
 //
 // Writes are atomic: serialize to an O_TMPFILE-style mkstemp sibling, then
 // rename(2) over the final name. Readers either see the complete old file
@@ -50,10 +56,14 @@
 // already correct).
 //
 // Every failure path — unwritable directory, ENOENT, truncation, bad
-// magic/version/checksum, key mismatch, a recv_from entry that is no node
-// or a message_count that miscounts its senders, mmap failure — returns
-// nullptr/false and never throws: persistence is an optimization; the
-// record path is always behind it.
+// magic/version/flags/checksum, key mismatch, an unknown cycle tag, a dense
+// recv_from entry that is no node or a message_count that miscounts its
+// senders, a compact cycle whose form does not fit the node count (a mask
+// or p that is no label, a q with a bit outside p, an s that is no label
+// bit, a node count that is no power of two) or whose message_count is
+// not node_count >> popcount(p), mmap failure — returns nullptr/false and
+// never throws: persistence is an optimization; the record path is always
+// behind it.
 #pragma once
 
 #include <fcntl.h>
@@ -76,7 +86,7 @@ namespace dc::sim {
 class ScheduleStore final : public ScheduleStoreBase {
  public:
   static constexpr char kMagic[8] = {'D', 'C', 'S', 'C', 'H', 'E', 'D', '1'};
-  static constexpr std::uint32_t kFormatVersion = 1;
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   /// Opens (and creates, if needed) the store directory. A directory that
   /// cannot be created leaves the store disabled: loads miss, saves fail,
@@ -148,25 +158,27 @@ class ScheduleStore final : public ScheduleStoreBase {
   }
 
   /// Serializes (without writing) — exposed for the round-trip byte-
-  /// equality test.
+  /// equality test. Each cycle is written in the form it has; a compact
+  /// cycle's fields are written as they are (the loader checks them).
   static std::vector<std::byte> encode(const ScheduleKey& key,
                                        const Schedule& s) {
     static_assert(sizeof(net::NodeId) == 8,
                   "on-disk format assumes 64-bit node ids");
     const std::size_t cycles = s.cycle_count();
-    const std::size_t n =
-        cycles == 0 ? 0 : s.cycle(0).recv_from.size();
-    for (std::size_t c = 0; c < cycles; ++c) {
+    const std::size_t n = cycles == 0 ? 0 : s.cycle(0).node_count();
+    std::size_t dense = 0;
+    for (const ScheduleCycle& c : s.cycles()) {
       // Ragged schedules (impossible today) would silently truncate —
       // refuse to serialize anything that does not round-trip exactly.
-      if (s.cycle(c).recv_from.size() != n ||
-          s.cycle(c).recv_slot.size() != n)
-        return {};
+      if (c.node_count() != n) return {};
+      if (c.is_compact()) continue;
+      if (c.recv_slot.size() != n) return {};
+      ++dense;
     }
     const std::size_t key_bytes =
         8 * key.params.size() + key.topology.size() + key.algorithm.size();
-    const std::size_t payload_bytes = pad8(key_bytes) + 8 * cycles +
-                                      (8 + 4) * cycles * n;
+    const std::size_t payload_bytes =
+        pad8(key_bytes) + kCycleRecordBytes * cycles + (8 + 4) * dense * n;
     std::vector<std::byte> out(kHeaderBytes + payload_bytes);
     std::byte* p = out.data();
     std::memcpy(p, kMagic, 8);
@@ -188,24 +200,44 @@ class ScheduleStore final : public ScheduleStoreBase {
     std::memcpy(q, key.algorithm.data(), key.algorithm.size());
     q += key.algorithm.size();
     q = p + kHeaderBytes + pad8(key_bytes);  // zero padding already in place
-    for (std::size_t c = 0; c < cycles; ++c) {
-      put_u64(q, s.cycle(c).message_count);
-      q += 8;
+    for (const ScheduleCycle& c : s.cycles()) {
+      const XorForm f = c.xor_form.value_or(XorForm{});
+      for (const std::uint64_t word :
+           {c.is_compact() ? kTagCompact : kTagDense, c.message_count, f.mask0,
+            f.mask1, f.select, f.recv_mask, f.recv_match}) {
+        put_u64(q, word);
+        q += 8;
+      }
     }
-    for (std::size_t c = 0; c < cycles; ++c) {
-      std::memcpy(q, s.cycle(c).recv_from.data(), 8 * n);
+    for (const ScheduleCycle& c : s.cycles()) {
+      if (c.is_compact()) continue;
+      std::memcpy(q, c.recv_from.data(), 8 * n);
       q += 8 * n;
     }
-    for (std::size_t c = 0; c < cycles; ++c) {
-      std::memcpy(q, s.cycle(c).recv_slot.data(), 4 * n);
+    for (const ScheduleCycle& c : s.cycles()) {
+      if (c.is_compact()) continue;
+      std::memcpy(q, c.recv_slot.data(), 4 * n);
       q += 4 * n;
     }
     put_u64(p + 48, payload_checksum(p + kHeaderBytes, payload_bytes));
     return out;
   }
 
+  /// Recomputes the payload checksum of an encode() image in place —
+  /// exposed so tests can write files that lie behind a valid checksum.
+  static void reseal(std::vector<std::byte>& image) {
+    if (image.size() < kHeaderBytes) return;
+    put_u64(image.data() + 48, payload_checksum(image.data() + kHeaderBytes,
+                                                image.size() - kHeaderBytes));
+  }
+
+  /// Cycle-table tags.
+  static constexpr std::uint64_t kTagDense = 1;
+  static constexpr std::uint64_t kTagCompact = 2;
+
  private:
   static constexpr std::size_t kHeaderBytes = 64;
+  static constexpr std::size_t kCycleRecordBytes = 7 * 8;
 
   static std::size_t pad8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
@@ -283,7 +315,9 @@ class ScheduleStore final : public ScheduleStoreBase {
     if (file_size < kHeaderBytes) return nullptr;
     if (std::memcmp(p, kMagic, 8) != 0) return nullptr;
     if (get_u32(p + 8) != kFormatVersion) return nullptr;
-    const bool validate = (get_u32(p + 12) & 1u) != 0;
+    const std::uint32_t flags = get_u32(p + 12);
+    if ((flags & ~1u) != 0) return nullptr;  // no other flag is defined
+    const bool validate = (flags & 1u) != 0;
     const std::uint64_t n = get_u64(p + 16);
     const std::uint64_t cycles = get_u64(p + 24);
     const std::uint64_t params_count = get_u64(p + 32);
@@ -291,15 +325,30 @@ class ScheduleStore final : public ScheduleStoreBase {
     const std::uint32_t algorithm_len = get_u32(p + 44);
     // Recompute the exact size from the counts before trusting any of
     // them; every count is corruption-controlled, so bound each term
-    // against the real file size before multiplying (a cycle costs ≥ 8
-    // bytes, a param 8, so anything larger than file_size is a lie).
+    // against the real file size before multiplying (a cycle costs a
+    // table record, a param 8 bytes, so anything larger than file_size is
+    // a lie).
     if (cycles > file_size || params_count > file_size) return nullptr;
-    if (n != 0 && cycles > ~std::uint64_t{0} / 12 / n) return nullptr;
     const std::uint64_t key_bytes =
         8 * params_count + topology_len + algorithm_len;
     if (key_bytes > file_size) return nullptr;
-    const std::uint64_t expected = kHeaderBytes + pad8(key_bytes) +
-                                   8 * cycles + (8 + 4) * cycles * n;
+    const std::uint64_t table_at = kHeaderBytes + pad8(key_bytes);
+    if (table_at > file_size ||
+        cycles > (file_size - table_at) / kCycleRecordBytes)
+      return nullptr;
+    const std::byte* table = p + table_at;
+    std::uint64_t dense = 0;
+    for (std::uint64_t c = 0; c < cycles; ++c) {
+      const std::uint64_t tag = get_u64(table + kCycleRecordBytes * c);
+      if (tag == kTagDense) {
+        ++dense;
+      } else if (tag != kTagCompact) {
+        return nullptr;
+      }
+    }
+    if (n != 0 && dense > ~std::uint64_t{0} / 12 / n) return nullptr;
+    const std::uint64_t expected =
+        table_at + kCycleRecordBytes * cycles + (8 + 4) * dense * n;
     if (expected != file_size || get_u64(p + 56) != file_size) return nullptr;
     if (get_u64(p + 48) !=
         payload_checksum(p + kHeaderBytes, file_size - kHeaderBytes))
@@ -320,19 +369,32 @@ class ScheduleStore final : public ScheduleStoreBase {
     if (std::memcmp(q, key.algorithm.data(), algorithm_len) != 0)
       return nullptr;
 
-    const std::byte* counts = p + kHeaderBytes + pad8(key_bytes);
-    const std::byte* from = counts + 8 * cycles;
-    const std::byte* slot = from + 8 * cycles * n;
+    const std::byte* from = table + kCycleRecordBytes * cycles;
+    const std::byte* slot = from + 8 * dense * n;
     std::vector<ScheduleCycle> out(static_cast<std::size_t>(cycles));
+    std::uint64_t d = 0;  // dense cycles decoded so far
     for (std::uint64_t c = 0; c < cycles; ++c) {
+      const std::byte* rec = table + kCycleRecordBytes * c;
       ScheduleCycle& cyc = out[static_cast<std::size_t>(c)];
-      cyc.message_count = get_u64(counts + 8 * c);
+      const std::uint64_t message_count = get_u64(rec + 8);
+      if (get_u64(rec) == kTagCompact) {
+        // Replay computes senders from the form, so the form must fit the
+        // node count: every sender it computes is then a node.
+        const XorForm f{get_u64(rec + 16), get_u64(rec + 24),
+                        get_u64(rec + 32), get_u64(rec + 40),
+                        get_u64(rec + 48)};
+        if (!f.fits(n) || message_count != f.message_count(n)) return nullptr;
+        cyc = ScheduleCycle::compact(n, f);
+        continue;
+      }
+      cyc.message_count = message_count;
       cyc.recv_from = CycleArray<net::NodeId>::view(
-          reinterpret_cast<const net::NodeId*>(from + 8 * c * n),
+          reinterpret_cast<const net::NodeId*>(from + 8 * d * n),
           static_cast<std::size_t>(n));
       cyc.recv_slot = CycleArray<std::uint32_t>::view(
-          reinterpret_cast<const std::uint32_t*>(slot + 4 * c * n),
+          reinterpret_cast<const std::uint32_t*>(slot + 4 * d * n),
           static_cast<std::size_t>(n));
+      ++d;
       // Replay indexes source planes with recv_from, so a file whose
       // checksum holds must still name real senders, as many as it counts.
       // (recv_slot is bounded where it is used: Machine::book_edge.)

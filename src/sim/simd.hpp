@@ -172,6 +172,23 @@ inline void copy_row(Src& src, std::uint64_t u, T* dst, std::size_t width) {
   }
 }
 
+/// Writes the outgoing blocks of the `rows` consecutive nodes u, u+1, ...
+/// into consecutive `width`-element rows at dst: one block copy when `src`
+/// is a tail-free PlaneSrc of packed rows (stride == width), one copy_row
+/// per node otherwise.
+template <typename T, typename Src>
+inline void copy_rows(Src& src, std::uint64_t u, T* dst, std::size_t width,
+                      std::size_t rows) {
+  if constexpr (kIsPlaneSrc<T, Src>) {
+    if (!src.tail && src.stride == width) {
+      simd::copy_block(dst, src.base + u * width, rows * width);
+      return;
+    }
+  }
+  for (std::size_t i = 0; i < rows; ++i)
+    copy_row<T>(src, u + i, dst + i * width, width);
+}
+
 namespace simd {
 
 #if DC_SIMD_HAS_AVX2_BUILD

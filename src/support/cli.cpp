@@ -11,7 +11,8 @@ Cli::Cli(int argc, const char* const* argv) {
   program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    DC_REQUIRE(arg.rfind("--", 0) == 0, "expected --flag, got '" << arg << "'");
+    if (arg.rfind("--", 0) != 0)
+      throw UsageError("expected --flag, got '" + arg + "'");
     arg.erase(0, 2);
     const auto eq = arg.find('=');
     std::string name;
@@ -26,7 +27,7 @@ Cli::Cli(int argc, const char* const* argv) {
       name = arg;
       value = "true";  // boolean switch
     }
-    DC_REQUIRE(!name.empty(), "empty flag name");
+    if (name.empty()) throw UsageError("empty flag name");
     values_[name] = value;
     consumed_[name] = false;
   }
@@ -39,8 +40,8 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) {
   std::int64_t out = 0;
   const auto& s = it->second;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  DC_REQUIRE(ec == std::errc{} && ptr == s.data() + s.size(),
-             "flag --" << name << " expects an integer, got '" << s << "'");
+  if (ec != std::errc{} || ptr != s.data() + s.size())
+    throw UsageError("flag --" + name + " expects an integer, got '" + s + "'");
   return out;
 }
 
@@ -57,14 +58,14 @@ bool Cli::get_bool(const std::string& name, bool fallback) {
   if (it == values_.end()) return fallback;
   consumed_[name] = true;
   const auto& s = it->second;
-  DC_REQUIRE(s == "true" || s == "false" || s == "1" || s == "0",
-             "flag --" << name << " expects a boolean, got '" << s << "'");
+  if (s != "true" && s != "false" && s != "1" && s != "0")
+    throw UsageError("flag --" + name + " expects a boolean, got '" + s + "'");
   return s == "true" || s == "1";
 }
 
 void Cli::finish() const {
   for (const auto& [name, used] : consumed_) {
-    DC_REQUIRE(used, "unknown flag --" << name);
+    if (!used) throw UsageError("unknown flag --" + name);
   }
 }
 

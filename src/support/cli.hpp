@@ -9,11 +9,21 @@
 #include <string>
 #include <vector>
 
+#include "support/check.hpp"
+
 namespace dc {
+
+/// A malformed command line. Derives from CheckError; what() is the exact
+/// one-line message — no check expression, no source path — so a CLI can
+/// print it as is.
+class UsageError : public CheckError {
+ public:
+  explicit UsageError(const std::string& what) : CheckError(what) {}
+};
 
 class Cli {
  public:
-  /// Parses argv; throws dc::CheckError on malformed input.
+  /// Parses argv; throws dc::UsageError on malformed input.
   Cli(int argc, const char* const* argv);
 
   /// Integer flag with a default.
@@ -25,7 +35,8 @@ class Cli {
   /// Boolean switch (--name or --name=true/false).
   bool get_bool(const std::string& name, bool fallback);
 
-  /// Call after all get_* calls: throws if any flag was never consumed.
+  /// Call after all get_* calls: throws UsageError("unknown flag --x") if
+  /// any flag was never consumed.
   void finish() const;
 
   /// Program name (argv[0]).

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "collectives/allgather.hpp"
@@ -1097,11 +1099,11 @@ TEST_F(ScheduleTest, DualSortTieRuleIsPinnedOnEveryPath) {
 
 // The fused sweep reads partner u ^ (1<<j)'s block straight from the
 // plane. That stands in for the relay only if the compiled relay delivers
-// exactly that block: compose each dimension step's recorded recv_from
-// arrays, reading the half BlockExchange::recv selects, and check every
-// node's net source.
+// exactly that block: compose each dimension step's recorded senders,
+// reading the half BlockExchange::recv selects, and check every node's net
+// source. RD_7 is the benchmark's sort order.
 TEST_F(ScheduleTest, CompiledSortRelayDeliversEachNodesPartner) {
-  for (unsigned order = 1; order <= 6; ++order) {
+  for (unsigned order = 1; order <= 7; ++order) {
     SCOPED_TRACE(testing::Message() << "RD_" << order);
     const net::RecursiveDualCube r(order);
     ScheduleCache::instance().clear();
@@ -1120,7 +1122,7 @@ TEST_F(ScheduleTest, CompiledSortRelayDeliversEachNodesPartner) {
     const auto check_step = [&](unsigned j) {
       const std::size_t cycles = j == 0 ? 1 : 3;
       ASSERT_LE(next + cycles, sched->cycle_count());
-      const auto& c1 = sched->cycle(next).recv_from;
+      const ScheduleCycle& c1 = sched->cycle(next);
       // Relay: bit-0 value of the nodes with a direct dimension-j link
       // (dimension_exchange_blocks); they keep cycle 2's first half, and
       // the others read the second half returned on cycle 3.
@@ -1128,15 +1130,15 @@ TEST_F(ScheduleTest, CompiledSortRelayDeliversEachNodesPartner) {
       for (net::NodeId u = 0; u < r.node_count(); ++u) {
         net::NodeId src = kNoSender;
         if (j == 0) {
-          src = c1[u];
+          src = c1.sender(u);
         } else if (bits::get(u, 0) == direct0) {
-          src = sched->cycle(next + 1).recv_from[u];
+          src = sched->cycle(next + 1).sender(u);
         } else {
-          const net::NodeId relay = sched->cycle(next + 2).recv_from[u];
+          const net::NodeId relay = sched->cycle(next + 2).sender(u);
           ASSERT_NE(relay, kNoSender) << "j=" << j << " u=" << u;
-          const net::NodeId pair = sched->cycle(next + 1).recv_from[relay];
+          const net::NodeId pair = sched->cycle(next + 1).sender(relay);
           ASSERT_NE(pair, kNoSender) << "j=" << j << " u=" << u;
-          src = c1[pair];
+          src = c1.sender(pair);
         }
         ASSERT_EQ(src, bits::flip(u, j)) << "j=" << j << " u=" << u;
       }
@@ -1147,6 +1149,265 @@ TEST_F(ScheduleTest, CompiledSortRelayDeliversEachNodesPartner) {
       for (unsigned j = 2 * k - 1; j-- > 0;) check_step(j);
     }
     EXPECT_EQ(next, sched->cycle_count());
+  }
+}
+
+// ------------------------------------------------------- the XOR-mask form
+
+// Which oblivious algorithms compile their cycles to the six-word XOR-mask
+// form, at n = 1..6 (n = 1..4 where the payload grows as N^2), pinned as
+// compact/total cycles summed over the orders. Every link of the dual-cube
+// family flips one label bit, so Algorithm 2 (dual_prefix) and Algorithm 3
+// (dual_bitonic_network) must compress completely; a change that loses, or
+// gains, the form anywhere shows up in this table.
+TEST_F(ScheduleTest, XorFormCoverageIsPinned) {
+  std::map<std::string, std::pair<std::size_t, std::size_t>> tally;
+  const auto record = [&](const net::Topology& t, const std::string& algorithm,
+                          std::vector<u64> params, const auto& run) {
+    Machine m(t);
+    m.set_schedule_path(SchedulePath::kCompiled);
+    run(m);
+    const auto s = ScheduleCache::instance().find(
+        ScheduleKey{ObliviousSection::topology_identity(t), algorithm,
+                    std::move(params), m.validating()});
+    ASSERT_NE(s, nullptr) << algorithm;
+    for (const ScheduleCycle& c : s->cycles()) {
+      EXPECT_EQ(c.node_count(), t.node_count());
+      tally[algorithm].first += c.is_compact() ? 1u : 0u;
+      tally[algorithm].second += 1u;
+    }
+  };
+  const core::Plus<u64> plus;
+  for (unsigned n = 1; n <= 6; ++n) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    ScheduleCache::instance().clear();
+    const net::DualCube d(n);
+    const net::RecursiveDualCube r(n);
+    const net::Hypercube q(n);
+    const auto dv = random_values(d.node_count(), n);
+    const auto qv = random_values(q.node_count(), n);
+    const net::NodeId root = d.node_count() - 1;
+    record(d, "dual_prefix", {n},
+           [&](Machine& m) { (void)core::dual_prefix(m, d, plus, dv); });
+    record(r, "dual_bitonic_network", {n}, [&](Machine& m) {
+      auto keys = dv;
+      core::dual_sort(m, r, keys);
+    });
+    record(r, "emulated_prefix", {n},
+           [&](Machine& m) { (void)core::emulated_prefix(m, r, plus, dv); });
+    record(r, "dimension_exchange", {n, 2 * n - 2}, [&](Machine& m) {
+      (void)core::dimension_exchange(m, r, 2 * n - 2, dv);
+    });
+    record(d, "dual_broadcast", {root}, [&](Machine& m) {
+      (void)collectives::dual_broadcast<u64>(m, d, root, 7);
+    });
+    record(d, "dual_reduce", {root}, [&](Machine& m) {
+      (void)collectives::dual_reduce(m, d, root, plus, dv);
+    });
+    record(d, "dual_allreduce", {}, [&](Machine& m) {
+      (void)collectives::dual_allreduce(m, d, plus, dv);
+    });
+    record(d, "tree_broadcast", {root}, [&](Machine& m) {
+      (void)collectives::tree_broadcast<u64>(m, d, root, 7);
+    });
+    record(d, "tree_reduce", {root}, [&](Machine& m) {
+      (void)collectives::tree_reduce(m, d, root, plus, dv);
+    });
+    const std::vector<u64> chunks = {1, 2, 3};
+    if (n >= 2) {  // D_1 = K_2 has no Hamiltonian cycle
+      record(d, "ring_pipeline_broadcast",
+             {root, chunks.size(),
+              collectives::ring_fingerprint(
+                  net::dual_cube_hamiltonian_cycle(d))},
+             [&](Machine& m) {
+               (void)collectives::ring_pipeline_broadcast(m, d, root, chunks);
+             });
+    }
+    record(q, "cube_prefix", {n}, [&](Machine& m) {
+      (void)core::cube_prefix(m, q, plus, qv, true);
+    });
+    record(q, "cube_bitonic_sort", {n}, [&](Machine& m) {
+      auto keys = qv;
+      core::cube_bitonic_sort(m, q, keys);
+    });
+    record(q, "cube_broadcast", {root % q.node_count()}, [&](Machine& m) {
+      (void)collectives::cube_broadcast<u64>(m, q, root % q.node_count(), 7);
+    });
+    record(q, "cube_reduce", {root % q.node_count()}, [&](Machine& m) {
+      (void)collectives::cube_reduce(m, q, root % q.node_count(), plus, qv);
+    });
+    if (n > 4) continue;
+    record(d, "dual_allgather", {n},
+           [&](Machine& m) { (void)collectives::dual_allgather(m, d, dv); });
+    record(q, "cube_allgather", {n},
+           [&](Machine& m) { (void)collectives::cube_allgather(m, q, qv); });
+    record(r, "dual_alltoall", {n}, [&](Machine& m) {
+      std::vector<std::vector<u64>> messages(
+          r.node_count(), std::vector<u64>(r.node_count(), n));
+      (void)collectives::dual_alltoall(m, r, messages);
+    });
+  }
+  std::map<std::string, std::string> got;
+  for (const auto& [algorithm, counts] : tally)
+    got[algorithm] = std::to_string(counts.first) + "/" +
+                     std::to_string(counts.second);
+  const std::map<std::string, std::string> expected = {
+      {"cube_allgather", "10/10"},
+      {"cube_bitonic_sort", "56/56"},
+      {"cube_broadcast", "21/21"},
+      {"cube_prefix", "21/21"},
+      {"cube_reduce", "21/21"},
+      {"dimension_exchange", "16/16"},
+      {"dual_allgather", "20/20"},
+      {"dual_allreduce", "42/42"},
+      {"dual_alltoall", "40/40"},
+      {"dual_bitonic_network", "411/411"},
+      {"dual_broadcast", "42/42"},
+      {"dual_prefix", "42/42"},
+      {"dual_reduce", "42/42"},
+      {"emulated_prefix", "96/96"},
+      // Hamiltonian-ring steps and spanning-tree levels mostly pair nodes
+      // by no single mask: those cycles stay dense.
+      {"ring_pipeline_broadcast", "20/2733"},
+      {"tree_broadcast", "11/51"},
+      {"tree_reduce", "11/41"},
+  };
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(got.at("dual_prefix"), "42/42");
+  EXPECT_EQ(got.at("dual_bitonic_network"), "411/411");
+}
+
+// match_xor_form accepts a cycle only when its form reproduces every
+// receiver's sender and every non-receiver.
+TEST_F(ScheduleTest, MatchXorFormIsExact) {
+  const std::size_t n = 16;
+  const auto dest_of = [&](const XorForm& f) {
+    std::vector<net::NodeId> dest(n, kNoSend);
+    for (std::size_t v = 0; v < n; ++v)
+      if (f.receives(v)) dest[f.sender_of(v)] = v;
+    return dest;
+  };
+  for (const XorForm& f : {XorForm{8, 8, 0, 0, 0}, XorForm{1, 4, 3, 0, 0},
+                           XorForm{2, 6, 0, 8, 8}, XorForm{3, 3, 0, 15, 9},
+                           XorForm{12, 1, 1, 4, 0}}) {
+    const auto dest = dest_of(f);
+    const auto got = match_xor_form(dest.data(), n);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(got->fits(n));
+    EXPECT_EQ(dest_of(*got), dest);
+    EXPECT_EQ(got->message_count(n), f.message_count(n));
+  }
+  const auto rejects = [&](std::vector<net::NodeId> dest) {
+    return !match_xor_form(dest.data(), dest.size()).has_value();
+  };
+  std::vector<net::NodeId> ring(n);
+  for (std::size_t u = 0; u < n; ++u) ring[u] = (u + 1) % n;
+  EXPECT_TRUE(rejects(ring));
+  EXPECT_TRUE(rejects(std::vector<net::NodeId>(n, kNoSend)));  // no message
+  auto three = std::vector<net::NodeId>(n, kNoSend);
+  three[1] = 0;
+  three[0] = 1;
+  three[3] = 2;  // three receivers fill no subcube
+  EXPECT_TRUE(rejects(three));
+  // Masks 1 at receivers {0, 3} and 2 at {1, 2}: no single bit splits them.
+  EXPECT_TRUE(rejects({2, 0, 3, 1}));
+  // Mask 1 on receivers 0..3 and 2 on 4..7 fit (s = 2); sending 6 to 5
+  // and 7 to 4 instead adds a third mask.
+  EXPECT_FALSE(rejects({1, 0, 3, 2, 6, 7, 4, 5}));
+  EXPECT_TRUE(rejects({1, 0, 3, 2, 6, 7, 5, 4}));
+  EXPECT_TRUE(rejects({1, 0, 2}));  // three nodes: no power of two
+}
+
+// The compact replay kernel against the dense gather it stands in for:
+// hand-built forms with runs of 1 to 64 rows replay, compact and as a dense
+// copy built from sender(v), over a packed PlaneSrc (one block copy per
+// run), a strided one, a tailed one and a callback, on a 4-worker pool at
+// grain 1 so chunk boundaries split runs. Rows, receive flags, Counters and
+// every directed pair's edge load (on-CSR or not) must agree.
+TEST_F(ScheduleTest, CompactReplayMatchesItsDenseCopy) {
+  const net::Hypercube q(6);
+  const std::size_t n = q.node_count();
+  const std::size_t width = 3;
+  const std::vector<XorForm> forms = {
+      {32, 32, 0, 0, 0},   // one bit, no predicate: two 32-row copies
+      {1, 8, 5, 0, 0},     // odd mask: senders computed row by row
+      {8, 16, 2, 0, 0},    // select bit 2 splits runs of 4
+      {2, 2, 0, 32, 0},    // half the machine receives, runs of 2
+      {4, 4, 0, 1, 1},     // odd receivers only
+      {5, 5, 0, 63, 17},   // one receiver
+      {0, 0, 0, 0, 0},     // every node from itself: one 64-row copy
+      {48, 3, 4, 0, 0},    // multi-bit masks (no hypercube edges)
+  };
+  const auto values = random_values(n * 5, 21);
+  const auto tail = random_values(n * 2, 22);
+  ThreadPool pool(4);
+  for (const XorForm& form : forms) {
+    SCOPED_TRACE(testing::Message() << "m0=" << form.mask0 << " m1="
+                                    << form.mask1 << " s=" << form.select
+                                    << " p=" << form.recv_mask
+                                    << " q=" << form.recv_match);
+    ASSERT_TRUE(form.fits(n));
+    const ScheduleCycle compact = ScheduleCycle::compact(n, form);
+    ScheduleCycle dense;
+    dense.recv_from.assign(n, kNoSender);
+    dense.recv_slot.assign(n, kNoEdgeSlot);
+    for (std::size_t v = 0; v < n; ++v) {
+      const net::NodeId u = compact.sender(v);
+      if (u == kNoSender) continue;
+      dense.recv_from[v] = u;
+      const std::size_t slot =
+          q.flat_adjacency().edge_slot(u, static_cast<net::NodeId>(v));
+      if (slot != net::FlatAdjacency::npos)
+        dense.recv_slot[v] = static_cast<std::uint32_t>(slot);
+      ++dense.message_count;
+    }
+    ASSERT_EQ(dense.message_count, compact.message_count);
+
+    const auto replay = [&](const ScheduleCycle& cyc, int source,
+                            bool loads) {
+      Machine m(q);
+      m.set_thread_pool(&pool);
+      m.set_parallel_grain(1);
+      if (loads) m.enable_edge_load();
+      const auto run = [&](auto&& src) {
+        const auto in = m.comm_cycle_scheduled_blocks<u64>(cyc, width, src);
+        std::vector<std::vector<u64>> rows(n);
+        for (net::NodeId v = 0; v < n; ++v)
+          if (in.has(v)) rows[v].assign(in.block(v), in.block(v) + width);
+        return rows;
+      };
+      std::vector<std::vector<u64>> rows;
+      if (source == 0) rows = run(PlaneSrc<u64>{values.data(), width});
+      if (source == 1) rows = run(PlaneSrc<u64>{values.data(), 5});
+      if (source == 2)
+        rows = run(PlaneSrc<u64>{values.data(), 5, tail.data(), 2, 1});
+      if (source == 3) {
+        rows = run([&](net::NodeId u, u64* dst) {
+          for (std::size_t k = 0; k < width; ++k)
+            dst[k] = values[u * 5 + k] + 1;
+        });
+      }
+      std::vector<std::uint64_t> pair_loads;
+      for (net::NodeId u = 0; loads && u < n; ++u)
+        for (net::NodeId v = 0; v < n; ++v)
+          pair_loads.push_back(u == v ? 0 : m.edge_load(u, v));
+      return std::tuple{rows, m.counters(), pair_loads,
+                        loads ? m.edge_load_merged()
+                              : std::vector<std::uint64_t>{}};
+    };
+    for (int source = 0; source < 4; ++source) {
+      for (const bool loads : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "source " << source
+                                        << " loads " << loads);
+        const auto got = replay(compact, source, loads);
+        EXPECT_EQ(got, replay(dense, source, loads));
+        const auto& rows = std::get<0>(got);
+        EXPECT_EQ(static_cast<std::uint64_t>(std::count_if(
+                      rows.begin(), rows.end(),
+                      [](const auto& row) { return !row.empty(); })),
+                  compact.message_count);
+      }
+    }
   }
 }
 

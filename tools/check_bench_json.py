@@ -9,11 +9,13 @@ Usage: check_bench_json.py [path]            (default: BENCH_sim.json)
        check_bench_json.py report-validate REPORT.json
 
 report-validate schema-checks a structured run-report from
-`dcsim --report=FILE.json`: pinned schema_version, required sections,
-per-track phase sums equal to the track's total cycles, cross-counter
-reconciliation (profiled tracks + virtual counters == Counters.comm_cycles
-when no trace events were dropped), imbalance-summary bounds and a
-strictly monotone flight-recorder timeline.
+`dcsim --report=FILE.json`: pinned schema_version, required sections, a
+known status (ok, sim_error, fault_error, or rejected — a run refused
+before it ran, which names its refusal line as the error and executed no
+comm cycle), per-track phase sums equal to the track's total cycles,
+cross-counter reconciliation (profiled tracks + virtual counters ==
+Counters.comm_cycles when no trace events were dropped), imbalance-summary
+bounds and a strictly monotone flight-recorder timeline.
 
 trace-validate schema-checks a Chrome-trace export from `dcsim --trace`:
 every event carries name/ph/pid/tid/ts; 'B'/'E' spans are balanced per
@@ -505,6 +507,7 @@ def pipeline_fusion_validate(path: str) -> int:
 
 
 REPORT_SCHEMA_VERSION = 1
+REPORT_STATUSES = ("ok", "sim_error", "fault_error", "rejected")
 
 
 def report_validate(path: str) -> int:
@@ -533,14 +536,23 @@ def report_validate(path: str) -> int:
     if failed(path, errors):
         return 1
 
+    status = doc["status"]
+    if status not in REPORT_STATUSES:
+        errors.append(f"status must be one of {'/'.join(REPORT_STATUSES)}, "
+                      f"got {status!r}")
+    elif status != "ok" and (not isinstance(doc.get("error"), str)
+                             or not doc.get("error")):
+        errors.append(f"a {status} run must name its error")
     counters = doc["counters"]
     comm_cycles = counters.get("comm_cycles")
     if not isinstance(comm_cycles, int):
         errors.append("counters.comm_cycles must be an integer")
         comm_cycles = None
-    elif doc["status"] == "ok" and comm_cycles <= 0:
+    elif status == "ok" and comm_cycles <= 0:
         # A failed run legitimately dies before any counters are filled.
         errors.append("counters.comm_cycles must be positive on an ok run")
+    elif status == "rejected" and comm_cycles != 0:
+        errors.append("counters.comm_cycles must be 0 on a rejected run")
 
     # Critical-path attribution: per-track phase sums always equal the
     # track total, and — when the trace ring never wrapped — the profiled
