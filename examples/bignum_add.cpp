@@ -10,7 +10,7 @@
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using dc::u64;
   dc::Cli cli(argc, argv);
   const unsigned n = static_cast<unsigned>(cli.get_int("n", 4));
@@ -55,4 +55,9 @@ int main(int argc, char** argv) {
   std::cout << t;
   DC_CHECK(all_ok, "carry-lookahead disagreed with ripple carry");
   return 0;
+} catch (const dc::UsageError& e) {
+  // A malformed command line (an unknown flag, a non-integer value...):
+  // its exact one-line message, like dcsim's.
+  std::cout << e.what() << "\n";
+  return 2;
 }

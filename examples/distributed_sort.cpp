@@ -12,7 +12,7 @@
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   dc::Cli cli(argc, argv);
   const unsigned n = static_cast<unsigned>(cli.get_int("n", 3));
   const std::size_t block = static_cast<std::size_t>(cli.get_int("block", 1024));
@@ -54,4 +54,9 @@ int main(int argc, char** argv) {
   std::cout << t;
   DC_CHECK(ok, "block sort produced an unsorted sequence");
   return 0;
+} catch (const dc::UsageError& e) {
+  // A malformed command line (an unknown flag, a non-integer value...):
+  // its exact one-line message, like dcsim's.
+  std::cout << e.what() << "\n";
+  return 2;
 }

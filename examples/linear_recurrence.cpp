@@ -23,7 +23,7 @@
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using dc::u64;
   dc::Cli cli(argc, argv);
   const unsigned n = static_cast<unsigned>(cli.get_int("n", 3));
@@ -77,4 +77,9 @@ int main(int argc, char** argv) {
   std::cout << "a chain of " << N << " dependent steps collapsed into "
             << m.counters().comm_cycles << " communication cycles\n";
   return 0;
+} catch (const dc::UsageError& e) {
+  // A malformed command line (an unknown flag, a non-integer value...):
+  // its exact one-line message, like dcsim's.
+  std::cout << e.what() << "\n";
+  return 2;
 }

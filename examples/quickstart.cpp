@@ -11,7 +11,7 @@
 #include "support/cli.hpp"
 #include "support/rng.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   dc::Cli cli(argc, argv);
   const unsigned n = static_cast<unsigned>(cli.get_int("n", 3));
   cli.finish();
@@ -65,4 +65,9 @@ int main(int argc, char** argv) {
               << dc::core::formulas::dual_sort_comp_bound(n) << ")\n";
   }
   return 0;
+} catch (const dc::UsageError& e) {
+  // A malformed command line (an unknown flag, a non-integer value...):
+  // its exact one-line message, like dcsim's.
+  std::cout << e.what() << "\n";
+  return 2;
 }

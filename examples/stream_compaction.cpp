@@ -79,7 +79,7 @@ u64 scatter(dc::sim::Machine& m, const dc::net::DualCube& d,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   dc::Cli cli(argc, argv);
   const unsigned n = static_cast<unsigned>(cli.get_int("n", 3));
   const u64 threshold = static_cast<u64>(cli.get_int("threshold", 600));
@@ -138,4 +138,9 @@ int main(int argc, char** argv) {
   DC_CHECK(expect_slot == kept, "compaction lost items");
   std::cout << "self-check passed: output is dense and order-preserving\n";
   return 0;
+} catch (const dc::UsageError& e) {
+  // A malformed command line (an unknown flag, a non-integer value...):
+  // its exact one-line message, like dcsim's.
+  std::cout << e.what() << "\n";
+  return 2;
 }

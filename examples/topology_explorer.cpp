@@ -13,7 +13,7 @@
 #include "topology/hamiltonian.hpp"
 #include "topology/routing.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   dc::Cli cli(argc, argv);
   const unsigned n = static_cast<unsigned>(cli.get_int("n", 2));
   const unsigned routes = static_cast<unsigned>(cli.get_int("routes", 4));
@@ -68,4 +68,9 @@ int main(int argc, char** argv) {
               << "\n";
   }
   return 0;
+} catch (const dc::UsageError& e) {
+  // A malformed command line (an unknown flag, a non-integer value...):
+  // its exact one-line message, like dcsim's.
+  std::cout << e.what() << "\n";
+  return 2;
 }

@@ -35,21 +35,33 @@
 // sim::ProxyScope.
 //
 // Execution. All 6n² − 7n + 2 cycles run through one ObliviousSection. On
-// compiled replay, each dimension step runs as one sweep through
-// ObliviousSection::exchange_compute_fused that stands in for its 1 or 3
-// relay cycles and its compare step: over pair groups of 2^(j+1) nodes,
-// the combine runs once for each partner, reading the other's block
-// straight from the plane, with no comm plane materialized. Counters, edge
-// loads, imbalance samples and observer snapshots match the relayed step;
-// only the cycles' trace span name differs (comm_cycle_fused). Recording,
-// interpreted, proxied and faulted runs relay through the block plane
-// (dimension_exchange_blocks) and compare per node.
+// compiled replay, each dimension step is booked through
+// ObliviousSection::exchange_compute_fused — its 1 or 3 relay cycles and
+// its compare step — with no comm plane materialized:
+//
+//   * dual_sort over integral keys (unobserved) sorts in place with the
+//     vector kernel sim::simd::bitonic_steps. Each merge pass runs its
+//     steps j >= 3 as one sweep each, split by pair, then steps 2, 1, 0
+//     together in the sweep of step 2, over 8-node tiles; steps 1 and 0
+//     book their cycles and compare steps around an empty body.
+//   * Every other run (block_sort's merge-split, non-integral keys,
+//     observed runs) keeps the double-buffered combine, one sweep per
+//     dimension step over pair groups of 2^(j+1) nodes: the combine runs
+//     once for each partner, reading the other's block straight from the
+//     plane.
+//
+// Counters, edge loads, imbalance samples and observer snapshots match the
+// relayed step; only the cycles' trace span name differs
+// (comm_cycle_fused). Recording, interpreted, proxied and faulted runs
+// relay through the block plane (dimension_exchange_blocks) and compare
+// per node.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/dimension_exchange.hpp"
@@ -60,16 +72,81 @@ namespace dc::core {
 
 namespace detail {
 
+/// The direction of one merge pass of Algorithm 3, in the form
+/// sim::simd::bitonic_steps takes: node u ascends iff
+/// ((u & dir_mask) == 0) != descending.
+struct PassDirection {
+  dc::u64 dir_mask;
+  bool descending;
+};
+
+/// The direction of level k's half-merge or full merge on D_n. A
+/// half-merge ascends in the lower half of each D_k block (bit 2k-2
+/// clear); a full merge follows the block's tag (bit 2k-1), or the
+/// caller's direction at the top level.
+inline PassDirection pass_direction(unsigned k, unsigned n, bool half_merge,
+                                    bool descending) {
+  if (half_merge) return {dc::u64{1} << (2 * k - 2), false};
+  if (k == n) return {0, descending};
+  return {dc::u64{1} << (2 * k - 1), false};
+}
+
 /// The direction rule of Algorithm 3: true iff node u keeps the min side
-/// at dimension j of level k on D_n. A half-merge ascends in the lower
-/// half of each D_k block (bit 2k-2 clear); a full merge follows the
-/// block's tag (bit 2k-1), or the caller's direction at the top level.
+/// at dimension j of level k on D_n.
 inline bool bitonic_keep_min(net::NodeId u, unsigned j, unsigned k,
                              unsigned n, bool half_merge, bool descending) {
-  const bool ascending = half_merge ? dc::bits::get(u, 2 * k - 2) == 0
-                         : k == n   ? !descending
-                                    : dc::bits::get(u, 2 * k - 1) == 0;
+  const PassDirection d = pass_direction(k, n, half_merge, descending);
+  const bool ascending = ((u & d.dir_mask) == 0) != d.descending;
   return ascending == (dc::bits::get(u, j) == 0);
+}
+
+/// Relay cycles of dimension step j: dimension 0 is a direct link, every
+/// other dimension a 3-cycle relay (dimension_exchange.hpp).
+inline std::size_t relay_cycles(unsigned j) { return j == 0 ? 1 : 3; }
+
+/// dual_sort's combine: compare-exchange of one key. Position-stable on
+/// ties — std::min and std::max both return their first argument when
+/// the keys compare equal, so each partner keeps its own element and the
+/// output is a permutation of the input records.
+struct CompareExchange {
+  template <typename Key>
+  void operator()(net::NodeId /*u*/, bool keep_min, const Key* own,
+                  const Key* other, Key* out) const {
+    *out = keep_min ? std::min(*own, *other) : std::max(*own, *other);
+  }
+};
+
+/// One merge pass of Algorithm 3 on compiled replay, in place over
+/// integral `keys`: dimension steps j = t-1 .. 0 in direction `d`. Steps
+/// j >= 3 run one sweep each over the N/2 pairs. Steps 2, 1, 0 (those
+/// below t) all run in the first one's sweep, over 8-node tiles (the whole
+/// machine on RD_1); the others book their cycles and compare steps
+/// around an empty body. One counted op per node per step.
+template <typename Key>
+void bitonic_pass_in_place(sim::Machine& m, sim::ObliviousSection& sched,
+                           std::vector<Key>& keys, unsigned t,
+                           PassDirection d) {
+  const std::size_t nodes = keys.size();
+  for (unsigned j = t; j-- > 3;) {
+    sched.exchange_compute_fused(
+        3, nodes / 2, [&](std::size_t p_lo, std::size_t p_hi) {
+          sim::simd::bitonic_steps(keys.data(), j, j, p_lo, p_hi, d.dir_mask,
+                                   d.descending);
+          m.add_ops(2 * (p_hi - p_lo));
+        });
+  }
+  if (t == 0) return;
+  const unsigned top = std::min(t, 3u) - 1;
+  const std::size_t tile = std::min<std::size_t>(8, nodes);
+  sched.exchange_compute_fused(
+      relay_cycles(top), nodes / tile, [&](std::size_t b_lo, std::size_t b_hi) {
+        sim::simd::bitonic_steps(keys.data(), top, 0, b_lo * tile / 2,
+                                 b_hi * tile / 2, d.dir_mask, d.descending);
+        m.add_ops((b_hi - b_lo) * tile * (top + 1));
+      });
+  for (unsigned j = top; j-- > 0;)
+    sched.exchange_compute_fused(relay_cycles(j), 1,
+                                 [](std::size_t, std::size_t) {});
 }
 
 }  // namespace detail
@@ -113,7 +190,7 @@ void dual_bitonic_level(sim::Machine& m, sim::ObliviousSection& sched,
       const std::size_t half = std::size_t{1} << j;
       const std::size_t group = 2 * half;
       sched.exchange_compute_fused(
-          j == 0 ? 1 : 3, r.node_count() / group,
+          detail::relay_cycles(j), r.node_count() / group,
           [&](std::size_t b_lo, std::size_t b_hi) {
             for (std::size_t g = b_lo * group; g < b_hi * group; g += group) {
               const bool keep_min = detail::bitonic_keep_min(
@@ -167,6 +244,25 @@ void dual_bitonic_network(sim::Machine& m, const net::RecursiveDualCube& r,
   // is one compiled schedule per order: the dimension sequence is fixed
   // and neither the merge direction nor the width changes a destination.
   sim::ObliviousSection sched(m, "dual_bitonic_network", {r.order()});
+  if constexpr (std::is_integral_v<V> &&
+                std::is_same_v<std::remove_cvref_t<Combine>,
+                               detail::CompareExchange>) {
+    if (sched.replaying() && !observer) {
+      // The compare-exchange of integral keys has an in-place vector
+      // kernel, so the replay needs no `next` plane.
+      DC_REQUIRE(width == 1, "compare-exchange sorts one key per node");
+      const unsigned n = r.order();
+      for (unsigned k = 1; k <= n; ++k) {
+        for (const bool half_merge : {true, false}) {
+          detail::bitonic_pass_in_place(
+              m, sched, plane, half_merge ? 2 * k - 2 : 2 * k - 1,
+              detail::pass_direction(k, n, half_merge, descending));
+        }
+      }
+      sched.commit();
+      return;
+    }
+  }
   std::vector<V> next(plane.size());
   for (unsigned k = 1; k <= r.order(); ++k)
     dual_bitonic_level(m, sched, r, plane, next, width, k, descending, combine,
@@ -176,20 +272,15 @@ void dual_bitonic_network(sim::Machine& m, const net::RecursiveDualCube& r,
 
 /// Sorts `keys` (index = recursive-presentation node label) in place;
 /// ascending iff !descending (the paper's tag: 0 = ascending).
-/// Keys must be totally ordered by operator<.
+/// Keys must be totally ordered by operator<. On equal keys each
+/// compare-exchange partner keeps its own element, so records ordered by
+/// one field come out as a permutation of the input records.
 template <typename Key>
 void dual_sort(sim::Machine& m, const net::RecursiveDualCube& r,
                std::vector<Key>& keys, bool descending = false,
                const DualSortObserver<Key>& observer = {}) {
-  dual_bitonic_network(
-      m, r, keys, 1, descending,
-      [](net::NodeId /*u*/, bool keep_min, const Key* own, const Key* other,
-         Key* out) {
-        // The argument order fixes the tie rule: on equal keys both
-        // partners take the min side's element.
-        *out = keep_min ? std::min(*own, *other) : std::max(*other, *own);
-      },
-      observer);
+  dual_bitonic_network(m, r, keys, 1, descending, detail::CompareExchange{},
+                       observer);
 }
 
 }  // namespace dc::core

@@ -64,13 +64,17 @@ bool ft_key_less(const std::optional<Key>& a, const std::optional<Key>& b) {
   return *a < *b;
 }
 
-/// The network's compare-exchange over missing-aware keys.
+/// The network's compare-exchange over missing-aware keys. Like
+/// dual_sort's, it is position-stable on ties: a node takes the other
+/// element only when it is strictly better for its side.
 template <typename Key>
 void ft_compare_exchange(net::NodeId /*u*/, bool keep_min,
                          const std::optional<Key>* own,
                          const std::optional<Key>* other,
                          std::optional<Key>* out) {
-  *out = keep_min == ft_key_less(*other, *own) ? *other : *own;
+  const bool take = keep_min ? ft_key_less(*other, *own)
+                             : ft_key_less(*own, *other);
+  *out = take ? *other : *own;
 }
 
 /// Input placement: every key at its label, dead labels' keys lost.

@@ -1,12 +1,14 @@
 // Vectorized replay kernels with runtime ISA dispatch.
 //
-// The compiled-schedule replay path (sim/machine.hpp) and the block
-// algorithms (core/block_sort.hpp, core/block_prefix.hpp) spend their
-// cycles in three tight loops: the receiver-major plane gather, the sorted
-// merge-split, and the row-wise prefix combine. This header implements all
-// three as explicit SIMD kernels — AVX2 on x86-64, NEON on AArch64 — behind
-// one runtime dispatch point, with a portable scalar fallback that is the
-// reference semantics.
+// The compiled-schedule replay path (sim/machine.hpp) and the sorting and
+// block algorithms (core/dual_sort.hpp, core/block_sort.hpp,
+// core/block_prefix.hpp) spend their cycles in four tight loops: the
+// receiver-major plane gather, the in-place bitonic compare-exchange of a
+// replayed dual_sort, the sorted merge-split, and the row-wise prefix
+// combine. This header implements them as explicit SIMD kernels — AVX2 on
+// x86-64 (all four), NEON on AArch64 (merge-split and row combine) —
+// behind one runtime dispatch point, with a portable scalar fallback that
+// is the reference semantics.
 //
 // Dispatch. active_isa() resolves once per process from the DC_SIMD
 // environment variable (auto | avx2 | neon | scalar — mirroring
@@ -18,6 +20,9 @@
 //
 // Determinism. Every kernel is bit-identical to the scalar reference:
 //   * gather/copy kernels move bytes — no arithmetic at all;
+//   * bitonic_steps writes the min and the max of each compared pair of
+//     integral keys; equal keys are identical bit patterns, so it does not
+//     matter which kernel picks which;
 //   * merge_split produces the sorted lower/upper half of a merged pair of
 //     sorted blocks. That output is a pure function of the input multiset
 //     (for integral keys, equal keys are identical bit patterns), so any
@@ -29,6 +34,7 @@
 // parity suite asserts on every width class.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -370,6 +376,125 @@ __attribute__((target("avx2"))) inline void add_rows_u64(
   for (; i < n; ++i) cur[i] = prev[i] + cur[i];
 }
 
+// ---- in-place bitonic compare-exchange, 8-byte keys ----------------------
+// AVX2 has no 64-bit min/max, so each compare-exchange is one signed
+// cmpgt_epi64 and blends. Unlike the merge network above, a bitonic step
+// compares whole registers of independent pairs (a tile step adds one
+// permute), so the substitute pays here. Unsigned keys compare through
+// a sign-bias XOR: flipping bit 63 maps unsigned order onto signed order,
+// and the XOR is undone on the way out, so every stored lane is one of
+// the input keys.
+
+template <typename Key>
+__attribute__((target("avx2"))) inline __m256i order_bits(__m256i v) {
+  if constexpr (std::is_unsigned_v<Key>) {
+    return _mm256_xor_si256(v, _mm256_set1_epi64x(INT64_MIN));
+  } else {
+    return v;
+  }
+}
+
+/// Lane-wise compare-exchange of v against its partners p, both in
+/// order_bits form: each lane keeps the min where `keep_min` is all-ones,
+/// the max where it is zero.
+__attribute__((target("avx2"))) inline __m256i keep_side(__m256i v, __m256i p,
+                                                         __m256i keep_min) {
+  // v > p: the min is p, the max v. Keep v iff that matches the side.
+  return _mm256_blendv_epi8(
+      p, v, _mm256_xor_si256(_mm256_cmpgt_epi64(v, p), keep_min));
+}
+
+/// One step j >= 3 over pairs [p_lo, p_hi) (simd::bitonic_steps): vertical
+/// min/max over each group's contiguous low and high half, four pairs per
+/// register. The direction is one test per group.
+template <typename Key>
+__attribute__((target("avx2"))) inline void bitonic_step_halves(
+    Key* keys, unsigned j, std::uint64_t p_lo, std::uint64_t p_hi,
+    std::uint64_t dir_mask, bool descending) {
+  const std::uint64_t half = std::uint64_t{1} << j;
+  for (std::uint64_t p = p_lo; p < p_hi;) {
+    const std::uint64_t end = std::min(p_hi, (p | (half - 1)) + 1);
+    const std::uint64_t lo = ((p >> j) << (j + 1)) | (p & (half - 1));
+    const bool ascending = ((lo & dir_mask) == 0) != descending;
+    Key* const a = keys + lo;
+    Key* const b = a + half;
+    Key* const to_min = ascending ? a : b;
+    Key* const to_max = ascending ? b : a;
+    const std::uint64_t len = end - p;
+    std::uint64_t i = 0;
+    for (; i + 4 <= len; i += 4) {
+      const __m256i x = loadu(a + i);
+      const __m256i y = loadu(b + i);
+      const __m256i gt =
+          _mm256_cmpgt_epi64(order_bits<Key>(x), order_bits<Key>(y));
+      storeu(to_min + i, _mm256_blendv_epi8(x, y, gt));
+      storeu(to_max + i, _mm256_blendv_epi8(y, x, gt));
+    }
+    for (; i < len; ++i) {
+      const Key x = a[i];
+      const Key y = b[i];
+      to_min[i] = y < x ? y : x;
+      to_max[i] = y < x ? x : y;
+    }
+    p = end;
+  }
+}
+
+/// Steps top .. bottom (top <= 2) over the 8-node tiles of nodes [lo, hi)
+/// (simd::bitonic_steps), each tile held in two registers across the
+/// steps and compared in order_bits form: dimension 2 pairs the registers
+/// lane by lane, dimension 1 swaps 128-bit halves, dimension 0 swaps
+/// neighbouring lanes. Each lane's keep-min mask is the pass's rule
+/// evaluated at its node: bits 0-2 of the rule come from the lane, and a
+/// direction bit at 3 or above flips every lane of a tile, so the masks
+/// come in two sets and each tile loads one.
+template <typename Key>
+__attribute__((target("avx2"))) inline void bitonic_steps_tiles(
+    Key* keys, unsigned top, unsigned bottom, std::uint64_t lo,
+    std::uint64_t hi, std::uint64_t dir_mask, bool descending) {
+  // keep[f][j] holds lanes 0-3 then 4-7 of step j's keep-min mask in a
+  // tile with flip f. Dimension 2 compares a against b once and reads
+  // "b > a" as "not a > b" (equal keys are the same bits either way), so
+  // its lanes 4-7 are stored complemented.
+  std::int64_t keep[2][3][8];
+  for (unsigned f = 0; f < 2; ++f) {
+    for (unsigned j = 0; j < 3; ++j) {
+      for (std::uint64_t i = 0; i < 8; ++i) {
+        const bool ascending =
+            (((i & dir_mask) == 0) != descending) != (f == 1);
+        const bool keep_min = ascending == (((i >> j) & 1) == 0);
+        keep[f][j][i] = keep_min != (j == 2 && i >= 4) ? -1 : 0;
+      }
+    }
+  }
+  const bool d2 = top >= 2 && bottom <= 2;
+  const bool d1 = top >= 1 && bottom <= 1;
+  const bool d0 = bottom == 0;
+  const std::uint64_t tile_dir = dir_mask & ~std::uint64_t{7};
+  for (std::uint64_t u = lo; u < hi; u += 8) {
+    const std::int64_t(&k)[3][8] = keep[(u & tile_dir) != 0 ? 1 : 0];
+    __m256i a = order_bits<Key>(loadu(keys + u));
+    __m256i b = order_bits<Key>(loadu(keys + u + 4));
+    if (d2) {
+      const __m256i gt = _mm256_cmpgt_epi64(a, b);
+      const __m256i na =
+          _mm256_blendv_epi8(b, a, _mm256_xor_si256(gt, loadu(&k[2][0])));
+      b = _mm256_blendv_epi8(a, b, _mm256_xor_si256(gt, loadu(&k[2][4])));
+      a = na;
+    }
+    if (d1) {
+      a = keep_side(a, _mm256_permute4x64_epi64(a, 0x4E), loadu(&k[1][0]));
+      b = keep_side(b, _mm256_permute4x64_epi64(b, 0x4E), loadu(&k[1][4]));
+    }
+    if (d0) {
+      a = keep_side(a, _mm256_shuffle_epi32(a, 0x4E), loadu(&k[0][0]));
+      b = keep_side(b, _mm256_shuffle_epi32(b, 0x4E), loadu(&k[0][4]));
+    }
+    storeu(keys + u, order_bits<Key>(a));
+    storeu(keys + u + 4, order_bits<Key>(b));
+  }
+}
+
 }  // namespace avx2
 #endif  // DC_SIMD_HAS_AVX2_BUILD
 
@@ -595,6 +720,86 @@ inline void add_rows_u64(std::uint64_t* cur, const std::uint64_t* prev,
   }
 #endif
   for (std::size_t i = 0; i < n; ++i) cur[i] = prev[i] + cur[i];
+}
+
+namespace scalar {
+
+/// The reference semantics of simd::bitonic_steps: pair by pair, in runs
+/// of consecutive pairs within one group (one direction test per run),
+/// with branch-free min/max selects.
+template <typename Key>
+inline void bitonic_steps(Key* keys, unsigned top, unsigned bottom,
+                          std::uint64_t p_lo, std::uint64_t p_hi,
+                          std::uint64_t dir_mask, bool descending) {
+  for (unsigned j = top + 1; j-- > bottom;) {
+    const std::uint64_t half = std::uint64_t{1} << j;
+    std::uint64_t lo = ((p_lo >> j) << (j + 1)) | (p_lo & (half - 1));
+    for (std::uint64_t p = p_lo; p < p_hi;) {
+      const std::uint64_t run = std::min(p_hi - p, half - (p & (half - 1)));
+      const bool ascending = ((lo & dir_mask) == 0) != descending;
+      Key* const a = keys + lo;
+      Key* const b = a + half;
+      Key* const to_min = ascending ? a : b;
+      Key* const to_max = ascending ? b : a;
+      for (std::uint64_t i = 0; i < run; ++i) {
+        const Key x = a[i];
+        const Key y = b[i];
+        to_min[i] = y < x ? y : x;
+        to_max[i] = y < x ? x : y;
+      }
+      p += run;
+      lo += run + half;  // past the high half: the next group's first node
+    }
+  }
+}
+
+}  // namespace scalar
+
+/// In-place bitonic compare-exchange steps j = top, top-1, ..., bottom of
+/// one merge pass over integral `keys`, each step over the pairs
+/// [p_lo, p_hi) of its dimension: pair p of dimension j is node
+/// lo = ((p >> j) << (j+1)) | (p mod 2^j) and its partner lo + 2^j. The
+/// pair ascends — lo takes the min, its partner the max — iff
+/// ((lo & dir_mask) == 0) != descending, and descends otherwise. That is
+/// core::detail::bitonic_keep_min's rule for a pass directed by one label
+/// bit (dir_mask = that bit) or by the caller alone (dir_mask = 0), so
+/// dir_mask must be 0 or a power of two above 2^top: both nodes of a pair
+/// read the same direction. A run of several steps needs p_lo and p_hi to
+/// be multiples of 2^top; every step then covers the same nodes
+/// [2 p_lo, 2 p_hi) and stays inside them, so disjoint ranges may run
+/// concurrently.
+///
+/// AVX2 runs 8-byte keys (signed directly, unsigned through a sign-bias
+/// XOR): each step j >= 3 as vertical min/max over contiguous half-groups,
+/// then steps 2, 1, 0 together on 8-node tiles in registers. Every other
+/// key and ISA runs the scalar reference. Integral keys that compare equal
+/// are the same bits, so every kernel writes the bytes the reference does.
+template <typename Key>
+inline void bitonic_steps(Key* keys, unsigned top, unsigned bottom,
+                          std::uint64_t p_lo, std::uint64_t p_hi,
+                          std::uint64_t dir_mask, bool descending) {
+  static_assert(std::is_integral_v<Key>,
+                "the bitonic step kernel sorts integral keys");
+#if DC_SIMD_HAS_AVX2_BUILD
+  if constexpr (sizeof(Key) == 8) {
+    if (active_isa() == Isa::kAvx2) {
+      unsigned j = top + 1;
+      for (; j-- > std::max(bottom, 3u);)
+        avx2::bitonic_step_halves(keys, j, p_lo, p_hi, dir_mask, descending);
+      if (bottom > 2) return;
+      const unsigned low_top = std::min(top, 2u);
+      if (p_lo % 4 == 0 && p_hi % 4 == 0) {
+        avx2::bitonic_steps_tiles(keys, low_top, bottom, 2 * p_lo, 2 * p_hi,
+                                  dir_mask, descending);
+      } else {
+        scalar::bitonic_steps(keys, low_top, bottom, p_lo, p_hi, dir_mask,
+                              descending);
+      }
+      return;
+    }
+  }
+#endif
+  scalar::bitonic_steps(keys, top, bottom, p_lo, p_hi, dir_mask, descending);
 }
 
 }  // namespace simd

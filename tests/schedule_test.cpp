@@ -29,6 +29,7 @@
 #include "core/dual_sort.hpp"
 #include "core/emulated_prefix.hpp"
 #include "core/formulas.hpp"
+#include "core/ft_dual_sort.hpp"
 #include "core/ops.hpp"
 #include "core/segmented.hpp"
 #include "core/sequential.hpp"
@@ -893,11 +894,11 @@ void expect_fused_sort_parity(const net::RecursiveDualCube& r,
   }
 }
 
-// dual_sort and block_sort at width 3 over RD_1 .. RD_6, both directions,
-// with keys from make_keys(count, seed).
+// dual_sort and block_sort at width 3 over RD_1 .. RD_max_order, both
+// directions, with keys from make_keys(count, seed).
 template <typename MakeKeys>
-void expect_fused_sorts_parity(MakeKeys&& make_keys) {
-  for (unsigned order = 1; order <= 6; ++order) {
+void expect_fused_sorts_parity(MakeKeys&& make_keys, unsigned max_order) {
+  for (unsigned order = 1; order <= max_order; ++order) {
     const net::RecursiveDualCube r(order);
     for (const bool descending : {false, true}) {
       SCOPED_TRACE(testing::Message() << "RD_" << order
@@ -931,16 +932,18 @@ std::vector<std::string> string_keys(std::size_t n, u64 seed) {
   return v;
 }
 
+// Integral keys replay dual_sort through the in-place vector kernel, so
+// their legs run up to RD_7, the benchmark's sort order.
 TEST_F(ScheduleTest, FusedDualSortParityU64) {
-  expect_fused_sorts_parity(random_values);
+  expect_fused_sorts_parity(random_values, 7);
 }
 
 TEST_F(ScheduleTest, FusedDualSortParityIntWithDuplicates) {
-  expect_fused_sorts_parity(small_signed_keys);
+  expect_fused_sorts_parity(small_signed_keys, 7);
 }
 
 TEST_F(ScheduleTest, FusedDualSortParityString) {
-  expect_fused_sorts_parity(string_keys);
+  expect_fused_sorts_parity(string_keys, 6);
 }
 
 // block_sort_aos runs the network at width 1 over heap-owning
@@ -961,10 +964,11 @@ TEST_F(ScheduleTest, FusedBlockSortAosParity) {
   }
 }
 
-// Fused pair groups run concurrently on a multi-worker pool at grain 1;
-// the sweep must still match the single-threaded interpreted run. The
-// first machine records the schedule with dual_sort and block_sort
-// replays it; the second replays both.
+// Fused sweeps run their blocks concurrently on a multi-worker pool at
+// grain 1; the sweep must still match the single-threaded interpreted
+// run. The first machine records the schedule with dual_sort and
+// block_sort replays it; the second replays both. An RD_7 u64 leg runs
+// the in-place vector kernel at the benchmark's sort order.
 TEST_F(ScheduleTest, FusedDualSortParityOnWorkerPool) {
   const net::RecursiveDualCube r(4);
   const auto keys = string_keys(r.node_count(), 41);
@@ -997,6 +1001,83 @@ TEST_F(ScheduleTest, FusedDualSortParityOnWorkerPool) {
         static_cast<u64>(run + 1) * core::formulas::dual_sort_comm_exact(4);
     EXPECT_EQ(m.replayed_cycles(), fused) << "run " << run;
     EXPECT_EQ(span_count(m, "comm_cycle_fused"), fused) << "run " << run;
+  }
+
+  const net::RecursiveDualCube r7(7);
+  const auto keys7 = random_values(r7.node_count(), 44);
+  Machine interp7(r7);
+  interp7.set_schedule_path(SchedulePath::kInterpreted);
+  interp7.enable_edge_load();
+  auto want7 = keys7;
+  core::dual_sort(interp7, r7, want7);
+  for (int run = 0; run < 2; ++run) {  // record, then replay
+    Machine m(r7);
+    m.set_thread_pool(&pool);
+    m.set_parallel_grain(1);
+    m.set_schedule_path(SchedulePath::kCompiled);
+    m.enable_edge_load();
+    auto got7 = keys7;
+    core::dual_sort(m, r7, got7);
+    EXPECT_EQ(got7, want7) << "RD_7 run " << run;
+    EXPECT_EQ(m.counters(), interp7.counters()) << "RD_7 run " << run;
+    EXPECT_EQ(edge_loads(m, r7), edge_loads(interp7, r7)) << "RD_7 run " << run;
+    EXPECT_EQ(m.replayed_cycles(),
+              run == 0 ? 0u : core::formulas::dual_sort_comm_exact(7));
+  }
+}
+
+// A u64 key behind a non-integral type, so dual_sort takes the generic
+// double-buffered combine instead of the in-place vector kernel.
+struct WrappedKey {
+  u64 key = 0;
+  bool operator<(const WrappedKey& o) const { return key < o.key; }
+};
+
+// The in-place kernel books exactly what the generic combine books: on
+// replay over RD_1 .. RD_7, both directions, integral keys and the same
+// keys wrapped give the same result and byte-identical Counters,
+// messages_per_cycle(), edge loads, ImbalanceSummary and trace JSON.
+TEST_F(ScheduleTest, IntegralSortKernelBooksLikeTheGenericCombine) {
+  for (unsigned order = 1; order <= 7; ++order) {
+    const net::RecursiveDualCube r(order);
+    const auto input = random_values(r.node_count(), 70 + order);
+    std::vector<WrappedKey> wrapped(input.size());
+    for (std::size_t i = 0; i < input.size(); ++i) wrapped[i].key = input[i];
+    for (const bool descending : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "RD_" << order
+                                      << " descending=" << descending);
+      ScheduleCache::instance().clear();
+      Machine warm(r);  // records the schedule both runs replay
+      auto warm_keys = input;
+      core::dual_sort(warm, r, warm_keys, descending);
+      const auto machine = [&] {
+        auto m = std::make_unique<Machine>(r);
+        m->set_schedule_path(SchedulePath::kCompiled);
+        m->enable_trace();
+        m->enable_edge_load();
+        return m;
+      };
+      const auto kernel = machine();
+      const auto generic = machine();
+      const auto got = profiled_sort(*kernel, input, [&](Machine& m, auto& k) {
+        core::dual_sort(m, r, k, descending);
+      });
+      const auto want = profiled_sort(*generic, wrapped,
+                                      [&](Machine& m, auto& k) {
+                                        core::dual_sort(m, r, k, descending);
+                                      });
+      std::vector<u64> unwrapped;
+      for (const WrappedKey& k : want.result) unwrapped.push_back(k.key);
+      EXPECT_EQ(got.result, unwrapped);
+      EXPECT_EQ(got.result, warm_keys);
+      EXPECT_EQ(kernel->replayed_cycles(),
+                core::formulas::dual_sort_comm_exact(order));
+      EXPECT_EQ(kernel->counters(), generic->counters());
+      EXPECT_EQ(kernel->messages_per_cycle(), generic->messages_per_cycle());
+      EXPECT_EQ(edge_loads(*kernel, r), edge_loads(*generic, r));
+      EXPECT_EQ(got.imbalance, want.imbalance);
+      EXPECT_EQ(kernel->trace()->json(), generic->trace()->json());
+    }
   }
 }
 
@@ -1065,20 +1146,20 @@ struct TaggedKey {
 };
 
 // dual_sort's tie rule, pinned: on RD_3 with three distinct keys, every
-// path must leave the tags the relay-only implementation leaves. On equal
-// keys both partners take the min side's element, so the sort keeps keys,
-// not records: each run of equal keys ends up carrying one tag.
+// path must leave the same tags. On equal keys each compare-exchange
+// partner keeps its own element, so the output is a permutation of the
+// input records.
 TEST_F(ScheduleTest, DualSortTieRuleIsPinnedOnEveryPath) {
   const net::RecursiveDualCube r(3);
   std::vector<TaggedKey> input(r.node_count());
   for (std::size_t i = 0; i < input.size(); ++i)
     input[i] = {static_cast<int>((i * i + i / 5) % 3), static_cast<int>(i)};
   const std::vector<int> golden_ascending = {
-      0, 0, 0, 0, 0, 0, 0,  0,  0,  0,  0,  0,  0,  2,  2,  2,
-      2, 2, 2, 2, 2, 2, 2,  2,  23, 23, 23, 23, 23, 23, 23, 23};
+      0,  3,  14, 11, 10, 13, 15, 30, 25, 29, 18, 26, 28, 6, 4, 2,
+      24, 31, 9,  1,  21, 16, 19, 17, 27, 22, 23, 20, 12, 8, 7, 5};
   const std::vector<int> golden_descending = {
-      8,  8,  8,  8,  8,  8,  8,  8,  16, 16, 16, 16, 16, 16, 16, 16,
-      16, 16, 16, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30};
+      27, 22, 23, 20, 12, 8,  7,  5,  4,  6,  9,  1,  21, 16, 19, 2,
+      24, 31, 17, 14, 10, 13, 15, 11, 0,  3,  18, 26, 25, 29, 28, 30};
   for (const bool descending : {false, true}) {
     ScheduleCache::instance().clear();
     for (const SchedulePath path :
@@ -1093,7 +1174,25 @@ TEST_F(ScheduleTest, DualSortTieRuleIsPinnedOnEveryPath) {
       EXPECT_EQ(tags, descending ? golden_descending : golden_ascending)
           << "descending=" << descending
           << " replayed=" << m.replayed_cycles();
+      std::vector<int> records;
+      for (const TaggedKey& k : keys) {
+        EXPECT_EQ(k.key, input[static_cast<std::size_t>(k.tag)].key);
+        records.push_back(k.tag);
+      }
+      std::sort(records.begin(), records.end());
+      for (std::size_t i = 0; i < records.size(); ++i)
+        EXPECT_EQ(records[i], static_cast<int>(i)) << "record lost";
     }
+    // The proxied network (ft_dual_sort, no faults) keeps the same rule.
+    Machine ft(r);
+    std::vector<int> tags;
+    for (const auto& k : core::ft_dual_sort(ft, r, input, FaultPlan{},
+                                            descending)) {
+      ASSERT_TRUE(k.has_value());
+      tags.push_back(k->tag);
+    }
+    EXPECT_EQ(tags, descending ? golden_descending : golden_ascending)
+        << "ft_dual_sort descending=" << descending;
   }
 }
 

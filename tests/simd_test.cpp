@@ -10,12 +10,15 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "core/block_prefix.hpp"
 #include "core/block_sort.hpp"
+#include "core/dual_sort.hpp"
 #include "sim/machine.hpp"
 #include "sim/oblivious.hpp"
 #include "sim/simd.hpp"
@@ -362,6 +365,147 @@ TEST(Simd, ParallelForAffineCoversRangeOnMultiWorkerPool) {
       /*grain=*/64, &pool);
   for (std::size_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(hits[i].load(), 1u) << "index " << i;
+  }
+}
+
+// ------------------------------------------------ bitonic step kernel
+
+// Keys for the bitonic kernel: the type's extremes and the values around
+// zero and the sign bit, then random fill drawn from a narrow range
+// (plenty of duplicates) and from the full width.
+template <typename Key>
+std::vector<Key> bitonic_keys(std::size_t n, dc::u64 seed) {
+  using U = std::make_unsigned_t<Key>;
+  const U sign = U{1} << (8 * sizeof(Key) - 1);
+  const Key specials[] = {Key{0},
+                          Key{1},
+                          static_cast<Key>(U(~U{0})),  // -1 or the max
+                          std::numeric_limits<Key>::min(),
+                          std::numeric_limits<Key>::max(),
+                          static_cast<Key>(sign),  // 2^63 (2^31) or the min
+                          static_cast<Key>(U(sign - 1)),
+                          static_cast<Key>(U(sign + 1))};
+  dc::Rng rng(seed);
+  std::vector<Key> keys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    keys[i] = i < std::size(specials) ? specials[i]
+              : i % 2 == 0            ? static_cast<Key>(U(rng.below(7)))
+                                      : static_cast<Key>(U(rng()));
+  }
+  for (std::size_t i = n; i-- > 1;) std::swap(keys[i], keys[rng.below(i + 1)]);
+  return keys;
+}
+
+// The reference kernel runs Algorithm 3's rule: on D_1 .. D_6, the whole
+// network through simd::scalar::bitonic_steps must equal a per-node
+// double-buffered compare-exchange under core::detail::bitonic_keep_min,
+// and sort.
+TEST(Simd, BitonicReferenceFollowsTheNetworkRule) {
+  for (unsigned n = 1; n <= 6; ++n) {
+    const std::size_t nodes = std::size_t{1} << (2 * n - 1);
+    for (const bool descending : {false, true}) {
+      auto kernel = bitonic_keys<std::int64_t>(nodes, n);
+      auto naive = kernel;
+      auto next = naive;
+      for (unsigned k = 1; k <= n; ++k) {
+        for (const bool half_merge : {true, false}) {
+          const unsigned t = half_merge ? 2 * k - 2 : 2 * k - 1;
+          const auto pass =
+              core::detail::pass_direction(k, n, half_merge, descending);
+          for (unsigned j = t; j-- > 0;) {
+            simd::scalar::bitonic_steps(kernel.data(), j, j, 0, nodes / 2,
+                                        pass.dir_mask, pass.descending);
+            for (std::size_t u = 0; u < nodes; ++u) {
+              const auto other = naive[u ^ (std::size_t{1} << j)];
+              next[u] = core::detail::bitonic_keep_min(u, j, k, n, half_merge,
+                                                       descending)
+                            ? std::min(naive[u], other)
+                            : std::max(naive[u], other);
+            }
+            naive.swap(next);
+            ASSERT_EQ(kernel, naive) << "D_" << n << " k=" << k << " j=" << j;
+          }
+        }
+      }
+      auto want = kernel;
+      std::sort(want.begin(), want.end());
+      if (descending) std::reverse(want.begin(), want.end());
+      EXPECT_EQ(kernel, want) << "D_" << n;
+    }
+  }
+}
+
+// Runs steps top .. bottom over the pairs [0, pairs) cut into three pieces
+// at multiples of `align`, as a pool's chunks would run them.
+template <typename Key>
+void run_in_pieces(std::vector<Key>& keys, unsigned top, unsigned bottom,
+                   dc::u64 align, const core::detail::PassDirection& pass) {
+  const dc::u64 pairs = keys.size() / 2;
+  const dc::u64 cuts[] = {0, pairs / 3 / align * align,
+                          (2 * pairs / 3 + 1) / align * align, pairs};
+  for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+    simd::bitonic_steps(keys.data(), top, bottom, cuts[c], cuts[c + 1],
+                        pass.dir_mask, pass.descending);
+  }
+}
+
+// Every vector ISA against the scalar reference, on D_1 .. D_8, both
+// directions. At every pass of the network, every step run a caller can
+// cut the pass into — each single step, cut at any pair, and each run of
+// steps top .. 0, cut at multiples of 2^top — runs on the network's live
+// state, scalar and vector, and must leave the same bytes.
+template <typename Key>
+void expect_bitonic_parity(simd::Isa isa) {
+  for (unsigned n = 1; n <= 8; ++n) {
+    const std::size_t nodes = std::size_t{1} << (2 * n - 1);
+    for (const bool descending : {false, true}) {
+      auto state = bitonic_keys<Key>(nodes, 60 + n);
+      for (unsigned k = 1; k <= n; ++k) {
+        for (const bool half_merge : {true, false}) {
+          const unsigned t = half_merge ? 2 * k - 2 : 2 * k - 1;
+          const auto pass =
+              core::detail::pass_direction(k, n, half_merge, descending);
+          for (unsigned top = 0; top < t; ++top) {
+            // bottom = 0, then (for top > 0) the single step top.
+            for (unsigned bottom = 0; bottom <= top;
+                 bottom += std::max(top, 1u)) {
+              const dc::u64 align = bottom == top ? 1 : dc::u64{1} << top;
+              auto want = state;
+              ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
+              run_in_pieces(want, top, bottom, align, pass);
+              auto got = state;
+              ASSERT_TRUE(simd::force_isa(isa));
+              run_in_pieces(got, top, bottom, align, pass);
+              simd::clear_forced_isa();
+              ASSERT_EQ(got, want)
+                  << "Key=" << sizeof(Key) << "B signed="
+                  << std::is_signed_v<Key> << " D_" << n << " k=" << k
+                  << (half_merge ? " half" : " full") << " steps " << top
+                  << ".." << bottom << " descending=" << descending
+                  << " isa=" << simd::isa_name(isa);
+            }
+          }
+          if (t > 0) {
+            simd::scalar::bitonic_steps(state.data(), t - 1, 0, 0, nodes / 2,
+                                        pass.dir_mask, pass.descending);
+          }
+        }
+      }
+      EXPECT_TRUE(descending ? std::is_sorted(state.rbegin(), state.rend())
+                             : std::is_sorted(state.begin(), state.end()))
+          << "D_" << n;
+    }
+  }
+}
+
+TEST(Simd, BitonicStepsMatchScalarEveryOrderPassAndRun) {
+  const auto isas = vector_isas();
+  if (isas.empty()) GTEST_SKIP() << "no vector ISA on this binary/CPU";
+  for (const simd::Isa isa : isas) {
+    expect_bitonic_parity<dc::u64>(isa);
+    expect_bitonic_parity<std::int64_t>(isa);
+    expect_bitonic_parity<std::uint32_t>(isa);
+    expect_bitonic_parity<std::int32_t>(isa);
   }
 }
 
