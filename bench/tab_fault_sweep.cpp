@@ -121,7 +121,6 @@ int main() {
   // process registry (fault drops, per-cycle message distribution).
   dc::sim::MetricsRegistry::arm();
   dc::bench::Acceptance acc;
-  constexpr std::uint64_t kEver = ~std::uint64_t{0};
   constexpr u64 kTrials = 5;
   const dc::core::Plus<u64> plus;
 
@@ -144,7 +143,7 @@ int main() {
         // Prefix: every live node must hold the masked scan of live inputs.
         {
           dc::sim::Machine m(d);
-          m.attach_faults(std::make_shared<dc::sim::FaultPlan>(plan),
+          m.attach_faults(std::make_shared<dc::sim::FaultTimeline>(plan),
                           dc::sim::FaultPolicy::kStrict);
           dc::sim::FtReport rep;
           const auto out = dc::core::ft_dual_prefix(m, d, plus, data, plan,
@@ -182,14 +181,14 @@ int main() {
           const auto bplan =
               dc::sim::FaultPlan::random_nodes(d, k, seed, {NodeId{0}});
           dc::sim::Machine m(d);
-          m.attach_faults(std::make_shared<dc::sim::FaultPlan>(bplan),
+          m.attach_faults(std::make_shared<dc::sim::FaultTimeline>(bplan),
                           dc::sim::FaultPolicy::kStrict);
           dc::sim::FtReport rep;
           const auto out =
               dc::collectives::ft_dual_broadcast<u64>(m, d, 0, 42, bplan, &rep);
           bool ok = true;
           for (NodeId u = 0; u < d.node_count(); ++u) {
-            if (bplan.node_dead(u, kEver)) {
+            if (bplan.node_dead(u)) {
               ok = ok && !out[u].has_value();
             } else {
               ok = ok && out[u].has_value() && *out[u] == 42;

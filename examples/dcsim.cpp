@@ -39,9 +39,10 @@
 //
 // --faults=nodes:a,b,c | random:k[,seed] injects a static fault scenario
 // and runs the fault-tolerant variant (prefix, broadcast and sort),
-// printing a graceful-degradation report. --fault-policy=strict (default)
-// attaches the plan to the machine so any unplanned touch of a dead node
-// throws; degrade drops such messages and counts them instead. Strict mode
+// printing a graceful-degradation report. The plan attaches to the
+// machine as a timeline whose faults are down from cycle 0, forever.
+// --fault-policy=strict (default) makes any unplanned touch of a dead node
+// throw; degrade drops such messages and counts them instead. Strict mode
 // rejects specs with n or more node faults up front (the n-connectivity
 // guarantee covers only fewer than n).
 //
@@ -87,8 +88,10 @@
 // counters, plus up to three self-checking functions — healthy, ft_*
 // (--faults) and resilient_* (--fault-timeline) — that print a verdict and
 // return pass or fail. One wrapper per mode owns the machine, the fault
-// parsing, the n-connectivity and live-root rules and the report tables,
-// so adding an algorithm is one row. Choice flags are checked up front.
+// parsing and the report tables, and both fault modes check the
+// n-connectivity and live-root rules through one helper on the run's
+// timeline, so adding an algorithm is one row. Choice flags are checked
+// up front.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -150,10 +153,6 @@ std::unique_ptr<dc::sim::CycleProfiler> g_profiler;
 // The structured run report, filled incrementally by the run paths and
 // serialized at exit (--report=FILE.json) or on SimError/FaultError.
 dc::sim::RunReport g_report;
-
-// A static fault plan's faults never heal, so "dead at the last cycle"
-// means dead for the whole run.
-constexpr std::uint64_t kEver = ~std::uint64_t{0};
 
 /// Applies the process-wide run configuration to a machine: the schedule
 /// path, a trace track labelled `label`, and — for the measured machine
@@ -451,7 +450,7 @@ bool sort_ft(dc::sim::Machine& m, const Params& p,
   std::vector<u64> expected;
   expected.reserve(keys.size());
   for (NodeId u = 0; u < p.r.node_count(); ++u)
-    if (!plan.node_dead(u, kEver)) expected.push_back(keys[u]);
+    if (!plan.node_dead(u)) expected.push_back(keys[u]);
   std::sort(expected.begin(), expected.end());
   bool ok = true;
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -546,7 +545,7 @@ bool broadcast_ft(dc::sim::Machine& m, const Params& p,
       dc::collectives::ft_dual_broadcast<u64>(m, p.d, p.root, 42, plan, &rep);
   bool ok = true;
   for (NodeId u = 0; u < p.d.node_count(); ++u) {
-    if (plan.node_dead(u, kEver)) {
+    if (plan.node_dead(u)) {
       ok = ok && !out[u].has_value();
     } else {
       ok = ok && out[u].has_value() && *out[u] == 42;
@@ -675,6 +674,38 @@ int run_healthy(const Algo& a, const Params& p) {
   return ok ? 0 : 1;
 }
 
+/// The rules both fault modes check before any machine exists, on the
+/// run's timeline: without a degrade fallback, D_n's n-connectivity must
+/// cover the peak of simultaneous node faults, and a broadcast root must
+/// never go down. `timed` picks the --fault-timeline wording over the
+/// --faults one. Rejects and returns false when a rule fails.
+bool check_fault_rules(const Algo& a, const Params& p,
+                       const dc::sim::FaultTimeline& tl, bool strict,
+                       bool timed) {
+  const std::string n = std::to_string(p.n);
+  const std::size_t peak = tl.max_concurrent_node_faults();
+  if (strict && peak >= p.n) {
+    const std::string bound =
+        timed ? " concurrent node faults; the timeline peaks at "
+              : " node faults (" + a.topology(p).name() + " is " + n +
+                    "-connected); got ";
+    reject("strict policy covers only fewer than n=" + n + bound +
+           std::to_string(peak) +
+           ". Use --fault-policy=degrade to attempt the run anyway.");
+    return false;
+  }
+  const auto events = tl.node_events();
+  if (a.live_root &&
+      std::any_of(events.begin(), events.end(),
+                  [&](const auto& ev) { return ev.node == p.root; })) {
+    reject(std::string(timed ? "fault timeline" : "fault spec") +
+           " kills the broadcast root " + std::to_string(p.root) +
+           "; pick a live --root");
+    return false;
+  }
+  return true;
+}
+
 int run_with_faults(const Algo* a, const Params& p, const std::string& spec,
                     dc::sim::FaultPolicy policy) {
   if (!a || !a->ft) {
@@ -690,22 +721,14 @@ int run_with_faults(const Algo* a, const Params& p, const std::string& spec,
   } catch (const dc::CheckError& e) {
     return reject("bad --faults spec: " + std::string(e.what()));
   }
-  if (policy == dc::sim::FaultPolicy::kStrict &&
-      plan.node_fault_count() >= p.n) {
-    return reject("strict policy covers only fewer than n=" +
-                  std::to_string(p.n) + " node faults (" + topo.name() +
-                  " is " + std::to_string(p.n) + "-connected); got " +
-                  std::to_string(plan.node_fault_count()) +
-                  ". Use --fault-policy=degrade to attempt the run anyway.");
-  }
-  if (a->live_root && plan.node_dead(p.root, kEver)) {
-    return reject("fault spec kills the broadcast root " +
-                  std::to_string(p.root) + "; pick a live --root");
-  }
+  const auto tl = std::make_shared<const dc::sim::FaultTimeline>(plan);
+  if (!check_fault_rules(*a, p, *tl, policy == dc::sim::FaultPolicy::kStrict,
+                         /*timed=*/false))
+    return 2;
   try {
     dc::sim::Machine m(topo);
     setup_machine(m, "measured");
-    m.attach_faults(std::make_shared<dc::sim::FaultPlan>(plan), policy);
+    m.attach_faults(tl, policy);
     dc::sim::FtReport rep;
     const bool ok = a->ft(m, p, plan, rep, std::cout);
     print_fault_report(plan, rep, policy);
@@ -747,24 +770,10 @@ int run_with_timeline(const Algo* a, const Params& p, const std::string& spec,
   try {
     const dc::net::Topology& topo = a->topology(p);
     const auto tl = parse_timeline(spec, topo, p.seed);
-    if (!tl) return 2;
-    // Without a degrade fallback the n-connectivity guarantee must hold
-    // at the timeline's peak of simultaneous node faults.
-    const std::size_t peak = tl->max_concurrent_node_faults();
-    if (!rp.degrade_on_exhaustion && peak >= p.n) {
-      return reject("strict policy covers only fewer than n=" +
-                    std::to_string(p.n) +
-                    " concurrent node faults; the timeline peaks at " +
-                    std::to_string(peak) +
-                    ". Use --fault-policy=degrade to attempt the run anyway.");
-    }
-    const auto& events = tl->node_events();
-    if (a->live_root &&
-        std::any_of(events.begin(), events.end(),
-                    [&](const auto& ev) { return ev.node == p.root; })) {
-      return reject("fault timeline kills the broadcast root " +
-                    std::to_string(p.root) + "; pick a live --root");
-    }
+    if (!tl ||
+        !check_fault_rules(*a, p, *tl, !rp.degrade_on_exhaustion,
+                           /*timed=*/true))
+      return 2;
     dc::sim::Machine m(topo);
     setup_machine(m, "measured");
     dc::sim::RecoveryDriver drv(m, tl, rp);
@@ -810,7 +819,7 @@ int run_sharded_prefix(const Params& p, unsigned shards, std::size_t budget,
   // The run becomes a fault-injection demo — diverged stream values are
   // counted, not failed.
   const bool faulted = tl != nullptr;
-  if (faulted) eng.attach_fault_timeline(*tl, dc::sim::FaultPolicy::kDegrade);
+  if (faulted) eng.attach_faults(*tl, dc::sim::FaultPolicy::kDegrade);
 
   // Streaming input: a stateless per-index generator, so no global data
   // vector ever exists — the only O(N) state is the result store, and with

@@ -20,8 +20,7 @@
 // (not containing the root) the fault-free subgraph is connected, every
 // missing node has a path from a holder, and every live node ends up with
 // the value. Larger fault sets either still succeed or throw FaultError
-// naming a disconnected node — never a silent wrong answer. Faults are
-// taken at their final extent (timed faults count as present throughout).
+// naming a disconnected node — never a silent wrong answer.
 //
 // This pass costs fewer cycles on tab_fault_sweep than dual_broadcast run
 // under a ProxyScope (docs/MODEL.md, "Fault-tolerant collectives").
@@ -42,9 +41,10 @@ namespace dc::collectives {
 /// Broadcasts `value` from `root` to every live node of D_n under `plan`.
 /// Returns per-node values: engaged for every live node (the guarantee for
 /// fewer than n node faults), nullopt at dead nodes. The machine may run
-/// with `plan` attached under either policy, or with no plan attached; the
-/// communication issued is identical. Throws FaultError if the root is
-/// dead or the fault set disconnects a live node.
+/// with `plan` attached (as FaultTimeline(plan)) under either policy, or
+/// with no faults attached; the communication issued is identical. Throws
+/// FaultError if the root is dead or the fault set disconnects a live
+/// node.
 template <typename V>
 std::vector<std::optional<V>> ft_dual_broadcast(
     sim::Machine& m, const net::DualCube& d, net::NodeId root, const V& value,
@@ -53,17 +53,16 @@ std::vector<std::optional<V>> ft_dual_broadcast(
   DC_REQUIRE(&m.topology() == static_cast<const net::Topology*>(&d),
              "machine must run on the given dual-cube");
   DC_REQUIRE(root < d.node_count(), "root out of range");
-  constexpr std::uint64_t kEver = ~std::uint64_t{0};
-  if (plan.node_dead(root, kEver))
+  if (plan.node_dead(root))
     throw sim::FaultError("broadcast root " + std::to_string(root) +
                           " is faulty");
 
   const std::size_t n_nodes = d.node_count();
   const unsigned w = d.order() - 1;
   const auto root_addr = d.decode(root);
-  const auto alive = [&](net::NodeId u) { return !plan.node_dead(u, kEver); };
+  const auto alive = [&](net::NodeId u) { return !plan.node_dead(u); };
   const auto link_ok = [&](net::NodeId u, net::NodeId v) {
-    return !plan.link_dead(u, v, kEver);
+    return !plan.link_dead(u, v);
   };
 
   std::vector<std::optional<V>> have(n_nodes);

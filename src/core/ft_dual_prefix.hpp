@@ -24,8 +24,7 @@
 // of size < n the fault-free subgraph stays connected (D_n is
 // n-connected), every detour exists, and every live node finishes with
 // the correct masked prefix; larger sets either still succeed or throw
-// FaultError — never a silent wrong answer. Faults are taken at their
-// final extent (timed faults count as present throughout).
+// FaultError — never a silent wrong answer.
 #pragma once
 
 #include <iterator>
@@ -43,9 +42,9 @@ namespace dc::core {
 /// Runs Algorithm 2 under `plan`. `data` is in global index order; the
 /// result is too: engaged with the prefix of the *surviving* inputs (dead
 /// nodes contribute ⊕-identity) at every live node's index, nullopt at
-/// dead nodes' indices. The machine may run with `plan` attached under
-/// either policy, or with no plan attached. Costs the healthy 2n comm
-/// cycles when the plan is empty.
+/// dead nodes' indices. The machine may run with `plan` attached (as
+/// FaultTimeline(plan)) under either policy, or with no faults attached.
+/// Costs the healthy 2n comm cycles when the plan is empty.
 template <Monoid M>
 std::vector<std::optional<typename M::value_type>> ft_dual_prefix(
     sim::Machine& m, const net::DualCube& d, const M& op,

@@ -95,7 +95,8 @@ std::vector<std::optional<Key>> ft_place_keys(
 /// `descending`; lost slots sort as +infinity, so ascending runs leave
 /// the survivors in the leading labels), and a dead label's value
 /// physically lives at its proxy. The machine may run with the plan
-/// attached under either policy, or with no plan attached. Healthy cost:
+/// attached (as FaultTimeline(plan)) under either policy, or with no
+/// faults attached. Healthy cost:
 /// exactly the paper's 6n² − 7n + 2 comm cycles, zero reroutes.
 template <typename Key>
 std::vector<std::optional<Key>> ft_dual_sort(

@@ -23,8 +23,8 @@ struct Counters {
   std::uint64_t messages = 0;     ///< total messages delivered
   std::uint64_t ops = 0;          ///< total binary-op / compare applications
 
-  // Fault accounting (all zero unless a FaultPlan is attached; see
-  // sim/faults.hpp and docs/MODEL.md "Fault model").
+  // Fault accounting (all zero on a fault-free run; see sim/faults.hpp
+  // and docs/MODEL.md "Fault model").
   std::uint64_t messages_lost = 0;      ///< dropped by faults (degrade/transient)
   std::uint64_t messages_rerouted = 0;  ///< carried on fault-detour paths
   std::uint64_t fault_cycles = 0;       ///< comm cycles with >= 1 active fault

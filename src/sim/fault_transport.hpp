@@ -14,9 +14,9 @@
 //
 // Detour paths come from route_dual_cube_fault_tolerant (node faults);
 // when the plan also kills links, any tier-1/2 route that crosses a dead
-// link is replaced by a BFS shortest path on the FaultyTopology view.
-// Faults are taken at their final extent (a fault scheduled for any cycle
-// counts as present), so a plan's timed faults are handled conservatively.
+// link is replaced by a BFS shortest path on the FaultyTopology view. The
+// plan is a static dead set; under a fault timeline it is one epoch's
+// snapshot (sim/recovery.hpp re-plans when the epoch changes).
 //
 // Costs are reported per batch: the comm cycles the drain consumed, the
 // hops actually walked, and — separately — the hops that would not exist
@@ -140,13 +140,12 @@ inline std::vector<net::NodeId> bfs_path(const net::Topology& t,
 
 /// The drain's queue bookkeeping assumes every machine-accepted send is
 /// delivered; a transient drop would strand the packet forever. Checked
-/// against whichever fault source the machine carries. A drop window is a
-/// user's fault spec, not a library bug, so the refusal is a SimError with
-/// a fixed message rather than a DC_REQUIRE naming a source location.
+/// against the machine's attached faults. A drop window is a user's fault
+/// spec, not a library bug, so the refusal is a SimError with a fixed
+/// message rather than a DC_REQUIRE naming a source location.
 inline void require_drop_free(const Machine& m) {
-  const FaultPlan* p = m.fault_plan();
   const FaultTimeline* tl = m.fault_timeline();
-  if ((p && p->drop_permille() != 0) || (tl && tl->max_drop_permille() != 0))
+  if (tl && tl->max_drop_permille() != 0)
     throw SimError("fault-tolerant collectives require a drop-free fault plan");
 }
 
@@ -238,7 +237,7 @@ FtReport deliver_with_detours(Machine& m, const net::DualCube& d,
 
   const auto crosses_dead_link = [&](const std::vector<net::NodeId>& path) {
     for (std::size_t i = 0; i + 1 < path.size(); ++i)
-      if (plan.link_dead(path[i], path[i + 1], ~std::uint64_t{0})) return true;
+      if (plan.link_dead(path[i], path[i + 1])) return true;
     return false;
   };
 

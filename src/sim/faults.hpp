@@ -3,35 +3,35 @@
 // The dual-cube is n-regular and n-connected, so any fault set of fewer
 // than n nodes leaves it connected — the property the fault-tolerant
 // collectives (collectives/ft_broadcast.hpp, core/ft_dual_prefix.hpp,
-// core/ft_dual_sort.hpp) exploit. This header supplies the model those
-// algorithms run against:
+// core/ft_dual_sort.hpp) exploit. This header supplies the one fault model
+// those algorithms run against:
 //
-//   * FaultPlan — a seeded, reproducible description of what breaks and
-//     when: permanent node deaths, permanent link deaths (either may be
-//     scheduled for a chosen cycle; cycle 0 means "dead from the start"),
-//     and transient per-cycle message drops decided by a stateless hash of
-//     (seed, cycle, sender), so two runs with the same plan lose exactly
-//     the same messages.
-//   * FaultTimeline — the dynamic generalization: timed down/up events on
-//     nodes (kill + rejoin) and links (flaps), plus bounded transient-drop
-//     windows. The timeline divides the cycle axis into *epochs* — maximal
-//     intervals over which the faulted view is constant — and a Machine
-//     with an attached timeline evaluates every cycle against the interval
-//     set, tracing epoch transitions and rejoin instants. Each epoch's
-//     FaultyTopology view rebuilds its CSR from a different edge set, so
-//     its fingerprint differs and a schedule compiled for any other epoch
-//     (or for the healthy graph) can never replay onto it.
+//   * FaultTimeline — what breaks and when: timed down/up events on nodes
+//     (kill + rejoin) and links (flaps), plus bounded transient-drop
+//     windows whose losses are decided by a stateless hash of
+//     (seed, cycle, sender), so two runs with the same timeline lose
+//     exactly the same messages. The timeline divides the cycle axis into
+//     *epochs* — maximal intervals over which the faulted view is constant.
+//     It is the only fault source a Machine filters: every cycle is
+//     evaluated against the faults live at its own index, and the machine
+//     traces the epoch transitions and rejoin instants it crosses.
+//   * FaultPlan — the static dead set: nodes and links dead for a whole
+//     run, with no cycle axis. It is what the fault-tolerant collectives,
+//     the detour routers, proxy_map and FaultyTopology consume.
+//     FaultTimeline::snapshot(c) freezes the faults live at cycle c as a
+//     plan, and FaultTimeline(plan) attaches a plan to a machine as a
+//     timeline whose faults are down from cycle 0, forever.
 //   * FaultPolicy — how a Machine with attached faults reacts when a
 //     message touches one: kStrict throws FaultError (the algorithm
 //     claimed to be fault-aware and was not), kDegrade silently drops the
 //     message and counts it in Counters::messages_lost.
-//   * FaultyTopology — a Topology view over any base graph with the
-//     faults live at a chosen cycle filtered out. Because it is a distinct
-//     Topology object, its FlatAdjacency CSR — and therefore its
-//     fingerprint — is rebuilt from the filtered edge set, so the schedule
-//     cache can never serve a schedule compiled for the healthy graph to a
-//     faulted one (the cache key is name() + fingerprint; see
-//     sim/oblivious.hpp).
+//   * FaultyTopology — a Topology view over any base graph with a plan's
+//     faults filtered out. Because it is a distinct Topology object, its
+//     FlatAdjacency CSR — and therefore its fingerprint — is rebuilt from
+//     the filtered edge set, so the schedule cache can never serve a
+//     schedule compiled for the healthy graph (or for another epoch's
+//     snapshot) to a faulted one (the cache key is name() + fingerprint;
+//     see sim/oblivious.hpp).
 //
 // The fault model governs communication only: a dead node can neither
 // send nor receive, a dead link carries nothing, and a transient drop
@@ -43,12 +43,12 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -81,8 +81,8 @@ inline std::pair<net::NodeId, net::NodeId> ordered_link(net::NodeId u,
   return u < v ? std::pair{u, v} : std::pair{v, u};
 }
 
-/// The transient-drop decision hash, shared by FaultPlan and
-/// FaultTimeline and pinned by a golden-value test (fault_test.cpp):
+/// The transient-drop decision hash of FaultTimeline's drop windows,
+/// pinned by a golden-value test (fault_test.cpp):
 ///
 ///   permille(seed, cycle, sender) =
 ///     splitmix64(seed ^ (cycle * 0x9e3779b97f4a7c15)
@@ -103,60 +103,36 @@ inline std::uint64_t transient_drop_hash(std::uint64_t seed,
 }
 }  // namespace detail
 
-/// A deterministic, reproducible fault scenario. Build one with the
-/// fluent kill_* / drop_messages calls (or random_nodes), then attach it
-/// to a Machine or wrap a topology in a FaultyTopology. Cycles are the
-/// machine's comm-cycle indices: a node killed `at_cycle` c is healthy for
-/// cycles 0..c-1 and dead from cycle c on.
+/// The static dead set: nodes and undirected links that are dead for a
+/// whole run. Build one with the fluent kill_* calls (or random_nodes) and
+/// hand it to the fault-tolerant collectives or a FaultyTopology; attach
+/// it to a Machine as FaultTimeline(plan).
 class FaultPlan {
  public:
-  static constexpr std::uint64_t kFromStart = 0;
-
-  FaultPlan() = default;
-  explicit FaultPlan(std::uint64_t seed) : seed_(seed) {}
-
-  /// Kills node `u` permanently from comm cycle `at_cycle` on.
-  FaultPlan& kill_node(net::NodeId u, std::uint64_t at_cycle = kFromStart) {
-    const auto [it, inserted] = node_at_.emplace(u, at_cycle);
-    if (!inserted) it->second = std::min(it->second, at_cycle);
-    earliest_ = std::min(earliest_, at_cycle);
+  /// Kills node `u`. Killing a dead node again changes nothing.
+  FaultPlan& kill_node(net::NodeId u) {
+    nodes_.insert(u);
     return *this;
   }
 
-  /// Kills the undirected link {u, v} permanently from `at_cycle` on.
-  FaultPlan& kill_link(net::NodeId u, net::NodeId v,
-                       std::uint64_t at_cycle = kFromStart) {
+  /// Kills the undirected link {u, v}, in both orientations.
+  FaultPlan& kill_link(net::NodeId u, net::NodeId v) {
     DC_REQUIRE(u != v, "a link joins two distinct nodes");
-    const auto [it, inserted] =
-        link_at_.emplace(detail::ordered_link(u, v), at_cycle);
-    if (!inserted) it->second = std::min(it->second, at_cycle);
-    earliest_ = std::min(earliest_, at_cycle);
+    links_.insert(detail::ordered_link(u, v));
     return *this;
   }
 
-  /// Transient faults: every cycle, each planned message is independently
-  /// dropped with probability permille/1000, decided by a stateless hash
-  /// of (seed, cycle, sender) — reproducible across runs and thread
-  /// counts. Applied under both policies (a flaky link is degradation,
-  /// not an algorithmic error) and counted in messages_lost.
-  FaultPlan& drop_messages(unsigned permille) {
-    DC_REQUIRE(permille <= 1000, "drop rate is per mille");
-    drop_permille_ = permille;
-    if (permille > 0) earliest_ = 0;
-    return *this;
-  }
-
-  /// `k` distinct nodes of `t` killed from the start, drawn with the
-  /// plan's own seeded generator; nodes in `exclude` are never chosen.
+  /// `k` distinct nodes of `t`, drawn with a generator seeded by `seed`;
+  /// nodes in `exclude` are never chosen.
   static FaultPlan random_nodes(const net::Topology& t, std::size_t k,
                                 std::uint64_t seed,
                                 const std::vector<net::NodeId>& exclude = {}) {
     DC_REQUIRE(k + exclude.size() <= t.node_count(),
                "cannot kill " << k << " of " << t.node_count() << " nodes");
-    FaultPlan plan(seed);
+    FaultPlan plan;
     dc::Rng rng(seed);
     std::unordered_set<net::NodeId> taken(exclude.begin(), exclude.end());
-    while (plan.node_at_.size() < k) {
+    while (plan.nodes_.size() < k) {
       const net::NodeId u = rng.below(t.node_count());
       if (taken.contains(u)) continue;
       taken.insert(u);
@@ -165,92 +141,54 @@ class FaultPlan {
     return plan;
   }
 
-  bool empty() const {
-    return node_at_.empty() && link_at_.empty() && drop_permille_ == 0;
-  }
-  std::uint64_t seed() const { return seed_; }
-  unsigned drop_permille() const { return drop_permille_; }
-  std::size_t node_fault_count() const { return node_at_.size(); }
-  std::size_t link_fault_count() const { return link_at_.size(); }
+  bool empty() const { return nodes_.empty() && links_.empty(); }
+  std::size_t node_fault_count() const { return nodes_.size(); }
+  std::size_t link_fault_count() const { return links_.size(); }
 
-  /// True iff node `u` is dead at comm cycle `cycle`.
-  bool node_dead(net::NodeId u, std::uint64_t cycle) const {
-    const auto it = node_at_.find(u);
-    return it != node_at_.end() && it->second <= cycle;
+  bool node_dead(net::NodeId u) const { return nodes_.contains(u); }
+
+  /// True iff the undirected link {u, v} is dead (dead endpoints are
+  /// accounted separately by node_dead).
+  bool link_dead(net::NodeId u, net::NodeId v) const {
+    return links_.contains(detail::ordered_link(u, v));
   }
 
-  /// True iff the undirected link {u, v} is dead at `cycle` (dead
-  /// endpoints are accounted separately by node_dead).
-  bool link_dead(net::NodeId u, net::NodeId v, std::uint64_t cycle) const {
-    if (link_at_.empty()) return false;
-    const auto it = link_at_.find(detail::ordered_link(u, v));
-    return it != link_at_.end() && it->second <= cycle;
-  }
-
-  /// True iff the transient-drop hash claims the message `sender` planned
-  /// at `cycle`. Pure function of (seed, cycle, sender) — see
-  /// detail::transient_drop_hash for the pinned formula.
-  bool drops_message(std::uint64_t cycle, net::NodeId sender) const {
-    if (drop_permille_ == 0) return false;
-    return detail::transient_drop_hash(seed_, cycle, sender) < drop_permille_;
-  }
-
-  /// True iff any fault (permanent or transient) is live at `cycle`.
-  bool any_active(std::uint64_t cycle) const { return earliest_ <= cycle; }
-
-  /// Nodes that are dead at `cycle` (default: ever dead), ascending.
-  std::vector<net::NodeId> dead_nodes(
-      std::uint64_t cycle = ~std::uint64_t{0}) const {
-    std::vector<net::NodeId> out;
-    for (const auto& [u, at] : node_at_)
-      if (at <= cycle) out.push_back(u);
-    std::sort(out.begin(), out.end());
-    return out;
+  /// Dead nodes, ascending.
+  std::vector<net::NodeId> dead_nodes() const {
+    return {nodes_.begin(), nodes_.end()};
   }
 
   /// Same set as dead_nodes, as a hash set (the shape the fault-tolerant
   /// router consumes).
-  std::unordered_set<net::NodeId> dead_node_set(
-      std::uint64_t cycle = ~std::uint64_t{0}) const {
-    std::unordered_set<net::NodeId> out;
-    for (const auto& [u, at] : node_at_)
-      if (at <= cycle) out.insert(u);
-    return out;
+  std::unordered_set<net::NodeId> dead_node_set() const {
+    return {nodes_.begin(), nodes_.end()};
   }
 
-  /// Dead undirected links at `cycle` (default: ever dead), min-endpoint
-  /// first, ascending.
-  std::vector<std::pair<net::NodeId, net::NodeId>> dead_links(
-      std::uint64_t cycle = ~std::uint64_t{0}) const {
-    std::vector<std::pair<net::NodeId, net::NodeId>> out;
-    for (const auto& [uv, at] : link_at_)
-      if (at <= cycle) out.push_back(uv);
-    return out;
+  /// Dead undirected links, min-endpoint first, ascending.
+  std::vector<std::pair<net::NodeId, net::NodeId>> dead_links() const {
+    return {links_.begin(), links_.end()};
   }
 
  private:
-  std::uint64_t seed_ = 0;
-  unsigned drop_permille_ = 0;
-  std::unordered_map<net::NodeId, std::uint64_t> node_at_;
-  // Ordered map: link faults are rare and cold, and NodeId pairs (labels
-  // up to 40 bits) do not pack into a single hashable word.
-  std::map<std::pair<net::NodeId, net::NodeId>, std::uint64_t> link_at_;
-  std::uint64_t earliest_ = ~std::uint64_t{0};
+  std::set<net::NodeId> nodes_;
+  // NodeId pairs (labels up to 40 bits) do not pack into a single hashable
+  // word, and link faults are rare and cold.
+  std::set<std::pair<net::NodeId, net::NodeId>> links_;
 };
 
-/// A dynamic fault scenario: a timeline of timed down/up events on nodes
-/// and links plus bounded transient-drop windows. Where FaultPlan is
-/// monotone (a kill lasts forever), a timeline entity is dead over a set
-/// of disjoint half-open cycle intervals [down, up), so links can flap and
-/// nodes can rejoin.
+/// A fault scenario: a timeline of timed down/up events on nodes and links
+/// plus bounded transient-drop windows. A timeline entity is dead over a
+/// set of disjoint half-open cycle intervals [down, up), so links can flap
+/// and nodes can rejoin; a static FaultPlan is the timeline whose faults
+/// are all down over [0, forever).
 ///
 /// The event cycles partition the cycle axis into *epochs*: within one
 /// epoch the set of dead nodes/links (and the active drop rate) is
-/// constant, so `snapshot(cycle)` — the FaultPlan equivalent of the
-/// faults live at `cycle` — is constant too. epoch_of/epoch_starts expose
-/// the partition; a Machine with an attached timeline traces each
-/// transition it crosses ("fault_epoch") and each node rejoin
-/// ("fault_rejoin"), and always interprets (never replays) its cycles.
+/// constant, so `snapshot(cycle)` — the dead set live at `cycle`, as a
+/// FaultPlan — is constant too. epoch_of/epoch_starts expose the
+/// partition; a Machine with an attached timeline traces each transition
+/// it crosses ("fault_epoch") and each node rejoin ("fault_rejoin"), and
+/// always interprets (never replays) its cycles.
 ///
 /// Build with the fluent node_down/node_up/link_down/link_up/drop_window
 /// calls. Events per entity must be issued in cycle order (down strictly
@@ -262,6 +200,14 @@ class FaultTimeline {
 
   FaultTimeline() = default;
   explicit FaultTimeline(std::uint64_t seed) : seed_(seed) {}
+
+  /// A static plan as a timeline: every dead node and link goes down at
+  /// cycle 0 and never comes back up, so the timeline has one epoch and
+  /// snapshots to `plan` at every cycle.
+  explicit FaultTimeline(const FaultPlan& plan) {
+    for (const net::NodeId u : plan.dead_nodes()) node_down(u, 0);
+    for (const auto& [u, v] : plan.dead_links()) link_down(u, v, 0);
+  }
 
   /// Node `u` goes down at comm cycle `at` (dead from `at` on, until a
   /// matching node_up).
@@ -300,8 +246,10 @@ class FaultTimeline {
   }
 
   /// Transient-drop window: over cycles [from, to), each planned message
-  /// is dropped with probability permille/1000 by the same stateless
-  /// (seed, cycle, sender) hash FaultPlan uses. Windows must not overlap.
+  /// is dropped with probability permille/1000, decided by the stateless
+  /// (seed, cycle, sender) hash detail::transient_drop_hash. Applied under
+  /// both policies (a flaky link is degradation, not an algorithmic error)
+  /// and counted in messages_lost. Windows must not overlap.
   FaultTimeline& drop_window(unsigned permille, std::uint64_t from,
                              std::uint64_t to) {
     if (permille > 1000) throw SimError("drop rate is per mille");
@@ -332,8 +280,7 @@ class FaultTimeline {
     return m;
   }
 
-  // ---- per-cycle queries (the Machine fault filter's interface; same
-  // ---- signatures as FaultPlan) --------------------------------------
+  // ---- per-cycle queries (the Machine fault filter's interface) -------
 
   bool node_dead(net::NodeId u, std::uint64_t cycle) const {
     const auto it = node_.find(u);
@@ -359,9 +306,7 @@ class FaultTimeline {
     return detail::transient_drop_hash(seed_, cycle, sender) < permille;
   }
 
-  /// True iff any fault (node, link or drop window) is live at `cycle` —
-  /// exact, unlike FaultPlan's monotone watermark, because timeline
-  /// faults end.
+  /// True iff any fault (node, link or drop window) is live at `cycle`.
   bool any_active(std::uint64_t cycle) const {
     if (drop_permille_at(cycle) > 0) return true;
     for (const auto& [u, iv] : node_)
@@ -399,17 +344,15 @@ class FaultTimeline {
 
   // ---- snapshots (what the recovery driver re-plans against) ----------
 
-  /// The faults live at `cycle`, frozen as a from-start FaultPlan (the
-  /// shape the fault-tolerant collectives and the detour router consume).
-  /// Within one epoch every cycle snapshots identically.
+  /// The nodes and links dead at `cycle`, frozen as a static FaultPlan
+  /// (the shape the fault-tolerant collectives and the detour router
+  /// consume). Within one epoch every cycle snapshots identically.
   FaultPlan snapshot(std::uint64_t cycle) const {
-    FaultPlan p(seed_);
+    FaultPlan p;
     for (const auto& [u, iv] : node_)
       if (covers(iv, cycle)) p.kill_node(u);
     for (const auto& [uv, iv] : link_)
       if (covers(iv, cycle)) p.kill_link(uv.first, uv.second);
-    const unsigned permille = drop_permille_at(cycle);
-    if (permille > 0) p.drop_messages(permille);
     return p;
   }
 
@@ -524,76 +467,63 @@ class FaultTimeline {
   std::set<std::uint64_t> boundaries_{0};  ///< epoch starts, always incl. 0
 };
 
-/// A Topology view with the faults live at `at_cycle` (default: all of a
-/// plan's faults) removed: dead nodes lose every incident edge, dead links
-/// disappear. node_count() and name() match the base — the graphs are
-/// deliberately distinguishable only by their edge sets, which is exactly
-/// what the FlatAdjacency fingerprint captures, so a compiled schedule
-/// recorded on the healthy base can never replay here.
+/// A Topology view with a plan's faults removed: dead nodes lose every
+/// incident edge, dead links disappear. node_count() and name() match the
+/// base — the graphs are deliberately distinguishable only by their edge
+/// sets, which is exactly what the FlatAdjacency fingerprint captures, so
+/// a compiled schedule recorded on the healthy base can never replay here.
+/// One view per timeline epoch is FaultyTopology(base, timeline.snapshot(c)).
 class FaultyTopology final : public net::Topology {
  public:
-  FaultyTopology(const net::Topology& base, const FaultPlan& plan,
-                 std::uint64_t at_cycle = ~std::uint64_t{0})
-      : base_(&base), dead_(plan.dead_node_set(at_cycle)) {
-    for (const auto& uv : plan.dead_links(at_cycle)) dead_links_.insert(uv);
-    for (const net::NodeId u : dead_)
+  FaultyTopology(const net::Topology& base, const FaultPlan& plan)
+      : base_(&base), plan_(plan) {
+    for (const net::NodeId u : plan.dead_nodes())
       DC_REQUIRE(u < base.node_count(),
                  "fault plan kills node " << u << " outside " << base.name());
   }
-
-  /// The view of one timeline epoch: the faults live at `at_cycle`. Two
-  /// epochs with different dead sets fingerprint differently, and both
-  /// differ from the healthy base.
-  FaultyTopology(const net::Topology& base, const FaultTimeline& timeline,
-                 std::uint64_t at_cycle)
-      : FaultyTopology(base, timeline.snapshot(at_cycle)) {}
 
   std::string name() const override { return base_->name(); }
   net::NodeId node_count() const override { return base_->node_count(); }
 
   std::vector<net::NodeId> neighbors(net::NodeId u) const override {
-    if (dead_.contains(u)) return {};
+    if (plan_.node_dead(u)) return {};
     std::vector<net::NodeId> out;
-    for (const net::NodeId v : base_->neighbors(u)) {
-      if (dead_.contains(v)) continue;
-      if (!dead_links_.empty() && dead_links_.contains(detail::ordered_link(u, v)))
-        continue;
-      out.push_back(v);
-    }
+    for (const net::NodeId v : base_->neighbors(u))
+      if (!plan_.node_dead(v) && !plan_.link_dead(u, v)) out.push_back(v);
     return out;
   }
 
   bool has_edge(net::NodeId u, net::NodeId v) const override {
-    if (dead_.contains(u) || dead_.contains(v)) return false;
-    if (!dead_links_.empty() && dead_links_.contains(detail::ordered_link(u, v)))
-      return false;
-    return base_->has_edge(u, v);
+    return !plan_.node_dead(u) && !plan_.node_dead(v) &&
+           !plan_.link_dead(u, v) && base_->has_edge(u, v);
   }
 
   const net::Topology& base() const { return *base_; }
-  bool node_alive(net::NodeId u) const { return !dead_.contains(u); }
-  std::size_t dead_node_count() const { return dead_.size(); }
+  bool node_alive(net::NodeId u) const { return !plan_.node_dead(u); }
+  std::size_t dead_node_count() const { return plan_.node_fault_count(); }
 
  private:
   const net::Topology* base_;
-  std::unordered_set<net::NodeId> dead_;
-  std::set<std::pair<net::NodeId, net::NodeId>> dead_links_;
+  FaultPlan plan_;
 };
 
 namespace detail {
 /// Digits-only number parse for the fault spec grammars; throws SimError
-/// naming the malformed piece and the spec it came from.
+/// naming the malformed piece and the spec it came from, including a
+/// number above 2^64-1 (which would otherwise wrap to a small one).
 inline std::uint64_t parse_spec_u64(std::string_view s,
                                     std::string_view spec) {
   if (s.empty())
     throw SimError("empty number in fault spec '" + std::string(spec) + "'");
   std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9')
-      throw SimError("bad number '" + std::string(s) + "' in fault spec '" +
-                     std::string(spec) + "'");
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+  const char* const last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data(), last, v);
+  if (end != last)
+    throw SimError("bad number '" + std::string(s) + "' in fault spec '" +
+                   std::string(spec) + "'");
+  if (ec != std::errc{})
+    throw SimError("number '" + std::string(s) + "' in fault spec '" +
+                   std::string(spec) + "' is above 2^64-1");
   return v;
 }
 
@@ -610,9 +540,9 @@ inline std::vector<std::string_view> split_spec(std::string_view s,
 }
 }  // namespace detail
 
-/// Parses a dcsim-style fault spec into a plan:
-///   "nodes:a,b,c"    — kill the listed node labels from the start;
-///   "random:k"       — kill k random nodes seeded with default_seed;
+/// Parses a dcsim-style fault spec into a static plan:
+///   "nodes:a,b,c"    — kill the listed node labels;
+///   "random:k"       — kill k random nodes drawn with default_seed;
 ///   "random:k,seed"  — same with an explicit seed.
 /// Returns the plan, or throws SimError naming the malformed piece:
 /// empty specs, duplicate node ids and out-of-range ids are all rejected
@@ -628,14 +558,14 @@ inline FaultPlan parse_fault_spec(std::string_view spec,
   const std::string_view kind = spec.substr(0, colon);
   const std::string_view rest = spec.substr(colon + 1);
   if (kind == "nodes") {
-    FaultPlan plan(default_seed);
+    FaultPlan plan;
     for (const std::string_view part : detail::split_spec(rest, ',')) {
       const std::uint64_t u = detail::parse_spec_u64(part, spec);
       if (u >= t.node_count())
         throw SimError("fault spec names node " + std::to_string(u) +
                        " but " + t.name() + " has " +
                        std::to_string(t.node_count()) + " nodes");
-      if (plan.node_dead(static_cast<net::NodeId>(u), 0))
+      if (plan.node_dead(static_cast<net::NodeId>(u)))
         throw SimError("fault spec names node " + std::to_string(u) +
                        " twice");
       plan.kill_node(static_cast<net::NodeId>(u));

@@ -108,57 +108,45 @@ class Machine {
 
   /// Path the oblivious algorithms take (see sim/oblivious.hpp). Defaults
   /// to compiled replay; set DC_SCHEDULE=interpreted to flip the process
-  /// default, or call set_schedule_path per machine. A machine with an
-  /// attached FaultPlan or FaultTimeline always reports kInterpreted: a
-  /// compiled schedule captures the healthy pattern, and replaying it would
-  /// skip the per-message fault checks (and record runs under faults could
-  /// observe fault-dependent plans), so fault runs interpret every cycle.
+  /// default, or call set_schedule_path per machine. A machine with
+  /// attached faults always reports kInterpreted: a compiled schedule
+  /// captures the healthy pattern, and replaying it would skip the
+  /// per-message fault checks (and record runs under faults could observe
+  /// fault-dependent plans), so fault runs interpret every cycle.
   SchedulePath schedule_path() const {
     return has_faults() ? SchedulePath::kInterpreted : schedule_path_;
   }
   void set_schedule_path(SchedulePath p) { schedule_path_ = p; }
 
-  /// Attaches a fault scenario. Every subsequent comm_cycle checks each
-  /// planned message against the plan: under kStrict any touch of a dead
-  /// node or link throws FaultError; under kDegrade the message is dropped
-  /// and counted in Counters::messages_lost. Transient drops apply under
-  /// both policies. Attach before running an algorithm — never between the
-  /// cycles of one run. With no plan attached the comm path is untouched.
-  void attach_faults(std::shared_ptr<const FaultPlan> plan,
+  /// Attaches a fault timeline (sim/faults.hpp), replacing any earlier
+  /// attachment; a static FaultPlan attaches as FaultTimeline(plan). Every
+  /// subsequent comm_cycle checks each planned message against the faults
+  /// live at its own cycle index, so links flap and nodes die and rejoin
+  /// mid-run: under kStrict any touch of a dead node or link throws
+  /// FaultError; under kDegrade the message is dropped and counted in
+  /// Counters::messages_lost. Transient drops apply under both policies.
+  /// The machine traces every epoch transition it crosses ("fault_epoch")
+  /// and every node rejoin it passes ("fault_rejoin"), and counts both
+  /// (fault_epochs_seen / fault_rejoins). Attach before running an
+  /// algorithm — never between the cycles of one run. With nothing
+  /// attached the comm path is untouched.
+  void attach_faults(std::shared_ptr<const FaultTimeline> timeline,
                      FaultPolicy policy = FaultPolicy::kStrict) {
-    DC_REQUIRE(!timeline_,
-               "attach either a FaultPlan or a FaultTimeline, not both");
-    faults_ = std::move(plan);
-    fault_policy_ = policy;
-  }
-
-  /// Attaches a dynamic fault timeline (sim/faults.hpp). Each comm cycle
-  /// is filtered against the faults live at its own cycle index, so links
-  /// flap and nodes die/rejoin mid-run; the machine traces every epoch
-  /// transition it crosses ("fault_epoch") and every node rejoin it passes
-  /// ("fault_rejoin"), and counts both (fault_epochs_seen / fault_rejoins).
-  /// Policy semantics per cycle are identical to attach_faults. Like a
-  /// plan, an attached timeline forces kInterpreted scheduling.
-  void attach_fault_timeline(std::shared_ptr<const FaultTimeline> timeline,
-                             FaultPolicy policy = FaultPolicy::kStrict) {
-    DC_REQUIRE(!faults_,
-               "attach either a FaultPlan or a FaultTimeline, not both");
     timeline_ = std::move(timeline);
     fault_policy_ = policy;
     epoch_seen_ = false;
   }
-  void clear_faults() {
-    faults_.reset();
-    timeline_.reset();
-  }
-  const FaultPlan* fault_plan() const { return faults_.get(); }
+  /// Changes the attached faults' policy between cycles, keeping the epoch
+  /// bookkeeping: the next cycle counts no epoch it has already counted.
+  void set_fault_policy(FaultPolicy policy) { fault_policy_ = policy; }
+  void clear_faults() { timeline_.reset(); }
   const FaultTimeline* fault_timeline() const { return timeline_.get(); }
-  bool has_faults() const { return faults_ != nullptr || timeline_ != nullptr; }
+  bool has_faults() const { return timeline_ != nullptr; }
   FaultPolicy fault_policy() const { return fault_policy_; }
 
   /// Distinct timeline epochs this machine's cycles have crossed into, and
-  /// node rejoin events they have advanced past. Zero without an attached
-  /// timeline; monotone across clear_faults (totals for the machine).
+  /// node rejoin events they have advanced past. Zero without attached
+  /// faults; monotone across clear_faults (totals for the machine).
   std::uint64_t fault_epochs_seen() const { return fault_epochs_seen_; }
   std::uint64_t fault_rejoins() const { return fault_rejoins_; }
 
@@ -251,15 +239,15 @@ class Machine {
         },
         grain_, pool_);
 
-    // Fault filter: only with a plan or timeline attached does any message
-    // get a fault check; the healthy path is untouched. Runs sequentially
-    // (and deterministically) between planning and delivery, so a degraded
-    // message is simply absent from the delivery pass below.
-    if (faults_) {
-      filter_faults(*faults_, sends);
-    } else if (timeline_) {
-      note_timeline_cycle(counters_.comm_cycles);
-      filter_faults(*timeline_, sends);
+    // Fault filter: only with faults attached does any message get a fault
+    // check; the healthy path is untouched. Runs sequentially, in ascending
+    // sender order (so strict-mode errors are deterministic), between
+    // planning and delivery, so a dropped message is simply absent from the
+    // delivery pass below.
+    if (timeline_) {
+      const std::uint64_t cyc = begin_fault_cycle();
+      for (std::size_t u = 0; u < n; ++u)
+        if (outbox[u] && fault_drops(u, outbox[u]->to, cyc)) outbox[u].reset();
     }
 
     const net::FlatAdjacency* adj = nullptr;
@@ -382,7 +370,7 @@ class Machine {
     const std::size_t n = static_cast<std::size_t>(node_count());
     DC_REQUIRE(!has_faults(),
                "compiled replay skips per-message fault checks; a machine "
-               "with an attached FaultPlan must interpret every cycle");
+               "with attached faults must interpret every cycle");
     DC_REQUIRE(cyc.node_count() == n,
                "schedule cycle was compiled for a different node count");
     require_block_source<T>(width, src);
@@ -476,7 +464,7 @@ class Machine {
     const std::size_t n = static_cast<std::size_t>(node_count());
     DC_REQUIRE(!has_faults(),
                "fused cycles skip per-message fault checks; a machine with "
-               "an attached FaultPlan must interpret every cycle");
+               "attached faults must interpret every cycle");
     for (const ScheduleCycle& cyc : cycles) {
       DC_REQUIRE(cyc.node_count() == n,
                  "schedule cycle was compiled for a different node count");
@@ -786,63 +774,20 @@ class Machine {
     return *adj_;
   }
 
-  /// Applies the attached fault source (FaultPlan or FaultTimeline — both
-  /// expose node_dead/link_dead/drops_message/any_active over cycle
-  /// indices) to this cycle's planned outbox, in ascending sender order
-  /// (so strict-mode errors are deterministic). Under kStrict, the first
-  /// message touching a dead node or link throws FaultError; under
-  /// kDegrade it is cleared and counted as lost. Transient drops are
-  /// cleared and counted under both policies.
-  template <typename F, typename P>
-  void filter_faults(const F& f,
-                     std::vector<std::optional<Send<P>>>& outbox) {
-    const std::uint64_t cyc = counters_.comm_cycles;  // index of this cycle
-    if (f.any_active(cyc)) {
-      ++counters_.fault_cycles;
-      if (trace_) trace_->instant(trace_track_, 0, "fault_cycle", "cycle", cyc);
-    }
-    const std::size_t n = static_cast<std::size_t>(node_count());
-    const bool strict = fault_policy_ == FaultPolicy::kStrict;
-    for (std::size_t u = 0; u < n; ++u) {
-      if (!outbox[u]) continue;
-      const net::NodeId to = outbox[u]->to;
-      std::string error;
-      if (f.node_dead(static_cast<net::NodeId>(u), cyc)) {
-        error = "faulty node " + std::to_string(u) + " cannot send (cycle " +
-                std::to_string(cyc) + ")";
-      } else if (to < n && f.node_dead(to, cyc)) {
-        error = "node " + std::to_string(u) + " sent to faulty node " +
-                std::to_string(to) + " (cycle " + std::to_string(cyc) + ")";
-      } else if (to < n &&
-                 f.link_dead(static_cast<net::NodeId>(u), to, cyc)) {
-        error = "node " + std::to_string(u) + " sent over faulty link to " +
-                std::to_string(to) + " (cycle " + std::to_string(cyc) + ")";
-      }
-      if (!error.empty()) {
-        if (strict) throw FaultError(error);
-        outbox[u].reset();
-        note_fault_drop(u, cyc);
-        continue;
-      }
-      if (f.drops_message(cyc, static_cast<net::NodeId>(u))) {
-        outbox[u].reset();
-        note_fault_drop(u, cyc);
-      }
-    }
-  }
-
-  /// Timeline epoch bookkeeping, run once per filtered cycle, before the
-  /// filter: when `cyc` lands in a different epoch than the last filtered
-  /// cycle (or is the first), trace a "fault_epoch" instant; every node_up
-  /// event strictly between the previous filtered cycle and this one gets
-  /// a "fault_rejoin" instant. Cheap (two ordered-set lookups) and fully
-  /// deterministic — cycle indices, not wall clock.
-  void note_timeline_cycle(std::uint64_t cyc) {
+  /// Opens one filtered cycle and returns its index. First the epoch
+  /// bookkeeping: when the cycle lands in a different epoch than the last
+  /// filtered cycle (or is the first since the attach), trace a
+  /// "fault_epoch" instant; every node_up event strictly after the previous
+  /// filtered cycle and at or before this one gets a "fault_rejoin"
+  /// instant. Then, if any fault is live, the cycle counts as a fault
+  /// cycle. Cheap (ordered-set lookups) and fully deterministic — cycle
+  /// indices, not wall clock.
+  std::uint64_t begin_fault_cycle() {
     const FaultTimeline& tl = *timeline_;
+    const std::uint64_t cyc = counters_.comm_cycles;
     const std::size_t epoch = tl.epoch_of(cyc);
-    // Rejoins that became effective in (last seen cycle, cyc]. A node_up
-    // cycle is always >= 1, so the cyc == 0 underflow below yields the
-    // empty interval it should.
+    // A node_up cycle is always >= 1, so the cyc == 0 underflow below
+    // yields the empty interval it should.
     const std::uint64_t after = epoch_seen_ ? last_fault_cycle_ : cyc - 1;
     if (after < cyc) {
       for (const net::NodeId u : tl.rejoins_between(after, cyc)) {
@@ -863,6 +808,40 @@ class Machine {
       epoch_seen_ = true;
     }
     last_fault_cycle_ = cyc;
+    if (tl.any_active(cyc)) {
+      ++counters_.fault_cycles;
+      if (trace_) trace_->instant(trace_track_, 0, "fault_cycle", "cycle", cyc);
+    }
+    return cyc;
+  }
+
+  /// Filters one planned message u -> `to` against the faults live at
+  /// cycle `cyc`; returns true iff it is dropped. Under kStrict a message
+  /// touching a dead node or link throws FaultError; under kDegrade it is
+  /// dropped and counted as lost. Transient drops are dropped and counted
+  /// under both policies.
+  bool fault_drops(std::size_t u, net::NodeId to, std::uint64_t cyc) {
+    const FaultTimeline& tl = *timeline_;
+    const net::NodeId from = static_cast<net::NodeId>(u);
+    const bool to_ok = to < node_count();
+    std::string error;
+    if (tl.node_dead(from, cyc)) {
+      error = "faulty node " + std::to_string(u) + " cannot send (cycle " +
+              std::to_string(cyc) + ")";
+    } else if (to_ok && tl.node_dead(to, cyc)) {
+      error = "node " + std::to_string(u) + " sent to faulty node " +
+              std::to_string(to) + " (cycle " + std::to_string(cyc) + ")";
+    } else if (to_ok && tl.link_dead(from, to, cyc)) {
+      error = "node " + std::to_string(u) + " sent over faulty link to " +
+              std::to_string(to) + " (cycle " + std::to_string(cyc) + ")";
+    }
+    if (!error.empty()) {
+      if (fault_policy_ == FaultPolicy::kStrict) throw FaultError(error);
+    } else if (!tl.drops_message(cyc, from)) {
+      return false;
+    }
+    note_fault_drop(u, cyc);
+    return true;
   }
 
   /// Accounts one fault-dropped message (degrade-policy kill or transient
@@ -967,10 +946,9 @@ class Machine {
   mutable const net::FlatAdjacency* adj_ = nullptr;
   std::size_t grain_ = 0;
   EdgeLoadCounters edge_load_;
-  std::shared_ptr<const FaultPlan> faults_;
-  std::shared_ptr<const FaultTimeline> timeline_;
+  std::shared_ptr<const FaultTimeline> timeline_;  // null = no faults
   FaultPolicy fault_policy_ = FaultPolicy::kStrict;
-  // Timeline epoch bookkeeping (note_timeline_cycle).
+  // Epoch bookkeeping (begin_fault_cycle).
   bool epoch_seen_ = false;
   std::size_t current_epoch_ = 0;
   std::uint64_t last_fault_cycle_ = 0;

@@ -208,9 +208,9 @@ class ObliviousSection {
                "algorithm issued fewer cycles than its compiled schedule");
       return;
     }
-    // A plan recorded while a FaultPlan was attached may have observed
+    // Cycles recorded while faults were attached may have observed
     // fault-dependent state (lost deliveries feed back into dest_of), so
-    // it must never be published under the healthy topology's key. The
+    // they must never be published under the healthy topology's key. The
     // section can only get here if faults were attached mid-run —
     // schedule_path() already reports kInterpreted when a machine carries
     // faults at construction time.

@@ -2,7 +2,7 @@
 //
 // A FaultTimeline (sim/faults.hpp) makes the faulted view a function of
 // the cycle index: links flap, nodes die and rejoin. The fault-tolerant
-// collectives, however, plan against one frozen FaultPlan — proxies,
+// collectives, however, plan against one static FaultPlan — proxies,
 // detour routes and schedules are all derived from a single snapshot. The
 // RecoveryDriver closes that gap with retry-with-replan:
 //
@@ -23,9 +23,10 @@
 //      its checkpoint.
 //   4. A configurable retry budget bounds the total number of retries.
 //      On exhaustion the driver either degrades — one final attempt with
-//      the machine flipped to FaultPolicy::kDegrade, so residual fault
-//      touches drop messages (counted in Counters::messages_lost) instead
-//      of aborting — or rethrows, per RetryPolicy. A degraded attempt
+//      the machine's policy set to FaultPolicy::kDegrade (its epoch
+//      bookkeeping carries on, so no epoch is counted twice), so residual
+//      fault touches drop messages (counted in Counters::messages_lost)
+//      instead of aborting — or rethrows, per RetryPolicy. A degraded attempt
 //      whose detour transport loses a message the algorithm needs (a
 //      later epoch killed a planned hop) still throws FaultError: a lost
 //      partial sum or key cannot be emulated.
@@ -98,7 +99,7 @@ class RecoveryDriver {
     DC_REQUIRE(timeline_ != nullptr, "recovery needs a fault timeline");
     DC_REQUIRE(!m_.has_faults(),
                "recovery driver owns the machine's fault attachment");
-    m_.attach_fault_timeline(timeline_, FaultPolicy::kStrict);
+    m_.attach_faults(timeline_, FaultPolicy::kStrict);
     if (MetricsRegistry::armed()) {
       auto& reg = MetricsRegistry::instance();
       metric_retries_ = &reg.counter("sim.fault.retries");
@@ -183,24 +184,20 @@ class RecoveryDriver {
     report_.backoff_cycles += cycles;
   }
 
-  /// The budget-exhausted final attempt: flip the machine to kDegrade so
-  /// residual fault touches drop instead of throwing, run the body once
-  /// against the current snapshot, restore kStrict.
+  /// The budget-exhausted final attempt: switch the machine's policy to
+  /// kDegrade so residual fault touches drop instead of throwing, run the
+  /// body once against the current snapshot, restore kStrict (also when
+  /// the body throws).
   template <typename Body>
   void run_degraded(const char* label, Body&& body) {
     report_.degraded = true;
-    m_.clear_faults();
-    m_.attach_fault_timeline(timeline_, FaultPolicy::kDegrade);
-    try {
-      TraceScope span(m_.trace(), m_.trace_track(), label);
-      body(snapshot());
-    } catch (...) {
-      m_.clear_faults();
-      m_.attach_fault_timeline(timeline_, FaultPolicy::kStrict);
-      throw;
-    }
-    m_.clear_faults();
-    m_.attach_fault_timeline(timeline_, FaultPolicy::kStrict);
+    struct RestoreStrict {
+      Machine& m;
+      ~RestoreStrict() { m.set_fault_policy(FaultPolicy::kStrict); }
+    } restore{m_};
+    m_.set_fault_policy(FaultPolicy::kDegrade);
+    TraceScope span(m_.trace(), m_.trace_track(), label);
+    body(snapshot());
   }
 
   Machine& m_;

@@ -212,8 +212,8 @@ class ShardEngine {
   /// sharded front-ends pick the interpreted exchange automatically via
   /// Machine::schedule_path). Under kStrict a fault touch aborts the
   /// whole run; kDegrade drops and counts per shard.
-  void attach_fault_timeline(const FaultTimeline& global,
-                             FaultPolicy policy = FaultPolicy::kStrict) {
+  void attach_faults(const FaultTimeline& global,
+                     FaultPolicy policy = FaultPolicy::kStrict) {
     std::vector<FaultTimeline> local;
     local.reserve(machines_.size());
     for (std::size_t k = 0; k < machines_.size(); ++k)
@@ -248,7 +248,7 @@ class ShardEngine {
       for (auto& tl : local) tl.drop_window(w.permille, w.from, w.to);
     }
     for (std::size_t k = 0; k < machines_.size(); ++k) {
-      machines_[k]->attach_fault_timeline(
+      machines_[k]->attach_faults(
           std::make_shared<const FaultTimeline>(std::move(local[k])), policy);
     }
   }

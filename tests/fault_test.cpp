@@ -1,11 +1,13 @@
 // Fault injection and fault-tolerant collectives.
 //
 // The load-bearing guarantees tested here:
-//   * FaultPlan is deterministic: same plan, same losses, every run;
-//   * a Machine with an attached plan enforces it exactly — kStrict
+//   * faults are deterministic: same timeline, same losses, every run;
+//   * a static FaultPlan is exactly a timeline whose faults are down from
+//     cycle 0, forever — it snapshots back to itself at every cycle;
+//   * a Machine with attached faults enforces them exactly — kStrict
 //     throws FaultError with a message naming the first offender in
 //     sender order, kDegrade drops and counts;
-//   * a machine with NO plan attached is bit-identical to the historical
+//   * a machine with NO faults attached is bit-identical to the historical
 //     healthy machine (counters equal, fault fields zero);
 //   * ft_dual_broadcast and ft_dual_prefix are correct for EVERY node
 //     fault set of size < n on D_2 and D_3 (exhaustive), and on seeded
@@ -18,7 +20,10 @@
 //   * a ProxyScope runs oblivious algorithms that have no fault-tolerant
 //     fork (emulated_prefix, dual_allreduce) exactly under faults, costs
 //     an interpreted run when the plan is empty, never touches the
-//     schedule cache and does not nest.
+//     schedule cache and does not nest;
+//   * both fault grammars either parse a mutated spec into faults that
+//     fit the topology or refuse it with a SimError — never another
+//     exception, never a wrapped number.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,31 +61,68 @@ using dc::net::RecursiveDualCube;
 using dc::sim::FaultError;
 using dc::sim::FaultPlan;
 using dc::sim::FaultPolicy;
+using dc::sim::FaultTimeline;
 using dc::sim::FaultyTopology;
 using dc::sim::Machine;
 
+constexpr std::uint64_t kForever = FaultTimeline::kForever;
+
+template <typename Fn>
+void expect_sim_error(Fn&& fn, const std::string& msg) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected SimError: " << msg;
+  } catch (const dc::sim::SimError& e) {
+    EXPECT_EQ(std::string(e.what()), msg);
+  }
+}
+
+/// A timeline that drops over every cycle at `permille`, seeded `seed`.
+FaultTimeline noisy_timeline(std::uint64_t seed, unsigned permille) {
+  FaultTimeline t(seed);
+  t.drop_window(permille, 0, kForever);
+  return t;
+}
+
 // ------------------------------------------------------------- FaultPlan
 
-TEST(FaultPlan, KillsAreTimedAndIdempotent) {
+TEST(FaultPlan, KillsAreIdempotent) {
   FaultPlan plan;
-  plan.kill_node(3, 5).kill_node(3, 2).kill_link(0, 1, 4);
-  EXPECT_FALSE(plan.node_dead(3, 1));
-  EXPECT_TRUE(plan.node_dead(3, 2));  // earliest kill wins
-  EXPECT_TRUE(plan.node_dead(3, 100));
-  EXPECT_FALSE(plan.node_dead(4, 100));
-  EXPECT_FALSE(plan.link_dead(1, 0, 3));
-  EXPECT_TRUE(plan.link_dead(1, 0, 4));  // orientation-free
+  plan.kill_node(3).kill_node(3).kill_link(0, 1).kill_link(1, 0);
+  EXPECT_TRUE(plan.node_dead(3));
+  EXPECT_FALSE(plan.node_dead(4));
+  EXPECT_TRUE(plan.link_dead(0, 1));
+  EXPECT_TRUE(plan.link_dead(1, 0));  // orientation-free
+  EXPECT_FALSE(plan.link_dead(0, 2));
   EXPECT_EQ(plan.dead_nodes(), std::vector<NodeId>{3});
   EXPECT_EQ(plan.node_fault_count(), 1u);
   EXPECT_EQ(plan.link_fault_count(), 1u);
-  EXPECT_FALSE(plan.any_active(1));
-  EXPECT_TRUE(plan.any_active(2));
 }
 
-TEST(FaultPlan, TransientDropsAreAPureFunctionOfSeedCycleSender) {
-  const FaultPlan a = FaultPlan(42).drop_messages(250);
-  const FaultPlan b = FaultPlan(42).drop_messages(250);
-  const FaultPlan c = FaultPlan(43).drop_messages(250);
+TEST(FaultTimelineTest, KillsAreTimed) {
+  // A fault that goes down at cycle c spares cycles 0..c-1.
+  FaultTimeline t;
+  t.node_down(3, 2).link_down(0, 1, 4);
+  EXPECT_FALSE(t.node_dead(3, 1));
+  EXPECT_TRUE(t.node_dead(3, 2));
+  EXPECT_TRUE(t.node_dead(3, 100));
+  EXPECT_FALSE(t.node_dead(4, 100));
+  EXPECT_FALSE(t.link_dead(1, 0, 3));
+  EXPECT_TRUE(t.link_dead(1, 0, 4));  // orientation-free
+  EXPECT_EQ(t.dead_nodes(100), std::vector<NodeId>{3});
+  EXPECT_EQ(t.node_fault_count(), 1u);
+  EXPECT_EQ(t.link_fault_count(), 1u);
+  EXPECT_FALSE(t.any_active(1));
+  EXPECT_TRUE(t.any_active(2));
+  // A node that is down cannot go down again at another cycle.
+  expect_sim_error([] { FaultTimeline().node_down(3, 5).node_down(3, 2); },
+                   "node 3 is already down at cycle 2");
+}
+
+TEST(FaultTimelineTest, TransientDropsAreAPureFunctionOfSeedCycleSender) {
+  const FaultTimeline a = noisy_timeline(42, 250);
+  const FaultTimeline b = noisy_timeline(42, 250);
+  const FaultTimeline c = noisy_timeline(43, 250);
   std::size_t drops = 0, differs = 0;
   for (std::uint64_t cycle = 0; cycle < 64; ++cycle) {
     for (NodeId u = 0; u < 64; ++u) {
@@ -93,7 +135,29 @@ TEST(FaultPlan, TransientDropsAreAPureFunctionOfSeedCycleSender) {
   EXPECT_GT(drops, 4096 / 8);
   EXPECT_LT(drops, 4096 / 2);
   EXPECT_GT(differs, 0u) << "different seeds must lose different messages";
-  EXPECT_THROW(FaultPlan().drop_messages(1001), CheckError);
+  EXPECT_THROW(FaultTimeline().drop_window(1001, 0, kForever), CheckError);
+}
+
+TEST(FaultTimelineTest, StaticPlanIsAFromStartTimeline) {
+  FaultPlan plan;
+  plan.kill_node(3).kill_node(6).kill_link(0, 1).kill_link(5, 4);
+  const FaultTimeline t(plan);
+  EXPECT_EQ(t.epoch_starts(), std::vector<std::uint64_t>{0});
+  EXPECT_EQ(t.max_drop_permille(), 0u);
+  EXPECT_EQ(t.max_concurrent_node_faults(), 2u);
+  for (const std::uint64_t c : {std::uint64_t{0}, std::uint64_t{1},
+                                std::uint64_t{7}, std::uint64_t{1000},
+                                kForever - 1}) {
+    const FaultPlan snap = t.snapshot(c);
+    EXPECT_EQ(snap.dead_nodes(), plan.dead_nodes()) << "cycle " << c;
+    EXPECT_EQ(snap.dead_links(), plan.dead_links()) << "cycle " << c;
+    EXPECT_TRUE(t.any_active(c)) << "cycle " << c;
+  }
+  // The empty plan is the empty timeline: nothing is ever live.
+  const FaultTimeline none{FaultPlan{}};
+  EXPECT_TRUE(none.empty());
+  EXPECT_TRUE(none.snapshot(0).empty());
+  EXPECT_FALSE(none.any_active(0));
 }
 
 TEST(FaultPlan, RandomNodesIsSeededAndRespectsExclusions) {
@@ -102,8 +166,8 @@ TEST(FaultPlan, RandomNodesIsSeededAndRespectsExclusions) {
   const FaultPlan b = FaultPlan::random_nodes(d, 5, 7, {0, 1});
   EXPECT_EQ(a.dead_nodes(), b.dead_nodes());
   EXPECT_EQ(a.node_fault_count(), 5u);
-  EXPECT_FALSE(a.node_dead(0, ~std::uint64_t{0}));
-  EXPECT_FALSE(a.node_dead(1, ~std::uint64_t{0}));
+  EXPECT_FALSE(a.node_dead(0));
+  EXPECT_FALSE(a.node_dead(1));
   const FaultPlan c = FaultPlan::random_nodes(d, 5, 8, {0, 1});
   EXPECT_NE(a.dead_nodes(), c.dead_nodes());
 }
@@ -155,7 +219,8 @@ TEST(MachineFaults, StrictPolicyThrowsExactMessages) {
   const DualCube d(2);  // nodes 0..7; 0-1 is a cluster link, 0-4 the cross
   const auto run_one = [&](const FaultPlan& plan, NodeId from, NodeId to) {
     Machine m(d);
-    m.attach_faults(std::make_shared<FaultPlan>(plan), FaultPolicy::kStrict);
+    m.attach_faults(std::make_shared<FaultTimeline>(plan),
+                    FaultPolicy::kStrict);
     m.comm_cycle<int>([&](NodeId u) -> std::optional<dc::sim::Send<int>> {
       if (u != from) return std::nullopt;
       return dc::sim::Send<int>{to, 1};
@@ -192,7 +257,8 @@ TEST(MachineFaults, DegradePolicyDropsAndCounts) {
   Machine m(d);
   FaultPlan plan;
   plan.kill_node(1);
-  m.attach_faults(std::make_shared<FaultPlan>(plan), FaultPolicy::kDegrade);
+  m.attach_faults(std::make_shared<FaultTimeline>(plan),
+                  FaultPolicy::kDegrade);
   // 0 -> 1 dies; 4 -> 0 (the cross-edge) survives.
   auto inbox = m.comm_cycle<int>([&](NodeId u) -> std::optional<dc::sim::Send<int>> {
     if (u == 0) return dc::sim::Send<int>{1, 10};
@@ -211,9 +277,9 @@ TEST(MachineFaults, DegradePolicyDropsAndCounts) {
 TEST(MachineFaults, TimedFaultSparesEarlierCycles) {
   const DualCube d(2);
   Machine m(d);
-  FaultPlan plan;
-  plan.kill_node(1, /*at_cycle=*/2);
-  m.attach_faults(std::make_shared<FaultPlan>(plan), FaultPolicy::kDegrade);
+  auto t = std::make_shared<FaultTimeline>();
+  t->node_down(1, /*at=*/2);
+  m.attach_faults(t, FaultPolicy::kDegrade);
   for (int cycle = 0; cycle < 4; ++cycle) {
     auto inbox =
         m.comm_cycle<int>([&](NodeId u) -> std::optional<dc::sim::Send<int>> {
@@ -230,8 +296,8 @@ TEST(MachineFaults, TimedFaultSparesEarlierCycles) {
 TEST(MachineFaults, TransientDropsMatchThePlanExactly) {
   const DualCube d(2);
   Machine m(d);
-  const auto plan = std::make_shared<FaultPlan>(FaultPlan(9).drop_messages(400));
-  m.attach_faults(plan, FaultPolicy::kStrict);  // drops apply under strict too
+  const auto faults = std::make_shared<FaultTimeline>(noisy_timeline(9, 400));
+  m.attach_faults(faults, FaultPolicy::kStrict);  // drops apply under strict
   std::uint64_t lost = 0;
   for (std::uint64_t cycle = 0; cycle < 32; ++cycle) {
     auto inbox =
@@ -239,7 +305,7 @@ TEST(MachineFaults, TransientDropsMatchThePlanExactly) {
           if (u != 0) return std::nullopt;
           return dc::sim::Send<int>{1, 1};
         });
-    const bool dropped = plan->drops_message(cycle, 0);
+    const bool dropped = faults->drops_message(cycle, 0);
     EXPECT_EQ(inbox[1].has_value(), !dropped) << "cycle " << cycle;
     lost += dropped;
   }
@@ -251,7 +317,8 @@ TEST(MachineFaults, NoPlanMeansHealthyCountersAndCompiledPath) {
   const DualCube d(2);
   Machine healthy(d);
   Machine carrier(d);
-  carrier.attach_faults(std::make_shared<FaultPlan>(), FaultPolicy::kDegrade);
+  carrier.attach_faults(std::make_shared<FaultTimeline>(),
+                        FaultPolicy::kDegrade);
   carrier.clear_faults();
   for (Machine* m : {&healthy, &carrier}) {
     m->comm_cycle<int>([&](NodeId u) -> std::optional<dc::sim::Send<int>> {
@@ -268,7 +335,7 @@ TEST(MachineFaults, AttachedPlanForcesInterpretedPathAndRefusesReplay) {
   const DualCube d(2);
   Machine m(d);
   m.set_schedule_path(dc::sim::SchedulePath::kCompiled);
-  m.attach_faults(std::make_shared<FaultPlan>(FaultPlan().kill_node(7)));
+  m.attach_faults(std::make_shared<FaultTimeline>(FaultPlan().kill_node(7)));
   EXPECT_EQ(m.schedule_path(), dc::sim::SchedulePath::kInterpreted);
   dc::sim::ScheduleCycle cyc;
   cyc.recv_from.assign(d.node_count(), dc::sim::kNoSender);
@@ -284,7 +351,7 @@ TEST(MachineFaults, AttachedPlanRefusesBlockReplay) {
   const DualCube d(2);
   Machine m(d);
   m.set_schedule_path(dc::sim::SchedulePath::kCompiled);
-  m.attach_faults(std::make_shared<FaultPlan>(FaultPlan().kill_node(7)));
+  m.attach_faults(std::make_shared<FaultTimeline>(FaultPlan().kill_node(7)));
   EXPECT_EQ(m.schedule_path(), dc::sim::SchedulePath::kInterpreted);
   dc::sim::ScheduleCycle cyc;
   cyc.recv_from.assign(d.node_count(), dc::sim::kNoSender);
@@ -324,13 +391,12 @@ void expect_broadcast_correct(const DualCube& d, NodeId root,
                               const FaultPlan& plan, FaultPolicy policy,
                               bool attach) {
   Machine m(d);
-  const auto shared = std::make_shared<FaultPlan>(plan);
-  if (attach) m.attach_faults(shared, policy);
+  if (attach) m.attach_faults(std::make_shared<FaultTimeline>(plan), policy);
   dc::sim::FtReport rep;
   const auto got =
       dc::collectives::ft_dual_broadcast<int>(m, d, root, 42, plan, &rep);
   for (NodeId u = 0; u < d.node_count(); ++u) {
-    if (plan.node_dead(u, ~std::uint64_t{0})) {
+    if (plan.node_dead(u)) {
       EXPECT_FALSE(got[u].has_value());
     } else {
       ASSERT_TRUE(got[u].has_value()) << "live node " << u << " missed";
@@ -428,7 +494,7 @@ TEST(FtBroadcast, RepairTrafficIsCountedAsRerouted) {
   const NodeId root = 0;
   FaultPlan plan;
   plan.kill_node(d.cross_neighbor(1));
-  m.attach_faults(std::make_shared<FaultPlan>(plan), FaultPolicy::kStrict);
+  m.attach_faults(std::make_shared<FaultTimeline>(plan), FaultPolicy::kStrict);
   dc::sim::FtReport rep;
   const auto got =
       dc::collectives::ft_dual_broadcast<int>(m, d, root, 3, plan, &rep);
@@ -469,7 +535,7 @@ void expect_prefix_correct(const DualCube& d, const M& op,
                            const FaultPlan& plan, FaultPolicy policy,
                            bool attach, bool inclusive = true) {
   Machine m(d);
-  if (attach) m.attach_faults(std::make_shared<FaultPlan>(plan), policy);
+  if (attach) m.attach_faults(std::make_shared<FaultTimeline>(plan), policy);
   dc::sim::FtReport rep;
   const auto got = dc::core::ft_dual_prefix(m, d, op, data, plan, inclusive,
                                             &rep);
@@ -584,7 +650,7 @@ TEST(FtPrefix, LinkFaultsAreRoutedAround) {
   FaultPlan plan;
   plan.kill_link(0, d.cross_neighbor(0)).kill_link(0, d.cluster_neighbor(0, 0));
   Machine m(d);
-  m.attach_faults(std::make_shared<FaultPlan>(plan), FaultPolicy::kStrict);
+  m.attach_faults(std::make_shared<FaultTimeline>(plan), FaultPolicy::kStrict);
   dc::sim::FtReport rep;
   const auto got =
       dc::core::ft_dual_prefix(m, d, op, data, plan, true, &rep);
@@ -607,7 +673,8 @@ TEST(FtPrefix, RepairAccountingIsPinned) {
   const auto data = iota_data(d.node_count());
   const auto run = [&](const FaultPlan& plan, dc::sim::FtReport& rep) {
     Machine m(d);
-    m.attach_faults(std::make_shared<FaultPlan>(plan), FaultPolicy::kStrict);
+    m.attach_faults(std::make_shared<FaultTimeline>(plan),
+                    FaultPolicy::kStrict);
     (void)dc::core::ft_dual_prefix(m, d, op, data, plan, true, &rep);
     return m.counters();
   };
@@ -653,13 +720,13 @@ TEST(FtPrefix, RepairAccountingIsPinned) {
 TEST(FtCollectives, RefuseTransientDropPlansOnTheMachine) {
   const DualCube d(2);
   Machine m(d);
-  FaultPlan noisy;
-  noisy.kill_node(3);
-  noisy.drop_messages(100);
-  m.attach_faults(std::make_shared<FaultPlan>(noisy), FaultPolicy::kDegrade);
-  EXPECT_THROW(
-      dc::collectives::ft_dual_broadcast<int>(m, d, 0, 1, noisy),
-      CheckError);
+  FaultPlan dead;
+  dead.kill_node(3);
+  auto noisy = std::make_shared<FaultTimeline>(dead);
+  noisy->drop_window(100, 0, kForever);
+  m.attach_faults(noisy, FaultPolicy::kDegrade);
+  EXPECT_THROW(dc::collectives::ft_dual_broadcast<int>(m, d, 0, 1, dead),
+               CheckError);
 }
 
 // ------------------------------------------- proxy emulation, no fork
@@ -678,7 +745,7 @@ TEST(ProxyScope, EmulatedPrefixRunsUnderNodeAndLinkFaults) {
   auto data = iota_data(r.node_count());
   data[5] = op.identity();
   Machine m(r);
-  m.attach_faults(std::make_shared<FaultPlan>(plan), FaultPolicy::kStrict);
+  m.attach_faults(std::make_shared<FaultTimeline>(plan), FaultPolicy::kStrict);
   FtReport rep;
   std::vector<dc::u64> got;
   {
@@ -707,7 +774,7 @@ TEST(ProxyScope, DualAllreduceUnderTheDualCubeRouter) {
     }
   }
   Machine m(d);
-  m.attach_faults(std::make_shared<FaultPlan>(plan), FaultPolicy::kStrict);
+  m.attach_faults(std::make_shared<FaultTimeline>(plan), FaultPolicy::kStrict);
   FtReport rep;
   std::vector<dc::u64> got;
   {
@@ -784,16 +851,6 @@ TEST(ProxyScope, ScopesDoNotNest) {
 
 // ------------------------------------------- exact fault-spec diagnostics
 
-template <typename Fn>
-void expect_sim_error(Fn&& fn, const std::string& msg) {
-  try {
-    fn();
-    ADD_FAILURE() << "expected SimError: " << msg;
-  } catch (const dc::sim::SimError& e) {
-    EXPECT_EQ(std::string(e.what()), msg);
-  }
-}
-
 TEST(FaultSpec, NamesTheExactMalformedPiece) {
   const DualCube d(2);  // 8 nodes
   expect_sim_error([&] { dc::sim::parse_fault_spec("", d); },
@@ -819,6 +876,118 @@ TEST(FaultSpec, NamesTheExactMalformedPiece) {
                    "cannot kill 9 of 8 nodes");
   expect_sim_error([&] { dc::sim::parse_fault_spec("bogus:1", d); },
                    "unknown fault spec kind 'bogus' (nodes|random)");
+  // Numbers above 2^64-1 are refused, not wrapped to a small node id or
+  // count (2^64 + 1 would otherwise name node 1).
+  expect_sim_error(
+      [&] { dc::sim::parse_fault_spec("nodes:18446744073709551617", d); },
+      "number '18446744073709551617' in fault spec "
+      "'nodes:18446744073709551617' is above 2^64-1");
+  expect_sim_error(
+      [&] { dc::sim::parse_fault_spec("random:18446744073709551616", d); },
+      "number '18446744073709551616' in fault spec "
+      "'random:18446744073709551616' is above 2^64-1");
+  expect_sim_error(
+      [&] { dc::sim::parse_fault_spec("random:1,99999999999999999999", d); },
+      "number '99999999999999999999' in fault spec "
+      "'random:1,99999999999999999999' is above 2^64-1");
+  EXPECT_EQ(dc::sim::parse_fault_spec("random:1,18446744073709551615", d)
+                .node_fault_count(),
+            1u)
+      << "2^64-1 itself is a valid seed";
+}
+
+// ------------------------------------------------ grammar mutation loops
+
+/// Every mutant of a valid spec: each truncation, each single-byte
+/// substitution from the grammars' alphabet, and each maximal digit run
+/// replaced by a 20- or 21-digit number (2^64-1, 2^64, twenty nines,
+/// 10^20, and the run itself left-padded with zeros to 21 digits).
+std::vector<std::string> mutants_of(const std::string& spec) {
+  const std::string alphabet = "0123456789:,+@-x";
+  std::vector<std::string> out;
+  for (std::size_t len = 0; len < spec.size(); ++len)
+    out.push_back(spec.substr(0, len));
+  for (std::size_t i = 0; i < spec.size(); ++i) {
+    for (const char c : alphabet) {
+      if (c == spec[i]) continue;
+      std::string m = spec;
+      m[i] = c;
+      out.push_back(m);
+    }
+  }
+  const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+  for (std::size_t i = 0; i < spec.size();) {
+    if (!is_digit(spec[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t j = i;
+    while (j < spec.size() && is_digit(spec[j])) ++j;
+    const std::string run = spec.substr(i, j - i);
+    for (const std::string& big :
+         {std::string("18446744073709551615"),
+          std::string("18446744073709551616"), std::string(20, '9'),
+          "1" + std::string(20, '0'), std::string(21 - run.size(), '0') + run})
+      out.push_back(spec.substr(0, i) + big + spec.substr(j));
+    i = j;
+  }
+  return out;
+}
+
+/// Runs `check(spec)` on every mutant of every seed spec. A mutant must
+/// either pass the check or throw SimError; any other exception fails.
+/// Both outcomes must occur, so the loop really reaches the parser.
+template <typename Check>
+void expect_mutants_parse_or_refuse(const std::vector<std::string>& seeds,
+                                    Check&& check) {
+  std::size_t parsed = 0, refused = 0;
+  for (const std::string& seed : seeds) {
+    for (const std::string& spec : mutants_of(seed)) {
+      try {
+        check(spec);
+        ++parsed;
+      } catch (const dc::sim::SimError&) {
+        ++refused;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "'" << spec << "' threw a non-SimError: " << e.what();
+      } catch (...) {
+        ADD_FAILURE() << "'" << spec << "' threw a non-exception";
+      }
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+TEST(FaultSpec, MutantsParseInRangeOrThrowSimError) {
+  const DualCube d(3);
+  expect_mutants_parse_or_refuse(
+      {"nodes:1,5,9", "nodes:31", "random:4,77", "random:3"},
+      [&](const std::string& spec) {
+        const FaultPlan plan = dc::sim::parse_fault_spec(spec, d);
+        for (const NodeId u : plan.dead_nodes())
+          EXPECT_LT(u, d.node_count()) << spec;
+        for (const auto& [u, v] : plan.dead_links())
+          EXPECT_TRUE(d.has_edge(u, v)) << spec;
+      });
+}
+
+TEST(FaultTimelineSpec, MutantsParseInRangeOrThrowSimError) {
+  const DualCube d(3);
+  expect_mutants_parse_or_refuse(
+      {"link:0-1:down@4:up@9+node:3:down@2+drop:50@10-12",
+       "node:5:down@3:up@40", "link:0-16:down@2+link:1-0:down@4",
+       "drop:10@100-200+node:31:down@0"},
+      [&](const std::string& spec) {
+        const FaultTimeline t = dc::sim::parse_fault_timeline(spec, d);
+        for (const auto& ev : t.node_events())
+          EXPECT_LT(ev.node, d.node_count()) << spec;
+        for (const auto& ev : t.link_events())
+          EXPECT_TRUE(d.has_edge(ev.u, ev.v)) << spec;
+        for (const auto& w : t.drop_windows())
+          EXPECT_LE(w.permille, 1000u) << spec;
+        EXPECT_LE(t.max_concurrent_node_faults(), d.node_count()) << spec;
+      });
 }
 
 // --------------------------------------------- pinned transient-drop hash
@@ -837,11 +1006,11 @@ TEST(TransientDropHash, GoldenValuesArePlatformStable) {
   EXPECT_EQ(transient_drop_hash(1, 100, 63), 72u);
   EXPECT_EQ(transient_drop_hash(2024, 31, 15), 451u);
   EXPECT_EQ(transient_drop_hash(0xdeadbeefull, 5, 9), 705u);
-  // FaultPlan::drops_message is exactly "hash < permille".
-  const FaultPlan plan = FaultPlan(42).drop_messages(326);
-  EXPECT_TRUE(plan.drops_message(1, 0));    // 325 < 326
-  EXPECT_FALSE(plan.drops_message(0, 0));   // 663 >= 326
-  EXPECT_FALSE(plan.drops_message(0, 1));   // 523 >= 326
+  // FaultTimeline::drops_message is exactly "hash < permille".
+  const FaultTimeline t = noisy_timeline(42, 326);
+  EXPECT_TRUE(t.drops_message(1, 0));    // 325 < 326
+  EXPECT_FALSE(t.drops_message(0, 0));   // 663 >= 326
+  EXPECT_FALSE(t.drops_message(0, 1));   // 523 >= 326
 }
 
 // ------------------------------------------ exhaustive link-fault sweeps
@@ -905,8 +1074,6 @@ TEST(FtLinkFaults, ExhaustiveSinglesAndPairsOnD3) {
 
 // ------------------------------------------------------- fault timelines
 
-using dc::sim::FaultTimeline;
-
 TEST(FaultTimelineTest, IntervalsFlapAndRejoin) {
   FaultTimeline t;
   t.link_down(0, 1, 4).link_up(0, 1, 9).link_down(1, 0, 20);
@@ -955,18 +1122,16 @@ TEST(FaultTimelineTest, SnapshotsFreezeOneEpoch) {
   EXPECT_TRUE(before.empty());
   const FaultPlan during = t.snapshot(6);
   EXPECT_EQ(during.dead_nodes(), std::vector<NodeId>{2});
-  EXPECT_EQ(during.drop_permille(), 250u);
-  EXPECT_EQ(during.seed(), 7u);
-  EXPECT_TRUE(during.node_dead(2, 0)) << "snapshots are from-start plans";
+  EXPECT_TRUE(during.node_dead(2));
   const FaultPlan after = t.snapshot(8);
   EXPECT_TRUE(after.empty());
   // The machine-facing queries agree with the snapshot at every cycle.
   for (std::uint64_t c : {0ull, 5ull, 7ull, 8ull, 100ull}) {
-    EXPECT_EQ(t.node_dead(2, c), t.snapshot(c).node_dead(2, 0)) << c;
+    EXPECT_EQ(t.node_dead(2, c), t.snapshot(c).node_dead(2)) << c;
   }
-  // Timeline drop decisions match a from-start plan with the same seed
+  // Window drop decisions match an always-on window with the same seed
   // inside the window, and never fire outside it.
-  const FaultPlan noisy = FaultPlan(7).drop_messages(250);
+  const FaultTimeline noisy = noisy_timeline(7, 250);
   for (NodeId s = 0; s < 8; ++s) {
     EXPECT_EQ(t.drops_message(6, s), noisy.drops_message(6, s));
     EXPECT_FALSE(t.drops_message(4, s));
@@ -1052,6 +1217,21 @@ TEST(FaultTimelineSpec, NamesTheExactMalformedEvent) {
                    "fault timeline drop rate 1001 is per mille (<= 1000)");
   expect_sim_error(parse("flood:1"),
                    "unknown fault timeline event kind 'flood' (node|link|drop)");
+  // Numbers above 2^64-1 are refused, not wrapped: 2^64 + 1 would name
+  // node 1, 2^64 cycle 0 and 2^64 + 1 a 1 per-mille drop rate.
+  expect_sim_error(parse("node:18446744073709551617:down@0"),
+                   "number '18446744073709551617' in fault spec "
+                   "'node:18446744073709551617:down@0' is above 2^64-1");
+  expect_sim_error(parse("node:3:down@18446744073709551616"),
+                   "number '18446744073709551616' in fault spec "
+                   "'node:3:down@18446744073709551616' is above 2^64-1");
+  expect_sim_error(parse("drop:18446744073709551617@0-5"),
+                   "number '18446744073709551617' in fault spec "
+                   "'drop:18446744073709551617@0-5' is above 2^64-1");
+  expect_sim_error(parse("link:0-1:down@0:up@99999999999999999999"),
+                   "number '99999999999999999999' in fault spec "
+                   "'link:0-1:down@0:up@99999999999999999999' is above "
+                   "2^64-1");
 }
 
 // ---------------------------------------------- machine over a timeline
@@ -1061,7 +1241,7 @@ TEST(MachineTimeline, FlapDropsOnlyInsideTheWindowAndCountsEpochs) {
   Machine m(d);
   auto t = std::make_shared<FaultTimeline>();
   t->link_down(0, 1, 2).link_up(0, 1, 4);
-  m.attach_fault_timeline(t, FaultPolicy::kDegrade);
+  m.attach_faults(t, FaultPolicy::kDegrade);
   EXPECT_EQ(m.schedule_path(), dc::sim::SchedulePath::kInterpreted);
   for (int cycle = 0; cycle < 6; ++cycle) {
     auto inbox =
@@ -1088,7 +1268,7 @@ TEST(MachineTimeline, StrictThrowsTheExactPlanMessages) {
   Machine m(d);
   auto t = std::make_shared<FaultTimeline>();
   t->node_down(1, 1).node_up(1, 2);
-  m.attach_fault_timeline(t, FaultPolicy::kStrict);
+  m.attach_faults(t, FaultPolicy::kStrict);
   const auto send01 = [&] {
     m.comm_cycle<int>([](NodeId u) -> std::optional<dc::sim::Send<int>> {
       if (u != 0) return std::nullopt;
@@ -1118,7 +1298,7 @@ TEST(MachineTimeline, RefusesCompiledReplayAndDoubleAttach) {
   m.set_schedule_path(dc::sim::SchedulePath::kCompiled);
   auto t = std::make_shared<FaultTimeline>();
   t->link_down(0, 1, 100);
-  m.attach_fault_timeline(t);
+  m.attach_faults(t);
   EXPECT_EQ(m.schedule_path(), dc::sim::SchedulePath::kInterpreted);
   dc::sim::ScheduleCycle cyc;
   cyc.recv_from.assign(d.node_count(), dc::sim::kNoSender);
@@ -1126,10 +1306,11 @@ TEST(MachineTimeline, RefusesCompiledReplayAndDoubleAttach) {
   EXPECT_THROW(m.comm_cycle_scheduled_blocks<int>(
                    cyc, 1, [](NodeId, int* dst) { *dst = 0; }),
                CheckError);
-  EXPECT_THROW(
-      m.attach_faults(std::make_shared<FaultPlan>(FaultPlan().kill_node(1))),
-      CheckError)
-      << "a machine carries a plan or a timeline, never both";
+  // A second attach replaces the first: a machine has one fault source.
+  const auto plan = std::make_shared<FaultTimeline>(FaultPlan().kill_node(1));
+  m.attach_faults(plan);
+  EXPECT_EQ(m.fault_timeline(), plan.get());
+  EXPECT_EQ(m.schedule_path(), dc::sim::SchedulePath::kInterpreted);
   m.clear_faults();
   EXPECT_EQ(m.schedule_path(), dc::sim::SchedulePath::kCompiled);
 }
@@ -1138,9 +1319,9 @@ TEST(MachineTimeline, TimelineViewFingerprintsDifferPerEpoch) {
   const DualCube d(3);
   FaultTimeline t;
   t.node_down(5, 10).node_up(5, 20).node_down(9, 20);
-  const dc::sim::FaultyTopology e0(d, t, 0);
-  const dc::sim::FaultyTopology e1(d, t, 10);
-  const dc::sim::FaultyTopology e2(d, t, 20);
+  const FaultyTopology e0(d, t.snapshot(0));
+  const FaultyTopology e1(d, t.snapshot(10));
+  const FaultyTopology e2(d, t.snapshot(20));
   const auto f0 = e0.flat_adjacency().fingerprint();
   const auto f1 = e1.flat_adjacency().fingerprint();
   const auto f2 = e2.flat_adjacency().fingerprint();
@@ -1161,7 +1342,7 @@ TEST(MachineTimeline, DropWindowRefusalIsOneExactSimError) {
   const std::string refusal =
       "fault-tolerant collectives require a drop-free fault plan";
   Machine timed(d);
-  timed.attach_fault_timeline(
+  timed.attach_faults(
       std::make_shared<FaultTimeline>(
           dc::sim::parse_fault_timeline("drop:10@100-200", d, /*seed=*/1)),
       FaultPolicy::kDegrade);
@@ -1171,16 +1352,17 @@ TEST(MachineTimeline, DropWindowRefusalIsOneExactSimError) {
                                        FaultPlan{});
       },
       refusal);
-  FaultPlan noisy;
-  noisy.kill_node(3);
-  noisy.drop_messages(100);
+  // A static dead set plus an always-on drop window.
+  FaultPlan dead;
+  dead.kill_node(3);
+  auto noisy = std::make_shared<FaultTimeline>(dead);
+  noisy->drop_window(100, 0, kForever);
   Machine planned(d);
-  planned.attach_faults(std::make_shared<FaultPlan>(noisy),
-                        FaultPolicy::kDegrade);
+  planned.attach_faults(noisy, FaultPolicy::kDegrade);
   expect_sim_error(
       [&] {
         (void)dc::core::ft_dual_prefix(planned, d, Plus<std::uint64_t>{},
-                                       data, noisy);
+                                       data, dead);
       },
       refusal);
 }

@@ -67,7 +67,7 @@ void expect_sort_correct(const RecursiveDualCube& r,
                          bool attach, bool descending = false) {
   Machine m(r);
   if (attach)
-    m.attach_faults(std::make_shared<FaultPlan>(plan), policy);
+    m.attach_faults(std::make_shared<FaultTimeline>(plan), policy);
   dc::sim::FtReport rep;
   const auto got = dc::core::ft_dual_sort(m, r, keys, plan, descending, &rep);
   ASSERT_EQ(got.size(), keys.size());
@@ -204,7 +204,7 @@ TEST(FtSort, MixedNodeAndLinkFaultsOnD3) {
       const NodeId u = rng.below(r.node_count());
       const auto nbrs = r.neighbors(u);
       const NodeId v = nbrs[rng.below(nbrs.size())];
-      if (!nodes.node_dead(u, 0) && !nodes.node_dead(v, 0)) {
+      if (!nodes.node_dead(u) && !nodes.node_dead(v)) {
         plan.kill_link(u, v);
         break;
       }
@@ -221,7 +221,8 @@ TEST(FtSort, RepairAccountingIsPinned) {
   const auto run = [](const RecursiveDualCube& r, const FaultPlan& plan,
                       dc::sim::FtReport& rep) {
     Machine m(r);
-    m.attach_faults(std::make_shared<FaultPlan>(plan), FaultPolicy::kStrict);
+    m.attach_faults(std::make_shared<FaultTimeline>(plan),
+                    FaultPolicy::kStrict);
     const auto keys = shuffled_keys(r.node_count(), 5);
     (void)dc::core::ft_dual_sort(m, r, keys, plan, false, &rep);
     return m.counters();

@@ -3,7 +3,9 @@
 // The contract under test (sim/recovery.hpp + the Machine's timeline
 // filter):
 //   * a RecoveryDriver owns the machine's fault attachment: strict
-//     filtering while it lives, restored to clean on destruction;
+//     filtering while it lives, restored to clean on destruction; its
+//     degraded final attempt changes only the policy, so no epoch is
+//     counted twice;
 //   * a mid-phase fault (epoch change invalidating the planned routes)
 //     throws, the driver pays linear backoff — real machine cycles that
 //     advance the timeline clock — re-snapshots the new epoch and retries
@@ -27,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dual_prefix.hpp"
@@ -91,7 +94,7 @@ TEST(RecoveryDriver, OwnsTheMachineFaultAttachment) {
   EXPECT_FALSE(m.has_faults());
   EXPECT_EQ(m.schedule_path(), SchedulePath::kCompiled);
   // The driver refuses a machine that already carries faults.
-  m.attach_faults(std::make_shared<FaultPlan>(FaultPlan().kill_node(3)));
+  m.attach_faults(std::make_shared<FaultTimeline>(FaultPlan().kill_node(3)));
   EXPECT_THROW(RecoveryDriver(m, share(FaultTimeline())), dc::CheckError);
   m.clear_faults();
 }
@@ -127,7 +130,7 @@ TEST(RecoveryDriver, RetriesWithLinearBackoffUntilTheFlapHeals) {
   drv.run_phase("phase:test", [&](const FaultPlan& plan) {
     ++calls;
     // The replanned snapshots see the fault while it is live.
-    EXPECT_EQ(plan.link_dead(0, 1, 0), drv.now() < 5);
+    EXPECT_EQ(plan.link_dead(0, 1), drv.now() < 5);
     send_01(drv.machine());
   });
   // Attempt 1 at cycle 0: throw (cycle stays uncounted). Backoff 1*2 ->
@@ -278,6 +281,37 @@ TEST(ResilientPrefix, DegradedAttemptThatLosesADetourFailsExactly) {
   EXPECT_EQ(m.counters().messages_lost, 2u);
 }
 
+TEST(ResilientPrefix, DegradedFinishCountsEachEpochOnce) {
+  // 0-16 is down over [1, 30) and there is no retry budget, so the first
+  // fault sends the run to its degraded final attempt. Switching the
+  // machine to kDegrade must not restart its epoch bookkeeping: the run
+  // crosses epochs 0 and 1, ends in epoch 1, and counts each once.
+  const DualCube d(3);
+  ASSERT_EQ(d.cross_neighbor(0), 16u);
+  FaultTimeline t;
+  t.link_down(0, 16, 1).link_up(0, 16, 30);
+  Machine m(d);
+  TraceRecorder rec(dc::ThreadPool::shared().size() + 1);
+  m.set_trace(&rec, "degraded-run");
+  RetryPolicy policy;
+  policy.retry_budget = 0;
+  policy.degrade_on_exhaustion = true;
+  RecoveryDriver drv(m, share(std::move(t)), policy);
+  (void)resilient_dual_prefix(drv, d, Plus<dc::u64>{},
+                              iota_data(d.node_count()));
+  EXPECT_TRUE(drv.report().degraded);
+  EXPECT_EQ(drv.timeline().epoch_of(drv.now()), 1u);
+  EXPECT_EQ(m.fault_epochs_seen(), 2u);
+  // One fault_epoch instant per epoch crossed: (epoch, cycle) pairs.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> epochs;
+  for (const TraceEvent& e : rec.merged())
+    if (e.ph == 'i' && std::string(e.name) == "fault_epoch")
+      epochs.emplace_back(e.arg_a, e.arg_b);
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> want{{0, 0},
+                                                                  {1, 1}};
+  EXPECT_EQ(epochs, want);
+}
+
 TEST(ResilientBroadcast, NodesDeadInTheFinalSnapshotStayNull) {
   const DualCube d(3);
   // Killing a cross-partner of the root's cluster forces repair traffic
@@ -345,7 +379,7 @@ TEST(ShardTimeline, LocalizesNodeEventsAndDropWindows) {
   FaultTimeline global(123);
   global.node_down(victim, 4).node_up(victim, 8);
   global.drop_window(50, 10, 12);
-  eng.attach_fault_timeline(global, FaultPolicy::kDegrade);
+  eng.attach_faults(global, FaultPolicy::kDegrade);
   EXPECT_TRUE(eng.has_faults());
   const unsigned home = plan.shard_of_node(victim);
   const NodeId local = plan.local_index(victim);
@@ -367,7 +401,7 @@ TEST(ShardTimeline, RejectsFaultsOnVirtualizedCrossClusterLinks) {
   FaultTimeline global;
   global.link_down(0, d.cross_neighbor(0), 3);
   try {
-    eng.attach_fault_timeline(global);
+    eng.attach_faults(global);
     FAIL() << "expected SimError";
   } catch (const SimError& e) {
     const std::string msg = e.what();
@@ -378,7 +412,7 @@ TEST(ShardTimeline, RejectsFaultsOnVirtualizedCrossClusterLinks) {
   // In-cluster links are real per-shard edges and may fault.
   FaultTimeline ok;
   ok.link_down(0, d.cluster_neighbor(0, 0), 3);
-  eng.attach_fault_timeline(ok, FaultPolicy::kDegrade);
+  eng.attach_faults(ok, FaultPolicy::kDegrade);
   EXPECT_TRUE(eng.has_faults());
   eng.clear_faults();
 }

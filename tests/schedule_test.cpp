@@ -820,7 +820,7 @@ TEST_F(ScheduleTest, FaultedDualPrefixNeverFuses) {
   Machine faulted(d);
   faulted.set_schedule_path(SchedulePath::kCompiled);
   faulted.enable_trace();
-  faulted.attach_faults(std::make_shared<FaultPlan>());
+  faulted.attach_faults(std::make_shared<FaultTimeline>());
   EXPECT_EQ(core::dual_prefix(faulted, d, core::Plus<u64>{}, data), expected);
   EXPECT_EQ(faulted.replayed_cycles(), 0u);
   EXPECT_EQ(span_count(faulted, "comm_cycle_fused"), 0u);
@@ -1095,7 +1095,7 @@ TEST_F(ScheduleTest, FaultedDualSortNeverFuses) {
   Machine faulted(r);
   faulted.set_schedule_path(SchedulePath::kCompiled);
   faulted.enable_trace();
-  faulted.attach_faults(std::make_shared<FaultPlan>());
+  faulted.attach_faults(std::make_shared<FaultTimeline>());
   auto keys = input;
   core::dual_sort(faulted, r, keys);
   EXPECT_EQ(keys, expected);

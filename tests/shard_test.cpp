@@ -427,7 +427,7 @@ TEST(ShardedDualPrefix, LostMessagesFoldAsIdentity) {
     }
     for (unsigned k : {1u, 2u, 4u}) {
       ShardEngine eng(d, k);
-      eng.attach_fault_timeline(tl, FaultPolicy::kDegrade);
+      eng.attach_faults(tl, FaultPolicy::kDegrade);
       EXPECT_EQ(core::sharded_dual_prefix(eng, op, data, inclusive), want)
           << "K=" << k << " inclusive=" << inclusive;
       EXPECT_EQ(eng.counters().messages_lost,

@@ -164,8 +164,8 @@ TEST(Trace, RecordThenReplayTransitionsVisible) {
 
 TEST(Trace, FaultDropAndDetourEventsVisible) {
   const net::DualCube d(2);
-  const auto plan =
-      std::make_shared<FaultPlan>(FaultPlan{}.kill_node(net::NodeId{3}));
+  const FaultPlan plan = FaultPlan{}.kill_node(net::NodeId{3});
+  const auto faults = std::make_shared<FaultTimeline>(plan);
 
   // Degrade-policy drop: a message aimed at the dead node is eaten and
   // traced as a fault_drop instant carrying the sender.
@@ -173,7 +173,7 @@ TEST(Trace, FaultDropAndDetourEventsVisible) {
     TraceRecorder rec(dc::ThreadPool::shared().size() + 1);
     Machine m(d);
     m.set_trace(&rec, "drop-run");
-    m.attach_faults(plan, FaultPolicy::kDegrade);
+    m.attach_faults(faults, FaultPolicy::kDegrade);
     auto inbox = m.comm_cycle<int>([&](net::NodeId u) -> std::optional<Send<int>> {
       if (u != d.cross_neighbor(net::NodeId{3})) return std::nullopt;
       return Send<int>{net::NodeId{3}, 7};
@@ -197,10 +197,10 @@ TEST(Trace, FaultDropAndDetourEventsVisible) {
     TraceRecorder rec(dc::ThreadPool::shared().size() + 1);
     Machine m(d);
     m.set_trace(&rec, "detour-run");
-    m.attach_faults(plan, FaultPolicy::kStrict);
+    m.attach_faults(faults, FaultPolicy::kStrict);
     const auto data = prefix_input(d.node_count());
     FtReport rep;
-    (void)core::ft_dual_prefix(m, d, core::Plus<u64>{}, data, *plan,
+    (void)core::ft_dual_prefix(m, d, core::Plus<u64>{}, data, plan,
                                /*inclusive=*/true, &rep);
     std::size_t detours = 0;
     for (const TraceEvent& e : rec.merged())
