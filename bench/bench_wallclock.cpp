@@ -142,23 +142,6 @@ void BM_BlockSort(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockSort)->RangeMultiplier(8)->Range(1, 512)->Unit(benchmark::kMicrosecond);
 
-void BM_BlockSortAoS(benchmark::State& state) {
-  const unsigned n = 3;
-  const std::size_t block = static_cast<std::size_t>(state.range(0));
-  const dc::net::RecursiveDualCube r(n);
-  const auto input = dc::generate_keys(dc::KeyDistribution::kUniform,
-                                       r.node_count() * block, 3);
-  for (auto _ : state) {
-    auto keys = input;
-    dc::sim::Machine m(r);
-    dc::core::block_sort_aos(m, r, keys, block);
-    benchmark::DoNotOptimize(keys.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(input.size()));
-}
-BENCHMARK(BM_BlockSortAoS)->RangeMultiplier(8)->Range(1, 512)->Unit(benchmark::kMicrosecond);
-
 void BM_BlockPrefix(benchmark::State& state) {
   const unsigned n = 3;
   const std::size_t block = static_cast<std::size_t>(state.range(0));

@@ -19,9 +19,7 @@
 // collective is a fixed-width block exchange through ObliviousSection
 // (memcpy-plane replay once the 2n-cycle schedule is cached). Origins are
 // recovered arithmetically at copy-out; no per-node associative containers
-// survive. dual_allgather_aos keeps the original map-of-origins
-// formulation as the parity baseline: identical destinations, counters and
-// edge loads (asserted in sim_test).
+// survive.
 //
 // Scatter sends a personalized value from the root to every node; under the
 // 1-port model the root emits one packet per cycle, so N-1 cycles is a
@@ -30,8 +28,6 @@
 #pragma once
 
 #include <algorithm>
-#include <map>
-#include <optional>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -141,67 +137,6 @@ std::vector<std::vector<V>> dual_allgather(sim::Machine& m,
     });
   }
   sched.commit();
-  return out;
-}
-
-/// The original origin-keyed-map formulation of dual_allgather: every
-/// message is a std::map<NodeId, V>, merged by insertion. Same destination
-/// sequence, counters and edge loads as the SoA version — kept as the AoS
-/// baseline for parity tests.
-template <typename V>
-std::vector<std::vector<V>> dual_allgather_aos(sim::Machine& m,
-                                               const net::DualCube& d,
-                                               const std::vector<V>& values) {
-  DC_REQUIRE(&m.topology() == static_cast<const net::Topology*>(&d),
-             "machine must run on the given dual-cube");
-  DC_REQUIRE(values.size() == d.node_count(), "one value per node required");
-  const std::size_t n_nodes = d.node_count();
-  const unsigned w = d.order() - 1;
-
-  using Set = std::map<net::NodeId, V>;  // origin -> value
-  std::vector<Set> own(n_nodes);
-  m.for_each_node([&](net::NodeId u) { own[u] = {{u, values[u]}}; });
-
-  const auto cluster_allgather = [&](std::vector<Set>& sets) {
-    for (unsigned i = 0; i < w; ++i) {
-      auto inbox = m.comm_cycle<Set>([&](net::NodeId u) {
-        return sim::Send<Set>{d.cluster_neighbor(u, i), sets[u]};
-      });
-      m.for_each_node([&](net::NodeId u) {
-        sets[u].insert(inbox[u]->begin(), inbox[u]->end());
-      });
-    }
-  };
-
-  cluster_allgather(own);  // own cluster's values
-
-  std::vector<Set> foreign(n_nodes);
-  {
-    auto inbox = m.comm_cycle<Set>([&](net::NodeId u) {
-      return sim::Send<Set>{d.cross_neighbor(u), own[u]};
-    });
-    m.for_each_node([&](net::NodeId u) { foreign[u] = std::move(*inbox[u]); });
-  }
-
-  cluster_allgather(foreign);  // the whole foreign class
-
-  {
-    auto inbox = m.comm_cycle<Set>([&](net::NodeId u) {
-      return sim::Send<Set>{d.cross_neighbor(u), foreign[u]};
-    });
-    // inbox[u] = every value of u's own class; merge everything.
-    m.for_each_node([&](net::NodeId u) {
-      own[u].insert(foreign[u].begin(), foreign[u].end());
-      own[u].insert(inbox[u]->begin(), inbox[u]->end());
-    });
-  }
-
-  std::vector<std::vector<V>> out(n_nodes);
-  m.for_each_node([&](net::NodeId u) {
-    DC_CHECK(own[u].size() == n_nodes, "allgather missed origins at node " << u);
-    out[u].reserve(n_nodes);
-    for (auto& [origin, value] : own[u]) out[u].push_back(value);
-  });
   return out;
 }
 

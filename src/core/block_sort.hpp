@@ -13,12 +13,9 @@
 // communication cycle moves contiguous width-m strides through the
 // simulator's block planes (memcpy-like on compiled replay) and every
 // merge-split writes its kept half straight into a double-buffered plane —
-// no per-step heap traffic. block_sort_aos is the array-of-structures
-// formulation, kept as the parity/bench baseline: the same network at
-// width 1 over heap-owning std::vector<Key> elements, merging with
-// std::merge instead of the merge_split kernel. Both charge identical op
-// counts, so results, Counters and edge loads agree exactly (asserted in
-// sim_test).
+// no per-step heap traffic. The network's cycles, messages and edge loads
+// are dual_sort's (asserted in block_test), and its schedule is certified
+// as Batcher's bitonic network (schedule_test).
 //
 // Cost: the same 6n²−7n+2 communication cycles as Algorithm 3 (each cycle
 // now carries a block) plus ceil(log2 m)·m-ish local work per merge,
@@ -132,70 +129,6 @@ void block_sort(sim::Machine& m, const net::RecursiveDualCube& r,
       m.add_ops(block / 2);
     });
   }
-}
-
-/// The array-of-structures formulation: one std::vector<Key> per node,
-/// merge-split materializing the full 2m merge, payloads shipped as
-/// heap-owning vectors (the network at width 1 over Block elements).
-/// Semantically identical to block_sort (same schedule, same op
-/// accounting) — kept as the AoS baseline for parity tests and the
-/// BM_BlockSortAoS bench row.
-template <typename Key>
-void block_sort_aos(sim::Machine& m, const net::RecursiveDualCube& r,
-                    std::vector<Key>& data, std::size_t block,
-                    bool descending = false) {
-  DC_REQUIRE(block >= 1, "block size must be >= 1");
-  DC_REQUIRE(data.size() == r.node_count() * block,
-             "data size must be node_count * block");
-  using Block = std::vector<Key>;
-  const std::size_t n_nodes = r.node_count();
-
-  // Local sort round (one parallel computation step of m log m work).
-  std::vector<Block> blocks(n_nodes);
-  m.for_each_node([&](net::NodeId u) {
-    blocks[u].assign(data.begin() + static_cast<std::ptrdiff_t>(u * block),
-                     data.begin() + static_cast<std::ptrdiff_t>((u + 1) * block));
-  });
-  m.compute_step([&](net::NodeId u) {
-    std::sort(blocks[u].begin(), blocks[u].end());
-    m.add_ops(block);
-  });
-
-  // Network phase: Algorithm 3 with merge-split combines. The 2m merge
-  // scratch is hoisted per node and kept at capacity across all rounds.
-  std::vector<Block> scratch(n_nodes);
-  m.for_each_node([&](net::NodeId u) { scratch[u].reserve(2 * block); });
-  dual_bitonic_network(
-      m, r, blocks, 1, descending,
-      [&scratch, &m, block](net::NodeId u, bool keep_min, const Block* own,
-                            const Block* other, Block* out) {
-        Block& merged = scratch[u];
-        merged.clear();
-        std::merge(own->begin(), own->end(), other->begin(), other->end(),
-                   std::back_inserter(merged));
-        const auto mid = merged.begin() + static_cast<std::ptrdiff_t>(block);
-        if (keep_min) {
-          out->assign(merged.begin(), mid);
-        } else {
-          out->assign(mid, merged.end());
-        }
-        m.add_ops(2 * block);  // merge comparisons/moves
-      });
-
-  // Merge-split always keeps blocks internally ascending; a descending
-  // global order additionally needs each block reversed locally.
-  if (descending) {
-    m.compute_step([&](net::NodeId u) {
-      std::reverse(blocks[u].begin(), blocks[u].end());
-      m.add_ops(block / 2);
-    });
-  }
-
-  // Copy out (uncounted data placement).
-  m.for_each_node([&](net::NodeId u) {
-    std::copy(blocks[u].begin(), blocks[u].end(),
-              data.begin() + static_cast<std::ptrdiff_t>(u * block));
-  });
 }
 
 }  // namespace dc::core

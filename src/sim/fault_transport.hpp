@@ -83,7 +83,9 @@ struct FtReport {
 /// Deterministic proxy assignment: rep[u] = u for live nodes; for dead
 /// nodes the live node at minimal healthy-graph BFS distance, ties to the
 /// lowest label. Works on any Topology (the fault-tolerant sort runs on
-/// the recursive presentation).
+/// the recursive presentation). Throws FaultError when no node is live: a
+/// sort's dead set accumulates over its epochs, so it can reach every node
+/// even when no single epoch kills them all.
 inline std::vector<net::NodeId> proxy_map(
     const net::Topology& t, const std::vector<net::NodeId>& dead_sorted) {
   const std::size_t n_nodes = t.node_count();
@@ -102,7 +104,7 @@ inline std::vector<net::NodeId> proxy_map(
         best = v;
       }
     }
-    DC_REQUIRE(best < n_nodes, "fault plan kills every node");
+    if (best == n_nodes) throw FaultError("fault plan kills every node");
     rep[u] = best;
   }
   return rep;

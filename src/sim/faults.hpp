@@ -192,8 +192,9 @@ class FaultPlan {
 ///
 /// Build with the fluent node_down/node_up/link_down/link_up/drop_window
 /// calls. Events per entity must be issued in cycle order (down strictly
-/// before its up, next down at or after the previous up); violations
-/// throw SimError naming the entity.
+/// before its up, next down at or after the previous up), and none at
+/// kForever, the cycle that means never; violations throw SimError naming
+/// the entity.
 class FaultTimeline {
  public:
   static constexpr std::uint64_t kForever = ~std::uint64_t{0};
@@ -249,7 +250,8 @@ class FaultTimeline {
   /// is dropped with probability permille/1000, decided by the stateless
   /// (seed, cycle, sender) hash detail::transient_drop_hash. Applied under
   /// both policies (a flaky link is degradation, not an algorithmic error)
-  /// and counted in messages_lost. Windows must not overlap.
+  /// and counted in messages_lost. Windows must not overlap; to = kForever
+  /// leaves the window open-ended.
   FaultTimeline& drop_window(unsigned permille, std::uint64_t from,
                              std::uint64_t to) {
     if (permille > 1000) throw SimError("drop rate is per mille");
@@ -262,7 +264,7 @@ class FaultTimeline {
                        std::to_string(std::max(from, w.from)));
     drops_.push_back(DropWindow{permille, from, to});
     note_event(from);
-    note_event(to);
+    if (to != kForever) note_event(to);
     return *this;
   }
 
@@ -436,8 +438,15 @@ class FaultTimeline {
     return false;
   }
 
+  static void require_finite(std::uint64_t at, const std::string& event) {
+    if (at == kForever)
+      throw SimError(event + "@" + std::to_string(at) +
+                     ": cycle 2^64-1 means never");
+  }
+
   void open_interval(std::vector<Interval>& iv, std::uint64_t at,
                      const std::string& what) {
+    require_finite(at, what + " down");
     if (!iv.empty() && iv.back().to == kForever)
       throw SimError(what + " is already down at cycle " +
                      std::to_string(at));
@@ -448,6 +457,7 @@ class FaultTimeline {
 
   void close_interval(std::vector<Interval>& iv, std::uint64_t at,
                       const std::string& what) {
+    require_finite(at, what + " up");
     if (iv.empty() || iv.back().to != kForever)
       throw SimError(what + " is not down at cycle " + std::to_string(at));
     if (at <= iv.back().from)

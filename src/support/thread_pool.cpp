@@ -63,14 +63,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::scoped_lock lock(mutex_);
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-}
-
 ThreadPool& ThreadPool::shared() {
   static ThreadPool pool;
   return pool;
@@ -83,18 +75,8 @@ void ThreadPool::worker_loop(std::size_t slot) {
   std::unique_lock lock(mutex_);
   for (;;) {
     cv_.wait(lock, [&] {
-      return stopping_ || !queue_.empty() ||
-             (job_active_ && job_epoch_ != seen_epoch);
+      return stopping_ || (job_active_ && job_epoch_ != seen_epoch);
     });
-    if (!queue_.empty()) {
-      // FIFO: always run the oldest pending task first.
-      std::function<void()> task = std::move(queue_.front());
-      queue_.pop_front();
-      lock.unlock();
-      task();
-      lock.lock();
-      continue;
-    }
     if (job_active_ && job_epoch_ != seen_epoch) {
       seen_epoch = job_epoch_;
       ++job_helpers_;  // counted under mutex_, so finish_job waits for us
@@ -104,7 +86,7 @@ void ThreadPool::worker_loop(std::size_t slot) {
       if (--job_helpers_ == 0) helpers_cv_.notify_all();
       continue;
     }
-    if (stopping_) return;  // queue drained, no job to help with
+    if (stopping_) return;  // no job to help with
   }
 }
 

@@ -16,11 +16,6 @@
 // view regardless of which thread happens to execute which chunk. The call
 // does not return until every chunk has completed; if any iteration throws,
 // one captured exception is rethrown on the caller after all chunks drain.
-//
-// The plain task queue (`submit`) executes in FIFO order: tasks run in
-// submission order whenever a single worker is free, and workers always
-// dequeue the oldest pending task first. (The pool used to pop the *newest*
-// task, which starved early submissions under load.)
 #pragma once
 
 #include <algorithm>
@@ -28,9 +23,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -39,7 +32,7 @@
 
 namespace dc {
 
-/// Persistent worker pool executing void() tasks and chunked range jobs.
+/// Persistent worker pool executing chunked range jobs.
 class ThreadPool {
  public:
   /// Creates `threads` workers; 0 means the DC_THREADS environment variable
@@ -49,14 +42,11 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Joins all workers; pending tasks are completed first.
+  /// Joins all workers.
   ~ThreadPool();
 
   /// Number of worker threads.
   std::size_t size() const { return workers_.size(); }
-
-  /// Enqueue a task. Thread-safe. Tasks run in FIFO submission order.
-  void submit(std::function<void()> task);
 
   /// Stable identity of the current thread within *this* pool: workers get
   /// 1..size(), every other thread (including the caller participating in a
@@ -105,10 +95,9 @@ class ThreadPool {
   void run_one_chunk(std::size_t ticket);
   void finish_job();
 
-  // guards queue_, stopping_, job_active_, job_epoch_, job_helpers_
+  // guards stopping_, job_active_, job_epoch_, job_helpers_
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
   bool stopping_ = false;
 

@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "core/block_prefix.hpp"
 #include "core/block_sort.hpp"
+#include "core/dual_sort.hpp"
 #include "core/formulas.hpp"
 #include "core/sequential.hpp"
+#include "sim/schedule.hpp"
 #include "support/rng.hpp"
 
 namespace dc::core {
@@ -95,15 +98,46 @@ TEST_P(BlockSortTest, SortsDescending) {
   EXPECT_EQ(data, expected);
 }
 
+// Per-directed-edge loads in a deterministic (CSR) order.
+std::vector<u64> edge_loads(const sim::Machine& m, const net::Topology& t) {
+  std::vector<u64> loads;
+  for (net::NodeId u = 0; u < t.node_count(); ++u) {
+    for (const net::NodeId v : t.neighbors(u))
+      loads.push_back(m.edge_load(u, v));
+  }
+  return loads;
+}
+
+// Blocks ride dual_sort's schedule: the same cycles, messages and edge
+// loads as an interpreted dual_sort, on record and on replay. Ops are the
+// local sort's N*m plus, per network step, one compare and a 2m merge
+// per node.
 TEST_P(BlockSortTest, NetworkStepsMatchTheorem2PlusLocalSort) {
   const auto [n, block] = unpack(GetParam());
   const net::RecursiveDualCube r(n);
-  sim::Machine m(r);
-  auto data = random_values(r.node_count() * block, 5);
-  block_sort(m, r, data, block);
-  EXPECT_EQ(m.counters().comm_cycles, formulas::dual_sort_comm_exact(n))
-      << "blocks ride the same schedule as scalars";
-  EXPECT_EQ(m.counters().comp_steps, formulas::dual_sort_comp_exact(n) + 1);
+  const u64 nodes = r.node_count();
+  const u64 steps = formulas::dual_sort_comp_exact(n);
+  sim::Machine ref(r);
+  ref.set_schedule_path(sim::SchedulePath::kInterpreted);
+  ref.enable_edge_load();
+  auto keys = random_values(nodes, 5);
+  dual_sort(ref, r, keys);
+  sim::ScheduleCache::instance().clear();
+  for (const bool replay : {false, true}) {
+    SCOPED_TRACE(replay ? "replay" : "record");
+    sim::Machine m(r);
+    m.set_schedule_path(sim::SchedulePath::kCompiled);
+    m.enable_edge_load();
+    auto data = random_values(nodes * block, 5);
+    block_sort(m, r, data, block);
+    EXPECT_EQ(m.replayed_cycles() > 0, replay);
+    EXPECT_EQ(m.counters().comm_cycles, formulas::dual_sort_comm_exact(n));
+    EXPECT_EQ(m.counters().comp_steps, steps + 1);
+    EXPECT_EQ(m.counters().messages, ref.counters().messages);
+    EXPECT_EQ(edge_loads(m, r), edge_loads(ref, r));
+    EXPECT_EQ(m.counters().ops,
+              nodes * block + steps * nodes * (2 * block + 1));
+  }
 }
 
 std::vector<BlockCase> block_cases() {

@@ -121,11 +121,21 @@ TEST_P(AllgatherTest, EveryNodeEndsWithAllValues) {
   const unsigned n = GetParam();
   const net::DualCube d(n);
   sim::Machine m(d);
+  m.enable_edge_load();
   std::vector<u64> values(d.node_count());
   std::iota(values.begin(), values.end(), 1000);
   const auto out = collectives::dual_allgather(m, d, values);
   for (NodeId u = 0; u < d.node_count(); ++u) EXPECT_EQ(out[u], values);
   EXPECT_EQ(m.counters().comm_cycles, 2 * n) << "diameter-step schedule";
+  // Every node sends on every cycle and computes nothing; each cluster
+  // dimension and the cross-edge carry two of the 2n cycles.
+  EXPECT_EQ(m.counters().messages, 2 * n * d.node_count());
+  EXPECT_EQ(m.counters().comp_steps, 0u);
+  EXPECT_EQ(m.counters().ops, 0u);
+  for (NodeId u = 0; u < d.node_count(); ++u) {
+    for (const NodeId v : d.neighbors(u))
+      EXPECT_EQ(m.edge_load(u, v), 2u) << u << "->" << v;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Orders, AllgatherTest,

@@ -987,6 +987,8 @@ TEST(FaultTimelineSpec, MutantsParseInRangeOrThrowSimError) {
         for (const auto& w : t.drop_windows())
           EXPECT_LE(w.permille, 1000u) << spec;
         EXPECT_LE(t.max_concurrent_node_faults(), d.node_count()) << spec;
+        for (const std::uint64_t start : t.epoch_starts())
+          EXPECT_LT(start, FaultTimeline::kForever) << spec;
       });
 }
 
@@ -1169,6 +1171,23 @@ TEST(FaultTimelineTest, BuilderRejectsIllFormedSequences) {
   expect_sim_error(
       [] { FaultTimeline().drop_window(10, 0, 5).drop_window(20, 4, 9); },
       "drop windows overlap at cycle 4");
+  // kForever is the end of an interval that never closes, so no event
+  // happens at it.
+  expect_sim_error(
+      [] { FaultTimeline().node_down(3, kForever); },
+      "node 3 down@18446744073709551615: cycle 2^64-1 means never");
+  expect_sim_error(
+      [] { FaultTimeline().node_down(3, 2).node_up(3, kForever); },
+      "node 3 up@18446744073709551615: cycle 2^64-1 means never");
+  expect_sim_error(
+      [] { FaultTimeline().link_down(0, 1, kForever); },
+      "link 0-1 down@18446744073709551615: cycle 2^64-1 means never");
+  expect_sim_error(
+      [] { FaultTimeline().link_down(0, 1, 2).link_up(0, 1, kForever); },
+      "link 0-1 up@18446744073709551615: cycle 2^64-1 means never");
+  // A drop window may stay open to kForever without adding an epoch.
+  EXPECT_EQ(noisy_timeline(1, 10).epoch_starts(),
+            std::vector<std::uint64_t>{0});
 }
 
 TEST(FaultTimelineSpec, ParsesFullGrammar) {

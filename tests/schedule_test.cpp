@@ -946,24 +946,6 @@ TEST_F(ScheduleTest, FusedDualSortParityString) {
   expect_fused_sorts_parity(string_keys, 6);
 }
 
-// block_sort_aos runs the network at width 1 over heap-owning
-// std::vector<Key> elements, merging through per-node buffers: its fused
-// sweep must agree with the relay just the same.
-TEST_F(ScheduleTest, FusedBlockSortAosParity) {
-  for (unsigned order = 1; order <= 4; ++order) {
-    const net::RecursiveDualCube r(order);
-    for (const bool descending : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "RD_" << order
-                                      << " descending=" << descending);
-      expect_fused_sort_parity(
-          r, small_signed_keys(r.node_count() * 3, order), descending,
-          [&](Machine& m, std::vector<int>& keys) {
-            core::block_sort_aos(m, r, keys, 3, descending);
-          });
-    }
-  }
-}
-
 // Fused sweeps run their blocks concurrently on a multi-worker pool at
 // grain 1; the sweep must still match the single-threaded interpreted
 // run. The first machine records the schedule with dual_sort and
@@ -1196,58 +1178,91 @@ TEST_F(ScheduleTest, DualSortTieRuleIsPinnedOnEveryPath) {
   }
 }
 
-// The fused sweep reads partner u ^ (1<<j)'s block straight from the
-// plane. That stands in for the relay only if the compiled relay delivers
-// exactly that block: compose each dimension step's recorded senders,
-// reading the half BlockExchange::recv selects, and check every node's net
-// source. RD_7 is the benchmark's sort order.
+// The certificate of Algorithm 3's compiled schedule: with the directions
+// of detail::bitonic_keep_min, it is Batcher's bitonic sorting network on
+// 2^(2n-1) wires, so by the 0-1 principle it sorts every input.
+//   * Pairing: each dimension step's recorded senders compose, reading the
+//     half BlockExchange::recv selects, into every node's net source,
+//     which must be its partner u ^ 2^j. The fused sweep reads exactly
+//     that block straight from the plane.
+//   * Layers: the steps are the network's stages s = 0 .. 2n-2 in order,
+//     stage s comparing across dimensions s, s-1, ..., 0, and they use up
+//     every compiled cycle. Stage s is level k's half-merge (s = 2k-3) or
+//     its full merge (s = 2k-2).
+//   * Directions: the lower label u of each pair keeps the min iff bit s+1
+//     of u is clear, or at the last stage iff ascending order was asked
+//     for; its partner keeps the max. The combine reads this rule, and the
+//     in-place kernel reads it through detail::pass_direction.
+// block_sort replays the same schedule key with the same direction rule,
+// so the certificate covers it too. RD_7 is the benchmark's sort order.
 TEST_F(ScheduleTest, CompiledSortRelayDeliversEachNodesPartner) {
   for (unsigned order = 1; order <= 7; ++order) {
-    SCOPED_TRACE(testing::Message() << "RD_" << order);
-    const net::RecursiveDualCube r(order);
-    ScheduleCache::instance().clear();
-    Machine m(r);
-    m.set_schedule_path(SchedulePath::kCompiled);
-    auto keys = random_values(r.node_count(), order);
-    core::dual_sort(m, r, keys);
-    const auto sched = ScheduleCache::instance().find(
-        ScheduleKey{ObliviousSection::topology_identity(r),
-                    "dual_bitonic_network",
-                    {order},
-                    m.validating()});
-    ASSERT_NE(sched, nullptr);
+    for (const bool descending : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "RD_" << order
+                                      << " descending=" << descending);
+      const net::RecursiveDualCube r(order);
+      ScheduleCache::instance().clear();
+      Machine m(r);
+      m.set_schedule_path(SchedulePath::kCompiled);
+      auto keys = random_values(r.node_count(), order);
+      core::dual_sort(m, r, keys, descending);
+      const auto sched = ScheduleCache::instance().find(
+          ScheduleKey{ObliviousSection::topology_identity(r),
+                      "dual_bitonic_network",
+                      {order},
+                      m.validating()});
+      ASSERT_NE(sched, nullptr);
 
-    std::size_t next = 0;
-    const auto check_step = [&](unsigned j) {
-      const std::size_t cycles = j == 0 ? 1 : 3;
-      ASSERT_LE(next + cycles, sched->cycle_count());
-      const ScheduleCycle& c1 = sched->cycle(next);
-      // Relay: bit-0 value of the nodes with a direct dimension-j link
-      // (dimension_exchange_blocks); they keep cycle 2's first half, and
-      // the others read the second half returned on cycle 3.
-      const unsigned direct0 = j % 2 == 0 ? 0u : 1u;
-      for (net::NodeId u = 0; u < r.node_count(); ++u) {
-        net::NodeId src = kNoSender;
-        if (j == 0) {
-          src = c1.sender(u);
-        } else if (bits::get(u, 0) == direct0) {
-          src = sched->cycle(next + 1).sender(u);
-        } else {
-          const net::NodeId relay = sched->cycle(next + 2).sender(u);
-          ASSERT_NE(relay, kNoSender) << "j=" << j << " u=" << u;
-          const net::NodeId pair = sched->cycle(next + 1).sender(relay);
-          ASSERT_NE(pair, kNoSender) << "j=" << j << " u=" << u;
-          src = c1.sender(pair);
+      std::size_t next = 0;
+      const auto check_partners = [&](unsigned j) {
+        const std::size_t cycles = core::detail::relay_cycles(j);
+        ASSERT_LE(next + cycles, sched->cycle_count());
+        const ScheduleCycle& c1 = sched->cycle(next);
+        // Relay: bit-0 value of the nodes with a direct dimension-j link
+        // (dimension_exchange_blocks); they keep cycle 2's first half, and
+        // the others read the second half returned on cycle 3.
+        const unsigned direct0 = j % 2 == 0 ? 0u : 1u;
+        for (net::NodeId u = 0; u < r.node_count(); ++u) {
+          net::NodeId src = kNoSender;
+          if (j == 0) {
+            src = c1.sender(u);
+          } else if (bits::get(u, 0) == direct0) {
+            src = sched->cycle(next + 1).sender(u);
+          } else {
+            const net::NodeId relay = sched->cycle(next + 2).sender(u);
+            ASSERT_NE(relay, kNoSender) << "j=" << j << " u=" << u;
+            const net::NodeId pair = sched->cycle(next + 1).sender(relay);
+            ASSERT_NE(pair, kNoSender) << "j=" << j << " u=" << u;
+            src = c1.sender(pair);
+          }
+          ASSERT_EQ(src, bits::flip(u, j)) << "j=" << j << " u=" << u;
         }
-        ASSERT_EQ(src, bits::flip(u, j)) << "j=" << j << " u=" << u;
+        next += cycles;
+      };
+      const unsigned last = 2 * order - 2;
+      for (unsigned s = 0; s <= last; ++s) {
+        const bool half_merge = s % 2 == 1;
+        const unsigned k = half_merge ? (s + 3) / 2 : s / 2 + 1;
+        for (unsigned j = s + 1; j-- > 0;) {
+          ASSERT_NO_FATAL_FAILURE(check_partners(j)) << "s=" << s;
+          for (net::NodeId u = 0; u < r.node_count(); ++u) {
+            if (bits::get(u, j) != 0) continue;
+            const bool keep_min = core::detail::bitonic_keep_min(
+                u, j, k, order, half_merge, descending);
+            const bool batcher =
+                s == last ? !descending : bits::get(u, s + 1) == 0;
+            ASSERT_EQ(keep_min, batcher)
+                << "s=" << s << " j=" << j << " u=" << u;
+            ASSERT_NE(core::detail::bitonic_keep_min(
+                          bits::flip(u, j), j, k, order, half_merge,
+                          descending),
+                      keep_min)
+                << "s=" << s << " j=" << j << " u=" << u;
+          }
+        }
       }
-      next += cycles;
-    };
-    for (unsigned k = 1; k <= order; ++k) {
-      for (unsigned j = 2 * k - 2; j-- > 0;) check_step(j);
-      for (unsigned j = 2 * k - 1; j-- > 0;) check_step(j);
+      EXPECT_EQ(next, sched->cycle_count()) << "compiled cycles left over";
     }
-    EXPECT_EQ(next, sched->cycle_count());
   }
 }
 

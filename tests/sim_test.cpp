@@ -9,15 +9,12 @@
 #include <new>
 #include <thread>
 
-#include "collectives/allgather.hpp"
-#include "core/block_sort.hpp"
 #include "sim/machine.hpp"
 #include "sim/metrics.hpp"
 #include "sim/oblivious.hpp"
 #include "support/thread_pool.hpp"
 #include "topology/dual_cube.hpp"
 #include "topology/hypercube.hpp"
-#include "topology/recursive_dual_cube.hpp"
 
 // Allocation counter backing the zero-allocation steady-state tests below.
 // Replacing the global (unaligned) operator new/delete pair is enough: all
@@ -524,56 +521,6 @@ TEST(Machine, InterpretedBlockExchangeDoesNotAllocate) {
   EXPECT_EQ(g_allocation_count.load(), before);
   EXPECT_EQ(delivered, 4u * q.dimensions() * q.node_count());
   EXPECT_EQ(m.replayed_cycles(), 0u);
-}
-
-// Per-directed-edge load vector in a deterministic (CSR) order.
-std::vector<std::uint64_t> all_edge_loads(const Machine& m,
-                                          const net::Topology& t) {
-  std::vector<std::uint64_t> loads;
-  for (net::NodeId u = 0; u < t.node_count(); ++u) {
-    for (const net::NodeId v : t.neighbors(u)) loads.push_back(m.edge_load(u, v));
-  }
-  return loads;
-}
-
-TEST(Machine, BlockSortSoAMatchesAoS) {
-  const net::RecursiveDualCube r(2);
-  const std::size_t block = 4;
-  std::vector<u64> data(r.node_count() * block);
-  for (std::size_t i = 0; i < data.size(); ++i)
-    data[i] = (i * 2654435761ull) % 997;
-
-  Machine aos(r);
-  aos.enable_edge_load();
-  auto a = data;
-  core::block_sort_aos(aos, r, a, block);
-
-  Machine soa(r);
-  soa.enable_edge_load();
-  auto s = data;
-  core::block_sort(soa, r, s, block);
-
-  EXPECT_EQ(s, a);
-  EXPECT_EQ(soa.counters(), aos.counters());
-  EXPECT_EQ(all_edge_loads(soa, r), all_edge_loads(aos, r));
-}
-
-TEST(Machine, DualAllgatherSoAMatchesAoS) {
-  const net::DualCube d(3);
-  std::vector<u64> values(d.node_count());
-  for (std::size_t u = 0; u < values.size(); ++u) values[u] = u * 10 + 7;
-
-  Machine aos(d);
-  aos.enable_edge_load();
-  const auto a = collectives::dual_allgather_aos(aos, d, values);
-
-  Machine soa(d);
-  soa.enable_edge_load();
-  const auto s = collectives::dual_allgather(soa, d, values);
-
-  EXPECT_EQ(s, a);
-  EXPECT_EQ(soa.counters(), aos.counters());
-  EXPECT_EQ(all_edge_loads(soa, d), all_edge_loads(aos, d));
 }
 
 TEST(Machine, ArenaReuseAcrossPayloadTypesDoesNotAllocate) {

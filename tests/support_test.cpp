@@ -201,51 +201,31 @@ TEST(ParallelFor, PropagatesExceptions) {
       std::runtime_error);
 }
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // the destructor completes pending tasks before joining
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, ExecutesTasksInSubmissionOrder) {
-  std::atomic<bool> release{false};
-  std::vector<int> order;
-  constexpr int kTasks = 16;
-  {
-    ThreadPool pool(1);  // one worker makes FIFO order observable
-    // Park the worker so every numbered task is queued before any runs.
-    pool.submit([&] {
-      while (!release.load()) std::this_thread::yield();
-    });
-    for (int i = 0; i < kTasks; ++i) {
-      pool.submit([&, i] { order.push_back(i); });
-    }
-    release.store(true);
-  }  // join synchronizes: the single worker wrote `order` in queue order
-  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  }
-}
-
 TEST(ThreadPool, WorkerSlotIsZeroForNonWorkers) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.worker_slot(), 0u);
   ThreadPool other(2);
-  // A worker of one pool is not a worker of another.
-  std::atomic<std::size_t> cross_slot{99};
-  std::atomic<bool> done{false};
-  pool.submit([&] {
-    cross_slot.store(other.worker_slot());
-    done.store(true);
-  });
-  while (!done.load()) std::this_thread::yield();
-  EXPECT_EQ(cross_slot.load(), 0u);
+  // A worker of one pool is not a worker of another. The caller's chunk
+  // waits (up to a deadline) until a worker has run one, so the job
+  // really reaches a worker.
+  std::atomic<std::size_t> worker_chunks{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  parallel_for_chunked(
+      0, 12,
+      [&](std::size_t, std::size_t) {
+        if (pool.worker_slot() == 0) {
+          while (worker_chunks.load() == 0 &&
+                 std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+          return;
+        }
+        EXPECT_LE(pool.worker_slot(), pool.size());
+        EXPECT_EQ(other.worker_slot(), 0u);
+        worker_chunks.fetch_add(1);
+      },
+      /*grain=*/1, &pool);
+  EXPECT_GT(worker_chunks.load(), 0u);
 }
 
 // A worker that woke for one job may enter it only after the caller has
