@@ -125,20 +125,30 @@ void BM_CubeBitonicSort(benchmark::State& state) {
 }
 BENCHMARK(BM_CubeBitonicSort)->DenseRange(3, 9, 2)->Unit(benchmark::kMicrosecond);
 
+// Block sort on RD_3 at width m. Each run sorts the next of several
+// distinct key sets drawn up front (a pool of 2^17 keys, at least two
+// sets), so that no branch predictor learns one run's merges.
 void BM_BlockSort(benchmark::State& state) {
   const unsigned n = 3;
   const std::size_t block = static_cast<std::size_t>(state.range(0));
   const dc::net::RecursiveDualCube r(n);
-  const auto input = dc::generate_keys(dc::KeyDistribution::kUniform,
-                                       r.node_count() * block, 3);
+  const std::size_t size = r.node_count() * block;
+  const std::size_t sets =
+      std::max<std::size_t>(2, (std::size_t{1} << 17) / size);
+  const auto pool =
+      dc::generate_keys(dc::KeyDistribution::kUniform, sets * size, 3);
+  std::vector<u64> keys(size);
+  std::size_t set = 0;
   for (auto _ : state) {
-    auto keys = input;
+    const auto first = pool.begin() + static_cast<std::ptrdiff_t>(set * size);
+    keys.assign(first, first + static_cast<std::ptrdiff_t>(size));
     dc::sim::Machine m(r);
     dc::core::block_sort(m, r, keys, block);
     benchmark::DoNotOptimize(keys.data());
+    set = (set + 1) % sets;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(input.size()));
+                          static_cast<std::int64_t>(size));
 }
 BENCHMARK(BM_BlockSort)->RangeMultiplier(8)->Range(1, 512)->Unit(benchmark::kMicrosecond);
 
@@ -159,35 +169,41 @@ void BM_BlockPrefix(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockPrefix)->RangeMultiplier(8)->Range(1, 512)->Unit(benchmark::kMicrosecond);
 
-// Raw merge-split kernel throughput (no simulator): two sorted width-m key
-// blocks, alternating keep-min / keep-max so both directions are measured.
-// Uniform random blocks interleave, so the disjoint fast path stays cold
-// and the merge loop itself is what's timed.
+// Raw merge-split kernel throughput (no simulator): distinct pairs of
+// sorted width-m key blocks, cycled through so that no branch predictor
+// learns a merge, alternating keep-min / keep-max so both directions are
+// measured. The pairs fill a fixed pool of 2^17 keys (1 MiB of u64): 8,192
+// pairs at width 8, 128 at width 512. Uniform random blocks interleave, so
+// the disjoint fast path stays cold and the merge itself is what's timed.
 template <typename Key>
 void merge_split_bench(benchmark::State& state) {
   const std::size_t width = static_cast<std::size_t>(state.range(0));
-  const auto ka = dc::generate_keys(dc::KeyDistribution::kUniform, width, 5);
-  const auto kb = dc::generate_keys(dc::KeyDistribution::kUniform, width, 7);
-  std::vector<Key> a(ka.begin(), ka.end());
-  std::vector<Key> b(kb.begin(), kb.end());
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
+  const std::size_t pairs = (std::size_t{1} << 16) / width;
+  const auto keys =
+      dc::generate_keys(dc::KeyDistribution::kUniform, 2 * pairs * width, 5);
+  std::vector<Key> blocks(keys.begin(), keys.end());
+  for (auto it = blocks.begin(); it != blocks.end();
+       it += static_cast<std::ptrdiff_t>(width)) {
+    std::sort(it, it + static_cast<std::ptrdiff_t>(width));
+  }
   std::vector<Key> out(width);
+  std::size_t pair = 0;
   bool keep_min = true;
   for (auto _ : state) {
-    dc::core::detail::merge_split(a.data(), b.data(), width, keep_min,
-                                  out.data());
+    const Key* a = blocks.data() + 2 * pair * width;
+    dc::core::detail::merge_split(a, a + width, width, keep_min, out.data());
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
     keep_min = !keep_min;
+    pair = (pair + 1) % pairs;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(width));
 }
 
-// 8-byte keys — what block_sort actually merges. Always the scalar
-// two-pointer path (the vector dispatcher declines 8-byte keys; AVX2 has
-// no 64-bit min/max and the network measured ~2x slower).
+// 8-byte keys — what block_sort actually merges. Always the scalar select
+// chains: the vector dispatcher declines 8-byte keys, since AVX2 has no
+// 64-bit min/max.
 void BM_MergeSplit(benchmark::State& state) {
   merge_split_bench<u64>(state);
 }

@@ -166,6 +166,22 @@ void setup_machine(dc::sim::Machine& m, const std::string& label) {
   }
 }
 
+/// Report assembly: `m` is the measured run, so its counters, cache
+/// snapshot and fault observations are the report's. A run that fails
+/// calls this before its machine unwinds.
+void note_measured_run(const dc::sim::Machine& m) {
+  g_report.counters = m.counters();
+  g_report.cache = dc::sim::ScheduleCache::instance().stats();
+  g_report.reconciled = {"measured"};
+  if (g_profiler) {
+    g_report.has_imbalance = true;
+    g_report.imbalance = g_profiler->summary();
+  }
+  g_report.fault.active = g_report.fault.active || m.has_faults();
+  g_report.fault.epochs = m.fault_epochs_seen();
+  g_report.fault.rejoins = m.fault_rejoins();
+}
+
 /// One-table end-of-run summary: schedule-cache statistics plus this
 /// machine's fault counters (degrade-policy runs used to scatter these
 /// across prints). Also publishes the machine's gauges into the metrics
@@ -202,19 +218,7 @@ void print_run_summary(const dc::sim::Machine& m) {
     g_report.hot_edges = hot;
   }
   m.publish_metrics();
-
-  // Report assembly: this machine is the measured run, so its counters,
-  // cache snapshot and fault observations are the report's.
-  g_report.counters = c;
-  g_report.cache = cache;
-  g_report.reconciled = {"measured"};
-  if (g_profiler) {
-    g_report.has_imbalance = true;
-    g_report.imbalance = g_profiler->summary();
-  }
-  g_report.fault.active = g_report.fault.active || m.has_faults();
-  g_report.fault.epochs = m.fault_epochs_seen();
-  g_report.fault.rejoins = m.fault_rejoins();
+  note_measured_run(m);
 }
 
 void print_schedule_path(const dc::sim::Machine& m) {
@@ -262,6 +266,19 @@ void print_fault_report(const dc::sim::FaultPlan& plan,
   std::cout << "\n";
 }
 
+/// The run report's record of what the self-healing driver did.
+void note_recovery(const dc::sim::RecoveryDriver& drv,
+                   const dc::sim::Machine& m) {
+  const auto& rep = drv.report();
+  g_report.fault.active = true;
+  g_report.fault.retries = rep.retries;
+  g_report.fault.replans = rep.replans;
+  g_report.fault.backoff_cycles = rep.backoff_cycles;
+  g_report.fault.current_epoch =
+      drv.timeline().epoch_of(m.counters().comm_cycles);
+  g_report.fault.epoch_starts = drv.timeline().epoch_starts();
+}
+
 /// One-table view of what the self-healing driver actually did, plus the
 /// machine's timeline observations (epochs/rejoins) for the same run.
 void print_recovery_report(const dc::sim::RecoveryDriver& drv,
@@ -283,14 +300,7 @@ void print_recovery_report(const dc::sim::RecoveryDriver& drv,
   t.add("extra hops beyond one link", rep.transport.rerouted_hops);
   t.add("BFS fallback routes", rep.transport.bfs_fallbacks);
   std::cout << t;
-
-  g_report.fault.active = true;
-  g_report.fault.retries = rep.retries;
-  g_report.fault.replans = rep.replans;
-  g_report.fault.backoff_cycles = rep.backoff_cycles;
-  g_report.fault.current_epoch =
-      drv.timeline().epoch_of(m.counters().comm_cycles);
-  g_report.fault.epoch_starts = drv.timeline().epoch_starts();
+  note_recovery(drv, m);
 }
 
 /// A refusal: prints its one line and records it in the run report
@@ -777,7 +787,15 @@ int run_with_timeline(const Algo* a, const Params& p, const std::string& spec,
     dc::sim::Machine m(topo);
     setup_machine(m, "measured");
     dc::sim::RecoveryDriver drv(m, tl, rp);
-    const bool ok = a->resilient(drv, p, std::cout);
+    bool ok = false;
+    try {
+      ok = a->resilient(drv, p, std::cout);
+    } catch (const dc::sim::FaultError&) {
+      // The report keeps what the run did before the machine unwinds.
+      note_recovery(drv, m);
+      note_measured_run(m);
+      throw;
+    }
     print_recovery_report(drv, m);
     print_counters(m.counters());
     print_run_summary(m);

@@ -17,10 +17,18 @@
 // are dual_sort's (asserted in block_test), and its schedule is certified
 // as Batcher's bitonic network (schedule_test).
 //
+// Both local kernels run without data-dependent branches. The local sort
+// of integral keys at a power-of-two width runs Batcher's network on each
+// block through dual_sort's in-place bitonic step kernel (AVX2 for 8-byte
+// keys); other keys and widths take std::sort. A merge-split that no
+// vector kernel covers and no disjoint fast path settles runs the
+// two-pointer merge as two independent select chains: one from the block
+// ends, one from the merge-path co-rank of the kept half's midpoint.
+//
 // Cost: the same 6n²−7n+2 communication cycles as Algorithm 3 (each cycle
-// now carries a block) plus ceil(log2 m)·m-ish local work per merge,
-// counted via add_ops; computation steps stay 2n²−n parallel rounds plus
-// the initial local sort round.
+// now carries a block); computation steps stay 2n²−n parallel rounds plus
+// the initial local sort round. add_ops charges m per node for the local
+// sort and 2m per node for each merge-split, whatever kernel runs.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +36,7 @@
 
 #include "core/dual_sort.hpp"
 #include "sim/simd.hpp"
+#include "support/bits.hpp"
 
 namespace dc::core {
 
@@ -35,12 +44,13 @@ namespace detail {
 
 /// Merge-split over sorted strides: writes the lower (keep_min) or upper
 /// `width` keys of merge(a, b) into out (out must not alias a or b). The
-/// kept half is computed directly — two-pointer from the fronts for the
-/// min side, from the backs for the max side — so no 2*width scratch is
-/// materialized. Integral key widths the active ISA covers take the
-/// vectorized bitonic kernel (sim/simd.hpp); the output is bit-identical
-/// either way, since the kept half of a merge is a pure function of the
-/// input multiset.
+/// result is the kept half of the two-pointer scan — from the fronts for
+/// the min side, which takes a's key on ties, and from the backs for the
+/// max side, which keeps a's key on ties — computed directly, so no
+/// 2*width scratch is materialized. Integral key widths the active ISA
+/// covers take the vectorized merge network (sim/simd.hpp); the output is
+/// bit-identical either way, since the kept half of a merge is a pure
+/// function of the input multiset.
 ///
 /// Disjoint fast path: when the two blocks don't interleave (one's last key
 /// orders before the other's first), the kept half is one of the inputs
@@ -73,20 +83,93 @@ void merge_split(const Key* a, const Key* b, std::size_t width, bool keep_min,
     }
   }
   if (sim::simd::merge_split(a, b, width, keep_min, out)) return;
+  // Two independent branch-free chains of the two-pointer merge: one from
+  // the ends that bound the kept half, one from the merge-path co-rank of
+  // its midpoint h (how many a keys lie among the h outputs nearest that
+  // end, a winning ties), found by binary search. Each step selects a
+  // source pointer, so a key is copied once, and both chains keep fewer
+  // than `width` keys consumed, so no step tests a bound.
+  const std::size_t h = width / 2;
+  // The co-rank r lies in [lo, lo + span); each probe halves the span.
+  std::size_t lo = 0;
   if (keep_min) {
-    std::size_t ia = 0, ib = 0;
-    for (std::size_t k = 0; k < width; ++k) {
-      // ia and ib never both reach width before out fills up.
-      const bool take_a = ib == width || (ia < width && !(b[ib] < a[ia]));
-      out[k] = take_a ? a[ia++] : b[ib++];
+    // Outputs [0, h) from the fronts, [h, width) from the co-rank.
+    for (std::size_t span = h + 1; span > 1; span -= span / 2) {
+      const std::size_t mid = lo + span / 2;  // is a[mid-1] in the first h?
+      lo = b[h - mid] < a[mid - 1] ? lo : mid;
     }
+    const Key* a1 = a;
+    const Key* b1 = b;
+    const Key* a2 = a + lo;
+    const Key* b2 = b + (h - lo);
+    for (std::size_t k = 0; k < h; ++k) {
+      const bool take_b1 = *b1 < *a1;
+      const bool take_b2 = *b2 < *a2;
+      out[k] = *(take_b1 ? b1 : a1);
+      out[h + k] = *(take_b2 ? b2 : a2);
+      b1 += take_b1;
+      a1 += !take_b1;
+      b2 += take_b2;
+      a2 += !take_b2;
+    }
+    if (width % 2 != 0) out[width - 1] = *(*b2 < *a2 ? b2 : a2);
   } else {
-    std::size_t ia = width, ib = width;
-    for (std::size_t k = width; k-- > 0;) {
-      const bool take_a = ib == 0 || (ia > 0 && !(a[ia - 1] < b[ib - 1]));
-      out[k] = take_a ? a[--ia] : b[--ib];
+    // Mirrored from the backs; each pointer sits one past its next key.
+    for (std::size_t span = h + 1; span > 1; span -= span / 2) {
+      const std::size_t mid = lo + span / 2;  // is a[width-mid] in the last h?
+      lo = a[width - mid] < b[width - 1 - h + mid] ? lo : mid;
+    }
+    const Key* a1 = a + width;
+    const Key* b1 = b + width;
+    const Key* a2 = a1 - lo;
+    const Key* b2 = b1 - (h - lo);
+    for (std::size_t k = width; k-- > width - h;) {
+      const bool take_a1 = !(a1[-1] < b1[-1]);
+      const bool take_a2 = !(a2[-1] < b2[-1]);
+      out[k] = *(take_a1 ? a1 - 1 : b1 - 1);
+      out[k - h] = *(take_a2 ? a2 - 1 : b2 - 1);
+      a1 -= take_a1;
+      b1 -= !take_a1;
+      a2 -= take_a2;
+      b2 -= !take_a2;
+    }
+    if (width % 2 != 0) out[0] = *(a2[-1] < b2[-1] ? b2 - 1 : a2 - 1);
+  }
+}
+
+/// The local sort: one parallel computation step that sorts every node's
+/// stride of the node-major plane in place, charging m ops per node.
+/// Integral keys at a power-of-two width m = 2^L run Batcher's network
+/// through the in-place bitonic step kernel, a chunk of whole blocks at a
+/// time: merge pass s (s = 0 .. L-1) runs steps s .. 0 over the chunk's
+/// pairs, its runs of 2^(s+1) keys alternating direction by index bit s+1
+/// until the last pass sorts every block ascending. Each chunk's pair range
+/// is a multiple of 2^(L-1) >= 2^s, as a multi-step run needs. Every other
+/// key type and width takes std::sort; integral keys that compare equal
+/// are the same bits, so both write the same bytes.
+template <typename Key>
+void sort_blocks(sim::Machine& m, std::vector<Key>& data, std::size_t block) {
+  if constexpr (std::is_integral_v<Key>) {
+    if (bits::is_pow2(block)) {
+      const unsigned levels = bits::log2_floor(block);
+      m.compute_step_chunked([&](std::size_t lo, std::size_t hi) {
+        Key* const keys = data.data() + lo * block;
+        const std::uint64_t pairs = (hi - lo) * block / 2;
+        for (unsigned s = 0; s < levels; ++s) {
+          sim::simd::bitonic_steps(
+              keys, s, 0, 0, pairs,
+              s + 1 < levels ? bits::pow2(s + 1) : std::uint64_t{0}, false);
+        }
+        m.add_ops((hi - lo) * block);
+      });
+      return;
     }
   }
+  m.compute_step([&](net::NodeId u) {
+    std::sort(data.begin() + static_cast<std::ptrdiff_t>(u * block),
+              data.begin() + static_cast<std::ptrdiff_t>((u + 1) * block));
+    m.add_ops(block);
+  });
 }
 
 }  // namespace detail
@@ -103,13 +186,7 @@ void block_sort(sim::Machine& m, const net::RecursiveDualCube& r,
   DC_REQUIRE(data.size() == r.node_count() * block,
              "data size must be node_count * block");
 
-  // The caller's node-major layout is already the SoA plane; sort each
-  // node's stride in place (one parallel computation step of m log m work).
-  m.compute_step([&](net::NodeId u) {
-    std::sort(data.begin() + static_cast<std::ptrdiff_t>(u * block),
-              data.begin() + static_cast<std::ptrdiff_t>((u + 1) * block));
-    m.add_ops(block);
-  });
+  detail::sort_blocks(m, data, block);
 
   // Network phase: Algorithm 3 with merge-split combines over strides.
   dual_bitonic_network(

@@ -3,12 +3,14 @@
 // The compiled-schedule replay path (sim/machine.hpp) and the sorting and
 // block algorithms (core/dual_sort.hpp, core/block_sort.hpp,
 // core/block_prefix.hpp) spend their cycles in four tight loops: the
-// receiver-major plane gather, the in-place bitonic compare-exchange of a
-// replayed dual_sort, the sorted merge-split, and the row-wise prefix
-// combine. This header implements them as explicit SIMD kernels — AVX2 on
-// x86-64 (all four), NEON on AArch64 (merge-split and row combine) —
-// behind one runtime dispatch point, with a portable scalar fallback that
-// is the reference semantics.
+// receiver-major plane gather, the in-place bitonic compare-exchange (a
+// replayed dual_sort's network and block_sort's local sort of each block),
+// the sorted merge-split of 4-byte keys, and the row-wise prefix combine.
+// This header implements them as explicit SIMD kernels — AVX2 on x86-64
+// (all four), NEON on AArch64 (merge-split and row combine) — behind one
+// runtime dispatch point, with a portable scalar fallback that is the
+// reference semantics. The merge-split of 8-byte keys has no kernel here;
+// core/block_sort.hpp runs it as two branch-free scalar select chains.
 //
 // Dispatch. active_isa() resolves once per process from the DC_SIMD
 // environment variable (auto | avx2 | neon | scalar — mirroring
@@ -210,13 +212,11 @@ __attribute__((target("avx2"))) inline void storeu(void* p, __m256i v) {
 }
 
 // ---- 32-bit lane helpers (8 lanes per __m256i) ---------------------------
-// There is no 64-bit merge network here on purpose: AVX2 lacks 64-bit
-// min/max (they arrive with AVX-512F), so each 4-lane minmax costs a
-// cmpgt_epi64 plus two blendv's (plus a sign-bias XOR pair for unsigned
-// keys). Measured on this shape, that network runs 2.0-2.6x SLOWER than
-// the branchless scalar two-pointer merge — so 8-byte keys always take the
-// scalar path and only 4-byte keys (native min_epi32/min_epu32, 8 lanes)
-// are vectorized.
+// There is no 64-bit merge network here: AVX2 lacks 64-bit min/max (they
+// arrive with AVX-512F), so each 4-lane minmax would cost a cmpgt_epi64
+// plus two blendv's (plus a sign-bias XOR pair for unsigned keys). Only
+// 4-byte keys (native min_epi32/min_epu32, 8 lanes) are vectorized; 8-byte
+// keys take core/block_sort.hpp's two branch-free scalar select chains.
 
 template <bool kSigned>
 __attribute__((target("avx2"))) inline void minmax32(__m256i& x, __m256i& y) {
@@ -638,10 +638,10 @@ inline void add_rows_u64(std::uint64_t* cur, const std::uint64_t* prev,
 /// them). Returns false — without touching out — when no vector kernel
 /// covers (Key, width, active ISA); the caller then runs its scalar
 /// reference. Handled today: integral 4-byte keys at width % 8 == 0 on
-/// AVX2 and width % 4 == 0 on NEON. 8-byte keys always decline — without
-/// native 64-bit min/max (AVX-512F) the bitonic network measures 2x slower
-/// than the scalar merge. Output is bit-identical to the scalar two-pointer
-/// merge-split.
+/// AVX2 and width % 4 == 0 on NEON. 8-byte keys always decline: without
+/// native 64-bit min/max (AVX-512F) there is no merge network for them,
+/// and the caller's branch-free select chains merge them. Output is
+/// bit-identical to the scalar two-pointer merge-split.
 template <typename Key>
 inline bool merge_split(const Key* a, const Key* b, std::size_t width,
                         bool keep_min, Key* out) {
@@ -774,6 +774,8 @@ inline void bitonic_steps(Key* keys, unsigned top, unsigned bottom,
 /// then steps 2, 1, 0 together on 8-node tiles in registers. Every other
 /// key and ISA runs the scalar reference. Integral keys that compare equal
 /// are the same bits, so every kernel writes the bytes the reference does.
+/// Callers: a replayed dual_sort's merge passes over nodes, and
+/// block_sort's local sort, whose "nodes" are the keys of whole blocks.
 template <typename Key>
 inline void bitonic_steps(Key* keys, unsigned top, unsigned bottom,
                           std::uint64_t p_lo, std::uint64_t p_hi,

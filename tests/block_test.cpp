@@ -146,6 +146,15 @@ std::vector<BlockCase> block_cases() {
           {.n = 3, .block = 8}, {.n = 4, .block = 4}};
 }
 
+// The block sort also runs the block sort benchmark's shape, RD_4 at width
+// 256. The block prefix does not: its Concat scan would hold 32,768 strings
+// of up to 32,768 characters twice over (1.7 GiB).
+std::vector<BlockCase> block_sort_cases() {
+  auto cases = block_cases();
+  cases.push_back({.n = 4, .block = 256});
+  return cases;
+}
+
 INSTANTIATE_TEST_SUITE_P(Cases, BlockPrefixTest,
                          ::testing::ValuesIn(block_cases()),
                          [](const auto& param_info) {
@@ -153,7 +162,7 @@ INSTANTIATE_TEST_SUITE_P(Cases, BlockPrefixTest,
                                   "_m" + std::to_string(param_info.param.block);
                          });
 INSTANTIATE_TEST_SUITE_P(Cases, BlockSortTest,
-                         ::testing::ValuesIn(block_cases()),
+                         ::testing::ValuesIn(block_sort_cases()),
                          [](const auto& param_info) {
                            return "D" + std::to_string(param_info.param.n) +
                                   "_m" + std::to_string(param_info.param.block);
@@ -166,6 +175,76 @@ TEST(BlockPrefix, BlockOfOneEqualsDualPrefix) {
   sim::Machine m1(d);
   sim::Machine m2(d);
   EXPECT_EQ(block_prefix(m1, d, op, data, 1), dual_prefix(m2, d, op, data));
+}
+
+// A record ordered by its key alone, so equal keys with different tags
+// show which input a merge took.
+struct Tagged {
+  unsigned key;
+  unsigned tag;
+  bool operator<(const Tagged& o) const { return key < o.key; }
+  bool operator==(const Tagged&) const = default;
+};
+
+// The two-pointer merge-split that detail::merge_split's select chains
+// replace: the min side scans from the fronts and takes a's key on ties,
+// the max side scans from the backs and keeps a's key on ties.
+std::vector<Tagged> two_pointer_merge_split(const std::vector<Tagged>& a,
+                                            const std::vector<Tagged>& b,
+                                            bool keep_min) {
+  const std::size_t width = a.size();
+  std::vector<Tagged> out(width);
+  if (keep_min) {
+    std::size_t ia = 0, ib = 0;
+    for (std::size_t k = 0; k < width; ++k) {
+      const bool take_a = ib == width || (ia < width && !(b[ib] < a[ia]));
+      out[k] = take_a ? a[ia++] : b[ib++];
+    }
+  } else {
+    std::size_t ia = width, ib = width;
+    for (std::size_t k = width; k-- > 0;) {
+      const bool take_a = ib == 0 || (ia > 0 && !(a[ia - 1] < b[ib - 1]));
+      out[k] = take_a ? a[--ia] : b[--ib];
+    }
+  }
+  return out;
+}
+
+// On sorted blocks with heavy ties, detail::merge_split keeps exactly the
+// records of the two-pointer scan at every width, odd and even, on both
+// sides: interleaved, disjoint and touching blocks alike.
+TEST(BlockSort, MergeSplitKeepsTheTwoPointerTieRuleAtEveryWidth) {
+  std::vector<std::size_t> widths = {255, 256, 257};
+  for (std::size_t w = 1; w <= 40; ++w) widths.push_back(w);
+  Rng rng(17);
+  for (const std::size_t width : widths) {
+    for (const u64 range : {u64{1}, u64{2}, u64{3}, u64{width / 2 + 1},
+                            u64{2 * width + 3}}) {
+      for (int trial = 0; trial < 12; ++trial) {
+        // An offset on one side makes some pairs touch or stay disjoint.
+        const u64 shift = rng.below(3) == 0 ? rng.below(range + 1) : 0;
+        std::vector<Tagged> a(width), b(width);
+        for (std::size_t i = 0; i < width; ++i) {
+          a[i].key = static_cast<unsigned>(rng.below(range) + shift);
+          b[i].key = static_cast<unsigned>(rng.below(range));
+        }
+        if (trial % 2 == 1) std::swap(a, b);
+        std::sort(a.begin(), a.end());
+        std::sort(b.begin(), b.end());
+        for (std::size_t i = 0; i < width; ++i) {
+          a[i].tag = static_cast<unsigned>(i);
+          b[i].tag = static_cast<unsigned>(1000 + i);
+        }
+        for (const bool keep_min : {true, false}) {
+          std::vector<Tagged> got(width);
+          detail::merge_split(a.data(), b.data(), width, keep_min, got.data());
+          ASSERT_EQ(got, two_pointer_merge_split(a, b, keep_min))
+              << "width " << width << " range " << range << " trial "
+              << trial << (keep_min ? " keep-min" : " keep-max");
+        }
+      }
+    }
+  }
 }
 
 TEST(BlockSort, RejectsBadSizes) {

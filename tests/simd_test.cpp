@@ -13,6 +13,7 @@
 #include <limits>
 #include <new>
 #include <numeric>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -160,8 +161,8 @@ TEST(Simd, MergeSplitDispatcherDeclinesUncoveredShapes) {
   dc::u32 out[7] = {99, 99, 99, 99, 99, 99, 99};
   EXPECT_FALSE(simd::merge_split(a, b, 7, true, out));
   for (const auto v : out) EXPECT_EQ(v, 99u);
-  // 8-byte keys always decline — no 64-bit min/max below AVX-512, and the
-  // blendv-based network measured slower than the scalar merge.
+  // 8-byte keys always decline — no 64-bit min/max below AVX-512; the
+  // caller's scalar select chains merge them.
   dc::u64 wa[8] = {1, 2, 3, 4, 5, 6, 7, 8};
   dc::u64 wb[8] = {1, 2, 3, 4, 5, 6, 7, 8};
   dc::u64 wout[8] = {99, 99, 99, 99, 99, 99, 99, 99};
@@ -244,28 +245,61 @@ TEST(Simd, ForceIsaRefusesUnsupportedAndKeepsCurrentChoice) {
   EXPECT_EQ(simd::active_isa(), before);
 }
 
-// End-to-end: the block sort must produce identical keys, Counters and edge
-// loads whether its merge-splits run scalar or vectorized.
-TEST(Simd, BlockSortEndToEndParityAcrossIsas) {
-  const auto isas = vector_isas();
-  if (isas.empty()) GTEST_SKIP() << "no vector ISA on this binary/CPU";
+// Runs block_sort on `input` under the scalar ISA and under each vector
+// ISA: the keys must come out sorted, the same on every ISA, with the same
+// Counters.
+template <typename Key>
+void expect_block_sort_isa_parity(const std::vector<Key>& input,
+                                  std::size_t block) {
   const net::RecursiveDualCube r(2);
-  for (const std::size_t block : {std::size_t{8}, std::size_t{64}}) {
-    const auto input = dc::generate_keys(dc::KeyDistribution::kFewDistinct,
-                                         r.node_count() * block, 5);
-    ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
-    Machine ms(r);
-    auto scalar_keys = input;
-    core::block_sort(ms, r, scalar_keys, block);
-    for (const simd::Isa isa : isas) {
-      ASSERT_TRUE(simd::force_isa(isa));
-      Machine mv(r);
-      auto vector_keys = input;
-      core::block_sort(mv, r, vector_keys, block);
-      EXPECT_EQ(vector_keys, scalar_keys) << simd::isa_name(isa);
-      EXPECT_EQ(mv.counters(), ms.counters());
-    }
+  auto want = input;
+  std::sort(want.begin(), want.end());
+  ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
+  Machine ms(r);
+  auto scalar_keys = input;
+  core::block_sort(ms, r, scalar_keys, block);
+  simd::clear_forced_isa();
+  EXPECT_EQ(scalar_keys, want);
+  for (const simd::Isa isa : vector_isas()) {
+    ASSERT_TRUE(simd::force_isa(isa));
+    Machine mv(r);
+    auto vector_keys = input;
+    core::block_sort(mv, r, vector_keys, block);
     simd::clear_forced_isa();
+    EXPECT_EQ(vector_keys, scalar_keys) << simd::isa_name(isa);
+    EXPECT_EQ(mv.counters(), ms.counters()) << simd::isa_name(isa);
+  }
+}
+
+// End-to-end: block_sort's local sort runs the bitonic step kernel on
+// integral keys at power-of-two widths and std::sort at other widths and
+// on other keys, and its merge-splits run the 4-byte vector merge or the
+// scalar select chains. Every ISA must sort to the same bytes with the
+// same Counters, for signed and unsigned 8-byte keys, 4-byte keys and
+// strings, with and without ties.
+TEST(Simd, BlockSortEndToEndParityAcrossIsas) {
+  const std::size_t nodes = net::RecursiveDualCube(2).node_count();
+  // The kernel's widths, then std::sort's.
+  for (const std::size_t block :
+       {std::size_t{2}, std::size_t{4}, std::size_t{8}, std::size_t{64},
+        std::size_t{256}, std::size_t{3}, std::size_t{100}}) {
+    for (const auto dist :
+         {dc::KeyDistribution::kUniform, dc::KeyDistribution::kFewDistinct}) {
+      SCOPED_TRACE("block " + std::to_string(block) + " " + to_string(dist));
+      const auto raw = dc::generate_keys(dist, nodes * block, block);
+      std::vector<std::int64_t> signed_keys(raw.size());
+      std::vector<dc::u32> narrow_keys(raw.size());
+      std::vector<std::string> string_keys(raw.size());
+      for (std::size_t i = 0; i < raw.size(); ++i) {
+        signed_keys[i] = static_cast<std::int64_t>(raw[i]);
+        narrow_keys[i] = static_cast<dc::u32>(raw[i]);
+        string_keys[i] = std::to_string(raw[i]);
+      }
+      expect_block_sort_isa_parity(raw, block);
+      expect_block_sort_isa_parity(signed_keys, block);
+      expect_block_sort_isa_parity(narrow_keys, block);
+      expect_block_sort_isa_parity(string_keys, block);
+    }
   }
 }
 
