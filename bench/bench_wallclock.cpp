@@ -481,8 +481,10 @@ BENCHMARK(BM_ParallelFor)
 
 // Writes every finished run (including repetition aggregates such as
 // "_median") to a machine-readable JSON array: one object per run with
-// "name", "ns_per_op" and "items_per_sec". The destination defaults to
-// BENCH_sim.json in the working directory; override with DC_BENCH_JSON.
+// "name", "ns_per_op" and "items_per_sec". A percentage aggregate ("_cv")
+// is no time, so it gets no row; "_stddev" carries the spread. The
+// destination defaults to BENCH_sim.json in the working directory;
+// override with DC_BENCH_JSON.
 // Doubles as the display reporter (it forwards to a ConsoleReporter) so it
 // can run without the --benchmark_out flag the file-reporter slot requires.
 class JsonSummaryReporter : public benchmark::BenchmarkReporter {
@@ -497,6 +499,9 @@ class JsonSummaryReporter : public benchmark::BenchmarkReporter {
     console_.ReportRuns(runs);
     for (const Run& run : runs) {
       if (run.error_occurred) continue;
+      if (run.run_type == Run::RT_Aggregate &&
+          run.aggregate_unit == benchmark::kPercentage)
+        continue;
       const double iters =
           run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
       Entry e;

@@ -801,9 +801,14 @@ int run_with_timeline(const Algo* a, const Params& p, const std::string& spec,
     print_run_summary(m);
     return ok ? 0 : 1;
   } catch (const dc::sim::FaultError& e) {
-    std::cout << "self-healing run failed (retry budget " << retry_budget
-              << " exhausted under " << policy_name << "): " << e.what()
-              << "\n";
+    // The driver stops short of its budget when no later fault event can
+    // change what a retry would see.
+    std::cout << "self-healing run failed ("
+              << (g_report.fault.retries < retry_budget
+                      ? std::string("no retry could help")
+                      : "retry budget " + std::to_string(retry_budget) +
+                            " exhausted")
+              << " under " << policy_name << "): " << e.what() << "\n";
     g_report.status = "fault_error";
     g_report.error = e.what();
     return 1;

@@ -19,9 +19,9 @@
 //
 // Both local kernels run without data-dependent branches. The local sort
 // of integral keys at a power-of-two width runs Batcher's network on each
-// block through dual_sort's in-place bitonic step kernel (AVX2 for 8-byte
-// keys); other keys and widths take std::sort. A merge-split that no
-// vector kernel covers and no disjoint fast path settles runs the
+// block through dual_sort's in-place bitonic step kernel (AVX-512 or AVX2
+// for 8-byte keys); other keys and widths take std::sort. A merge-split
+// that no vector kernel covers and no disjoint fast path settles runs the
 // two-pointer merge as two independent select chains: one from the block
 // ends, one from the merge-path co-rank of the kept half's midpoint.
 //
@@ -142,11 +142,11 @@ void merge_split(const Key* a, const Key* b, std::size_t width, bool keep_min,
 /// Integral keys at a power-of-two width m = 2^L run Batcher's network
 /// through the in-place bitonic step kernel, a chunk of whole blocks at a
 /// time: merge pass s (s = 0 .. L-1) runs steps s .. 0 over the chunk's
-/// pairs, its runs of 2^(s+1) keys alternating direction by index bit s+1
-/// until the last pass sorts every block ascending. Each chunk's pair range
-/// is a multiple of 2^(L-1) >= 2^s, as a multi-step run needs. Every other
-/// key type and width takes std::sort; integral keys that compare equal
-/// are the same bits, so both write the same bytes.
+/// keys (sim::simd::bitonic_pass), its runs of 2^(s+1) keys alternating
+/// direction by index bit s+1 until the last pass sorts every block
+/// ascending. Every other key type and width takes std::sort; integral
+/// keys that compare equal are the same bits, so both write the same
+/// bytes.
 template <typename Key>
 void sort_blocks(sim::Machine& m, std::vector<Key>& data, std::size_t block) {
   if constexpr (std::is_integral_v<Key>) {
@@ -154,10 +154,9 @@ void sort_blocks(sim::Machine& m, std::vector<Key>& data, std::size_t block) {
       const unsigned levels = bits::log2_floor(block);
       m.compute_step_chunked([&](std::size_t lo, std::size_t hi) {
         Key* const keys = data.data() + lo * block;
-        const std::uint64_t pairs = (hi - lo) * block / 2;
         for (unsigned s = 0; s < levels; ++s) {
-          sim::simd::bitonic_steps(
-              keys, s, 0, 0, pairs,
+          sim::simd::bitonic_pass(
+              keys, (hi - lo) * block, s + 1,
               s + 1 < levels ? bits::pow2(s + 1) : std::uint64_t{0}, false);
         }
         m.add_ops((hi - lo) * block);

@@ -41,9 +41,12 @@
 //
 //   * dual_sort over integral keys (unobserved) sorts in place with the
 //     vector kernel sim::simd::bitonic_steps. Each merge pass runs its
-//     steps j >= 3 as one sweep each, split by pair, then steps 2, 1, 0
-//     together in the sweep of step 2, over 8-node tiles; steps 1 and 0
-//     book their cycles and compare steps around an empty body.
+//     steps j >= 4 three at a time, each run one sweep split by the run's
+//     bases (disjoint sets of 2, 4 or 8 nodes that the run's steps stay
+//     inside), then steps 3 .. 0 together in one sweep over 16-node tiles.
+//     A run sweeps in its first step; its other steps book their cycles
+//     and compare steps around an empty body. A replayed RD_7 sort makes
+//     31 sweeps for its 91 steps.
 //   * Every other run (block_sort's merge-split, non-integral keys,
 //     observed runs) keeps the double-buffered combine, one sweep per
 //     dimension step over pair groups of 2^(j+1) nodes: the combine runs
@@ -117,36 +120,33 @@ struct CompareExchange {
 };
 
 /// One merge pass of Algorithm 3 on compiled replay, in place over
-/// integral `keys`: dimension steps j = t-1 .. 0 in direction `d`. Steps
-/// j >= 3 run one sweep each over the N/2 pairs. Steps 2, 1, 0 (those
-/// below t) all run in the first one's sweep, over 8-node tiles (the whole
-/// machine on RD_1); the others book their cycles and compare steps
-/// around an empty body. One counted op per node per step.
+/// integral `keys`: dimension steps j = t-1 .. 0 in direction `d`, in the
+/// runs sim::simd::bitonic_run_bottom picks — three steps at a time down to
+/// step 4, then steps 3 .. 0 (those below t) on 16-node register tiles.
+/// Each run is one sweep in its first step, split by the run's bases, and
+/// charges the whole run's ops (one per node per step); the run's other
+/// steps book their cycles and compare steps around an empty body.
 template <typename Key>
 void bitonic_pass_in_place(sim::Machine& m, sim::ObliviousSection& sched,
                            std::vector<Key>& keys, unsigned t,
                            PassDirection d) {
   const std::size_t nodes = keys.size();
-  for (unsigned j = t; j-- > 3;) {
+  for (unsigned end = t; end > 0;) {
+    const unsigned top = end - 1;
+    const unsigned bottom = sim::simd::bitonic_run_bottom(top);
+    const unsigned steps = end - bottom;
     sched.exchange_compute_fused(
-        3, nodes / 2, [&](std::size_t p_lo, std::size_t p_hi) {
-          sim::simd::bitonic_steps(keys.data(), j, j, p_lo, p_hi, d.dir_mask,
-                                   d.descending);
-          m.add_ops(2 * (p_hi - p_lo));
+        relay_cycles(top), nodes >> steps,
+        [&](std::size_t q_lo, std::size_t q_hi) {
+          sim::simd::bitonic_steps(keys.data(), top, bottom, q_lo, q_hi,
+                                   d.dir_mask, d.descending);
+          m.add_ops(((q_hi - q_lo) << steps) * steps);
         });
+    for (unsigned j = top; j-- > bottom;)
+      sched.exchange_compute_fused(relay_cycles(j), 1,
+                                   [](std::size_t, std::size_t) {});
+    end = bottom;
   }
-  if (t == 0) return;
-  const unsigned top = std::min(t, 3u) - 1;
-  const std::size_t tile = std::min<std::size_t>(8, nodes);
-  sched.exchange_compute_fused(
-      relay_cycles(top), nodes / tile, [&](std::size_t b_lo, std::size_t b_hi) {
-        sim::simd::bitonic_steps(keys.data(), top, 0, b_lo * tile / 2,
-                                 b_hi * tile / 2, d.dir_mask, d.descending);
-        m.add_ops((b_hi - b_lo) * tile * (top + 1));
-      });
-  for (unsigned j = top; j-- > 0;)
-    sched.exchange_compute_fused(relay_cycles(j), 1,
-                                 [](std::size_t, std::size_t) {});
 }
 
 }  // namespace detail

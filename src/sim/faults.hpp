@@ -327,6 +327,14 @@ class FaultTimeline {
   }
   std::size_t epoch_count() const { return boundaries_.size(); }
 
+  /// True iff the faulted view can still change after `cycle`: a later
+  /// epoch starts, or a drop window covers `cycle` (it draws its drops
+  /// afresh every cycle, and with no later epoch it never closes).
+  bool changes_after(std::uint64_t cycle) const {
+    return boundaries_.upper_bound(cycle) != boundaries_.end() ||
+           drop_permille_at(cycle) > 0;
+  }
+
   /// Index of the epoch containing `cycle`.
   std::size_t epoch_of(std::uint64_t cycle) const {
     auto it = boundaries_.upper_bound(cycle);

@@ -30,6 +30,11 @@
 //      whose detour transport loses a message the algorithm needs (a
 //      later epoch killed a planned hop) still throws FaultError: a lost
 //      partial sum or key cannot be emulated.
+//   5. A retry that can only see the faults the failed attempt saw — no
+//      epoch began during that attempt, no later epoch starts and no drop
+//      window is live — would replay the same snapshot and fail the same
+//      way. The driver then spends none of its remaining budget and goes
+//      straight to the outcome of step 4.
 //
 // The driver traces "recovery_retry" / "recovery_replan" instants and
 // counts retries/replans into the metrics registry (sim.fault.retries,
@@ -68,10 +73,10 @@ struct RetryPolicy {
   /// (linear backoff — each cycle advances the timeline clock, so flap
   /// windows expire instead of being retried into forever).
   std::uint64_t backoff_cycles = 2;
-  /// On budget exhaustion: true = one final attempt under
-  /// FaultPolicy::kDegrade (messages touching faults are dropped and
-  /// counted, the collective completes degraded), false = rethrow the
-  /// FaultError to the caller.
+  /// On budget exhaustion, or when no later fault event can change what
+  /// a retry sees: true = one final attempt under FaultPolicy::kDegrade
+  /// (messages touching faults are dropped and counted, the collective
+  /// completes degraded), false = rethrow the FaultError to the caller.
   bool degrade_on_exhaustion = true;
 };
 
@@ -132,19 +137,23 @@ class RecoveryDriver {
   /// restartable: read inputs from caller-owned checkpoint state, publish
   /// results only on return. On FaultError the driver backs off,
   /// re-snapshots and re-invokes `body` with the fresh plan, up to the
-  /// retry budget; see RetryPolicy for what happens past it. `label` is a
+  /// retry budget and only while a later fault event can change what a
+  /// retry sees; see RetryPolicy for what happens past that. `label` is a
   /// trace span name and should carry the "phase:" prefix.
   template <typename Body>
   void run_phase(const char* label, Body&& body) {
     ++report_.phases;
     for (std::size_t attempt = 0;; ++attempt) {
       ++report_.attempts;
+      const std::size_t epoch = timeline_->epoch_of(now());
       try {
         TraceScope span(m_.trace(), m_.trace_track(), label);
         body(snapshot());
         return;
       } catch (const FaultError&) {
-        if (retries_used_ >= policy_.retry_budget) {
+        const bool futile = timeline_->epoch_of(now()) == epoch &&
+                            !timeline_->changes_after(now());
+        if (futile || retries_used_ >= policy_.retry_budget) {
           if (TraceRecorder* rec = m_.trace()) {
             rec->instant(m_.trace_track(), 0, "recovery_exhausted", "retries",
                          retries_used_, "cycle", now());

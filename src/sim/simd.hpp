@@ -7,18 +7,24 @@
 // replayed dual_sort's network and block_sort's local sort of each block),
 // the sorted merge-split of 4-byte keys, and the row-wise prefix combine.
 // This header implements them as explicit SIMD kernels — AVX2 on x86-64
-// (all four), NEON on AArch64 (merge-split and row combine) — behind one
-// runtime dispatch point, with a portable scalar fallback that is the
-// reference semantics. The merge-split of 8-byte keys has no kernel here;
+// (all four), AVX-512 on x86-64 CPUs that have it (the bitonic steps),
+// NEON on AArch64 (merge-split and row combine) — behind one runtime
+// dispatch point, with a portable scalar fallback that is the reference
+// semantics. The merge-split of 8-byte keys has no kernel here;
 // core/block_sort.hpp runs it as two branch-free scalar select chains.
 //
 // Dispatch. active_isa() resolves once per process from the DC_SIMD
 // environment variable (auto | avx2 | neon | scalar — mirroring
 // DC_SCHEDULE), clamped to what the binary and the CPU actually support: a
 // forced ISA that is absent falls back to scalar rather than faulting.
-// Tests can override the choice with force_isa(). The AVX2 kernels are
-// compiled with per-function target("avx2") attributes, so the translation
-// unit itself needs no -mavx2 and the binary stays runnable on any x86-64.
+// `auto` picks the best tier: AVX-512 (AVX-512F and VL) over AVX2 over
+// scalar on x86-64. The AVX-512 tier runs its own bitonic step kernel and
+// the AVX2 code of every other kernel, so DC_SIMD=avx2 on an AVX-512 CPU
+// still runs the AVX2 kernels. Tests can override the choice with
+// force_isa(). The vector kernels are compiled with per-function target
+// attributes, so the translation unit itself needs no -mavx2 or -mavx512f
+// and the binary stays runnable on any x86-64; a CPU without AVX-512F/VL
+// never reaches an AVX-512 instruction.
 //
 // Determinism. Every kernel is bit-identical to the scalar reference:
 //   * gather/copy kernels move bytes — no arithmetic at all;
@@ -43,6 +49,7 @@
 #include <cstring>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define DC_SIMD_HAS_AVX2_BUILD 1
@@ -56,7 +63,7 @@
 namespace dc::sim {
 namespace simd {
 
-enum class Isa { kScalar, kAvx2, kNeon };
+enum class Isa { kScalar, kAvx2, kNeon, kAvx512 };
 
 inline const char* isa_name(Isa isa) {
   switch (isa) {
@@ -64,20 +71,48 @@ inline const char* isa_name(Isa isa) {
       return "avx2";
     case Isa::kNeon:
       return "neon";
+    case Isa::kAvx512:
+      return "avx512";
     default:
       return "scalar";
   }
 }
 
-/// Best ISA this binary can run on this CPU.
-inline Isa detect_best() {
+/// Whether this binary can run `isa` on this CPU. The AVX-512 tier needs
+/// AVX-512F and VL, and AVX2 for the kernels it shares with that tier.
+inline bool supported(Isa isa) {
+  switch (isa) {
+    case Isa::kScalar:
+      return true;
 #if DC_SIMD_HAS_AVX2_BUILD
-  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
+    case Isa::kAvx2:
+      return __builtin_cpu_supports("avx2") != 0;
+    case Isa::kAvx512:
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("avx512f") != 0 &&
+             __builtin_cpu_supports("avx512vl") != 0;
 #endif
 #if DC_SIMD_HAS_NEON_BUILD
-  return Isa::kNeon;
+    case Isa::kNeon:
+      return true;
 #endif
+    default:
+      return false;
+  }
+}
+
+/// Best ISA this binary can run on this CPU.
+inline Isa detect_best() {
+  for (const Isa isa : {Isa::kAvx512, Isa::kAvx2, Isa::kNeon}) {
+    if (supported(isa)) return isa;
+  }
   return Isa::kScalar;
+}
+
+/// Whether `isa` runs the AVX2 kernels: the AVX2 tier, and the AVX-512
+/// tier for every kernel but the bitonic steps.
+inline bool runs_avx2(Isa isa) {
+  return isa == Isa::kAvx2 || isa == Isa::kAvx512;
 }
 
 namespace detail {
@@ -88,11 +123,10 @@ inline Isa env_isa() {
   static const Isa isa = [] {
     const char* e = std::getenv("DC_SIMD");
     const std::string_view v = e ? std::string_view(e) : "auto";
-    const Isa best = detect_best();
     if (v == "scalar") return Isa::kScalar;
-    if (v == "avx2") return best == Isa::kAvx2 ? Isa::kAvx2 : Isa::kScalar;
-    if (v == "neon") return best == Isa::kNeon ? Isa::kNeon : Isa::kScalar;
-    return best;  // "auto" (and anything unrecognized)
+    if (v == "avx2") return supported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kScalar;
+    if (v == "neon") return supported(Isa::kNeon) ? Isa::kNeon : Isa::kScalar;
+    return detect_best();  // "auto" (and anything unrecognized)
   }();
   return isa;
 }
@@ -109,7 +143,7 @@ inline Isa active_isa() {
 /// current choice untouched — when this binary/CPU cannot run `isa`, so
 /// callers can skip instead of silently testing the wrong path.
 inline bool force_isa(Isa isa) {
-  if (isa != Isa::kScalar && detect_best() != isa) return false;
+  if (!supported(isa)) return false;
   detail::forced_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
   return true;
 }
@@ -212,11 +246,13 @@ __attribute__((target("avx2"))) inline void storeu(void* p, __m256i v) {
 }
 
 // ---- 32-bit lane helpers (8 lanes per __m256i) ---------------------------
-// There is no 64-bit merge network here: AVX2 lacks 64-bit min/max (they
-// arrive with AVX-512F), so each 4-lane minmax would cost a cmpgt_epi64
-// plus two blendv's (plus a sign-bias XOR pair for unsigned keys). Only
-// 4-byte keys (native min_epi32/min_epu32, 8 lanes) are vectorized; 8-byte
-// keys take core/block_sort.hpp's two branch-free scalar select chains.
+// There is no 64-bit merge network here: AVX2 lacks 64-bit min/max, so
+// each 4-lane minmax would cost a cmpgt_epi64 plus two blendv's (plus a
+// sign-bias XOR pair for unsigned keys). Native vpminuq/vpmaxuq arrive with
+// AVX-512F, which only the bitonic step kernel's AVX-512 tier uses so far.
+// Only 4-byte keys (native min_epi32/min_epu32, 8 lanes) are merged here;
+// 8-byte keys take core/block_sort.hpp's two branch-free scalar select
+// chains.
 
 template <bool kSigned>
 __attribute__((target("avx2"))) inline void minmax32(__m256i& x, __m256i& y) {
@@ -376,125 +412,6 @@ __attribute__((target("avx2"))) inline void add_rows_u64(
   for (; i < n; ++i) cur[i] = prev[i] + cur[i];
 }
 
-// ---- in-place bitonic compare-exchange, 8-byte keys ----------------------
-// AVX2 has no 64-bit min/max, so each compare-exchange is one signed
-// cmpgt_epi64 and blends. Unlike the merge network above, a bitonic step
-// compares whole registers of independent pairs (a tile step adds one
-// permute), so the substitute pays here. Unsigned keys compare through
-// a sign-bias XOR: flipping bit 63 maps unsigned order onto signed order,
-// and the XOR is undone on the way out, so every stored lane is one of
-// the input keys.
-
-template <typename Key>
-__attribute__((target("avx2"))) inline __m256i order_bits(__m256i v) {
-  if constexpr (std::is_unsigned_v<Key>) {
-    return _mm256_xor_si256(v, _mm256_set1_epi64x(INT64_MIN));
-  } else {
-    return v;
-  }
-}
-
-/// Lane-wise compare-exchange of v against its partners p, both in
-/// order_bits form: each lane keeps the min where `keep_min` is all-ones,
-/// the max where it is zero.
-__attribute__((target("avx2"))) inline __m256i keep_side(__m256i v, __m256i p,
-                                                         __m256i keep_min) {
-  // v > p: the min is p, the max v. Keep v iff that matches the side.
-  return _mm256_blendv_epi8(
-      p, v, _mm256_xor_si256(_mm256_cmpgt_epi64(v, p), keep_min));
-}
-
-/// One step j >= 3 over pairs [p_lo, p_hi) (simd::bitonic_steps): vertical
-/// min/max over each group's contiguous low and high half, four pairs per
-/// register. The direction is one test per group.
-template <typename Key>
-__attribute__((target("avx2"))) inline void bitonic_step_halves(
-    Key* keys, unsigned j, std::uint64_t p_lo, std::uint64_t p_hi,
-    std::uint64_t dir_mask, bool descending) {
-  const std::uint64_t half = std::uint64_t{1} << j;
-  for (std::uint64_t p = p_lo; p < p_hi;) {
-    const std::uint64_t end = std::min(p_hi, (p | (half - 1)) + 1);
-    const std::uint64_t lo = ((p >> j) << (j + 1)) | (p & (half - 1));
-    const bool ascending = ((lo & dir_mask) == 0) != descending;
-    Key* const a = keys + lo;
-    Key* const b = a + half;
-    Key* const to_min = ascending ? a : b;
-    Key* const to_max = ascending ? b : a;
-    const std::uint64_t len = end - p;
-    std::uint64_t i = 0;
-    for (; i + 4 <= len; i += 4) {
-      const __m256i x = loadu(a + i);
-      const __m256i y = loadu(b + i);
-      const __m256i gt =
-          _mm256_cmpgt_epi64(order_bits<Key>(x), order_bits<Key>(y));
-      storeu(to_min + i, _mm256_blendv_epi8(x, y, gt));
-      storeu(to_max + i, _mm256_blendv_epi8(y, x, gt));
-    }
-    for (; i < len; ++i) {
-      const Key x = a[i];
-      const Key y = b[i];
-      to_min[i] = y < x ? y : x;
-      to_max[i] = y < x ? x : y;
-    }
-    p = end;
-  }
-}
-
-/// Steps top .. bottom (top <= 2) over the 8-node tiles of nodes [lo, hi)
-/// (simd::bitonic_steps), each tile held in two registers across the
-/// steps and compared in order_bits form: dimension 2 pairs the registers
-/// lane by lane, dimension 1 swaps 128-bit halves, dimension 0 swaps
-/// neighbouring lanes. Each lane's keep-min mask is the pass's rule
-/// evaluated at its node: bits 0-2 of the rule come from the lane, and a
-/// direction bit at 3 or above flips every lane of a tile, so the masks
-/// come in two sets and each tile loads one.
-template <typename Key>
-__attribute__((target("avx2"))) inline void bitonic_steps_tiles(
-    Key* keys, unsigned top, unsigned bottom, std::uint64_t lo,
-    std::uint64_t hi, std::uint64_t dir_mask, bool descending) {
-  // keep[f][j] holds lanes 0-3 then 4-7 of step j's keep-min mask in a
-  // tile with flip f. Dimension 2 compares a against b once and reads
-  // "b > a" as "not a > b" (equal keys are the same bits either way), so
-  // its lanes 4-7 are stored complemented.
-  std::int64_t keep[2][3][8];
-  for (unsigned f = 0; f < 2; ++f) {
-    for (unsigned j = 0; j < 3; ++j) {
-      for (std::uint64_t i = 0; i < 8; ++i) {
-        const bool ascending =
-            (((i & dir_mask) == 0) != descending) != (f == 1);
-        const bool keep_min = ascending == (((i >> j) & 1) == 0);
-        keep[f][j][i] = keep_min != (j == 2 && i >= 4) ? -1 : 0;
-      }
-    }
-  }
-  const bool d2 = top >= 2 && bottom <= 2;
-  const bool d1 = top >= 1 && bottom <= 1;
-  const bool d0 = bottom == 0;
-  const std::uint64_t tile_dir = dir_mask & ~std::uint64_t{7};
-  for (std::uint64_t u = lo; u < hi; u += 8) {
-    const std::int64_t(&k)[3][8] = keep[(u & tile_dir) != 0 ? 1 : 0];
-    __m256i a = order_bits<Key>(loadu(keys + u));
-    __m256i b = order_bits<Key>(loadu(keys + u + 4));
-    if (d2) {
-      const __m256i gt = _mm256_cmpgt_epi64(a, b);
-      const __m256i na =
-          _mm256_blendv_epi8(b, a, _mm256_xor_si256(gt, loadu(&k[2][0])));
-      b = _mm256_blendv_epi8(a, b, _mm256_xor_si256(gt, loadu(&k[2][4])));
-      a = na;
-    }
-    if (d1) {
-      a = keep_side(a, _mm256_permute4x64_epi64(a, 0x4E), loadu(&k[1][0]));
-      b = keep_side(b, _mm256_permute4x64_epi64(b, 0x4E), loadu(&k[1][4]));
-    }
-    if (d0) {
-      a = keep_side(a, _mm256_shuffle_epi32(a, 0x4E), loadu(&k[0][0]));
-      b = keep_side(b, _mm256_shuffle_epi32(b, 0x4E), loadu(&k[0][4]));
-    }
-    storeu(keys + u, order_bits<Key>(a));
-    storeu(keys + u + 4, order_bits<Key>(b));
-  }
-}
-
 }  // namespace avx2
 #endif  // DC_SIMD_HAS_AVX2_BUILD
 
@@ -638,9 +555,9 @@ inline void add_rows_u64(std::uint64_t* cur, const std::uint64_t* prev,
 /// them). Returns false — without touching out — when no vector kernel
 /// covers (Key, width, active ISA); the caller then runs its scalar
 /// reference. Handled today: integral 4-byte keys at width % 8 == 0 on
-/// AVX2 and width % 4 == 0 on NEON. 8-byte keys always decline: without
-/// native 64-bit min/max (AVX-512F) there is no merge network for them,
-/// and the caller's branch-free select chains merge them. Output is
+/// AVX2 (and so on the AVX-512 tier) and width % 4 == 0 on NEON. 8-byte
+/// keys always decline: AVX2 has no 64-bit min/max to build a merge network
+/// from, and the caller's branch-free select chains merge them. Output is
 /// bit-identical to the scalar two-pointer merge-split.
 template <typename Key>
 inline bool merge_split(const Key* a, const Key* b, std::size_t width,
@@ -648,7 +565,7 @@ inline bool merge_split(const Key* a, const Key* b, std::size_t width,
   if constexpr (std::is_integral_v<Key> && sizeof(Key) == 4) {
     const Isa isa = active_isa();
 #if DC_SIMD_HAS_AVX2_BUILD
-    if (isa == Isa::kAvx2) {
+    if (runs_avx2(isa)) {
       if (width >= 8 && width % 8 == 0) {
         avx2::merge_split_32(a, b, width, keep_min, out);
         return true;
@@ -686,7 +603,7 @@ inline void gather_rows(T* plane, std::uint64_t* stamp, std::uint64_t gen,
                         const T* src, std::size_t src_stride) {
 #if DC_SIMD_HAS_AVX2_BUILD
   if constexpr (std::is_trivially_copyable_v<T> && sizeof(T) == 8) {
-    if (width == 1 && src_stride == 1 && active_isa() == Isa::kAvx2) {
+    if (width == 1 && src_stride == 1 && runs_avx2(active_isa())) {
       avx2::gather_w1_u64(reinterpret_cast<std::uint64_t*>(plane), stamp, gen,
                           from, no_sender, lo, hi,
                           reinterpret_cast<const std::uint64_t*>(src));
@@ -708,7 +625,7 @@ inline void gather_rows(T* plane, std::uint64_t* stamp, std::uint64_t gen,
 inline void add_rows_u64(std::uint64_t* cur, const std::uint64_t* prev,
                          std::size_t n) {
 #if DC_SIMD_HAS_AVX2_BUILD
-  if (active_isa() == Isa::kAvx2) {
+  if (runs_avx2(active_isa())) {
     avx2::add_rows_u64(cur, prev, n);
     return;
   }
@@ -722,86 +639,512 @@ inline void add_rows_u64(std::uint64_t* cur, const std::uint64_t* prev,
   for (std::size_t i = 0; i < n; ++i) cur[i] = prev[i] + cur[i];
 }
 
+// ---- in-place bitonic compare-exchange ------------------------------------
+// A run of dimension steps top .. bottom (bottom <= top) of one merge pass
+// works on *bases*. Base q is node
+//   first(q) = ((q >> bottom) << (top + 1)) | (q mod 2^bottom)
+// and owns the 2^(top-bottom+1) nodes first(q) + s, for every s made of
+// bits bottom .. top. Each step j of the run pairs node u with u + 2^j
+// inside one base, so a run over a range of bases touches only their
+// nodes: any cut of a base range gives disjoint pieces, which may run on
+// different workers. A single step (top == bottom) has one base per pair,
+// its low node ((p >> j) << (j+1)) | (p mod 2^j). The 2^bottom bases that
+// share q >> bottom lie at consecutive nodes: one *stretch*, whose bases
+// together own the node block [h, h+1) << (top+1), h = q >> bottom.
+
 namespace scalar {
 
-/// The reference semantics of simd::bitonic_steps: pair by pair, in runs
-/// of consecutive pairs within one group (one direction test per run),
-/// with branch-free min/max selects.
+/// One step j over the pairs [p_lo, p_hi) of its dimension, in runs of
+/// consecutive pairs within one group of 2^(j+1) nodes (one direction test
+/// per run), with branch-free min/max selects.
+template <typename Key>
+inline void step_pairs(Key* keys, unsigned j, std::uint64_t p_lo,
+                       std::uint64_t p_hi, std::uint64_t dir_mask,
+                       bool descending) {
+  const std::uint64_t half = std::uint64_t{1} << j;
+  std::uint64_t lo = ((p_lo >> j) << (j + 1)) | (p_lo & (half - 1));
+  for (std::uint64_t p = p_lo; p < p_hi;) {
+    const std::uint64_t run = std::min(p_hi - p, half - (p & (half - 1)));
+    const bool ascending = ((lo & dir_mask) == 0) != descending;
+    Key* const a = keys + lo;
+    Key* const b = a + half;
+    Key* const to_min = ascending ? a : b;
+    Key* const to_max = ascending ? b : a;
+    for (std::uint64_t i = 0; i < run; ++i) {
+      const Key x = a[i];
+      const Key y = b[i];
+      to_min[i] = y < x ? y : x;
+      to_max[i] = y < x ? x : y;
+    }
+    p += run;
+    lo += run + half;  // past the high half: the next group's first node
+  }
+}
+
+/// The reference semantics of simd::bitonic_steps, one step at a time.
+/// The whole stretches of the range cover one contiguous node range, so
+/// each step runs over one range of pairs there; a partial stretch at
+/// either end runs offset by offset, each offset a run of consecutive
+/// pairs.
 template <typename Key>
 inline void bitonic_steps(Key* keys, unsigned top, unsigned bottom,
-                          std::uint64_t p_lo, std::uint64_t p_hi,
+                          std::uint64_t q_lo, std::uint64_t q_hi,
                           std::uint64_t dir_mask, bool descending) {
+  const std::uint64_t low = (std::uint64_t{1} << bottom) - 1;
+  const std::uint64_t whole_lo = std::min(q_hi, (q_lo + low) & ~low);
+  const std::uint64_t whole_hi = std::max(whole_lo, q_hi & ~low);
   for (unsigned j = top + 1; j-- > bottom;) {
-    const std::uint64_t half = std::uint64_t{1} << j;
-    std::uint64_t lo = ((p_lo >> j) << (j + 1)) | (p_lo & (half - 1));
-    for (std::uint64_t p = p_lo; p < p_hi;) {
-      const std::uint64_t run = std::min(p_hi - p, half - (p & (half - 1)));
-      const bool ascending = ((lo & dir_mask) == 0) != descending;
-      Key* const a = keys + lo;
-      Key* const b = a + half;
-      Key* const to_min = ascending ? a : b;
-      Key* const to_max = ascending ? b : a;
-      for (std::uint64_t i = 0; i < run; ++i) {
-        const Key x = a[i];
-        const Key y = b[i];
-        to_min[i] = y < x ? y : x;
-        to_max[i] = y < x ? x : y;
+    step_pairs(keys, j, (whole_lo >> bottom) << top,
+               (whole_hi >> bottom) << top, dir_mask, descending);
+  }
+  for (const auto& [lo, hi] : {std::pair{q_lo, whole_lo},
+                               std::pair{whole_hi, q_hi}}) {
+    if (lo >= hi) continue;
+    const std::uint64_t first = ((lo >> bottom) << (top + 1)) | (lo & low);
+    for (unsigned j = top + 1; j-- > bottom;) {
+      for (std::uint64_t s = 0; s < std::uint64_t{2} << top; s += low + 1) {
+        if (((s >> j) & 1) != 0) continue;
+        const std::uint64_t u = first + s;  // the offset's first low node
+        const std::uint64_t p =
+            ((u >> (j + 1)) << j) | (u & ((std::uint64_t{1} << j) - 1));
+        step_pairs(keys, j, p, p + (hi - lo), dir_mask, descending);
       }
-      p += run;
-      lo += run + half;  // past the high half: the next group's first node
     }
   }
 }
 
+/// The reference for the few bases a vector kernel leaves at the ends of
+/// its range, kept out of line: a copy in each flattened kernel would only
+/// grow the code.
+template <typename Key>
+__attribute__((noinline)) void leftover_steps(Key* keys, unsigned top,
+                                              unsigned bottom,
+                                              std::uint64_t q_lo,
+                                              std::uint64_t q_hi,
+                                              std::uint64_t dir_mask,
+                                              bool descending) {
+  bitonic_steps(keys, top, bottom, q_lo, q_hi, dir_mask, descending);
+}
+
 }  // namespace scalar
 
+// The register-blocked loop of simd::bitonic_steps, written once over a
+// lane-traits type L (avx2::Lanes64, avx512::Lanes64) for 8-byte keys:
+//   Vec, Mask                 a register of 2^L::kLog keys, a lane mask;
+//   load(v, p), store(p, v)   move one register from and to memory;
+//   minmax(lo, hi)            lo takes the lane-wise min, hi the max;
+//   exchange(x, y, k)         x keeps the min in the lanes of k and the max
+//                             elsewhere, y the other side;
+//   exchange_lanes<J>(v, k)   each lane against the lane 2^J away
+//                             (J < kLog), keeping the min in the lanes of k;
+//   make_mask(k, bits)        k from one bit per lane.
+// Each round loads the registers of its bases, applies every step of the
+// run in registers and stores once. The traits' members carry the ISA's
+// target attribute and take registers by reference, so this generic code
+// needs none: each ISA's flattened entry point inlines it whole.
+namespace blocked {
+
+/// A tile run (steps top .. 0, top <= 3) works on register tiles of
+/// 2^kTileLog consecutive nodes.
+inline constexpr unsigned kTileLog = 4;
+
+/// Rounds of a run of G steps at or above the register width over `count`
+/// consecutive bases of one stretch (a multiple of the lane count), from
+/// node `at`: register s of a round holds the lanes' nodes at offset
+/// s << bottom, and step bottom + i pairs register s with s + 2^i.
+template <typename L, unsigned G, bool kDescending, typename Key>
+inline void vertical_rounds(Key* at, unsigned bottom, std::uint64_t count) {
+  constexpr unsigned kRegs = 1u << G;
+  for (std::uint64_t i = 0; i < count; i += std::uint64_t{1} << L::kLog) {
+    typename L::Vec r[kRegs];
+#pragma GCC unroll 8
+    for (unsigned s = 0; s < kRegs; ++s)
+      L::load(r[s], at + i + (std::uint64_t{s} << bottom));
+#pragma GCC unroll 3
+    for (unsigned step = 0; step < G; ++step) {
+      const unsigned d = G - 1 - step;
+#pragma GCC unroll 8
+      for (unsigned s = 0; s < kRegs; ++s) {
+        if (((s >> d) & 1) != 0) continue;
+        if constexpr (kDescending) {
+          L::minmax(r[s | 1u << d], r[s]);
+        } else {
+          L::minmax(r[s], r[s | 1u << d]);
+        }
+      }
+    }
+#pragma GCC unroll 8
+    for (unsigned s = 0; s < kRegs; ++s)
+      L::store(at + i + (std::uint64_t{s} << bottom), r[s]);
+  }
+}
+
+/// Steps bottom+G-1 .. bottom (bottom >= L::kLog) over bases
+/// [q_lo, q_hi): stretch by stretch, whole rounds in registers, the few
+/// bases left at a stretch's end through the reference.
+template <typename L, unsigned G, typename Key>
+inline void vertical(Key* keys, unsigned bottom, std::uint64_t q_lo,
+                     std::uint64_t q_hi, std::uint64_t dir_mask,
+                     bool descending) {
+  const std::uint64_t low = (std::uint64_t{1} << bottom) - 1;
+  for (std::uint64_t q = q_lo; q < q_hi;) {
+    const std::uint64_t end = std::min(q_hi, (q | low) + 1);
+    const std::uint64_t whole = (end - q) >> L::kLog << L::kLog;
+    const std::uint64_t first = ((q >> bottom) << (bottom + G)) | (q & low);
+    if (((first & dir_mask) == 0) != descending) {
+      vertical_rounds<L, G, false>(keys + first, bottom, whole);
+    } else {
+      vertical_rounds<L, G, true>(keys + first, bottom, whole);
+    }
+    if (q + whole < end) {
+      scalar::leftover_steps(keys, bottom + G - 1, bottom, q + whole, end,
+                             dir_mask, descending);
+    }
+    q = end;
+  }
+}
+
+/// Steps J .. 0 of a tile held in registers r: a step at or above the
+/// register width pairs registers, a step below it pairs lanes.
+/// keep[j][s] is register s's keep-min mask at step j.
+template <typename L, unsigned J, std::size_t R, std::size_t S>
+inline void tile_steps(typename L::Vec (&r)[R],
+                       const typename L::Mask (&keep)[S][R]) {
+  if constexpr (J >= L::kLog) {
+    constexpr std::size_t d = std::size_t{1} << (J - L::kLog);
+#pragma GCC unroll 4
+    for (std::size_t s = 0; s < R; ++s) {
+      if ((s & d) == 0) L::exchange(r[s], r[s | d], keep[J][s]);
+    }
+  } else {
+#pragma GCC unroll 4
+    for (std::size_t s = 0; s < R; ++s)
+      L::template exchange_lanes<J>(r[s], keep[J][s]);
+  }
+  if constexpr (J > 0) tile_steps<L, J - 1>(r, keep);
+}
+
+/// Steps Top .. 0 (Top <= 3) over bases [q_lo, q_hi), a register tile of
+/// 16 nodes at a time, the bases of partial tiles at either end through
+/// the reference. A lane's keep-min mask is the pass's rule evaluated at
+/// its node: bits 0-3 of the rule come from the node's place in the tile,
+/// and a direction bit at 4 or above flips the whole tile, so the masks
+/// come in two sets and each tile picks one.
+template <typename L, unsigned Top, typename Key>
+inline void tiles(Key* keys, std::uint64_t q_lo, std::uint64_t q_hi,
+                  std::uint64_t dir_mask, bool descending) {
+  constexpr unsigned kTile = 1u << kTileLog;
+  constexpr unsigned kLanes = 1u << L::kLog;
+  constexpr unsigned kRegs = kTile / kLanes;
+  constexpr std::uint64_t kBases = kTile >> (Top + 1);
+  const std::uint64_t t_lo = (q_lo + kBases - 1) / kBases;
+  const std::uint64_t t_hi = q_hi / kBases;
+  if (t_lo >= t_hi) {  // no whole tile
+    scalar::leftover_steps(keys, Top, 0, q_lo, q_hi, dir_mask, descending);
+    return;
+  }
+  if (q_lo < t_lo * kBases) {
+    scalar::leftover_steps(keys, Top, 0, q_lo, t_lo * kBases, dir_mask,
+                           descending);
+  }
+  if (t_hi * kBases < q_hi) {
+    scalar::leftover_steps(keys, Top, 0, t_hi * kBases, q_hi, dir_mask,
+                           descending);
+  }
+  typename L::Mask keep[2][Top + 1][kRegs];
+  for (unsigned f = 0; f < 2; ++f) {
+    for (unsigned j = 0; j <= Top; ++j) {
+      for (unsigned s = 0; s < kRegs; ++s) {
+        unsigned bits = 0;
+        for (unsigned i = 0; i < kLanes; ++i) {
+          const std::uint64_t u = s * kLanes + i;
+          const bool ascending =
+              (((u & dir_mask) == 0) != descending) != (f == 1);
+          bits |= unsigned{ascending == (((u >> j) & 1) == 0)} << i;
+        }
+        L::make_mask(keep[f][j][s], bits);
+      }
+    }
+  }
+  const std::uint64_t tile_dir = dir_mask & ~std::uint64_t{kTile - 1};
+  for (std::uint64_t t = t_lo; t < t_hi; ++t) {
+    Key* const at = keys + t * kTile;
+    typename L::Vec r[kRegs];
+#pragma GCC unroll 4
+    for (unsigned s = 0; s < kRegs; ++s) L::load(r[s], at + s * kLanes);
+    tile_steps<L, Top>(r, keep[((t * kTile) & tile_dir) != 0 ? 1 : 0]);
+#pragma GCC unroll 4
+    for (unsigned s = 0; s < kRegs; ++s) L::store(at + s * kLanes, r[s]);
+  }
+}
+
+/// simd::bitonic_steps on lane traits L: a tile run on register tiles,
+/// a run of up to three steps at or above the register width in vertical
+/// rounds, any other run through the reference.
+template <typename L, typename Key>
+inline void steps(Key* keys, unsigned top, unsigned bottom,
+                  std::uint64_t q_lo, std::uint64_t q_hi,
+                  std::uint64_t dir_mask, bool descending) {
+  if (bottom == 0 && top < kTileLog) {
+    switch (top) {
+      case 0:
+        tiles<L, 0>(keys, q_lo, q_hi, dir_mask, descending);
+        return;
+      case 1:
+        tiles<L, 1>(keys, q_lo, q_hi, dir_mask, descending);
+        return;
+      case 2:
+        tiles<L, 2>(keys, q_lo, q_hi, dir_mask, descending);
+        return;
+      default:
+        tiles<L, 3>(keys, q_lo, q_hi, dir_mask, descending);
+        return;
+    }
+  }
+  if (bottom >= L::kLog && top - bottom < 3) {
+    switch (top - bottom) {
+      case 0:
+        vertical<L, 1>(keys, bottom, q_lo, q_hi, dir_mask, descending);
+        return;
+      case 1:
+        vertical<L, 2>(keys, bottom, q_lo, q_hi, dir_mask, descending);
+        return;
+      default:
+        vertical<L, 3>(keys, bottom, q_lo, q_hi, dir_mask, descending);
+        return;
+    }
+  }
+  scalar::bitonic_steps(keys, top, bottom, q_lo, q_hi, dir_mask, descending);
+}
+
+}  // namespace blocked
+
+#if DC_SIMD_HAS_AVX2_BUILD
+namespace avx2 {
+
+/// Lane traits of blocked::steps on AVX2: four 8-byte keys per register.
+/// AVX2 has no 64-bit min/max, so a register is held in order form —
+/// unsigned keys with bit 63 flipped, which maps unsigned order onto
+/// signed order — and each compare is one signed cmpgt_epi64, followed by
+/// blends. store undoes the flip, so every stored lane is an input key.
+template <bool kSigned>
+struct Lanes64 {
+  using Vec = __m256i;
+  using Mask = __m256i;  // all-ones lanes keep the min
+  static constexpr unsigned kLog = 2;
+
+  __attribute__((target("avx2"))) static void load(Vec& v, const void* p) {
+    v = order(loadu(p));
+  }
+  __attribute__((target("avx2"))) static void store(void* p, const Vec& v) {
+    storeu(p, order(v));
+  }
+  __attribute__((target("avx2"))) static void minmax(Vec& lo, Vec& hi) {
+    const __m256i gt = _mm256_cmpgt_epi64(lo, hi);
+    const __m256i mn = _mm256_blendv_epi8(lo, hi, gt);
+    hi = _mm256_blendv_epi8(hi, lo, gt);
+    lo = mn;
+  }
+  __attribute__((target("avx2"))) static void exchange(Vec& x, Vec& y,
+                                                       const Mask& keep_min) {
+    // x > y: the min is y. Equal lanes are the same bits either way.
+    const __m256i take_x =
+        _mm256_xor_si256(_mm256_cmpgt_epi64(x, y), keep_min);
+    const __m256i nx = _mm256_blendv_epi8(y, x, take_x);
+    y = _mm256_blendv_epi8(x, y, take_x);
+    x = nx;
+  }
+  template <unsigned J>
+  __attribute__((target("avx2"))) static void exchange_lanes(
+      Vec& v, const Mask& keep_min) {
+    __m256i p;
+    if constexpr (J == 1) {
+      p = _mm256_permute4x64_epi64(v, 0x4E);  // swap 128-bit halves
+    } else {
+      p = _mm256_shuffle_epi32(v, 0x4E);  // swap neighbouring lanes
+    }
+    v = _mm256_blendv_epi8(
+        p, v, _mm256_xor_si256(_mm256_cmpgt_epi64(v, p), keep_min));
+  }
+  __attribute__((target("avx2"))) static void make_mask(Mask& k,
+                                                        unsigned bits) {
+    const __m256i lane_bit = _mm256_setr_epi64x(1, 2, 4, 8);
+    k = _mm256_cmpeq_epi64(
+        _mm256_and_si256(_mm256_set1_epi64x(bits), lane_bit), lane_bit);
+  }
+
+ private:
+  __attribute__((target("avx2"))) static __m256i order(__m256i v) {
+    if constexpr (kSigned) {
+      return v;
+    } else {
+      return _mm256_xor_si256(v, _mm256_set1_epi64x(INT64_MIN));
+    }
+  }
+};
+
+template <typename Key>
+__attribute__((target("avx2"), flatten)) inline void bitonic_steps(
+    Key* keys, unsigned top, unsigned bottom, std::uint64_t q_lo,
+    std::uint64_t q_hi, std::uint64_t dir_mask, bool descending) {
+  blocked::steps<Lanes64<std::is_signed_v<Key>>>(keys, top, bottom, q_lo,
+                                                 q_hi, dir_mask, descending);
+}
+
+}  // namespace avx2
+
+namespace avx512 {
+
+/// Lane traits of blocked::steps on AVX-512F: eight 8-byte keys per
+/// register, compared with native 64-bit min/max, lane masks in mask
+/// registers. Full-mask maskz forms stand in for the plain min, max and
+/// shuffles, whose undefined pass-through source GCC 12 reports as
+/// maybe-uninitialized.
+template <bool kSigned>
+struct Lanes64 {
+  using Vec = __m512i;
+  using Mask = __mmask8;  // set lanes keep the min
+  static constexpr unsigned kLog = 3;
+
+  __attribute__((target("avx512f,avx512vl"))) static void load(Vec& v,
+                                                             const void* p) {
+    v = _mm512_loadu_si512(p);
+  }
+  __attribute__((target("avx512f,avx512vl"))) static void store(
+      void* p, const Vec& v) {
+    _mm512_storeu_si512(p, v);
+  }
+  __attribute__((target("avx512f,avx512vl"))) static void minmax(Vec& lo,
+                                                               Vec& hi) {
+    const __m512i mn = vmin(lo, hi);
+    hi = vmax(lo, hi);
+    lo = mn;
+  }
+  __attribute__((target("avx512f,avx512vl"))) static void exchange(
+      Vec& x, Vec& y, const Mask& keep_min) {
+    const __m512i mn = vmin(x, y);
+    const __m512i mx = vmax(x, y);
+    x = _mm512_mask_blend_epi64(keep_min, mx, mn);
+    y = _mm512_mask_blend_epi64(keep_min, mn, mx);
+  }
+  template <unsigned J>
+  __attribute__((target("avx512f,avx512vl"))) static void exchange_lanes(
+      Vec& v, const Mask& keep_min) {
+    __m512i p;
+    if constexpr (J == 2) {
+      p = _mm512_maskz_shuffle_i64x2(0xFF, v, v, 0x4E);  // 256-bit halves
+    } else if constexpr (J == 1) {
+      p = _mm512_maskz_permutex_epi64(0xFF, v, 0x4E);  // 128-bit pairs
+    } else {
+      p = _mm512_maskz_shuffle_epi32(0xFFFF, v, _MM_PERM_BADC);  // lanes
+    }
+    // The max everywhere, then the min over it in the keep-min lanes.
+    if constexpr (kSigned) {
+      v = _mm512_mask_min_epi64(vmax(v, p), keep_min, v, p);
+    } else {
+      v = _mm512_mask_min_epu64(vmax(v, p), keep_min, v, p);
+    }
+  }
+  __attribute__((target("avx512f,avx512vl"))) static void make_mask(
+      Mask& k, unsigned bits) {
+    k = static_cast<Mask>(bits);
+  }
+
+ private:
+  __attribute__((target("avx512f,avx512vl"))) static __m512i vmin(__m512i a,
+                                                                  __m512i b) {
+    if constexpr (kSigned) {
+      return _mm512_maskz_min_epi64(0xFF, a, b);
+    } else {
+      return _mm512_maskz_min_epu64(0xFF, a, b);
+    }
+  }
+  __attribute__((target("avx512f,avx512vl"))) static __m512i vmax(__m512i a,
+                                                                  __m512i b) {
+    if constexpr (kSigned) {
+      return _mm512_maskz_max_epi64(0xFF, a, b);
+    } else {
+      return _mm512_maskz_max_epu64(0xFF, a, b);
+    }
+  }
+};
+
+template <typename Key>
+__attribute__((target("avx512f,avx512vl"), flatten)) inline void
+bitonic_steps(Key* keys, unsigned top, unsigned bottom, std::uint64_t q_lo,
+              std::uint64_t q_hi, std::uint64_t dir_mask, bool descending) {
+  blocked::steps<Lanes64<std::is_signed_v<Key>>>(keys, top, bottom, q_lo,
+                                                 q_hi, dir_mask, descending);
+}
+
+}  // namespace avx512
+#endif  // DC_SIMD_HAS_AVX2_BUILD
+
 /// In-place bitonic compare-exchange steps j = top, top-1, ..., bottom of
-/// one merge pass over integral `keys`, each step over the pairs
-/// [p_lo, p_hi) of its dimension: pair p of dimension j is node
-/// lo = ((p >> j) << (j+1)) | (p mod 2^j) and its partner lo + 2^j. The
-/// pair ascends — lo takes the min, its partner the max — iff
-/// ((lo & dir_mask) == 0) != descending, and descends otherwise. That is
-/// core::detail::bitonic_keep_min's rule for a pass directed by one label
-/// bit (dir_mask = that bit) or by the caller alone (dir_mask = 0), so
-/// dir_mask must be 0 or a power of two above 2^top: both nodes of a pair
-/// read the same direction. A run of several steps needs p_lo and p_hi to
-/// be multiples of 2^top; every step then covers the same nodes
-/// [2 p_lo, 2 p_hi) and stays inside them, so disjoint ranges may run
-/// concurrently.
+/// one merge pass over integral `keys`, on the bases [q_lo, q_hi) of the
+/// run (see above: base q owns 2^(top-bottom+1) nodes, and a cut of the
+/// base range gives disjoint pieces). A pair (u, u + 2^j) ascends — u takes
+/// the min, its partner the max — iff ((u & dir_mask) == 0) != descending,
+/// and descends otherwise. That is core::detail::bitonic_keep_min's rule
+/// for a pass directed by one label bit (dir_mask = that bit) or by the
+/// caller alone (dir_mask = 0), so dir_mask must be 0 or a power of two
+/// above 2^top: all nodes of a base read the same direction.
 ///
-/// AVX2 runs 8-byte keys (signed directly, unsigned through a sign-bias
-/// XOR): each step j >= 3 as vertical min/max over contiguous half-groups,
-/// then steps 2, 1, 0 together on 8-node tiles in registers. Every other
-/// key and ISA runs the scalar reference. Integral keys that compare equal
-/// are the same bits, so every kernel writes the bytes the reference does.
-/// Callers: a replayed dual_sort's merge passes over nodes, and
-/// block_sort's local sort, whose "nodes" are the keys of whole blocks.
+/// 8-byte keys run the register-blocked loop (blocked::steps): on the
+/// AVX-512 tier eight keys per register with native 64-bit min/max, on
+/// AVX2 four keys per register (signed directly, unsigned through a
+/// sign-bias XOR). A run of up to three steps at or above the register
+/// width loads the registers of a round of bases once and applies all its
+/// steps in registers; a tile run top .. 0 (top <= 3) does the same on
+/// 16-node register tiles, pairing lanes below the register width. Every
+/// other key, ISA and run shape runs the scalar reference. Integral keys
+/// that compare equal are the same bits, so every kernel writes the bytes
+/// the reference does. Callers: a replayed dual_sort's merge passes over
+/// nodes, and block_sort's local sort, whose "nodes" are the keys of whole
+/// blocks; both cut their passes with bitonic_run_bottom.
 template <typename Key>
 inline void bitonic_steps(Key* keys, unsigned top, unsigned bottom,
-                          std::uint64_t p_lo, std::uint64_t p_hi,
+                          std::uint64_t q_lo, std::uint64_t q_hi,
                           std::uint64_t dir_mask, bool descending) {
   static_assert(std::is_integral_v<Key>,
                 "the bitonic step kernel sorts integral keys");
 #if DC_SIMD_HAS_AVX2_BUILD
   if constexpr (sizeof(Key) == 8) {
-    if (active_isa() == Isa::kAvx2) {
-      unsigned j = top + 1;
-      for (; j-- > std::max(bottom, 3u);)
-        avx2::bitonic_step_halves(keys, j, p_lo, p_hi, dir_mask, descending);
-      if (bottom > 2) return;
-      const unsigned low_top = std::min(top, 2u);
-      if (p_lo % 4 == 0 && p_hi % 4 == 0) {
-        avx2::bitonic_steps_tiles(keys, low_top, bottom, 2 * p_lo, 2 * p_hi,
-                                  dir_mask, descending);
-      } else {
-        scalar::bitonic_steps(keys, low_top, bottom, p_lo, p_hi, dir_mask,
+    switch (active_isa()) {
+      case Isa::kAvx512:
+        avx512::bitonic_steps(keys, top, bottom, q_lo, q_hi, dir_mask,
                               descending);
-      }
-      return;
+        return;
+      case Isa::kAvx2:
+        avx2::bitonic_steps(keys, top, bottom, q_lo, q_hi, dir_mask,
+                            descending);
+        return;
+      default:
+        break;
     }
   }
 #endif
-  scalar::bitonic_steps(keys, top, bottom, p_lo, p_hi, dir_mask, descending);
+  scalar::bitonic_steps(keys, top, bottom, q_lo, q_hi, dir_mask, descending);
+}
+
+/// The lowest step of the run that starts at step `top` of a merge pass:
+/// runs of three steps down to step 4 (the last one shorter where the
+/// steps do not divide), then steps 3 .. 0 as one tile run.
+inline unsigned bitonic_run_bottom(unsigned top) {
+  return top >= blocked::kTileLog ? std::max(top - 2, blocked::kTileLog) : 0;
+}
+
+/// One merge pass over `nodes` keys: steps t-1 .. 0 in the runs
+/// bitonic_run_bottom picks, each over all of its bases.
+template <typename Key>
+inline void bitonic_pass(Key* keys, std::uint64_t nodes, unsigned t,
+                         std::uint64_t dir_mask, bool descending) {
+  for (unsigned end = t; end > 0;) {
+    const unsigned bottom = bitonic_run_bottom(end - 1);
+    bitonic_steps(keys, end - 1, bottom, 0, nodes >> (end - bottom), dir_mask,
+                  descending);
+    end = bottom;
+  }
 }
 
 }  // namespace simd

@@ -161,11 +161,13 @@ TEST(RecoveryDriver, BudgetExhaustionDegradesWhenAsked) {
     ++calls;
     send_01(drv.machine());
   });
-  // Attempt 1 throws, retry (budget 1) throws, final attempt under
-  // kDegrade drops the message and completes.
-  EXPECT_EQ(calls, 3);
+  // Attempt 1 throws. No later event can change the faults, so the driver
+  // spends none of its budget and its final attempt, under kDegrade, drops
+  // the message and completes.
+  EXPECT_EQ(calls, 2);
   EXPECT_TRUE(drv.report().degraded);
-  EXPECT_EQ(drv.report().retries, 1u);
+  EXPECT_EQ(drv.report().retries, 0u);
+  EXPECT_EQ(drv.report().backoff_cycles, 0u);
   EXPECT_EQ(m.counters().messages_lost, 1u);
   // The driver restores strict filtering for subsequent phases.
   EXPECT_THROW(send_01(m), FaultError);

@@ -10,10 +10,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iostream>
 #include <limits>
 #include <new>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -67,7 +69,8 @@ struct ForcedIsa {
 // The ISAs worth testing on this binary/CPU beyond scalar (possibly none).
 std::vector<simd::Isa> vector_isas() {
   std::vector<simd::Isa> isas;
-  for (const simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kNeon}) {
+  for (const simd::Isa isa :
+       {simd::Isa::kAvx2, simd::Isa::kAvx512, simd::Isa::kNeon}) {
     if (simd::force_isa(isa)) isas.push_back(isa);
   }
   simd::clear_forced_isa();
@@ -161,8 +164,8 @@ TEST(Simd, MergeSplitDispatcherDeclinesUncoveredShapes) {
   dc::u32 out[7] = {99, 99, 99, 99, 99, 99, 99};
   EXPECT_FALSE(simd::merge_split(a, b, 7, true, out));
   for (const auto v : out) EXPECT_EQ(v, 99u);
-  // 8-byte keys always decline — no 64-bit min/max below AVX-512; the
-  // caller's scalar select chains merge them.
+  // 8-byte keys always decline on every tier — there is no 64-bit merge
+  // network; the caller's scalar select chains merge them.
   dc::u64 wa[8] = {1, 2, 3, 4, 5, 6, 7, 8};
   dc::u64 wb[8] = {1, 2, 3, 4, 5, 6, 7, 8};
   dc::u64 wout[8] = {99, 99, 99, 99, 99, 99, 99, 99};
@@ -237,12 +240,49 @@ TEST(Simd, ForceIsaRefusesUnsupportedAndKeepsCurrentChoice) {
   EXPECT_FALSE(simd::force_isa(simd::Isa::kNeon));
 #else
   EXPECT_FALSE(simd::force_isa(simd::Isa::kAvx2));
+  EXPECT_FALSE(simd::force_isa(simd::Isa::kAvx512));
 #endif
   EXPECT_EQ(simd::active_isa(), before);
   EXPECT_TRUE(simd::force_isa(simd::Isa::kScalar));
   EXPECT_EQ(simd::active_isa(), simd::Isa::kScalar);
   simd::clear_forced_isa();
   EXPECT_EQ(simd::active_isa(), before);
+  // A better tier must not shadow a lower one: on an AVX-512 CPU the AVX2
+  // tier stays forceable and is the one that then runs.
+  if (simd::supported(simd::Isa::kAvx512)) {
+    EXPECT_EQ(simd::detect_best(), simd::Isa::kAvx512);
+    EXPECT_TRUE(simd::force_isa(simd::Isa::kAvx2));
+    EXPECT_EQ(simd::active_isa(), simd::Isa::kAvx2);
+    EXPECT_TRUE(simd::force_isa(simd::Isa::kAvx512));
+    EXPECT_EQ(simd::active_isa(), simd::Isa::kAvx512);
+    simd::clear_forced_isa();
+  } else {
+    EXPECT_FALSE(simd::force_isa(simd::Isa::kAvx512));
+    EXPECT_EQ(simd::active_isa(), before);
+  }
+}
+
+// DC_SIMD picks the tier it names wherever the CPU has it, whatever better
+// tier the CPU also has; `auto` (or no DC_SIMD) picks the best. CI runs
+// this binary under DC_SIMD=avx2 and DC_SIMD=scalar as well, and reads the
+// tier each run took from the line this test prints.
+TEST(Simd, EnvChoiceRunsTheNamedTierWhereSupported) {
+  const char* env = std::getenv("DC_SIMD");
+  const std::string choice = env ? env : "auto";
+  simd::clear_forced_isa();
+  std::cout << "DC_SIMD=" << choice << " runs "
+            << simd::isa_name(simd::active_isa()) << " (best on this CPU: "
+            << simd::isa_name(simd::detect_best()) << ")\n";
+  if (choice == "scalar") {
+    EXPECT_EQ(simd::active_isa(), simd::Isa::kScalar);
+  } else if (choice == "avx2" || choice == "neon") {
+    const simd::Isa named =
+        choice == "avx2" ? simd::Isa::kAvx2 : simd::Isa::kNeon;
+    EXPECT_EQ(simd::active_isa(),
+              simd::supported(named) ? named : simd::Isa::kScalar);
+  } else {
+    EXPECT_EQ(simd::active_isa(), simd::detect_best());
+  }
 }
 
 // Runs block_sort on `input` under the scalar ISA and under each vector
@@ -469,24 +509,27 @@ TEST(Simd, BitonicReferenceFollowsTheNetworkRule) {
   }
 }
 
-// Runs steps top .. bottom over the pairs [0, pairs) cut into three pieces
-// at multiples of `align`, as a pool's chunks would run them.
+// Runs steps top .. bottom over every base of the run, cut into pieces at
+// arbitrary bases (none of them a multiple of a register or tile), as a
+// pool's chunks would run them.
 template <typename Key>
 void run_in_pieces(std::vector<Key>& keys, unsigned top, unsigned bottom,
-                   dc::u64 align, const core::detail::PassDirection& pass) {
-  const dc::u64 pairs = keys.size() / 2;
-  const dc::u64 cuts[] = {0, pairs / 3 / align * align,
-                          (2 * pairs / 3 + 1) / align * align, pairs};
-  for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+                   const core::detail::PassDirection& pass) {
+  const dc::u64 bases = keys.size() >> (top - bottom + 1);
+  std::vector<dc::u64> cuts = {0, bases / 3, 2 * bases / 3 + 1, bases - 1,
+                               bases};
+  for (dc::u64& c : cuts) c = std::min(c, bases);
+  for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+    if (cuts[c] >= cuts[c + 1]) continue;
     simd::bitonic_steps(keys.data(), top, bottom, cuts[c], cuts[c + 1],
                         pass.dir_mask, pass.descending);
   }
 }
 
 // Every vector ISA against the scalar reference, on D_1 .. D_8, both
-// directions. At every pass of the network, every step run a caller can
-// cut the pass into — each single step, cut at any pair, and each run of
-// steps top .. 0, cut at multiples of 2^top — runs on the network's live
+// directions. At every pass of the network, every run a caller can cut
+// the pass into — each run top .. bottom of up to three steps, and each
+// tile run top .. 0 with top <= 3 — runs in pieces on the network's live
 // state, scalar and vector, and must leave the same bytes.
 template <typename Key>
 void expect_bitonic_parity(simd::Isa isa) {
@@ -500,16 +543,14 @@ void expect_bitonic_parity(simd::Isa isa) {
           const auto pass =
               core::detail::pass_direction(k, n, half_merge, descending);
           for (unsigned top = 0; top < t; ++top) {
-            // bottom = 0, then (for top > 0) the single step top.
-            for (unsigned bottom = 0; bottom <= top;
-                 bottom += std::max(top, 1u)) {
-              const dc::u64 align = bottom == top ? 1 : dc::u64{1} << top;
+            for (unsigned bottom = top + 1; bottom-- > 0;) {
+              if (top - bottom > 2 && !(bottom == 0 && top <= 3)) continue;
               auto want = state;
               ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
-              run_in_pieces(want, top, bottom, align, pass);
+              run_in_pieces(want, top, bottom, pass);
               auto got = state;
               ASSERT_TRUE(simd::force_isa(isa));
-              run_in_pieces(got, top, bottom, align, pass);
+              run_in_pieces(got, top, bottom, pass);
               simd::clear_forced_isa();
               ASSERT_EQ(got, want)
                   << "Key=" << sizeof(Key) << "B signed="
@@ -520,8 +561,9 @@ void expect_bitonic_parity(simd::Isa isa) {
             }
           }
           if (t > 0) {
-            simd::scalar::bitonic_steps(state.data(), t - 1, 0, 0, nodes / 2,
-                                        pass.dir_mask, pass.descending);
+            simd::scalar::bitonic_steps(state.data(), t - 1, 0, 0,
+                                        nodes >> t, pass.dir_mask,
+                                        pass.descending);
           }
         }
       }
@@ -540,6 +582,83 @@ TEST(Simd, BitonicStepsMatchScalarEveryOrderPassAndRun) {
     expect_bitonic_parity<std::int64_t>(isa);
     expect_bitonic_parity<std::uint32_t>(isa);
     expect_bitonic_parity<std::int32_t>(isa);
+  }
+}
+
+// The reference's runs follow the base contract: on D_1 .. D_7, every run
+// top .. bottom of every pass over all of its bases leaves the bytes that
+// its single steps top, top-1, ..., bottom leave, each over all pairs (the
+// single steps follow the network rule, as checked above).
+TEST(Simd, BitonicReferenceRunEqualsItsStepsInOrder) {
+  for (unsigned n = 1; n <= 7; ++n) {
+    const std::size_t nodes = std::size_t{1} << (2 * n - 1);
+    auto state = bitonic_keys<dc::u64>(nodes, 90 + n);
+    for (unsigned k = 1; k <= n; ++k) {
+      for (const bool half_merge : {true, false}) {
+        const unsigned t = half_merge ? 2 * k - 2 : 2 * k - 1;
+        const auto pass = core::detail::pass_direction(k, n, half_merge, false);
+        for (unsigned top = 0; top < t; ++top) {
+          for (unsigned bottom = 0; bottom < top; ++bottom) {
+            auto run = state;
+            simd::scalar::bitonic_steps(run.data(), top, bottom, 0,
+                                        nodes >> (top - bottom + 1),
+                                        pass.dir_mask, pass.descending);
+            auto steps = state;
+            for (unsigned j = top + 1; j-- > bottom;) {
+              simd::scalar::bitonic_steps(steps.data(), j, j, 0, nodes / 2,
+                                          pass.dir_mask, pass.descending);
+            }
+            ASSERT_EQ(run, steps) << "D_" << n << " k=" << k << " steps "
+                                  << top << ".." << bottom;
+          }
+        }
+        if (t > 0) {
+          simd::bitonic_pass(state.data(), nodes, t, pass.dir_mask,
+                             pass.descending);
+        }
+      }
+    }
+    EXPECT_TRUE(std::is_sorted(state.begin(), state.end())) << "D_" << n;
+  }
+}
+
+// End to end on every tier: a replayed dual_sort on RD_1 .. RD_7, both
+// directions, signed and unsigned 8-byte keys, sorts to the same bytes
+// with byte-identical Counters and trace JSON as under the scalar
+// reference.
+TEST(Simd, DualSortEndToEndParityAcrossIsas) {
+  const auto isas = vector_isas();
+  if (isas.empty()) GTEST_SKIP() << "no vector ISA on this binary/CPU";
+  for (unsigned n = 1; n <= 7; ++n) {
+    const net::RecursiveDualCube r(n);
+    const auto raw = bitonic_keys<dc::u64>(r.node_count(), 30 + n);
+    std::vector<std::int64_t> signed_keys(raw.begin(), raw.end());
+    for (const bool descending : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "RD_" << n
+                                      << " descending=" << descending);
+      const auto sorted = [&](auto keys, simd::Isa isa) {
+        EXPECT_TRUE(simd::force_isa(isa));
+        Machine m(r);
+        m.set_schedule_path(SchedulePath::kCompiled);
+        m.enable_trace();
+        core::dual_sort(m, r, keys, descending);
+        simd::clear_forced_isa();
+        EXPECT_EQ(m.replayed_cycles(), m.counters().comm_cycles);
+        return std::make_tuple(keys, m.counters(), m.trace()->json());
+      };
+      {
+        Machine warm(r);  // records the schedule every run below replays
+        auto keys = raw;
+        core::dual_sort(warm, r, keys, descending);
+      }
+      const auto want = sorted(raw, simd::Isa::kScalar);
+      const auto want_signed = sorted(signed_keys, simd::Isa::kScalar);
+      for (const simd::Isa isa : isas) {
+        EXPECT_EQ(sorted(raw, isa), want) << simd::isa_name(isa);
+        EXPECT_EQ(sorted(signed_keys, isa), want_signed)
+            << simd::isa_name(isa);
+      }
+    }
   }
 }
 
