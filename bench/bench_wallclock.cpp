@@ -176,8 +176,7 @@ BENCHMARK(BM_BlockPrefix)->RangeMultiplier(8)->Range(1, 512)->Unit(benchmark::kM
 // pairs at width 8, 128 at width 512. Uniform random blocks interleave, so
 // the disjoint fast path stays cold and the merge itself is what's timed.
 template <typename Key>
-void merge_split_bench(benchmark::State& state) {
-  const std::size_t width = static_cast<std::size_t>(state.range(0));
+std::vector<Key> sorted_pair_pool(std::size_t width) {
   const std::size_t pairs = (std::size_t{1} << 16) / width;
   const auto keys =
       dc::generate_keys(dc::KeyDistribution::kUniform, 2 * pairs * width, 5);
@@ -186,6 +185,14 @@ void merge_split_bench(benchmark::State& state) {
        it += static_cast<std::ptrdiff_t>(width)) {
     std::sort(it, it + static_cast<std::ptrdiff_t>(width));
   }
+  return blocks;
+}
+
+template <typename Key>
+void merge_split_bench(benchmark::State& state) {
+  const std::size_t width = static_cast<std::size_t>(state.range(0));
+  const std::size_t pairs = (std::size_t{1} << 16) / width;
+  const std::vector<Key> blocks = sorted_pair_pool<Key>(width);
   std::vector<Key> out(width);
   std::size_t pair = 0;
   bool keep_min = true;
@@ -201,9 +208,10 @@ void merge_split_bench(benchmark::State& state) {
                           static_cast<std::int64_t>(width));
 }
 
-// 8-byte keys — what block_sort actually merges. Always the scalar select
-// chains: the vector dispatcher declines 8-byte keys, since AVX2 has no
-// 64-bit min/max.
+// 8-byte keys, one side of a pair: the per-node form that a recording or
+// interpreted block sort runs, always the scalar select chains (the
+// one-sided vector dispatcher declines 8-byte keys). A replayed block sort
+// merges both sides of a pair in place instead: BM_MergeSplitPair.
 void BM_MergeSplit(benchmark::State& state) {
   merge_split_bench<u64>(state);
 }
@@ -218,6 +226,55 @@ void BM_MergeSplit32(benchmark::State& state) {
   merge_split_bench<dc::u32>(state);
 }
 BENCHMARK(BM_MergeSplit32)
+    ->RangeMultiplier(8)
+    ->Range(8, 512)
+    ->Unit(benchmark::kNanosecond);
+
+// The in-place pair form that a replayed block sort runs on each pair of
+// partners (core::detail::merge_split_pair): with 8-byte keys on a vector
+// tier, the vector pair kernel; else both per-node merges into a scratch.
+// It overwrites its pair, so each iteration first restores that pair from
+// a pristine copy of BM_MergeSplit's 2^17-key pool, cycling through the
+// distinct pairs and alternating keep-min / keep-max as BM_MergeSplit
+// does. BM_MergeSplitPairRestore times the restore alone, so the pair
+// itself costs the difference of the two rows. Items are the 2m keys of a
+// pair.
+void merge_split_pair_bench(benchmark::State& state, bool merge) {
+  const std::size_t width = static_cast<std::size_t>(state.range(0));
+  const std::size_t pairs = (std::size_t{1} << 16) / width;
+  const std::vector<u64> pristine = sorted_pair_pool<u64>(width);
+  std::vector<u64> work = pristine;
+  std::vector<u64> scratch;
+  std::size_t pair = 0;
+  bool keep_min = true;
+  for (auto _ : state) {
+    u64* const lo = work.data() + 2 * pair * width;
+    std::copy_n(pristine.data() + 2 * pair * width, 2 * width, lo);
+    if (merge) {
+      dc::core::detail::merge_split_pair(lo, lo + width, width, keep_min,
+                                         scratch);
+    }
+    benchmark::DoNotOptimize(lo);
+    benchmark::ClobberMemory();
+    keep_min = !keep_min;
+    pair = (pair + 1) % pairs;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * width));
+}
+
+void BM_MergeSplitPair(benchmark::State& state) {
+  merge_split_pair_bench(state, true);
+}
+BENCHMARK(BM_MergeSplitPair)
+    ->RangeMultiplier(8)
+    ->Range(8, 512)
+    ->Unit(benchmark::kNanosecond);
+
+void BM_MergeSplitPairRestore(benchmark::State& state) {
+  merge_split_pair_bench(state, false);
+}
+BENCHMARK(BM_MergeSplitPairRestore)
     ->RangeMultiplier(8)
     ->Range(8, 512)
     ->Unit(benchmark::kNanosecond);

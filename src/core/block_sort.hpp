@@ -9,21 +9,26 @@
 // underlying network sorts N scalars.
 //
 // block_sort keeps the whole key set in one node-major SoA plane
-// (values[u*block + k]) and runs dual_bitonic_network at width m, so every
-// communication cycle moves contiguous width-m strides through the
-// simulator's block planes (memcpy-like on compiled replay) and every
-// merge-split writes its kept half straight into a double-buffered plane —
-// no per-step heap traffic. The network's cycles, messages and edge loads
-// are dual_sort's (asserted in block_test), and its schedule is certified
-// as Batcher's bitonic network (schedule_test).
+// (values[u*block + k]) and runs dual_bitonic_network at width m. On
+// compiled replay each dimension step is one in-place sweep over the N/2
+// pairs of partners, and each pair is merge-split where it lies
+// (merge_split_pair) — no second plane, no per-step heap traffic. Record
+// and interpreted runs move contiguous width-m strides through the
+// simulator's block planes and merge-split per node into a second plane.
+// The network's cycles, messages and edge loads are dual_sort's (asserted
+// in block_test), and its schedule is certified as Batcher's bitonic
+// network (schedule_test).
 //
-// Both local kernels run without data-dependent branches. The local sort
-// of integral keys at a power-of-two width runs Batcher's network on each
+// The kernels run without data-dependent branches. The local sort of
+// integral keys at a power-of-two width runs Batcher's network on each
 // block through dual_sort's in-place bitonic step kernel (AVX-512 or AVX2
-// for 8-byte keys); other keys and widths take std::sort. A merge-split
-// that no vector kernel covers and no disjoint fast path settles runs the
-// two-pointer merge as two independent select chains: one from the block
-// ends, one from the merge-path co-rank of the kept half's midpoint.
+// for 8-byte keys); other keys and widths take std::sort. An interleaving
+// pair of integral 8-byte keys at a power-of-two width runs the vector
+// pair kernel (sim::simd::merge_split_pair: Batcher's half-cleaner, then a
+// bitonic merge of each block in registers). A merge-split that no vector
+// kernel covers and no disjoint fast path settles runs the two-pointer
+// merge as two independent select chains: one from the block ends, one
+// from the merge-path co-rank of the kept half's midpoint.
 //
 // Cost: the same 6n²−7n+2 communication cycles as Algorithm 3 (each cycle
 // now carries a block); computation steps stay 2n²−n parallel rounds plus
@@ -137,6 +142,55 @@ void merge_split(const Key* a, const Key* b, std::size_t width, bool keep_min,
   }
 }
 
+/// The in-place merge-split of a pair of sorted blocks, the form a
+/// replayed network runs: `lo` takes the lower (keep_min) or upper `width`
+/// keys of merge(lo, hi) and `hi` the rest, each sorted ascending, which
+/// is what merge_split(lo, hi, width, keep_min) and merge_split(hi, lo,
+/// width, !keep_min) write, element for element. An ordered pair (the max
+/// side's first key does not order before the min side's last) stays put
+/// with no write, and a reversed pair (the max side's last key orders
+/// before the min side's first) swaps its blocks: merge_split's disjoint
+/// tests, with the same tie directions. An interleaving pair runs the
+/// vector pair kernel where it covers the keys and width; any other runs
+/// both merge_split calls into `scratch` (2·width keys, grown on first
+/// use) and copies the results back.
+template <typename Key>
+void merge_split_pair(Key* lo, Key* hi, std::size_t width, bool keep_min,
+                      std::vector<Key>& scratch) {
+  Key* const min_side = keep_min ? lo : hi;
+  Key* const max_side = keep_min ? hi : lo;
+  if (!(max_side[0] < min_side[width - 1])) return;
+  if (max_side[width - 1] < min_side[0]) {
+    std::swap_ranges(min_side, min_side + width, max_side);
+    return;
+  }
+  if (sim::simd::merge_split_pair(min_side, max_side, width)) return;
+  if (scratch.size() < 2 * width) scratch.resize(2 * width);
+  merge_split(lo, hi, width, keep_min, scratch.data());
+  merge_split(hi, lo, width, !keep_min, scratch.data() + width);
+  std::copy(scratch.data(), scratch.data() + width, lo);
+  std::copy(scratch.data() + width, scratch.data() + 2 * width, hi);
+}
+
+/// block_sort's combine: merge-split of sorted width-m blocks, per node
+/// (record and interpreted runs) or per pair in place (replay), charging
+/// 2m ops per node — its merge comparisons and moves — whatever runs.
+template <typename Key>
+struct MergeSplitCombine {
+  sim::Machine& m;
+  std::size_t width;
+
+  void operator()(net::NodeId /*u*/, bool keep_min, const Key* own,
+                  const Key* other, Key* out) const {
+    merge_split(own, other, width, keep_min, out);
+    m.add_ops(2 * width);
+  }
+  void pair(bool keep_min, Key* lo, Key* hi, std::vector<Key>& scratch) const {
+    merge_split_pair(lo, hi, width, keep_min, scratch);
+    m.add_ops(4 * width);
+  }
+};
+
 /// The local sort: one parallel computation step that sorts every node's
 /// stride of the node-major plane in place, charging m ops per node.
 /// Integral keys at a power-of-two width m = 2^L run Batcher's network
@@ -188,13 +242,8 @@ void block_sort(sim::Machine& m, const net::RecursiveDualCube& r,
   detail::sort_blocks(m, data, block);
 
   // Network phase: Algorithm 3 with merge-split combines over strides.
-  dual_bitonic_network(
-      m, r, data, block, descending,
-      [&m, block](net::NodeId /*u*/, bool keep_min, const Key* own,
-                  const Key* other, Key* out) {
-        detail::merge_split(own, other, block, keep_min, out);
-        m.add_ops(2 * block);  // merge comparisons/moves
-      });
+  dual_bitonic_network(m, r, data, block, descending,
+                       detail::MergeSplitCombine<Key>{m, block});
 
   // Merge-split always keeps blocks internally ascending; a descending
   // global order additionally needs each block reversed locally.

@@ -27,7 +27,7 @@
 // cycles and T_comp = 2n² − n ≤ 2n² comparison steps.
 //
 // dual_bitonic_network is the one schedule, over a node-major plane of
-// fixed-width blocks with a pluggable per-node combine rule. dual_sort runs
+// fixed-width blocks with a pluggable combine rule. dual_sort runs
 // it at width 1 with scalar compare-exchange; block_sort.hpp runs it at
 // width m with sorted-block merge-split (the classic result that any
 // sorting network sorts blocks when compare-exchange is replaced by
@@ -48,10 +48,10 @@
 //     and compare steps around an empty body. A replayed RD_7 sort makes
 //     31 sweeps for its 91 steps.
 //   * Every other run (block_sort's merge-split, non-integral keys,
-//     observed runs) keeps the double-buffered combine, one sweep per
-//     dimension step over pair groups of 2^(j+1) nodes: the combine runs
-//     once for each partner, reading the other's block straight from the
-//     plane.
+//     observed runs) makes one in-place sweep per dimension step over the
+//     step's N/2 pairs of partners, split by pair: the combine's pair form
+//     settles both blocks of a pair at once, reading the partner's block
+//     straight from the plane. No second plane is allocated.
 //
 // Counters, edge loads, imbalance samples and observer snapshots match the
 // relayed step; only the cycles' trace span name differs
@@ -65,6 +65,7 @@
 #include <functional>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/dimension_exchange.hpp"
@@ -107,15 +108,26 @@ inline bool bitonic_keep_min(net::NodeId u, unsigned j, unsigned k,
 /// other dimension a 3-cycle relay (dimension_exchange.hpp).
 inline std::size_t relay_cycles(unsigned j) { return j == 0 ? 1 : 3; }
 
-/// dual_sort's combine: compare-exchange of one key. Position-stable on
-/// ties — std::min and std::max both return their first argument when
-/// the keys compare equal, so each partner keeps its own element and the
-/// output is a permutation of the input records.
+/// dual_sort's combine: compare-exchange of one key under the order
+/// `Less`. Position-stable on ties: a node takes the other element only
+/// when it is strictly better for its side, so on equal keys each partner
+/// keeps its own element and the output is a permutation of the input
+/// records. The pair form swaps the partners only when they are out of
+/// order, so ties stay put there too.
+template <typename Less = std::less<>>
 struct CompareExchange {
   template <typename Key>
   void operator()(net::NodeId /*u*/, bool keep_min, const Key* own,
                   const Key* other, Key* out) const {
-    *out = keep_min ? std::min(*own, *other) : std::max(*own, *other);
+    const bool take = keep_min ? Less{}(*other, *own) : Less{}(*own, *other);
+    *out = take ? *other : *own;
+  }
+  template <typename Key>
+  void pair(bool keep_min, Key* lo, Key* hi,
+            std::vector<Key>& /*scratch*/) const {
+    Key* const min_side = keep_min ? lo : hi;
+    Key* const max_side = keep_min ? hi : lo;
+    if (Less{}(*max_side, *min_side)) std::swap(*min_side, *max_side);
   }
 };
 
@@ -161,49 +173,52 @@ using DualSortObserver =
 /// Runs level k of the Algorithm-3 schedule over `plane`, where node u's
 /// value is the width-sized stride `plane[u*width .. u*width+width)`: the
 /// half-merge over dimensions j = 2k-3 .. 0 (none at k = 1), then the full
-/// merge over j = 2k-2 .. 0. Every dimension step moves blocks through
-/// dimension_exchange_blocks in `sched` (or, when `sched` replays, runs
-/// fused: see the header) and double-buffers the combine through `next`
-/// (same size as `plane`): `combine(u, keep_min, own, other, out)` must
-/// write node u's min-side (keep_min) or max-side result (width elements)
-/// into `out`, reading the `own` and `other` strides, and may run
-/// concurrently for distinct nodes. One counted compare op per node per
-/// dimension step is charged here; combine charges any further work.
+/// merge over j = 2k-2 .. 0. The combine has two forms, which may run
+/// concurrently for distinct nodes or pairs:
+///   * per node, `combine(u, keep_min, own, other, out)` writes node u's
+///     min-side (keep_min) or max-side result (width elements) into
+///     `out`, reading the `own` and `other` strides;
+///   * per pair, `combine.pair(keep_min, lo, hi, scratch)` settles the
+///     blocks of partners u and u + 2^j in place, lo (node u) taking the
+///     min side iff keep_min, with `scratch` a vector it may grow and
+///     reuse across the pairs of a sweep.
+/// When `sched` replays, each dimension step is one fused in-place sweep
+/// over its pairs (see the header). Otherwise it moves blocks through
+/// dimension_exchange_blocks in `sched` and double-buffers the per-node
+/// form through `next` (same size as `plane`; unused on replay). One
+/// counted compare op per node per dimension step is charged here;
+/// combine charges any further work.
 template <typename V, typename Combine>
 void dual_bitonic_level(sim::Machine& m, sim::ObliviousSection& sched,
                         const net::RecursiveDualCube& r, std::vector<V>& plane,
                         std::vector<V>& next, std::size_t width, unsigned k,
                         bool descending, Combine&& combine,
                         const DualSortObserver<V>& observer = {}) {
-  DC_REQUIRE(next.size() == plane.size(),
+  DC_REQUIRE(sched.replaying() || next.size() == plane.size(),
              "the combine buffer must match the plane");
   const unsigned n = r.order();
   const auto step = [&](unsigned j, bool half_merge) {
     if (sched.replaying()) {
-      // One sweep stands in for the dimension step's cycles and its
-      // compare step. A pair group of 2^(j+1) aligned nodes holds
-      // (u, u + 2^j) for every u in its low half, and its direction rule
-      // reads only bits above j, so one bitonic_keep_min serves the group:
-      // the low side keeps it, the high side the other. Each partner reads
-      // the other's block straight from the plane — the block that the
-      // relay would have delivered.
+      // One in-place sweep over the step's N/2 pairs stands in for its
+      // cycles and its compare step, split by pair as bitonic_steps splits
+      // its bases: pair p is node u = ((p >> j) << (j+1)) | (p mod 2^j)
+      // with its partner u + 2^j, and u keeps the min side iff the pass
+      // ascends at u. Each pair reads the partner's block straight from
+      // the plane — the block that the relay would have delivered.
       const std::size_t half = std::size_t{1} << j;
-      const std::size_t group = 2 * half;
+      const detail::PassDirection d =
+          detail::pass_direction(k, n, half_merge, descending);
       sched.exchange_compute_fused(
-          detail::relay_cycles(j), r.node_count() / group,
-          [&](std::size_t b_lo, std::size_t b_hi) {
-            for (std::size_t g = b_lo * group; g < b_hi * group; g += group) {
-              const bool keep_min = detail::bitonic_keep_min(
-                  g, j, k, n, half_merge, descending);
-              for (std::size_t u = g; u < g + half; ++u) {
-                const V* const lo = plane.data() + u * width;
-                const V* const hi = lo + half * width;
-                combine(u, keep_min, lo, hi, next.data() + u * width);
-                combine(u + half, !keep_min, hi, lo,
-                        next.data() + (u + half) * width);
-              }
+          detail::relay_cycles(j), r.node_count() / 2,
+          [&](std::size_t p_lo, std::size_t p_hi) {
+            std::vector<V> scratch;
+            for (std::size_t p = p_lo; p < p_hi; ++p) {
+              const std::size_t u = ((p >> j) << (j + 1)) | (p & (half - 1));
+              V* const lo = plane.data() + u * width;
+              combine.pair(((u & d.dir_mask) == 0) != d.descending, lo,
+                           lo + half * width, scratch);
             }
-            m.add_ops((b_hi - b_lo) * group);
+            m.add_ops(2 * (p_hi - p_lo));
           });
     } else {
       // Zero-copy: combine reads the received block straight out of the
@@ -215,8 +230,8 @@ void dual_bitonic_level(sim::Machine& m, sim::ObliviousSection& sched,
                 plane.data() + u * width, ex.recv(u), next.data() + u * width);
         m.add_ops(1);
       });
+      plane.swap(next);
     }
-    plane.swap(next);
     if (observer)
       observer("level " + std::to_string(k) +
                    (half_merge ? " half-merge dim " : " full-merge dim ") +
@@ -246,10 +261,10 @@ void dual_bitonic_network(sim::Machine& m, const net::RecursiveDualCube& r,
   sim::ObliviousSection sched(m, "dual_bitonic_network", {r.order()});
   if constexpr (std::is_integral_v<V> &&
                 std::is_same_v<std::remove_cvref_t<Combine>,
-                               detail::CompareExchange>) {
+                               detail::CompareExchange<>>) {
     if (sched.replaying() && !observer) {
-      // The compare-exchange of integral keys has an in-place vector
-      // kernel, so the replay needs no `next` plane.
+      // The compare-exchange of integral keys runs the register-blocked
+      // vector kernel, up to three dimension steps per sweep.
       DC_REQUIRE(width == 1, "compare-exchange sorts one key per node");
       const unsigned n = r.order();
       for (unsigned k = 1; k <= n; ++k) {
@@ -263,7 +278,8 @@ void dual_bitonic_network(sim::Machine& m, const net::RecursiveDualCube& r,
       return;
     }
   }
-  std::vector<V> next(plane.size());
+  std::vector<V> next;  // only the per-node combine writes a second plane
+  if (!sched.replaying()) next.resize(plane.size());
   for (unsigned k = 1; k <= r.order(); ++k)
     dual_bitonic_level(m, sched, r, plane, next, width, k, descending, combine,
                        observer);
@@ -279,7 +295,7 @@ template <typename Key>
 void dual_sort(sim::Machine& m, const net::RecursiveDualCube& r,
                std::vector<Key>& keys, bool descending = false,
                const DualSortObserver<Key>& observer = {}) {
-  dual_bitonic_network(m, r, keys, 1, descending, detail::CompareExchange{},
+  dual_bitonic_network(m, r, keys, 1, descending, detail::CompareExchange<>{},
                        observer);
 }
 

@@ -56,26 +56,18 @@ namespace dc::core {
 
 namespace detail {
 
-/// Missing-aware key order: a lost slot sorts as +infinity.
-template <typename Key>
-bool ft_key_less(const std::optional<Key>& a, const std::optional<Key>& b) {
-  if (!a) return false;
-  if (!b) return static_cast<bool>(a);
-  return *a < *b;
-}
-
-/// The network's compare-exchange over missing-aware keys. Like
-/// dual_sort's, it is position-stable on ties: a node takes the other
-/// element only when it is strictly better for its side.
-template <typename Key>
-void ft_compare_exchange(net::NodeId /*u*/, bool keep_min,
-                         const std::optional<Key>* own,
-                         const std::optional<Key>* other,
-                         std::optional<Key>* out) {
-  const bool take = keep_min ? ft_key_less(*other, *own)
-                             : ft_key_less(*own, *other);
-  *out = take ? *other : *own;
-}
+/// Missing-aware key order: a lost slot sorts as +infinity. The network
+/// compare-exchanges under it with dual_sort's position-stable rule
+/// (CompareExchange<FtKeyLess>).
+struct FtKeyLess {
+  template <typename Key>
+  bool operator()(const std::optional<Key>& a,
+                  const std::optional<Key>& b) const {
+    if (!a) return false;
+    if (!b) return static_cast<bool>(a);
+    return *a < *b;
+  }
+};
 
 /// Input placement: every key at its label, dead labels' keys lost.
 template <typename Key>
@@ -110,7 +102,7 @@ std::vector<std::optional<Key>> ft_dual_sort(
   {
     sim::ProxyScope proxies(m, r, plan, sim::proxy_map(r, dead), ftrep);
     dual_bitonic_network(m, r, val, 1, descending,
-                         &detail::ft_compare_exchange<Key>);
+                         detail::CompareExchange<detail::FtKeyLess>{});
   }
   if (report) *report = ftrep;
   return val;
@@ -160,7 +152,7 @@ std::vector<std::optional<Key>> resilient_dual_sort(
           sim::ProxyScope proxies(m, r, plan, rep, *drv.transport());
           sim::ObliviousSection sched(m, "dual_bitonic_network", {r.order()});
           dual_bitonic_level(m, sched, r, work, next, 1, k, descending,
-                             &detail::ft_compare_exchange<Key>);
+                             detail::CompareExchange<detail::FtKeyLess>{});
         });
         val.swap(work);
       }

@@ -2,25 +2,28 @@
 //
 // The compiled-schedule replay path (sim/machine.hpp) and the sorting and
 // block algorithms (core/dual_sort.hpp, core/block_sort.hpp,
-// core/block_prefix.hpp) spend their cycles in four tight loops: the
+// core/block_prefix.hpp) spend their cycles in five tight loops: the
 // receiver-major plane gather, the in-place bitonic compare-exchange (a
 // replayed dual_sort's network and block_sort's local sort of each block),
-// the sorted merge-split of 4-byte keys, and the row-wise prefix combine.
-// This header implements them as explicit SIMD kernels — AVX2 on x86-64
-// (all four), AVX-512 on x86-64 CPUs that have it (the bitonic steps),
+// the sorted merge-split of 4-byte keys, the in-place merge-split of a
+// pair of 8-byte blocks (a replayed block_sort's network), and the
+// row-wise prefix combine. This header implements them as explicit SIMD
+// kernels — AVX2 on x86-64 (all five; the pair up to a width bound),
+// AVX-512 on x86-64 CPUs that have it (the bitonic steps and the pair),
 // NEON on AArch64 (merge-split and row combine) — behind one runtime
 // dispatch point, with a portable scalar fallback that is the reference
-// semantics. The merge-split of 8-byte keys has no kernel here;
-// core/block_sort.hpp runs it as two branch-free scalar select chains.
+// semantics. A one-sided merge-split of 8-byte keys, and a pair that no
+// kernel covers, run core/block_sort.hpp's two branch-free scalar select
+// chains.
 //
 // Dispatch. active_isa() resolves once per process from the DC_SIMD
 // environment variable (auto | avx2 | neon | scalar — mirroring
 // DC_SCHEDULE), clamped to what the binary and the CPU actually support: a
 // forced ISA that is absent falls back to scalar rather than faulting.
 // `auto` picks the best tier: AVX-512 (AVX-512F and VL) over AVX2 over
-// scalar on x86-64. The AVX-512 tier runs its own bitonic step kernel and
-// the AVX2 code of every other kernel, so DC_SIMD=avx2 on an AVX-512 CPU
-// still runs the AVX2 kernels. Tests can override the choice with
+// scalar on x86-64. The AVX-512 tier runs its own bitonic step and pair
+// kernels and the AVX2 code of every other kernel, so DC_SIMD=avx2 on an
+// AVX-512 CPU still runs the AVX2 kernels. Tests can override the choice with
 // force_isa(). The vector kernels are compiled with per-function target
 // attributes, so the translation unit itself needs no -mavx2 or -mavx512f
 // and the binary stays runnable on any x86-64; a CPU without AVX-512F/VL
@@ -31,11 +34,11 @@
 //   * bitonic_steps writes the min and the max of each compared pair of
 //     integral keys; equal keys are identical bit patterns, so it does not
 //     matter which kernel picks which;
-//   * merge_split produces the sorted lower/upper half of a merged pair of
-//     sorted blocks. That output is a pure function of the input multiset
-//     (for integral keys, equal keys are identical bit patterns), so any
-//     correct merge — two-pointer scalar or bitonic-network SIMD — yields
-//     byte-identical arrays;
+//   * merge_split and merge_split_pair produce the sorted lower/upper half
+//     of a merged pair of sorted blocks. That output is a pure function of
+//     the input multiset (for integral keys, equal keys are identical bit
+//     patterns), so any correct merge — two-pointer scalar or
+//     bitonic-network SIMD — yields byte-identical arrays;
 //   * add_rows is lane-wise u64 addition, which is associative and
 //     order-free per element.
 // Replay therefore stays deterministic across ISAs, which the simd_test
@@ -44,6 +47,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -110,7 +114,7 @@ inline Isa detect_best() {
 }
 
 /// Whether `isa` runs the AVX2 kernels: the AVX2 tier, and the AVX-512
-/// tier for every kernel but the bitonic steps.
+/// tier for every kernel but the bitonic steps and the pair merge-split.
 inline bool runs_avx2(Isa isa) {
   return isa == Isa::kAvx2 || isa == Isa::kAvx512;
 }
@@ -246,13 +250,12 @@ __attribute__((target("avx2"))) inline void storeu(void* p, __m256i v) {
 }
 
 // ---- 32-bit lane helpers (8 lanes per __m256i) ---------------------------
-// There is no 64-bit merge network here: AVX2 lacks 64-bit min/max, so
-// each 4-lane minmax would cost a cmpgt_epi64 plus two blendv's (plus a
-// sign-bias XOR pair for unsigned keys). Native vpminuq/vpmaxuq arrive with
-// AVX-512F, which only the bitonic step kernel's AVX-512 tier uses so far.
-// Only 4-byte keys (native min_epi32/min_epu32, 8 lanes) are merged here;
-// 8-byte keys take core/block_sort.hpp's two branch-free scalar select
-// chains.
+// The streaming merge below takes 4-byte keys (native min_epi32/min_epu32,
+// 8 lanes). AVX2 lacks 64-bit min/max, so each 4-lane minmax of 8-byte keys
+// costs a cmpgt_epi64 plus two blendv's (plus a sign-bias XOR pair for
+// unsigned keys); native vpminuq/vpmaxuq arrive with AVX-512F. 8-byte keys
+// are merged only in pairs, in place, by the register-blocked pair kernel
+// (blocked::merge_split_pair), which runs on both tiers.
 
 template <bool kSigned>
 __attribute__((target("avx2"))) inline void minmax32(__m256i& x, __m256i& y) {
@@ -556,9 +559,10 @@ inline void add_rows_u64(std::uint64_t* cur, const std::uint64_t* prev,
 /// covers (Key, width, active ISA); the caller then runs its scalar
 /// reference. Handled today: integral 4-byte keys at width % 8 == 0 on
 /// AVX2 (and so on the AVX-512 tier) and width % 4 == 0 on NEON. 8-byte
-/// keys always decline: AVX2 has no 64-bit min/max to build a merge network
-/// from, and the caller's branch-free select chains merge them. Output is
-/// bit-identical to the scalar two-pointer merge-split.
+/// keys decline this one-sided form: their vector kernel merges both sides
+/// of a pair in place (merge_split_pair), which is what a replayed block
+/// sort runs, and a per-node merge runs the caller's branch-free select
+/// chains. Output is bit-identical to the scalar two-pointer merge-split.
 template <typename Key>
 inline bool merge_split(const Key* a, const Key* b, std::size_t width,
                         bool keep_min, Key* out) {
@@ -728,15 +732,19 @@ __attribute__((noinline)) void leftover_steps(Key* keys, unsigned top,
 
 }  // namespace scalar
 
-// The register-blocked loop of simd::bitonic_steps, written once over a
-// lane-traits type L (avx2::Lanes64, avx512::Lanes64) for 8-byte keys:
+// The register-blocked loops of simd::bitonic_steps and
+// simd::merge_split_pair, written once over a lane-traits type L
+// (avx2::Lanes64, avx512::Lanes64) for 8-byte keys:
 //   Vec, Mask                 a register of 2^L::kLog keys, a lane mask;
+//   kLiveLog                  log2 of the registers of keys a loop keeps
+//                             live at once (half the register file);
 //   load(v, p), store(p, v)   move one register from and to memory;
 //   minmax(lo, hi)            lo takes the lane-wise min, hi the max;
 //   exchange(x, y, k)         x keeps the min in the lanes of k and the max
 //                             elsewhere, y the other side;
 //   exchange_lanes<J>(v, k)   each lane against the lane 2^J away
 //                             (J < kLog), keeping the min in the lanes of k;
+//   reverse(v)                v's lanes in reverse order;
 //   make_mask(k, bits)        k from one bit per lane.
 // Each round loads the registers of its bases, applies every step of the
 // run in registers and stores once. The traits' members carry the ISA's
@@ -917,6 +925,156 @@ inline void steps(Key* keys, unsigned top, unsigned bottom,
   scalar::bitonic_steps(keys, top, bottom, q_lo, q_hi, dir_mask, descending);
 }
 
+// simd::merge_split_pair on lane traits L. Batcher's half-cleaner first:
+// lo[i] and hi[m-1-i] take their min and max, so lo holds the lower m keys
+// of the pair and hi the upper m, each a bitonic sequence. Then an
+// ascending bitonic merge sorts each block: its steps pair keys m/2 .. 1
+// apart, registers while the distance spans whole registers, lanes below.
+
+/// Lane steps J .. 0 of an ascending merge over the registers r; keep[J]
+/// holds the lanes whose bit J is clear, which keep the min.
+template <typename L, unsigned J, std::size_t R>
+inline void ascending_lane_steps(typename L::Vec (&r)[R],
+                                 const typename L::Mask (&keep)[L::kLog]) {
+#pragma GCC unroll 16
+  for (std::size_t s = 0; s < R; ++s)
+    L::template exchange_lanes<J>(r[s], keep[J]);
+  if constexpr (J > 0) ascending_lane_steps<L, J - 1>(r, keep);
+}
+
+/// Register steps D .. 1 (a power of two, or 0 for none) of an ascending
+/// merge: register s against register s + D.
+template <typename L, std::size_t D, std::size_t R>
+inline void ascending_register_steps(typename L::Vec (&r)[R]) {
+  if constexpr (D > 0) {
+#pragma GCC unroll 16
+    for (std::size_t s = 0; s < R; ++s) {
+      if ((s & D) == 0) L::minmax(r[s], r[s | D]);
+    }
+    ascending_register_steps<L, D / 2>(r);
+  }
+}
+
+/// Sorts ascending the bitonic sequence held in the registers r, register
+/// s holding its keys s·2^kLog onward.
+template <typename L, std::size_t R>
+inline void merge_registers(typename L::Vec (&r)[R],
+                            const typename L::Mask (&keep)[L::kLog]) {
+  ascending_register_steps<L, R / 2>(r);
+  ascending_lane_steps<L, L::kLog - 1>(r, keep);
+}
+
+/// A pair of R registers per block, held in registers from load to store.
+/// The half-cleaner reads hi reversed, so its max side comes out as hi's
+/// bitonic sequence read backwards, which the ascending merge sorts all
+/// the same: hi is stored in order, with no second reversal.
+template <typename L, std::size_t R, typename Key>
+inline void pair_in_registers(Key* lo, Key* hi,
+                              const typename L::Mask (&keep)[L::kLog]) {
+  constexpr std::size_t kLanes = std::size_t{1} << L::kLog;
+  typename L::Vec x[R];
+  typename L::Vec y[R];
+#pragma GCC unroll 16
+  for (std::size_t s = 0; s < R; ++s) {
+    L::load(x[s], lo + s * kLanes);
+    L::load(y[s], hi + (R - 1 - s) * kLanes);
+    L::reverse(y[s]);
+    L::minmax(x[s], y[s]);
+  }
+  merge_registers<L>(x, keep);
+  merge_registers<L>(y, keep);
+#pragma GCC unroll 16
+  for (std::size_t s = 0; s < R; ++s) {
+    L::store(lo + s * kLanes, x[s]);
+    L::store(hi + s * kLanes, y[s]);
+  }
+}
+
+/// A pair of 2^log keys per block, too wide to hold in registers: one
+/// half-cleaner pass over both blocks, then per block the merge's steps at
+/// or above the chunk of 2^kLiveLog registers in vertical rounds of up to
+/// three steps, then each chunk in registers.
+template <typename L, typename Key>
+inline void pair_in_passes(Key* lo, Key* hi, unsigned log,
+                           const typename L::Mask (&keep)[L::kLog]) {
+  constexpr std::size_t kLanes = std::size_t{1} << L::kLog;
+  constexpr std::size_t kLive = std::size_t{1} << L::kLiveLog;
+  constexpr unsigned kChunkLog = L::kLiveLog + L::kLog;
+  const std::size_t width = std::size_t{1} << log;
+  for (std::size_t i = 0; i < width; i += kLanes) {
+    typename L::Vec x;
+    typename L::Vec y;
+    L::load(x, lo + i);
+    L::load(y, hi + width - kLanes - i);
+    L::reverse(y);
+    L::minmax(x, y);
+    L::reverse(y);
+    L::store(lo + i, x);
+    L::store(hi + width - kLanes - i, y);
+  }
+  for (Key* const block : {lo, hi}) {
+    for (unsigned end = log; end > kChunkLog;) {
+      const unsigned bottom = end - std::min(end - kChunkLog, 3u);
+      const std::uint64_t bases = std::uint64_t{1} << bottom;
+      for (std::size_t at = 0; at < width; at += std::size_t{1} << end) {
+        switch (end - bottom) {
+          case 1:
+            vertical_rounds<L, 1, false>(block + at, bottom, bases);
+            break;
+          case 2:
+            vertical_rounds<L, 2, false>(block + at, bottom, bases);
+            break;
+          default:
+            vertical_rounds<L, 3, false>(block + at, bottom, bases);
+            break;
+        }
+      }
+      end = bottom;
+    }
+    for (std::size_t at = 0; at < width; at += kLive * kLanes) {
+      typename L::Vec r[kLive];
+#pragma GCC unroll 16
+      for (std::size_t s = 0; s < kLive; ++s)
+        L::load(r[s], block + at + s * kLanes);
+      merge_registers<L>(r, keep);
+#pragma GCC unroll 16
+      for (std::size_t s = 0; s < kLive; ++s)
+        L::store(block + at + s * kLanes, r[s]);
+    }
+  }
+}
+
+/// The pair of `regs` registers per block (a power of two, R or more):
+/// in registers while both blocks fit in 2^kLiveLog of them, in passes
+/// above that.
+template <typename L, std::size_t R, typename Key>
+inline void pair_by_width(Key* lo, Key* hi, std::size_t regs, unsigned log,
+                          const typename L::Mask (&keep)[L::kLog]) {
+  if constexpr (2 * R <= (std::size_t{1} << L::kLiveLog)) {
+    if (regs == R) {
+      pair_in_registers<L, R>(lo, hi, keep);
+      return;
+    }
+    pair_by_width<L, 2 * R>(lo, hi, regs, log, keep);
+  } else {
+    pair_in_passes<L>(lo, hi, log, keep);
+  }
+}
+
+/// simd::merge_split_pair on lane traits L, for a width 2^log of at least
+/// one register.
+template <typename L, typename Key>
+inline void merge_split_pair(Key* lo, Key* hi, unsigned log) {
+  typename L::Mask keep[L::kLog];
+  for (unsigned j = 0; j < L::kLog; ++j) {
+    unsigned bits = 0;
+    for (unsigned i = 0; i < (1u << L::kLog); ++i)
+      bits |= unsigned{((i >> j) & 1) == 0} << i;
+    L::make_mask(keep[j], bits);
+  }
+  pair_by_width<L, 1>(lo, hi, std::size_t{1} << (log - L::kLog), log, keep);
+}
+
 }  // namespace blocked
 
 #if DC_SIMD_HAS_AVX2_BUILD
@@ -932,6 +1090,7 @@ struct Lanes64 {
   using Vec = __m256i;
   using Mask = __m256i;  // all-ones lanes keep the min
   static constexpr unsigned kLog = 2;
+  static constexpr unsigned kLiveLog = 3;  // 8 of the 16 ymm registers
 
   __attribute__((target("avx2"))) static void load(Vec& v, const void* p) {
     v = order(loadu(p));
@@ -966,6 +1125,9 @@ struct Lanes64 {
     v = _mm256_blendv_epi8(
         p, v, _mm256_xor_si256(_mm256_cmpgt_epi64(v, p), keep_min));
   }
+  __attribute__((target("avx2"))) static void reverse(Vec& v) {
+    v = _mm256_permute4x64_epi64(v, 0x1B);
+  }
   __attribute__((target("avx2"))) static void make_mask(Mask& k,
                                                         unsigned bits) {
     const __m256i lane_bit = _mm256_setr_epi64x(1, 2, 4, 8);
@@ -991,6 +1153,12 @@ __attribute__((target("avx2"), flatten)) inline void bitonic_steps(
                                                  q_hi, dir_mask, descending);
 }
 
+template <typename Key>
+__attribute__((target("avx2"), flatten)) inline void merge_split_pair(
+    Key* lo, Key* hi, unsigned log) {
+  blocked::merge_split_pair<Lanes64<std::is_signed_v<Key>>>(lo, hi, log);
+}
+
 }  // namespace avx2
 
 namespace avx512 {
@@ -1005,6 +1173,7 @@ struct Lanes64 {
   using Vec = __m512i;
   using Mask = __mmask8;  // set lanes keep the min
   static constexpr unsigned kLog = 3;
+  static constexpr unsigned kLiveLog = 4;  // 16 of the 32 zmm registers
 
   __attribute__((target("avx512f,avx512vl"))) static void load(Vec& v,
                                                              const void* p) {
@@ -1045,6 +1214,10 @@ struct Lanes64 {
       v = _mm512_mask_min_epu64(vmax(v, p), keep_min, v, p);
     }
   }
+  __attribute__((target("avx512f,avx512vl"))) static void reverse(Vec& v) {
+    v = _mm512_maskz_permutexvar_epi64(
+        0xFF, _mm512_set_epi64(0, 1, 2, 3, 4, 5, 6, 7), v);
+  }
   __attribute__((target("avx512f,avx512vl"))) static void make_mask(
       Mask& k, unsigned bits) {
     k = static_cast<Mask>(bits);
@@ -1075,6 +1248,12 @@ bitonic_steps(Key* keys, unsigned top, unsigned bottom, std::uint64_t q_lo,
               std::uint64_t q_hi, std::uint64_t dir_mask, bool descending) {
   blocked::steps<Lanes64<std::is_signed_v<Key>>>(keys, top, bottom, q_lo,
                                                  q_hi, dir_mask, descending);
+}
+
+template <typename Key>
+__attribute__((target("avx512f,avx512vl"), flatten)) inline void
+merge_split_pair(Key* lo, Key* hi, unsigned log) {
+  blocked::merge_split_pair<Lanes64<std::is_signed_v<Key>>>(lo, hi, log);
 }
 
 }  // namespace avx512
@@ -1145,6 +1324,50 @@ inline void bitonic_pass(Key* keys, std::uint64_t nodes, unsigned t,
                   descending);
     end = bottom;
   }
+}
+
+/// The widest pair the AVX2 tier merges with its pair kernel. The bitonic
+/// merge makes about m·log2(m) compare-exchanges where the select chains
+/// make 2m selects, and four lanes with a cmpgt and two blends per min/max
+/// only beat the chains up to here: a pair of 512-key blocks took 2.84 µs
+/// against their 3.20 µs on a Xeon with AVX-512 (BM_MergeSplitPair less
+/// its restore), and 1,024-key blocks were even.
+inline constexpr std::size_t kAvx2PairMaxWidth = 512;
+
+/// In-place merge-split of a pair of sorted blocks: on return `lo` holds
+/// the lower `width` keys of merge(lo, hi) and `hi` the upper `width`, each
+/// sorted ascending. Returns false, touching neither block, when no vector
+/// kernel covers (Key, width, active ISA). Covered: integral 8-byte keys
+/// at a power-of-two width of at least one register — on the AVX-512 tier
+/// at any such width, on AVX2 up to kAvx2PairMaxWidth — through
+/// blocked::merge_split_pair: Batcher's half-cleaner, then an ascending
+/// bitonic merge of each block in registers. Integral keys that compare
+/// equal are the same bits, so the blocks come out as every correct merge
+/// writes them.
+template <typename Key>
+inline bool merge_split_pair(Key* lo, Key* hi, std::size_t width) {
+#if DC_SIMD_HAS_AVX2_BUILD
+  if constexpr (std::is_integral_v<Key> && sizeof(Key) == 8) {
+    if ((width & (width - 1)) != 0) return false;
+    const unsigned log = static_cast<unsigned>(std::countr_zero(width));
+    switch (active_isa()) {
+      case Isa::kAvx512:
+        if (width < 8) return false;
+        avx512::merge_split_pair(lo, hi, log);
+        return true;
+      case Isa::kAvx2:
+        if (width < 4 || width > kAvx2PairMaxWidth) return false;
+        avx2::merge_split_pair(lo, hi, log);
+        return true;
+      default:
+        break;
+    }
+  }
+#endif
+  (void)lo;
+  (void)hi;
+  (void)width;
+  return false;
 }
 
 }  // namespace simd

@@ -950,7 +950,10 @@ TEST_F(ScheduleTest, FusedDualSortParityString) {
 // grain 1; the sweep must still match the single-threaded interpreted
 // run. The first machine records the schedule with dual_sort and
 // block_sort replays it; the second replays both. An RD_7 u64 leg runs
-// the in-place vector kernel at the benchmark's sort order.
+// the in-place vector kernel at the benchmark's sort order. Then pairs
+// settle concurrently: each replayed step of a u64 block sort splits its
+// N/2 pairs over the pool, at widths whose pairs run the vector pair
+// kernel, and so does an observed string sort's per-pair compare-exchange.
 TEST_F(ScheduleTest, FusedDualSortParityOnWorkerPool) {
   const net::RecursiveDualCube r(4);
   const auto keys = string_keys(r.node_count(), 41);
@@ -1006,10 +1009,54 @@ TEST_F(ScheduleTest, FusedDualSortParityOnWorkerPool) {
     EXPECT_EQ(m.replayed_cycles(),
               run == 0 ? 0u : core::formulas::dual_sort_comm_exact(7));
   }
+
+  // `sort(m, data)` sorts and returns what its observer saw; each pooled
+  // run must match the interpreted one in that too.
+  const auto expect_pooled_pairs = [&](const auto& input, auto&& sort) {
+    Machine interp_m(r);
+    interp_m.set_schedule_path(SchedulePath::kInterpreted);
+    interp_m.enable_edge_load();
+    auto want = input;
+    const auto want_seen = sort(interp_m, want);
+    ScheduleCache::instance().clear();
+    for (int run = 0; run < 2; ++run) {  // record, then replay
+      Machine m(r);
+      m.set_thread_pool(&pool);
+      m.set_parallel_grain(1);
+      m.set_schedule_path(SchedulePath::kCompiled);
+      m.enable_edge_load();
+      auto got = input;
+      EXPECT_EQ(sort(m, got), want_seen) << "run " << run;
+      EXPECT_EQ(got, want) << "run " << run;
+      EXPECT_EQ(m.counters(), interp_m.counters()) << "run " << run;
+      EXPECT_EQ(edge_loads(m, r), edge_loads(interp_m, r)) << "run " << run;
+      EXPECT_EQ(m.replayed_cycles(),
+                run == 0 ? 0u : core::formulas::dual_sort_comm_exact(4));
+    }
+  };
+  for (const std::size_t width : {std::size_t{16}, std::size_t{256}}) {
+    SCOPED_TRACE(testing::Message() << "u64 block_sort, width " << width);
+    expect_pooled_pairs(random_values(r.node_count() * width, 45 + width),
+                        [&](Machine& m, std::vector<u64>& data) {
+                          core::block_sort(m, r, data, width);
+                          return 0;  // no observer
+                        });
+  }
+  SCOPED_TRACE("observed string dual_sort");
+  expect_pooled_pairs(keys, [&](Machine& m, std::vector<std::string>& data) {
+    std::vector<std::pair<std::string, std::vector<std::string>>> seen;
+    core::dual_sort<std::string>(
+        m, r, data, /*descending=*/false,
+        [&](const std::string& phase, const std::vector<std::string>& plane) {
+          seen.emplace_back(phase, plane);
+        });
+    return seen;
+  });
 }
 
-// A u64 key behind a non-integral type, so dual_sort takes the generic
-// double-buffered combine instead of the in-place vector kernel.
+// A u64 key behind a non-integral type, so a replayed dual_sort settles
+// each pair through the compare-exchange's pair form, one sweep per step,
+// instead of running the register-blocked vector kernel.
 struct WrappedKey {
   u64 key = 0;
   bool operator<(const WrappedKey& o) const { return key < o.key; }

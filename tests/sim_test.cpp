@@ -3,30 +3,38 @@
 // per cycle) and counts steps faithfully.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <new>
 #include <thread>
+#include <vector>
 
+#include "core/block_sort.hpp"
+#include "core/formulas.hpp"
 #include "sim/machine.hpp"
 #include "sim/metrics.hpp"
 #include "sim/oblivious.hpp"
+#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "topology/dual_cube.hpp"
 #include "topology/hypercube.hpp"
+#include "topology/recursive_dual_cube.hpp"
 
-// Allocation counter backing the zero-allocation steady-state tests below.
+// Allocation counters backing the zero-allocation steady-state tests below.
 // Replacing the global (unaligned) operator new/delete pair is enough: all
 // of the simulator's scratch — vectors of optionals, the atomic claim
 // arrays, the pooled inbox buffers — goes through these.
 namespace {
 std::atomic<std::uint64_t> g_allocation_count{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 }  // namespace
 
 namespace {
 void* counted_alloc(std::size_t size) {
   g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -546,6 +554,32 @@ TEST(Machine, ArenaReuseAcrossPayloadTypesDoesNotAllocate) {
               static_cast<double>(bits::flip(net::NodeId{0}, 1)) * 0.5);
   }
   EXPECT_EQ(g_allocation_count.load(), before);
+}
+
+// A replayed block sort settles each pair of partners in place, so it
+// needs no second plane of keys. The second run of an RD_4 × 256 u64 sort
+// (the first records the network's schedule) must allocate less than one
+// N·m plane, 262,144 bytes, which a second plane would take on its own.
+TEST(Machine, ReplayedBlockSortAllocatesLessThanOnePlane) {
+  const net::RecursiveDualCube r(4);
+  constexpr std::size_t kBlock = 256;
+  const std::size_t plane_bytes =
+      r.node_count() * kBlock * sizeof(std::uint64_t);
+  ASSERT_EQ(plane_bytes, 262144u);
+  Rng rng(27);
+  std::vector<std::uint64_t> input(r.node_count() * kBlock);
+  for (auto& k : input) k = rng();
+  Machine m(r);
+  m.set_schedule_path(SchedulePath::kCompiled);
+  auto recorded = input;
+  core::block_sort(m, r, recorded, kBlock);
+  auto replayed = input;
+  const std::uint64_t before = g_allocated_bytes.load();
+  core::block_sort(m, r, replayed, kBlock);
+  EXPECT_LT(g_allocated_bytes.load() - before, plane_bytes);
+  EXPECT_EQ(m.replayed_cycles(), core::formulas::dual_sort_comm_exact(4));
+  EXPECT_EQ(replayed, recorded);
+  EXPECT_TRUE(std::is_sorted(replayed.begin(), replayed.end()));
 }
 
 TEST(Machine, MovesNonCopyablePayloads) {

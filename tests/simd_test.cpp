@@ -164,8 +164,9 @@ TEST(Simd, MergeSplitDispatcherDeclinesUncoveredShapes) {
   dc::u32 out[7] = {99, 99, 99, 99, 99, 99, 99};
   EXPECT_FALSE(simd::merge_split(a, b, 7, true, out));
   for (const auto v : out) EXPECT_EQ(v, 99u);
-  // 8-byte keys always decline on every tier — there is no 64-bit merge
-  // network; the caller's scalar select chains merge them.
+  // 8-byte keys decline this one-sided form on every tier: their vector
+  // kernel is the in-place pair form (merge_split_pair below), and a
+  // per-node merge runs the caller's scalar select chains.
   dc::u64 wa[8] = {1, 2, 3, 4, 5, 6, 7, 8};
   dc::u64 wb[8] = {1, 2, 3, 4, 5, 6, 7, 8};
   dc::u64 wout[8] = {99, 99, 99, 99, 99, 99, 99, 99};
@@ -174,6 +175,122 @@ TEST(Simd, MergeSplitDispatcherDeclinesUncoveredShapes) {
   double da[4] = {1, 2, 3, 4};
   double dout[4] = {};
   EXPECT_FALSE(simd::merge_split(da, da, 4, true, dout));
+}
+
+// ------------------------------------------------ in-place pair merge-split
+
+// A key of each tested type from a 64-bit draw: u64 and i64 keep its bits
+// (so draws above 2^63 cross the sign boundary), u32 keeps its top half,
+// and std::string is its zero-padded decimal, which orders as the number
+// does and owns heap memory.
+template <typename Key>
+Key pair_key(dc::u64 x) {
+  if constexpr (std::is_same_v<Key, std::string>) {
+    const std::string digits = std::to_string(x);
+    return std::string(20 - digits.size(), '0') + digits;
+  } else if constexpr (sizeof(Key) == 4) {
+    return static_cast<Key>(x >> 32);
+  } else {
+    return static_cast<Key>(x);
+  }
+}
+
+enum class PairInput { kUniform, kHeavyTies, kConstant };
+enum class PairShape { kInterleaving, kTouching, kOrdered, kReversed };
+
+// Two sorted blocks (a, b) of `width` keys in the given shape: drawn
+// independently (interleaving), or the lower and upper halves of one
+// sorted draw of 2·width keys (ordered), the same with b's first key set
+// to a's last (touching), or swapped (reversed).
+template <typename Key>
+std::pair<std::vector<Key>, std::vector<Key>> pair_blocks(std::size_t width,
+                                                          PairInput input,
+                                                          PairShape shape,
+                                                          dc::u64 seed) {
+  dc::Rng rng(seed);
+  std::vector<Key> keys(2 * width);
+  for (Key& k : keys) {
+    k = pair_key<Key>(input == PairInput::kUniform     ? rng()
+                      : input == PairInput::kHeavyTies ? rng.below(4) << 62
+                                                       : dc::u64{1} << 63);
+  }
+  if (shape != PairShape::kInterleaving) std::sort(keys.begin(), keys.end());
+  const auto mid = keys.begin() + static_cast<std::ptrdiff_t>(width);
+  std::vector<Key> a(keys.begin(), mid);
+  std::vector<Key> b(mid, keys.end());
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  if (shape == PairShape::kTouching) b[0] = a[width - 1];
+  if (shape == PairShape::kReversed) std::swap(a, b);
+  return {std::move(a), std::move(b)};
+}
+
+// The in-place pair (core::detail::merge_split_pair) against two per-node
+// merge_split calls, element for element, on every width, input, shape,
+// orientation and ISA. Integral 8-byte keys at a power-of-two width of 8
+// to 256 must reach the vector pair kernel on every vector ISA; other
+// keys and widths run the per-node fallback.
+template <typename Key>
+void expect_pair_merge_split_parity(const std::vector<simd::Isa>& isas) {
+  constexpr std::size_t kPairWidths[] = {1,   2,   4,   8,   16,  32,  64,
+                                         128, 256, 512, 1024, 3, 100, 255,
+                                         257};
+  constexpr bool kVectorKey = std::is_integral_v<Key> && sizeof(Key) == 8;
+  dc::u64 seed = 1;
+  for (const std::size_t width : kPairWidths) {
+    for (const PairInput input : {PairInput::kUniform, PairInput::kHeavyTies,
+                                  PairInput::kConstant}) {
+      for (const PairShape shape :
+           {PairShape::kInterleaving, PairShape::kTouching,
+            PairShape::kOrdered, PairShape::kReversed}) {
+        const auto [a, b] = pair_blocks<Key>(width, input, shape, ++seed);
+        for (const bool keep_min : {true, false}) {
+          SCOPED_TRACE(testing::Message()
+                       << sizeof(Key) << "-byte key, width " << width
+                       << ", input " << static_cast<int>(input) << ", shape "
+                       << static_cast<int>(shape) << ", keep_min "
+                       << keep_min);
+          std::vector<Key> want_lo(width);
+          std::vector<Key> want_hi(width);
+          ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
+          core::detail::merge_split(a.data(), b.data(), width, keep_min,
+                                    want_lo.data());
+          core::detail::merge_split(b.data(), a.data(), width, !keep_min,
+                                    want_hi.data());
+          for (const simd::Isa isa : isas) {
+            ASSERT_TRUE(simd::force_isa(isa));
+            auto lo = a;
+            auto hi = b;
+            std::vector<Key> scratch;
+            core::detail::merge_split_pair(lo.data(), hi.data(), width,
+                                           keep_min, scratch);
+            EXPECT_EQ(lo, want_lo) << simd::isa_name(isa);
+            EXPECT_EQ(hi, want_hi) << simd::isa_name(isa);
+            if (kVectorKey && isa != simd::Isa::kScalar && width >= 8 &&
+                width <= 256 && (width & (width - 1)) == 0) {
+              auto min_side = keep_min ? a : b;
+              auto max_side = keep_min ? b : a;
+              ASSERT_TRUE(simd::merge_split_pair(
+                  min_side.data(), max_side.data(), width))
+                  << simd::isa_name(isa);
+              EXPECT_EQ(min_side, keep_min ? want_lo : want_hi);
+              EXPECT_EQ(max_side, keep_min ? want_hi : want_lo);
+            }
+          }
+        }
+      }
+    }
+  }
+  simd::clear_forced_isa();
+}
+
+TEST(Simd, MergeSplitPairMatchesTwoPerNodeMergeSplits) {
+  std::vector<simd::Isa> isas = vector_isas();
+  isas.insert(isas.begin(), simd::Isa::kScalar);
+  expect_pair_merge_split_parity<dc::u64>(isas);
+  expect_pair_merge_split_parity<std::int64_t>(isas);
+  expect_pair_merge_split_parity<dc::u32>(isas);
+  expect_pair_merge_split_parity<std::string>(isas);
 }
 
 TEST(Simd, GatherRowsMatchesScalarAtUnalignedOffsets) {
