@@ -77,6 +77,26 @@ BENCHMARK(BM_DualPrefixFlightRecorder)
     ->DenseRange(2, 8, 2)
     ->Unit(benchmark::kMicrosecond);
 
+// The same op over a monoid no vector kernel covers: a replayed Mat2
+// prefix runs every cluster pass through the reference tile
+// (cube_prefix_butterfly), so this row shows what the tiling alone is
+// worth and that generic monoids do not pay for the u64 kernel.
+void BM_DualPrefixMat2(benchmark::State& state) {
+  const unsigned n = static_cast<unsigned>(state.range(0));
+  const dc::net::DualCube d(n);
+  const dc::core::Mat2 mat;
+  dc::Rng rng(1);
+  std::vector<dc::core::Mat2::value_type> data(d.node_count());
+  for (auto& x : data) x = {rng(), rng(), rng(), rng()};
+  for (auto _ : state) {
+    dc::sim::Machine m(d);
+    benchmark::DoNotOptimize(dc::core::dual_prefix(m, d, mat, data));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(d.node_count()));
+}
+BENCHMARK(BM_DualPrefixMat2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+
 void BM_CubePrefix(benchmark::State& state) {
   const unsigned d = static_cast<unsigned>(state.range(0));
   const dc::net::Hypercube q(d);

@@ -12,11 +12,16 @@
 //
 // This header is the one home of Algorithm 1's step, which Algorithm 2
 // runs twice inside every cluster: the per-node combine rule
-// (detail::cube_prefix_step), both fused kernels and the op charge they
-// share. Every engine applies the step through these definitions, so
-// operand order and op charges are written once.
+// (detail::cube_prefix_step), both fused kernels (cube_prefix_butterfly on
+// per-node totals, cube_prefix_compact on one total per subcube), the
+// tile that runs all of a pass's steps at once (cube_prefix_tile: the
+// butterfly step by step, or the u64-sum vector kernel
+// sim::simd::cube_prefix_steps that matches it bit for bit) and the op
+// charge they share. Every engine applies the step through these
+// definitions, so operand order and op charges are written once.
 #pragma once
 
+#include <type_traits>
 #include <vector>
 
 #include "core/ops.hpp"
@@ -68,9 +73,10 @@ constexpr dc::u64 cube_prefix_step_ops(dc::u64 nodes) { return nodes / 2 * 3; }
 /// combine serves both, and only the high side folds its prefix:
 /// s_hi = t_lo ⊕ s_hi. Operand order is kept, so non-commutative monoids
 /// are safe. Callers charge cube_prefix_step_ops. The flat engine's
-/// replayed cluster passes run this kernel: step 2's cross-edge exchange
-/// and the Figure 3 observer read a per-node t. The sharded passes, which
-/// read only one total per cluster, run cube_prefix_compact instead.
+/// replayed cluster passes run this kernel through cube_prefix_tile: step
+/// 2's cross-edge exchange and the Figure 3 observer read a per-node t.
+/// The sharded passes, which read only one total per cluster, run
+/// cube_prefix_compact instead.
 template <Monoid M>
 void cube_prefix_butterfly(const M& op, typename M::value_type* t,
                            typename M::value_type* s, dc::u64 lo, dc::u64 hi,
@@ -87,6 +93,25 @@ void cube_prefix_butterfly(const M& op, typename M::value_type* t,
       th[j] = c;
     }
   }
+}
+
+/// Steps 0 .. steps-1 of Cube_prefix over one tile, nodes [lo, hi) of t
+/// and s, in place: step i pairs the nodes unit·2^i apart (unit a power of
+/// two, hi - lo a multiple of unit·2^steps). Plus<u64> runs the vector
+/// kernel sim::simd::cube_prefix_steps where it covers the tile; every
+/// other monoid, ISA and tile runs cube_prefix_butterfly step by step,
+/// the reference the kernel matches bit for bit. Callers charge
+/// cube_prefix_step_ops per step.
+template <Monoid M>
+void cube_prefix_tile(const M& op, typename M::value_type* t,
+                      typename M::value_type* s, dc::u64 lo, dc::u64 hi,
+                      dc::u64 unit, unsigned steps) {
+  if constexpr (std::is_same_v<M, Plus<dc::u64>>) {
+    if (sim::simd::cube_prefix_steps(t + lo, s + lo, hi - lo, unit, steps))
+      return;
+  }
+  for (unsigned i = 0; i < steps; ++i)
+    cube_prefix_butterfly(op, t, s, lo, hi, unit << i);
 }
 
 /// One Cube_prefix exchange + computation step on compact totals, in

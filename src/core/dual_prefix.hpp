@@ -29,24 +29,32 @@
 //
 // Execution. All 2n cycles run through one ObliviousSection. Steps 1 and
 // 3 apply Algorithm 1's step as core/cube_prefix.hpp defines it. On
-// compiled replay, each in-cluster exchange runs fused with the
-// computation step that consumes it: one sweep of
-// detail::cube_prefix_butterfly through
-// ObliviousSection::exchange_compute_fused, with no comm plane
-// materialized. Counters, edge loads and imbalance samples match the
-// unfused pair; only the cycle's trace span name differs
-// (comm_cycle_fused). Recording, interpreted and faulted runs exchange
-// through the width-1 block plane and apply detail::cube_prefix_step per
-// node. The two
-// cross-edge exchanges always ship through the block plane; steps 4 and 5
-// fold as contiguous range loops. The arrangement is loaded and unloaded
-// in bulk (detail::arrange: class 0 copies, class 1 transposes);
-// dual_prefix_index_of_node stays the per-node reference.
+// compiled replay, each in-cluster pass is one sweep
+// (ObliviousSection::exchange_compute_fused) over equal blocks of whole
+// clusters, with no comm plane materialized: every block is seeded and
+// run through all n-1 steps while it sits in cache
+// (detail::cube_prefix_tile: the u64-sum kernel
+// sim::simd::cube_prefix_steps for Plus<u64>, the reference
+// detail::cube_prefix_butterfly for every other monoid). The sweep runs
+// inside the pass's first fused cycle, and steps 2 .. n-1 book their
+// cycles and compute steps around empty bodies, so Counters, edge loads,
+// imbalance samples and the trace's event order match the unfused steps;
+// only the cycle's trace span name differs (comm_cycle_fused).
+// Recording, interpreted and faulted runs exchange through the width-1
+// block plane and apply detail::cube_prefix_step per node. The two
+// cross-edge exchanges always ship through the block plane; step 3 reads
+// its totals straight from the first one's inbox, and steps 4 and 5 fold
+// in one range sweep (step 5's compute step is booked with its op charge;
+// an observer, which must see the state between them, gets two sweeps).
+// The arrangement is loaded and unloaded in bulk and in place
+// (detail::arrange: class 0 stays, class 1 transposes in cache-sized
+// tiles); dual_prefix_index_of_node stays the per-node reference.
 #pragma once
 
 #include <algorithm>
 #include <concepts>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,61 +97,124 @@ using DualPrefixObserver = std::function<void(
 
 namespace detail {
 
-/// dst[u] = src[dual_prefix_index_of_node(d, u)] for every node, in bulk.
-/// The class-0 half copies straight through; the class-1 half is a
-/// 2^w x 2^w matrix that transposes — node half + (M << w) + C (node ID M,
-/// cluster ID C) holds index half + (C << w) + M. The map is its own
-/// inverse, so the same call also unloads results into index order.
+/// Rearranges x in place between global index order and node order:
+/// x[u] and x[dual_prefix_index_of_node(d, u)] trade places. The class-0
+/// half stays put; the class-1 half is a 2^w x 2^w matrix that transposes
+/// — node half + (M << w) + C (node ID M, cluster ID C) holds index
+/// half + (C << w) + M — in square tiles that stay in cache, swapping each
+/// tile with its mirror. The map is its own inverse, so the same call
+/// loads inputs and unloads results.
 template <typename V>
-void arrange(const net::DualCube& d, const V* src, V* dst) {
+void arrange(const net::DualCube& d, V* x) {
   const unsigned w = d.order() - 1;
   const dc::u64 side = dc::u64{1} << w;
-  const dc::u64 half = side << w;
-  std::copy(src, src + half, dst);
-  for (dc::u64 node = 0; node < side; ++node) {
-    V* const row = dst + half + (node << w);
-    for (dc::u64 cluster = 0; cluster < side; ++cluster)
-      row[cluster] = src[half + (cluster << w) + node];
+  V* const mat = x + (side << w);
+  const dc::u64 tile = std::min<dc::u64>(side, 16);
+  for (dc::u64 r0 = 0; r0 < side; r0 += tile) {
+    for (dc::u64 c0 = r0; c0 < side; c0 += tile) {
+      for (dc::u64 r = r0; r < r0 + tile; ++r) {
+        for (dc::u64 c = c0 == r0 ? r + 1 : c0; c < c0 + tile; ++c)
+          std::swap(mat[(r << w) + c], mat[(c << w) + r]);
+      }
+    }
   }
 }
 
-/// Shared by steps 1 and 3: an in-cluster Cube_prefix pass, in place, over
-/// totals `t` and prefixes `s` (ordered by node ID within each cluster).
-/// Costs n-1 comm cycles and n-1 comp steps.
+/// Clusters per block of a replayed cluster pass over values of up to 8
+/// bytes: a class-0 block holds this many whole clusters and a class-1
+/// block a strip of this many columns (clusters), fewer when a cluster is
+/// narrower. A strip gathers into a contiguous scratch of one block: its
+/// rows lie 2^(n-1) values apart, so a narrow strip worked in place would
+/// crowd a few L1 sets.
+inline constexpr dc::u64 kPrefixStripClusters = 8;
+
+/// Shared by steps 1 and 3: an in-cluster Cube_prefix pass over the totals
+/// `in` (ordered by node ID within each cluster), leaving the final totals
+/// in `t` (which may be `in`) and the prefixes in `s`, seeded with the
+/// totals when `inclusive` and with the identity otherwise. Costs n-1 comm
+/// cycles and n-1 comp steps.
+///
+/// On compiled replay the pass is one sweep over equal blocks of whole
+/// clusters, each seeded and run through all n-1 steps while it sits in
+/// cache (cube_prefix_tile), inside the first step's fused cycle; steps
+/// 2 .. n-1 book their cycles and compute steps around empty bodies. A
+/// class-0 block is contiguous (node ID = low bits); a class-1 cluster is
+/// a matrix column (node ID = middle bits), so its block is a strip of
+/// columns that runs in place when it spans whole rows and through a
+/// per-chunk scratch otherwise. Wider values run each class half as one
+/// block, in place.
 template <Monoid M>
 void cluster_prefix(sim::Machine& m, sim::ObliviousSection& sched,
                     const net::DualCube& d, const M& op,
-                    std::vector<typename M::value_type>& t,
-                    std::vector<typename M::value_type>& s) {
+                    const typename M::value_type* in,
+                    typename M::value_type* t, typename M::value_type* s,
+                    bool inclusive) {
   using V = typename M::value_type;
   const unsigned w = d.order() - 1;
-  const dc::u64 half = d.node_count() / 2;
-  for (unsigned i = 0; i < w; ++i) {
-    if (sched.replaying()) {
-      // Blocks of 2^(n+i) nodes lie inside one class half and hold whole
-      // pairs: the partner is 2^i away in class 0 (node ID = low bits) and
-      // 2^(n-1+i) away in class 1 (node ID = middle bits).
-      const dc::u64 block = dc::u64{2} << (w + i);
-      sched.exchange_compute_fused(
-          1, static_cast<std::size_t>(d.node_count() / block),
-          [&](std::size_t b_lo, std::size_t b_hi) {
-            for (dc::u64 lo = b_lo * block; lo < b_hi * block; lo += block) {
-              cube_prefix_butterfly(op, t.data(), s.data(), lo, lo + block,
-                                    dc::u64{1} << (lo < half ? i : w + i));
-            }
-            m.add_ops(cube_prefix_step_ops((b_hi - b_lo) * block));
-          });
-      continue;
+  const dc::u64 n = d.node_count();
+  const dc::u64 half = n / 2;
+  const auto seed = [&](const V* from, V* tt, V* ss, dc::u64 len) {
+    if (from != tt) std::copy(from, from + len, tt);
+    if (inclusive) {
+      std::copy(tt, tt + len, ss);
+    } else {
+      std::fill(ss, ss + len, op.identity());
     }
-    auto inbox = sched.exchange_blocks<V>(
-        1, [&](net::NodeId u) { return d.cluster_neighbor(u, i); },
-        sim::PlaneSrc<V>{t.data(), 1});
-    m.compute_step([&](net::NodeId u) {
-      // Bit i of u's node ID is the flipped label bit of this exchange.
-      const bool high = dc::bits::get(u, (u < half ? 0u : w) + i) == 1;
-      m.add_ops(cube_prefix_step(op, high, *inbox.block(u), t[u], s[u]));
-    });
+  };
+  if (!sched.replaying() || w == 0) {
+    seed(in, t, s, n);
+    for (unsigned i = 0; i < w; ++i) {
+      auto inbox = sched.exchange_blocks<V>(
+          1, [&](net::NodeId u) { return d.cluster_neighbor(u, i); },
+          sim::PlaneSrc<V>{t, 1});
+      m.compute_step([&](net::NodeId u) {
+        // Bit i of u's node ID is the flipped label bit of this exchange.
+        const bool high = dc::bits::get(u, (u < half ? 0u : w) + i) == 1;
+        m.add_ops(cube_prefix_step(op, high, *inbox.block(u), t[u], s[u]));
+      });
+    }
+    return;
   }
+  // Strips pay for values of up to 8 bytes, whose steps cost a few cycles
+  // per node and wait on memory. A wider value's combine costs more than
+  // moving the value through the scratch (a Mat2 pass ran slower in
+  // strips than in place), so each class half then runs as one tile.
+  const dc::u64 side = dc::u64{1} << w;
+  const dc::u64 cols =
+      sizeof(V) <= 8 ? std::min(side, kPrefixStripClusters) : side;
+  const dc::u64 block = side * cols;
+  sched.exchange_compute_fused(
+      1, static_cast<std::size_t>(n / block),
+      [&](std::size_t b_lo, std::size_t b_hi) {
+        std::unique_ptr<V[]> strip;  // t then s of one class-1 strip
+        for (dc::u64 lo = b_lo * block; lo < b_hi * block; lo += block) {
+          if (lo < half || cols == side) {
+            seed(in + lo, t + lo, s + lo, block);
+            cube_prefix_tile(op, t, s, lo, lo + block, lo < half ? 1 : side,
+                             w);
+            continue;
+          }
+          // A strip narrower than a row: its rows are kPrefixStripClusters
+          // values each, a constant length the copies unroll.
+          constexpr dc::u64 kCols = kPrefixStripClusters;
+          if (!strip) strip = std::make_unique_for_overwrite<V[]>(2 * block);
+          V* const st = strip.get();
+          V* const ss = st + block;
+          const dc::u64 c0 = (lo - half) >> w;  // the strip's first column
+          for (dc::u64 r = 0; r < side; ++r)
+            std::copy_n(in + half + (r << w) + c0, kCols, st + r * kCols);
+          seed(st, st, ss, block);
+          cube_prefix_tile(op, st, ss, 0, block, kCols, w);
+          for (dc::u64 r = 0; r < side; ++r) {
+            const dc::u64 at = half + (r << w) + c0;
+            std::move(st + r * kCols, st + (r + 1) * kCols, t + at);
+            std::move(ss + r * kCols, ss + (r + 1) * kCols, s + at);
+          }
+        }
+        m.add_ops(w * cube_prefix_step_ops((b_hi - b_lo) * block));
+      });
+  for (unsigned i = 1; i < w; ++i)
+    sched.exchange_compute_fused(1, 1, [](std::size_t, std::size_t) {});
 }
 
 }  // namespace detail
@@ -170,10 +241,9 @@ std::vector<typename M::value_type> dual_prefix(
   const std::size_t n_nodes = d.node_count();
   const std::size_t half = n_nodes / 2;
 
-  // Load the arrangement straight into t: node u holds data[u'] (uncounted
-  // data placement).
-  std::vector<V> t(n_nodes);
-  detail::arrange(d, data.data(), t.data());
+  // Load the arrangement (uncounted data placement): node u holds data[u'].
+  std::vector<V> t = data;
+  detail::arrange(d, t.data());
   if (observer) observer("(a) original data distribution", {{"c", t}});
 
   // All 2n cycles (two cluster passes + two cross-edge exchanges) share one
@@ -185,53 +255,69 @@ std::vector<typename M::value_type> dual_prefix(
   // Step 1: prefix inside every cluster (diminished when tag = 0; the rest
   // of the algorithm only prepends totals of *preceding* nodes, so the
   // inclusive/diminished choice is decided entirely here).
-  std::vector<V> s = inclusive ? t : std::vector<V>(n_nodes, op.identity());
-  detail::cluster_prefix(m, sched, d, op, t, s);
+  std::vector<V> s(n_nodes);
+  detail::cluster_prefix(m, sched, d, op, t.data(), t.data(), s.data(),
+                         inclusive);
   if (observer) observer("(b) prefix inside cluster", {{"t", t}, {"s", s}});
 
-  // Step 2: exchange cluster totals over the cross-edges, received straight
-  // into t'.
-  std::vector<V> t2;
+  // Step 2: exchange cluster totals over the cross-edges. Step 3: the
+  // diminished prefix of those totals inside every cluster; t' lands in t,
+  // whose step-1 totals are spent. Replay reads the totals straight from
+  // the inbox. The other paths copy them into t and free the inbox first,
+  // since the pass's own exchanges would otherwise take a second plane.
+  const auto s2 = std::make_unique_for_overwrite<V[]>(n_nodes);
   {
     auto inbox =
         sched.exchange_blocks<V>(1, cross, sim::PlaneSrc<V>{t.data(), 1});
-    t2.assign(inbox.data(), inbox.data() + n_nodes);
+    const V* in = inbox.data();
+    if (observer) {
+      observer("(c) exchange t via cross-edge",
+               {{"temp", std::vector<V>(in, in + n_nodes)}});
+    }
+    if (!sched.replaying()) {
+      std::copy(in, in + n_nodes, t.data());
+      inbox = {};
+      in = t.data();
+    }
+    detail::cluster_prefix(m, sched, d, op, in, t.data(), s2.get(), false);
   }
-  if (observer) observer("(c) exchange t via cross-edge", {{"temp", t2}});
-
-  // Step 3: diminished prefix of the gathered totals inside every cluster.
-  std::vector<V> s2(n_nodes, op.identity());
-  detail::cluster_prefix(m, sched, d, op, t2, s2);
-  if (observer)
-    observer("(d) prefix inside cluster over totals", {{"t'", t2}, {"s'", s2}});
+  if (observer) {
+    observer("(d) prefix inside cluster over totals",
+             {{"t'", t},
+              {"s'", std::vector<V>(s2.get(), s2.get() + n_nodes)}});
+  }
 
   // Step 4: route each node's same-class preceding-cluster total back to it
-  // and fold it in on the left.
+  // and fold it in on the left. Step 5: class-1 nodes prepend the class-0
+  // grand total, their own t'. One sweep applies both unless an observer
+  // must see the state between them; step 5's compute step is booked with
+  // its op charge either way.
   {
     auto inbox =
-        sched.exchange_blocks<V>(1, cross, sim::PlaneSrc<V>{s2.data(), 1});
+        sched.exchange_blocks<V>(1, cross, sim::PlaneSrc<V>{s2.get(), 1});
     const V* const recv = inbox.data();
+    const bool split = static_cast<bool>(observer);
     m.compute_step_chunked([&](std::size_t lo, std::size_t hi) {
-      for (std::size_t u = lo; u < hi; ++u) s[u] = op.combine(recv[u], s[u]);
+      const std::size_t mid = split ? hi : std::clamp(half, lo, hi);
+      for (std::size_t u = lo; u < mid; ++u) s[u] = op.combine(recv[u], s[u]);
+      for (std::size_t u = mid; u < hi; ++u)
+        s[u] = op.combine(t[u], op.combine(recv[u], s[u]));
       m.add_ops(hi - lo);
     });
   }
   if (observer) observer("(e) fold preceding same-class totals", {{"s", s}});
-
-  // Step 5: class-1 nodes prepend the class-0 grand total (their own t').
-  m.compute_step_chunked([&](std::size_t lo, std::size_t hi) {
-    lo = std::max(lo, half);
-    if (lo >= hi) return;
-    for (std::size_t u = lo; u < hi; ++u) s[u] = op.combine(t2[u], s[u]);
-    m.add_ops(hi - lo);
+  m.compute_step_streamed([&](std::size_t, std::size_t hi) {
+    if (observer) {
+      for (std::size_t u = half; u < hi; ++u) s[u] = op.combine(t[u], s[u]);
+    }
+    m.add_ops(hi - half);
   });
   if (observer) observer("(f) final result", {{"s", s}});
   sched.commit();
 
-  // Copy out in index order (uncounted).
-  std::vector<V> out(n_nodes);
-  detail::arrange(d, s.data(), out.data());
-  return out;
+  // Unload in index order (uncounted).
+  detail::arrange(d, s.data());
+  return s;
 }
 
 }  // namespace dc::core

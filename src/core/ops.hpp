@@ -87,4 +87,35 @@ struct Mat2 {
   }
 };
 
+/// Index ranges under adjacent concatenation — the prefix certificate's
+/// monoid (SNIPPETS.md's scantst.c `assoc` check, made exact). A value is
+/// a range [lo, hi] of input indices, the empty range (the identity) or
+/// ⊥. [i, j] ⊕ [j+1, k] = [i, k]; the empty range is neutral; any other
+/// pair gives ⊥, which absorbs. The operation is exactly associative. A
+/// prefix run over the inputs [i, i] that leaves [0, i] at every index i
+/// joined only adjacent ranges, in order, so the same schedule computes
+/// x_0 ⊕ … ⊕ x_i for every associative ⊕ (the free-monoid argument).
+/// Values are 16 trivially copyable bytes, so every engine — the sharded
+/// fused sweep and its out-of-core streaming included — can run it.
+struct Interval {
+  struct value_type {
+    std::uint64_t lo = 1;  // lo > hi: the empty range {1, 0} or ⊥ {2, 0}
+    std::uint64_t hi = 0;
+    friend bool operator==(const value_type&, const value_type&) = default;
+  };
+
+  static constexpr value_type range(std::uint64_t lo, std::uint64_t hi) {
+    return {lo, hi};
+  }
+  static constexpr value_type bottom() { return {2, 0}; }
+
+  value_type identity() const { return {}; }
+  value_type combine(const value_type& a, const value_type& b) const {
+    if (a == identity()) return b;
+    if (b == identity()) return a;
+    if (a.lo <= a.hi && b.lo <= b.hi && a.hi + 1 == b.lo) return {a.lo, b.hi};
+    return bottom();
+  }
+};
+
 }  // namespace dc::core

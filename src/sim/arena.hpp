@@ -111,10 +111,10 @@ struct InboxBuffer {
 /// construction.
 template <typename T>
 struct BlockBuffer {
+  /// Stamps start at 0 (make_unique value-initializes them), below every
+  /// generation the pool hands out.
   explicit BlockBuffer(std::size_t n)
-      : stamp(std::make_unique<std::uint64_t[]>(n)) {
-    for (std::size_t i = 0; i < n; ++i) stamp[i] = 0;
-  }
+      : stamp(std::make_unique<std::uint64_t[]>(n)) {}
   /// Points the plane at `w` elements per node, growing storage only when
   /// this buffer has never seen a width this large (capacity is kept at the
   /// high-water mark, so steady-state reuse never allocates).

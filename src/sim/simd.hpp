@@ -2,15 +2,17 @@
 //
 // The compiled-schedule replay path (sim/machine.hpp) and the sorting and
 // block algorithms (core/dual_sort.hpp, core/block_sort.hpp,
-// core/block_prefix.hpp) spend their cycles in five tight loops: the
-// receiver-major plane gather, the in-place bitonic compare-exchange (a
-// replayed dual_sort's network and block_sort's local sort of each block),
-// the sorted merge-split of 4-byte keys, the in-place merge-split of a
-// pair of 8-byte blocks (a replayed block_sort's network), and the
-// row-wise prefix combine. This header implements them as explicit SIMD
-// kernels — AVX2 on x86-64 (all five; the pair up to a width bound),
-// AVX-512 on x86-64 CPUs that have it (the bitonic steps and the pair),
-// NEON on AArch64 (merge-split and row combine) — behind one runtime
+// core/block_prefix.hpp, core/dual_prefix.hpp) spend their cycles in six
+// tight loops: the receiver-major plane gather, the in-place bitonic
+// compare-exchange (a replayed dual_sort's network and block_sort's local
+// sort of each block), the sorted merge-split of 4-byte keys, the
+// in-place merge-split of a pair of 8-byte blocks (a replayed
+// block_sort's network), the Cube_prefix steps of a u64 sum (a replayed
+// dual_prefix's cluster passes), and the row-wise prefix combine. This
+// header implements them as explicit SIMD kernels — AVX2 on x86-64 (all
+// six; the pair up to a width bound), AVX-512 on x86-64 CPUs that have it
+// (the bitonic steps, the pair and the prefix steps), NEON on AArch64
+// (merge-split and row combine) — behind one runtime
 // dispatch point, with a portable scalar fallback that is the reference
 // semantics. A one-sided merge-split of 8-byte keys, and a pair that no
 // kernel covers, run core/block_sort.hpp's two branch-free scalar select
@@ -21,10 +23,10 @@
 // DC_SCHEDULE), clamped to what the binary and the CPU actually support: a
 // forced ISA that is absent falls back to scalar rather than faulting.
 // `auto` picks the best tier: AVX-512 (AVX-512F and VL) over AVX2 over
-// scalar on x86-64. The AVX-512 tier runs its own bitonic step and pair
-// kernels and the AVX2 code of every other kernel, so DC_SIMD=avx2 on an
-// AVX-512 CPU still runs the AVX2 kernels. Tests can override the choice with
-// force_isa(). The vector kernels are compiled with per-function target
+// scalar on x86-64. The AVX-512 tier runs its own bitonic step, pair and
+// prefix step kernels and the AVX2 code of every other kernel, so
+// DC_SIMD=avx2 on an AVX-512 CPU still runs the AVX2 kernels. Tests can
+// override the choice with force_isa(). The vector kernels are compiled with per-function target
 // attributes, so the translation unit itself needs no -mavx2 or -mavx512f
 // and the binary stays runnable on any x86-64; a CPU without AVX-512F/VL
 // never reaches an AVX-512 instruction.
@@ -39,8 +41,9 @@
 //     the input multiset (for integral keys, equal keys are identical bit
 //     patterns), so any correct merge — two-pointer scalar or
 //     bitonic-network SIMD — yields byte-identical arrays;
-//   * add_rows is lane-wise u64 addition, which is associative and
-//     order-free per element.
+//   * add_rows and cube_prefix_steps are lane-wise u64 addition, which
+//     wraps, associates and commutes, so every grouping of the sums gives
+//     the reference's bits.
 // Replay therefore stays deterministic across ISAs, which the simd_test
 // parity suite asserts on every width class.
 #pragma once
@@ -114,7 +117,8 @@ inline Isa detect_best() {
 }
 
 /// Whether `isa` runs the AVX2 kernels: the AVX2 tier, and the AVX-512
-/// tier for every kernel but the bitonic steps and the pair merge-split.
+/// tier for every kernel but the bitonic steps, the pair merge-split and
+/// the prefix steps.
 inline bool runs_avx2(Isa isa) {
   return isa == Isa::kAvx2 || isa == Isa::kAvx512;
 }
@@ -732,9 +736,9 @@ __attribute__((noinline)) void leftover_steps(Key* keys, unsigned top,
 
 }  // namespace scalar
 
-// The register-blocked loops of simd::bitonic_steps and
-// simd::merge_split_pair, written once over a lane-traits type L
-// (avx2::Lanes64, avx512::Lanes64) for 8-byte keys:
+// The register-blocked loops of simd::bitonic_steps,
+// simd::merge_split_pair and simd::cube_prefix_steps, written once over a
+// lane-traits type L (avx2::Lanes64, avx512::Lanes64) for 8-byte keys:
 //   Vec, Mask                 a register of 2^L::kLog keys, a lane mask;
 //   kLiveLog                  log2 of the registers of keys a loop keeps
 //                             live at once (half the register file);
@@ -745,7 +749,11 @@ __attribute__((noinline)) void leftover_steps(Key* keys, unsigned top,
 //   exchange_lanes<J>(v, k)   each lane against the lane 2^J away
 //                             (J < kLog), keeping the min in the lanes of k;
 //   reverse(v)                v's lanes in reverse order;
-//   make_mask(k, bits)        k from one bit per lane.
+//   make_mask(k, bits)        k from one bit per lane;
+//   partner<J>(p, v)          p = v with each lane swapped for the lane 2^J
+//                             away;
+//   add(v, a)                 v += a lane-wise (64-bit, wrapping);
+//   add_masked(v, k, a)       the same in the lanes of k only.
 // Each round loads the registers of its bases, applies every step of the
 // run in registers and stores once. The traits' members carry the ISA's
 // target attribute and take registers by reference, so this generic code
@@ -1075,6 +1083,129 @@ inline void merge_split_pair(Key* lo, Key* hi, unsigned log) {
   pair_by_width<L, 1>(lo, hi, std::size_t{1} << (log - L::kLog), log, keep);
 }
 
+// simd::cube_prefix_steps on lane traits L, taken in their signed form,
+// whose loads and stores move raw bits: a 64-bit add ignores sign. A step
+// pairs totals x (t) and prefixes y (s) of a low and a high node: both
+// totals become x_lo + x_hi and the high prefix y_hi + x_lo.
+
+/// Lane steps J .. kLog-1 on registers x (totals) and y (prefixes): all[J]
+/// holds every lane when step J runs and none otherwise, high[J] the lanes
+/// whose bit J is set when it runs.
+template <typename L, unsigned J, std::size_t R>
+inline void prefix_lane_steps(typename L::Vec (&x)[R], typename L::Vec (&y)[R],
+                              const typename L::Mask (&all)[L::kLog],
+                              const typename L::Mask (&high)[L::kLog]) {
+#pragma GCC unroll 8
+  for (std::size_t k = 0; k < R; ++k) {
+    typename L::Vec p;
+    L::template partner<J>(p, x[k]);
+    L::add_masked(y[k], high[J], p);
+    L::add_masked(x[k], all[J], p);
+  }
+  if constexpr (J + 1 < L::kLog) prefix_lane_steps<L, J + 1>(x, y, all, high);
+}
+
+/// Rounds of G steps at or above the register width over a tile of `len`
+/// nodes: register k of a round holds the lanes' nodes at offset k·d, and
+/// the round's step e pairs register k with k + 2^e. With kLaneSteps the
+/// registers are consecutive (d is one register) and the lane steps run
+/// first.
+template <typename L, unsigned G, bool kLaneSteps>
+inline void prefix_rounds(std::uint64_t* t, std::uint64_t* s,
+                          std::uint64_t len, std::uint64_t d,
+                          const typename L::Mask (&all)[L::kLog],
+                          const typename L::Mask (&high)[L::kLog]) {
+  constexpr unsigned kRegs = 1u << G;
+  constexpr std::uint64_t kLanes = std::uint64_t{1} << L::kLog;
+  for (std::uint64_t g = 0; g < len; g += d << G) {
+    for (std::uint64_t o = g; o < g + d; o += kLanes) {
+      typename L::Vec x[kRegs];
+      typename L::Vec y[kRegs];
+#pragma GCC unroll 8
+      for (unsigned k = 0; k < kRegs; ++k) {
+        L::load(x[k], t + o + k * d);
+        L::load(y[k], s + o + k * d);
+      }
+      if constexpr (kLaneSteps) prefix_lane_steps<L, 0>(x, y, all, high);
+#pragma GCC unroll 3
+      for (unsigned e = 0; e < G; ++e) {
+#pragma GCC unroll 8
+        for (unsigned k = 0; k < kRegs; ++k) {
+          if (((k >> e) & 1) != 0) continue;
+          const unsigned h = k | 1u << e;
+          L::add(y[h], x[k]);
+          L::add(x[k], x[h]);
+          x[h] = x[k];
+        }
+      }
+#pragma GCC unroll 8
+      for (unsigned k = 0; k < kRegs; ++k) {
+        L::store(t + o + k * d, x[k]);
+        L::store(s + o + k * d, y[k]);
+      }
+    }
+  }
+}
+
+/// prefix_rounds with a run-time G of at most 3.
+template <typename L, bool kLaneSteps>
+inline void prefix_rounds_of(unsigned g, std::uint64_t* t, std::uint64_t* s,
+                             std::uint64_t len, std::uint64_t d,
+                             const typename L::Mask (&all)[L::kLog],
+                             const typename L::Mask (&high)[L::kLog]) {
+  switch (g) {
+    case 0:
+      prefix_rounds<L, 0, kLaneSteps>(t, s, len, d, all, high);
+      return;
+    case 1:
+      prefix_rounds<L, 1, kLaneSteps>(t, s, len, d, all, high);
+      return;
+    case 2:
+      prefix_rounds<L, 2, kLaneSteps>(t, s, len, d, all, high);
+      return;
+    default:
+      prefix_rounds<L, 3, kLaneSteps>(t, s, len, d, all, high);
+      return;
+  }
+}
+
+/// Steps 0 .. steps-1 of a tile of `len` nodes (a multiple of the lane
+/// count), step i at stride 2^(unit_log + i): the steps below the register
+/// width as lane steps in one round with the first few above it, the rest
+/// in vertical rounds of as many steps as half the register file holds
+/// (each round keeps a register of totals and one of prefixes per node
+/// group).
+template <typename L>
+inline void cube_prefix_steps(std::uint64_t* t, std::uint64_t* s,
+                              std::uint64_t len, unsigned unit_log,
+                              unsigned steps) {
+  constexpr unsigned kRoundSteps = L::kLiveLog - 1;
+  constexpr unsigned kLanes = 1u << L::kLog;
+  typename L::Mask all[L::kLog];
+  typename L::Mask high[L::kLog];
+  for (unsigned j = 0; j < L::kLog; ++j) {
+    const bool runs = unit_log <= j && j < unit_log + steps;
+    unsigned bits = 0;
+    for (unsigned i = 0; i < kLanes; ++i)
+      bits |= unsigned{((i >> j) & 1) != 0} << i;
+    L::make_mask(all[j], runs ? (1u << kLanes) - 1 : 0);
+    L::make_mask(high[j], runs ? bits : 0);
+  }
+  unsigned i = 0;  // the next step to run
+  if (unit_log < L::kLog) {
+    i = std::min(steps, L::kLog - unit_log);
+    const unsigned g = std::min(steps - i, kRoundSteps);
+    prefix_rounds_of<L, true>(g, t, s, len, kLanes, all, high);
+    i += g;
+  }
+  while (i < steps) {
+    const unsigned g = std::min(steps - i, kRoundSteps);
+    prefix_rounds_of<L, false>(g, t, s, len,
+                               std::uint64_t{1} << (unit_log + i), all, high);
+    i += g;
+  }
+}
+
 }  // namespace blocked
 
 #if DC_SIMD_HAS_AVX2_BUILD
@@ -1117,13 +1248,25 @@ struct Lanes64 {
   __attribute__((target("avx2"))) static void exchange_lanes(
       Vec& v, const Mask& keep_min) {
     __m256i p;
+    partner<J>(p, v);
+    v = _mm256_blendv_epi8(
+        p, v, _mm256_xor_si256(_mm256_cmpgt_epi64(v, p), keep_min));
+  }
+  template <unsigned J>
+  __attribute__((target("avx2"))) static void partner(Vec& p, const Vec& v) {
     if constexpr (J == 1) {
       p = _mm256_permute4x64_epi64(v, 0x4E);  // swap 128-bit halves
     } else {
       p = _mm256_shuffle_epi32(v, 0x4E);  // swap neighbouring lanes
     }
-    v = _mm256_blendv_epi8(
-        p, v, _mm256_xor_si256(_mm256_cmpgt_epi64(v, p), keep_min));
+  }
+  __attribute__((target("avx2"))) static void add(Vec& v, const Vec& a) {
+    v = _mm256_add_epi64(v, a);
+  }
+  __attribute__((target("avx2"))) static void add_masked(Vec& v,
+                                                         const Mask& k,
+                                                         const Vec& a) {
+    v = _mm256_add_epi64(v, _mm256_and_si256(a, k));
   }
   __attribute__((target("avx2"))) static void reverse(Vec& v) {
     v = _mm256_permute4x64_epi64(v, 0x1B);
@@ -1157,6 +1300,12 @@ template <typename Key>
 __attribute__((target("avx2"), flatten)) inline void merge_split_pair(
     Key* lo, Key* hi, unsigned log) {
   blocked::merge_split_pair<Lanes64<std::is_signed_v<Key>>>(lo, hi, log);
+}
+
+__attribute__((target("avx2"), flatten)) inline void cube_prefix_steps(
+    std::uint64_t* t, std::uint64_t* s, std::uint64_t len, unsigned unit_log,
+    unsigned steps) {
+  blocked::cube_prefix_steps<Lanes64<true>>(t, s, len, unit_log, steps);
 }
 
 }  // namespace avx2
@@ -1200,6 +1349,17 @@ struct Lanes64 {
   __attribute__((target("avx512f,avx512vl"))) static void exchange_lanes(
       Vec& v, const Mask& keep_min) {
     __m512i p;
+    partner<J>(p, v);
+    // The max everywhere, then the min over it in the keep-min lanes.
+    if constexpr (kSigned) {
+      v = _mm512_mask_min_epi64(vmax(v, p), keep_min, v, p);
+    } else {
+      v = _mm512_mask_min_epu64(vmax(v, p), keep_min, v, p);
+    }
+  }
+  template <unsigned J>
+  __attribute__((target("avx512f,avx512vl"))) static void partner(
+      Vec& p, const Vec& v) {
     if constexpr (J == 2) {
       p = _mm512_maskz_shuffle_i64x2(0xFF, v, v, 0x4E);  // 256-bit halves
     } else if constexpr (J == 1) {
@@ -1207,12 +1367,14 @@ struct Lanes64 {
     } else {
       p = _mm512_maskz_shuffle_epi32(0xFFFF, v, _MM_PERM_BADC);  // lanes
     }
-    // The max everywhere, then the min over it in the keep-min lanes.
-    if constexpr (kSigned) {
-      v = _mm512_mask_min_epi64(vmax(v, p), keep_min, v, p);
-    } else {
-      v = _mm512_mask_min_epu64(vmax(v, p), keep_min, v, p);
-    }
+  }
+  __attribute__((target("avx512f,avx512vl"))) static void add(Vec& v,
+                                                            const Vec& a) {
+    v = _mm512_maskz_add_epi64(0xFF, v, a);
+  }
+  __attribute__((target("avx512f,avx512vl"))) static void add_masked(
+      Vec& v, const Mask& k, const Vec& a) {
+    v = _mm512_mask_add_epi64(v, k, v, a);
   }
   __attribute__((target("avx512f,avx512vl"))) static void reverse(Vec& v) {
     v = _mm512_maskz_permutexvar_epi64(
@@ -1254,6 +1416,12 @@ template <typename Key>
 __attribute__((target("avx512f,avx512vl"), flatten)) inline void
 merge_split_pair(Key* lo, Key* hi, unsigned log) {
   blocked::merge_split_pair<Lanes64<std::is_signed_v<Key>>>(lo, hi, log);
+}
+
+__attribute__((target("avx512f,avx512vl"), flatten)) inline void
+cube_prefix_steps(std::uint64_t* t, std::uint64_t* s, std::uint64_t len,
+                  unsigned unit_log, unsigned steps) {
+  blocked::cube_prefix_steps<Lanes64<true>>(t, s, len, unit_log, steps);
 }
 
 }  // namespace avx512
@@ -1367,6 +1535,45 @@ inline bool merge_split_pair(Key* lo, Key* hi, std::size_t width) {
   (void)lo;
   (void)hi;
   (void)width;
+  return false;
+}
+
+/// Steps 0 .. steps-1 of Algorithm 1 (core/cube_prefix.hpp) over one tile
+/// of `len` u64 sums, in place: step i pairs nodes j and j + unit·2^i for
+/// every j whose bit log2(unit) + i is clear, sets both totals t to
+/// t_j + t_partner and adds t_j to the high node's prefix s. `unit` is a
+/// power of two and `len` a multiple of unit·2^steps. This is
+/// core::detail::cube_prefix_butterfly for Plus<u64> at strides unit,
+/// 2·unit, ..., run on registers (blocked::cube_prefix_steps): lane
+/// permutes and masked adds below the register width, adds of whole
+/// registers above it, the lane steps and up to three register steps per
+/// load on AVX-512 (two on AVX2). Returns false, touching
+/// nothing, when no vector kernel covers the tile: a scalar or NEON tier,
+/// or a tile that is not a whole number of registers. 64-bit addition
+/// wraps and commutes, so the sums are the reference's bits.
+inline bool cube_prefix_steps(std::uint64_t* t, std::uint64_t* s,
+                              std::uint64_t len, std::uint64_t unit,
+                              unsigned steps) {
+#if DC_SIMD_HAS_AVX2_BUILD
+  const unsigned unit_log = static_cast<unsigned>(std::countr_zero(unit));
+  switch (active_isa()) {
+    case Isa::kAvx512:
+      if (len % 8 != 0) return false;
+      avx512::cube_prefix_steps(t, s, len, unit_log, steps);
+      return true;
+    case Isa::kAvx2:
+      if (len % 4 != 0) return false;
+      avx2::cube_prefix_steps(t, s, len, unit_log, steps);
+      return true;
+    default:
+      break;
+  }
+#endif
+  (void)t;
+  (void)s;
+  (void)len;
+  (void)unit;
+  (void)steps;
   return false;
 }
 

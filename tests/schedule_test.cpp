@@ -807,6 +807,109 @@ TEST_F(ScheduleTest, FusedDualPrefixParityOnWorkerPool) {
   }
 }
 
+// A replayed cluster pass runs its whole sweep inside the first step's
+// fused cycle and books the other steps around empty bodies, so its
+// trace must read exactly like one fused sweep per step: per pass, n-1 x
+// (comm_cycle_fused B/E, compute_step), the cross-edge replays between
+// and after the passes, then the step-4 and step-5 compute steps.
+TEST_F(ScheduleTest, ReplayedDualPrefixBooksEveryStepInOrder) {
+  const net::DualCube d(5);
+  const auto data = random_values(d.node_count(), 5);
+  Machine warm(d);
+  warm.set_schedule_path(SchedulePath::kCompiled);
+  core::dual_prefix(warm, d, core::Plus<u64>{}, data);
+
+  Machine m(d);
+  m.set_schedule_path(SchedulePath::kCompiled);
+  m.enable_trace();
+  core::dual_prefix(m, d, core::Plus<u64>{}, data);
+  std::vector<std::pair<std::string, char>> got;
+  for (const TraceEvent& e : m.trace()->merged())
+    if (e.track == m.trace_track()) got.emplace_back(e.name, e.ph);
+
+  std::vector<std::pair<std::string, char>> want{
+      {"replay:dual_prefix", 'B'}, {"schedule_cache_hit", 'i'}};
+  const auto pass = [&] {
+    for (unsigned i = 0; i + 1 < d.order(); ++i) {
+      want.insert(want.end(), {{"comm_cycle_fused", 'B'},
+                               {"comm_cycle_fused", 'E'},
+                               {"compute_step", 'i'}});
+    }
+  };
+  const auto cross = [&] {
+    want.insert(want.end(), {{"comm_cycle_replay_blocks", 'B'},
+                             {"comm_cycle_replay_blocks", 'E'}});
+  };
+  pass();
+  cross();
+  pass();
+  cross();
+  want.insert(want.end(), {{"compute_step", 'i'},
+                           {"compute_step", 'i'},
+                           {"replay:dual_prefix", 'E'}});
+  EXPECT_EQ(got, want);
+}
+
+// An observer sees the same six stages, array for array, whichever path
+// runs: the interpreted and record runs step by step, the replay through
+// tiled passes and (for an observer only) separate step-4 and step-5
+// sweeps. Mat2 keeps operand order visible.
+template <core::Monoid M>
+using PrefixStages = std::vector<std::pair<
+    std::string,
+    std::vector<std::pair<std::string, std::vector<typename M::value_type>>>>>;
+
+// One observed dual_prefix run: its result and Counters, and the stages it
+// appended to `stages`.
+template <core::Monoid M>
+auto observed_prefix(SchedulePath path, const net::DualCube& d, const M& op,
+                     const std::vector<typename M::value_type>& data,
+                     bool inclusive, PrefixStages<M>& stages) {
+  Machine m(d);
+  m.set_schedule_path(path);
+  const auto out = core::dual_prefix(
+      m, d, op, data,
+      [&](const std::string& stage, const auto& arrays) {
+        stages.emplace_back(stage, arrays);
+      },
+      inclusive);
+  return std::make_pair(out, m.counters());
+}
+
+template <core::Monoid M>
+void expect_observed_stage_parity(
+    const net::DualCube& d, const M& op,
+    const std::vector<typename M::value_type>& data, bool inclusive) {
+  ScheduleCache::instance().clear();
+  PrefixStages<M> want;
+  const auto ref =
+      observed_prefix(SchedulePath::kInterpreted, d, op, data, inclusive, want);
+  ASSERT_EQ(want.size(), 6u);
+  for (int run = 0; run < 2; ++run) {  // record, then replay
+    PrefixStages<M> got;
+    EXPECT_EQ(
+        observed_prefix(SchedulePath::kCompiled, d, op, data, inclusive, got),
+        ref)
+        << "run " << run;
+    EXPECT_EQ(got, want) << "run " << run;
+  }
+}
+
+TEST_F(ScheduleTest, DualPrefixObserverSeesTheSameStagesOnEveryPath) {
+  for (unsigned order = 1; order <= 5; ++order) {
+    const net::DualCube d(order);
+    for (const bool inclusive : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "D_" << order
+                                      << " inclusive=" << inclusive);
+      expect_observed_stage_parity(
+          d, core::Plus<u64>{}, random_values(d.node_count(), 70 + order),
+          inclusive);
+      expect_observed_stage_parity(
+          d, core::Mat2{}, matrices(d.node_count(), 80 + order), inclusive);
+    }
+  }
+}
+
 // Faulted machines interpret every cycle, so they never fuse — even with
 // the healthy schedule already cached.
 TEST_F(ScheduleTest, FaultedDualPrefixNeverFuses) {

@@ -21,6 +21,8 @@
 
 #include "core/block_prefix.hpp"
 #include "core/block_sort.hpp"
+#include "core/cube_prefix.hpp"
+#include "core/dual_prefix.hpp"
 #include "core/dual_sort.hpp"
 #include "sim/machine.hpp"
 #include "sim/oblivious.hpp"
@@ -347,6 +349,57 @@ TEST(Simd, AddRowsMatchesScalarIncludingTails) {
       simd::add_rows_u64(got.data(), prev.data(), n);
       simd::clear_forced_isa();
       EXPECT_EQ(got, ref) << "n=" << n;
+    }
+  }
+}
+
+// The u64-sum Cube_prefix kernel on every tile shape a replayed cluster
+// pass hands it, for D_1 .. D_11 (w = 0 .. 10 steps): a class-0 block of
+// whole clusters (unit 1), a class-1 strip or narrow class-1 half (unit =
+// its column count), and a tile of two blocks. Full-range sums wrap.
+// Every tier writes the reference butterfly's bytes, or declines a tile
+// that is not a whole number of its registers and leaves it untouched.
+TEST(Simd, CubePrefixStepsMatchButterflyOnEveryTileShape) {
+  std::vector<simd::Isa> isas = vector_isas();
+  isas.insert(isas.begin(), simd::Isa::kScalar);
+  const core::Plus<std::uint64_t> op;
+  dc::Rng rng(23);
+  for (unsigned w = 0; w <= 10; ++w) {
+    const std::uint64_t side = std::uint64_t{1} << w;
+    const std::uint64_t cols =
+        std::min(side, core::detail::kPrefixStripClusters);
+    const std::pair<std::uint64_t, std::uint64_t> shapes[] = {
+        {side * cols, 1}, {side * cols, cols}, {2 * side * cols, 1}};
+    for (const auto& [len, unit] : shapes) {
+      for (const bool inclusive : {true, false}) {
+        std::vector<std::uint64_t> t0(len), s0(len, 0);
+        for (auto& x : t0) x = rng();
+        if (inclusive) s0 = t0;
+        auto t_ref = t0;
+        auto s_ref = s0;
+        for (unsigned i = 0; i < w; ++i) {
+          core::detail::cube_prefix_butterfly(op, t_ref.data(), s_ref.data(),
+                                              0, len, unit << i);
+        }
+        for (const simd::Isa isa : isas) {
+          SCOPED_TRACE(testing::Message()
+                       << "w=" << w << " len=" << len << " unit=" << unit
+                       << " inclusive=" << inclusive
+                       << " isa=" << simd::isa_name(isa));
+          auto t = t0;
+          auto s = s0;
+          ASSERT_TRUE(simd::force_isa(isa));
+          const bool covered =
+              simd::cube_prefix_steps(t.data(), s.data(), len, unit, w);
+          simd::clear_forced_isa();
+          const std::uint64_t lanes = isa == simd::Isa::kAvx512 ? 8
+                                      : isa == simd::Isa::kAvx2 ? 4
+                                                                : 0;
+          EXPECT_EQ(covered, lanes != 0 && len % lanes == 0);
+          EXPECT_EQ(t, covered ? t_ref : t0);
+          EXPECT_EQ(s, covered ? s_ref : s0);
+        }
+      }
     }
   }
 }
