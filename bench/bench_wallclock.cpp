@@ -195,12 +195,10 @@ BENCHMARK(BM_BlockPrefix)->RangeMultiplier(8)->Range(1, 512)->Unit(benchmark::kM
 // measured. The pairs fill a fixed pool of 2^17 keys (1 MiB of u64): 8,192
 // pairs at width 8, 128 at width 512. Uniform random blocks interleave, so
 // the disjoint fast path stays cold and the merge itself is what's timed.
-template <typename Key>
-std::vector<Key> sorted_pair_pool(std::size_t width) {
+std::vector<u64> sorted_pair_pool(std::size_t width) {
   const std::size_t pairs = (std::size_t{1} << 16) / width;
-  const auto keys =
+  std::vector<u64> blocks =
       dc::generate_keys(dc::KeyDistribution::kUniform, 2 * pairs * width, 5);
-  std::vector<Key> blocks(keys.begin(), keys.end());
   for (auto it = blocks.begin(); it != blocks.end();
        it += static_cast<std::ptrdiff_t>(width)) {
     std::sort(it, it + static_cast<std::ptrdiff_t>(width));
@@ -208,16 +206,19 @@ std::vector<Key> sorted_pair_pool(std::size_t width) {
   return blocks;
 }
 
-template <typename Key>
-void merge_split_bench(benchmark::State& state) {
+// One side of a pair: the per-node form that a recording or interpreted
+// block sort runs, the scalar select chains for every key. A replayed
+// block sort merges both sides of a pair in place instead:
+// BM_MergeSplitPair.
+void BM_MergeSplit(benchmark::State& state) {
   const std::size_t width = static_cast<std::size_t>(state.range(0));
   const std::size_t pairs = (std::size_t{1} << 16) / width;
-  const std::vector<Key> blocks = sorted_pair_pool<Key>(width);
-  std::vector<Key> out(width);
+  const std::vector<u64> blocks = sorted_pair_pool(width);
+  std::vector<u64> out(width);
   std::size_t pair = 0;
   bool keep_min = true;
   for (auto _ : state) {
-    const Key* a = blocks.data() + 2 * pair * width;
+    const u64* a = blocks.data() + 2 * pair * width;
     dc::core::detail::merge_split(a, a + width, width, keep_min, out.data());
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
@@ -227,25 +228,7 @@ void merge_split_bench(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(width));
 }
-
-// 8-byte keys, one side of a pair: the per-node form that a recording or
-// interpreted block sort runs, always the scalar select chains (the
-// one-sided vector dispatcher declines 8-byte keys). A replayed block sort
-// merges both sides of a pair in place instead: BM_MergeSplitPair.
-void BM_MergeSplit(benchmark::State& state) {
-  merge_split_bench<u64>(state);
-}
 BENCHMARK(BM_MergeSplit)
-    ->RangeMultiplier(8)
-    ->Range(8, 512)
-    ->Unit(benchmark::kNanosecond);
-
-// 4-byte keys — the shape the vector kernel covers (native 32-bit min/max,
-// 8 lanes), so DC_SIMD=scalar vs auto isolates the kernel's speedup.
-void BM_MergeSplit32(benchmark::State& state) {
-  merge_split_bench<dc::u32>(state);
-}
-BENCHMARK(BM_MergeSplit32)
     ->RangeMultiplier(8)
     ->Range(8, 512)
     ->Unit(benchmark::kNanosecond);
@@ -262,7 +245,7 @@ BENCHMARK(BM_MergeSplit32)
 void merge_split_pair_bench(benchmark::State& state, bool merge) {
   const std::size_t width = static_cast<std::size_t>(state.range(0));
   const std::size_t pairs = (std::size_t{1} << 16) / width;
-  const std::vector<u64> pristine = sorted_pair_pool<u64>(width);
+  const std::vector<u64> pristine = sorted_pair_pool(width);
   std::vector<u64> work = pristine;
   std::vector<u64> scratch;
   std::size_t pair = 0;
@@ -301,8 +284,11 @@ BENCHMARK(BM_MergeSplitPairRestore)
 
 // Steady-state block replay gather in isolation: a width-m all-exchange
 // schedule replayed from a node-major plane source (the
-// comm_cycle_scheduled_blocks PlaneSrc hot path — width-specialized block
-// copies, or the masked vector gather at width 1).
+// comm_cycle_scheduled_blocks PlaneSrc hot path). Hypercube dimension
+// exchanges compile to XOR form, so every width replays as block copies
+// of aligned runs (dimension 0 at width 1 computes each sender inline);
+// the masked vector gather serves only dense cycles, which this bench
+// does not run.
 void BM_BlockGather(benchmark::State& state) {
   const unsigned d = 9;
   const std::size_t width = static_cast<std::size_t>(state.range(0));

@@ -25,10 +25,12 @@
 // for 8-byte keys); other keys and widths take std::sort. An interleaving
 // pair of integral 8-byte keys at a power-of-two width runs the vector
 // pair kernel (sim::simd::merge_split_pair: Batcher's half-cleaner, then a
-// bitonic merge of each block in registers). A merge-split that no vector
-// kernel covers and no disjoint fast path settles runs the two-pointer
-// merge as two independent select chains: one from the block ends, one
-// from the merge-path co-rank of the kept half's midpoint.
+// bitonic merge of each block in registers). Every other merge-split —
+// the per-node merges of a recording or interpreted run, for every key
+// type, and a pair the pair kernel does not cover — that no disjoint fast
+// path settles runs the two-pointer merge as two independent select
+// chains: one from the block ends, one from the merge-path co-rank of the
+// kept half's midpoint.
 //
 // Cost: the same 6n²−7n+2 communication cycles as Algorithm 3 (each cycle
 // now carries a block); computation steps stay 2n²−n parallel rounds plus
@@ -52,10 +54,8 @@ namespace detail {
 /// result is the kept half of the two-pointer scan — from the fronts for
 /// the min side, which takes a's key on ties, and from the backs for the
 /// max side, which keeps a's key on ties — computed directly, so no
-/// 2*width scratch is materialized. Integral key widths the active ISA
-/// covers take the vectorized merge network (sim/simd.hpp); the output is
-/// bit-identical either way, since the kept half of a merge is a pure
-/// function of the input multiset.
+/// 2*width scratch is materialized. Every key type runs the same code: no
+/// vector kernel covers this one-sided form.
 ///
 /// Disjoint fast path: when the two blocks don't interleave (one's last key
 /// orders before the other's first), the kept half is one of the inputs
@@ -87,7 +87,6 @@ void merge_split(const Key* a, const Key* b, std::size_t width, bool keep_min,
       return;
     }
   }
-  if (sim::simd::merge_split(a, b, width, keep_min, out)) return;
   // Two independent branch-free chains of the two-pointer merge: one from
   // the ends that bound the kept half, one from the merge-path co-rank of
   // its midpoint h (how many a keys lie among the h outputs nearest that

@@ -60,6 +60,17 @@ unsigned cube_prefix_step(const M& op, bool high,
   return 1;
 }
 
+/// What node u folds from a width-1 exchange: its received value, or
+/// `none` (the identity) where a fault lost the message, since the row of
+/// a pooled plane still holds whatever an earlier cycle delivered there.
+/// Only a machine with faults attached loses messages: callers pass
+/// `lossy` = Machine::has_faults(), so a healthy run reads no stamp.
+template <typename V>
+const V& received_or(const sim::BlockInbox<V>& inbox, net::NodeId u,
+                     bool lossy, const V& none) {
+  return lossy && !inbox.has(u) ? none : *inbox.block(u);
+}
+
 /// Operator applications one Cube_prefix step over `nodes` nodes is
 /// charged: 2 on each high partner plus 1 on each low one. The fused
 /// kernels make fewer combines and charge this, so Counters do not depend
@@ -159,13 +170,17 @@ PrefixOutput<typename M::value_type> cube_prefix(
   // The exchange pattern per dimension is a fixed pairing, so the whole
   // run compiles to one cached schedule per cube order.
   sim::ObliviousSection sched(m, "cube_prefix", {q.dimensions()});
+  const bool lossy = m.has_faults();
+  const V none = op.identity();
   for (unsigned i = 0; i < q.dimensions(); ++i) {
     auto inbox = sched.exchange_blocks<V>(
         1, [&](net::NodeId u) { return q.neighbor(u, i); },
         sim::PlaneSrc<V>{t.data(), 1});
     m.compute_step([&](net::NodeId u) {
       m.add_ops(detail::cube_prefix_step(op, dc::bits::get(u, i) == 1,
-                                         *inbox.block(u), t[u], s[u]));
+                                         detail::received_or(inbox, u, lossy,
+                                                             none),
+                                         t[u], s[u]));
     });
   }
   sched.commit();

@@ -163,6 +163,8 @@ void cluster_prefix(sim::Machine& m, sim::ObliviousSection& sched,
   };
   if (!sched.replaying() || w == 0) {
     seed(in, t, s, n);
+    const bool lossy = m.has_faults();
+    const V none = op.identity();
     for (unsigned i = 0; i < w; ++i) {
       auto inbox = sched.exchange_blocks<V>(
           1, [&](net::NodeId u) { return d.cluster_neighbor(u, i); },
@@ -170,7 +172,9 @@ void cluster_prefix(sim::Machine& m, sim::ObliviousSection& sched,
       m.compute_step([&](net::NodeId u) {
         // Bit i of u's node ID is the flipped label bit of this exchange.
         const bool high = dc::bits::get(u, (u < half ? 0u : w) + i) == 1;
-        m.add_ops(cube_prefix_step(op, high, *inbox.block(u), t[u], s[u]));
+        m.add_ops(cube_prefix_step(op, high,
+                                   received_or(inbox, u, lossy, none), t[u],
+                                   s[u]));
       });
     }
     return;
@@ -263,9 +267,12 @@ std::vector<typename M::value_type> dual_prefix(
   // Step 2: exchange cluster totals over the cross-edges. Step 3: the
   // diminished prefix of those totals inside every cluster; t' lands in t,
   // whose step-1 totals are spent. Replay reads the totals straight from
-  // the inbox. The other paths copy them into t and free the inbox first,
-  // since the pass's own exchanges would otherwise take a second plane.
+  // the inbox. The other paths copy them into t (the identity where a
+  // message was lost) and free the inbox first, since the pass's own
+  // exchanges would otherwise take a second plane.
   const auto s2 = std::make_unique_for_overwrite<V[]>(n_nodes);
+  const bool lossy = m.has_faults();
+  const V none = op.identity();
   {
     auto inbox =
         sched.exchange_blocks<V>(1, cross, sim::PlaneSrc<V>{t.data(), 1});
@@ -275,7 +282,8 @@ std::vector<typename M::value_type> dual_prefix(
                {{"temp", std::vector<V>(in, in + n_nodes)}});
     }
     if (!sched.replaying()) {
-      std::copy(in, in + n_nodes, t.data());
+      for (std::size_t u = 0; u < n_nodes; ++u)
+        t[u] = detail::received_or(inbox, u, lossy, none);
       inbox = {};
       in = t.data();
     }
@@ -291,11 +299,18 @@ std::vector<typename M::value_type> dual_prefix(
   // and fold it in on the left. Step 5: class-1 nodes prepend the class-0
   // grand total, their own t'. One sweep applies both unless an observer
   // must see the state between them; step 5's compute step is booked with
-  // its op charge either way.
+  // its op charge either way. A machine with faults attached, which never
+  // replays, first copies the inbox over the spent s' with the identity
+  // where a message was lost.
   {
     auto inbox =
         sched.exchange_blocks<V>(1, cross, sim::PlaneSrc<V>{s2.get(), 1});
-    const V* const recv = inbox.data();
+    const V* recv = inbox.data();
+    if (lossy) {
+      for (std::size_t u = 0; u < n_nodes; ++u)
+        s2[u] = detail::received_or(inbox, u, lossy, none);
+      recv = s2.get();
+    }
     const bool split = static_cast<bool>(observer);
     m.compute_step_chunked([&](std::size_t lo, std::size_t hi) {
       const std::size_t mid = split ? hi : std::clamp(half, lo, hi);

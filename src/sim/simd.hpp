@@ -2,45 +2,44 @@
 //
 // The compiled-schedule replay path (sim/machine.hpp) and the sorting and
 // block algorithms (core/dual_sort.hpp, core/block_sort.hpp,
-// core/block_prefix.hpp, core/dual_prefix.hpp) spend their cycles in six
-// tight loops: the receiver-major plane gather, the in-place bitonic
-// compare-exchange (a replayed dual_sort's network and block_sort's local
-// sort of each block), the sorted merge-split of 4-byte keys, the
-// in-place merge-split of a pair of 8-byte blocks (a replayed
-// block_sort's network), the Cube_prefix steps of a u64 sum (a replayed
-// dual_prefix's cluster passes), and the row-wise prefix combine. This
-// header implements them as explicit SIMD kernels — AVX2 on x86-64 (all
-// six; the pair up to a width bound), AVX-512 on x86-64 CPUs that have it
-// (the bitonic steps, the pair and the prefix steps), NEON on AArch64
-// (merge-split and row combine) — behind one runtime
-// dispatch point, with a portable scalar fallback that is the reference
-// semantics. A one-sided merge-split of 8-byte keys, and a pair that no
-// kernel covers, run core/block_sort.hpp's two branch-free scalar select
-// chains.
+// core/block_prefix.hpp, core/dual_prefix.hpp) spend their cycles in five
+// tight loops over 8-byte values: the receiver-major plane gather, the
+// in-place bitonic compare-exchange (a replayed dual_sort's network and
+// block_sort's local sort of each block), the in-place merge-split of a
+// pair of blocks (a replayed block_sort's network), the Cube_prefix steps
+// of a u64 sum (a replayed dual_prefix's cluster passes), and the
+// row-wise prefix combine. This header implements them as explicit SIMD
+// kernels on x86-64 — AVX2 (all five; the pair up to a width bound) and
+// AVX-512 on CPUs that have it (the bitonic steps, the pair and the
+// prefix steps) — behind one runtime dispatch point, with a portable
+// scalar fallback that is the reference semantics. A one-sided
+// merge-split, of any key, and a pair that no kernel covers run
+// core/block_sort.hpp's two branch-free scalar select chains.
 //
 // Dispatch. active_isa() resolves once per process from the DC_SIMD
-// environment variable (auto | avx2 | neon | scalar — mirroring
-// DC_SCHEDULE), clamped to what the binary and the CPU actually support: a
-// forced ISA that is absent falls back to scalar rather than faulting.
-// `auto` picks the best tier: AVX-512 (AVX-512F and VL) over AVX2 over
-// scalar on x86-64. The AVX-512 tier runs its own bitonic step, pair and
-// prefix step kernels and the AVX2 code of every other kernel, so
-// DC_SIMD=avx2 on an AVX-512 CPU still runs the AVX2 kernels. Tests can
-// override the choice with force_isa(). The vector kernels are compiled with per-function target
-// attributes, so the translation unit itself needs no -mavx2 or -mavx512f
-// and the binary stays runnable on any x86-64; a CPU without AVX-512F/VL
-// never reaches an AVX-512 instruction.
+// environment variable (auto | avx2 | scalar — mirroring DC_SCHEDULE),
+// clamped to what the binary and the CPU actually support: a forced ISA
+// that is absent falls back to scalar rather than faulting, and any other
+// value means auto. `auto` picks the best tier: AVX-512 (AVX-512F and VL)
+// over AVX2 over scalar on x86-64, scalar elsewhere. The AVX-512 tier
+// runs its own bitonic step, pair and prefix step kernels and the AVX2
+// code of every other kernel, so DC_SIMD=avx2 on an AVX-512 CPU still
+// runs the AVX2 kernels. Tests can override the choice with force_isa().
+// The vector kernels are compiled with per-function target attributes, so
+// the translation unit itself needs no -mavx2 or -mavx512f and the binary
+// stays runnable on any x86-64; a CPU without AVX-512F/VL never reaches an
+// AVX-512 instruction.
 //
 // Determinism. Every kernel is bit-identical to the scalar reference:
 //   * gather/copy kernels move bytes — no arithmetic at all;
 //   * bitonic_steps writes the min and the max of each compared pair of
 //     integral keys; equal keys are identical bit patterns, so it does not
 //     matter which kernel picks which;
-//   * merge_split and merge_split_pair produce the sorted lower/upper half
-//     of a merged pair of sorted blocks. That output is a pure function of
-//     the input multiset (for integral keys, equal keys are identical bit
-//     patterns), so any correct merge — two-pointer scalar or
-//     bitonic-network SIMD — yields byte-identical arrays;
+//   * merge_split_pair produces the sorted lower/upper half of a merged
+//     pair of sorted blocks. That output is a pure function of the input
+//     multiset (for integral keys, equal keys are identical bit patterns),
+//     so any correct merge — two-pointer scalar or bitonic-network SIMD —
+//     yields byte-identical arrays;
 //   * add_rows and cube_prefix_steps are lane-wise u64 addition, which
 //     wraps, associates and commutes, so every grouping of the sums gives
 //     the reference's bits.
@@ -62,22 +61,16 @@
 #define DC_SIMD_HAS_AVX2_BUILD 1
 #include <immintrin.h>
 #endif
-#if defined(__aarch64__) && defined(__ARM_NEON)
-#define DC_SIMD_HAS_NEON_BUILD 1
-#include <arm_neon.h>
-#endif
 
 namespace dc::sim {
 namespace simd {
 
-enum class Isa { kScalar, kAvx2, kNeon, kAvx512 };
+enum class Isa { kScalar, kAvx2, kAvx512 };
 
 inline const char* isa_name(Isa isa) {
   switch (isa) {
     case Isa::kAvx2:
       return "avx2";
-    case Isa::kNeon:
-      return "neon";
     case Isa::kAvx512:
       return "avx512";
     default:
@@ -99,10 +92,6 @@ inline bool supported(Isa isa) {
              __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512vl") != 0;
 #endif
-#if DC_SIMD_HAS_NEON_BUILD
-    case Isa::kNeon:
-      return true;
-#endif
     default:
       return false;
   }
@@ -110,7 +99,7 @@ inline bool supported(Isa isa) {
 
 /// Best ISA this binary can run on this CPU.
 inline Isa detect_best() {
-  for (const Isa isa : {Isa::kAvx512, Isa::kAvx2, Isa::kNeon}) {
+  for (const Isa isa : {Isa::kAvx512, Isa::kAvx2}) {
     if (supported(isa)) return isa;
   }
   return Isa::kScalar;
@@ -133,7 +122,6 @@ inline Isa env_isa() {
     const std::string_view v = e ? std::string_view(e) : "auto";
     if (v == "scalar") return Isa::kScalar;
     if (v == "avx2") return supported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kScalar;
-    if (v == "neon") return supported(Isa::kNeon) ? Isa::kNeon : Isa::kScalar;
     return detect_best();  // "auto" (and anything unrecognized)
   }();
   return isa;
@@ -244,128 +232,6 @@ namespace simd {
 #if DC_SIMD_HAS_AVX2_BUILD
 namespace avx2 {
 
-// Unaligned load/store helpers: lambdas do NOT inherit a target attribute,
-// so the merge loops call these named helpers instead.
-__attribute__((target("avx2"))) inline __m256i loadu(const void* p) {
-  return _mm256_loadu_si256(static_cast<const __m256i*>(p));
-}
-__attribute__((target("avx2"))) inline void storeu(void* p, __m256i v) {
-  _mm256_storeu_si256(static_cast<__m256i*>(p), v);
-}
-
-// ---- 32-bit lane helpers (8 lanes per __m256i) ---------------------------
-// The streaming merge below takes 4-byte keys (native min_epi32/min_epu32,
-// 8 lanes). AVX2 lacks 64-bit min/max, so each 4-lane minmax of 8-byte keys
-// costs a cmpgt_epi64 plus two blendv's (plus a sign-bias XOR pair for
-// unsigned keys); native vpminuq/vpmaxuq arrive with AVX-512F. 8-byte keys
-// are merged only in pairs, in place, by the register-blocked pair kernel
-// (blocked::merge_split_pair), which runs on both tiers.
-
-template <bool kSigned>
-__attribute__((target("avx2"))) inline void minmax32(__m256i& x, __m256i& y) {
-  __m256i mn;
-  __m256i mx;
-  if constexpr (kSigned) {
-    mn = _mm256_min_epi32(x, y);
-    mx = _mm256_max_epi32(x, y);
-  } else {
-    mn = _mm256_min_epu32(x, y);
-    mx = _mm256_max_epu32(x, y);
-  }
-  x = mn;
-  y = mx;
-}
-
-__attribute__((target("avx2"))) inline __m256i reverse8_32(__m256i v) {
-  const __m256i idx = _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
-  return _mm256_permutevar8x32_epi32(v, idx);
-}
-
-/// Sorts a bitonic 8-lane vector ascending (three clean stages).
-template <bool kSigned>
-__attribute__((target("avx2"))) inline __m256i clean8_32(__m256i v) {
-  __m256i p = _mm256_permute4x64_epi64(v, _MM_SHUFFLE(1, 0, 3, 2));
-  __m256i mn = v;
-  __m256i mx = p;
-  minmax32<kSigned>(mn, mx);
-  v = _mm256_blend_epi32(mn, mx, 0xF0);  // distance 4
-  p = _mm256_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2));
-  mn = v;
-  mx = p;
-  minmax32<kSigned>(mn, mx);
-  v = _mm256_blend_epi32(mn, mx, 0xCC);  // distance 2
-  p = _mm256_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1));
-  mn = v;
-  mx = p;
-  minmax32<kSigned>(mn, mx);
-  v = _mm256_blend_epi32(mn, mx, 0xAA);  // distance 1
-  return v;
-}
-
-template <bool kSigned>
-__attribute__((target("avx2"))) inline void merge16_32(__m256i& a,
-                                                       __m256i& b) {
-  b = reverse8_32(b);
-  minmax32<kSigned>(a, b);
-  a = clean8_32<kSigned>(a);
-  b = clean8_32<kSigned>(b);
-}
-
-// ---- streaming merge-split kernels ---------------------------------------
-// Classic vector-merge loop: keep a sorted carry register of the L largest
-// (keep-min) or smallest (keep-max) elements seen so far, and at each step
-// feed it the next L-element vector from whichever input's head (tail)
-// comes first in merge order. Emits L output elements per step; stops once
-// `width` outputs are placed — the kept half is produced directly, nothing
-// of the discarded half is written.
-
-template <typename Key>
-__attribute__((target("avx2"))) inline void merge_split_32(
-    const Key* a, const Key* b, std::size_t width, bool keep_min, Key* out) {
-  static_assert(sizeof(Key) == 4);
-  constexpr bool kSigned = std::is_signed_v<Key>;
-  if (keep_min) {
-    __m256i lo = loadu(a);
-    __m256i carry = loadu(b);
-    merge16_32<kSigned>(lo, carry);
-    storeu(out, lo);
-    std::size_t ia = 8;
-    std::size_t ib = 8;
-    for (std::size_t k = 8; k < width; k += 8) {
-      __m256i next;
-      if (ib >= width || (ia < width && !(b[ib] < a[ia]))) {
-        next = loadu(a + ia);
-        ia += 8;
-      } else {
-        next = loadu(b + ib);
-        ib += 8;
-      }
-      merge16_32<kSigned>(next, carry);
-      storeu(out + k, next);
-    }
-  } else {
-    __m256i carry = loadu(a + width - 8);
-    __m256i hi = loadu(b + width - 8);
-    merge16_32<kSigned>(carry, hi);
-    storeu(out + width - 8, hi);
-    std::size_t ia = width - 8;
-    std::size_t ib = width - 8;
-    for (std::size_t k = width - 8; k > 0; k -= 8) {
-      __m256i next;
-      if (ib == 0 || (ia > 0 && !(a[ia - 1] < b[ib - 1]))) {
-        ia -= 8;
-        next = loadu(a + ia);
-      } else {
-        ib -= 8;
-        next = loadu(b + ib);
-      }
-      merge16_32<kSigned>(next, carry);
-      storeu(out + k - 8, carry);
-      carry = next;
-    }
-  }
-}
-
 /// Width-1 row gather for 8-byte elements: vectorized replay inner loop
 /// `plane[v] = src[from[v]]; stamp[v] = gen` for delivered rows. Dead rows
 /// (from[v] == no_sender) keep their old plane/stamp bytes — the blend
@@ -422,182 +288,6 @@ __attribute__((target("avx2"))) inline void add_rows_u64(
 }  // namespace avx2
 #endif  // DC_SIMD_HAS_AVX2_BUILD
 
-#if DC_SIMD_HAS_NEON_BUILD
-namespace neon {
-
-// 32-bit merge kernel (4 lanes per uint32x4_t); 64-bit keys fall back to
-// scalar on NEON — two lanes per vector leave no merge-network win.
-
-template <typename Key>
-inline auto load4(const Key* p) {
-  if constexpr (std::is_signed_v<Key>) {
-    return vld1q_s32(reinterpret_cast<const std::int32_t*>(p));
-  } else {
-    return vld1q_u32(reinterpret_cast<const std::uint32_t*>(p));
-  }
-}
-
-template <typename Key, typename Vec>
-inline void store4(Key* p, Vec v) {
-  if constexpr (std::is_signed_v<Key>) {
-    vst1q_s32(reinterpret_cast<std::int32_t*>(p), v);
-  } else {
-    vst1q_u32(reinterpret_cast<std::uint32_t*>(p), v);
-  }
-}
-
-inline void minmax(uint32x4_t& x, uint32x4_t& y) {
-  const uint32x4_t mn = vminq_u32(x, y);
-  y = vmaxq_u32(x, y);
-  x = mn;
-}
-inline void minmax(int32x4_t& x, int32x4_t& y) {
-  const int32x4_t mn = vminq_s32(x, y);
-  y = vmaxq_s32(x, y);
-  x = mn;
-}
-
-inline uint32x4_t pairs_swapped(uint32x4_t v) { return vrev64q_u32(v); }
-inline int32x4_t pairs_swapped(int32x4_t v) { return vrev64q_s32(v); }
-inline uint32x4_t halves_swapped(uint32x4_t v) { return vextq_u32(v, v, 2); }
-inline int32x4_t halves_swapped(int32x4_t v) { return vextq_s32(v, v, 2); }
-
-template <typename Vec>
-inline Vec reverse4(Vec v) {
-  return halves_swapped(pairs_swapped(v));
-}
-
-inline uint32x4_t blend(uint32x4_t mn, uint32x4_t mx, uint32x4_t take_mx) {
-  return vbslq_u32(take_mx, mx, mn);
-}
-inline int32x4_t blend(int32x4_t mn, int32x4_t mx, uint32x4_t take_mx) {
-  return vbslq_s32(take_mx, mx, mn);
-}
-
-template <typename Vec>
-inline Vec clean4(Vec v) {
-  const uint32x4_t upper2 = {0u, 0u, ~0u, ~0u};
-  const uint32x4_t odd = {0u, ~0u, 0u, ~0u};
-  Vec p = halves_swapped(v);
-  Vec mn = v;
-  Vec mx = p;
-  minmax(mn, mx);
-  v = blend(mn, mx, upper2);  // distance 2
-  p = pairs_swapped(v);
-  mn = v;
-  mx = p;
-  minmax(mn, mx);
-  v = blend(mn, mx, odd);  // distance 1
-  return v;
-}
-
-template <typename Vec>
-inline void merge8(Vec& a, Vec& b) {
-  b = reverse4(b);
-  minmax(a, b);
-  a = clean4(a);
-  b = clean4(b);
-}
-
-template <typename Key>
-inline void merge_split_32(const Key* a, const Key* b, std::size_t width,
-                           bool keep_min, Key* out) {
-  static_assert(sizeof(Key) == 4);
-  if (keep_min) {
-    auto lo = load4(a);
-    auto carry = load4(b);
-    merge8(lo, carry);
-    store4(out, lo);
-    std::size_t ia = 4;
-    std::size_t ib = 4;
-    for (std::size_t k = 4; k < width; k += 4) {
-      decltype(lo) next;
-      if (ib >= width || (ia < width && !(b[ib] < a[ia]))) {
-        next = load4(a + ia);
-        ia += 4;
-      } else {
-        next = load4(b + ib);
-        ib += 4;
-      }
-      merge8(next, carry);
-      store4(out + k, next);
-    }
-  } else {
-    auto carry = load4(a + width - 4);
-    auto hi = load4(b + width - 4);
-    merge8(carry, hi);
-    store4(out + width - 4, hi);
-    std::size_t ia = width - 4;
-    std::size_t ib = width - 4;
-    for (std::size_t k = width - 4; k > 0; k -= 4) {
-      decltype(hi) next;
-      if (ib == 0 || (ia > 0 && !(a[ia - 1] < b[ib - 1]))) {
-        ia -= 4;
-        next = load4(a + ia);
-      } else {
-        ib -= 4;
-        next = load4(b + ib);
-      }
-      merge8(next, carry);
-      store4(out + k - 4, carry);
-      carry = next;
-    }
-  }
-}
-
-inline void add_rows_u64(std::uint64_t* cur, const std::uint64_t* prev,
-                         std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(cur + i, vaddq_u64(vld1q_u64(prev + i), vld1q_u64(cur + i)));
-  }
-  for (; i < n; ++i) cur[i] = prev[i] + cur[i];
-}
-
-}  // namespace neon
-#endif  // DC_SIMD_HAS_NEON_BUILD
-
-/// Vectorized merge-split: writes the lower (keep_min) or upper `width`
-/// keys of merge(a, b) into out (a, b sorted ascending; out must not alias
-/// them). Returns false — without touching out — when no vector kernel
-/// covers (Key, width, active ISA); the caller then runs its scalar
-/// reference. Handled today: integral 4-byte keys at width % 8 == 0 on
-/// AVX2 (and so on the AVX-512 tier) and width % 4 == 0 on NEON. 8-byte
-/// keys decline this one-sided form: their vector kernel merges both sides
-/// of a pair in place (merge_split_pair), which is what a replayed block
-/// sort runs, and a per-node merge runs the caller's branch-free select
-/// chains. Output is bit-identical to the scalar two-pointer merge-split.
-template <typename Key>
-inline bool merge_split(const Key* a, const Key* b, std::size_t width,
-                        bool keep_min, Key* out) {
-  if constexpr (std::is_integral_v<Key> && sizeof(Key) == 4) {
-    const Isa isa = active_isa();
-#if DC_SIMD_HAS_AVX2_BUILD
-    if (runs_avx2(isa)) {
-      if (width >= 8 && width % 8 == 0) {
-        avx2::merge_split_32(a, b, width, keep_min, out);
-        return true;
-      }
-    }
-#endif
-#if DC_SIMD_HAS_NEON_BUILD
-    if (isa == Isa::kNeon) {
-      if (width >= 4 && width % 4 == 0) {
-        neon::merge_split_32(a, b, width, keep_min, out);
-        return true;
-      }
-    }
-#endif
-    (void)isa;
-  }
-  (void)a;
-  (void)b;
-  (void)width;
-  (void)keep_min;
-  (void)out;
-  return false;
-}
-
 /// Receiver-major replay gather over rows [lo, hi):
 ///   for each v with from[v] != no_sender:
 ///     plane[v*width ..] = src[from[v]*src_stride ..][0..width); stamp[v]=gen
@@ -635,12 +325,6 @@ inline void add_rows_u64(std::uint64_t* cur, const std::uint64_t* prev,
 #if DC_SIMD_HAS_AVX2_BUILD
   if (runs_avx2(active_isa())) {
     avx2::add_rows_u64(cur, prev, n);
-    return;
-  }
-#endif
-#if DC_SIMD_HAS_NEON_BUILD
-  if (active_isa() == Isa::kNeon) {
-    neon::add_rows_u64(cur, prev, n);
     return;
   }
 #endif
@@ -1224,10 +908,10 @@ struct Lanes64 {
   static constexpr unsigned kLiveLog = 3;  // 8 of the 16 ymm registers
 
   __attribute__((target("avx2"))) static void load(Vec& v, const void* p) {
-    v = order(loadu(p));
+    v = order(_mm256_loadu_si256(static_cast<const __m256i*>(p)));
   }
   __attribute__((target("avx2"))) static void store(void* p, const Vec& v) {
-    storeu(p, order(v));
+    _mm256_storeu_si256(static_cast<__m256i*>(p), order(v));
   }
   __attribute__((target("avx2"))) static void minmax(Vec& lo, Vec& hi) {
     const __m256i gt = _mm256_cmpgt_epi64(lo, hi);
@@ -1548,8 +1232,8 @@ inline bool merge_split_pair(Key* lo, Key* hi, std::size_t width) {
 /// permutes and masked adds below the register width, adds of whole
 /// registers above it, the lane steps and up to three register steps per
 /// load on AVX-512 (two on AVX2). Returns false, touching
-/// nothing, when no vector kernel covers the tile: a scalar or NEON tier,
-/// or a tile that is not a whole number of registers. 64-bit addition
+/// nothing, when no vector kernel covers the tile: the scalar tier, or a
+/// tile that is not a whole number of registers. 64-bit addition
 /// wraps and commutes, so the sums are the reference's bits.
 inline bool cube_prefix_steps(std::uint64_t* t, std::uint64_t* s,
                               std::uint64_t len, std::uint64_t unit,

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -189,11 +191,12 @@ struct Tagged {
 // The two-pointer merge-split that detail::merge_split's select chains
 // replace: the min side scans from the fronts and takes a's key on ties,
 // the max side scans from the backs and keeps a's key on ties.
-std::vector<Tagged> two_pointer_merge_split(const std::vector<Tagged>& a,
-                                            const std::vector<Tagged>& b,
-                                            bool keep_min) {
+template <typename Key>
+std::vector<Key> two_pointer_merge_split(const std::vector<Key>& a,
+                                         const std::vector<Key>& b,
+                                         bool keep_min) {
   const std::size_t width = a.size();
-  std::vector<Tagged> out(width);
+  std::vector<Key> out(width);
   if (keep_min) {
     std::size_t ia = 0, ib = 0;
     for (std::size_t k = 0; k < width; ++k) {
@@ -245,6 +248,37 @@ TEST(BlockSort, MergeSplitKeepsTheTwoPointerTieRuleAtEveryWidth) {
       }
     }
   }
+}
+
+// 4-byte keys straddling 0 and the sign bit, where an unsigned key
+// compared as signed (or the reverse) would reorder: detail::merge_split,
+// the only merge of 4-byte keys, keeps the two-pointer scan's keys on
+// every prefix width of these blocks, both ways round and on both sides.
+template <typename Key>
+void expect_two_pointer_order(const std::vector<Key>& a,
+                              const std::vector<Key>& b) {
+  for (std::size_t width = 1; width <= a.size(); ++width) {
+    const auto end = static_cast<std::ptrdiff_t>(width);
+    const std::vector<Key> pa(a.begin(), a.begin() + end);
+    const std::vector<Key> pb(b.begin(), b.begin() + end);
+    for (const auto& [x, y] : {std::pair{pa, pb}, std::pair{pb, pa}}) {
+      for (const bool keep_min : {true, false}) {
+        std::vector<Key> got(width);
+        detail::merge_split(x.data(), y.data(), width, keep_min, got.data());
+        EXPECT_EQ(got, two_pointer_merge_split(x, y, keep_min))
+            << sizeof(Key) << "-byte key, width " << width
+            << (keep_min ? " keep-min" : " keep-max");
+      }
+    }
+  }
+}
+
+TEST(BlockSort, MergeSplitOrdersAroundSignAndBiasBoundaries) {
+  expect_two_pointer_order<u32>(
+      {0, 1, 2, 3, 0x7FFFFFFEu, 0x7FFFFFFFu, 0x80000000u, 0x80000001u},
+      {2, 4, 5, 6, 0x7FFFFFFDu, 0x80000000u, 0xFFFFFFFEu, 0xFFFFFFFFu});
+  expect_two_pointer_order<std::int32_t>({-9, -5, -1, 0, 1, 3, 4, 8},
+                                         {-8, -6, -2, 0, 2, 5, 7, 9});
 }
 
 TEST(BlockSort, RejectsBadSizes) {

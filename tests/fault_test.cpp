@@ -6,7 +6,8 @@
 //     cycle 0, forever — it snapshots back to itself at every cycle;
 //   * a Machine with attached faults enforces them exactly — kStrict
 //     throws FaultError with a message naming the first offender in
-//     sender order, kDegrade drops and counts;
+//     sender order, kDegrade drops and counts, and a flat prefix folds a
+//     lost message as the identity;
 //   * a machine with NO faults attached is bit-identical to the historical
 //     healthy machine (counters equal, fault fields zero);
 //   * ft_dual_broadcast and ft_dual_prefix are correct for EVERY node
@@ -27,12 +28,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "collectives/ft_broadcast.hpp"
 #include "collectives/reduce.hpp"
+#include "core/cube_prefix.hpp"
 #include "core/dual_prefix.hpp"
 #include "core/dual_sort.hpp"
 #include "core/emulated_prefix.hpp"
@@ -361,6 +364,71 @@ TEST(MachineFaults, AttachedPlanRefusesBlockReplay) {
                CheckError);
   m.clear_faults();
   EXPECT_EQ(m.schedule_path(), dc::sim::SchedulePath::kCompiled);
+}
+
+// One token "i;" per index, so a Concat prefix names the inputs it holds.
+std::vector<std::string> index_tokens(std::size_t n) {
+  std::vector<std::string> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = std::to_string(i) + ";";
+  return v;
+}
+
+// A lost message folds as the identity, so every index holds a fold of
+// some of the inputs before it (and, inclusive, its own last), each once
+// and in index order: a stale row of a pooled plane would repeat an input
+// or put a later one first. Reports the first index that breaks the rule.
+void expect_ordered_subfolds(const std::vector<std::string>& out,
+                             bool inclusive) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    std::vector<std::size_t> held;
+    for (std::size_t at = 0; at < out[i].size();) {
+      const std::size_t end = out[i].find(';', at);
+      held.push_back(std::stoul(out[i].substr(at, end - at)));
+      at = end + 1;
+    }
+    const bool ordered = std::adjacent_find(held.begin(), held.end(),
+                                            std::greater_equal<>()) ==
+                         held.end();
+    const bool ends_right = inclusive ? !held.empty() && held.back() == i
+                                      : held.empty() || held.back() < i;
+    if (!ordered || !ends_right) {
+      ADD_FAILURE() << "index " << i << " holds " << out[i];
+      return;
+    }
+  }
+}
+
+TEST(MachineFaults, LostMessagesFoldAsIdentityInTheFlatPrefix) {
+  const Concat op;
+  for (const unsigned permille : {200u, 500u, 900u}) {
+    const auto faults =
+        std::make_shared<FaultTimeline>(noisy_timeline(41, permille));
+    for (const bool inclusive : {true, false}) {
+      for (unsigned n = 2; n <= 4; ++n) {
+        SCOPED_TRACE(testing::Message() << "D_" << n << " drop " << permille
+                                        << "/1000 inclusive=" << inclusive);
+        const DualCube d(n);
+        Machine m(d);
+        m.attach_faults(faults, FaultPolicy::kDegrade);
+        expect_ordered_subfolds(
+            dc::core::dual_prefix(m, d, op, index_tokens(d.node_count()), {},
+                                  inclusive),
+            inclusive);
+        EXPECT_GT(m.counters().messages_lost, 0u);
+      }
+      SCOPED_TRACE(testing::Message() << "Q_5 drop " << permille
+                                      << "/1000 inclusive=" << inclusive);
+      const dc::net::Hypercube q(5);
+      Machine m(q);
+      m.attach_faults(faults, FaultPolicy::kDegrade);
+      expect_ordered_subfolds(
+          dc::core::cube_prefix(m, q, op, index_tokens(q.node_count()),
+                                inclusive)
+              .prefix,
+          inclusive);
+      EXPECT_GT(m.counters().messages_lost, 0u);
+    }
+  }
 }
 
 // ------------------------------------------------------ fault spec parse

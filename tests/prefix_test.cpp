@@ -5,6 +5,7 @@
 
 #include <numeric>
 
+#include "core/block_prefix.hpp"
 #include "core/cube_prefix.hpp"
 #include "core/dual_prefix.hpp"
 #include "core/emulated_prefix.hpp"
@@ -375,8 +376,9 @@ TEST(Monoids, Mat2IsNotCommutative) {
 // proof that the same schedule computes x_0 ⊕ … ⊕ x_i for every
 // associative ⊕, commutative or not. It reaches every engine: the flat
 // interpreted, record and replay paths, the replayed tiles and their
-// class-1 strips, and the sharded fused sweeps, resident and out of core,
-// which Concat (not plane-eligible) cannot.
+// class-1 strips, Algorithm 1 alone, the naive emulation, the block
+// scan's generic row combine, and the sharded fused sweeps, resident,
+// spilling and out of core, which Concat (not plane-eligible) cannot.
 
 TEST(IntervalCertificate, MonoidIsExactlyAssociative) {
   const Interval op;
@@ -426,6 +428,16 @@ void expect_certified(const std::vector<Interval::value_type>& out,
   }
 }
 
+// The paths a flat run can take, in the order that makes the last one a
+// replay: interpreted (small orders only), then a compiled run that
+// records and one that replays.
+std::vector<sim::SchedulePath> flat_paths(bool interpreted) {
+  std::vector<sim::SchedulePath> paths{sim::SchedulePath::kCompiled,
+                                       sim::SchedulePath::kCompiled};
+  if (interpreted) paths.insert(paths.begin(), sim::SchedulePath::kInterpreted);
+  return paths;
+}
+
 TEST(IntervalCertificate, DualPrefixOnEveryFlatPath) {
   const Interval op;
   for (unsigned n = 1; n <= 9; ++n) {
@@ -434,9 +446,7 @@ TEST(IntervalCertificate, DualPrefixOnEveryFlatPath) {
     for (const bool inclusive : {true, false}) {
       SCOPED_TRACE(testing::Message() << "D_" << n
                                       << " inclusive=" << inclusive);
-      std::vector<sim::SchedulePath> paths{sim::SchedulePath::kCompiled,
-                                           sim::SchedulePath::kCompiled};
-      if (n <= 6) paths.insert(paths.begin(), sim::SchedulePath::kInterpreted);
+      const auto paths = flat_paths(n <= 6);
       sim::ScheduleCache::instance().clear();
       for (std::size_t run = 0; run < paths.size(); ++run) {
         sim::Machine m(d);
@@ -448,6 +458,86 @@ TEST(IntervalCertificate, DualPrefixOnEveryFlatPath) {
         EXPECT_LE(c.comm_cycles, formulas::dual_prefix_comm_paper(n));
         EXPECT_EQ(c.comp_steps, formulas::dual_prefix_comp(n));
         // The last run replays the schedule the run before it recorded.
+        EXPECT_EQ(m.replayed_cycles(),
+                  run + 1 == paths.size() ? c.comm_cycles : 0u);
+      }
+    }
+  }
+}
+
+// Algorithm 1 on Q_1..Q_12: every prefix and, since t is the block total
+// of the whole cube after the last dimension, every node's t.
+TEST(IntervalCertificate, CubePrefixOnEveryPath) {
+  const Interval op;
+  for (unsigned dim = 1; dim <= 12; ++dim) {
+    const net::Hypercube q(dim);
+    const auto data = unit_ranges(q.node_count());
+    for (const bool inclusive : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "Q_" << dim
+                                      << " inclusive=" << inclusive);
+      const auto paths = flat_paths(true);
+      sim::ScheduleCache::instance().clear();
+      for (std::size_t run = 0; run < paths.size(); ++run) {
+        sim::Machine m(q);
+        m.set_schedule_path(paths[run]);
+        const auto out = cube_prefix(m, q, op, data, inclusive);
+        expect_certified(out.prefix, inclusive);
+        EXPECT_EQ(out.total, std::vector<Interval::value_type>(
+                                 q.node_count(),
+                                 Interval::range(0, q.node_count() - 1)));
+        const auto c = m.counters();
+        EXPECT_EQ(c.comm_cycles, formulas::cube_prefix_comm(dim));
+        EXPECT_EQ(c.comp_steps, formulas::cube_prefix_comp(dim));
+        EXPECT_EQ(m.replayed_cycles(),
+                  run + 1 == paths.size() ? c.comm_cycles : 0u);
+      }
+    }
+  }
+}
+
+// The naive hypercube emulation on RD_1..RD_6 (inclusive only).
+TEST(IntervalCertificate, EmulatedPrefixOnEveryPath) {
+  const Interval op;
+  for (unsigned n = 1; n <= 6; ++n) {
+    SCOPED_TRACE(testing::Message() << "RD_" << n);
+    const net::RecursiveDualCube r(n);
+    const auto data = unit_ranges(r.node_count());
+    const auto paths = flat_paths(true);
+    sim::ScheduleCache::instance().clear();
+    for (std::size_t run = 0; run < paths.size(); ++run) {
+      sim::Machine m(r);
+      m.set_schedule_path(paths[run]);
+      expect_certified(emulated_prefix(m, r, op, data), true);
+      const auto c = m.counters();
+      EXPECT_EQ(c.comm_cycles, formulas::emulated_prefix_comm(n));
+      EXPECT_EQ(c.comp_steps, formulas::emulated_prefix_comp(n));
+      EXPECT_EQ(m.replayed_cycles(),
+                run + 1 == paths.size() ? c.comm_cycles : 0u);
+    }
+  }
+}
+
+// The block scan (inclusive only) over m keys per node: both local phases
+// run detail::combine_rows' generic loop, around Algorithm 2's diminished
+// prefix of the block totals. Only the totals travel, so the cycles are
+// Theorem 1's, and the local phases add 2m - 1 steps.
+TEST(IntervalCertificate, BlockPrefixOnEveryFlatPath) {
+  const Interval op;
+  for (unsigned n = 1; n <= 5; ++n) {
+    const net::DualCube d(n);
+    for (const std::size_t block : {1u, 3u, 16u}) {
+      SCOPED_TRACE(testing::Message() << "D_" << n << " m=" << block);
+      const auto data = unit_ranges(d.node_count() * block);
+      const auto paths = flat_paths(true);
+      sim::ScheduleCache::instance().clear();
+      for (std::size_t run = 0; run < paths.size(); ++run) {
+        sim::Machine m(d);
+        m.set_schedule_path(paths[run]);
+        expect_certified(block_prefix(m, d, op, data, block), true);
+        const auto c = m.counters();
+        EXPECT_EQ(c.comm_cycles, formulas::dual_prefix_comm_impl(n));
+        EXPECT_LE(c.comm_cycles, formulas::dual_prefix_comm_paper(n));
+        EXPECT_EQ(c.comp_steps, 2 * block + formulas::dual_prefix_comp(n) - 1);
         EXPECT_EQ(m.replayed_cycles(),
                   run + 1 == paths.size() ? c.comm_cycles : 0u);
       }
@@ -479,6 +569,12 @@ TEST(IntervalCertificate, ShardedDualPrefixResidentSpillingAndOutOfCore) {
           ASSERT_EQ(eng.out_of_core(kBytes), budget != 0 && budget < spill);
           expect_certified(sharded_dual_prefix(eng, op, data, inclusive),
                            inclusive);
+          // The run took the regime the budget predicts: a spilling run
+          // wrote its result store out and stayed in core.
+          EXPECT_EQ(eng.stats().last_run_spilled, budget != 0);
+          EXPECT_EQ(eng.stats().last_run_out_of_core,
+                    budget != 0 && budget < spill);
+          EXPECT_EQ(eng.stats().spill_bytes > 0, budget != 0);
           EXPECT_EQ(eng.counters().comm_cycles,
                     formulas::dual_prefix_comm_impl(n));
           EXPECT_EQ(eng.counters().comp_steps, formulas::dual_prefix_comp(n));

@@ -71,112 +71,11 @@ struct ForcedIsa {
 // The ISAs worth testing on this binary/CPU beyond scalar (possibly none).
 std::vector<simd::Isa> vector_isas() {
   std::vector<simd::Isa> isas;
-  for (const simd::Isa isa :
-       {simd::Isa::kAvx2, simd::Isa::kAvx512, simd::Isa::kNeon}) {
+  for (const simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512}) {
     if (simd::force_isa(isa)) isas.push_back(isa);
   }
   simd::clear_forced_isa();
   return isas;
-}
-
-// Width classes: vector-covered multiples, the lonely scalar tail, odd
-// widths around each boundary, and large blocks spanning many registers.
-constexpr std::size_t kWidths[] = {1, 7, 8, 63, 64, 512, 513};
-
-template <typename Key>
-std::vector<Key> sorted_block(std::size_t width, dc::u64 seed) {
-  dc::Rng rng(seed);
-  std::vector<Key> block(width);
-  // Narrow range => plenty of duplicate keys at every tested width.
-  for (auto& k : block) k = static_cast<Key>(rng() % (2 * width + 3));
-  std::sort(block.begin(), block.end());
-  return block;
-}
-
-template <typename Key>
-void expect_merge_split_parity(simd::Isa isa) {
-  for (const std::size_t width : kWidths) {
-    const auto a = sorted_block<Key>(width, 11 + width);
-    const auto b = sorted_block<Key>(width, 97 + width);
-    for (const bool keep_min : {true, false}) {
-      std::vector<Key> scalar_out(width, Key{0});
-      std::vector<Key> vector_out(width, Key{0});
-      ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
-      core::detail::merge_split(a.data(), b.data(), width, keep_min,
-                                scalar_out.data());
-      ASSERT_TRUE(simd::force_isa(isa));
-      core::detail::merge_split(a.data(), b.data(), width, keep_min,
-                                vector_out.data());
-      simd::clear_forced_isa();
-      EXPECT_EQ(vector_out, scalar_out)
-          << "Key=" << sizeof(Key) << "B width=" << width
-          << " keep_min=" << keep_min << " isa=" << simd::isa_name(isa);
-    }
-  }
-}
-
-TEST(Simd, MergeSplitMatchesScalarEveryWidth) {
-  const auto isas = vector_isas();
-  if (isas.empty()) GTEST_SKIP() << "no vector ISA on this binary/CPU";
-  for (const simd::Isa isa : isas) {
-    expect_merge_split_parity<dc::u64>(isa);
-    expect_merge_split_parity<std::int64_t>(isa);
-    expect_merge_split_parity<std::uint32_t>(isa);
-    expect_merge_split_parity<std::int32_t>(isa);
-  }
-}
-
-TEST(Simd, MergeSplitOrdersAroundSignAndBiasBoundaries) {
-  const auto isas = vector_isas();
-  if (isas.empty()) GTEST_SKIP() << "no vector ISA on this binary/CPU";
-  // 4-byte keys straddling 0 and the sign bit — exactly where picking the
-  // signed min/max for an unsigned key (or vice versa) would reorder.
-  const std::vector<dc::u32> a = {0, 1, 2, 3, 0x7FFFFFFEu, 0x7FFFFFFFu,
-                                  0x80000000u, 0x80000001u};
-  const std::vector<dc::u32> b = {2, 4, 5, 6, 0x7FFFFFFDu, 0x80000000u,
-                                  0xFFFFFFFEu, 0xFFFFFFFFu};
-  const std::vector<std::int32_t> sa = {-9, -5, -1, 0, 1, 3, 4, 8};
-  const std::vector<std::int32_t> sb = {-8, -6, -2, 0, 2, 5, 7, 9};
-  for (const simd::Isa isa : isas) {
-    for (const bool keep_min : {true, false}) {
-      std::vector<dc::u32> ref(8), got(8);
-      ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
-      core::detail::merge_split(a.data(), b.data(), 8, keep_min, ref.data());
-      ASSERT_TRUE(simd::force_isa(isa));
-      core::detail::merge_split(a.data(), b.data(), 8, keep_min, got.data());
-      EXPECT_EQ(got, ref);
-
-      std::vector<std::int32_t> sref(8), sgot(8);
-      ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
-      core::detail::merge_split(sa.data(), sb.data(), 8, keep_min,
-                                sref.data());
-      ASSERT_TRUE(simd::force_isa(isa));
-      core::detail::merge_split(sa.data(), sb.data(), 8, keep_min,
-                                sgot.data());
-      EXPECT_EQ(sgot, sref);
-      simd::clear_forced_isa();
-    }
-  }
-}
-
-TEST(Simd, MergeSplitDispatcherDeclinesUncoveredShapes) {
-  // Shapes no vector kernel covers must return false without touching out.
-  dc::u32 a[7] = {1, 2, 3, 4, 5, 6, 7};
-  dc::u32 b[7] = {1, 2, 3, 4, 5, 6, 7};
-  dc::u32 out[7] = {99, 99, 99, 99, 99, 99, 99};
-  EXPECT_FALSE(simd::merge_split(a, b, 7, true, out));
-  for (const auto v : out) EXPECT_EQ(v, 99u);
-  // 8-byte keys decline this one-sided form on every tier: their vector
-  // kernel is the in-place pair form (merge_split_pair below), and a
-  // per-node merge runs the caller's scalar select chains.
-  dc::u64 wa[8] = {1, 2, 3, 4, 5, 6, 7, 8};
-  dc::u64 wb[8] = {1, 2, 3, 4, 5, 6, 7, 8};
-  dc::u64 wout[8] = {99, 99, 99, 99, 99, 99, 99, 99};
-  EXPECT_FALSE(simd::merge_split(wa, wb, 8, true, wout));
-  for (const auto v : wout) EXPECT_EQ(v, 99u);
-  double da[4] = {1, 2, 3, 4};
-  double dout[4] = {};
-  EXPECT_FALSE(simd::merge_split(da, da, 4, true, dout));
 }
 
 // ------------------------------------------------ in-place pair merge-split
@@ -406,9 +305,10 @@ TEST(Simd, CubePrefixStepsMatchButterflyOnEveryTileShape) {
 
 TEST(Simd, ForceIsaRefusesUnsupportedAndKeepsCurrentChoice) {
   const simd::Isa before = simd::active_isa();
-#if defined(__x86_64__) || defined(_M_X64)
-  EXPECT_FALSE(simd::force_isa(simd::Isa::kNeon));
-#else
+  // A value past the last tier names none and is refused on every host;
+  // off x86-64, so are both x86-64 tiers.
+  EXPECT_FALSE(simd::force_isa(static_cast<simd::Isa>(3)));
+#if !(defined(__x86_64__) || defined(_M_X64))
   EXPECT_FALSE(simd::force_isa(simd::Isa::kAvx2));
   EXPECT_FALSE(simd::force_isa(simd::Isa::kAvx512));
 #endif
@@ -433,9 +333,10 @@ TEST(Simd, ForceIsaRefusesUnsupportedAndKeepsCurrentChoice) {
 }
 
 // DC_SIMD picks the tier it names wherever the CPU has it, whatever better
-// tier the CPU also has; `auto` (or no DC_SIMD) picks the best. CI runs
-// this binary under DC_SIMD=avx2 and DC_SIMD=scalar as well, and reads the
-// tier each run took from the line this test prints.
+// tier the CPU also has; `auto`, no DC_SIMD and any value that names no
+// tier pick the best. CI runs this binary under DC_SIMD=avx2 and scalar,
+// and under a value that names no tier, as well, and reads the tier each
+// run took from the line this test prints.
 TEST(Simd, EnvChoiceRunsTheNamedTierWhereSupported) {
   const char* env = std::getenv("DC_SIMD");
   const std::string choice = env ? env : "auto";
@@ -445,11 +346,10 @@ TEST(Simd, EnvChoiceRunsTheNamedTierWhereSupported) {
             << simd::isa_name(simd::detect_best()) << ")\n";
   if (choice == "scalar") {
     EXPECT_EQ(simd::active_isa(), simd::Isa::kScalar);
-  } else if (choice == "avx2" || choice == "neon") {
-    const simd::Isa named =
-        choice == "avx2" ? simd::Isa::kAvx2 : simd::Isa::kNeon;
-    EXPECT_EQ(simd::active_isa(),
-              simd::supported(named) ? named : simd::Isa::kScalar);
+  } else if (choice == "avx2") {
+    EXPECT_EQ(simd::active_isa(), simd::supported(simd::Isa::kAvx2)
+                                      ? simd::Isa::kAvx2
+                                      : simd::Isa::kScalar);
   } else {
     EXPECT_EQ(simd::active_isa(), simd::detect_best());
   }
@@ -483,7 +383,7 @@ void expect_block_sort_isa_parity(const std::vector<Key>& input,
 
 // End-to-end: block_sort's local sort runs the bitonic step kernel on
 // integral keys at power-of-two widths and std::sort at other widths and
-// on other keys, and its merge-splits run the 4-byte vector merge or the
+// on other keys, and its merge-splits run the 8-byte pair kernel or the
 // scalar select chains. Every ISA must sort to the same bytes with the
 // same Counters, for signed and unsigned 8-byte keys, 4-byte keys and
 // strings, with and without ties.
