@@ -129,6 +129,40 @@ void BM_DualSort(benchmark::State& state) {
 }
 BENCHMARK(BM_DualSort)->DenseRange(2, 7, 1)->Unit(benchmark::kMicrosecond);
 
+// The bitonic step kernels alone (no simulator) over the 8,192 u64 keys
+// of an RD_7 sort, in place: a tile run of steps 3 .. 0 (pass 5's last
+// run, direction bit 5), a vertical run of steps 6 .. 4 (pass 7's first
+// run, direction bit 7) and the tile sort of passes 1 .. 4 (direction
+// bit 4). The kernels have no data-dependent branch, so one key set,
+// sorted after the first iteration, times them as a random one does.
+// Items are key-steps: keys times the steps a call runs.
+void BM_BitonicSteps(benchmark::State& state, unsigned top, unsigned bottom,
+                     unsigned dir_bit, bool tile_sort) {
+  constexpr std::size_t kKeys = 8192;
+  auto keys = dc::generate_keys(dc::KeyDistribution::kUniform, kKeys, 3);
+  const unsigned steps = tile_sort ? 10 : top - bottom + 1;
+  for (auto _ : state) {
+    if (tile_sort) {
+      dc::sim::simd::bitonic_tile_sort(keys.data(), 4, 0, kKeys >> 4,
+                                       u64{1} << dir_bit, false);
+    } else {
+      dc::sim::simd::bitonic_steps(keys.data(), top, bottom, 0,
+                                   kKeys >> steps, u64{1} << dir_bit,
+                                   false);
+    }
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kKeys * steps));
+}
+BENCHMARK_CAPTURE(BM_BitonicSteps, tile_run_3_0, 3, 0, 5, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BitonicSteps, vertical_6_4, 6, 4, 7, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BitonicSteps, tile_sort_1_4, 3, 0, 4, true)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_CubeBitonicSort(benchmark::State& state) {
   const unsigned d = static_cast<unsigned>(state.range(0));
   const dc::net::Hypercube q(d);

@@ -21,16 +21,17 @@
 //
 // The kernels run without data-dependent branches. The local sort of
 // integral keys at a power-of-two width runs Batcher's network on each
-// block through dual_sort's in-place bitonic step kernel (AVX-512 or AVX2
-// for 8-byte keys); other keys and widths take std::sort. An interleaving
-// pair of integral 8-byte keys at a power-of-two width runs the vector
-// pair kernel (sim::simd::merge_split_pair: Batcher's half-cleaner, then a
-// bitonic merge of each block in registers). Every other merge-split —
-// the per-node merges of a recording or interpreted run, for every key
-// type, and a pair the pair kernel does not cover — that no disjoint fast
-// path settles runs the two-pointer merge as two independent select
-// chains: one from the block ends, one from the merge-path co-rank of the
-// kept half's midpoint.
+// block through dual_sort's in-place kernels (AVX-512 or AVX2 for 8-byte
+// keys): passes 1 .. 4 as one tile sort in registers, later passes
+// through the bitonic step kernel; other keys and widths take std::sort.
+// An interleaving pair of integral 8-byte keys at a power-of-two width
+// runs the vector pair kernel (sim::simd::merge_split_pair: Batcher's
+// half-cleaner, then a bitonic merge of each block in registers). Every
+// other merge-split — the per-node merges of a recording or interpreted
+// run, for every key type, and a pair the pair kernel does not cover —
+// that no disjoint fast path settles runs the two-pointer merge as two
+// independent select chains: one from the block ends, one from the
+// merge-path co-rank of the kept half's midpoint.
 //
 // Cost: the same 6n²−7n+2 communication cycles as Algorithm 3 (each cycle
 // now carries a block); computation steps stay 2n²−n parallel rounds plus
@@ -193,25 +194,32 @@ struct MergeSplitCombine {
 /// The local sort: one parallel computation step that sorts every node's
 /// stride of the node-major plane in place, charging m ops per node.
 /// Integral keys at a power-of-two width m = 2^L run Batcher's network
-/// through the in-place bitonic step kernel, a chunk of whole blocks at a
-/// time: merge pass s (s = 0 .. L-1) runs steps s .. 0 over the chunk's
-/// keys (sim::simd::bitonic_pass), its runs of 2^(s+1) keys alternating
-/// direction by index bit s+1 until the last pass sorts every block
-/// ascending. Every other key type and width takes std::sort; integral
-/// keys that compare equal are the same bits, so both write the same
-/// bytes.
+/// in place, a chunk of whole blocks at a time: merge pass t (t = 1 .. L)
+/// runs steps t-1 .. 0 over the chunk's keys, its runs of 2^t keys
+/// alternating direction by index bit t until the last pass sorts every
+/// block ascending. Passes 1 .. min(L, 4) run as one tile sort
+/// (sim::simd::bitonic_tile_sort), each later pass through
+/// sim::simd::bitonic_pass. Every other key type and width takes
+/// std::sort; integral keys that compare equal are the same bits, so both
+/// write the same bytes.
 template <typename Key>
 void sort_blocks(sim::Machine& m, std::vector<Key>& data, std::size_t block) {
   if constexpr (std::is_integral_v<Key>) {
     if (bits::is_pow2(block)) {
       const unsigned levels = bits::log2_floor(block);
+      const unsigned tiled = std::min(levels, sim::simd::kTileSortPasses);
+      const auto direction = [&](unsigned t) {
+        return t < levels ? bits::pow2(t) : std::uint64_t{0};
+      };
       m.compute_step_chunked([&](std::size_t lo, std::size_t hi) {
         Key* const keys = data.data() + lo * block;
-        for (unsigned s = 0; s < levels; ++s) {
-          sim::simd::bitonic_pass(
-              keys, (hi - lo) * block, s + 1,
-              s + 1 < levels ? bits::pow2(s + 1) : std::uint64_t{0}, false);
+        const std::uint64_t nodes = (hi - lo) * block;
+        if (tiled > 0) {
+          sim::simd::bitonic_tile_sort(keys, tiled, 0, nodes >> tiled,
+                                       direction(tiled), false);
         }
+        for (unsigned t = tiled + 1; t <= levels; ++t)
+          sim::simd::bitonic_pass(keys, nodes, t, direction(t), false);
         m.add_ops((hi - lo) * block);
       });
       return;

@@ -19,6 +19,20 @@
 
 namespace dc::core {
 
+namespace detail {
+
+/// The direction rule of Batcher's sort on Q_d: true iff node u keeps the
+/// min side at dimension j of level k. A level-k block merges ascending
+/// iff bit k of u is clear, the last level (k = d) as the caller asked;
+/// an ascending pair's u_j = 0 end keeps the min.
+inline bool cube_bitonic_keep_min(net::NodeId u, unsigned j, unsigned k,
+                                  unsigned d, bool descending) {
+  const bool ascending = k == d ? !descending : dc::bits::get(u, k) == 0;
+  return ascending == (dc::bits::get(u, j) == 0);
+}
+
+}  // namespace detail
+
 /// Sorts `keys` (index = node label) in place; ascending iff !descending.
 /// Keys must be totally ordered by operator<.
 template <typename Key>
@@ -40,11 +54,9 @@ void cube_bitonic_sort(sim::Machine& m, const net::Hypercube& q,
           1, [&](net::NodeId u) { return q.neighbor(u, j); },
           sim::PlaneSrc<Key>{keys.data(), 1});
       m.compute_step([&](net::NodeId u) {
-        const bool ascending =
-            k == d ? !descending : dc::bits::get(u, k) == 0;
         const Key& other = *inbox.block(u);
-        // Ascending: the u_j = 0 end keeps the minimum.
-        const bool keep_min = ascending == (dc::bits::get(u, j) == 0);
+        const bool keep_min =
+            detail::cube_bitonic_keep_min(u, j, k, d, descending);
         const bool other_smaller = other < keys[u];
         if (keep_min == other_smaller) keys[u] = other;
         m.add_ops(1);

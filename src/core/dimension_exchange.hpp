@@ -49,9 +49,24 @@ template <typename T>
 struct BlockExchange {
   sim::BlockInbox<T> primary;   // j == 0 inbox, or the cycle-2 pairs plane
   sim::BlockInbox<T> returned;  // cycle-3 plane; empty when not relayed
+  sim::BlockInbox<T> gathered;  // cycle-1 plane, kept only under faults
   std::size_t width = 0;
+  unsigned j = 0;
   unsigned direct0 = 0;
   bool relayed = false;
+
+  /// Whether node u's block arrived, on a machine with faults attached
+  /// (a healthy machine loses nothing and keeps no cycle-1 plane). A
+  /// direct node needs its cycle-2 pair. An indirect node needs its cycle-3
+  /// block, its relay's cycle-2 pair and the cycle-1 gather of that pair's
+  /// sender: a lost gather leaves an earlier cycle's block in the sender's
+  /// row, and cycles 2 and 3 would pass it on as if it were fresh.
+  bool has(net::NodeId u) const {
+    if (!relayed || dc::bits::get(u, 0) == direct0) return primary.has(u);
+    const net::NodeId relay = dc::bits::flip(u, 0);
+    return returned.has(u) && primary.has(relay) &&
+           gathered.has(dc::bits::flip(relay, j));
+  }
 
   /// The block node u received this exchange (`width` elements).
   const T* recv(net::NodeId u) const {
@@ -99,6 +114,7 @@ BlockExchange<T> dimension_exchange_blocks(sim::Machine& m,
   }
 
   // Bit-0 value of the nodes with a direct dimension-j link.
+  ex.j = j;
   ex.direct0 = j % 2 == 0 ? 0u : 1u;
   ex.relayed = true;
   const unsigned direct0 = ex.direct0;
@@ -131,6 +147,7 @@ BlockExchange<T> dimension_exchange_blocks(sim::Machine& m,
         return dc::bits::flip(u, 0);
       },
       sim::PlaneSrc<T>{ex.primary.data() + width, ex.primary.stride()});
+  if (m.has_faults()) ex.gathered = std::move(gathered);
   return ex;
 }
 

@@ -40,13 +40,16 @@
 // its compare step — with no comm plane materialized:
 //
 //   * dual_sort over integral keys (unobserved) sorts in place with the
-//     vector kernel sim::simd::bitonic_steps. Each merge pass runs its
-//     steps j >= 4 three at a time, each run one sweep split by the run's
+//     vector kernels of sim/simd.hpp. Passes 1 .. 4 (levels 1 and 2 and
+//     level 3's half-merge, the first 10 steps) run as one sweep of
+//     sim::simd::bitonic_tile_sort over 16-node register tiles. Each later
+//     merge pass runs its steps j >= 4 three at a time through
+//     sim::simd::bitonic_steps, each run one sweep split by the run's
 //     bases (disjoint sets of 2, 4 or 8 nodes that the run's steps stay
 //     inside), then steps 3 .. 0 together in one sweep over 16-node tiles.
-//     A run sweeps in its first step; its other steps book their cycles
+//     A sweep runs in its first step; the other steps book their cycles
 //     and compare steps around an empty body. A replayed RD_7 sort makes
-//     31 sweeps for its 91 steps.
+//     28 sweeps for its 91 steps.
 //   * Every other run (block_sort's merge-split, non-integral keys,
 //     observed runs) makes one in-place sweep per dimension step over the
 //     step's N/2 pairs of partners, split by pair: the combine's pair form
@@ -161,6 +164,41 @@ void bitonic_pass_in_place(sim::Machine& m, sim::ObliviousSection& sched,
   }
 }
 
+/// Passes 1 .. b of Algorithm 3 on compiled replay (b <= 4; the passes
+/// of levels 1 and 2 and level 3's half-merge), in place over integral
+/// `keys` as one sweep in the first step's fused cycle:
+/// sim::simd::bitonic_tile_sort runs all b(b+1)/2 steps on each 16-node
+/// register tile, split by the groups of 2^b nodes it sorts, and charges
+/// their ops (one per node per step). The other steps book their cycles
+/// and compare steps around an empty body. Pass t < b is directed by
+/// label bit t, which pass_direction gives every pass below the top level;
+/// `last` directs pass b.
+template <typename Key>
+void bitonic_tile_sort_in_place(sim::Machine& m, sim::ObliviousSection& sched,
+                                std::vector<Key>& keys, unsigned b,
+                                PassDirection last) {
+  const std::size_t nodes = keys.size();
+  const std::size_t steps = std::size_t{b} * (b + 1) / 2;
+  sched.exchange_compute_fused(
+      relay_cycles(0), nodes >> b, [&](std::size_t q_lo, std::size_t q_hi) {
+        sim::simd::bitonic_tile_sort(keys.data(), b, q_lo, q_hi,
+                                     last.dir_mask, last.descending);
+        m.add_ops(((q_hi - q_lo) << b) * steps);
+      });
+  for (unsigned t = 2; t <= b; ++t) {
+    for (unsigned j = t; j-- > 0;)
+      sched.exchange_compute_fused(relay_cycles(j), 1,
+                                   [](std::size_t, std::size_t) {});
+  }
+}
+
+/// The direction of merge pass t (1 .. 2n-1) of Algorithm 3 on D_n: pass
+/// 2k-2 is level k's half-merge, pass 2k-1 its full merge.
+inline PassDirection merge_pass_direction(unsigned t, unsigned n,
+                                          bool descending) {
+  return pass_direction(t / 2 + 1, n, t % 2 == 0, descending);
+}
+
 }  // namespace detail
 
 /// Observer invoked after every dimension step with a phase label and the
@@ -264,15 +302,17 @@ void dual_bitonic_network(sim::Machine& m, const net::RecursiveDualCube& r,
                                detail::CompareExchange<>>) {
     if (sched.replaying() && !observer) {
       // The compare-exchange of integral keys runs the register-blocked
-      // vector kernel, up to three dimension steps per sweep.
+      // vector kernels: passes 1 .. 4 in one tile sort, then up to three
+      // dimension steps per sweep.
       DC_REQUIRE(width == 1, "compare-exchange sorts one key per node");
       const unsigned n = r.order();
-      for (unsigned k = 1; k <= n; ++k) {
-        for (const bool half_merge : {true, false}) {
-          detail::bitonic_pass_in_place(
-              m, sched, plane, half_merge ? 2 * k - 2 : 2 * k - 1,
-              detail::pass_direction(k, n, half_merge, descending));
-        }
+      const unsigned tiled = std::min(2 * n - 1, sim::simd::kTileSortPasses);
+      detail::bitonic_tile_sort_in_place(
+          m, sched, plane, tiled,
+          detail::merge_pass_direction(tiled, n, descending));
+      for (unsigned t = tiled + 1; t <= 2 * n - 1; ++t) {
+        detail::bitonic_pass_in_place(
+            m, sched, plane, t, detail::merge_pass_direction(t, n, descending));
       }
       sched.commit();
       return;

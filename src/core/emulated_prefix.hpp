@@ -36,11 +36,16 @@ std::vector<typename M::value_type> emulated_prefix(
   sim::ObliviousSection sched(m, "emulated_prefix", {r.order()});
   std::vector<V> t = c;
   std::vector<V> s = c;
+  // Under FaultPolicy::kDegrade a lost block folds as the identity, as in
+  // the flat prefix (detail::received_or).
+  const bool lossy = m.has_faults();
+  const V none = op.identity();
   for (unsigned i = 0; i < r.label_bits(); ++i) {
     const auto ex = dimension_exchange_blocks(m, sched, r, i, t, 1);
     m.compute_step([&](net::NodeId u) {
-      m.add_ops(detail::cube_prefix_step(op, dc::bits::get(u, i) == 1,
-                                         *ex.recv(u), t[u], s[u]));
+      m.add_ops(detail::cube_prefix_step(
+          op, dc::bits::get(u, i) == 1,
+          lossy && !ex.has(u) ? none : *ex.recv(u), t[u], s[u]));
     });
   }
   sched.commit();

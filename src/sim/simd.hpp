@@ -5,7 +5,8 @@
 // core/block_prefix.hpp, core/dual_prefix.hpp) spend their cycles in five
 // tight loops over 8-byte values: the receiver-major plane gather, the
 // in-place bitonic compare-exchange (a replayed dual_sort's network and
-// block_sort's local sort of each block), the in-place merge-split of a
+// block_sort's local sort of each block, passes 1 .. 4 of both as one
+// tile sort on 16-node register tiles), the in-place merge-split of a
 // pair of blocks (a replayed block_sort's network), the Cube_prefix steps
 // of a u64 sum (a replayed dual_prefix's cluster passes), and the
 // row-wise prefix combine. This header implements them as explicit SIMD
@@ -32,9 +33,9 @@
 //
 // Determinism. Every kernel is bit-identical to the scalar reference:
 //   * gather/copy kernels move bytes — no arithmetic at all;
-//   * bitonic_steps writes the min and the max of each compared pair of
-//     integral keys; equal keys are identical bit patterns, so it does not
-//     matter which kernel picks which;
+//   * bitonic_steps and bitonic_tile_sort write the min and the max of
+//     each compared pair of integral keys; equal keys are identical bit
+//     patterns, so it does not matter which kernel picks which;
 //   * merge_split_pair produces the sorted lower/upper half of a merged
 //     pair of sorted blocks. That output is a pure function of the input
 //     multiset (for integral keys, equal keys are identical bit patterns),
@@ -48,6 +49,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -405,6 +407,24 @@ inline void bitonic_steps(Key* keys, unsigned top, unsigned bottom,
   }
 }
 
+/// Bitonic passes first .. last (1 <= first <= last) over the bases
+/// [q_lo, q_hi), base q owning the 2^last nodes from q·2^last: pass t runs
+/// steps t-1 .. 0, directed by node bit t (dir_mask 2^t, ascending) below
+/// the last pass and by the caller's dir_mask and descending at it. The
+/// reference semantics of simd::bitonic_tile_sort (first = 1) and of a
+/// tile run top .. 0 (first = last = top + 1).
+template <typename Key>
+inline void bitonic_passes(Key* keys, unsigned first, unsigned last,
+                           std::uint64_t q_lo, std::uint64_t q_hi,
+                           std::uint64_t dir_mask, bool descending) {
+  for (unsigned t = first; t <= last; ++t) {
+    const bool at_last = t == last;
+    bitonic_steps(keys, t - 1, 0, q_lo << (last - t), q_hi << (last - t),
+                  at_last ? dir_mask : std::uint64_t{1} << t,
+                  at_last && descending);
+  }
+}
+
 /// The reference for the few bases a vector kernel leaves at the ends of
 /// its range, kept out of line: a copy in each flattened kernel would only
 /// grow the code.
@@ -418,20 +438,40 @@ __attribute__((noinline)) void leftover_steps(Key* keys, unsigned top,
   bitonic_steps(keys, top, bottom, q_lo, q_hi, dir_mask, descending);
 }
 
+/// leftover_steps for a run of whole passes (bitonic_passes).
+template <typename Key>
+__attribute__((noinline)) void leftover_passes(Key* keys, unsigned first,
+                                               unsigned last,
+                                               std::uint64_t q_lo,
+                                               std::uint64_t q_hi,
+                                               std::uint64_t dir_mask,
+                                               bool descending) {
+  bitonic_passes(keys, first, last, q_lo, q_hi, dir_mask, descending);
+}
+
 }  // namespace scalar
 
 // The register-blocked loops of simd::bitonic_steps,
-// simd::merge_split_pair and simd::cube_prefix_steps, written once over a
-// lane-traits type L (avx2::Lanes64, avx512::Lanes64) for 8-byte keys:
+// simd::bitonic_tile_sort, simd::merge_split_pair and
+// simd::cube_prefix_steps, written once over a lane-traits type L
+// (avx2::Lanes64, avx512::Lanes64) for 8-byte keys:
 //   Vec, Mask                 a register of 2^L::kLog keys, a lane mask;
 //   kLiveLog                  log2 of the registers of keys a loop keeps
 //                             live at once (half the register file);
+//   kTwoSourcePermute         whether one instruction rearranges the lanes
+//                             of two registers at will (permute2);
 //   load(v, p), store(p, v)   move one register from and to memory;
 //   minmax(lo, hi)            lo takes the lane-wise min, hi the max;
-//   exchange(x, y, k)         x keeps the min in the lanes of k and the max
-//                             elsewhere, y the other side;
-//   exchange_lanes<J>(v, k)   each lane against the lane 2^J away
-//                             (J < kLog), keeping the min in the lanes of k;
+//   blend<M>(v, x, y)         v = y in the lanes of the bit mask M, x
+//                             elsewhere;
+//   unpack<H>(v, x, y)        v = lane 2c+H of x, then of y, for each pair
+//                             of lanes c (vpunpck{l,h}qdq);
+//   halves<I>(v, x, y)        v = two 128-bit halves of x and y, selector I
+//                             (vperm2i128; without kTwoSourcePermute);
+//   permute1<I>(v, x)         v = x's lanes in the vpermq order I (without
+//                             kTwoSourcePermute);
+//   permute2<P>(v, x, y)      v's lane i = lane P[i] of x‖y (with
+//                             kTwoSourcePermute);
 //   reverse(v)                v's lanes in reverse order;
 //   make_mask(k, bits)        k from one bit per lane;
 //   partner<J>(p, v)          p = v with each lane swapped for the lane 2^J
@@ -444,9 +484,426 @@ __attribute__((noinline)) void leftover_steps(Key* keys, unsigned top,
 // needs none: each ISA's flattened entry point inlines it whole.
 namespace blocked {
 
-/// A tile run (steps top .. 0, top <= 3) works on register tiles of
-/// 2^kTileLog consecutive nodes.
+// ---- split-form register tiles ----
+// A tile of 2^Bits consecutive keys sits in 2^Bits / 2^kLog registers,
+// position p (lane p mod 2^kLog of register p >> kLog) holding one key. A
+// compare step pairs the keys whose labels differ in one bit j, and in
+// *split form* register 2i holds the min sides of its lanes' pairs and
+// register 2i+1 the max sides, so the step is one vertical minmax per
+// register pair, operands swapped where the tile runs the other way. A
+// layout says which key each position holds: static two-source permutes
+// move the tile from node order into the first step's layout, from each
+// step's layout into the next's and back to node order once. The layouts
+// are planned at compile time, step by step among the ways to place the
+// other label bits on lanes and register pairs, for the fewest permute
+// instructions on the traits' ISA.
+
+/// A tile run (steps top .. 0, top <= 3) and the tile sort work on register
+/// tiles of 2^kTileLog consecutive nodes.
 inline constexpr unsigned kTileLog = 4;
+
+/// The direction bit of a pass that runs one way over a whole tile.
+inline constexpr unsigned kWholeTile = 8;
+
+/// A static rearrangement of a tile of N keys: position p takes the key at
+/// position src[p].
+template <std::size_t N>
+struct TileMap {
+  std::array<std::uint8_t, N> src;
+};
+
+/// How one register of a rearranged tile is built from the registers
+/// before: a copy of x; a blend of x and y (mask: the lanes from y); an
+/// unpack of x and y; two 128-bit halves of x and y (mask: the vperm2i128
+/// selector); or a gather from any lanes of any registers.
+struct RegisterShape {
+  enum Kind { kCopy, kBlend, kUnpackLo, kUnpackHi, kHalves, kGather };
+  Kind kind = kGather;
+  unsigned x = 0;
+  unsigned y = 0;
+  unsigned mask = 0;
+};
+
+template <typename L, std::size_t N>
+constexpr RegisterShape register_shape(const TileMap<N>& m, unsigned o) {
+  constexpr unsigned kLanes = 1u << L::kLog;
+  unsigned reg[kLanes] = {};
+  unsigned lane[kLanes] = {};
+  bool in_place = true;
+  unsigned sources = 1;
+  RegisterShape s;
+  s.x = m.src[o * kLanes] >> L::kLog;
+  s.y = s.x;
+  for (unsigned i = 0; i < kLanes; ++i) {
+    reg[i] = m.src[o * kLanes + i] >> L::kLog;
+    lane[i] = m.src[o * kLanes + i] & (kLanes - 1);
+    in_place = in_place && lane[i] == i;
+    if (reg[i] != s.x && (sources == 1 || reg[i] != s.y)) {
+      ++sources;
+      s.y = reg[i];
+    }
+  }
+  if (in_place && sources <= 2) {
+    s.kind = sources == 1 ? RegisterShape::kCopy : RegisterShape::kBlend;
+    for (unsigned i = 0; i < kLanes; ++i)
+      s.mask |= unsigned{reg[i] != s.x} << i;
+    return s;
+  }
+  bool unpack = lane[0] < 2 && reg[0] != reg[1];
+  for (unsigned i = 0; i < kLanes; ++i) {
+    unpack = unpack && lane[i] == (i & ~1u) + lane[0] &&
+             reg[i] == reg[i & 1];
+  }
+  if (unpack) {
+    s.kind = lane[0] == 0 ? RegisterShape::kUnpackLo
+                          : RegisterShape::kUnpackHi;
+    s.x = reg[0];
+    s.y = reg[1];
+    return s;
+  }
+  if constexpr (!L::kTwoSourcePermute && kLanes == 4) {
+    if (lane[0] % 2 == 0 && lane[1] == lane[0] + 1 && reg[1] == reg[0] &&
+        lane[2] % 2 == 0 && lane[3] == lane[2] + 1 && reg[3] == reg[2]) {
+      s.kind = RegisterShape::kHalves;
+      s.x = reg[0];
+      s.y = reg[2];
+      s.mask = lane[0] / 2 | (2 + lane[2] / 2) << 4;
+      return s;
+    }
+  }
+  s.kind = RegisterShape::kGather;
+  return s;
+}
+
+/// A gather's part from register `from`: whether it gives any lane, the
+/// lanes it gives and the vpermq order that brings them into place.
+struct GatherPart {
+  bool any = false;
+  unsigned lanes = 0;
+  unsigned order = 0;
+};
+
+template <typename L, std::size_t N>
+constexpr GatherPart gather_part(const TileMap<N>& m, unsigned o,
+                                 unsigned from) {
+  constexpr unsigned kLanes = 1u << L::kLog;
+  GatherPart g;
+  for (unsigned i = 0; i < kLanes; ++i) {
+    const unsigned p = m.src[o * kLanes + i];
+    const bool here = p >> L::kLog == from;
+    g.any = g.any || here;
+    g.lanes |= unsigned{here} << i;
+    g.order |= (here ? p & (kLanes - 1) : i) << (2 * i);
+  }
+  return g;
+}
+
+/// Instructions a rearrangement takes, weighted: a blend is cheaper than
+/// a permute, and a copy is free.
+template <typename L, std::size_t N>
+constexpr unsigned permute_cost(const TileMap<N>& m) {
+  constexpr unsigned kRegs = static_cast<unsigned>(N >> L::kLog);
+  constexpr unsigned kIdentity = 0xE4;  // vpermq order 0, 1, 2, 3
+  unsigned cost = 0;
+  for (unsigned o = 0; o < kRegs; ++o) {
+    switch (register_shape<L>(m, o).kind) {
+      case RegisterShape::kCopy:
+        break;
+      case RegisterShape::kBlend:
+        cost += 1;
+        break;
+      case RegisterShape::kGather:
+        if constexpr (L::kTwoSourcePermute) {
+          cost += 2;
+        } else {
+          bool first = true;
+          for (unsigned r = 0; r < kRegs; ++r) {
+            const GatherPart g = gather_part<L>(m, o, r);
+            if (!g.any) continue;
+            cost += (g.order != kIdentity ? 2u : 0u) + (first ? 0u : 1u);
+            first = false;
+          }
+        }
+        break;
+      default:
+        cost += 2;
+        break;
+    }
+  }
+  return cost;
+}
+
+/// One compare step of a tile plan: pairs differ in label bit j, node bit
+/// d directs the pair (d >= the tile's bits: one way over the whole tile),
+/// and `last` marks the plan's last pass, which a descending tile runs
+/// with its operands swapped.
+struct TileStep {
+  unsigned j = 0;
+  unsigned d = 0;
+  bool last = false;
+};
+
+/// A planned tile: its steps and the rearrangements around them (map[s]
+/// into step s's layout, map[steps] back to node order).
+template <std::size_t N, std::size_t S>
+struct TilePlan {
+  std::array<TileStep, S> step;
+  std::array<TileMap<N>, S + 1> map;
+};
+
+/// Steps of bitonic passes F .. B (pass t: steps t-1 .. 0).
+constexpr std::size_t passes_steps(unsigned first, unsigned last) {
+  return (first + last) * (last - first + 1) / 2;
+}
+
+/// The split-form layout of step (j, d) on a tile of 2^Bits keys, with
+/// the other label bits placed in slot order `slot`: lane bits first, then
+/// the register pair. Register 2i+side holds the key whose bit j is side,
+/// flipped where bit d is set, so its min-side keys sit in register 2i.
+template <typename L, unsigned Bits>
+constexpr std::array<std::uint8_t, std::size_t{1} << Bits> split_layout(
+    unsigned j, unsigned d, const std::array<unsigned, Bits - 1>& slot) {
+  std::array<std::uint8_t, std::size_t{1} << Bits> node{};
+  for (unsigned p = 0; p < node.size(); ++p) {
+    const unsigned reg = p >> L::kLog;
+    const unsigned v = (p & ((1u << L::kLog) - 1)) | (reg >> 1) << L::kLog;
+    unsigned u = 0;
+    for (unsigned k = 0; k + 1 < Bits; ++k) u |= ((v >> k) & 1) << slot[k];
+    const unsigned side = (reg & 1) ^ (d < Bits ? (u >> d) & 1 : 0);
+    node[p] = static_cast<std::uint8_t>(u | side << j);
+  }
+  return node;
+}
+
+/// The rearrangement from layout `from` to layout `to` (position -> node).
+template <std::size_t N>
+constexpr TileMap<N> tile_map(const std::array<std::uint8_t, N>& from,
+                              const std::array<std::uint8_t, N>& to) {
+  std::array<std::uint8_t, N> at{};
+  for (std::size_t p = 0; p < N; ++p)
+    at[from[p]] = static_cast<std::uint8_t>(p);
+  TileMap<N> m{};
+  for (std::size_t p = 0; p < N; ++p) m.src[p] = at[to[p]];
+  return m;
+}
+
+/// Plans passes F .. B on a tile of 2^Bits keys, pass t < B directed by
+/// node bit t and pass B by node bit D: each step's layout is one of the
+/// (Bits-1)! placements of its other bits, chosen by a shortest path over
+/// the steps for the least permute_cost from node order back to node
+/// order.
+template <typename L, unsigned Bits, unsigned F, unsigned B, unsigned D>
+constexpr auto plan_tile() {
+  constexpr std::size_t kNodes = std::size_t{1} << Bits;
+  constexpr std::size_t kSteps = passes_steps(F, B);
+  constexpr std::size_t kWays = Bits == 4 ? 6 : Bits == 3 ? 2 : 1;
+  using Layout = std::array<std::uint8_t, kNodes>;
+  TilePlan<kNodes, kSteps> plan{};
+  std::size_t s = 0;
+  for (unsigned t = F; t <= B; ++t) {
+    for (unsigned j = t; j-- > 0;) plan.step[s++] = {j, t < B ? t : D, t == B};
+  }
+  Layout node_order{};
+  for (std::size_t p = 0; p < kNodes; ++p)
+    node_order[p] = static_cast<std::uint8_t>(p);
+  std::array<std::array<Layout, kWays>, kSteps> way{};
+  for (s = 0; s < kSteps; ++s) {
+    std::array<unsigned, Bits - 1> slot{};
+    for (unsigned b = 0, k = 0; b < Bits; ++b) {
+      if (b != plan.step[s].j) slot[k++] = b;
+    }
+    std::size_t w = 0;
+    do {
+      way[s][w++] = split_layout<L, Bits>(plan.step[s].j, plan.step[s].d, slot);
+    } while (std::next_permutation(slot.begin(), slot.end()));
+  }
+  std::array<std::array<unsigned, kWays>, kSteps> cost{};
+  std::array<std::array<std::size_t, kWays>, kSteps> via{};
+  for (std::size_t w = 0; w < kWays; ++w)
+    cost[0][w] = permute_cost<L>(tile_map(node_order, way[0][w]));
+  for (s = 1; s < kSteps; ++s) {
+    for (std::size_t w = 0; w < kWays; ++w) {
+      cost[s][w] = ~0u;
+      for (std::size_t v = 0; v < kWays; ++v) {
+        const TileMap<kNodes> hop = tile_map(way[s - 1][v], way[s][w]);
+        const unsigned c = cost[s - 1][v] + permute_cost<L>(hop);
+        if (c < cost[s][w]) {
+          cost[s][w] = c;
+          via[s][w] = v;
+        }
+      }
+    }
+  }
+  std::size_t w = 0;
+  unsigned best = ~0u;
+  for (std::size_t v = 0; v < kWays; ++v) {
+    const TileMap<kNodes> back = tile_map(way[kSteps - 1][v], node_order);
+    const unsigned c = cost[kSteps - 1][v] + permute_cost<L>(back);
+    if (c < best) {
+      best = c;
+      w = v;
+    }
+  }
+  plan.map[kSteps] = tile_map(way[kSteps - 1][w], node_order);
+  for (s = kSteps; s-- > 0;) {
+    const Layout& from = s == 0 ? node_order : way[s - 1][via[s][w]];
+    plan.map[s] = tile_map(from, way[s][w]);
+    w = via[s][w];
+  }
+  return plan;
+}
+
+/// The tile plans depend on a tier's lane count and permutes alone, not
+/// on the signedness of its keys.
+template <unsigned kLogV, bool kTwoSourcePermuteV>
+struct TileGeometry {
+  static constexpr unsigned kLog = kLogV;
+  static constexpr bool kTwoSourcePermute = kTwoSourcePermuteV;
+};
+
+template <typename L, unsigned Bits, unsigned F, unsigned B, unsigned D>
+inline constexpr auto kTilePlan =
+    plan_tile<TileGeometry<L::kLog, L::kTwoSourcePermute>, Bits, F, B, D>();
+
+/// A gather without kTwoSourcePermute: each source register's lanes put
+/// in place with permute1, then blended over the lanes before.
+template <typename L, auto M, unsigned O, unsigned From, bool kFirst,
+          std::size_t R>
+inline void gather_register(typename L::Vec& out,
+                            const typename L::Vec (&in)[R]) {
+  if constexpr (From < R) {
+    constexpr GatherPart g = gather_part<L>(M, O, From);
+    if constexpr (g.any) {
+      typename L::Vec part = in[From];
+      if constexpr (g.order != 0xE4) L::template permute1<g.order>(part, part);
+      if constexpr (kFirst) {
+        out = part;
+      } else {
+        L::template blend<g.lanes>(out, out, part);
+      }
+    }
+    gather_register<L, M, O, From + 1, kFirst && !g.any>(out, in);
+  }
+}
+
+/// Register `o` of the rearrangement M of the tile `in`.
+template <typename L, auto M, unsigned O, std::size_t R>
+inline void permute_register(typename L::Vec& out,
+                             const typename L::Vec (&in)[R]) {
+  constexpr RegisterShape s = register_shape<L>(M, O);
+  if constexpr (s.kind == RegisterShape::kCopy) {
+    out = in[s.x];
+  } else if constexpr (s.kind == RegisterShape::kBlend) {
+    L::template blend<s.mask>(out, in[s.x], in[s.y]);
+  } else if constexpr (s.kind == RegisterShape::kUnpackLo ||
+                       s.kind == RegisterShape::kUnpackHi) {
+    L::template unpack<s.kind == RegisterShape::kUnpackHi>(out, in[s.x],
+                                                           in[s.y]);
+  } else if constexpr (s.kind == RegisterShape::kHalves) {
+    L::template halves<s.mask>(out, in[s.x], in[s.y]);
+  } else if constexpr (L::kTwoSourcePermute) {
+    static_assert(R == 2, "permute2 rearranges a tile of two registers");
+    constexpr unsigned kLanes = 1u << L::kLog;
+    constexpr auto lanes = [] {
+      std::array<std::uint8_t, kLanes> p{};
+      for (unsigned i = 0; i < kLanes; ++i) p[i] = M.src[O * kLanes + i];
+      return p;
+    }();
+    L::template permute2<lanes>(out, in[0], in[1]);
+  } else {
+    gather_register<L, M, O, 0, true>(out, in);
+  }
+}
+
+/// Rearranges the tile r by M.
+template <typename L, auto M, std::size_t R>
+inline void permute_tile(typename L::Vec (&r)[R]) {
+  typename L::Vec in[R];
+#pragma GCC unroll 4
+  for (std::size_t i = 0; i < R; ++i) in[i] = r[i];
+  [&]<std::size_t... O>(std::index_sequence<O...>) {
+    (permute_register<L, M, O>(r[O], in), ...);
+  }(std::make_index_sequence<R>{});
+}
+
+/// Steps S .. of the plan P on the tile r, then back to node order.
+template <typename L, const auto& P, bool kDescending, std::size_t S = 0,
+          std::size_t R>
+inline void plan_steps(typename L::Vec (&r)[R]) {
+  permute_tile<L, P.map[S]>(r);
+  if constexpr (S < P.step.size()) {
+#pragma GCC unroll 2
+    for (std::size_t i = 0; i < R; i += 2) {
+      if constexpr (kDescending && P.step[S].last) {
+        L::minmax(r[i + 1], r[i]);
+      } else {
+        L::minmax(r[i], r[i + 1]);
+      }
+    }
+    plan_steps<L, P, kDescending, S + 1>(r);
+  }
+}
+
+/// Passes F .. B (B <= kTileLog) over bases [q_lo, q_hi), base q owning
+/// the 2^B nodes from q·2^B (scalar::bitonic_passes), a register tile of
+/// 16 nodes at a time, the bases of partial tiles at either end through
+/// the reference. Pass B is directed by node bit D inside the tile, or
+/// (D = kWholeTile) one way over each tile: the dir_mask bit at 4 or above
+/// and `descending` pick a tile's way, and a descending tile swaps the
+/// operands of its last pass.
+template <typename L, unsigned F, unsigned B, unsigned D, typename Key>
+inline void tile_passes(Key* keys, std::uint64_t q_lo, std::uint64_t q_hi,
+                        std::uint64_t dir_mask, bool descending) {
+  constexpr unsigned kTile = 1u << kTileLog;
+  constexpr unsigned kRegs = kTile >> L::kLog;
+  constexpr std::uint64_t kBases = kTile >> B;
+  const std::uint64_t t_lo = (q_lo + kBases - 1) / kBases;
+  const std::uint64_t t_hi = q_hi / kBases;
+  if (t_lo >= t_hi) {  // no whole tile
+    scalar::leftover_passes(keys, F, B, q_lo, q_hi, dir_mask, descending);
+    return;
+  }
+  if (q_lo < t_lo * kBases) {
+    scalar::leftover_passes(keys, F, B, q_lo, t_lo * kBases, dir_mask,
+                            descending);
+  }
+  if (t_hi * kBases < q_hi) {
+    scalar::leftover_passes(keys, F, B, t_hi * kBases, q_hi, dir_mask,
+                            descending);
+  }
+  const std::uint64_t tile_dir = dir_mask & ~std::uint64_t{kTile - 1};
+  for (std::uint64_t t = t_lo; t < t_hi; ++t) {
+    Key* const at = keys + t * kTile;
+    typename L::Vec r[kRegs];
+#pragma GCC unroll 4
+    for (unsigned s = 0; s < kRegs; ++s) L::load(r[s], at + (s << L::kLog));
+    if ((((t * kTile) & tile_dir) != 0) != descending) {
+      plan_steps<L, kTilePlan<L, kTileLog, F, B, D>, true>(r);
+    } else {
+      plan_steps<L, kTilePlan<L, kTileLog, F, B, D>, false>(r);
+    }
+#pragma GCC unroll 4
+    for (unsigned s = 0; s < kRegs; ++s) L::store(at + (s << L::kLog), r[s]);
+  }
+}
+
+/// tile_passes with pass B's direction bit D read from dir_mask: a bit
+/// below the tile's 16 nodes directs the pass inside each tile.
+template <typename L, unsigned F, unsigned B, unsigned D = B, typename Key>
+inline void tile_passes_by_dir(Key* keys, std::uint64_t q_lo,
+                               std::uint64_t q_hi, std::uint64_t dir_mask,
+                               bool descending) {
+  if constexpr (D < kTileLog) {
+    if ((dir_mask >> D & 1) != 0) {
+      tile_passes<L, F, B, D>(keys, q_lo, q_hi, dir_mask, descending);
+    } else {
+      tile_passes_by_dir<L, F, B, D + 1>(keys, q_lo, q_hi, dir_mask,
+                                         descending);
+    }
+  } else {
+    tile_passes<L, F, B, kWholeTile>(keys, q_lo, q_hi, dir_mask, descending);
+  }
+}
 
 /// Rounds of a run of G steps at or above the register width over `count`
 /// consecutive bases of one stretch (a multiple of the lane count), from
@@ -504,83 +961,10 @@ inline void vertical(Key* keys, unsigned bottom, std::uint64_t q_lo,
   }
 }
 
-/// Steps J .. 0 of a tile held in registers r: a step at or above the
-/// register width pairs registers, a step below it pairs lanes.
-/// keep[j][s] is register s's keep-min mask at step j.
-template <typename L, unsigned J, std::size_t R, std::size_t S>
-inline void tile_steps(typename L::Vec (&r)[R],
-                       const typename L::Mask (&keep)[S][R]) {
-  if constexpr (J >= L::kLog) {
-    constexpr std::size_t d = std::size_t{1} << (J - L::kLog);
-#pragma GCC unroll 4
-    for (std::size_t s = 0; s < R; ++s) {
-      if ((s & d) == 0) L::exchange(r[s], r[s | d], keep[J][s]);
-    }
-  } else {
-#pragma GCC unroll 4
-    for (std::size_t s = 0; s < R; ++s)
-      L::template exchange_lanes<J>(r[s], keep[J][s]);
-  }
-  if constexpr (J > 0) tile_steps<L, J - 1>(r, keep);
-}
-
-/// Steps Top .. 0 (Top <= 3) over bases [q_lo, q_hi), a register tile of
-/// 16 nodes at a time, the bases of partial tiles at either end through
-/// the reference. A lane's keep-min mask is the pass's rule evaluated at
-/// its node: bits 0-3 of the rule come from the node's place in the tile,
-/// and a direction bit at 4 or above flips the whole tile, so the masks
-/// come in two sets and each tile picks one.
-template <typename L, unsigned Top, typename Key>
-inline void tiles(Key* keys, std::uint64_t q_lo, std::uint64_t q_hi,
-                  std::uint64_t dir_mask, bool descending) {
-  constexpr unsigned kTile = 1u << kTileLog;
-  constexpr unsigned kLanes = 1u << L::kLog;
-  constexpr unsigned kRegs = kTile / kLanes;
-  constexpr std::uint64_t kBases = kTile >> (Top + 1);
-  const std::uint64_t t_lo = (q_lo + kBases - 1) / kBases;
-  const std::uint64_t t_hi = q_hi / kBases;
-  if (t_lo >= t_hi) {  // no whole tile
-    scalar::leftover_steps(keys, Top, 0, q_lo, q_hi, dir_mask, descending);
-    return;
-  }
-  if (q_lo < t_lo * kBases) {
-    scalar::leftover_steps(keys, Top, 0, q_lo, t_lo * kBases, dir_mask,
-                           descending);
-  }
-  if (t_hi * kBases < q_hi) {
-    scalar::leftover_steps(keys, Top, 0, t_hi * kBases, q_hi, dir_mask,
-                           descending);
-  }
-  typename L::Mask keep[2][Top + 1][kRegs];
-  for (unsigned f = 0; f < 2; ++f) {
-    for (unsigned j = 0; j <= Top; ++j) {
-      for (unsigned s = 0; s < kRegs; ++s) {
-        unsigned bits = 0;
-        for (unsigned i = 0; i < kLanes; ++i) {
-          const std::uint64_t u = s * kLanes + i;
-          const bool ascending =
-              (((u & dir_mask) == 0) != descending) != (f == 1);
-          bits |= unsigned{ascending == (((u >> j) & 1) == 0)} << i;
-        }
-        L::make_mask(keep[f][j][s], bits);
-      }
-    }
-  }
-  const std::uint64_t tile_dir = dir_mask & ~std::uint64_t{kTile - 1};
-  for (std::uint64_t t = t_lo; t < t_hi; ++t) {
-    Key* const at = keys + t * kTile;
-    typename L::Vec r[kRegs];
-#pragma GCC unroll 4
-    for (unsigned s = 0; s < kRegs; ++s) L::load(r[s], at + s * kLanes);
-    tile_steps<L, Top>(r, keep[((t * kTile) & tile_dir) != 0 ? 1 : 0]);
-#pragma GCC unroll 4
-    for (unsigned s = 0; s < kRegs; ++s) L::store(at + s * kLanes, r[s]);
-  }
-}
-
-/// simd::bitonic_steps on lane traits L: a tile run on register tiles,
-/// a run of up to three steps at or above the register width in vertical
-/// rounds, any other run through the reference.
+/// simd::bitonic_steps on lane traits L: a tile run top .. 0 on split-form
+/// register tiles (passes top+1 .. top+1), a run of up to three steps at
+/// or above the register width in vertical rounds, any other run through
+/// the reference.
 template <typename L, typename Key>
 inline void steps(Key* keys, unsigned top, unsigned bottom,
                   std::uint64_t q_lo, std::uint64_t q_hi,
@@ -588,16 +972,16 @@ inline void steps(Key* keys, unsigned top, unsigned bottom,
   if (bottom == 0 && top < kTileLog) {
     switch (top) {
       case 0:
-        tiles<L, 0>(keys, q_lo, q_hi, dir_mask, descending);
+        tile_passes_by_dir<L, 1, 1>(keys, q_lo, q_hi, dir_mask, descending);
         return;
       case 1:
-        tiles<L, 1>(keys, q_lo, q_hi, dir_mask, descending);
+        tile_passes_by_dir<L, 2, 2>(keys, q_lo, q_hi, dir_mask, descending);
         return;
       case 2:
-        tiles<L, 2>(keys, q_lo, q_hi, dir_mask, descending);
+        tile_passes_by_dir<L, 3, 3>(keys, q_lo, q_hi, dir_mask, descending);
         return;
       default:
-        tiles<L, 3>(keys, q_lo, q_hi, dir_mask, descending);
+        tile_passes_by_dir<L, 4, 4>(keys, q_lo, q_hi, dir_mask, descending);
         return;
     }
   }
@@ -617,21 +1001,44 @@ inline void steps(Key* keys, unsigned top, unsigned bottom,
   scalar::bitonic_steps(keys, top, bottom, q_lo, q_hi, dir_mask, descending);
 }
 
+/// simd::bitonic_tile_sort on lane traits L: passes 1 .. b (b <= 4) on
+/// split-form register tiles.
+template <typename L, typename Key>
+inline void tile_sort(Key* keys, unsigned b, std::uint64_t q_lo,
+                      std::uint64_t q_hi, std::uint64_t dir_mask,
+                      bool descending) {
+  switch (b) {
+    case 1:
+      tile_passes_by_dir<L, 1, 1>(keys, q_lo, q_hi, dir_mask, descending);
+      return;
+    case 2:
+      tile_passes_by_dir<L, 1, 2>(keys, q_lo, q_hi, dir_mask, descending);
+      return;
+    case 3:
+      tile_passes_by_dir<L, 1, 3>(keys, q_lo, q_hi, dir_mask, descending);
+      return;
+    default:
+      tile_passes_by_dir<L, 1, 4>(keys, q_lo, q_hi, dir_mask, descending);
+      return;
+  }
+}
+
 // simd::merge_split_pair on lane traits L. Batcher's half-cleaner first:
 // lo[i] and hi[m-1-i] take their min and max, so lo holds the lower m keys
 // of the pair and hi the upper m, each a bitonic sequence. Then an
 // ascending bitonic merge sorts each block: its steps pair keys m/2 .. 1
 // apart, registers while the distance spans whole registers, lanes below.
 
-/// Lane steps J .. 0 of an ascending merge over the registers r; keep[J]
-/// holds the lanes whose bit J is clear, which keep the min.
-template <typename L, unsigned J, std::size_t R>
-inline void ascending_lane_steps(typename L::Vec (&r)[R],
-                                 const typename L::Mask (&keep)[L::kLog]) {
-#pragma GCC unroll 16
-  for (std::size_t s = 0; s < R; ++s)
-    L::template exchange_lanes<J>(r[s], keep[J]);
-  if constexpr (J > 0) ascending_lane_steps<L, J - 1>(r, keep);
+/// Lane steps kLog-1 .. 0 of an ascending merge on two registers at once,
+/// in split form: a and b make a tile of 2^(kLog+1) keys, and the steps
+/// pair keys inside each register (the tile's pass kLog, one way over it).
+template <typename L>
+inline void ascending_lane_steps(typename L::Vec& a, typename L::Vec& b) {
+  typename L::Vec r[2] = {a, b};
+  plan_steps<L, kTilePlan<L, L::kLog + 1, L::kLog, L::kLog, kWholeTile>,
+             false>(r);
+  a = r[0];
+  b = r[1];
 }
 
 /// Register steps D .. 1 (a power of two, or 0 for none) of an ascending
@@ -647,22 +1054,14 @@ inline void ascending_register_steps(typename L::Vec (&r)[R]) {
   }
 }
 
-/// Sorts ascending the bitonic sequence held in the registers r, register
-/// s holding its keys s·2^kLog onward.
-template <typename L, std::size_t R>
-inline void merge_registers(typename L::Vec (&r)[R],
-                            const typename L::Mask (&keep)[L::kLog]) {
-  ascending_register_steps<L, R / 2>(r);
-  ascending_lane_steps<L, L::kLog - 1>(r, keep);
-}
-
 /// A pair of R registers per block, held in registers from load to store.
 /// The half-cleaner reads hi reversed, so its max side comes out as hi's
 /// bitonic sequence read backwards, which the ascending merge sorts all
-/// the same: hi is stored in order, with no second reversal.
+/// the same: hi is stored in order, with no second reversal. Each block's
+/// register steps run apart, then their lane steps together, register s
+/// of lo with register s of hi.
 template <typename L, std::size_t R, typename Key>
-inline void pair_in_registers(Key* lo, Key* hi,
-                              const typename L::Mask (&keep)[L::kLog]) {
+inline void pair_in_registers(Key* lo, Key* hi) {
   constexpr std::size_t kLanes = std::size_t{1} << L::kLog;
   typename L::Vec x[R];
   typename L::Vec y[R];
@@ -673,10 +1072,11 @@ inline void pair_in_registers(Key* lo, Key* hi,
     L::reverse(y[s]);
     L::minmax(x[s], y[s]);
   }
-  merge_registers<L>(x, keep);
-  merge_registers<L>(y, keep);
+  ascending_register_steps<L, R / 2>(x);
+  ascending_register_steps<L, R / 2>(y);
 #pragma GCC unroll 16
   for (std::size_t s = 0; s < R; ++s) {
+    ascending_lane_steps<L>(x[s], y[s]);
     L::store(lo + s * kLanes, x[s]);
     L::store(hi + s * kLanes, y[s]);
   }
@@ -687,8 +1087,7 @@ inline void pair_in_registers(Key* lo, Key* hi,
 /// or above the chunk of 2^kLiveLog registers in vertical rounds of up to
 /// three steps, then each chunk in registers.
 template <typename L, typename Key>
-inline void pair_in_passes(Key* lo, Key* hi, unsigned log,
-                           const typename L::Mask (&keep)[L::kLog]) {
+inline void pair_in_passes(Key* lo, Key* hi, unsigned log) {
   constexpr std::size_t kLanes = std::size_t{1} << L::kLog;
   constexpr std::size_t kLive = std::size_t{1} << L::kLiveLog;
   constexpr unsigned kChunkLog = L::kLiveLog + L::kLog;
@@ -728,7 +1127,10 @@ inline void pair_in_passes(Key* lo, Key* hi, unsigned log,
 #pragma GCC unroll 16
       for (std::size_t s = 0; s < kLive; ++s)
         L::load(r[s], block + at + s * kLanes);
-      merge_registers<L>(r, keep);
+      ascending_register_steps<L, kLive / 2>(r);
+#pragma GCC unroll 8
+      for (std::size_t s = 0; s < kLive; s += 2)
+        ascending_lane_steps<L>(r[s], r[s + 1]);
 #pragma GCC unroll 16
       for (std::size_t s = 0; s < kLive; ++s)
         L::store(block + at + s * kLanes, r[s]);
@@ -740,16 +1142,15 @@ inline void pair_in_passes(Key* lo, Key* hi, unsigned log,
 /// in registers while both blocks fit in 2^kLiveLog of them, in passes
 /// above that.
 template <typename L, std::size_t R, typename Key>
-inline void pair_by_width(Key* lo, Key* hi, std::size_t regs, unsigned log,
-                          const typename L::Mask (&keep)[L::kLog]) {
+inline void pair_by_width(Key* lo, Key* hi, std::size_t regs, unsigned log) {
   if constexpr (2 * R <= (std::size_t{1} << L::kLiveLog)) {
     if (regs == R) {
-      pair_in_registers<L, R>(lo, hi, keep);
+      pair_in_registers<L, R>(lo, hi);
       return;
     }
-    pair_by_width<L, 2 * R>(lo, hi, regs, log, keep);
+    pair_by_width<L, 2 * R>(lo, hi, regs, log);
   } else {
-    pair_in_passes<L>(lo, hi, log, keep);
+    pair_in_passes<L>(lo, hi, log);
   }
 }
 
@@ -757,14 +1158,7 @@ inline void pair_by_width(Key* lo, Key* hi, std::size_t regs, unsigned log,
 /// one register.
 template <typename L, typename Key>
 inline void merge_split_pair(Key* lo, Key* hi, unsigned log) {
-  typename L::Mask keep[L::kLog];
-  for (unsigned j = 0; j < L::kLog; ++j) {
-    unsigned bits = 0;
-    for (unsigned i = 0; i < (1u << L::kLog); ++i)
-      bits |= unsigned{((i >> j) & 1) == 0} << i;
-    L::make_mask(keep[j], bits);
-  }
-  pair_by_width<L, 1>(lo, hi, std::size_t{1} << (log - L::kLog), log, keep);
+  pair_by_width<L, 1>(lo, hi, std::size_t{1} << (log - L::kLog), log);
 }
 
 // simd::cube_prefix_steps on lane traits L, taken in their signed form,
@@ -903,9 +1297,10 @@ namespace avx2 {
 template <bool kSigned>
 struct Lanes64 {
   using Vec = __m256i;
-  using Mask = __m256i;  // all-ones lanes keep the min
+  using Mask = __m256i;  // all-ones lanes take a masked add
   static constexpr unsigned kLog = 2;
   static constexpr unsigned kLiveLog = 3;  // 8 of the 16 ymm registers
+  static constexpr bool kTwoSourcePermute = false;
 
   __attribute__((target("avx2"))) static void load(Vec& v, const void* p) {
     v = order(_mm256_loadu_si256(static_cast<const __m256i*>(p)));
@@ -919,22 +1314,27 @@ struct Lanes64 {
     hi = _mm256_blendv_epi8(hi, lo, gt);
     lo = mn;
   }
-  __attribute__((target("avx2"))) static void exchange(Vec& x, Vec& y,
-                                                       const Mask& keep_min) {
-    // x > y: the min is y. Equal lanes are the same bits either way.
-    const __m256i take_x =
-        _mm256_xor_si256(_mm256_cmpgt_epi64(x, y), keep_min);
-    const __m256i nx = _mm256_blendv_epi8(y, x, take_x);
-    y = _mm256_blendv_epi8(x, y, take_x);
-    x = nx;
+  template <unsigned M>
+  __attribute__((target("avx2"))) static void blend(Vec& v, const Vec& x,
+                                                    const Vec& y) {
+    constexpr int kDwords = (M & 1 ? 0x03 : 0) | (M & 2 ? 0x0C : 0) |
+                            (M & 4 ? 0x30 : 0) | (M & 8 ? 0xC0 : 0);
+    v = _mm256_blend_epi32(x, y, kDwords);
   }
-  template <unsigned J>
-  __attribute__((target("avx2"))) static void exchange_lanes(
-      Vec& v, const Mask& keep_min) {
-    __m256i p;
-    partner<J>(p, v);
-    v = _mm256_blendv_epi8(
-        p, v, _mm256_xor_si256(_mm256_cmpgt_epi64(v, p), keep_min));
+  template <bool H>
+  __attribute__((target("avx2"))) static void unpack(Vec& v, const Vec& x,
+                                                     const Vec& y) {
+    v = H ? _mm256_unpackhi_epi64(x, y) : _mm256_unpacklo_epi64(x, y);
+  }
+  template <unsigned I>
+  __attribute__((target("avx2"))) static void halves(Vec& v, const Vec& x,
+                                                     const Vec& y) {
+    v = _mm256_permute2x128_si256(x, y, I);
+  }
+  template <unsigned I>
+  __attribute__((target("avx2"))) static void permute1(Vec& v,
+                                                       const Vec& x) {
+    v = _mm256_permute4x64_epi64(x, I);
   }
   template <unsigned J>
   __attribute__((target("avx2"))) static void partner(Vec& p, const Vec& v) {
@@ -981,6 +1381,14 @@ __attribute__((target("avx2"), flatten)) inline void bitonic_steps(
 }
 
 template <typename Key>
+__attribute__((target("avx2"), flatten)) inline void bitonic_tile_sort(
+    Key* keys, unsigned b, std::uint64_t q_lo, std::uint64_t q_hi,
+    std::uint64_t dir_mask, bool descending) {
+  blocked::tile_sort<Lanes64<std::is_signed_v<Key>>>(keys, b, q_lo, q_hi,
+                                                     dir_mask, descending);
+}
+
+template <typename Key>
 __attribute__((target("avx2"), flatten)) inline void merge_split_pair(
     Key* lo, Key* hi, unsigned log) {
   blocked::merge_split_pair<Lanes64<std::is_signed_v<Key>>>(lo, hi, log);
@@ -1004,9 +1412,10 @@ namespace avx512 {
 template <bool kSigned>
 struct Lanes64 {
   using Vec = __m512i;
-  using Mask = __mmask8;  // set lanes keep the min
+  using Mask = __mmask8;  // set lanes take a masked add
   static constexpr unsigned kLog = 3;
   static constexpr unsigned kLiveLog = 4;  // 16 of the 32 zmm registers
+  static constexpr bool kTwoSourcePermute = true;  // vpermt2q
 
   __attribute__((target("avx512f,avx512vl"))) static void load(Vec& v,
                                                              const void* p) {
@@ -1022,24 +1431,23 @@ struct Lanes64 {
     hi = vmax(lo, hi);
     lo = mn;
   }
-  __attribute__((target("avx512f,avx512vl"))) static void exchange(
-      Vec& x, Vec& y, const Mask& keep_min) {
-    const __m512i mn = vmin(x, y);
-    const __m512i mx = vmax(x, y);
-    x = _mm512_mask_blend_epi64(keep_min, mx, mn);
-    y = _mm512_mask_blend_epi64(keep_min, mn, mx);
+  template <unsigned M>
+  __attribute__((target("avx512f,avx512vl"))) static void blend(
+      Vec& v, const Vec& x, const Vec& y) {
+    v = _mm512_mask_blend_epi64(static_cast<__mmask8>(M), x, y);
   }
-  template <unsigned J>
-  __attribute__((target("avx512f,avx512vl"))) static void exchange_lanes(
-      Vec& v, const Mask& keep_min) {
-    __m512i p;
-    partner<J>(p, v);
-    // The max everywhere, then the min over it in the keep-min lanes.
-    if constexpr (kSigned) {
-      v = _mm512_mask_min_epi64(vmax(v, p), keep_min, v, p);
-    } else {
-      v = _mm512_mask_min_epu64(vmax(v, p), keep_min, v, p);
-    }
+  template <bool H>
+  __attribute__((target("avx512f,avx512vl"))) static void unpack(
+      Vec& v, const Vec& x, const Vec& y) {
+    v = H ? _mm512_maskz_unpackhi_epi64(0xFF, x, y)
+          : _mm512_maskz_unpacklo_epi64(0xFF, x, y);
+  }
+  template <std::array<std::uint8_t, 8> P>
+  __attribute__((target("avx512f,avx512vl"))) static void permute2(
+      Vec& v, const Vec& x, const Vec& y) {
+    const __m512i index = _mm512_set_epi64(P[7], P[6], P[5], P[4], P[3],
+                                           P[2], P[1], P[0]);
+    v = _mm512_maskz_permutex2var_epi64(0xFF, x, index, y);
   }
   template <unsigned J>
   __attribute__((target("avx512f,avx512vl"))) static void partner(
@@ -1098,6 +1506,15 @@ bitonic_steps(Key* keys, unsigned top, unsigned bottom, std::uint64_t q_lo,
 
 template <typename Key>
 __attribute__((target("avx512f,avx512vl"), flatten)) inline void
+bitonic_tile_sort(Key* keys, unsigned b, std::uint64_t q_lo,
+                  std::uint64_t q_hi, std::uint64_t dir_mask,
+                  bool descending) {
+  blocked::tile_sort<Lanes64<std::is_signed_v<Key>>>(keys, b, q_lo, q_hi,
+                                                     dir_mask, descending);
+}
+
+template <typename Key>
+__attribute__((target("avx512f,avx512vl"), flatten)) inline void
 merge_split_pair(Key* lo, Key* hi, unsigned log) {
   blocked::merge_split_pair<Lanes64<std::is_signed_v<Key>>>(lo, hi, log);
 }
@@ -1127,8 +1544,10 @@ cube_prefix_steps(std::uint64_t* t, std::uint64_t* s, std::uint64_t len,
 /// sign-bias XOR). A run of up to three steps at or above the register
 /// width loads the registers of a round of bases once and applies all its
 /// steps in registers; a tile run top .. 0 (top <= 3) does the same on
-/// 16-node register tiles, pairing lanes below the register width. Every
-/// other key, ISA and run shape runs the scalar reference. Integral keys
+/// 16-node register tiles in split form: each step is one vertical minmax
+/// per register pair, with static permutes between the steps' layouts
+/// (blocked::tile_passes) and no lane mask. Every other key, ISA and run
+/// shape runs the scalar reference. Integral keys
 /// that compare equal are the same bits, so every kernel writes the bytes
 /// the reference does. Callers: a replayed dual_sort's merge passes over
 /// nodes, and block_sort's local sort, whose "nodes" are the keys of whole
@@ -1156,6 +1575,44 @@ inline void bitonic_steps(Key* keys, unsigned top, unsigned bottom,
   }
 #endif
   scalar::bitonic_steps(keys, top, bottom, q_lo, q_hi, dir_mask, descending);
+}
+
+/// The passes a tile sort runs at most: all of a 16-node tile's.
+inline constexpr unsigned kTileSortPasses = blocked::kTileLog;
+
+/// Bitonic passes 1 .. b (1 <= b <= 4) in place over integral `keys`, on
+/// the bases [q_lo, q_hi), base q owning the 2^b nodes from q·2^b: pass t
+/// runs steps t-1 .. 0 and is directed by label bit t (a pair (u, u + 2^j)
+/// ascends iff bit t of u is clear), the last pass b by the caller's
+/// dir_mask and descending as in bitonic_steps (dir_mask 0 or a power of
+/// two of at least 2^b). Sorts each 2^b-node group of an unsorted input,
+/// ascending or descending by that rule: passes 1 .. b of Batcher's
+/// network. 8-byte keys run each aligned 16-node tile in registers, in
+/// split form, from one load to one store (blocked::tile_passes), the
+/// bases of partial tiles and every other key through the reference
+/// (scalar::bitonic_passes). Callers: a replayed dual_sort's passes 1 .. 4
+/// and block_sort's local sort.
+template <typename Key>
+inline void bitonic_tile_sort(Key* keys, unsigned b, std::uint64_t q_lo,
+                              std::uint64_t q_hi, std::uint64_t dir_mask,
+                              bool descending) {
+  static_assert(std::is_integral_v<Key>,
+                "the bitonic step kernel sorts integral keys");
+#if DC_SIMD_HAS_AVX2_BUILD
+  if constexpr (sizeof(Key) == 8) {
+    switch (active_isa()) {
+      case Isa::kAvx512:
+        avx512::bitonic_tile_sort(keys, b, q_lo, q_hi, dir_mask, descending);
+        return;
+      case Isa::kAvx2:
+        avx2::bitonic_tile_sort(keys, b, q_lo, q_hi, dir_mask, descending);
+        return;
+      default:
+        break;
+    }
+  }
+#endif
+  scalar::bitonic_passes(keys, 1, b, q_lo, q_hi, dir_mask, descending);
 }
 
 /// The lowest step of the run that starts at step `top` of a merge pass:

@@ -431,6 +431,29 @@ TEST(MachineFaults, LostMessagesFoldAsIdentityInTheFlatPrefix) {
   }
 }
 
+// The emulated prefix relays every dimension but 0 over three cycles: a
+// lost cycle-1 gather leaves an earlier block in the relay's row, which
+// cycles 2 and 3 would deliver as fresh. Every lost link of the relay
+// must fold as the identity instead.
+TEST(MachineFaults, LostRelayedBlocksFoldAsIdentityInTheEmulatedPrefix) {
+  const Concat op;
+  for (const unsigned permille : {200u, 500u, 900u}) {
+    const auto faults =
+        std::make_shared<FaultTimeline>(noisy_timeline(41, permille));
+    for (unsigned n = 2; n <= 4; ++n) {
+      SCOPED_TRACE(testing::Message() << "RD_" << n << " drop " << permille
+                                      << "/1000");
+      const RecursiveDualCube r(n);
+      Machine m(r);
+      m.attach_faults(faults, FaultPolicy::kDegrade);
+      expect_ordered_subfolds(
+          dc::core::emulated_prefix(m, r, op, index_tokens(r.node_count())),
+          /*inclusive=*/true);
+      EXPECT_GT(m.counters().messages_lost, 0u);
+    }
+  }
+}
+
 // ------------------------------------------------------ fault spec parse
 
 TEST(FaultSpec, ParsesNodesAndRandomForms) {

@@ -1416,6 +1416,56 @@ TEST_F(ScheduleTest, CompiledSortRelayDeliversEachNodesPartner) {
   }
 }
 
+// Batcher's sort on Q_d (cube_bitonic_sort), certified like Algorithm 3
+// above on Q_1 .. Q_10, both directions: its compiled schedule makes
+// d(d+1)/2 cycles, level k's step j delivers every node its dimension-j
+// partner, and in each pair the lower label u keeps the min iff bit k of
+// u is clear, or at the last level iff ascending order was asked for,
+// its partner the max.
+TEST_F(ScheduleTest, CompiledCubeSortDeliversEachNodesPartner) {
+  for (unsigned d = 1; d <= 10; ++d) {
+    for (const bool descending : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "Q_" << d
+                                      << " descending=" << descending);
+      const net::Hypercube q(d);
+      ScheduleCache::instance().clear();
+      Machine m(q);
+      m.set_schedule_path(SchedulePath::kCompiled);
+      auto keys = random_values(q.node_count(), d);
+      core::cube_bitonic_sort(m, q, keys, descending);
+      EXPECT_TRUE(descending ? std::is_sorted(keys.rbegin(), keys.rend())
+                             : std::is_sorted(keys.begin(), keys.end()));
+      const auto sched = ScheduleCache::instance().find(
+          ScheduleKey{ObliviousSection::topology_identity(q),
+                      "cube_bitonic_sort",
+                      {d},
+                      m.validating()});
+      ASSERT_NE(sched, nullptr);
+      ASSERT_EQ(sched->cycle_count(), d * (d + 1) / 2);
+      std::size_t next = 0;
+      for (unsigned k = 1; k <= d; ++k) {
+        for (unsigned j = k; j-- > 0;) {
+          const ScheduleCycle& c = sched->cycle(next++);
+          for (net::NodeId u = 0; u < q.node_count(); ++u) {
+            ASSERT_EQ(c.sender(u), bits::flip(u, j))
+                << "k=" << k << " j=" << j << " u=" << u;
+            if (bits::get(u, j) != 0) continue;
+            const bool batcher = k == d ? !descending : bits::get(u, k) == 0;
+            ASSERT_EQ(core::detail::cube_bitonic_keep_min(u, j, k, d,
+                                                          descending),
+                      batcher)
+                << "k=" << k << " j=" << j << " u=" << u;
+            ASSERT_EQ(core::detail::cube_bitonic_keep_min(
+                          bits::flip(u, j), j, k, d, descending),
+                      !batcher)
+                << "k=" << k << " j=" << j << " u=" << u;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------- the XOR-mask form
 
 // Which oblivious algorithms compile their cycles to the six-word XOR-mask

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <functional>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -689,6 +691,148 @@ TEST(Simd, BitonicReferenceRunEqualsItsStepsInOrder) {
       }
     }
     EXPECT_TRUE(std::is_sorted(state.begin(), state.end())) << "D_" << n;
+  }
+}
+
+// The tile-sort entry against the reference: passes 1 .. b for b = 1 .. 4,
+// the last pass directed by every bit it can take (b .. 6) or by the caller
+// alone, both final directions, cut into pieces at bases that are not
+// tile-aligned (as a pool's chunks would run them), must leave the
+// reference's bytes — and the reference sorts each 2^b-node group the way
+// its rule asks.
+template <typename Key>
+void expect_tile_sort_parity(simd::Isa isa) {
+  constexpr std::size_t kNodes = 1024;
+  for (unsigned b = 1; b <= 4; ++b) {
+    const dc::u64 bases = kNodes >> b;
+    std::vector<dc::u64> masks = {0};
+    for (unsigned bit = b; bit <= 6; ++bit) masks.push_back(dc::u64{1} << bit);
+    for (const dc::u64 dir_mask : masks) {
+      for (const bool descending : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "Key=" << sizeof(Key) << "B signed="
+                     << std::is_signed_v<Key> << " b=" << b << " dir_mask="
+                     << dir_mask << " descending=" << descending
+                     << " isa=" << simd::isa_name(isa));
+        const auto input = bitonic_keys<Key>(kNodes, 8 * b + dir_mask);
+        auto want = input;
+        simd::scalar::bitonic_passes(want.data(), 1, b, 0, bases, dir_mask,
+                                     descending);
+        for (dc::u64 g = 0; g < bases; ++g) {
+          const auto first = want.begin() + static_cast<std::ptrdiff_t>(g << b);
+          const auto last = first + (std::ptrdiff_t{1} << b);
+          const bool down = (((g << b) & dir_mask) != 0) != descending;
+          ASSERT_TRUE(down ? std::is_sorted(first, last, std::greater<>())
+                           : std::is_sorted(first, last))
+              << "group " << g;
+        }
+        auto got = input;
+        const dc::u64 cuts[] = {0, 1, bases / 3, 2 * bases / 3 + 1,
+                                bases - 1, bases};
+        ASSERT_TRUE(simd::force_isa(isa));
+        for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+          simd::bitonic_tile_sort(got.data(), b, cuts[c], cuts[c + 1],
+                                  dir_mask, descending);
+        }
+        simd::clear_forced_isa();
+        ASSERT_EQ(got, want);
+      }
+    }
+  }
+}
+
+TEST(Simd, TileSortMatchesTheReferenceEveryPassCountAndDirection) {
+  std::vector<simd::Isa> isas = vector_isas();
+  isas.insert(isas.begin(), simd::Isa::kScalar);
+  for (const simd::Isa isa : isas) {
+    expect_tile_sort_parity<dc::u64>(isa);
+    expect_tile_sort_parity<std::int64_t>(isa);
+  }
+}
+
+// The 0-1 principle on one tile: the 16-node tile sort (passes 1 .. 4)
+// sorts every one of the 2^16 inputs of zeros and ones, both directions,
+// on every tier.
+TEST(Simd, TileSortSortsEveryZeroOneTile) {
+  constexpr std::size_t kTiles = std::size_t{1} << 16;
+  std::vector<dc::u64> inputs(16 * kTiles);
+  for (std::size_t x = 0; x < kTiles; ++x) {
+    for (unsigned i = 0; i < 16; ++i) inputs[16 * x + i] = (x >> i) & 1;
+  }
+  std::vector<simd::Isa> isas = vector_isas();
+  isas.insert(isas.begin(), simd::Isa::kScalar);
+  for (const simd::Isa isa : isas) {
+    for (const bool descending : {false, true}) {
+      auto keys = inputs;
+      ASSERT_TRUE(simd::force_isa(isa));
+      simd::bitonic_tile_sort(keys.data(), 4, 0, kTiles, 0, descending);
+      simd::clear_forced_isa();
+      for (std::size_t x = 0; x < kTiles; ++x) {
+        const unsigned ones = static_cast<unsigned>(std::popcount(x));
+        for (unsigned i = 0; i < 16; ++i) {
+          const bool one = descending ? i < ones : i >= 16 - ones;
+          ASSERT_EQ(keys[16 * x + i], dc::u64{one})
+              << simd::isa_name(isa) << " descending=" << descending
+              << " input " << x;
+        }
+      }
+    }
+  }
+}
+
+// A replayed dual_sort, which runs passes 1 .. 4 as one tile sort and
+// books the other steps around empty sweeps, must match its record run on
+// RD_1 .. RD_7 — sorted keys and Counters with ops — on a pool of one and
+// of four workers, at the machine's grain and at grain 1 (every sweep
+// split over the workers). Its trace reads like one fused sweep per
+// dimension step, as schedule_test pins for the generic combine: the
+// step's 1 or 3 fused cycles, then its compute step.
+TEST(Simd, ReplayedDualSortMatchesItsRecordRunOnOneAndFourWorkers) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(workers);
+    for (const std::size_t grain : {std::size_t{0}, std::size_t{1}}) {
+      for (unsigned n = 1; n <= 7; ++n) {
+        SCOPED_TRACE(testing::Message() << "RD_" << n << " workers="
+                                        << workers << " grain=" << grain);
+        const net::RecursiveDualCube r(n);
+        const auto input = bitonic_keys<dc::u64>(r.node_count(), 50 + n);
+        ScheduleCache::instance().clear();
+        const auto sorted = [&] {
+          Machine m(r);
+          m.set_thread_pool(&pool);
+          if (grain != 0) m.set_parallel_grain(grain);
+          m.set_schedule_path(SchedulePath::kCompiled);
+          m.enable_trace();
+          auto keys = input;
+          core::dual_sort(m, r, keys);
+          std::vector<std::pair<std::string, char>> events;
+          for (const TraceEvent& e : m.trace()->merged())
+            if (e.track == m.trace_track()) events.emplace_back(e.name, e.ph);
+          return std::make_tuple(keys, m.counters(), m.replayed_cycles(),
+                                 events);
+        };
+        const auto [want, want_counters, recorded, record_events] = sorted();
+        const auto [got, counters, replayed, events] = sorted();
+        EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(counters, want_counters);
+        EXPECT_EQ(recorded, 0u);
+        EXPECT_EQ(replayed, counters.comm_cycles);
+        std::vector<std::pair<std::string, char>> pinned{
+            {"replay:dual_bitonic_network", 'B'}, {"schedule_cache_hit", 'i'}};
+        for (unsigned t = 1; t < 2 * n; ++t) {
+          for (unsigned j = t; j-- > 0;) {
+            for (std::size_t c = 0; c < core::detail::relay_cycles(j); ++c) {
+              pinned.insert(pinned.end(), {{"comm_cycle_fused", 'B'},
+                                           {"comm_cycle_fused", 'E'}});
+            }
+            pinned.emplace_back("compute_step", 'i');
+          }
+        }
+        pinned.emplace_back("replay:dual_bitonic_network", 'E');
+        EXPECT_EQ(events, pinned);
+      }
+    }
   }
 }
 
